@@ -64,9 +64,6 @@ fn main() {
     if run("e11") {
         exp11(scale);
     }
-    if run("e12") {
-        exp12(scale);
-    }
 }
 
 /// F1 — the paper's Fig. 1 (architecture): the system inventory, mapping
@@ -451,80 +448,6 @@ fn exp11(scale: usize) {
             events as f64 / secs,
             out,
             inn
-        );
-    }
-    println!();
-}
-
-/// E12 — vectorized columnar executor: identical queries through the row
-/// interpreter and the batch/kernels path, plus the incremental window
-/// aggregate cache (tick cost vs window size).
-fn exp12(scale: usize) {
-    use sstore_bench::ExecPath;
-    println!("== E12: vectorized columnar executor — row vs vector path ==\n");
-    let n = 20_000 * scale;
-    let mut db = exp_e12_build(n);
-    println!("   query ({n} events)         | row ms  | vec ms  | speedup");
-    // One untimed warmup then median-of-N per query: the first call on a
-    // fresh path pays allocator/page-fault costs that are not steady-state.
-    fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-        f();
-        let mut times: Vec<f64> = (0..reps)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    }
-    let mut timings = Vec::new();
-    for path in [ExecPath::Row, ExecPath::Vector] {
-        exp_e12_set_path(&mut db, path);
-        let mut kept = 0;
-        let scan_ms = median_ms(5, || {
-            kept = exp_e12_scan_filter_agg(&mut db).0;
-        });
-        // The row-path join is O(events × dims); keep its reps small.
-        let join_reps = if path == ExecPath::Row { 1 } else { 5 };
-        let mut joined = 0;
-        let join_ms = median_ms(join_reps, || {
-            joined = exp_e12_join_count(&mut db);
-        });
-        assert_eq!(joined, n as i64, "join must match every event once");
-        timings.push((kept, scan_ms, join_ms));
-    }
-    let (kept, row_scan, row_join) = timings[0];
-    let (vkept, vec_scan, vec_join) = timings[1];
-    assert_eq!(kept, vkept, "paths disagree on filter cardinality");
-    println!(
-        "   scan+filter+agg ({kept:>6} kept) | {row_scan:>7.2} | {vec_scan:>7.2} | {:>6.1}x",
-        row_scan / vec_scan
-    );
-    println!(
-        "   equi-join (x{})            | {row_join:>7.2} | {vec_join:>7.2} | {:>6.1}x",
-        sstore_bench::E12_DIMS,
-        row_join / vec_join
-    );
-
-    println!("\n   window tick (1 insert + COUNT/SUM/AVG read), ROWS w SLIDE 10:\n");
-    println!("   window rows | row us/tick | vec us/tick");
-    for size in [1_000 * scale, 4_000 * scale, 16_000 * scale] {
-        let mut per_path = Vec::new();
-        for path in [ExecPath::Row, ExecPath::Vector] {
-            let mut wdb = exp_e12_window_build(size);
-            exp_e12_set_path(&mut wdb, path);
-            let ticks = 50i64;
-            let t0 = Instant::now();
-            for i in 0..ticks {
-                exp_e12_window_tick(&mut wdb, i);
-            }
-            per_path.push(t0.elapsed().as_secs_f64() * 1e6 / ticks as f64);
-        }
-        println!(
-            "   {:>11} | {:>11.1} | {:>11.1}",
-            size, per_path[0], per_path[1]
         );
     }
     println!();

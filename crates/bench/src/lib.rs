@@ -582,132 +582,6 @@ pub fn exp_e11_edges(
 }
 
 // ---------------------------------------------------------------------------
-// E12 — vectorized columnar executor vs the row interpreter
-// ---------------------------------------------------------------------------
-
-pub use sstore_core::ExecPath;
-
-/// E12 dimension-table cardinality (`dims` rows; `events.k` ranges over it).
-pub const E12_DIMS: usize = 256;
-
-/// Pin the partition's executor path (row interpreter vs vectorized).
-pub fn exp_e12_set_path(db: &mut SStore, path: ExecPath) {
-    db.engine_mut().set_exec_path(path);
-}
-
-/// E12 setup: `events(id, k, v, w)` of `n` rows plus a `dims(k, name)`
-/// dimension table of [`E12_DIMS`] rows. `v` is uniform over `[0.5, 99.5]`
-/// so `v >= 50.0` keeps about half; `k = id % E12_DIMS` so the equi-join
-/// matches every event exactly once.
-pub fn exp_e12_build(n: usize) -> SStore {
-    use sstore_core::common::Value;
-    let mut db = SStoreBuilder::new().build().expect("build");
-    db.ddl(
-        "CREATE TABLE events (id INT NOT NULL, k INT NOT NULL, v FLOAT NOT NULL, w INT NOT NULL, \
-         PRIMARY KEY (id))",
-    )
-    .expect("ddl");
-    db.ddl("CREATE TABLE dims (k INT NOT NULL, name VARCHAR NOT NULL, PRIMARY KEY (k))")
-        .expect("ddl");
-    for k in 0..E12_DIMS as i64 {
-        db.setup_sql(
-            "INSERT INTO dims VALUES (?, ?)",
-            &[Value::Int(k), Value::Text(format!("dim-{k:03}"))],
-        )
-        .expect("seed dims");
-    }
-    let mut i = 0usize;
-    while i < n {
-        let hi = (i + 500).min(n);
-        let mut sql = String::from("INSERT INTO events VALUES ");
-        for (j, id) in (i..hi).enumerate() {
-            if j > 0 {
-                sql.push(',');
-            }
-            sql.push_str(&format!(
-                "({}, {}, {}.5, {})",
-                id,
-                id % E12_DIMS,
-                id % 100,
-                id % 1000
-            ));
-        }
-        db.setup_sql(&sql, &[]).expect("seed events");
-        i = hi;
-    }
-    db
-}
-
-/// E12a: scan + filter + aggregate — `COUNT`/`SUM` over roughly half the
-/// table. On the vector path this runs as one batch build, one float
-/// comparison kernel, and two aggregation kernels over the selection.
-pub fn exp_e12_scan_filter_agg(db: &mut SStore) -> (i64, i64) {
-    let rows = db
-        .query("SELECT COUNT(*), SUM(w) FROM events WHERE v >= 50.0", &[])
-        .expect("query")
-        .rows;
-    let count = rows[0][0].as_int().expect("count");
-    let sum = rows[0][1].as_int().expect("sum");
-    (count, sum)
-}
-
-/// E12b: equi-join cardinality — nested loop on the row path, hash
-/// build/probe (`dims` build side, `events` probe side) on the vector
-/// path.
-pub fn exp_e12_join_count(db: &mut SStore) -> i64 {
-    db.query(
-        "SELECT COUNT(*) FROM events JOIN dims ON events.k = dims.k",
-        &[],
-    )
-    .expect("query")
-    .rows[0][0]
-        .as_int()
-        .expect("count")
-}
-
-/// E12c setup: a prefilled `ROWS size SLIDE 10` window ready for
-/// steady-state tick measurements.
-pub fn exp_e12_window_build(size: usize) -> SStore {
-    let mut db = SStoreBuilder::new().build().expect("build");
-    db.ddl(&format!("CREATE WINDOW w (v INT) ROWS {size} SLIDE 10"))
-        .expect("ddl");
-    let mut i = 0usize;
-    while i < size {
-        let hi = (i + 500).min(size);
-        let mut sql = String::from("INSERT INTO w VALUES ");
-        for (j, v) in (i..hi).enumerate() {
-            if j > 0 {
-                sql.push(',');
-            }
-            sql.push_str(&format!("({v})"));
-        }
-        db.setup_sql(&sql, &[]).expect("prefill window");
-        i = hi;
-    }
-    db
-}
-
-/// E12c: one steady-state window tick — ingest one tuple, then read the
-/// window's running aggregates. The row path rescans all `size` rows per
-/// read; the vector path answers from the incrementally-maintained
-/// aggregate cache, so tick cost is independent of window size.
-pub fn exp_e12_window_tick(db: &mut SStore, i: i64) -> (i64, f64) {
-    use sstore_core::common::Value;
-    db.setup_sql("INSERT INTO w VALUES (?)", &[Value::Int(i)])
-        .expect("insert");
-    let rows = db
-        .query("SELECT COUNT(*), SUM(v), AVG(v) FROM w", &[])
-        .expect("query")
-        .rows;
-    let count = rows[0][0].as_int().expect("count");
-    let avg = match rows[0][2] {
-        Value::Float(f) => f,
-        ref other => panic!("AVG returned {other:?}"),
-    };
-    (count, avg)
-}
-
-// ---------------------------------------------------------------------------
 // E13 — delta snapshots, parallel recovery, 2PC fast paths
 // ---------------------------------------------------------------------------
 

@@ -43,7 +43,8 @@ pub struct EeConfig {
     /// Maximum trigger cascade depth before the transaction aborts.
     pub max_trigger_depth: u32,
     /// Which executor eligible read plans run on (vectorized batch
-    /// kernels vs. the row interpreter). Defaults from `SSTORE_EXEC`.
+    /// kernels vs. the row interpreter); `ExecutionEngine::set_exec_path`
+    /// changes it.
     pub exec_path: ExecPath,
 }
 
@@ -52,7 +53,7 @@ impl Default for EeConfig {
         EeConfig {
             ee_triggers_enabled: true,
             max_trigger_depth: 16,
-            exec_path: ExecPath::session_default(),
+            exec_path: ExecPath::default(),
         }
     }
 }

@@ -103,8 +103,9 @@ impl ExecutionEngine {
         self.config.ee_triggers_enabled = enabled;
     }
 
-    /// Select the executor for eligible read plans (experiment E12:
-    /// vectorized batch kernels vs. the row interpreter).
+    /// Select the executor for eligible read plans: vectorized batch
+    /// kernels (the default) or the row interpreter (reference semantics,
+    /// for parity tests and A/B measurements).
     pub fn set_exec_path(&mut self, path: sstore_sql::ExecPath) {
         self.config.exec_path = path;
     }

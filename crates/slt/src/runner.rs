@@ -60,11 +60,11 @@ fn build_engine(path: &Path, exec: ExecPath) -> std::result::Result<SStore, Stri
     }
 }
 
-/// Run one `.slt` file against a fresh [`SStore`] using the session's
-/// default executor path. Returns the list of failure messages (empty =
+/// Run one `.slt` file against a fresh [`SStore`] using the default
+/// (vectorized) executor path. Returns the list of failure messages (empty =
 /// pass).
 pub fn run_slt_file(path: &Path) -> Vec<String> {
-    run_slt_file_with(path, ExecPath::session_default())
+    run_slt_file_with(path, ExecPath::default())
 }
 
 /// Run one `.slt` file against a fresh [`SStore`] pinned to `exec`.

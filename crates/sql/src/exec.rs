@@ -42,10 +42,10 @@ pub trait ExecContext {
     fn update_row(&mut self, table: TableId, rid: RowId, new_row: Row) -> Result<()>;
 
     /// Which executor eligible read plans route through. Defaults to the
-    /// process-wide setting (`SSTORE_EXEC`); the engine overrides this
-    /// with its per-partition configuration.
+    /// vectorized path; the engine overrides this with its per-partition
+    /// configuration.
     fn exec_path(&self) -> ExecPath {
-        ExecPath::session_default()
+        ExecPath::default()
     }
 }
 

@@ -7,6 +7,7 @@
 
 use crate::ast::{BinOp, UnaryOp};
 use sstore_common::{Error, Result, Value};
+use std::collections::BTreeSet;
 
 /// A name-resolved expression, ready for evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +72,73 @@ pub enum BoundExpr {
     /// [`EvalEnv::subs`]). The executor evaluates the statement's subquery
     /// plans once, in slot order, before running the main plan.
     SubqueryRef(usize),
+}
+
+impl BoundExpr {
+    /// Collect every `ColumnRef` position the expression mentions.
+    pub fn collect_refs(&self, out: &mut BTreeSet<usize>) {
+        match self {
+            BoundExpr::ColumnRef(i) => {
+                out.insert(*i);
+            }
+            BoundExpr::Literal(_) | BoundExpr::Param(_) | BoundExpr::SubqueryRef(_) => {}
+            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => {
+                expr.collect_refs(out)
+            }
+            BoundExpr::Binary { left, right, .. } => {
+                left.collect_refs(out);
+                right.collect_refs(out);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.collect_refs(out);
+                for item in list {
+                    item.collect_refs(out);
+                }
+            }
+            BoundExpr::Between { expr, lo, hi, .. } => {
+                expr.collect_refs(out);
+                lo.collect_refs(out);
+                hi.collect_refs(out);
+            }
+            BoundExpr::Scalar { args, .. } => {
+                for a in args {
+                    a.collect_refs(out);
+                }
+            }
+        }
+    }
+
+    /// Re-address every `ColumnRef` from a row to the sub-row that starts
+    /// at its column `base` (every reference must lie at or past `base`).
+    pub(crate) fn rebase_refs(&mut self, base: usize) {
+        match self {
+            BoundExpr::ColumnRef(i) => *i -= base,
+            BoundExpr::Literal(_) | BoundExpr::Param(_) | BoundExpr::SubqueryRef(_) => {}
+            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => {
+                expr.rebase_refs(base)
+            }
+            BoundExpr::Binary { left, right, .. } => {
+                left.rebase_refs(base);
+                right.rebase_refs(base);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.rebase_refs(base);
+                for item in list {
+                    item.rebase_refs(base);
+                }
+            }
+            BoundExpr::Between { expr, lo, hi, .. } => {
+                expr.rebase_refs(base);
+                lo.rebase_refs(base);
+                hi.rebase_refs(base);
+            }
+            BoundExpr::Scalar { args, .. } => {
+                for a in args {
+                    a.rebase_refs(base);
+                }
+            }
+        }
+    }
 }
 
 /// Supported scalar functions.

@@ -481,7 +481,8 @@ fn plan_from(
 }
 
 /// Apply the WHERE clause, folding equality conjuncts into an index access
-/// path when the plan is a bare single-table scan.
+/// path when the plan is a bare single-table scan, and one-table conjuncts
+/// into the scans below a join.
 fn apply_where(
     plan: PhysicalPlan,
     layout: &Layout,
@@ -505,10 +506,144 @@ fn apply_where(
     }
     let mut binder = Binder { layout, db, subs };
     let bound = binder.bind(pred)?;
-    Ok(PhysicalPlan::Filter {
-        input: Box::new(plan),
-        pred: bound,
-    })
+    Ok(push_below_joins(plan, bound, db))
+}
+
+/// Put `pred` on top of a join tree, moving the conjuncts that read one
+/// base table into that table's scan residual, so both executors filter
+/// before they join.
+///
+/// Moving a conjunct changes which rows it — and everything it no longer
+/// shields — is evaluated on, so nothing moves unless it is unobservable:
+/// the whole `WHERE`, and the `ON` of every join a conjunct sinks through,
+/// must be unable to raise ([`cannot_raise`]). A `WHERE` with `10 / x > 1`
+/// in it stays a `Filter` above the join, erroring (or not) as it always
+/// did. The one error a moved conjunct can still raise is a missing
+/// statement parameter, which now surfaces whenever that table has rows
+/// rather than only when the join does.
+fn push_below_joins(mut plan: PhysicalPlan, pred: BoundExpr, db: &Database) -> PhysicalPlan {
+    let mut kept: Option<BoundExpr> = None;
+    if matches!(plan, PhysicalPlan::NestedLoopJoin { .. }) && cannot_raise(&pred) {
+        let arity = |t: TableId| db.table(t).map(|tb| tb.schema().arity()).unwrap_or(0);
+        let mut conjuncts = Vec::new();
+        split_and(pred, &mut conjuncts);
+        for mut c in conjuncts {
+            let mut refs = std::collections::BTreeSet::new();
+            c.collect_refs(&mut refs);
+            let scan = refs
+                .first()
+                .zip(refs.last())
+                .and_then(|(&lo, &hi)| scan_of(&mut plan, lo, hi, 0, &arity));
+            match scan {
+                Some((residual, base)) => {
+                    c.rebase_refs(base);
+                    *residual = Some(and(residual.take(), c));
+                }
+                None => kept = Some(and(kept, c)),
+            }
+        }
+    } else {
+        kept = Some(pred);
+    }
+    match kept {
+        None => plan,
+        Some(pred) => PhysicalPlan::Filter {
+            input: Box::new(plan),
+            pred,
+        },
+    }
+}
+
+/// The residual of the one full scan under `plan` that produces every
+/// column in `lo..=hi` (offsets into `plan`'s output row, which starts at
+/// `base` of the whole row), with the offset of that scan's first column;
+/// `None` when the columns span tables or a join on the way down could
+/// raise.
+fn scan_of<'p>(
+    plan: &'p mut PhysicalPlan,
+    lo: usize,
+    hi: usize,
+    base: usize,
+    arity: &dyn Fn(TableId) -> usize,
+) -> Option<(&'p mut Option<BoundExpr>, usize)> {
+    match plan {
+        PhysicalPlan::Scan {
+            path: AccessPath::Full,
+            residual,
+            ..
+        } => Some((residual, base)),
+        PhysicalPlan::NestedLoopJoin { left, right, on } if cannot_raise(on) => {
+            let mid = base + left.arity(arity);
+            if hi < mid {
+                scan_of(left, lo, hi, base, arity)
+            } else if lo >= mid {
+                scan_of(right, lo, hi, mid, arity)
+            } else {
+                None
+            }
+        }
+        _ => None,
+    }
+}
+
+/// True for predicates whose evaluation cannot fail whatever the row
+/// holds: comparisons and `IS [NOT] NULL` over bare columns, literals and
+/// parameters (comparison is total, a NULL operand yields NULL), boolean
+/// literals, and `AND`/`OR`/`NOT` of those (their operands are then always
+/// boolean or NULL). Arithmetic, functions, `IN`, `BETWEEN`, subqueries
+/// and bare column predicates are not on the list.
+fn cannot_raise(e: &BoundExpr) -> bool {
+    use ast::BinOp::*;
+    let operand = |e: &BoundExpr| {
+        matches!(
+            e,
+            BoundExpr::ColumnRef(_) | BoundExpr::Literal(_) | BoundExpr::Param(_)
+        )
+    };
+    match e {
+        BoundExpr::Literal(Value::Bool(_) | Value::Null) => true,
+        BoundExpr::Binary {
+            op: And | Or,
+            left,
+            right,
+        } => cannot_raise(left) && cannot_raise(right),
+        BoundExpr::Binary {
+            op: Eq | Neq | Lt | Le | Gt | Ge,
+            left,
+            right,
+        } => operand(left) && operand(right),
+        BoundExpr::IsNull { expr, .. } => operand(expr),
+        BoundExpr::Unary {
+            op: ast::UnaryOp::Not,
+            expr,
+        } => cannot_raise(expr),
+        _ => false,
+    }
+}
+
+fn split_and(e: BoundExpr, out: &mut Vec<BoundExpr>) {
+    match e {
+        BoundExpr::Binary {
+            op: ast::BinOp::And,
+            left,
+            right,
+        } => {
+            split_and(*left, out);
+            split_and(*right, out);
+        }
+        other => out.push(other),
+    }
+}
+
+fn and(left: Option<BoundExpr>, right: BoundExpr) -> BoundExpr {
+    match left {
+        None => right,
+        Some(left) => BoundExpr::Binary {
+            op: ast::BinOp::And,
+            left: Box::new(left),
+            right: Box::new(right),
+        },
+    }
 }
 
 /// Pick the cheapest access path for a single-table predicate: a PK or
@@ -1300,6 +1435,94 @@ mod tests {
         let stmt = parse("SELECT id FROM t JOIN u ON t.id = u.t_id").unwrap();
         let err = plan_statement(&stmt, &db).unwrap_err();
         assert_eq!(err.kind(), "parse");
+    }
+
+    /// `t(id, name, score)` joined with `u(id, t_id)`: the join below the
+    /// projection, and the filter above it if one was left.
+    fn join_parts(sql: &str) -> (PhysicalPlan, PhysicalPlan, Option<BoundExpr>) {
+        let mut db = test_db();
+        let s = Schema::new(
+            vec![
+                Column::new("id", DataType::Int),
+                Column::nullable("t_id", DataType::Int),
+            ],
+            &["id"],
+        )
+        .unwrap();
+        db.create_table("u", s).unwrap();
+        let PlannedStmt::Query { plan, .. } = plan_statement(&parse(sql).unwrap(), &db).unwrap()
+        else {
+            panic!("not a query")
+        };
+        let PhysicalPlan::Project { input, .. } = plan else {
+            panic!("no projection on top")
+        };
+        let (join, filter) = match *input {
+            PhysicalPlan::Filter { input, pred } => (*input, Some(pred)),
+            other => (other, None),
+        };
+        let PhysicalPlan::NestedLoopJoin { left, right, .. } = join else {
+            panic!("no join under the projection")
+        };
+        (*left, *right, filter)
+    }
+
+    fn residual_of(scan: &PhysicalPlan) -> Option<&BoundExpr> {
+        match scan {
+            PhysicalPlan::Scan { residual, .. } => residual.as_ref(),
+            other => panic!("not a scan: {other:?}"),
+        }
+    }
+
+    fn cmp(op: ast::BinOp, col: usize, lit: Value) -> BoundExpr {
+        BoundExpr::Binary {
+            op,
+            left: Box::new(BoundExpr::ColumnRef(col)),
+            right: Box::new(BoundExpr::Literal(lit)),
+        }
+    }
+
+    #[test]
+    fn one_sided_where_conjuncts_land_in_their_scan() {
+        let (left, right, filter) = join_parts(
+            "SELECT t.name FROM t JOIN u ON t.id = u.t_id \
+             WHERE u.id > 7 AND t.score IS NULL AND t.id < u.id",
+        );
+        // `u.id` is column 3 of the joined row and column 0 of `u`.
+        assert_eq!(
+            residual_of(&right),
+            Some(&cmp(ast::BinOp::Gt, 0, Value::Int(7)))
+        );
+        assert_eq!(
+            residual_of(&left),
+            Some(&BoundExpr::IsNull {
+                expr: Box::new(BoundExpr::ColumnRef(2)),
+                negated: false,
+            })
+        );
+        // The two-sided conjunct stays, still addressed to the joined row.
+        assert_eq!(
+            filter,
+            Some(BoundExpr::Binary {
+                op: ast::BinOp::Lt,
+                left: Box::new(BoundExpr::ColumnRef(0)),
+                right: Box::new(BoundExpr::ColumnRef(3)),
+            })
+        );
+    }
+
+    #[test]
+    fn a_where_that_can_raise_moves_nothing() {
+        let (left, right, filter) = join_parts(
+            "SELECT t.name FROM t JOIN u ON t.id = u.t_id WHERE u.id > 7 AND 10 / u.t_id > 1",
+        );
+        assert!(residual_of(&left).is_none() && residual_of(&right).is_none());
+        assert!(filter.is_some());
+        // Neither does anything sink through an `ON` that can raise.
+        let (left, right, filter) =
+            join_parts("SELECT t.name FROM t JOIN u ON t.id = 10 / u.t_id WHERE u.id > 7");
+        assert!(residual_of(&left).is_none() && residual_of(&right).is_none());
+        assert!(filter.is_some());
     }
 
     #[test]

@@ -1,14 +1,27 @@
-//! Vectorized plan execution over [`sstore_vector`] column batches.
+//! Vectorized plan execution over [`sstore_vector`] columns.
 //!
 //! The row interpreter in [`crate::exec`] walks plans a tuple at a time;
-//! this module lowers *eligible* plan shapes onto typed column kernels:
-//! full scans become [`ColumnBatch`] builds, `WHERE` clauses become
-//! selection vectors, global aggregates run as tight loops over native
-//! lanes, and equi-joins use hash build/probe instead of the O(n·m)
-//! nested loop. Anything the kernels cannot express exactly — mixed-type
-//! lanes, `IN`/`BETWEEN`/scalar functions, correlated shapes — falls back
-//! cell-by-cell onto the scalar [`crate::expr::eval`], so results (and
-//! errors) match the row path bit for bit.
+//! this module lowers *eligible* plan shapes onto typed column kernels and
+//! keeps the data columnar from storage to result:
+//!
+//! * a full scan **borrows** the table's resident columns
+//!   ([`sstore_storage::Table::column`], lane *i* = slot *i*, maintained by
+//!   the table's mutators) — no per-query row → column pivot — and starts
+//!   from the selection of live lanes;
+//! * `WHERE` clauses narrow the selection vector;
+//! * an equi-join on one integer key asks each side only for the columns
+//!   somebody reads, hashes and probes the key lanes, keeps its output as a
+//!   (probe, build) pair of index vectors and gathers just those columns;
+//! * aggregates, grouped or not, assign dense group ids off the key lanes
+//!   and run one typed loop per aggregate.
+//!
+//! Anything the kernels cannot express exactly — mixed-type (`Generic`)
+//! lanes, `IN`/`BETWEEN`/scalar functions — falls back cell-by-cell onto
+//! the scalar [`crate::expr::eval`]; `DISTINCT` aggregates, `GROUP BY` an
+//! expression, joins on several keys or on non-integer keys, `ORDER BY`
+//! and `SELECT DISTINCT` pivot to rows and run the row path's own
+//! accumulators. Either way results (and errors) match the row path bit
+//! for bit.
 //!
 //! # Path selection
 //!
@@ -18,8 +31,8 @@
 //! that benefits from batching (a residual predicate, an aggregate, or a
 //! join) so that trivial `SELECT *` scans keep the row path's
 //! zero-copy row handles. The planner stamps `PlannedStmt::Query` with
-//! the verdict; [`ExecPath`] (per-context, defaulting from the
-//! `SSTORE_EXEC` environment variable) picks the path at run time.
+//! the verdict; [`ExecPath`] (per-context, [`ExecPath::Vector`] unless the
+//! engine's `set_exec_path` says otherwise) picks the path at run time.
 //!
 //! # Known, documented divergences from the row interpreter
 //!
@@ -38,48 +51,38 @@
 //! Additionally the incremental window-aggregate cache answers
 //! `SUM`/`AVG` from an exact `i64` accumulator, which can differ from the
 //! row path's sequential `f64` accumulation only beyond 2^53.
+//!
+//! The planner's join pushdown is **not** a divergence: `WHERE` conjuncts
+//! that read one side of an inner join sink into that side's scan residual
+//! in the plan both paths execute, and only when neither the `WHERE` nor
+//! any `ON` they sink through can raise (comparisons and `IS [NOT] NULL`
+//! over columns, literals and parameters, and `AND`/`OR`/`NOT` of those),
+//! so no error appears or disappears. The one thing a pushed conjunct can
+//! still raise is a missing statement parameter, which now surfaces when
+//! that table has rows rather than when the join does.
 
 use crate::exec::{run_aggregate, ExecContext};
 use crate::expr::{eval, eval_pred, BoundExpr, EvalEnv};
 use crate::plan::{AccessPath, AggExpr, AggFunc, PhysicalPlan};
 use sstore_common::{DataType, Error, Result, Row, TableId, Value};
 use sstore_storage::TableKind;
-use sstore_vector::compute::{
-    arith_num, avg_num, bool_to_sel, cmp_bool, cmp_num, cmp_str, count_nonnull, min_max_float,
-    min_max_int, sum_float, sum_int, BoolSrc, StrSrc,
-};
+use sstore_vector::compute::{arith_num, bool_to_sel, cmp_bool, cmp_num, cmp_str, BoolSrc, StrSrc};
+use sstore_vector::group::Groups;
 use sstore_vector::join::hash_join_i64;
-use sstore_vector::{ArithOp, Bitmap, CmpOp, Column, ColumnBatch, ColumnData, NumSrc};
+use sstore_vector::{ArithOp, Bitmap, CmpOp, Column, ColumnData, NumSrc};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::OnceLock;
 
 /// Which executor a context routes eligible queries through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
-    /// Tuple-at-a-time interpreter ([`crate::exec`]).
+    /// Tuple-at-a-time interpreter ([`crate::exec`]): the reference
+    /// semantics, selected only by tests and A/B measurements.
     Row,
     /// Columnar batch kernels (this module), with row fallback for
     /// ineligible plans.
+    #[default]
     Vector,
-}
-
-impl ExecPath {
-    /// Process-wide default, read once from `SSTORE_EXEC`
-    /// (`"row"` forces the interpreter; anything else selects the
-    /// vectorized path).
-    pub fn session_default() -> ExecPath {
-        static DEFAULT: OnceLock<ExecPath> = OnceLock::new();
-        *DEFAULT.get_or_init(|| match std::env::var("SSTORE_EXEC").as_deref() {
-            Ok("row") => ExecPath::Row,
-            _ => ExecPath::Vector,
-        })
-    }
-}
-
-impl Default for ExecPath {
-    fn default() -> Self {
-        ExecPath::session_default()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -166,47 +169,37 @@ fn flatten_and<'e>(e: &'e BoundExpr, out: &mut Vec<&'e BoundExpr>) {
     }
 }
 
-/// Collect every `ColumnRef` position mentioned by `e`.
-fn collect_refs(e: &BoundExpr, out: &mut BTreeSet<usize>) {
-    match e {
-        BoundExpr::ColumnRef(i) => {
-            out.insert(*i);
-        }
-        BoundExpr::Literal(_) | BoundExpr::Param(_) | BoundExpr::SubqueryRef(_) => {}
-        BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => collect_refs(expr, out),
-        BoundExpr::Binary { left, right, .. } => {
-            collect_refs(left, out);
-            collect_refs(right, out);
-        }
-        BoundExpr::InList { expr, list, .. } => {
-            collect_refs(expr, out);
-            for item in list {
-                collect_refs(item, out);
-            }
-        }
-        BoundExpr::Between { expr, lo, hi, .. } => {
-            collect_refs(expr, out);
-            collect_refs(lo, out);
-            collect_refs(hi, out);
-        }
-        BoundExpr::Scalar { args, .. } => {
-            for a in args {
-                collect_refs(a, out);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Batch plumbing
 // ---------------------------------------------------------------------------
 
+/// The columns one operator hands the next. A scan borrows them from the
+/// table's resident mirror ([`sstore_storage::Table::column`]) — nothing
+/// is copied per query — and an operator that computes columns (the join's
+/// gather) owns them. `columns[i] = None` means column `i` is pruned: no
+/// operator above reads it.
+struct VBatch<'a> {
+    /// Lane count (authoritative even when every column is pruned).
+    rows: usize,
+    columns: Vec<Option<Cow<'a, Column>>>,
+}
+
+impl VBatch<'_> {
+    /// The column at position `i`; panics if it was pruned (a bug in the
+    /// `needed` analysis, not a data condition).
+    fn column(&self, i: usize) -> &Column {
+        self.columns[i]
+            .as_deref()
+            .expect("column was pruned but is referenced")
+    }
+}
+
 /// Intermediate operator output: a batch plus selection while the data can
 /// stay columnar, or materialized rows once an operator pivots.
-enum VOut {
+enum VOut<'a> {
     Batch {
-        batch: ColumnBatch,
-        /// Surviving physical row indices, in row order. `None` = all.
+        batch: VBatch<'a>,
+        /// Surviving lanes, in row order. `None` = all.
         sel: Option<Vec<u32>>,
     },
     Rows(Vec<Row>),
@@ -223,9 +216,9 @@ fn sel_iter<'a>(sel: Option<&'a [u32]>, rows: usize) -> Box<dyn Iterator<Item = 
     }
 }
 
-/// Pivot one physical row out of a batch. Pruned columns yield `Null`
+/// Pivot one lane out of a batch. Pruned columns yield `Null`
 /// placeholders — callers only read positions the plan references.
-fn row_of(batch: &ColumnBatch, i: usize) -> Row {
+fn row_of(batch: &VBatch<'_>, i: usize) -> Row {
     batch
         .columns
         .iter()
@@ -233,17 +226,26 @@ fn row_of(batch: &ColumnBatch, i: usize) -> Row {
         .collect()
 }
 
-fn materialize(batch: &ColumnBatch, sel: Option<&[u32]>) -> Vec<Row> {
+fn materialize(batch: &VBatch<'_>, sel: Option<&[u32]>) -> Vec<Row> {
     sel_iter(sel, batch.rows)
         .map(|i| row_of(batch, i))
         .collect()
 }
 
-fn materialize_out(out: VOut) -> Vec<Row> {
+fn materialize_out(out: VOut<'_>) -> Vec<Row> {
     match out {
         VOut::Rows(rows) => rows,
         VOut::Batch { batch, sel } => materialize(&batch, sel.as_deref()),
     }
+}
+
+/// `needed` plus every column the `extra` expressions read, ascending.
+fn needed_with<'e>(needed: &[usize], extra: impl IntoIterator<Item = &'e BoundExpr>) -> Vec<usize> {
+    let mut set: BTreeSet<usize> = needed.iter().copied().collect();
+    for e in extra {
+        e.collect_refs(&mut set);
+    }
+    set.into_iter().collect()
 }
 
 /// Run an eligible plan on the vector path and materialize the result.
@@ -252,13 +254,13 @@ pub fn run(plan: &PhysicalPlan, ctx: &dyn ExecContext, env: &EvalEnv<'_>) -> Res
 }
 
 /// Recursive batch executor. `needed` is the set of column positions any
-/// ancestor will read (`None` = all); scans prune everything else.
-fn vrun(
+/// ancestor will read (`None` = all); scans and joins prune everything else.
+fn vrun<'a>(
     plan: &PhysicalPlan,
-    ctx: &dyn ExecContext,
+    ctx: &'a dyn ExecContext,
     env: &EvalEnv<'_>,
     needed: Option<&[usize]>,
-) -> Result<VOut> {
+) -> Result<VOut<'a>> {
     match plan {
         PhysicalPlan::Values { rows } => {
             let out = rows
@@ -283,26 +285,29 @@ fn vrun(
                 ));
             }
             ctx.check_read(*table)?;
-            let scan_needed: Option<Vec<usize>> = needed.map(|n| {
-                let mut set: BTreeSet<usize> = n.iter().copied().collect();
-                if let Some(p) = residual {
-                    collect_refs(p, &mut set);
-                }
-                set.into_iter().collect()
-            });
-            let batch = ctx.db().table(*table)?.column_batch(scan_needed.as_deref());
+            let tb = ctx.db().table(*table)?;
+            let arity = tb.schema().arity();
+            let wanted: Vec<usize> = match needed {
+                None => (0..arity).collect(),
+                Some(n) => needed_with(n, residual),
+            };
+            let mut columns = vec![None; arity];
+            for c in wanted.into_iter().filter(|&c| c < arity) {
+                columns[c] = Some(Cow::Borrowed(tb.column(c)));
+            }
+            let batch = VBatch {
+                rows: tb.lanes(),
+                columns,
+            };
+            let live = tb.live_lanes();
             let sel = match residual {
-                None => None,
-                Some(p) => Some(pred_selection(p, &batch, None, env)?),
+                None => live,
+                Some(p) => Some(pred_selection(p, &batch, live.as_deref(), env)?),
             };
             Ok(VOut::Batch { batch, sel })
         }
         PhysicalPlan::Filter { input, pred } => {
-            let child_needed: Option<Vec<usize>> = needed.map(|n| {
-                let mut set: BTreeSet<usize> = n.iter().copied().collect();
-                collect_refs(pred, &mut set);
-                set.into_iter().collect()
-            });
+            let child_needed = needed.map(|n| needed_with(n, [pred]));
             match vrun(input, ctx, env, child_needed.as_deref())? {
                 VOut::Rows(rows) => {
                     let mut out = Vec::new();
@@ -323,11 +328,7 @@ fn vrun(
             }
         }
         PhysicalPlan::Project { input, exprs } => {
-            let mut set = BTreeSet::new();
-            for e in exprs {
-                collect_refs(e, &mut set);
-            }
-            let child_needed: Vec<usize> = set.into_iter().collect();
+            let child_needed = needed_with(&[], exprs);
             match vrun(input, ctx, env, Some(&child_needed))? {
                 VOut::Rows(rows) => {
                     let out = rows
@@ -367,23 +368,19 @@ fn vrun(
                     return Ok(VOut::Rows(rows));
                 }
             }
-            let mut set = BTreeSet::new();
-            for e in group_exprs {
-                collect_refs(e, &mut set);
-            }
-            for a in aggs {
-                if let Some(arg) = &a.arg {
-                    collect_refs(arg, &mut set);
-                }
-            }
-            let child_needed: Vec<usize> = set.into_iter().collect();
+            let reads = group_exprs
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()));
+            let child_needed = needed_with(&[], reads);
             let rows = match vrun(input, ctx, env, Some(&child_needed))? {
                 VOut::Rows(rows) => rows,
                 VOut::Batch { batch, sel } => {
                     let sel = sel.as_deref();
-                    if group_exprs.is_empty() && sel_count(sel, batch.rows) > 0 {
-                        if let Some(row) = try_global_kernels(&batch, sel, aggs, env)? {
-                            return Ok(VOut::Rows(vec![row]));
+                    // Over no rows the row path evaluates nothing and
+                    // still owes an ungrouped aggregate its one row.
+                    if sel_count(sel, batch.rows) > 0 {
+                        if let Some(rows) = try_agg_kernels(&batch, sel, group_exprs, aggs, env)? {
+                            return Ok(VOut::Rows(rows));
                         }
                     }
                     materialize(&batch, sel)
@@ -448,10 +445,20 @@ fn vrun(
             let db = ctx.db();
             let arity_fn = |t: TableId| db.table(t).map(|tb| tb.schema().arity()).unwrap_or(0);
             let left_arity = left.arity(&arity_fn);
-            let lout = vrun(left, ctx, env, None)?;
-            let rout = vrun(right, ctx, env, None)?;
+            let width = left_arity + right.arity(&arity_fn);
+            // Each side produces what the operators above read of it plus
+            // what `on` reads of it — not every column.
+            let above: Vec<usize> = match needed {
+                None => (0..width).collect(),
+                Some(n) => n.iter().copied().filter(|&c| c < width).collect(),
+            };
+            let both = needed_with(&above, [on]);
+            let split = both.partition_point(|&c| c < left_arity);
+            let right_needed: Vec<usize> = both[split..].iter().map(|c| c - left_arity).collect();
+            let lout = vrun(left, ctx, env, Some(&both[..split]))?;
+            let rout = vrun(right, ctx, env, Some(&right_needed))?;
             let pairs = equi_pairs(on, left_arity);
-            join_outputs(lout, rout, on, &pairs, env).map(VOut::Rows)
+            join_outputs(lout, rout, on, &pairs, left_arity, &above, env)
         }
     }
 }
@@ -639,7 +646,7 @@ fn varith(
 /// and the row path never evaluates anything over zero rows).
 fn veval<'a>(
     e: &BoundExpr,
-    batch: &'a ColumnBatch,
+    batch: &'a VBatch<'_>,
     sel: Option<&[u32]>,
     env: &EvalEnv<'_>,
 ) -> Result<VCol<'a>> {
@@ -717,12 +724,12 @@ fn veval<'a>(
 /// semantics including error order within the expression.
 fn veval_cellwise(
     e: &BoundExpr,
-    batch: &ColumnBatch,
+    batch: &VBatch<'_>,
     sel: Option<&[u32]>,
     env: &EvalEnv<'_>,
 ) -> Result<VCol<'static>> {
     let mut refs = BTreeSet::new();
-    collect_refs(e, &mut refs);
+    e.collect_refs(&mut refs);
     let mut scratch = vec![Value::Null; batch.columns.len()];
     let mut out = vec![Value::Null; batch.rows];
     for i in sel_iter(sel, batch.rows) {
@@ -744,7 +751,7 @@ fn vand_or(
     is_and: bool,
     left: &BoundExpr,
     right: &BoundExpr,
-    batch: &ColumnBatch,
+    batch: &VBatch<'_>,
     sel: Option<&[u32]>,
     env: &EvalEnv<'_>,
 ) -> Result<VCol<'static>> {
@@ -798,7 +805,7 @@ fn vand_or(
 /// row indices. NULL counts as false (SQL `WHERE` semantics).
 fn pred_selection(
     pred: &BoundExpr,
-    batch: &ColumnBatch,
+    batch: &VBatch<'_>,
     sel: Option<&[u32]>,
     env: &EvalEnv<'_>,
 ) -> Result<Vec<u32>> {
@@ -832,92 +839,130 @@ fn pred_selection(
 // Aggregates
 // ---------------------------------------------------------------------------
 
-/// Global (ungrouped) aggregation straight off the lanes. `None` = some
-/// aggregate isn't kernel-representable; caller falls back to the row
-/// accumulator. Caller guarantees a non-empty selection.
-fn try_global_kernels(
-    batch: &ColumnBatch,
+/// Aggregation straight off the lanes: group ids from the key columns
+/// (one group when there are none), then one typed loop per aggregate.
+/// `None` = something has no kernel — `DISTINCT`, a key that is an
+/// expression rather than a column, a key or `COUNT` argument in a
+/// `Generic` lane, or an argument lane whose `SUM`/`AVG`/`MIN`/`MAX`
+/// carries row-path type errors (Text, Bool; Timestamp sums) — and the
+/// caller falls back to the row accumulator for exact parity. Groups come
+/// out in order of first appearance, as `run_aggregate` emits them.
+/// Caller guarantees a non-empty selection.
+fn try_agg_kernels(
+    batch: &VBatch<'_>,
     sel: Option<&[u32]>,
+    group_exprs: &[BoundExpr],
     aggs: &[AggExpr],
     env: &EvalEnv<'_>,
-) -> Result<Option<Row>> {
+) -> Result<Option<Vec<Row>>> {
     if aggs.iter().any(|a| a.distinct) {
         return Ok(None);
     }
     let rows = batch.rows;
-    let n = sel_count(sel, rows) as i64;
-    let mut out: Vec<Value> = Vec::with_capacity(aggs.len());
+    let mut keys: Vec<&Column> = Vec::with_capacity(group_exprs.len());
+    let mut groups: Option<Groups> = None;
+    for e in group_exprs {
+        let BoundExpr::ColumnRef(_) = e else {
+            return Ok(None);
+        };
+        let VCol::Ref(key) = veval(e, batch, sel, env)? else {
+            return Ok(None);
+        };
+        let Some(g) = Groups::of(key, sel, rows) else {
+            return Ok(None);
+        };
+        groups = Some(match groups {
+            None => g,
+            Some(outer) => outer.and(&g, sel, rows),
+        });
+        keys.push(key);
+    }
+    let groups = groups.unwrap_or_else(|| Groups::all(sel, rows));
+
+    let ints = |v: Vec<i64>| v.into_iter().map(Value::Int).collect();
+    let opt = |v: Option<Value>| v.unwrap_or(Value::Null);
+    let mut results: Vec<Vec<Value>> = Vec::with_capacity(aggs.len());
     for agg in aggs {
         if agg.func == AggFunc::CountStar {
-            out.push(Value::Int(n));
+            results.push(ints(groups.count(None, sel, rows)));
             continue;
         }
         let Some(arg) = &agg.arg else {
             return Ok(None);
         };
         let vc = veval(arg, batch, sel, env)?;
-        let value = match (agg.func, vc.col()) {
-            (AggFunc::Count, None) => {
-                // Constant argument: NULL counts nothing, else every row.
-                Value::Int(if vc.is_null_at(0) { 0 } else { n })
+        let Some(c) = vc.col() else {
+            // Constant argument: only COUNT is worth a kernel (a NULL
+            // counts nothing, anything else every row).
+            if agg.func != AggFunc::Count {
+                return Ok(None);
             }
-            (AggFunc::Count, Some(c)) => match &c.data {
-                ColumnData::Generic(_) => {
-                    let mut k = 0i64;
-                    for i in sel_iter(sel, rows) {
-                        if !c.is_null_at(i) {
-                            k += 1;
-                        }
-                    }
-                    Value::Int(k)
-                }
-                _ => Value::Int(count_nonnull(c.validity.as_ref(), sel, rows)),
-            },
-            (AggFunc::Sum, Some(c)) => match &c.data {
-                ColumnData::Int(d) => {
-                    sum_int(d, c.validity.as_ref(), sel, rows)?.map_or(Value::Null, Value::Int)
-                }
-                ColumnData::Float(d) => {
-                    sum_float(d, c.validity.as_ref(), sel, rows).map_or(Value::Null, Value::Float)
-                }
-                // Timestamp/Bool/Text/Generic sums carry row-path type
-                // errors; use the accumulator for exact parity.
-                _ => return Ok(None),
-            },
-            (AggFunc::Avg, Some(c)) => {
+            results.push(if vc.is_null_at(0) {
+                vec![Value::Int(0); groups.len()]
+            } else {
+                ints(groups.count(None, sel, rows))
+            });
+            continue;
+        };
+        let v = c.validity.as_ref();
+        let want_max = agg.func == AggFunc::Max;
+        results.push(match (agg.func, &c.data) {
+            // A Generic lane may hold NULLs the bitmap does not know.
+            (_, ColumnData::Generic(_)) => return Ok(None),
+            (AggFunc::Count, _) => ints(groups.count(v, sel, rows)),
+            (AggFunc::Sum, ColumnData::Int(d)) => groups
+                .sum_int(d, v, sel, rows)?
+                .into_iter()
+                .map(|s| opt(s.map(Value::Int)))
+                .collect(),
+            (AggFunc::Sum, ColumnData::Float(d)) => groups
+                .sum_float(d, v, sel, rows)
+                .into_iter()
+                .map(|s| opt(s.map(Value::Float)))
+                .collect(),
+            (AggFunc::Avg, ColumnData::Int(_) | ColumnData::Float(_)) => {
                 let src = match &c.data {
                     ColumnData::Int(d) => NumSrc::I(d),
                     ColumnData::Float(d) => NumSrc::F(d),
-                    _ => return Ok(None),
+                    _ => unreachable!("matched above"),
                 };
-                let (sum, k) = avg_num(src, c.validity.as_ref(), sel, rows);
-                if k == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / k as f64)
-                }
+                groups
+                    .avg(src, v, sel, rows)
+                    .into_iter()
+                    .map(|(sum, k)| opt((k > 0).then(|| Value::Float(sum / k as f64))))
+                    .collect()
             }
-            (AggFunc::Min | AggFunc::Max, Some(c)) => {
-                let want_max = agg.func == AggFunc::Max;
-                match &c.data {
-                    ColumnData::Int(d) => min_max_int(d, c.validity.as_ref(), sel, rows, want_max)
-                        .map_or(Value::Null, Value::Int),
-                    ColumnData::Timestamp(d) => {
-                        min_max_int(d, c.validity.as_ref(), sel, rows, want_max)
-                            .map_or(Value::Null, Value::Timestamp)
-                    }
-                    ColumnData::Float(d) => {
-                        min_max_float(d, c.validity.as_ref(), sel, rows, want_max)
-                            .map_or(Value::Null, Value::Float)
-                    }
-                    _ => return Ok(None),
-                }
-            }
+            (AggFunc::Min | AggFunc::Max, ColumnData::Int(d)) => groups
+                .min_max_int(d, v, sel, rows, want_max)
+                .into_iter()
+                .map(|m| opt(m.map(Value::Int)))
+                .collect(),
+            (AggFunc::Min | AggFunc::Max, ColumnData::Timestamp(d)) => groups
+                .min_max_int(d, v, sel, rows, want_max)
+                .into_iter()
+                .map(|m| opt(m.map(Value::Timestamp)))
+                .collect(),
+            (AggFunc::Min | AggFunc::Max, ColumnData::Float(d)) => groups
+                .min_max_float(d, v, sel, rows, want_max)
+                .into_iter()
+                .map(|m| opt(m.map(Value::Float)))
+                .collect(),
             _ => return Ok(None),
-        };
-        out.push(value);
+        });
     }
-    Ok(Some(out.into()))
+    Ok(Some(
+        groups
+            .first
+            .iter()
+            .enumerate()
+            .map(|(g, &lane)| {
+                keys.iter()
+                    .map(|k| k.value_at(lane as usize))
+                    .chain(results.iter().map(|r| r[g].clone()))
+                    .collect()
+            })
+            .collect(),
+    ))
 }
 
 /// Answer ungrouped `COUNT/SUM/AVG` over a bare window scan from the
@@ -995,16 +1040,21 @@ fn try_window_fast_path(
 
 /// Hash join both inputs on the extracted equi-pairs, then apply the full
 /// `ON` expression to each key-matching pair. Output order matches the
-/// nested loop: left-major, right side in its scan order.
-fn join_outputs(
-    lout: VOut,
-    rout: VOut,
+/// nested loop: left-major, right side in its scan order. `above` lists
+/// the output columns the operators above read; only those, and the ones
+/// `on` reads if it has to be evaluated, are produced.
+fn join_outputs<'a>(
+    lout: VOut<'a>,
+    rout: VOut<'a>,
     on: &BoundExpr,
     pairs: &[(usize, usize)],
+    left_arity: usize,
+    above: &[usize],
     env: &EvalEnv<'_>,
-) -> Result<Vec<Row>> {
+) -> Result<VOut<'a>> {
     // Fast path: single `INT = INT` key over intact batches — probe with
-    // the i64 kernel, no `Value` boxing on the key.
+    // the i64 kernel, keep the matches as two index vectors, and gather
+    // only the columns somebody reads. No row is built.
     if let (
         [(lp, rp)],
         VOut::Batch {
@@ -1024,7 +1074,7 @@ fn join_outputs(
             ColumnData::Int(rd) | ColumnData::Timestamp(rd),
         ) = (&lc.data, &rc.data)
         {
-            let matches = hash_join_i64(
+            let (lidx, ridx) = hash_join_i64(
                 rd,
                 rc.validity.as_ref(),
                 rsel.as_deref(),
@@ -1032,23 +1082,52 @@ fn join_outputs(
                 lc.validity.as_ref(),
                 lsel.as_deref(),
             );
-            let mut out = Vec::with_capacity(matches.len());
-            let mut last_li = usize::MAX;
-            let mut lrow = Row::default();
-            for (li, ri) in matches {
-                let (li, ri) = (li as usize, ri as usize);
-                if li != last_li {
-                    lrow = row_of(lb, li);
-                    last_li = li;
-                }
-                let joined = lrow.concat(&row_of(rb, ri));
-                if eval_pred(on, &joined, env)? {
-                    out.push(joined);
-                }
+            // `on` is nothing but the key the kernel just matched (i64
+            // equality is `=` on Int and Timestamp lanes alike): every
+            // pair passes, and `on`'s columns need no gather.
+            let on_is_key = matches!(
+                on,
+                BoundExpr::Binary { op: crate::ast::BinOp::Eq, left, right }
+                    if matches!((&**left, &**right), (BoundExpr::ColumnRef(_), BoundExpr::ColumnRef(_)))
+            );
+            let gathered = if on_is_key {
+                above.to_vec()
+            } else {
+                needed_with(above, [on])
+            };
+            let mut columns = vec![None; left_arity + rb.columns.len()];
+            for c in gathered {
+                columns[c] = Some(Cow::Owned(if c < left_arity {
+                    lb.column(c).gather(&lidx)
+                } else {
+                    rb.column(c - left_arity).gather(&ridx)
+                }));
             }
-            return Ok(out);
+            let batch = VBatch {
+                rows: lidx.len(),
+                columns,
+            };
+            let sel = if on_is_key {
+                None
+            } else {
+                Some(pred_selection(on, &batch, None, env)?)
+            };
+            return Ok(VOut::Batch { batch, sel });
         }
     }
+    join_rows(lout, rout, on, pairs, env).map(VOut::Rows)
+}
+
+/// The general join — several keys, keys that are not integer lanes, or a
+/// side that already pivoted to rows: hash on dynamic `Value` keys over
+/// materialized rows (pruned columns are `Null` placeholders).
+fn join_rows(
+    lout: VOut<'_>,
+    rout: VOut<'_>,
+    on: &BoundExpr,
+    pairs: &[(usize, usize)],
+    env: &EvalEnv<'_>,
+) -> Result<Vec<Row>> {
     let lrows = materialize_out(lout);
     let rrows = materialize_out(rout);
     if pairs.is_empty() {

@@ -12,11 +12,10 @@ use sstore_sql::expr::{eval, BoundExpr, EvalEnv};
 use sstore_sql::ExecPath;
 use sstore_storage::{Database, RowId};
 use sstore_vector::column::valid_at;
-use sstore_vector::compute::{
-    arith_num, avg_num, bool_to_sel, cmp_num, count_nonnull, min_max_int, sum_float, sum_int,
-};
+use sstore_vector::compute::{arith_num, bool_to_sel, cmp_num};
+use sstore_vector::group::Groups;
 use sstore_vector::join::hash_join_i64;
-use sstore_vector::{ArithOp, Bitmap, CmpOp, ColumnData, NumSrc};
+use sstore_vector::{ArithOp, Bitmap, CmpOp, Column, ColumnData, NumSrc};
 
 // ---------------------------------------------------------------------------
 // Generators and lane-building helpers.
@@ -62,6 +61,57 @@ fn arb_float_col() -> impl Strategy<Value = (Vec<f64>, Vec<bool>)> {
         prop::collection::vec(arb_f64(), CAP..CAP + 1),
         prop::collection::vec(any::<bool>(), CAP..CAP + 1),
     )
+}
+
+/// A nullable GROUP BY key column over a small domain, so groups repeat.
+fn arb_key_col() -> impl Strategy<Value = (Vec<i64>, Vec<bool>)> {
+    (
+        prop::collection::vec(-3i64..3, CAP..CAP + 1),
+        prop::collection::vec(any::<bool>(), CAP..CAP + 1),
+    )
+}
+
+/// Group the selected rows of the first `n` key cells with the kernel,
+/// and — the reference — by a plain scan: the member rows of each group,
+/// groups in order of first appearance, NULL a key like any other. Every
+/// other case is the ungrouped aggregate instead (`nulls[CAP - 1]` says
+/// which): one group holding every selected row.
+fn grouped(
+    keys: &(Vec<i64>, Vec<bool>),
+    sel: Option<&[u32]>,
+    n: usize,
+) -> (Groups, Vec<Vec<usize>>) {
+    if keys.1[CAP - 1] {
+        let all = sel_indices(sel, n);
+        let members = if all.is_empty() { vec![] } else { vec![all] };
+        return (Groups::all(sel, n), members);
+    }
+    let cells = int_cells(keys, n);
+    let (data, validity) = int_lane(&cells);
+    let col = Column {
+        data: ColumnData::Int(data),
+        validity,
+    };
+    let groups = Groups::of(&col, sel, n).expect("typed lane");
+    let mut order: Vec<Option<i64>> = Vec::new();
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for i in sel_indices(sel, n) {
+        let g = order
+            .iter()
+            .position(|k| *k == cells[i])
+            .unwrap_or_else(|| {
+                order.push(cells[i]);
+                members.push(Vec::new());
+                order.len() - 1
+            });
+        members[g].push(i);
+        assert_eq!(
+            groups.ids[i] as usize, g,
+            "group ids follow first appearance"
+        );
+    }
+    assert_eq!(groups.len(), members.len());
+    (groups, members)
 }
 
 /// Materialize `Option` cells: NULL where the mask (damped to ~25%
@@ -283,30 +333,30 @@ proptest! {
     #[test]
     fn sum_int_kernel_matches_scalar_fold(
         a in arb_int_col(),
+        keys in arb_key_col(),
         shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>()),
     ) {
         let (n, mask, dense) = shape;
         let a = int_cells(&a, n);
         let (ad, av) = int_lane(&a);
         let sel = selection(&mask[..n], dense);
-        let kernel = sum_int(&ad, av.as_ref(), sel.as_deref(), n);
-        // Reference: checked fold in selection order, as the row
-        // aggregate accumulator does.
-        let mut acc: Option<i64> = None;
-        let mut ref_err = false;
-        for i in sel_indices(sel.as_deref(), n) {
-            if let Some(v) = a[i] {
-                match acc.unwrap_or(0).checked_add(v) {
-                    Some(s) => acc = Some(s),
-                    None => { ref_err = true; break; }
-                }
-            }
-        }
+        let (groups, members) = grouped(&keys, sel.as_deref(), n);
+        let kernel = groups.sum_int(&ad, av.as_ref(), sel.as_deref(), n);
+        // Reference: per group, a checked fold in selection order, as the
+        // row aggregate accumulator does.
+        let want: Vec<Option<Option<i64>>> = members
+            .iter()
+            .map(|rows| {
+                rows.iter().filter_map(|&i| a[i]).try_fold(None, |acc: Option<i64>, v| {
+                    acc.map_or(Some(v), |s| s.checked_add(v)).map(Some)
+                })
+            })
+            .collect();
         match kernel {
-            Err(_) => prop_assert!(ref_err, "kernel overflowed but reference did not"),
+            Err(_) => prop_assert!(want.contains(&None), "kernel overflowed but reference did not"),
             Ok(got) => {
-                prop_assert!(!ref_err, "reference overflowed but kernel returned {:?}", got);
-                prop_assert_eq!(got, acc);
+                let want: Option<Vec<Option<i64>>> = want.into_iter().collect();
+                prop_assert_eq!(Some(got), want);
             }
         }
     }
@@ -315,6 +365,7 @@ proptest! {
     fn float_and_minmax_aggregates_match_folds(
         ints in arb_int_col(),
         floats in arb_float_col(),
+        keys in arb_key_col(),
         shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>()),
     ) {
         let (n, mask, dense) = shape;
@@ -323,32 +374,49 @@ proptest! {
         let (id, iv) = int_lane(&ints);
         let (fd, fv) = float_lane(&floats);
         let sel = selection(&mask[..n], dense);
-        let idx = sel_indices(sel.as_deref(), n);
+        let sel = sel.as_deref();
+        let (groups, members) = grouped(&keys, sel, n);
 
-        let live_ints: Vec<i64> = idx.iter().filter_map(|&i| ints[i]).collect();
+        let live_ints: Vec<Vec<i64>> = members
+            .iter()
+            .map(|rows| rows.iter().filter_map(|&i| ints[i]).collect())
+            .collect();
+        let sizes: Vec<i64> = members.iter().map(|rows| rows.len() as i64).collect();
+        prop_assert_eq!(groups.count(None, sel, n), sizes);
         prop_assert_eq!(
-            count_nonnull(iv.as_ref(), sel.as_deref(), n),
-            live_ints.len() as i64
+            groups.count(iv.as_ref(), sel, n),
+            live_ints.iter().map(|g| g.len() as i64).collect::<Vec<_>>()
         );
         prop_assert_eq!(
-            min_max_int(&id, iv.as_ref(), sel.as_deref(), n, false),
-            live_ints.iter().copied().min()
+            groups.min_max_int(&id, iv.as_ref(), sel, n, false),
+            live_ints.iter().map(|g| g.iter().copied().min()).collect::<Vec<_>>()
         );
         prop_assert_eq!(
-            min_max_int(&id, iv.as_ref(), sel.as_deref(), n, true),
-            live_ints.iter().copied().max()
+            groups.min_max_int(&id, iv.as_ref(), sel, n, true),
+            live_ints.iter().map(|g| g.iter().copied().max()).collect::<Vec<_>>()
         );
-        let (avg_sum, avg_n) = avg_num(NumSrc::I(&id), iv.as_ref(), sel.as_deref(), n);
-        let mut want_sum = 0f64;
-        for &v in &live_ints { want_sum += v as f64; }
-        prop_assert_eq!(avg_n, live_ints.len() as i64);
-        prop_assert_eq!(avg_sum.to_bits(), want_sum.to_bits());
+        let avg = groups.avg(NumSrc::I(&id), iv.as_ref(), sel, n);
+        for (g, live) in live_ints.iter().enumerate() {
+            let mut want_sum = 0f64;
+            for &v in live { want_sum += v as f64; }
+            prop_assert_eq!(avg[g].1, live.len() as i64);
+            prop_assert_eq!(avg[g].0.to_bits(), want_sum.to_bits());
+        }
 
-        let live_floats: Vec<f64> = idx.iter().filter_map(|&i| floats[i]).collect();
-        let mut fsum: Option<f64> = None;
-        for &v in &live_floats { fsum = Some(fsum.unwrap_or(0.0) + v); }
-        let got = sum_float(&fd, fv.as_ref(), sel.as_deref(), n);
-        prop_assert_eq!(got.map(f64::to_bits), fsum.map(f64::to_bits));
+        // Floats: the row accumulator starts from the first value, then
+        // adds in order; MIN/MAX improve strictly under `total_cmp`.
+        let sums = groups.sum_float(&fd, fv.as_ref(), sel, n);
+        let mins = groups.min_max_float(&fd, fv.as_ref(), sel, n, false);
+        let maxs = groups.min_max_float(&fd, fv.as_ref(), sel, n, true);
+        for (g, rows) in members.iter().enumerate() {
+            let live: Vec<f64> = rows.iter().filter_map(|&i| floats[i]).collect();
+            let fsum = live.iter().copied().reduce(|a, b| a + b);
+            prop_assert_eq!(sums[g].map(f64::to_bits), fsum.map(f64::to_bits));
+            let fmin = live.iter().copied().reduce(|a, b| if b.total_cmp(&a).is_lt() { b } else { a });
+            let fmax = live.iter().copied().reduce(|a, b| if b.total_cmp(&a).is_gt() { b } else { a });
+            prop_assert_eq!(mins[g].map(f64::to_bits), fmin.map(f64::to_bits));
+            prop_assert_eq!(maxs[g].map(f64::to_bits), fmax.map(f64::to_bits));
+        }
     }
 
     #[test]
@@ -403,12 +471,13 @@ proptest! {
         // Reference: the row interpreter's nested loop with the probe
         // side outer — probe-major, build matches in selection order,
         // NULL keys never matching.
-        let mut want = Vec::new();
+        let mut want = (Vec::new(), Vec::new());
         for p in sel_indices(psel.as_deref(), pn) {
             let Some(pk) = probe[p] else { continue };
             for b in sel_indices(bsel.as_deref(), bn) {
                 if build[b] == Some(pk) {
-                    want.push((p as u32, b as u32));
+                    want.0.push(p as u32);
+                    want.1.push(b as u32);
                 }
             }
         }
@@ -421,8 +490,8 @@ proptest! {
 // vectorized executor.
 // ---------------------------------------------------------------------------
 
-/// Wraps [`DirectContext`] to pin the executor path regardless of the
-/// process-wide `SSTORE_EXEC` setting.
+/// Wraps [`DirectContext`] to pin the executor path (a bare
+/// `DirectContext` always takes the default, vectorized one).
 struct PathCtx<'a> {
     inner: DirectContext<'a>,
     path: ExecPath,

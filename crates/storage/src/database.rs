@@ -140,6 +140,12 @@ impl Database {
     pub fn approx_bytes(&self) -> usize {
         self.tables.iter().map(Table::approx_bytes).sum()
     }
+
+    /// Columns held by the tables' resident mirrors, over all tables: 0
+    /// as long as no vector scan has read a column of any of them.
+    pub fn mirrored_columns(&self) -> usize {
+        self.tables.iter().map(Table::mirrored_columns).sum()
+    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 pub mod catalog;
 pub mod database;
 pub mod index;
+mod mirror;
 pub mod snapshot;
 pub mod table;
 pub mod undo;

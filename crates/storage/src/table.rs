@@ -7,6 +7,7 @@
 //! reinserts a deleted row into its original slot).
 
 use crate::index::{Index, IndexDef, RowId};
+use crate::mirror::Mirror;
 use serde::{Deserialize, Serialize};
 use sstore_common::{codec, Error, Result, Row, Schema, Value};
 
@@ -33,6 +34,10 @@ pub struct Table {
     /// Change journal for delta snapshots; `None` = tracking off. Never
     /// serialized (runtime bookkeeping, not state).
     journal: Option<Journal>,
+    /// Resident columns for vector scans, kept in step by the mutators.
+    /// Derived from `slots`, so not state either: never serialized, and a
+    /// clone starts without one.
+    mirror: Mirror,
 }
 
 /// Serialization mirror of [`Table`]: exactly the persistent fields, in
@@ -78,6 +83,7 @@ impl TryFrom<TableRepr> for Table {
             pk_index: r.pk_index,
             indexes: r.indexes,
             journal: None,
+            mirror: Mirror::default(),
         })
     }
 }
@@ -217,6 +223,7 @@ impl Table {
             pk_index,
             indexes: Vec::new(),
             journal: None,
+            mirror: Mirror::default(),
         }
     }
 
@@ -316,6 +323,7 @@ impl Table {
             pk_index,
             indexes,
             journal: None,
+            mirror: Mirror::default(),
         })
     }
 
@@ -384,6 +392,7 @@ impl Table {
         if let Err(e) = self.index_insert(&row, rid) {
             // Slot was not filled yet; return it to the free list.
             self.free.push(rid);
+            self.mirror.grow(self.slots.len());
             return Err(e);
         }
         if self.journal.is_some() {
@@ -392,6 +401,7 @@ impl Table {
                 row: row.clone(),
             });
         }
+        self.mirror.write(rid, &row);
         self.slots[rid as usize] = Some(row);
         self.live += 1;
         Ok(rid)
@@ -407,6 +417,7 @@ impl Table {
         self.index_remove(&row, rid)?;
         self.free.push(rid);
         self.live -= 1;
+        self.mirror.free(rid);
         self.journal_record(SlotOp::Delete { rid });
         Ok(row)
     }
@@ -434,6 +445,7 @@ impl Table {
                 row: new_row.clone(),
             });
         }
+        self.mirror.write(rid, &new_row);
         self.slots[rid as usize] = Some(new_row);
         Ok(old)
     }
@@ -459,6 +471,7 @@ impl Table {
                 row: row.clone(),
             });
         }
+        self.mirror.write(rid, &row);
         self.slots[rid as usize] = Some(row);
         if let Some(pos) = self.free.iter().position(|&f| f == rid) {
             self.free.swap_remove(pos);
@@ -508,6 +521,10 @@ impl Table {
     /// restricts which columns are materialized (`None` = all); pruned
     /// columns stay `None` in the batch so indices keep lining up with
     /// the schema.
+    ///
+    /// This is the cold pivot: every call walks every row. Vector scans
+    /// read the resident [`Table::column`]s instead, whose live lanes
+    /// hold the same cells (property-tested in `tests/prop_columns.rs`).
     pub fn column_batch(&self, needed: Option<&[usize]>) -> sstore_vector::ColumnBatch {
         sstore_vector::build_batch(
             self.schema.arity(),
@@ -515,6 +532,36 @@ impl Table {
             needed,
             self.scan().map(|(_, r)| r.as_ref()),
         )
+    }
+
+    /// Column `c` of the resident mirror: one lane per slot ([`Table::lanes`]
+    /// of them), lane *i* holding slot *i*'s cell and a default where the
+    /// slot is free. Built from the slots on first use, then kept in step
+    /// by every mutator.
+    pub fn column(&self, c: usize) -> &sstore_vector::Column {
+        let col = self.mirror.column(&self.schema, &self.slots, c);
+        debug_assert_eq!(col.len(), self.slots.len(), "mirror out of step");
+        col
+    }
+
+    /// Number of lanes in every mirrored column (live and free slots).
+    pub fn lanes(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The lanes that hold live rows, in slot order — the selection a
+    /// vector scan starts from. `None` = every lane is live.
+    pub fn live_lanes(&self) -> Option<Vec<u32>> {
+        if self.free.is_empty() {
+            return None;
+        }
+        Some(self.scan().map(|(rid, _)| rid as u32).collect())
+    }
+
+    /// How many columns the mirror currently holds (0 for a table no
+    /// vector scan has read a column of).
+    pub fn mirrored_columns(&self) -> usize {
+        self.mirror.built()
     }
 
     /// Remove every row. Keeps indexes defined but empty.
@@ -528,6 +575,7 @@ impl Table {
         for ix in &mut self.indexes {
             ix.clear();
         }
+        self.mirror.truncate(&self.schema);
         self.journal_record(SlotOp::Truncate);
     }
 
@@ -657,10 +705,12 @@ impl Table {
         Ok(())
     }
 
-    /// Approximate memory footprint in bytes (rows only; used by the GC
-    /// experiment E7 to show bounded memory on unbounded streams).
+    /// Approximate memory footprint in bytes (rows and their column
+    /// mirror; used by the GC experiment E7 to show bounded memory on
+    /// unbounded streams).
     pub fn approx_bytes(&self) -> usize {
-        let mut total = self.slots.capacity() * std::mem::size_of::<Option<Row>>();
+        let mut total =
+            self.slots.capacity() * std::mem::size_of::<Option<Row>>() + self.mirror.heap_bytes();
         for row in self.slots.iter().flatten() {
             total += row.len() * std::mem::size_of::<Value>();
             for v in row {
@@ -843,6 +893,40 @@ mod tests {
             t.insert(row(i, "some name")).unwrap();
         }
         assert!(t.approx_bytes() > before);
+    }
+
+    #[test]
+    fn mirror_follows_mutators_and_counts_in_approx_bytes() {
+        let mut t = table();
+        for i in 0..100 {
+            t.insert(row(i, "some name")).unwrap();
+        }
+        assert_eq!(t.mirrored_columns(), 0);
+        let rows_only = t.approx_bytes();
+        assert_eq!(t.column(1).len(), 100);
+        assert_eq!(t.mirrored_columns(), 1);
+        // 100 `String` lanes and their heap, on top of the rows.
+        assert!(t.approx_bytes() >= rows_only + 100 * (24 + "some name".len()));
+        assert!(t.live_lanes().is_none());
+
+        t.update(3, row(3, "renamed")).unwrap();
+        let gone = t.delete(5).unwrap();
+        assert_eq!(t.column(1).value_at(3), Value::Text("renamed".into()));
+        // A freed TEXT lane gives its string back and is not selected.
+        assert_eq!(t.column(1).value_at(5), Value::Text(String::new()));
+        assert!(!t.live_lanes().unwrap().contains(&5));
+        t.restore(5, gone).unwrap();
+        assert_eq!(t.column(1).value_at(5), Value::Text("some name".into()));
+        // A failed insert into the full slot array leaves a free lane.
+        assert!(t.insert(row(7, "dup")).is_err());
+        assert_eq!(t.column(1).len(), t.lanes());
+        assert_eq!(t.live_lanes().unwrap().len(), 100);
+
+        t.truncate();
+        assert_eq!((t.lanes(), t.column(1).len()), (0, 0));
+        // Still mirrored, a copy is not.
+        assert_eq!(t.mirrored_columns(), 1);
+        assert_eq!(t.clone().mirrored_columns(), 0);
     }
 
     #[test]

@@ -1,0 +1,374 @@
+//! Property tests for the resident column mirror: whatever the mutators,
+//! undo rollback, truncation and journal replay do to a table, the live
+//! lanes of every mirrored column hold exactly the cells a fresh
+//! `column_batch` pivots out of the rows — same values, same NULLs, same
+//! lane type — and the mirror never travels with a copy of the table.
+
+use proptest::prelude::*;
+use sstore_common::{codec, Column, DataType, Row, Schema, Value};
+use sstore_storage::{Database, RowId, Table, TableDirt, UndoLog, UndoOp};
+use sstore_vector::ColumnData;
+use std::collections::BTreeSet;
+
+const TYPES: [DataType; 6] = [
+    DataType::Int,
+    DataType::Int,
+    DataType::Float,
+    DataType::Text,
+    DataType::Bool,
+    DataType::Timestamp,
+];
+
+/// `id` is a primary key over a small domain, so inserts also fail (a
+/// failed insert into a full slot array leaves a free trailing slot).
+fn schema() -> Schema {
+    let names = ["id", "a", "f", "s", "b", "t"];
+    let cols = names
+        .iter()
+        .zip(TYPES)
+        .map(|(n, ty)| {
+            if *n == "id" {
+                Column::new(*n, ty)
+            } else {
+                Column::nullable(*n, ty)
+            }
+        })
+        .collect();
+    Schema::new(cols, &["id"]).unwrap()
+}
+
+/// The five nullable cells of a row, drawn from one tuple: `nulls` masks
+/// cells out, the rest derive from `i`, `f` and `s`.
+#[derive(Debug, Clone)]
+struct Cells {
+    nulls: u8,
+    i: i64,
+    f: f64,
+    s: u8,
+}
+
+impl Cells {
+    fn row(&self, id: i64) -> Row {
+        let cell = |bit: u8, v: Value| {
+            if self.nulls & (1 << bit) != 0 && self.nulls & (1 << (bit + 3)) != 0 {
+                Value::Null
+            } else {
+                v
+            }
+        };
+        Row::new(vec![
+            Value::Int(id),
+            cell(0, Value::Int(self.i)),
+            cell(1, Value::Float(self.f)),
+            cell(2, Value::Text(format!("s{}", self.s))),
+            cell(3, Value::Bool(self.i & 1 == 1)),
+            cell(4, Value::Timestamp(self.i.wrapping_mul(3))),
+        ])
+    }
+}
+
+fn arb_cells() -> impl Strategy<Value = Cells> {
+    (any::<u8>(), any::<i64>(), any::<f64>(), 0u8..4).prop_map(|(nulls, i, f, s)| Cells {
+        nulls,
+        i,
+        f,
+        s,
+    })
+}
+
+/// A mutation that undo can reverse.
+#[derive(Debug, Clone)]
+enum Write {
+    Insert(i64, Cells),
+    /// Update / delete the `n`-th live row (modulo the live count).
+    Update(usize, Cells),
+    Delete(usize),
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Write(Write),
+    /// Run the writes under an undo log, then roll all of them back.
+    RolledBack(Vec<Write>),
+    Truncate,
+    /// Put a cell of the wrong type into column `c` of the `n`-th live
+    /// row, the only way there is: `restore`, which trusts its row.
+    Misfit(usize, usize),
+    /// A vector scan asks for these columns (bit `c` = column `c`).
+    Request(u8),
+    /// The same, on the replica that follows by journal replay.
+    RequestReplica(u8),
+    /// Ship the journal to the replica.
+    Replay,
+}
+
+fn arb_write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        (0i64..24, arb_cells()).prop_map(|(id, c)| Write::Insert(id, c)),
+        (0i64..24, arb_cells()).prop_map(|(id, c)| Write::Insert(id, c)),
+        (0usize..64, arb_cells()).prop_map(|(n, c)| Write::Update(n, c)),
+        (0usize..64).prop_map(Write::Delete),
+    ]
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec(
+        prop_oneof![
+            arb_write().prop_map(Op::Write),
+            arb_write().prop_map(Op::Write),
+            arb_write().prop_map(Op::Write),
+            arb_write().prop_map(Op::Write),
+            prop::collection::vec(arb_write(), 1..6).prop_map(Op::RolledBack),
+            (0usize..64, 1usize..6).prop_map(|(n, c)| Op::Misfit(n, c)),
+            (0u8..20).prop_map(|n| if n == 0 { Op::Truncate } else { Op::Replay }),
+            any::<u8>().prop_map(Op::Request),
+            any::<u8>().prop_map(Op::RequestReplica),
+        ],
+        0..80,
+    )
+}
+
+fn nth_live(table: &Table, n: usize) -> Option<RowId> {
+    let live = table.row_ids();
+    (!live.is_empty()).then(|| live[n % live.len()])
+}
+
+/// Apply one write, recording its inverse.
+fn write(db: &mut Database, undo: &mut UndoLog, w: &Write) {
+    let t = db.resolve("t").unwrap();
+    match w {
+        Write::Insert(id, cells) => {
+            if let Ok(rid) = db.table_mut(t).unwrap().insert(cells.row(*id)) {
+                undo.push(UndoOp::Insert { table: t, rid });
+            }
+        }
+        Write::Update(n, cells) => {
+            if let Some(rid) = nth_live(db.table(t).unwrap(), *n) {
+                let row = db.table(t).unwrap().get(rid).unwrap();
+                // Undoing an update validates the old image, which a row
+                // holding a misfit would fail; such rows are only deleted.
+                if row
+                    .iter()
+                    .zip(TYPES)
+                    .any(|(v, ty)| v.data_type().is_some_and(|t| t != ty))
+                {
+                    return;
+                }
+                let id = row[0].as_int().unwrap();
+                let old = db.table_mut(t).unwrap().update(rid, cells.row(id)).unwrap();
+                undo.push(UndoOp::Update { table: t, rid, old });
+            }
+        }
+        Write::Delete(n) => {
+            if let Some(rid) = nth_live(db.table(t).unwrap(), *n) {
+                let row = db.table_mut(t).unwrap().delete(rid).unwrap();
+                undo.push(UndoOp::Delete { table: t, rid, row });
+            }
+        }
+    }
+}
+
+/// A value no schema validation would let into a column of type `ty`.
+fn misfit_for(ty: DataType) -> Value {
+    match ty {
+        DataType::Text => Value::Int(7),
+        _ => Value::Text("odd".into()),
+    }
+}
+
+fn lane_type(data: &ColumnData) -> Option<DataType> {
+    match data {
+        ColumnData::Int(_) => Some(DataType::Int),
+        ColumnData::Float(_) => Some(DataType::Float),
+        ColumnData::Bool(_) => Some(DataType::Bool),
+        ColumnData::Text(_) => Some(DataType::Text),
+        ColumnData::Timestamp(_) => Some(DataType::Timestamp),
+        ColumnData::Generic(_) => None,
+    }
+}
+
+/// Exact cell identity: `Value`'s own equality calls `Int(1)` and
+/// `Float(1.0)` equal, and NaN must equal itself here.
+fn same_cell(a: &Value, b: &Value) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
+/// The invariant. `requested` are the columns some scan has asked this
+/// table for; `misfit_seen[c]` says a misfit went into column `c` while
+/// it was mirrored and no truncate has happened since (the lane stays
+/// `Generic` after the misfit is gone — a fresh pivot would be typed
+/// again; everything else about the two must agree). A misfit found
+/// live in a mirrored column is recorded there.
+fn check(table: &Table, requested: &BTreeSet<usize>, misfit_seen: &mut [bool; 6]) {
+    assert_eq!(table.mirrored_columns(), requested.len());
+    let needed: Vec<usize> = requested.iter().copied().collect();
+    let fresh = table.column_batch(Some(&needed));
+    let live: Vec<u32> = table
+        .live_lanes()
+        .unwrap_or_else(|| (0..table.lanes() as u32).collect());
+    assert_eq!(live.len(), fresh.rows);
+    for &c in &needed {
+        let lane = table.column(c);
+        assert_eq!(lane.len(), table.lanes(), "one lane per slot");
+        let gathered = lane.gather(&live);
+        let want = fresh.column(c);
+        // A misfit, a cell of the declared type, any cell at all?
+        let (mut misfit_live, mut any_typed, mut any_cell) = (false, false, false);
+        for i in 0..fresh.rows {
+            let (got, want) = (gathered.value_at(i), want.value_at(i));
+            assert!(
+                same_cell(&got, &want),
+                "column {c} row {i}: mirror {got:?}, pivot {want:?}"
+            );
+            assert_eq!(gathered.is_null_at(i), want.is_null());
+            any_cell |= !want.is_null();
+            any_typed |= want.data_type() == Some(TYPES[c]);
+            misfit_live |= want.data_type().is_some_and(|ty| ty != TYPES[c]);
+        }
+        match lane_type(&lane.data) {
+            // Demoted: because a misfit is there, or was.
+            None => assert!(
+                misfit_live || misfit_seen[c],
+                "column {c} demoted for nothing"
+            ),
+            Some(ty) => {
+                assert!(!misfit_live, "column {c} holds a misfit in a typed lane");
+                assert_eq!(ty, TYPES[c]);
+                // The pivot types a lane by its cells; with no cell to go
+                // by it falls back to Int.
+                if any_cell {
+                    assert_eq!(lane_type(&want.data), Some(ty));
+                }
+            }
+        }
+        if misfit_live && any_typed {
+            assert_eq!(lane_type(&want.data), None, "the pivot demotes too");
+        }
+        misfit_seen[c] |= misfit_live;
+    }
+}
+
+fn request(table: &Table, mask: u8, requested: &mut BTreeSet<usize>) {
+    for c in 0..6 {
+        if mask & (1 << c) != 0 {
+            table.column(c);
+            requested.insert(c);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn mirror_live_lanes_equal_a_fresh_pivot(ops in arb_ops()) {
+        let mut db = Database::new();
+        let t = db.create_table("t", schema()).unwrap();
+        db.table_mut(t).unwrap().set_journaling(true);
+        let mut replica = Table::new("t", schema());
+        let (mut requested, mut replica_requested) = (BTreeSet::new(), BTreeSet::new());
+        let (mut misfit_seen, mut replica_misfit_seen) = ([false; 6], [false; 6]);
+        // Misfits the replica has yet to receive.
+        let mut misfits_in_flight: Vec<usize> = Vec::new();
+
+        for op in &ops {
+            match op {
+                Op::Write(w) => write(&mut db, &mut UndoLog::new(), w),
+                Op::RolledBack(ws) => {
+                    let mut undo = UndoLog::new();
+                    for w in ws {
+                        write(&mut db, &mut undo, w);
+                    }
+                    undo.rollback(&mut db).unwrap();
+                }
+                Op::Truncate => {
+                    db.table_mut(t).unwrap().truncate();
+                    misfit_seen = [false; 6];
+                    // The journal now starts at the truncate.
+                    misfits_in_flight.clear();
+                }
+                Op::Misfit(n, c) => {
+                    let table = db.table_mut(t).unwrap();
+                    if let Some(rid) = nth_live(table, *n) {
+                        let row = table.delete(rid).unwrap();
+                        let mut cells = row.to_values();
+                        cells[*c] = misfit_for(TYPES[*c]);
+                        table.restore(rid, Row::new(cells)).unwrap();
+                        misfits_in_flight.push(*c);
+                    }
+                }
+                Op::Request(mask) => request(db.table(t).unwrap(), *mask, &mut requested),
+                Op::RequestReplica(mask) => request(&replica, *mask, &mut replica_requested),
+                Op::Replay => {
+                    let live = db.table_mut(t).unwrap();
+                    match live.dirt() {
+                        TableDirt::Clean => {}
+                        TableDirt::Ops(ops) => {
+                            for op in ops {
+                                if matches!(op, sstore_storage::SlotOp::Truncate) {
+                                    replica_misfit_seen = [false; 6];
+                                }
+                                replica.apply_slot_op(op).unwrap();
+                            }
+                            for c in misfits_in_flight.drain(..) {
+                                replica_misfit_seen[c] |= replica_requested.contains(&c);
+                            }
+                        }
+                        // Journal overflow: ship a full image instead. A
+                        // decoded table starts without a mirror.
+                        TableDirt::Full => {
+                            let mut image = Vec::new();
+                            live.encode_binary(&mut image);
+                            replica = Table::decode_binary(
+                                &mut codec::Reader::new(&image),
+                                codec::CODEC_VERSION,
+                            )
+                            .unwrap();
+                            prop_assert_eq!(replica.mirrored_columns(), 0);
+                            replica_requested.clear();
+                            replica_misfit_seen = [false; 6];
+                            misfits_in_flight.clear();
+                        }
+                    }
+                    live.clear_journal();
+                }
+            }
+            check(db.table(t).unwrap(), &requested, &mut misfit_seen);
+            check(&replica, &replica_requested, &mut replica_misfit_seen);
+        }
+
+        // A copy of the table is a copy of its state, not of its mirror.
+        let table = db.table(t).unwrap();
+        prop_assert_eq!(table.clone().mirrored_columns(), 0);
+        let json = serde_json::to_string(table).unwrap();
+        let back: Table = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(back.mirrored_columns(), 0);
+        let mut all = BTreeSet::new();
+        request(&back, 0xff, &mut all);
+        check(&back, &all, &mut [false; 6]);
+    }
+}
+
+/// The one deterministic case the issue names: a FLOAT lane that receives
+/// a value which is not a float ends up exactly where the pivot does.
+#[test]
+fn float_lane_receiving_a_misfit_demotes_like_the_pivot() {
+    let mut table = Table::new("t", schema());
+    for id in 0..4 {
+        let cells = Cells {
+            nulls: if id == 2 { 0xff } else { 0 },
+            i: id,
+            f: id as f64 / 2.0,
+            s: 0,
+        };
+        table.insert(cells.row(id)).unwrap();
+    }
+    assert!(matches!(table.column(2).data, ColumnData::Float(_)));
+    let row = table.delete(1).unwrap();
+    let mut cells = row.to_values();
+    cells[2] = Value::Int(9);
+    table.restore(1, Row::new(cells)).unwrap();
+    let pivot = table.column_batch(Some(&[2]));
+    assert!(matches!(pivot.column(2).data, ColumnData::Generic(_)));
+    assert_eq!(table.column(2), pivot.column(2));
+}

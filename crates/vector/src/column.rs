@@ -1,5 +1,10 @@
 //! Typed column vectors, validity bitmaps, and the row → column pivot.
 //!
+//! A [`Column`] is written one lane at a time ([`Column::set`]): that one
+//! writer serves both the cold row → column pivot ([`build_batch`]) and
+//! the storage layer's resident column mirror, so a cell that does not
+//! fit its lane demotes either of them the same way.
+//!
 //! A [`ColumnBatch`] is the unit of work between vectorized operators: a
 //! set of equal-length columns plus an implicit row count. Columns the
 //! planner proved unused are `None` (pruned) so the scan never pays for
@@ -10,7 +15,7 @@
 //! [`Value`]s) demote the whole column to a [`ColumnData::Generic`] lane of
 //! boxed values — correctness is never lost, only the fast kernels.
 
-use sstore_common::Value;
+use sstore_common::{DataType, Value};
 
 /// Fixed-length bitmap, one bit per row. Used for column validity
 /// (bit set = value present, clear = NULL).
@@ -65,6 +70,24 @@ impl Bitmap {
             self.words[i / 64] &= !mask;
         }
     }
+
+    /// Grow to `len` bits; the new bits are set.
+    pub fn grow_set(&mut self, len: usize) {
+        debug_assert!(len >= self.len);
+        let old = self.len;
+        self.words.resize(len.div_ceil(64), u64::MAX);
+        self.len = len;
+        // Bits of the old last word past `old` hold whatever the
+        // constructor left there.
+        for i in old..len.min(old.next_multiple_of(64)) {
+            self.set(i, true);
+        }
+    }
+
+    /// Heap bytes held.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
 }
 
 /// Reads bit `i` of an optional validity bitmap; absent bitmap = all valid.
@@ -91,6 +114,17 @@ pub enum ColumnData {
 }
 
 impl ColumnData {
+    /// An empty lane of the native type behind `ty`.
+    fn empty(ty: DataType) -> ColumnData {
+        match ty {
+            DataType::Int => ColumnData::Int(Vec::new()),
+            DataType::Float => ColumnData::Float(Vec::new()),
+            DataType::Bool => ColumnData::Bool(Vec::new()),
+            DataType::Text => ColumnData::Text(Vec::new()),
+            DataType::Timestamp => ColumnData::Timestamp(Vec::new()),
+        }
+    }
+
     /// Number of cells in the lane.
     pub fn len(&self) -> usize {
         match self {
@@ -106,6 +140,28 @@ impl ColumnData {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Reserve room for `additional` more cells.
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            ColumnData::Int(d) | ColumnData::Timestamp(d) => d.reserve(additional),
+            ColumnData::Float(d) => d.reserve(additional),
+            ColumnData::Bool(d) => d.reserve(additional),
+            ColumnData::Text(d) => d.reserve(additional),
+            ColumnData::Generic(d) => d.reserve(additional),
+        }
+    }
+
+    /// Resize to `len` cells; new cells hold the lane's default.
+    fn resize(&mut self, len: usize) {
+        match self {
+            ColumnData::Int(d) | ColumnData::Timestamp(d) => d.resize(len, 0),
+            ColumnData::Float(d) => d.resize(len, 0.0),
+            ColumnData::Bool(d) => d.resize(len, false),
+            ColumnData::Text(d) => d.resize(len, String::new()),
+            ColumnData::Generic(d) => d.resize(len, Value::Null),
+        }
+    }
 }
 
 /// One column of a batch: a typed lane plus optional validity. A missing
@@ -119,6 +175,16 @@ pub struct Column {
 }
 
 impl Column {
+    /// A column of `len` default cells, all valid, typed for `ty`.
+    pub fn typed(ty: DataType, len: usize) -> Column {
+        let mut data = ColumnData::empty(ty);
+        data.resize(len);
+        Column {
+            data,
+            validity: None,
+        }
+    }
+
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -153,6 +219,129 @@ impl Column {
             ColumnData::Generic(d) => d[i].clone(),
         }
     }
+
+    /// Grow to `len` cells; the new cells are valid defaults.
+    pub fn grow(&mut self, len: usize) {
+        self.data.resize(len);
+        if let Some(v) = &mut self.validity {
+            v.grow_set(len);
+        }
+    }
+
+    /// Write `v` into cell `i`, growing the column when `i` is at or past
+    /// its end. NULL clears the validity bit and leaves a default in the
+    /// lane; a non-NULL cell whose type is not the lane's demotes the
+    /// whole column to `Generic` first.
+    pub fn set(&mut self, i: usize, v: &Value) {
+        fn put<T>(d: &mut Vec<T>, i: usize, x: T) {
+            if i == d.len() {
+                d.push(x);
+            } else {
+                d[i] = x;
+            }
+        }
+        if i > self.len() {
+            self.grow(i);
+        }
+        match (&mut self.data, v) {
+            (_, Value::Null) => {
+                if i == self.len() {
+                    self.grow(i + 1);
+                } else {
+                    self.clear(i);
+                }
+                let len = self.len();
+                self.validity
+                    .get_or_insert_with(|| Bitmap::new_set(len))
+                    .set(i, false);
+                return;
+            }
+            (ColumnData::Int(d), Value::Int(x)) => put(d, i, *x),
+            (ColumnData::Float(d), Value::Float(x)) => put(d, i, *x),
+            (ColumnData::Bool(d), Value::Bool(x)) => put(d, i, *x),
+            (ColumnData::Text(d), Value::Text(x)) => put(d, i, x.clone()),
+            (ColumnData::Timestamp(d), Value::Timestamp(x)) => put(d, i, *x),
+            (ColumnData::Generic(d), v) => put(d, i, v.clone()),
+            // Type drift within the column.
+            (_, v) => {
+                let mut vals: Vec<Value> = (0..self.len()).map(|j| self.value_at(j)).collect();
+                put(&mut vals, i, v.clone());
+                self.data = ColumnData::Generic(vals);
+            }
+        }
+        if let Some(validity) = &mut self.validity {
+            if i == validity.len() {
+                validity.grow_set(i + 1);
+            } else {
+                validity.set(i, true);
+            }
+        }
+    }
+
+    /// Append one cell.
+    pub fn push(&mut self, v: &Value) {
+        self.set(self.len(), v);
+    }
+
+    /// Put the lane's default into cell `i`, releasing a string's heap.
+    /// Validity is left alone: the caller no longer reads the cell.
+    pub fn clear(&mut self, i: usize) {
+        match &mut self.data {
+            ColumnData::Int(d) | ColumnData::Timestamp(d) => d[i] = 0,
+            ColumnData::Float(d) => d[i] = 0.0,
+            ColumnData::Bool(d) => d[i] = false,
+            ColumnData::Text(d) => d[i] = String::new(),
+            ColumnData::Generic(d) => d[i] = Value::Null,
+        }
+    }
+
+    /// The cells at `idx`, in that order, as a new column.
+    pub fn gather(&self, idx: &[u32]) -> Column {
+        fn pick<T: Clone>(d: &[T], idx: &[u32]) -> Vec<T> {
+            idx.iter().map(|&i| d[i as usize].clone()).collect()
+        }
+        let data = match &self.data {
+            ColumnData::Int(d) => ColumnData::Int(pick(d, idx)),
+            ColumnData::Float(d) => ColumnData::Float(pick(d, idx)),
+            ColumnData::Bool(d) => ColumnData::Bool(pick(d, idx)),
+            ColumnData::Text(d) => ColumnData::Text(pick(d, idx)),
+            ColumnData::Timestamp(d) => ColumnData::Timestamp(pick(d, idx)),
+            ColumnData::Generic(d) => ColumnData::Generic(pick(d, idx)),
+        };
+        let validity = self.validity.as_ref().map(|v| {
+            let mut out = Bitmap::new_set(idx.len());
+            for (o, &i) in idx.iter().enumerate() {
+                if !v.get(i as usize) {
+                    out.set(o, false);
+                }
+            }
+            out
+        });
+        Column { data, validity }
+    }
+
+    /// Heap bytes held by the lane, its strings and the validity bitmap.
+    pub fn heap_bytes(&self) -> usize {
+        let lane = match &self.data {
+            ColumnData::Int(d) | ColumnData::Timestamp(d) => d.capacity() * 8,
+            ColumnData::Float(d) => d.capacity() * 8,
+            ColumnData::Bool(d) => d.capacity(),
+            ColumnData::Text(d) => {
+                d.capacity() * std::mem::size_of::<String>()
+                    + d.iter().map(String::capacity).sum::<usize>()
+            }
+            ColumnData::Generic(d) => {
+                d.capacity() * std::mem::size_of::<Value>()
+                    + d.iter()
+                        .map(|v| match v {
+                            Value::Text(s) => s.capacity(),
+                            _ => 0,
+                        })
+                        .sum::<usize>()
+            }
+        };
+        lane + self.validity.as_ref().map_or(0, Bitmap::heap_bytes)
+    }
 }
 
 /// A set of equal-length columns. `columns[i] = None` means column `i`
@@ -176,148 +365,40 @@ impl ColumnBatch {
     }
 }
 
-/// Per-column builder state. Starts untyped and adopts the type of the
-/// first non-NULL cell; a later cell of a different type demotes the
-/// column to `Generic`.
-enum LaneBuilder {
-    /// No non-NULL cell seen yet.
-    Unset,
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    Bool(Vec<bool>),
-    Text(Vec<String>),
-    Timestamp(Vec<i64>),
-    Generic(Vec<Value>),
-}
-
-struct ColBuilder {
-    lane: LaneBuilder,
-    validity: Option<Bitmap>,
-    /// Cells pushed so far (lane may lag while `Unset`).
-    n: usize,
-    rows: usize,
+/// Per-column pivot state. The lane adopts the type of the first non-NULL
+/// cell; until then only the length of the NULL prefix is known.
+enum ColBuilder {
+    Nulls(usize),
+    Typed(Column),
 }
 
 impl ColBuilder {
-    fn new(rows: usize) -> Self {
-        ColBuilder {
-            lane: LaneBuilder::Unset,
-            validity: None,
-            n: 0,
-            rows,
+    fn push(&mut self, v: &Value, rows: usize) {
+        match (&mut *self, v.data_type()) {
+            (ColBuilder::Nulls(n), None) => *n += 1,
+            (ColBuilder::Nulls(n), Some(ty)) => {
+                let n = *n;
+                let mut col = Column::typed(ty, n);
+                if n > 0 {
+                    col.validity = Some(Bitmap::new_clear(n));
+                }
+                col.data.reserve(rows.saturating_sub(n));
+                col.push(v);
+                *self = ColBuilder::Typed(col);
+            }
+            (ColBuilder::Typed(col), _) => col.push(v),
         }
-    }
-
-    fn mark_null(&mut self) {
-        let v = self
-            .validity
-            .get_or_insert_with(|| Bitmap::new_set(self.rows));
-        v.set(self.n, false);
-    }
-
-    /// Rebuild the typed prefix as boxed values for the `Generic` escape.
-    fn demote(&mut self) {
-        let mut vals: Vec<Value> = (0..self.n)
-            .map(|i| {
-                if !valid_at(self.validity.as_ref(), i) {
-                    return Value::Null;
-                }
-                match &self.lane {
-                    LaneBuilder::Unset => Value::Null,
-                    LaneBuilder::Int(d) => Value::Int(d[i]),
-                    LaneBuilder::Float(d) => Value::Float(d[i]),
-                    LaneBuilder::Bool(d) => Value::Bool(d[i]),
-                    LaneBuilder::Text(d) => Value::Text(d[i].clone()),
-                    LaneBuilder::Timestamp(d) => Value::Timestamp(d[i]),
-                    LaneBuilder::Generic(_) => unreachable!("demote of generic lane"),
-                }
-            })
-            .collect();
-        vals.reserve(self.rows - self.n);
-        self.lane = LaneBuilder::Generic(vals);
-    }
-
-    fn push(&mut self, v: &Value) {
-        match (&mut self.lane, v) {
-            (_, Value::Null) => {
-                self.mark_null();
-                match &mut self.lane {
-                    LaneBuilder::Unset => {}
-                    LaneBuilder::Int(d) | LaneBuilder::Timestamp(d) => d.push(0),
-                    LaneBuilder::Float(d) => d.push(0.0),
-                    LaneBuilder::Bool(d) => d.push(false),
-                    LaneBuilder::Text(d) => d.push(String::new()),
-                    LaneBuilder::Generic(d) => d.push(Value::Null),
-                }
-            }
-            (LaneBuilder::Int(d), Value::Int(x)) => d.push(*x),
-            (LaneBuilder::Float(d), Value::Float(x)) => d.push(*x),
-            (LaneBuilder::Bool(d), Value::Bool(x)) => d.push(*x),
-            (LaneBuilder::Text(d), Value::Text(x)) => d.push(x.clone()),
-            (LaneBuilder::Timestamp(d), Value::Timestamp(x)) => d.push(*x),
-            (LaneBuilder::Generic(d), v) => d.push(v.clone()),
-            (LaneBuilder::Unset, v) => {
-                // First non-NULL cell: adopt its type, backfilling defaults
-                // for the NULL prefix.
-                let n = self.n;
-                self.lane = match v {
-                    Value::Int(x) => {
-                        let mut d = vec![0i64; n];
-                        d.push(*x);
-                        LaneBuilder::Int(d)
-                    }
-                    Value::Float(x) => {
-                        let mut d = vec![0f64; n];
-                        d.push(*x);
-                        LaneBuilder::Float(d)
-                    }
-                    Value::Bool(x) => {
-                        let mut d = vec![false; n];
-                        d.push(*x);
-                        LaneBuilder::Bool(d)
-                    }
-                    Value::Text(x) => {
-                        let mut d = vec![String::new(); n];
-                        d.push(x.clone());
-                        LaneBuilder::Text(d)
-                    }
-                    Value::Timestamp(x) => {
-                        let mut d = vec![0i64; n];
-                        d.push(*x);
-                        LaneBuilder::Timestamp(d)
-                    }
-                    Value::Null => unreachable!("null handled above"),
-                };
-                self.n += 1;
-                return;
-            }
-            // Type drift within the column: demote and retry (the retry
-            // always lands in the Generic arm).
-            (_, v) => {
-                self.demote();
-                if let LaneBuilder::Generic(d) = &mut self.lane {
-                    d.push(v.clone());
-                }
-            }
-        }
-        self.n += 1;
     }
 
     fn finish(self) -> Column {
-        let data = match self.lane {
+        match self {
             // All cells NULL: an Int lane of defaults with an all-clear
             // validity region is equivalent and keeps numeric kernels usable.
-            LaneBuilder::Unset => ColumnData::Int(vec![0; self.n]),
-            LaneBuilder::Int(d) => ColumnData::Int(d),
-            LaneBuilder::Float(d) => ColumnData::Float(d),
-            LaneBuilder::Bool(d) => ColumnData::Bool(d),
-            LaneBuilder::Text(d) => ColumnData::Text(d),
-            LaneBuilder::Timestamp(d) => ColumnData::Timestamp(d),
-            LaneBuilder::Generic(d) => ColumnData::Generic(d),
-        };
-        Column {
-            data,
-            validity: self.validity,
+            ColBuilder::Nulls(n) => Column {
+                data: ColumnData::Int(vec![0; n]),
+                validity: (n > 0).then(|| Bitmap::new_clear(n)),
+            },
+            ColBuilder::Typed(col) => col,
         }
     }
 }
@@ -352,13 +433,13 @@ where
     };
     let mut builders: Vec<Option<ColBuilder>> = want
         .iter()
-        .map(|&w| w.then(|| ColBuilder::new(rows)))
+        .map(|&w| w.then_some(ColBuilder::Nulls(0)))
         .collect();
     let mut n = 0usize;
     for row in iter {
         for (c, b) in builders.iter_mut().enumerate() {
             if let Some(b) = b {
-                b.push(row.get(c).unwrap_or(&Value::Null));
+                b.push(row.get(c).unwrap_or(&Value::Null), rows);
             }
         }
         n += 1;
@@ -384,6 +465,60 @@ mod tests {
         b.set(64, false);
         b.set(129, false);
         assert!(!b.get(64) && !b.get(129) && b.get(63) && b.get(128));
+    }
+
+    #[test]
+    fn bitmap_grows_with_set_bits() {
+        let mut b = Bitmap::new_clear(3);
+        b.grow_set(70);
+        assert!(!b.get(0) && !b.get(2));
+        assert!((3..70).all(|i| b.get(i)));
+    }
+
+    #[test]
+    fn set_overwrites_grows_and_tracks_nulls() {
+        let mut c = Column::typed(DataType::Text, 0);
+        c.set(2, &Value::Text("x".into()));
+        assert_eq!(c.len(), 3);
+        assert!(c.validity.is_none());
+        assert_eq!(c.value_at(0), Value::Text(String::new()));
+        c.set(0, &Value::Null);
+        assert!(c.is_null_at(0) && !c.is_null_at(1) && !c.is_null_at(2));
+        c.push(&Value::Text("y".into()));
+        assert_eq!(c.value_at(3), Value::Text("y".into()));
+        c.set(0, &Value::Text("z".into()));
+        assert_eq!(c.value_at(0), Value::Text("z".into()));
+        c.clear(2);
+        assert_eq!(c.value_at(2), Value::Text(String::new()));
+    }
+
+    #[test]
+    fn set_of_a_misfit_demotes_like_the_pivot() {
+        let mut c = Column::typed(DataType::Float, 0);
+        c.push(&Value::Float(1.5));
+        c.push(&Value::Null);
+        c.push(&Value::Int(2));
+        let rows = [
+            vec![Value::Float(1.5)],
+            vec![Value::Null],
+            vec![Value::Int(2)],
+        ];
+        let b = build_batch(1, 3, None, rows.iter().map(|r| r.as_slice()));
+        assert_eq!(&c, b.column(0));
+        assert!(matches!(c.data, ColumnData::Generic(_)));
+    }
+
+    #[test]
+    fn gather_picks_cells_and_validity() {
+        let mut c = Column::typed(DataType::Int, 0);
+        for v in [Value::Int(5), Value::Null, Value::Int(7)] {
+            c.push(&v);
+        }
+        let g = c.gather(&[2, 1, 2]);
+        assert_eq!(g.value_at(0), Value::Int(7));
+        assert!(g.is_null_at(1));
+        assert_eq!(g.value_at(2), Value::Int(7));
+        assert!(c.heap_bytes() >= 3 * 8);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Type-specialized compute kernels: comparison, checked arithmetic,
-//! predicate filtering, and aggregation reductions.
+//! Type-specialized compute kernels: comparison, checked arithmetic and
+//! predicate filtering (the aggregate reductions are in [`crate::group`]).
 //!
 //! Every kernel takes an optional *selection* (`Option<&[u32]>`, `None` =
 //! all rows dense) and optional validity bitmaps, and is specified as
@@ -13,25 +13,6 @@
 use crate::column::{valid_at, Bitmap, ColumnData};
 use sstore_common::{Error, Result};
 use std::cmp::Ordering;
-
-/// Iterate the selected row positions in order.
-macro_rules! for_sel {
-    ($sel:expr, $rows:expr, $i:ident => $body:block) => {
-        match $sel {
-            None => {
-                for $i in 0..$rows {
-                    $body
-                }
-            }
-            Some(s) => {
-                for &ix in s.iter() {
-                    let $i = ix as usize;
-                    $body
-                }
-            }
-        }
-    };
-}
 
 /// A numeric operand lane: a column of ints or floats, or a constant.
 /// `Timestamp` lanes are passed as [`NumSrc::I`] — the row path's
@@ -64,7 +45,7 @@ impl NumSrc<'_> {
     }
 
     #[inline]
-    fn float_at(&self, i: usize) -> f64 {
+    pub(crate) fn float_at(&self, i: usize) -> f64 {
         match self {
             NumSrc::I(d) => d[i] as f64,
             NumSrc::F(d) => d[i],
@@ -323,134 +304,6 @@ pub fn bool_to_sel(
     out
 }
 
-/// COUNT of non-NULL cells over the selection.
-pub fn count_nonnull(validity: Option<&Bitmap>, sel: Option<&[u32]>, rows: usize) -> i64 {
-    match validity {
-        None => match sel {
-            None => rows as i64,
-            Some(s) => s.len() as i64,
-        },
-        Some(v) => {
-            let mut n = 0i64;
-            for_sel!(sel, rows, i => {
-                if v.get(i) {
-                    n += 1;
-                }
-            });
-            n
-        }
-    }
-}
-
-/// SUM over an int lane: `checked_add` in selection order, erroring with
-/// the row path's `integer overflow in SUM`. `None` = no non-NULL input.
-pub fn sum_int(
-    d: &[i64],
-    validity: Option<&Bitmap>,
-    sel: Option<&[u32]>,
-    rows: usize,
-) -> Result<Option<i64>> {
-    let mut acc: Option<i64> = None;
-    for_sel!(sel, rows, i => {
-        if valid_at(validity, i) {
-            acc = Some(match acc {
-                None => d[i],
-                Some(a) => a
-                    .checked_add(d[i])
-                    .ok_or_else(|| Error::Constraint("integer overflow in SUM".into()))?,
-            });
-        }
-    });
-    Ok(acc)
-}
-
-/// SUM over a float lane: plain `f64` adds in selection order (matches the
-/// row accumulator's sequential rounding). `None` = no non-NULL input.
-pub fn sum_float(
-    d: &[f64],
-    validity: Option<&Bitmap>,
-    sel: Option<&[u32]>,
-    rows: usize,
-) -> Option<f64> {
-    let mut acc: Option<f64> = None;
-    for_sel!(sel, rows, i => {
-        if valid_at(validity, i) {
-            acc = Some(acc.unwrap_or(0.0) + d[i]);
-        }
-    });
-    acc
-}
-
-/// AVG accumulator over a numeric lane: sequential `f64` sum (row order)
-/// plus non-NULL count; caller divides. Matches `AggState::Avg`.
-pub fn avg_num(
-    src: NumSrc,
-    validity: Option<&Bitmap>,
-    sel: Option<&[u32]>,
-    rows: usize,
-) -> (f64, i64) {
-    let mut sum = 0f64;
-    let mut n = 0i64;
-    for_sel!(sel, rows, i => {
-        if valid_at(validity, i) {
-            sum += src.float_at(i);
-            n += 1;
-        }
-    });
-    (sum, n)
-}
-
-/// MIN/MAX over an int lane, skipping NULLs. `None` = no non-NULL input.
-pub fn min_max_int(
-    d: &[i64],
-    validity: Option<&Bitmap>,
-    sel: Option<&[u32]>,
-    rows: usize,
-    want_max: bool,
-) -> Option<i64> {
-    let mut best: Option<i64> = None;
-    for_sel!(sel, rows, i => {
-        if valid_at(validity, i) {
-            best = Some(match best {
-                None => d[i],
-                Some(b) if want_max && d[i] > b => d[i],
-                Some(b) if !want_max && d[i] < b => d[i],
-                Some(b) => b,
-            });
-        }
-    });
-    best
-}
-
-/// MIN/MAX over a float lane using `total_cmp` (as `Value::cmp_total`),
-/// keeping the first value on ties — identical to the row accumulator's
-/// strict-improvement update.
-pub fn min_max_float(
-    d: &[f64],
-    validity: Option<&Bitmap>,
-    sel: Option<&[u32]>,
-    rows: usize,
-    want_max: bool,
-) -> Option<f64> {
-    let mut best: Option<f64> = None;
-    for_sel!(sel, rows, i => {
-        if valid_at(validity, i) {
-            best = Some(match best {
-                None => d[i],
-                Some(b) => {
-                    let o = d[i].total_cmp(&b);
-                    if (want_max && o == Ordering::Greater) || (!want_max && o == Ordering::Less) {
-                        d[i]
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-    });
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,40 +436,5 @@ mod tests {
         let vals = [true, true, false, true];
         let v = bm(&[true, false, true, true]);
         assert_eq!(bool_to_sel(&vals, Some(&v), None, 4), vec![0, 3]);
-    }
-
-    #[test]
-    fn sum_int_overflow_message_matches_row_path() {
-        let d = [i64::MAX, 1];
-        let err = sum_int(&d, None, None, 2).unwrap_err();
-        assert_eq!(err, Error::Constraint("integer overflow in SUM".into()));
-    }
-
-    #[test]
-    fn aggregates_skip_nulls() {
-        let d = [10i64, 20, 30];
-        let v = bm(&[true, false, true]);
-        assert_eq!(sum_int(&d, Some(&v), None, 3).unwrap(), Some(40));
-        assert_eq!(count_nonnull(Some(&v), None, 3), 2);
-        assert_eq!(min_max_int(&d, Some(&v), None, 3, false), Some(10));
-        assert_eq!(min_max_int(&d, Some(&v), None, 3, true), Some(30));
-        let (s, n) = avg_num(NumSrc::I(&d), Some(&v), None, 3);
-        assert_eq!((s, n), (40.0, 2));
-    }
-
-    #[test]
-    fn empty_selection_aggregates_to_none() {
-        let d = [1i64];
-        let sel: [u32; 0] = [];
-        assert_eq!(sum_int(&d, None, Some(&sel), 1).unwrap(), None);
-        assert_eq!(min_max_int(&d, None, Some(&sel), 1, true), None);
-    }
-
-    #[test]
-    fn min_max_float_uses_total_cmp() {
-        let d = [0.0f64, -0.0];
-        // total_cmp: -0.0 < 0.0, so MIN picks index 1's -0.0.
-        let m = min_max_float(&d, None, None, 2, false).unwrap();
-        assert!(m.is_sign_negative());
     }
 }

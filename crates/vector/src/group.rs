@@ -1,0 +1,350 @@
+//! Grouping kernels: dense group ids over key lanes, and per-group
+//! reductions over argument lanes.
+//!
+//! [`Groups::of`] numbers the distinct keys of one column in order of
+//! first appearance over the selection — the order the row interpreter's
+//! hash aggregate emits groups in — with NULL as a key of its own;
+//! [`Groups::and`] refines by a further key column; [`Groups::all`] is the
+//! ungrouped aggregate's single group. The reductions then run one typed
+//! loop per aggregate, each bit-identical to the row path's accumulator
+//! fed the group's rows in selection (= row) order: NULL cells are
+//! skipped, `SUM` over ints is checked, floats accumulate sequentially,
+//! `MIN`/`MAX` keep the first value on ties.
+
+use crate::column::{valid_at, Bitmap, Column, ColumnData};
+use crate::compute::NumSrc;
+use sstore_common::{Error, Result};
+use std::collections::HashMap;
+use std::hash::Hash;
+
+/// A partition of the selected rows into groups.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Groups {
+    /// Row-aligned: the group of each selected row. Empty when there is
+    /// only the one group of [`Groups::all`], which needs no id lane.
+    pub ids: Vec<u32>,
+    /// The first selected row of each group, in group order.
+    pub first: Vec<u32>,
+}
+
+/// Number the keys `key(i)` of the selected rows densely, first
+/// appearance first; rows without a valid key share one group.
+fn assign<K: Hash + Eq>(
+    key: impl Fn(usize) -> K,
+    validity: Option<&Bitmap>,
+    sel: Option<&[u32]>,
+    rows: usize,
+) -> Groups {
+    let mut ids = vec![0u32; rows];
+    let mut first: Vec<u32> = Vec::new();
+    let mut seen: HashMap<K, u32> = HashMap::new();
+    let mut null_group: Option<u32> = None;
+    for_sel!(sel, rows, i => {
+        let next = first.len() as u32;
+        let g = if valid_at(validity, i) {
+            *seen.entry(key(i)).or_insert(next)
+        } else {
+            *null_group.get_or_insert(next)
+        };
+        if g == next {
+            first.push(i as u32);
+        }
+        ids[i] = g;
+    });
+    Groups { ids, first }
+}
+
+impl Groups {
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.first.len()
+    }
+
+    /// True when no row was selected.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_empty()
+    }
+
+    /// Every selected row in one group: the ungrouped aggregate.
+    pub fn all(sel: Option<&[u32]>, rows: usize) -> Groups {
+        let first = match sel {
+            None => (rows > 0).then_some(0),
+            Some(s) => s.first().copied(),
+        };
+        Groups {
+            ids: Vec::new(),
+            first: first.into_iter().collect(),
+        }
+    }
+
+    /// The group of selected row `i`.
+    #[inline]
+    fn id(&self, i: usize) -> u32 {
+        self.ids.get(i).copied().unwrap_or(0)
+    }
+
+    /// Group the selected rows by `col`. `None` for a `Generic` lane,
+    /// whose cells only compare as dynamic values.
+    pub fn of(col: &Column, sel: Option<&[u32]>, rows: usize) -> Option<Groups> {
+        let v = col.validity.as_ref();
+        Some(match &col.data {
+            ColumnData::Int(d) | ColumnData::Timestamp(d) => assign(|i| d[i], v, sel, rows),
+            // `Value` equality on floats is `total_cmp`, i.e. bit equality.
+            ColumnData::Float(d) => assign(|i| d[i].to_bits(), v, sel, rows),
+            ColumnData::Bool(d) => assign(|i| d[i], v, sel, rows),
+            ColumnData::Text(d) => assign(|i| d[i].as_str(), v, sel, rows),
+            ColumnData::Generic(_) => return None,
+        })
+    }
+
+    /// The groups of the key pair (`self`'s key, `other`'s key).
+    pub fn and(&self, other: &Groups, sel: Option<&[u32]>, rows: usize) -> Groups {
+        assign(|i| (self.id(i), other.id(i)), None, sel, rows)
+    }
+
+    /// Fold the selected, valid rows into one accumulator per group.
+    fn fold<A: Clone>(
+        &self,
+        init: A,
+        validity: Option<&Bitmap>,
+        sel: Option<&[u32]>,
+        rows: usize,
+        mut step: impl FnMut(&mut A, usize) -> Result<()>,
+    ) -> Result<Vec<A>> {
+        let mut acc = vec![init; self.len()];
+        if let ([], [one]) = (self.ids.as_slice(), acc.as_mut_slice()) {
+            // The ungrouped aggregate: one accumulator, no id lane.
+            for_sel!(sel, rows, i => {
+                if valid_at(validity, i) {
+                    step(one, i)?;
+                }
+            });
+        } else {
+            for_sel!(sel, rows, i => {
+                if valid_at(validity, i) {
+                    step(&mut acc[self.ids[i] as usize], i)?;
+                }
+            });
+        }
+        Ok(acc)
+    }
+
+    /// COUNT of non-NULL cells per group (`validity = None` counts rows).
+    pub fn count(&self, validity: Option<&Bitmap>, sel: Option<&[u32]>, rows: usize) -> Vec<i64> {
+        if validity.is_none() && self.ids.is_empty() {
+            // One group, nothing to skip: its size is the selection's.
+            let n = sel.map_or(rows, <[u32]>::len) as i64;
+            return self.first.iter().map(|_| n).collect();
+        }
+        self.fold(0i64, validity, sel, rows, |n, _| {
+            *n += 1;
+            Ok(())
+        })
+        .expect("counting cannot fail")
+    }
+
+    /// SUM over an int lane per group, erroring with the row path's
+    /// `integer overflow in SUM`. `None` = no non-NULL input in the group.
+    pub fn sum_int(
+        &self,
+        d: &[i64],
+        validity: Option<&Bitmap>,
+        sel: Option<&[u32]>,
+        rows: usize,
+    ) -> Result<Vec<Option<i64>>> {
+        self.fold(None, validity, sel, rows, |acc, i| {
+            *acc = Some(match *acc {
+                None => d[i],
+                Some(a) => a
+                    .checked_add(d[i])
+                    .ok_or_else(|| Error::Constraint("integer overflow in SUM".into()))?,
+            });
+            Ok(())
+        })
+    }
+
+    /// SUM over a float lane per group, in row order.
+    pub fn sum_float(
+        &self,
+        d: &[f64],
+        validity: Option<&Bitmap>,
+        sel: Option<&[u32]>,
+        rows: usize,
+    ) -> Vec<Option<f64>> {
+        self.fold(None, validity, sel, rows, |acc, i| {
+            *acc = Some(acc.map_or(d[i], |a| a + d[i]));
+            Ok(())
+        })
+        .expect("float sums cannot fail")
+    }
+
+    /// AVG accumulators per group: sequential `f64` sum and non-NULL
+    /// count; the caller divides.
+    pub fn avg(
+        &self,
+        src: NumSrc,
+        validity: Option<&Bitmap>,
+        sel: Option<&[u32]>,
+        rows: usize,
+    ) -> Vec<(f64, i64)> {
+        self.fold((0f64, 0i64), validity, sel, rows, |(sum, n), i| {
+            *sum += src.float_at(i);
+            *n += 1;
+            Ok(())
+        })
+        .expect("averaging cannot fail")
+    }
+
+    /// MIN/MAX over an int lane per group.
+    pub fn min_max_int(
+        &self,
+        d: &[i64],
+        validity: Option<&Bitmap>,
+        sel: Option<&[u32]>,
+        rows: usize,
+        want_max: bool,
+    ) -> Vec<Option<i64>> {
+        self.fold(None, validity, sel, rows, |best, i| {
+            let better = best.is_none_or(|b| if want_max { d[i] > b } else { d[i] < b });
+            if better {
+                *best = Some(d[i]);
+            }
+            Ok(())
+        })
+        .expect("min/max cannot fail")
+    }
+
+    /// MIN/MAX over a float lane per group by `total_cmp`, keeping the
+    /// first value on ties.
+    pub fn min_max_float(
+        &self,
+        d: &[f64],
+        validity: Option<&Bitmap>,
+        sel: Option<&[u32]>,
+        rows: usize,
+        want_max: bool,
+    ) -> Vec<Option<f64>> {
+        self.fold(None, validity, sel, rows, |best: &mut Option<f64>, i| {
+            let better = best.is_none_or(|b| {
+                let o = d[i].total_cmp(&b);
+                if want_max {
+                    o.is_gt()
+                } else {
+                    o.is_lt()
+                }
+            });
+            if better {
+                *best = Some(d[i]);
+            }
+            Ok(())
+        })
+        .expect("min/max cannot fail")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sstore_common::{DataType, Value};
+
+    fn col(ty: DataType, cells: &[Value]) -> Column {
+        let mut c = Column::typed(ty, 0);
+        for v in cells {
+            c.push(v);
+        }
+        c
+    }
+
+    #[test]
+    fn ids_follow_first_appearance_and_null_is_a_group() {
+        let c = col(
+            DataType::Int,
+            &[
+                Value::Int(7),
+                Value::Null,
+                Value::Int(3),
+                Value::Int(7),
+                Value::Null,
+            ],
+        );
+        let g = Groups::of(&c, None, 5).unwrap();
+        assert_eq!(g.ids, vec![0, 1, 2, 0, 1]);
+        assert_eq!(g.first, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn selection_restricts_and_orders_groups() {
+        let c = col(
+            DataType::Text,
+            &["a".into(), "b".into(), "a".into(), "c".into()],
+        );
+        let sel = [3u32, 1, 2];
+        let g = Groups::of(&c, Some(&sel), 4).unwrap();
+        assert_eq!(g.first, vec![3, 1, 2]);
+        assert_eq!((g.ids[3], g.ids[1], g.ids[2]), (0, 1, 2));
+    }
+
+    #[test]
+    fn pair_keys_refine() {
+        let a = col(DataType::Int, &[1.into(), 1.into(), 2.into(), 1.into()]);
+        let b = col(
+            DataType::Bool,
+            &[true.into(), false.into(), true.into(), true.into()],
+        );
+        let g = Groups::of(&a, None, 4)
+            .unwrap()
+            .and(&Groups::of(&b, None, 4).unwrap(), None, 4);
+        assert_eq!(g.ids, vec![0, 1, 2, 0]);
+        assert_eq!(g.len(), 3);
+    }
+
+    #[test]
+    fn generic_lanes_have_no_kernel() {
+        let c = col(DataType::Int, &[1.into(), "x".into()]);
+        assert!(Groups::of(&c, None, 2).is_none());
+    }
+
+    #[test]
+    fn reductions_skip_nulls_per_group() {
+        let k = col(DataType::Int, &[1.into(), 2.into(), 1.into(), 2.into()]);
+        let w = col(
+            DataType::Int,
+            &[10.into(), Value::Null, 30.into(), Value::Null],
+        );
+        let g = Groups::of(&k, None, 4).unwrap();
+        let ColumnData::Int(d) = &w.data else {
+            panic!()
+        };
+        let v = w.validity.as_ref();
+        assert_eq!(g.count(None, None, 4), vec![2, 2]);
+        assert_eq!(g.count(v, None, 4), vec![2, 0]);
+        assert_eq!(g.sum_int(d, v, None, 4).unwrap(), vec![Some(40), None]);
+        assert_eq!(g.avg(NumSrc::I(d), v, None, 4), vec![(40.0, 2), (0.0, 0)]);
+        assert_eq!(g.min_max_int(d, v, None, 4, false), vec![Some(10), None]);
+        assert_eq!(g.min_max_int(d, v, None, 4, true), vec![Some(30), None]);
+    }
+
+    #[test]
+    fn sum_overflow_inside_one_group_errors() {
+        let k = col(DataType::Int, &[1.into(), 2.into(), 1.into()]);
+        let d = [i64::MAX, i64::MAX, 1];
+        let g = Groups::of(&k, None, 3).unwrap();
+        let err = g.sum_int(&d, None, None, 3).unwrap_err();
+        assert_eq!(err, Error::Constraint("integer overflow in SUM".into()));
+        // The same cells in different groups do not overflow.
+        let k = col(DataType::Int, &[1.into(), 2.into(), 3.into()]);
+        let g = Groups::of(&k, None, 3).unwrap();
+        assert!(g.sum_int(&d, None, None, 3).is_ok());
+    }
+
+    #[test]
+    fn float_lanes_group_by_bits_and_keep_first_on_ties() {
+        let k = col(DataType::Float, &[0.0.into(), (-0.0).into(), 0.0.into()]);
+        let g = Groups::of(&k, None, 3).unwrap();
+        assert_eq!(g.ids, vec![0, 1, 0]);
+        let d = [0.0f64, 5.0, -0.0];
+        let m = g.min_max_float(&d, None, None, 3, false);
+        assert!(m[0].unwrap().is_sign_negative());
+        assert_eq!(g.sum_float(&d, None, None, 3), vec![Some(0.0), Some(5.0)]);
+    }
+}

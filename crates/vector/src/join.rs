@@ -8,9 +8,11 @@
 use crate::column::{valid_at, Bitmap};
 use std::collections::HashMap;
 
-/// Join two selections on `i64` equality. Returns `(probe_idx, build_idx)`
-/// pairs in probe-major order, with build matches in build-selection order
-/// — exactly the iteration order of the row interpreter's nested loop when
+/// Join two selections on `i64` equality. Returns the matches as two
+/// parallel index vectors `(probe_idx, build_idx)` — the join's output
+/// stays columnar, and the caller gathers only the columns it needs —
+/// in probe-major order, with build matches in build-selection order:
+/// exactly the iteration order of the row interpreter's nested loop when
 /// the probe side is the outer relation. NULL keys never match (SQL `=`
 /// is NULL-rejecting).
 pub fn hash_join_i64(
@@ -20,7 +22,7 @@ pub fn hash_join_i64(
     probe: &[i64],
     probe_validity: Option<&Bitmap>,
     probe_sel: Option<&[u32]>,
-) -> Vec<(u32, u32)> {
+) -> (Vec<u32>, Vec<u32>) {
     let mut table: HashMap<i64, Vec<u32>> = HashMap::new();
     let mut add = |i: usize| {
         if valid_at(build_validity, i) {
@@ -31,11 +33,12 @@ pub fn hash_join_i64(
         None => (0..build.len()).for_each(&mut add),
         Some(s) => s.iter().for_each(|&i| add(i as usize)),
     }
-    let mut out = Vec::new();
+    let (mut probe_idx, mut build_idx) = (Vec::new(), Vec::new());
     let mut probe_one = |i: usize| {
         if valid_at(probe_validity, i) {
             if let Some(matches) = table.get(&probe[i]) {
-                out.extend(matches.iter().map(|&b| (i as u32, b)));
+                probe_idx.extend(std::iter::repeat_n(i as u32, matches.len()));
+                build_idx.extend_from_slice(matches);
             }
         }
     };
@@ -43,7 +46,7 @@ pub fn hash_join_i64(
         None => (0..probe.len()).for_each(&mut probe_one),
         Some(s) => s.iter().for_each(|&i| probe_one(i as usize)),
     }
-    out
+    (probe_idx, build_idx)
 }
 
 #[cfg(test)]
@@ -55,7 +58,7 @@ mod tests {
         let build = [10i64, 20, 10];
         let probe = [10i64, 30, 20];
         let pairs = hash_join_i64(&build, None, None, &probe, None, None);
-        assert_eq!(pairs, vec![(0, 0), (0, 2), (2, 1)]);
+        assert_eq!(pairs, (vec![0, 0, 2], vec![0, 2, 1]));
     }
 
     #[test]
@@ -65,7 +68,7 @@ mod tests {
         bv.set(0, false);
         let probe = [1i64];
         let pairs = hash_join_i64(&build, Some(&bv), None, &probe, None, None);
-        assert_eq!(pairs, vec![(0, 1)]);
+        assert_eq!(pairs, (vec![0], vec![1]));
     }
 
     #[test]
@@ -75,6 +78,6 @@ mod tests {
         let bsel = [1u32];
         let psel = [0u32];
         let pairs = hash_join_i64(&build, None, Some(&bsel), &probe, None, Some(&psel));
-        assert_eq!(pairs, vec![(0, 1)]);
+        assert_eq!(pairs, (vec![0], vec![1]));
     }
 }

@@ -14,12 +14,14 @@
 //!   each bit-identical to the scalar `expr` evaluator (same NULL
 //!   propagation, same overflow/division error strings, same first-error
 //!   ordering);
-//! - [`join`]: a hash build/probe kernel over `i64` key lanes for equi-joins.
+//! - [`join`]: a hash build/probe kernel over `i64` key lanes for equi-joins;
+//! - [`group`]: dense group ids over a key lane and per-group
+//!   COUNT/SUM/AVG/MIN/MAX loops for `GROUP BY`.
 //!
 //! Everything here is engine-agnostic: the crate depends only on
 //! `sstore-common` and knows nothing about plans or tables. The lowering
-//! from physical plans lives in `sstore_sql::vexec`; the batch builder over
-//! table slots lives in `sstore-storage`.
+//! from physical plans lives in `sstore_sql::vexec`; the resident,
+//! slot-indexed columns it scans live in `sstore-storage`.
 //!
 //! Kernel outputs are **row-aligned**: an output vector has one slot per
 //! input row, and only positions named by the selection are written (and
@@ -28,8 +30,28 @@
 //! `rows` slots even for sparse selections, which is the right trade for
 //! the dense scans this crate exists to accelerate.
 
+/// Iterate the selected row positions in order.
+macro_rules! for_sel {
+    ($sel:expr, $rows:expr, $i:ident => $body:block) => {
+        match $sel {
+            None => {
+                for $i in 0..$rows {
+                    $body
+                }
+            }
+            Some(s) => {
+                for &ix in s.iter() {
+                    let $i = ix as usize;
+                    $body
+                }
+            }
+        }
+    };
+}
+
 pub mod column;
 pub mod compute;
+pub mod group;
 pub mod join;
 
 pub use column::{build_batch, Bitmap, Column, ColumnBatch, ColumnData};
