@@ -16,9 +16,8 @@
 //!   partitions, serial (`SSTORE_RECOVERY=serial`) vs the default
 //!   partition-parallel loop.
 //! * **mixed_2pc** — multi-partition atomic batches interleaved with
-//!   disjoint single-partition traffic, speculation off vs on: prepared
-//!   participants executing queued non-conflicting work during the
-//!   prepare→decide stall.
+//!   disjoint single-partition traffic: prepared participants executing
+//!   queued non-conflicting work during the prepare→decide wait.
 //!
 //! Set `SSTORE_BENCH_SMOKE=1` for a tiny smoke run (CI uses this to
 //! prove the bench executes, not to measure).
@@ -99,28 +98,24 @@ fn sweep_cluster(partition_counts: &[usize], events: usize) -> Vec<E13Row> {
     out
 }
 
-/// Leg 4: 2PC mixed traffic with speculation off vs on.
-fn sweep_2pc(partitions: usize, events: usize, batch: usize) -> Vec<E13Row> {
-    let mut out = Vec::new();
-    for speculate in [false, true] {
-        let (secs, spec_tes, coord) = exp_e13_mixed_2pc(partitions, events, batch, speculate);
-        let te_count = (events / batch.max(1)) as f64 * partitions as f64;
-        out.push(E13Row {
-            leg: "mixed_2pc",
-            config: (if speculate { "speculate" } else { "stall" }).into(),
-            rows: events,
-            secs,
-            extra: format!(
-                "\"partitions\": {partitions}, \"batch\": {batch}, \
-                 \"per_te_us\": {:.2}, \"speculative_tes\": {spec_tes}, \
-                 \"twopc\": {}, \"fast_path\": {}",
-                secs * 1e6 / te_count.max(1.0),
-                coord.multi_partition_txns,
-                coord.single_partition_fast_path,
-            ),
-        });
+/// Leg 4: 2PC mixed traffic (early-prepare speculation).
+fn sweep_2pc(partitions: usize, events: usize, batch: usize) -> E13Row {
+    let (secs, spec_tes, coord) = exp_e13_mixed_2pc(partitions, events, batch);
+    let te_count = (events / batch.max(1)) as f64 * partitions as f64;
+    E13Row {
+        leg: "mixed_2pc",
+        config: "speculate".into(),
+        rows: events,
+        secs,
+        extra: format!(
+            "\"partitions\": {partitions}, \"batch\": {batch}, \
+             \"per_te_us\": {:.2}, \"speculative_tes\": {spec_tes}, \
+             \"twopc\": {}, \"fast_path\": {}",
+            secs * 1e6 / te_count.max(1.0),
+            coord.multi_partition_txns,
+            coord.single_partition_fast_path,
+        ),
     }
-    out
 }
 
 fn write_artifact(rows: &[E13Row]) {
@@ -194,7 +189,7 @@ fn delta_recovery(c: &mut Criterion) {
 
     let mut rows = sweep_snapshots(sizes, hot, rounds);
     rows.extend(sweep_cluster(parts, cluster_events));
-    rows.extend(sweep_2pc(*parts.last().unwrap(), mixed_events, batch));
+    rows.push(sweep_2pc(*parts.last().unwrap(), mixed_events, batch));
 
     println!("\n  leg              | config    |    rows |     secs | extra");
     for r in &rows {

@@ -61,9 +61,6 @@ fn main() {
     if run("e10") {
         exp10(scale);
     }
-    if run("e11") {
-        exp11(scale);
-    }
 }
 
 /// F1 — the paper's Fig. 1 (architecture): the system inventory, mapping
@@ -393,62 +390,4 @@ fn exp10(scale: usize) {
         "\n   hand-off row metrics: {} shares, {} deep copies, {} COW breaks\n",
         delta.shares, delta.deep_copies, delta.cow_breaks
     );
-}
-
-/// E11 — cross-partition transactions: 2PC overhead per TE (multi-sited
-/// batches vs the pre-sharded single-partition fast path) and the
-/// cross-partition workflow edge pipeline.
-fn exp11(scale: usize) {
-    let events = 1_024 * scale;
-    let batch = 64usize;
-    println!("== E11: cross-partition transactions — 2PC vs the fast path ==");
-    println!("   ({events} count_events rows, batches of {batch}, hash-routed)\n");
-    println!("   partitions | mode         | events/s | 2PC txns | fast path | us/txn");
-    for n in [2usize, 4] {
-        let mut single_secs = 0.0f64;
-        for multi in [false, true] {
-            let (secs, state, stats) = exp_e11_run(n, events, batch, multi);
-            if !multi {
-                single_secs = secs;
-            }
-            let txns = if multi {
-                stats.multi_partition_txns
-            } else {
-                stats.single_partition_fast_path
-            };
-            let overhead_us = if multi && stats.multi_partition_txns > 0 {
-                (secs - single_secs) * 1e6 / stats.multi_partition_txns as f64
-            } else {
-                0.0
-            };
-            println!(
-                "   {:>10} | {:<12} | {:>8.0} | {:>8} | {:>9} | {:>6.1}",
-                n,
-                if multi { "multi-sited" } else { "single-sited" },
-                events as f64 / secs,
-                if multi { txns } else { 0 },
-                if multi { 0 } else { txns },
-                overhead_us,
-            );
-            // Correctness gate: both modes must agree (checked once).
-            if multi {
-                let (_, ref_state, _) = exp_e11_run(n, events, batch, false);
-                assert_eq!(state, ref_state, "2PC state diverged at {n} partitions");
-            }
-        }
-    }
-    println!("\n   cross-partition workflow edge (two-stage pipeline, stage 2 on the");
-    println!("   partition owning the destination key):\n");
-    println!("   partitions | events/s | forwards out | forwards in (shards)");
-    for n in [1usize, 2, 4] {
-        let (secs, _, (out, inn)) = exp_e11_edges(n, events, batch);
-        println!(
-            "   {:>10} | {:>8.0} | {:>12} | {:>20}",
-            n,
-            events as f64 / secs,
-            out,
-            inn
-        );
-    }
-    println!();
 }

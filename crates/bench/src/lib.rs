@@ -459,129 +459,6 @@ pub fn exp_e10_batch_handoff(
 }
 
 // ---------------------------------------------------------------------------
-// E11: cross-partition transactions (2PC) and workflow edges
-// ---------------------------------------------------------------------------
-
-/// E11 input rows: wide key space so unsharded batches straddle every
-/// partition (forcing 2PC for the multi-sited mode).
-pub fn e11_rows(events: usize) -> Vec<sstore_core::common::Row> {
-    sstore_core::workloads::count_events_rows(events, 1024, 97)
-}
-
-/// E11: ingest `events` rows into a `partitions`-way cluster running the
-/// `multi_partition`-declared `count_events`.
-///
-/// * `multi_sited = true` — batches are cut from the unsharded stream, so
-///   every batch straddles partitions and runs as one global transaction
-///   under two-phase commit.
-/// * `multi_sited = false` — the same rows are pre-sharded by the router
-///   and batched within each shard, so every submission routes to one
-///   partition and takes the single-partition fast path (byte-identical
-///   to the PR 2 ingest path).
-///
-/// Returns wall seconds, the sorted final `totals` state (must match
-/// across modes — 2PC buys atomicity, never a different answer), and the
-/// coordinator's counters.
-pub fn exp_e11_run(
-    partitions: usize,
-    events: usize,
-    batch: usize,
-    multi_sited: bool,
-) -> (f64, Vec<sstore_core::common::Row>, sstore_core::CoordStats) {
-    use sstore_core::{Cluster, RouteSpec, Router};
-    let cluster = Cluster::new(
-        partitions,
-        &SStoreBuilder::new(),
-        sstore_core::workloads::deploy_count_events_multi,
-    )
-    .expect("cluster");
-    let rows = e11_rows(events);
-    let t0 = std::time::Instant::now();
-    if multi_sited {
-        let mut tickets = Vec::new();
-        for chunk in rows.chunks(batch) {
-            tickets.push(
-                cluster
-                    .submit_batch_atomic("count_events", chunk.to_vec())
-                    .expect("submit"),
-            );
-        }
-        for t in tickets {
-            t.wait().expect("ticket");
-        }
-    } else {
-        let router = Router::new(RouteSpec::hash(0), partitions).expect("router");
-        let shards = router.shard(rows).expect("shard");
-        let mut tickets = Vec::new();
-        for shard in shards {
-            for chunk in shard.chunks(batch) {
-                tickets.push(
-                    cluster
-                        .submit_batch_async("count_events", chunk.to_vec())
-                        .expect("submit"),
-                );
-            }
-        }
-        for t in tickets {
-            t.wait().expect("ticket");
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    let mut state = cluster
-        .query_all("SELECT * FROM totals", &[])
-        .expect("query");
-    state.sort();
-    (secs, state, cluster.coordinator_stats())
-}
-
-/// E11 edge leg: push `events` `(src, dest, amount)` tuples through the
-/// two-stage pipeline whose hand-off stream is a cross-partition edge —
-/// stage 1 runs on the partition owning the source key, stage 2 on the
-/// partition owning the destination key. Returns wall seconds (to full
-/// quiescence), the sorted `dest_totals` state, and the cluster-wide
-/// (forwards out, forwards in) counters.
-pub fn exp_e11_edges(
-    partitions: usize,
-    events: usize,
-    batch: usize,
-) -> (f64, Vec<sstore_core::common::Row>, (u64, u64)) {
-    use sstore_core::workloads::{deploy_two_stage, two_stage_rows, TWO_STAGE_EDGES};
-    use sstore_core::{Cluster, RouteSpec};
-    let cluster = Cluster::with_edges(
-        partitions,
-        RouteSpec::hash(0),
-        sstore_core::cluster::DEFAULT_INGEST_QUEUE_DEPTH,
-        &SStoreBuilder::new(),
-        deploy_two_stage,
-        TWO_STAGE_EDGES,
-    )
-    .expect("cluster");
-    let rows = two_stage_rows(events, 512);
-    let t0 = std::time::Instant::now();
-    let mut tickets = Vec::new();
-    for chunk in rows.chunks(batch) {
-        tickets.push(
-            cluster
-                .submit_batch_async("route_events", chunk.to_vec())
-                .expect("submit"),
-        );
-    }
-    for t in tickets {
-        t.wait().expect("ticket");
-    }
-    cluster.quiesce().expect("quiesce");
-    let secs = t0.elapsed().as_secs_f64();
-    let mut state = cluster
-        .query_all("SELECT * FROM dest_totals", &[])
-        .expect("query");
-    state.sort();
-    let m = cluster.metrics();
-    let out = m.partitions.iter().map(|p| p.forwards_out).sum();
-    let inn = m.partitions.iter().map(|p| p.forwards_in).sum();
-    (secs, state, (out, inn))
-}
-
-// ---------------------------------------------------------------------------
 // E13 — delta snapshots, parallel recovery, 2PC fast paths
 // ---------------------------------------------------------------------------
 
@@ -758,27 +635,26 @@ pub fn exp_e13_cluster_recovery(
     (secs, state == reference)
 }
 
+/// Input rows of the E13 2PC leg: wide key space so unsharded batches
+/// straddle every partition (forcing 2PC).
+pub fn e11_rows(events: usize) -> Vec<sstore_core::common::Row> {
+    sstore_core::workloads::count_events_rows(events, 1024, 97)
+}
+
 /// E13 mixed-traffic 2PC leg: multi-partition `count_events` batches
 /// (each a global transaction under 2PC) from one thread, with a second
 /// thread pumping disjoint single-partition `side` batches into the same
 /// cluster. Side ingests that land while a participant is blocked
 /// between its prepare vote and the coordinator's decision are executed
-/// speculatively when speculation is on (the default) and deferred to
-/// after the decision when it is off (`SSTORE_SPECULATION=off`).
+/// speculatively (early-prepare speculation).
 ///
 /// Returns (wall seconds, speculative TEs executed, coordinator stats).
 pub fn exp_e13_mixed_2pc(
     partitions: usize,
     events: usize,
     batch: usize,
-    speculate: bool,
 ) -> (f64, u64, sstore_core::CoordStats) {
     use sstore_core::Cluster;
-    if speculate {
-        std::env::remove_var("SSTORE_SPECULATION");
-    } else {
-        std::env::set_var("SSTORE_SPECULATION", "off");
-    }
     let deploy = |db: &mut SStore| -> sstore_core::common::Result<()> {
         sstore_core::workloads::deploy_count_events_multi(db)?;
         db.ddl("CREATE STREAM side_in (k INT, v INT)")?;
@@ -835,7 +711,6 @@ pub fn exp_e13_mixed_2pc(
         atomic.join().expect("atomic thread");
     });
     let secs = t0.elapsed().as_secs_f64();
-    std::env::remove_var("SSTORE_SPECULATION");
     let m = cluster.metrics();
     let spec: u64 = m.partitions.iter().map(|p| p.speculative_tes).sum();
     (secs, spec, m.coordinator)

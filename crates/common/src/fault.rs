@@ -2,7 +2,7 @@
 //!
 //! The durability and 2PC paths embed named **kill points** at the stage
 //! boundaries that matter for crash consistency (`prepare-logged`,
-//! `commit-point` pre/post fsync, `decide-logged`, `forward-logged`,
+//! `commit-point` pre/post fsync, `decide-delivered`, `forward-logged`,
 //! `snapshot-mid-write`, `log-mid-write`). In normal operation every kill
 //! point is a single relaxed atomic load — effectively free. A test (or
 //! the crash-campaign child process) *arms* one point with [`arm`]; from

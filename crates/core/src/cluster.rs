@@ -68,12 +68,23 @@
 //!
 //! 1. the coordinator fragments the batch and sends `WorkerMsg::Prepare`
 //!    down each involved partition's ingest queue;
-//! 2. each participant logs the fragment (fsync), executes it with the
+//! 2. each participant logs the fragment and fsyncs — one sync for the
+//!    prepare record and everything still buffered behind it, the
+//!    previous transaction's `Decision` included — executes it with the
 //!    **undo log held open**, and votes;
 //! 3. the coordinator makes the decision durable (`coord.log` — the
-//!    commit point) and sends `WorkerMsg::Decide`;
-//! 4. participants commit (dropping the undo, firing PE triggers) or
-//!    roll back, and resolve the [`Ticket`].
+//!    commit point, one fsync) and sends `WorkerMsg::Decide`;
+//! 4. participants append their local `Decision` record **without
+//!    syncing** (the commit is already durable as synced prepare +
+//!    `coord.log`; recovery resolves a prepare with no local decision
+//!    from `coord.log`), commit (dropping the undo, firing PE triggers)
+//!    or roll back, and resolve the [`Ticket`].
+//!
+//! The rule throughout is *fsync when someone is about to act on
+//! durability, once for everything buffered*: three fsyncs per
+//! two-participant transaction. The one reader that needs the local
+//! `Decision`s on disk — `coord.log` compaction, which drops the commit
+//! records — forces every participant's log down first.
 //!
 //! Between its vote and the decision a worker **defers** every other
 //! queued job — the fragment's uncommitted writes are in storage, and
@@ -86,8 +97,8 @@
 //! * **Early-prepare speculation** — while the prepared fragment waits
 //!   for its decision, queued single-partition submissions whose
 //!   transitive workflow closure is provably disjoint from the
-//!   fragment's keep executing (`SSTORE_SPECULATION=off` disables;
-//!   see [`sstore_txn::Partition::speculation_safe`]).
+//!   fragment's keep executing (see
+//!   [`sstore_txn::Partition::speculation_safe`]).
 //!
 //! A worker that dies *between its yes-vote and the decision* must not
 //! lose the decision: its supervisor drains the queue for the matching
@@ -114,7 +125,10 @@
 //! worker buffers an envelope, the **forward hub** (a dedicated router
 //! thread) shards it by the edge's key column, and each receiving worker
 //! logs the forward durably (dedup'd by per-edge high-water mark) before
-//! executing it — ordered, exactly-once dataflow across partitions. The
+//! executing it — ordered, exactly-once dataflow across partitions. A
+//! worker takes every shard already waiting at the head of its queue as
+//! one run ([`sstore_txn::Partition::accept_forwards`]): all records
+//! appended, **one** fsync, then execution and one ack per shard. The
 //! emitting batch's input record stays replayable (unacked) until every
 //! receiver has logged its shard: upstream backup spans the edge.
 //! Workers never block on the hub (its queue is unbounded), and the hub
@@ -134,7 +148,7 @@ use crate::SStore;
 use sstore_common::obs::{self, Stage, TraceCtx};
 use sstore_common::{fault, slog, BatchId, Error, PartitionId, Result, Row, Value};
 use sstore_txn::recovery::recover_with_decisions;
-use sstore_txn::TxnOutcome;
+use sstore_txn::{InboundForward, TxnOutcome};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -331,10 +345,11 @@ struct CrashCtx {
     /// True from just before the submit call (which writes the border
     /// record) until its result is in hand.
     uncertain: bool,
-    /// The edge shard being logged right now: the supervisor reports it
-    /// failed (`Logged { ok: false }`) so the hub's ack bookkeeping
-    /// never leaks an envelope.
-    in_flight_forward: Option<(PartitionId, BatchId, String)>,
+    /// The run of edge shards being logged right now, not yet reported
+    /// to the hub: the supervisor reports each failed
+    /// (`Logged { ok: false }`) so the hub's ack bookkeeping never leaks
+    /// an envelope.
+    in_flight_forwards: Vec<(PartitionId, BatchId, String)>,
     /// Set between a yes-vote and the coordinator's decision. On a crash
     /// inside that window the supervisor fails the reply (in-doubt:
     /// non-retryable), then drains the queue for the decision and folds
@@ -957,11 +972,14 @@ impl Cluster {
         // Checkpoint compaction, still under the coordinator mutex (no
         // concurrent decide can interleave). The barrier drains every
         // worker queue — including the Decides just sent — so each
-        // participant has durably logged its local Decision for every
-        // decided gtid; the coordinator's records are then redundant. A
-        // failed barrier (a down partition that may never log its
-        // decision) skips the compaction: correctness first.
-        if coordinator.should_compact() && self.barrier().is_ok() {
+        // participant has appended its local Decision for every decided
+        // gtid, and then forces its log down: decisions are not synced
+        // on their own, and until they are on disk `coord.log` is the
+        // only durable copy of a commit. Only then are the coordinator's
+        // records redundant. A failed barrier (a down partition that may
+        // never log its decision, a failed sync) skips the compaction:
+        // correctness first.
+        if coordinator.should_compact() && self.barrier(SStore::sync_log).is_ok() {
             if let Err(e) = coordinator.compact() {
                 slog!(Warn; "coordinator log compaction failed (retained): {e}");
             }
@@ -1030,11 +1048,11 @@ impl Cluster {
     pub fn quiesce(&self) -> Result<()> {
         loop {
             self.check_quiescible()?;
-            self.barrier()?;
+            self.barrier(|_| Ok(()))?;
             if self.in_flight.load(Ordering::SeqCst) == 0 {
                 // Forwards enqueued before the barrier are processed; a
                 // second barrier flushes the edge acks those sent.
-                self.barrier()?;
+                self.barrier(|_| Ok(()))?;
                 if self.in_flight.load(Ordering::SeqCst) == 0 {
                     self.check_quiescible()?;
                     return Ok(());
@@ -1072,23 +1090,25 @@ impl Cluster {
         Ok(())
     }
 
-    /// Enqueue a no-op on every worker and wait for all of them — every
-    /// job queued before the barrier has been processed when it returns.
-    /// A worker that goes down mid-barrier surfaces as
-    /// [`Error::PartitionDown`] (its tombstone drops the no-op).
-    fn barrier(&self) -> Result<()> {
+    /// Enqueue `at` on every worker and wait for all of them — every
+    /// job queued before the barrier has been processed, and `at` has
+    /// run on every partition, when it returns `Ok`. The first `at` that
+    /// failed is the barrier's error; a worker that goes down
+    /// mid-barrier surfaces as [`Error::PartitionDown`] (its tombstone
+    /// drops the job).
+    fn barrier(&self, at: fn(&mut SStore) -> Result<()>) -> Result<()> {
         let mut replies = Vec::with_capacity(self.workers.len());
         for worker in &self.workers {
-            let (tx, rx) = mpsc::channel::<()>();
-            worker.send(WorkerMsg::Exec(Box::new(move |_db| {
-                let _ = tx.send(());
+            let (tx, rx) = mpsc::channel();
+            worker.send(WorkerMsg::Exec(Box::new(move |db| {
+                let _ = tx.send(at(db));
             })))?;
             replies.push((worker.id, rx));
         }
         for (id, rx) in replies {
             rx.recv().map_err(|_| {
                 Error::PartitionDown(format!("partition {id} went down inside a barrier"))
-            })?;
+            })??;
         }
         Ok(())
     }
@@ -1144,7 +1164,7 @@ impl Drop for Cluster {
         // the hub goes away (bounded; a down partition must not hang the
         // drop — recovery covers whatever is left).
         for _ in 0..64 {
-            if self.barrier().is_err() {
+            if self.barrier(|_| Ok(())).is_err() {
                 break;
             }
             if self.in_flight.load(Ordering::SeqCst) == 0 {
@@ -1171,15 +1191,6 @@ impl Drop for Cluster {
             }
         }
     }
-}
-
-/// `SSTORE_SPECULATION=off` (or `0`) disables early-prepare speculation,
-/// restoring the strict defer-everything 2PC wait for A/B comparison.
-fn speculation_enabled() -> bool {
-    !matches!(
-        std::env::var("SSTORE_SPECULATION").as_deref(),
-        Ok("off") | Ok("OFF") | Ok("0")
-    )
 }
 
 /// `SSTORE_MAX_WORKER_RESTARTS` bounds how many times one partition's
@@ -1231,9 +1242,10 @@ enum LoopExit {
 /// messages and [`CrashCtx`] — lives out here and is only *borrowed* by
 /// the loop.
 ///
-/// After a crash the supervisor (1) reports a half-logged edge shard to
-/// the hub as failed, (2) resolves in-flight submission replies by
-/// provable fate (see [`CrashCtx`]), (3) re-parks deferred messages,
+/// After a crash the supervisor (1) reports every member of a
+/// half-logged run of edge shards to the hub as failed, (2) resolves
+/// in-flight submission replies by provable fate (see [`CrashCtx`]),
+/// (3) re-parks deferred messages,
 /// (4) if the worker died between a yes-vote and the decision, drains
 /// the queue for that decision (the coordinator always sends phase 2),
 /// and (5) either re-runs recovery and re-enters the loop on the same
@@ -1274,10 +1286,10 @@ fn supervised_worker(ctx: WorkerCtx, first: SStore) {
         }
         ctx.shared.set_health(ctx.id, PartitionHealth::Restarting);
 
-        // (1) A shard that was being logged when the worker died: report
-        // it failed so the hub's envelope bookkeeping completes (the ack
-        // is withheld; the emitter replays the batch at recovery).
-        if let Some((src, src_batch, stream)) = crash.in_flight_forward.take() {
+        // (1) Shards that were being logged when the worker died: report
+        // them failed so the hub's envelope bookkeeping completes (the
+        // acks are withheld; the emitters replay the batches at recovery).
+        for (src, src_batch, stream) in crash.in_flight_forwards.drain(..) {
             let _ = ctx.hub.send(HubMsg::Logged {
                 src,
                 src_batch,
@@ -1445,6 +1457,8 @@ fn down_tombstone(ctx: &WorkerCtx, pending: &mut VecDeque<WorkerMsg>) {
 /// ([`sstore_txn::Partition::submit_batch_group`]) — per-submission order
 /// is preserved, so the final state is byte-for-byte what one-at-a-time
 /// execution would produce, minus the per-submission boundary overhead.
+/// Consecutive queued edge shards are likewise logged as one run under
+/// one sync ([`sstore_txn::Partition::accept_forwards`]).
 ///
 /// 2PC discipline: after voting on a [`WorkerMsg::Prepare`], the worker
 /// pulls messages looking only for the matching [`WorkerMsg::Decide`],
@@ -1593,7 +1607,7 @@ fn worker_loop(
                 // fragment's workflow closure: those execute immediately
                 // (early-prepare speculation). Once anything defers, all
                 // later messages defer too, preserving FIFO order.
-                let speculate = vote_err.is_none() && speculation_enabled();
+                let speculate = vote_err.is_none();
                 let decision = loop {
                     let next = match pending.pop_front() {
                         Some(m) => Some(m),
@@ -1683,43 +1697,83 @@ fn worker_loop(
                 rows,
                 trace,
             } => {
-                // The upstream batch's trace follows the rows so the
-                // receiver's batch maps back to the same end-to-end id
-                // (no stage is recorded here — receiver-side batches
-                // would double-count against the emitting submission).
-                if let Some(t) = trace {
-                    db.push_pending_trace(t);
-                }
-                // A crash while the shard is half-logged must complete
-                // the hub's envelope bookkeeping: the supervisor reports
-                // it as a failed log (ack withheld, emitter replays).
-                crash.in_flight_forward = Some((src, src_batch, stream.clone()));
-                let ok = match db.accept_forward(&stream, src.raw(), src_batch.raw(), rows) {
-                    Ok(Some(_)) => {
-                        if let Err(e) = db.run_queued() {
-                            slog!(
-                                Error, partition = id.raw();
-                                "forwarded batch on `{stream}` failed to execute: {e}"
-                            );
+                // Take the run of shards already waiting behind this one
+                // (typically everything the hub delivered while this
+                // worker sat in a 2PC decision wait): one log sync covers
+                // them all. Any other kind of message ends the run, so
+                // FIFO order holds.
+                let mut forwards = Vec::new();
+                let mut take =
+                    |stream: String, src: PartitionId, src_batch: BatchId, rows, trace| {
+                        // The upstream batch's trace follows the rows so the
+                        // receiver's batch maps back to the same end-to-end id
+                        // (no stage is recorded here — receiver-side batches
+                        // would double-count against the emitting submission).
+                        if let Some(t) = trace {
+                            db.push_pending_trace(t);
                         }
-                        true
+                        // A crash while the run is half-logged must complete
+                        // the hub's envelope bookkeeping: the supervisor
+                        // reports every member as a failed log (ack withheld,
+                        // emitter replays).
+                        crash
+                            .in_flight_forwards
+                            .push((src, src_batch, stream.clone()));
+                        forwards.push(InboundForward {
+                            stream,
+                            src_partition: src.raw(),
+                            src_batch: src_batch.raw(),
+                            rows,
+                        });
+                    };
+                take(stream, src, src_batch, rows, trace);
+                loop {
+                    if pending.is_empty() {
+                        match ctx.queue.try_recv() {
+                            Some(m) => pending.push_back(m),
+                            None => break,
+                        }
                     }
-                    Ok(None) => true, // duplicate: already durable here
-                    Err(e) => {
+                    if !matches!(pending.front(), Some(WorkerMsg::Forward { .. })) {
+                        break;
+                    }
+                    if let Some(WorkerMsg::Forward {
+                        stream,
+                        src,
+                        src_batch,
+                        rows,
+                        trace,
+                    }) = pending.pop_front()
+                    {
+                        take(stream, src, src_batch, rows, trace);
+                    }
+                }
+                let logged = db.accept_forwards(forwards);
+                if logged.iter().any(|r| matches!(r, Ok(Some(_)))) {
+                    if let Err(e) = db.run_queued() {
+                        slog!(
+                            Error, partition = id.raw();
+                            "forwarded batches failed to execute: {e}"
+                        );
+                    }
+                }
+                // A duplicate (`Ok(None)`) is already durable here.
+                for ((src, src_batch, stream), result) in
+                    crash.in_flight_forwards.drain(..).zip(logged)
+                {
+                    if let Err(e) = &result {
                         slog!(
                             Warn, partition = id.raw();
                             "could not log forward on `{stream}`: {e}"
                         );
-                        false
                     }
-                };
-                let _ = ctx.hub.send(HubMsg::Logged {
-                    src,
-                    src_batch,
-                    stream,
-                    ok,
-                });
-                crash.in_flight_forward = None;
+                    let _ = ctx.hub.send(HubMsg::Logged {
+                        src,
+                        src_batch,
+                        stream,
+                        ok: result.is_ok(),
+                    });
+                }
             }
             WorkerMsg::EdgeAck { batch } => {
                 if let Err(e) = db.edge_acked(batch) {

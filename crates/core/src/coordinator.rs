@@ -22,13 +22,20 @@
 //!   fragments; a gtid absent from it can never have committed anywhere,
 //!   so presumed abort is safe — and therefore only *commit* decisions
 //!   are ever written (an abort record would buy nothing but an fsync).
+//!   It is also the **only** fsync a decision costs: a participant
+//!   appends its local `Decision` record without syncing (the commit is
+//!   durable as its synced prepare record plus this log), and the record
+//!   reaches the disk with that partition's next sync.
 //!
-//! The log is kept short by **checkpoint compaction**: once every
-//! participant of every decided gtid has durably logged its own local
-//! `Decision` record (the cluster proves this with a worker barrier),
-//! the coordinator's records are redundant and the file is rewritten as
-//! a single checkpoint frame carrying the gtid sequence floor. Startup
-//! then reads O(recent decisions) instead of O(all time).
+//! The log is kept short by **checkpoint compaction**. A commit record
+//! is redundant only once every participant holds its own local
+//! `Decision` on disk, and nothing on the decide path puts it there — so
+//! the cluster runs a worker barrier that drains the decide fan-out and
+//! then **forces every participant's command log down**
+//! (`Partition::sync_log`); if any partition is down or its sync fails,
+//! the compaction is skipped. Then the file is rewritten as a single
+//! checkpoint frame carrying the gtid sequence floor, and startup reads
+//! O(recent decisions) instead of O(all time).
 //!
 //! The participant half (prepare/decide, undo held open, in-doubt replay)
 //! lives in `sstore_txn::partition`; the message plumbing over the worker
@@ -284,7 +291,8 @@ impl CoordinatorLog {
     /// Safety contract: the caller must have proven that every
     /// participant of every gtid below `next_gtid` holds a durable local
     /// `Decision` record (the cluster runs a worker barrier after the
-    /// decide fan-out) — only then are this log's records redundant.
+    /// decide fan-out that syncs every participant's command log) — only
+    /// then are this log's records redundant.
     /// Write-temp-then-rename: a crash leaves either the old file or the
     /// new one, both complete.
     pub fn compact(&mut self, next_gtid: u64) -> Result<()> {
@@ -364,7 +372,7 @@ impl Coordinator {
     /// True when enough decision records accumulated that the log is
     /// worth compacting. The cluster checks this after the decide
     /// fan-out and, when set, proves the records redundant (worker
-    /// barrier) before calling [`Coordinator::compact`].
+    /// barrier + log sync) before calling [`Coordinator::compact`].
     pub fn should_compact(&self) -> bool {
         self.log.is_some() && self.records_since_compaction >= COORD_COMPACT_EVERY
     }

@@ -72,8 +72,8 @@ pub use sstore_sql::exec::QueryResult;
 pub use sstore_sql::ExecPath;
 pub use sstore_txn::recovery::{recover, recover_with_decisions};
 pub use sstore_txn::{
-    CrossEdge, ExecMode, Invocation, PeConfig, PeStats, ProcContext, ProcSpec, RemoteForward,
-    TxnOutcome, TxnStatus, Workflow,
+    CrossEdge, ExecMode, InboundForward, Invocation, PeConfig, PeStats, ProcContext, ProcSpec,
+    RemoteForward, TxnOutcome, TxnStatus, Workflow,
 };
 
 /// The S-Store system handle: one single-sited partition, exactly the

@@ -200,3 +200,89 @@ fn clock_advances_in_lockstep() {
         );
     }
 }
+
+/// A receiving worker that finds several edge shards waiting at the head
+/// of its queue logs them as one run: one command-log sync covers all of
+/// them. The run is forced, not hoped for: partition 1 is parked inside
+/// a job while partition 0 emits three envelopes at it, and released
+/// only once the (FIFO) hub is known to have delivered them.
+#[test]
+fn queued_forwards_are_logged_under_one_sync() {
+    use sstore_core::workloads::{deploy_two_stage, TWO_STAGE_EDGES};
+    use std::sync::mpsc;
+
+    let dir = std::env::temp_dir().join(format!("sstore-fwd-run-cluster-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cluster = Cluster::with_edges(
+        2,
+        RouteSpec::hash(0),
+        DEFAULT_INGEST_QUEUE_DEPTH,
+        &SStoreBuilder::new().durability(&dir, 8),
+        deploy_two_stage,
+        TWO_STAGE_EDGES,
+    )
+    .unwrap();
+    // One key owned by each partition (edges hash their own column 0
+    // the same way the ingest route does).
+    let owned_by = |p: u32| {
+        (0..)
+            .find(|&k| cluster.router().route(&[Value::Int(k)]).unwrap().raw() == p)
+            .unwrap()
+    };
+    let (on_p0, on_p1) = (owned_by(0), owned_by(1));
+    let route = |src: i64, dest: i64| {
+        cluster
+            .submit_batch_async(
+                "route_events",
+                vec![vec![Value::Int(src), Value::Int(dest), Value::Int(1)]],
+            )
+            .unwrap()
+            .wait()
+            .unwrap();
+    };
+
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| {
+            cluster
+                .with_partition(1, move |db| {
+                    let syncs = db.stats().log_syncs;
+                    parked_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                    syncs
+                })
+                .unwrap()
+        });
+        parked_rx.recv().unwrap();
+        for _ in 0..3 {
+            route(on_p0, on_p1);
+        }
+        // A fourth envelope that partition 0 delivers to itself: once it
+        // has arrived, the three before it sit in partition 1's queue.
+        route(on_p0, on_p0);
+        while cluster
+            .with_partition(0, |db| db.stats().forwards_in)
+            .unwrap()
+            == 0
+        {
+            std::thread::yield_now();
+        }
+        release_tx.send(()).unwrap();
+        let syncs_before = parked.join().unwrap();
+        cluster.quiesce().unwrap();
+
+        let p1 = cluster.with_partition(1, |db| db.stats().clone()).unwrap();
+        assert_eq!(p1.forwards_in, 3);
+        assert_eq!(p1.log_syncs, syncs_before + 1, "one sync for the run");
+    });
+    let n: i64 = cluster
+        .query_all("SELECT SUM(n) FROM dest_totals", &[])
+        .unwrap()
+        .iter()
+        .map(|r| r[0].as_int().unwrap())
+        .sum();
+    assert_eq!(n, 4);
+    drop(cluster);
+    std::fs::remove_dir_all(dir).ok();
+}

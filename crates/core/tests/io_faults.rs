@@ -7,8 +7,10 @@
 
 use sstore_core::common::fault;
 use sstore_core::common::{Result, Row, Value};
-use sstore_core::workloads::deploy_count_events_multi;
-use sstore_core::{recover, Cluster, LogConfig, PeConfig, RouteSpec, SStore, SStoreBuilder};
+use sstore_core::workloads::{deploy_count_events_multi, deploy_two_stage};
+use sstore_core::{
+    recover, Cluster, InboundForward, LogConfig, PeConfig, RouteSpec, SStore, SStoreBuilder,
+};
 use sstore_core::{ProcSpec, TxnStatus};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -178,6 +180,90 @@ fn forward_io_error_leaves_no_hole_in_edge_dedupe() {
     }
     let mut r = recover(config(&dir), deploy).unwrap();
     assert_eq!(total(&mut r), 12, "recovery must agree with live state");
+    drop(r);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A run of forwards shares one sync, so a failure of that sync is a
+/// failure of every member not yet on disk: each reports the error (its
+/// ack is withheld), none is enqueued, each edge keeps a hole that
+/// refuses younger batches — and when the senders re-forward the run,
+/// every row lands exactly once, live and through recovery (where the
+/// first attempt's records, still in the group buffer when the sync
+/// failed, replay and the re-forwards dedupe).
+#[test]
+fn forward_run_io_error_fails_every_member_and_refills_exactly_once() {
+    let _g = lock();
+    let dir = tempdir("edge-run");
+    let config = PeConfig {
+        log: Some(LogConfig::with_group_commit(&dir, 8)),
+        ..PeConfig::default()
+    };
+    let dest_rows = |p: &mut SStore| -> i64 {
+        p.query("SELECT SUM(n) FROM dest_totals", &[])
+            .unwrap()
+            .rows
+            .first()
+            .and_then(|r| r[0].as_int().ok())
+            .unwrap_or(0)
+    };
+    // Three shards of `hand_off (dest, amount)` from two senders.
+    let shard = |src_partition: u32, src_batch: u64| InboundForward {
+        stream: "hand_off".into(),
+        src_partition,
+        src_batch,
+        rows: vec![
+            Row::new(vec![Value::Int(src_batch as i64), Value::Int(1)]),
+            Row::new(vec![Value::Int(100), Value::Int(1)]),
+        ],
+    };
+    let run = || vec![shard(1, 5), shard(1, 6), shard(2, 9)];
+    {
+        let mut p = SStore::new(config.clone()).unwrap();
+        deploy_two_stage(&mut p).unwrap();
+
+        fault::arm_io_error("log-append-io-error", 1);
+        let failed = p.accept_forwards(run());
+        assert!(
+            failed
+                .iter()
+                .all(|r| r.as_ref().is_err_and(|e| e.kind() == "io")),
+            "{failed:?}"
+        );
+        assert!(p.run_queued().unwrap().is_empty(), "nothing was enqueued");
+        assert_eq!(dest_rows(&mut p), 0);
+
+        // Both edges hold a hole: a younger batch must not leapfrog it.
+        for younger in [shard(1, 7), shard(2, 10)] {
+            assert_eq!(
+                p.accept_forwards(vec![younger])[0]
+                    .as_ref()
+                    .unwrap_err()
+                    .kind(),
+                "io"
+            );
+        }
+
+        // The senders re-forward in order: the holes refill.
+        let syncs = p.stats().log_syncs;
+        let refilled = p.accept_forwards(run());
+        assert!(
+            refilled.iter().all(|r| matches!(r, Ok(Some(_)))),
+            "{refilled:?}"
+        );
+        assert_eq!(p.stats().log_syncs, syncs + 1);
+        p.run_queued().unwrap();
+        assert_eq!(dest_rows(&mut p), 6);
+
+        // Once more: now every member is a duplicate.
+        assert!(p
+            .accept_forwards(run())
+            .iter()
+            .all(|r| matches!(r, Ok(None))));
+        assert_eq!(dest_rows(&mut p), 6);
+    }
+    let mut r = recover(config, deploy_two_stage).unwrap();
+    assert_eq!(dest_rows(&mut r), 6, "recovery must agree with live state");
     drop(r);
     std::fs::remove_dir_all(dir).ok();
 }

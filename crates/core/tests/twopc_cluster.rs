@@ -6,8 +6,8 @@
 use sstore_core::common::fault::{self, KillMode};
 use sstore_core::common::{Row, Value};
 use sstore_core::workloads::{
-    deploy_count_events, deploy_count_events_multi, deploy_two_stage, two_stage_rows,
-    TWO_STAGE_EDGES,
+    count_events_rows, deploy_count_events, deploy_count_events_multi, deploy_two_stage,
+    two_stage_rows, TWO_STAGE_EDGES,
 };
 use sstore_core::{Cluster, RouteSpec, SStoreBuilder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,6 +72,81 @@ fn atomic_batch_commits_on_every_partition_exactly_once() {
     assert_eq!(stats.prepares_sent, 2);
     let m = cluster.metrics();
     assert_eq!(m.partitions.iter().map(|p| p.twopc_commits).sum::<u64>(), 2);
+}
+
+/// Atomicity is the product, never a different answer: the same rows cut
+/// into straddling batches (each one global transaction under 2PC) and
+/// pre-sharded onto the single-partition fast path leave identical state.
+#[test]
+fn multi_sited_state_equals_the_single_partition_fast_path() {
+    let _guard = fault_lock();
+    let rows = count_events_rows(512, 97, 13);
+    let state = |cluster: &Cluster| sorted(cluster.query_all("SELECT * FROM totals", &[]).unwrap());
+
+    let multi = Cluster::new(2, &SStoreBuilder::new(), deploy_count_events_multi).unwrap();
+    for chunk in rows.chunks(64) {
+        multi
+            .submit_batch_atomic("count_events", chunk.to_vec())
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+    let stats = multi.coordinator_stats();
+    assert_eq!(stats.multi_partition_txns, 8, "every batch must straddle");
+    assert_eq!(stats.commits, 8);
+
+    let single = Cluster::new(2, &SStoreBuilder::new(), deploy_count_events_multi).unwrap();
+    for shard in single.router().shard(rows).unwrap() {
+        for chunk in shard.chunks(64) {
+            single
+                .submit_batch_async("count_events", chunk.to_vec())
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+    }
+    let stats = single.coordinator_stats();
+    assert_eq!(stats.multi_partition_txns, 0);
+    assert!(stats.single_partition_fast_path > 0);
+
+    assert_eq!(state(&multi), state(&single));
+}
+
+/// The fsync budget of a straddling transaction at the benchmark's flush
+/// policy (group commit 8), one in flight: each of the two participants
+/// syncs once — its prepare record, with the previous transaction's
+/// `Decision` riding along — and the coordinator writes (and fsyncs) one
+/// decision record.
+#[test]
+fn one_atomic_batch_costs_two_participant_syncs_and_one_coordinator_fsync() {
+    let _guard = fault_lock();
+    let dir = tempdir("fsync-budget");
+    let cluster = Cluster::with_config(
+        2,
+        RouteSpec::hash(0),
+        16,
+        &SStoreBuilder::new().durability(&dir, 8),
+        deploy_count_events_multi,
+    )
+    .unwrap();
+    for round in 1..=3u64 {
+        cluster
+            .submit_batch_atomic("count_events", straddling_rows())
+            .unwrap()
+            .wait()
+            .unwrap();
+        let participant_syncs: u64 = (0..2)
+            .map(|i| {
+                cluster
+                    .with_partition(i, |db| db.stats().log_syncs)
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(participant_syncs, 2 * round);
+        assert_eq!(cluster.coordinator_stats().commits, round);
+    }
+    drop(cluster);
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -535,10 +610,12 @@ fn commit_point_crash_completes_phase_two_at_recovery() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// A participant that crashes after durably logging the coordinator's
-/// commit decision — but before applying it — must finish the commit from
-/// its **local** decision record at replay, without consulting the
-/// coordinator log.
+/// Group-commit size 1, where every append syncs: a participant that
+/// crashes after logging the coordinator's commit decision — but before
+/// applying it — has the record on disk and finishes the commit from its
+/// **local** decision record at replay. (At larger group sizes the record
+/// is still in the buffer; see
+/// [`participant_crash_with_decision_still_buffered_commits_from_coord_log`].)
 #[test]
 fn participant_crash_after_decision_logged_replays_the_commit() {
     let _guard = fault_lock();
@@ -594,5 +671,142 @@ fn participant_crash_after_decision_logged_replays_the_commit() {
         .sum();
     assert_eq!(n, 8, "replay of the replay must not double-apply");
     drop(again);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// The benchmark's flush policy (group commit 8) defers the participant's
+/// `Decision` record to the next sync. Kill both participants at
+/// `decide-delivered`: the record sits in the group buffer, which the
+/// log's `Drop` discards while panicking, so on disk each partition holds
+/// a prepare record and no decision. `Cluster::recover` must commit the
+/// gtid from `coord.log` — exactly once, and to the same state when it
+/// recovers a second time (the first recovery wrote the decision down).
+///
+/// A supervised worker would restart from disk on its own and re-log the
+/// decision before `Cluster::recover` saw the directory, so each worker's
+/// restart budget (3, `SSTORE_MAX_WORKER_RESTARTS` unset) is spent first:
+/// the kill then leaves the partitions down and the disk untouched.
+#[test]
+fn participant_crash_with_decision_still_buffered_commits_from_coord_log() {
+    let _guard = fault_lock();
+    let dir = tempdir("decide-buffered");
+    let recover = || {
+        Cluster::recover(
+            2,
+            RouteSpec::hash(0),
+            16,
+            &SStoreBuilder::new().durability(&dir, 8),
+            deploy_count_events_multi,
+            &[],
+        )
+        .unwrap()
+    };
+    let committed_rows = |cluster: &Cluster| -> i64 {
+        cluster
+            .query_all("SELECT SUM(n) FROM totals", &[])
+            .unwrap()
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .sum()
+    };
+    {
+        let cluster = Cluster::with_config(
+            2,
+            RouteSpec::hash(0),
+            16,
+            &SStoreBuilder::new().durability(&dir, 8),
+            deploy_count_events_multi,
+        )
+        .unwrap();
+        for i in 0..2 {
+            for _ in 0..3 {
+                let _ = cluster.with_partition(i, |_| panic!("spend the restart budget"));
+            }
+        }
+        assert_eq!(cluster.metrics().worker_restarts, 6);
+
+        fault::arm("decide-delivered", 1, KillMode::Panic);
+        let outcome = cluster
+            .submit_batch_atomic("count_events", straddling_rows())
+            .and_then(|t| t.wait());
+        assert!(outcome.is_err(), "both participants die inside phase 2");
+        fault::disarm();
+        assert_eq!(cluster.coordinator_stats().commits, 1);
+        // Down, not restarted: nobody re-ran recovery over the directory.
+        assert_eq!(
+            cluster
+                .query_all("SELECT 1 FROM totals", &[])
+                .unwrap_err()
+                .kind(),
+            "partition_down"
+        );
+        assert_eq!(cluster.metrics().worker_restarts, 6);
+        std::mem::forget(cluster);
+    }
+    let recovered = recover();
+    assert_eq!(
+        committed_rows(&recovered),
+        8,
+        "coord.log decides the commit"
+    );
+    let m = recovered.metrics();
+    assert_eq!(m.partitions.iter().map(|p| p.twopc_commits).sum::<u64>(), 2);
+    drop(recovered);
+    let again = recover();
+    assert_eq!(committed_rows(&again), 8, "exactly once");
+    drop(again);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Coordinator-log compaction drops commit records, so it may only run
+/// once every participant's local `Decision` is on disk — and at group
+/// commit 8 the newest one is still in the buffer. Drive enough
+/// straddling commits to cross the compaction threshold, freeze the
+/// machine right after the compaction, and recover: every acknowledged
+/// commit must still be committed. (Without the log sync inside the
+/// compaction barrier the last transaction's prepare record finds no
+/// decision anywhere and is presumed aborted.)
+#[test]
+fn compaction_never_drops_a_commit_a_participant_has_not_synced() {
+    let _guard = fault_lock();
+    let dir = tempdir("compact-sync");
+    let commits = sstore_core::COORD_COMPACT_EVERY;
+    {
+        let cluster = Cluster::with_config(
+            2,
+            RouteSpec::hash(0),
+            16,
+            &SStoreBuilder::new().durability(&dir, 8),
+            deploy_count_events_multi,
+        )
+        .unwrap();
+        for _ in 0..commits {
+            cluster
+                .submit_batch_atomic("count_events", straddling_rows())
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        assert_eq!(cluster.coordinator_stats().log_compactions, 1);
+        // A machine crash: no drop, so no log flushes its buffer.
+        std::mem::forget(cluster);
+    }
+    let recovered = Cluster::recover(
+        2,
+        RouteSpec::hash(0),
+        16,
+        &SStoreBuilder::new().durability(&dir, 8),
+        deploy_count_events_multi,
+        &[],
+    )
+    .unwrap();
+    let n: i64 = recovered
+        .query_all("SELECT SUM(n) FROM totals", &[])
+        .unwrap()
+        .iter()
+        .map(|r| r[0].as_int().unwrap())
+        .sum();
+    assert_eq!(n, 8 * commits as i64, "an acknowledged commit was lost");
+    drop(recovered);
     std::fs::remove_dir_all(dir).ok();
 }

@@ -38,7 +38,7 @@ pub mod transaction;
 pub mod workflow;
 
 pub use log::{LogConfig, LogRetention};
-pub use partition::{ExecMode, Partition, PeConfig, RemoteForward};
+pub use partition::{ExecMode, InboundForward, Partition, PeConfig, RemoteForward};
 pub use procedure::{ProcContext, ProcSpec};
 pub use stats::PeStats;
 pub use transaction::{Invocation, InvocationOrigin, TxnOutcome, TxnStatus};

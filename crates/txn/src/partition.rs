@@ -80,6 +80,34 @@ pub struct RemoteForward {
     pub trace: Option<TraceCtx>,
 }
 
+/// One shard of a cross-partition edge arriving at its receiver — a
+/// member of the run [`Partition::accept_forwards`] logs under one sync.
+/// `(src_partition, stream, src_batch)` is the edge-instance identity
+/// the dedupe keys on.
+#[derive(Debug, Clone)]
+pub struct InboundForward {
+    /// Stream name (see [`RemoteForward::stream`]).
+    pub stream: String,
+    /// The emitting partition.
+    pub src_partition: u32,
+    /// The emitting partition's batch id ([`RemoteForward::batch`]).
+    pub src_batch: u64,
+    /// The rows of this shard.
+    pub rows: Vec<Row>,
+}
+
+/// A member of an [`Partition::accept_forwards`] run whose `Forward`
+/// record is appended and waits for the run's sync.
+struct StagedForward {
+    /// `(source partition, stream)`: the edge the dedupe keys on.
+    key: (u32, String),
+    src_batch: u64,
+    sid: TableId,
+    batch: BatchId,
+    rows: Vec<Row>,
+    trace: Option<TraceCtx>,
+}
+
 /// Which system the partition behaves as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
@@ -751,8 +779,9 @@ impl Partition {
     ///
     /// Returns the fragment's local batch id on a yes-vote. On `Err` the
     /// participant has voted no: the body's effects are already rolled
-    /// back and a local abort [`LogRecord::Decision`] is durable — the
-    /// coordinator's abort round is then a no-op here.
+    /// back and a local abort [`LogRecord::Decision`] is appended (it
+    /// rides the next sync; until then recovery presumes the same abort)
+    /// — the coordinator's abort round is then a no-op here.
     ///
     /// Serial execution discipline: at most one fragment may be prepared
     /// at a time, and the caller (the partition worker) must not run any
@@ -785,7 +814,9 @@ impl Partition {
             ts: self.clock.now(),
         })?;
         self.note_batch_logged(batch, trace, synced);
-        self.log_sync()?; // the yes-vote must be durable before it is cast
+        // The yes-vote must be durable before it is cast. This sync also
+        // carries down whatever the last decision left in the buffer.
+        self.sync_log()?;
         if !self.replaying {
             // Kill point: the durable promise exists, the vote has not
             // been cast. Recovery must resolve this fragment in doubt.
@@ -832,13 +863,13 @@ impl Partition {
             }
             Err(e) => {
                 // Vote no: unilateral abort, decided (and logged) locally.
+                // Not synced: a lost record reads as presumed abort.
                 scratch.undo.rollback(self.engine.db_mut())?;
                 self.log_record(&LogRecord::Decision {
                     gtid,
                     batch,
                     commit: false,
                 })?;
-                self.log_sync()?;
                 self.stats.twopc_aborts += 1;
                 if e.is_user_abort() {
                     self.stats.user_aborts += 1;
@@ -856,6 +887,14 @@ impl Partition {
     /// the fragment's emissions (scheduling local downstream TEs and/or
     /// cross-partition forwards), and drains; abort applies the undo log.
     /// Returns the fragment's outcome followed by any downstream TEs'.
+    ///
+    /// The local [`LogRecord::Decision`] is appended, **not synced**: a
+    /// commit is already durable as this partition's synced
+    /// `PrepareMarker` plus the coordinator's decision record, and
+    /// recovery resolves a marker without a local decision from the
+    /// coordinator's log (presumed abort otherwise). The record rides the
+    /// next sync — in steady state the next prepare's. Whoever wants to
+    /// drop the coordinator's record must first [`Partition::sync_log`].
     pub fn decide_fragment(&mut self, gtid: u64, commit: bool) -> Result<Vec<TxnOutcome>> {
         let frag = match self.prepared.take() {
             Some(f) if f.gtid == gtid => f,
@@ -874,30 +913,30 @@ impl Partition {
                 )))
             }
         };
-        if let Err(e) = self
-            .log_record(&LogRecord::Decision {
-                gtid,
-                batch: frag.batch,
-                commit,
-            })
-            .and_then(|_| self.log_sync())
-        {
+        if let Err(e) = self.log_record(&LogRecord::Decision {
+            gtid,
+            batch: frag.batch,
+            commit,
+        }) {
             // The failed record was dropped from the log buffer, so
-            // nothing of the decision is durable and nothing has been
-            // applied — but the decision is already final at the
-            // coordinator, and this partition can no longer make it
-            // durable. Put the fragment back untouched and mark the
-            // partition for a rebuild from disk: recovery resolves the
-            // held fragment against the coordinator's decision map and
-            // re-emits whatever the decision implies, exactly once.
+            // nothing of the decision is logged here and nothing has
+            // been applied — but the decision is already final at the
+            // coordinator, and this partition's log can no longer be
+            // trusted to carry it. Put the fragment back untouched and
+            // mark the partition for a rebuild from disk: recovery
+            // resolves the held fragment against the coordinator's
+            // decision map and re-emits whatever the decision implies,
+            // exactly once.
             self.prepared = Some(frag);
             self.state_diverged = true;
             return Err(e);
         }
         if !self.replaying {
-            // Kill point: the decision reached this participant and is
-            // durable locally, but has not been applied. Replay must
-            // finish the job from the log alone.
+            // Kill point: the decision reached this participant and sits
+            // in its log buffer (on disk only at group-commit size 1),
+            // but has not been applied. Replay must finish the job from
+            // the local record if it made it down, from the coordinator's
+            // log if not.
             fault::kill_point("decide-delivered");
         }
         let inv = Invocation {
@@ -1029,13 +1068,11 @@ impl Partition {
 
     // ---- cross-partition workflow edges ---------------------------------------
 
-    /// Accept a batch forwarded over a cross-partition edge. Logs the
-    /// forward (durably — the edge ack that releases the sender's
-    /// upstream backup is only sent once this returns), deduplicates by
-    /// `(src_partition, stream)` high-water mark, and enqueues one TE per
-    /// consuming procedure. Returns the local batch id, or `None` when
-    /// the forward was a duplicate (replay / re-forwarding after
-    /// recovery). Call [`Partition::run_queued`] to execute.
+    /// Accept one batch forwarded over a cross-partition edge: the
+    /// one-element case of [`Partition::accept_forwards`] (recovery
+    /// replays `Forward` records through it one at a time). Returns the
+    /// local batch id, or `None` when the forward was a duplicate. Call
+    /// [`Partition::run_queued`] to execute.
     pub fn accept_forward(
         &mut self,
         stream: &str,
@@ -1043,57 +1080,195 @@ impl Partition {
         src_batch: u64,
         rows: Vec<Row>,
     ) -> Result<Option<BatchId>> {
-        // Consume the delivery's trace unconditionally: a dupe or a
-        // refusal drops it (the re-forward brings a fresh push).
-        let trace = self.pending_traces.pop_front();
-        let sid = self.engine.db().resolve(stream)?;
-        if !self.engine.db().kind(sid)?.is_stream() {
-            return Err(Error::Constraint(format!("`{stream}` is not a stream")));
+        self.accept_forwards(vec![InboundForward {
+            stream: stream.to_string(),
+            src_partition,
+            src_batch,
+            rows,
+        }])
+        .pop()
+        .expect("one result per run member")
+    }
+
+    /// Accept a run of batches forwarded over cross-partition edges,
+    /// paying **one** log sync for the whole run. Every member's
+    /// [`LogRecord::Forward`] is appended first; only once all of them
+    /// are durable are the dedupe high-water marks advanced and one TE
+    /// per consuming procedure enqueued — so no forwarded batch can
+    /// execute, and no edge ack (which releases the sender's upstream
+    /// backup) can be sent, ahead of its record. Call
+    /// [`Partition::run_queued`] to execute.
+    ///
+    /// One result per member, in order: the local batch id, `None` for a
+    /// duplicate (of the `(src_partition, stream)` high-water mark — a
+    /// replay or a re-forward after recovery — or of an earlier member of
+    /// this run), or the error that keeps it un-acked. A member whose
+    /// record did not reach the disk (its append failed, or the shared
+    /// sync did) leaves the high-water untouched and marks a hole on its
+    /// edge, so no younger batch can leapfrog it before the sender
+    /// re-forwards; members made durable by a group commit earlier in
+    /// the run are unaffected by a later failure.
+    pub fn accept_forwards(&mut self, run: Vec<InboundForward>) -> Vec<Result<Option<BatchId>>> {
+        /// What the append pass decided about one member.
+        enum Slot {
+            Done(Result<Option<BatchId>>),
+            /// Appended as `staged[i]`; resolved by the sync.
+            Staged(usize),
+            /// Duplicate of `staged[i]`; shares its fate.
+            DupOf(usize),
         }
-        let key = (src_partition, stream.to_string());
-        if src_batch <= self.edge_high_water.get(&key).copied().unwrap_or(0) {
-            self.stats.forwards_deduped += 1;
-            return Ok(None);
-        }
-        if let Some(&gap) = self.edge_gaps.get(&key) {
-            if src_batch > gap {
-                // Accepting this younger batch would advance the
-                // high-water past the refused one and turn its eventual
-                // re-forward into a "duplicate" — a silently lost batch.
-                return Err(Error::Io(format!(
-                    "edge `{stream}` from partition {src_partition} has an unfilled \
-                     hole at source batch {gap}; refusing younger batch {src_batch} \
-                     to preserve in-order exactly-once delivery"
-                )));
+        let mut slots = Vec::with_capacity(run.len());
+        let mut staged: Vec<StagedForward> = Vec::new();
+        // `staged[..durable]` are on disk (a group commit fired mid-run).
+        let mut durable = 0;
+        for fwd in run {
+            // Consume the delivery's trace unconditionally: a dupe or a
+            // refusal drops it (the re-forward brings a fresh push).
+            let trace = self.pending_traces.pop_front();
+            let sid = match self.stream_id(&fwd.stream) {
+                Ok(sid) => sid,
+                Err(e) => {
+                    slots.push(Slot::Done(Err(e)));
+                    continue;
+                }
+            };
+            let InboundForward {
+                stream,
+                src_partition,
+                src_batch,
+                rows,
+            } = fwd;
+            let key = (src_partition, stream);
+            if src_batch <= self.edge_high_water.get(&key).copied().unwrap_or(0) {
+                self.stats.forwards_deduped += 1;
+                slots.push(Slot::Done(Ok(None)));
+                continue;
             }
-        }
-        self.next_batch += 1;
-        let batch = BatchId::new(self.next_batch);
-        if let Err(e) = self
-            .log_record(&LogRecord::Forward {
+            // The run's own members are not in the high-water yet.
+            if let Some(i) = staged.iter().rposition(|s| s.key == key) {
+                if src_batch <= staged[i].src_batch {
+                    slots.push(Slot::DupOf(i));
+                    continue;
+                }
+            }
+            if let Some(&gap) = self.edge_gaps.get(&key) {
+                if src_batch > gap {
+                    // Accepting this younger batch would advance the
+                    // high-water past the refused one and turn its eventual
+                    // re-forward into a "duplicate" — a silently lost batch.
+                    slots.push(Slot::Done(Err(Error::Io(format!(
+                        "edge `{}` from partition {src_partition} has an unfilled \
+                         hole at source batch {gap}; refusing younger batch {src_batch} \
+                         to preserve in-order exactly-once delivery",
+                        key.1
+                    )))));
+                    continue;
+                }
+            }
+            self.next_batch += 1;
+            let batch = BatchId::new(self.next_batch);
+            match self.log_record(&LogRecord::Forward {
                 batch,
-                stream: stream.to_string(),
+                stream: key.1.clone(),
                 src_partition,
                 src_batch,
                 rows: rows.clone(),
                 ts: self.clock.now(),
-            })
-            .and_then(|_| self.log_sync())
-        {
-            // The forward is not durable here: leave the high-water
-            // untouched (the ack is withheld, the sender re-forwards)
-            // and mark the hole so no younger batch can leapfrog it.
-            let gap = self.edge_gaps.entry(key).or_insert(src_batch);
-            *gap = (*gap).min(src_batch);
-            return Err(e);
+            }) {
+                Ok(synced) => {
+                    // This member fills the hole (if any) unless the
+                    // shared sync fails, which re-marks it below.
+                    self.edge_gaps.remove(&key);
+                    slots.push(Slot::Staged(staged.len()));
+                    staged.push(StagedForward {
+                        key,
+                        src_batch,
+                        sid,
+                        batch,
+                        rows,
+                        trace,
+                    });
+                    if synced {
+                        durable = staged.len();
+                    }
+                }
+                Err(e) => {
+                    self.mark_edge_gap(key, src_batch);
+                    slots.push(Slot::Done(Err(e)));
+                }
+            }
         }
-        self.edge_gaps.remove(&key);
-        if !self.replaying {
-            // Kill point: the forward is durable here but the edge ack
-            // has not been sent — the sender must keep its upstream
+        let sync_err = if durable < staged.len() {
+            self.sync_log().err()
+        } else {
+            None
+        };
+        if sync_err.is_none() {
+            durable = staged.len();
+        }
+        if durable > 0 && !self.replaying {
+            // Kill point: the forwards are durable here but no edge ack
+            // has been sent — the senders must keep their upstream
             // backup and re-forward; dedupe makes that exactly-once.
             fault::kill_point("forward-logged");
         }
+        // The error for a staged member the shared sync left off the disk.
+        let lost = |i: usize| sync_err.as_ref().filter(|_| i >= durable);
+        let mut staged = staged.into_iter();
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Done(result) => result,
+                Slot::DupOf(i) => match lost(i) {
+                    Some(e) => Err(e.clone()),
+                    None => {
+                        self.stats.forwards_deduped += 1;
+                        Ok(None)
+                    }
+                },
+                Slot::Staged(i) => {
+                    let fwd = staged.next().expect("one staged entry per slot");
+                    match lost(i) {
+                        // Not durable here: leave the high-water untouched
+                        // (the ack is withheld, the sender re-forwards) and
+                        // mark the hole so no younger batch can leapfrog it.
+                        Some(e) => {
+                            self.mark_edge_gap(fwd.key, fwd.src_batch);
+                            Err(e.clone())
+                        }
+                        None => self.admit_forward(fwd).map(Some),
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Resolve `stream` by name, refusing anything that is not a stream.
+    fn stream_id(&self, stream: &str) -> Result<TableId> {
+        let sid = self.engine.db().resolve(stream)?;
+        if !self.engine.db().kind(sid)?.is_stream() {
+            return Err(Error::Constraint(format!("`{stream}` is not a stream")));
+        }
+        Ok(sid)
+    }
+
+    /// Record that the forward of `src_batch` on edge `key` was refused.
+    fn mark_edge_gap(&mut self, key: (u32, String), src_batch: u64) {
+        let gap = self.edge_gaps.entry(key).or_insert(src_batch);
+        *gap = (*gap).min(src_batch);
+    }
+
+    /// A forward's record is durable: advance the edge's high-water mark
+    /// and enqueue one TE per consuming procedure.
+    fn admit_forward(&mut self, fwd: StagedForward) -> Result<BatchId> {
+        let StagedForward {
+            key,
+            src_batch,
+            sid,
+            batch,
+            rows,
+            trace,
+        } = fwd;
         self.edge_high_water.insert(key, src_batch);
         self.stats.forwards_in += 1;
         let consumers = self.workflow.consumers_of(sid).to_vec();
@@ -1103,7 +1278,7 @@ impl Partition {
             // the sender's upstream backup stay correct).
             self.stats.batches_completed += 1;
             self.log_record(&LogRecord::Ack { batch })?;
-            return Ok(Some(batch));
+            return Ok(batch);
         }
         self.batch_refs.insert(batch.raw(), consumers.len());
         if let Some(t) = trace {
@@ -1120,7 +1295,7 @@ impl Partition {
                 origin: InvocationOrigin::PeTrigger,
             });
         }
-        Ok(Some(batch))
+        Ok(batch)
     }
 
     /// The receiving partition durably logged a forward of `batch`:
@@ -1425,10 +1600,13 @@ impl Partition {
         Ok(false)
     }
 
-    /// Force the command log's buffered group down (2PC votes and edge
-    /// acks must not sit in the group-commit buffer: the peer acts on
-    /// them immediately).
-    fn log_sync(&mut self) -> Result<()> {
+    /// Force the command log's buffered group down, once for everything
+    /// buffered. Called where someone is about to act on durability: a
+    /// yes-vote before it is cast, a run of forwards before any is
+    /// executed or acked, the edge high-water marks after a log GC, and
+    /// — from the cluster — every participant before the coordinator
+    /// drops commit records its `Decision`s may still be buffered behind.
+    pub fn sync_log(&mut self) -> Result<()> {
         if self.replaying {
             return Ok(());
         }
@@ -1485,10 +1663,7 @@ impl Partition {
     pub fn drain_sink(&mut self, stream: &str) -> Result<Vec<Row>> {
         self.stats.client_pe_trips += 1;
         simulate_cost(self.config.client_trip_cost_micros);
-        let sid = self.engine.db().resolve(stream)?;
-        if !self.engine.db().kind(sid)?.is_stream() {
-            return Err(Error::Constraint(format!("`{stream}` is not a stream")));
-        }
+        let sid = self.stream_id(stream)?;
         if !self.workflow.consumers_of(sid).is_empty() {
             return Err(Error::Schedule(format!(
                 "`{stream}` has workflow consumers; draining it would steal their input"
@@ -1619,7 +1794,7 @@ impl Partition {
                 .collect();
             entries.sort();
             self.log_record(&LogRecord::EdgeHighWater { entries })?;
-            self.log_sync()?;
+            self.sync_log()?;
         }
         self.commits_since_snapshot = 0;
         Ok(())
@@ -1839,7 +2014,7 @@ impl Partition {
                 commit,
             })?;
         }
-        self.log_sync()
+        self.sync_log()
     }
 }
 
@@ -2477,6 +2652,62 @@ mod tests {
             .is_some());
         p.run_queued().unwrap();
         assert_eq!(total(&mut p), 3);
+    }
+
+    fn forward(src_partition: u32, src_batch: u64) -> InboundForward {
+        InboundForward {
+            stream: "validated".into(),
+            src_partition,
+            src_batch,
+            rows: vec![vec![Value::Int(1)].into()],
+        }
+    }
+
+    #[test]
+    fn a_run_of_forwards_costs_one_log_sync() {
+        let dir = std::env::temp_dir().join(format!("sstore-fwd-run-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = PeConfig {
+            log: Some(LogConfig::with_group_commit(&dir, 8)),
+            ..PeConfig::default()
+        };
+        let mut p = pipeline(config.clone());
+        let before = p.stats().log_syncs;
+        let logged = p.accept_forwards(vec![forward(0, 5), forward(0, 6), forward(1, 2)]);
+        assert!(logged.iter().all(|r| matches!(r, Ok(Some(_)))));
+        assert_eq!(p.stats().log_syncs, before + 1, "one sync for the run");
+        assert_eq!(total(&mut p), 0, "logged, not yet executed");
+        p.run_queued().unwrap();
+        assert_eq!(total(&mut p), 3);
+        assert_eq!(p.stats().log_syncs, before + 1, "executing syncs nothing");
+        // The one-element wrapper is a run of one.
+        p.accept_forward("validated", 0, 7, vec![vec![Value::Int(1)].into()])
+            .unwrap();
+        assert_eq!(p.stats().log_syncs, before + 2);
+        p.run_queued().unwrap();
+        drop(p);
+        let mut r = crate::recovery::recover(config, deploy_pipeline).unwrap();
+        assert_eq!(total(&mut r), 4, "every member replays exactly once");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn accept_forwards_dedupes_within_the_run() {
+        let mut p = pipeline(PeConfig::default());
+        let logged = p.accept_forwards(vec![
+            forward(0, 5),
+            forward(0, 5),
+            forward(0, 6),
+            forward(0, 5),
+        ]);
+        assert!(
+            matches!(logged[..], [Ok(Some(_)), Ok(None), Ok(Some(_)), Ok(None)]),
+            "{logged:?}"
+        );
+        assert_eq!(p.stats().forwards_in, 2);
+        assert_eq!(p.stats().forwards_deduped, 2);
+        p.run_queued().unwrap();
+        assert_eq!(total(&mut p), 2);
     }
 
     #[test]
