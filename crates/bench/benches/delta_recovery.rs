@@ -13,8 +13,7 @@
 //!   materializes every live row either way, so both curves track the
 //!   live-row count; the leg proves the chain adds no replay penalty.
 //! * **cluster_recovery** — `Cluster::recover` wall time at 1/2/4
-//!   partitions, serial (`SSTORE_RECOVERY=serial`) vs the default
-//!   partition-parallel loop.
+//!   partitions (partition-parallel whenever there is more than one).
 //! * **mixed_2pc** — multi-partition atomic batches interleaved with
 //!   disjoint single-partition traffic: prepared participants executing
 //!   queued non-conflicting work during the prepare→decide wait.
@@ -74,26 +73,21 @@ fn sweep_snapshots(sizes: &[usize], hot_keys: usize, rounds: usize) -> Vec<E13Ro
     out
 }
 
-/// Leg 3: serial vs parallel cluster recovery at growing partition counts.
+/// Leg 3: cluster recovery at growing partition counts.
 fn sweep_cluster(partition_counts: &[usize], events: usize) -> Vec<E13Row> {
     let mut out = Vec::new();
     for &n in partition_counts {
-        for serial in [true, false] {
-            let dir = scratch_dir(&format!("e13-cluster-{n}-{serial}"));
-            let (secs, ok) = exp_e13_cluster_recovery(&dir, n, events, serial);
-            assert!(
-                ok,
-                "cluster recovery diverged (partitions={n} serial={serial})"
-            );
-            out.push(E13Row {
-                leg: "cluster_recovery",
-                config: (if serial { "serial" } else { "parallel" }).into(),
-                rows: events,
-                secs,
-                extra: format!("\"partitions\": {n}"),
-            });
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = scratch_dir(&format!("e13-cluster-{n}"));
+        let (secs, ok) = exp_e13_cluster_recovery(&dir, n, events);
+        assert!(ok, "cluster recovery diverged (partitions={n})");
+        out.push(E13Row {
+            leg: "cluster_recovery",
+            config: "parallel".into(),
+            rows: events,
+            secs,
+            extra: format!("\"partitions\": {n}"),
+        });
+        let _ = std::fs::remove_dir_all(&dir);
     }
     out
 }

@@ -1,25 +1,15 @@
-//! E4/E6 — durability costs and recovery: command-logging overhead across
-//! group-commit sizes and on-disk codecs (legacy JSON lines vs the
-//! CRC-framed binary format — both live in the same build, same workload),
-//! and recovery wall time (snapshot + replay) for each codec.
+//! E6 — durability costs and recovery: command-logging overhead across
+//! group-commit sizes, and recovery wall time (snapshot + replay).
 //!
 //! Set `SSTORE_BENCH_SMOKE=1` for a reduced smoke run (CI uses this to
 //! prove the bench executes, not to measure).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sstore_bench::{exp_e4_log_append, exp_e6_recovery, run_durable_voter, run_voter, scratch_dir};
-use sstore_core::DurabilityFormat;
+use sstore_bench::{exp_e6_recovery, run_durable_voter, run_voter, scratch_dir};
 use sstore_voter::WindowImpl;
 
 fn smoke() -> bool {
     std::env::var_os("SSTORE_BENCH_SMOKE").is_some()
-}
-
-fn formats() -> [(&'static str, DurabilityFormat); 2] {
-    [
-        ("json", DurabilityFormat::Json),
-        ("binary", DurabilityFormat::Binary),
-    ]
 }
 
 fn logging_overhead(c: &mut Criterion) {
@@ -31,50 +21,17 @@ fn logging_overhead(c: &mut Criterion) {
     g.bench_function("no_logging", |b| {
         b.iter(|| run_voter(true, WindowImpl::Native, votes, 1, 0, 0, 0))
     });
-    for (name, format) in formats() {
-        for group in [1usize, 8, 64] {
-            g.bench_function(
-                BenchmarkId::new(format!("{name}/group_commit"), group),
-                |b| {
-                    b.iter_with_setup(
-                        || scratch_dir("log"),
-                        |dir| {
-                            let r = run_durable_voter(&dir, votes, group, format);
-                            std::fs::remove_dir_all(dir).ok();
-                            r
-                        },
-                    )
+    for group in [1usize, 8, 64] {
+        g.bench_function(BenchmarkId::new("group_commit", group), |b| {
+            b.iter_with_setup(
+                || scratch_dir("log"),
+                |dir| {
+                    let r = run_durable_voter(&dir, votes, group);
+                    std::fs::remove_dir_all(dir).ok();
+                    r
                 },
-            );
-        }
-    }
-    g.finish();
-}
-
-/// The codec itself, isolated: append throughput through the command log
-/// for batch-sized records. fsync count is identical across formats
-/// (group commit 64 both), so the delta is pure serialization + write
-/// volume — the "logging overhead" the binary codec attacks.
-fn log_append(c: &mut Criterion) {
-    let records = if smoke() { 50 } else { 400 };
-    let rows_per_record = 64usize;
-    let mut g = c.benchmark_group("e4_log_append");
-    g.sample_size(if smoke() { 2 } else { 10 });
-    g.throughput(Throughput::Elements((records * rows_per_record) as u64));
-    for (name, format) in formats() {
-        g.bench_function(
-            BenchmarkId::new(name, format!("{records}x{rows_per_record}")),
-            |b| {
-                b.iter_with_setup(
-                    || scratch_dir("append"),
-                    |dir| {
-                        let out = exp_e4_log_append(&dir, records, rows_per_record, 64, format);
-                        std::fs::remove_dir_all(dir).ok();
-                        out
-                    },
-                )
-            },
-        );
+            )
+        });
     }
     g.finish();
 }
@@ -84,23 +41,21 @@ fn recovery_time(c: &mut Criterion) {
     g.sample_size(if smoke() { 2 } else { 10 });
 
     let sizes: &[usize] = if smoke() { &[200] } else { &[200, 1000] };
-    for (name, format) in formats() {
-        for &n in sizes {
-            g.bench_function(BenchmarkId::new(format!("{name}/replay_votes"), n), |b| {
-                b.iter_with_setup(
-                    || scratch_dir("rec"),
-                    |dir| {
-                        let (secs, ok) = exp_e6_recovery(&dir, n, format);
-                        assert!(ok, "recovered state must match");
-                        std::fs::remove_dir_all(dir).ok();
-                        secs
-                    },
-                )
-            });
-        }
+    for &n in sizes {
+        g.bench_function(BenchmarkId::new("replay_votes", n), |b| {
+            b.iter_with_setup(
+                || scratch_dir("rec"),
+                |dir| {
+                    let (secs, ok) = exp_e6_recovery(&dir, n);
+                    assert!(ok, "recovered state must match");
+                    std::fs::remove_dir_all(dir).ok();
+                    secs
+                },
+            )
+        });
     }
     g.finish();
 }
 
-criterion_group!(benches, logging_overhead, log_append, recovery_time);
+criterion_group!(benches, logging_overhead, recovery_time);
 criterion_main!(benches);

@@ -239,42 +239,30 @@ fn exp4(scale: usize) {
     println!("                       discount exclusivity, one open ride per rider)\n");
 }
 
-/// E6 — durability and recovery, JSON vs the CRC-framed binary codec.
+/// E6 — durability and recovery.
 fn exp6(scale: usize) {
-    use sstore_core::DurabilityFormat;
     let n = 300 * scale;
-    let formats = [
-        ("json", DurabilityFormat::Json),
-        ("binary", DurabilityFormat::Binary),
-    ];
     println!("== E6: command logging overhead + upstream-backup recovery ==\n");
-    println!("   config                  | votes/s");
+    println!("   config            | votes/s");
     let off = run_voter(true, WindowImpl::Native, n, 1, 0, 0, 0);
-    println!("   logging off             | {:>8.0}", off.votes_per_sec);
-    for (name, format) in formats {
-        for group in [1usize, 8, 64] {
-            let dir = scratch_dir(&format!("fig-log-{name}{group}"));
-            let r = run_durable_voter(&dir, n, group, format);
-            std::fs::remove_dir_all(&dir).ok();
-            println!(
-                "   {name:<6} group commit {group:>3} | {:>8.0}",
-                r.votes_per_sec
-            );
-        }
+    println!("   logging off       | {:>8.0}", off.votes_per_sec);
+    for group in [1usize, 8, 64] {
+        let dir = scratch_dir(&format!("fig-log-{group}"));
+        let r = run_durable_voter(&dir, n, group);
+        std::fs::remove_dir_all(&dir).ok();
+        println!("   group commit {group:>3}  | {:>8.0}", r.votes_per_sec);
     }
     println!("\n   recovery: snapshot + log replay");
-    for (name, format) in formats {
-        for votes in [200 * scale, 1000 * scale] {
-            let dir = scratch_dir(&format!("fig-rec-{name}{votes}"));
-            let (secs, ok) = exp_e6_recovery(&dir, votes, format);
-            std::fs::remove_dir_all(&dir).ok();
-            println!(
-                "   {name:<6} {:>6} logged votes -> recovered in {:>7.1} ms (state match: {})",
-                votes,
-                secs * 1e3,
-                ok
-            );
-        }
+    for votes in [200 * scale, 1000 * scale] {
+        let dir = scratch_dir(&format!("fig-rec-{votes}"));
+        let (secs, ok) = exp_e6_recovery(&dir, votes);
+        std::fs::remove_dir_all(&dir).ok();
+        println!(
+            "   {:>6} logged votes -> recovered in {:>7.1} ms (state match: {})",
+            votes,
+            secs * 1e3,
+            ok
+        );
     }
     println!();
 }

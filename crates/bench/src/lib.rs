@@ -4,7 +4,7 @@
 //! and the `figures` binary both call into these so numbers line up.
 
 use sstore_bikeshare::{BikeConfig, CitySim, SimReport};
-use sstore_core::{recover, DurabilityFormat, SStore, SStoreBuilder};
+use sstore_core::{recover, SStore, SStoreBuilder};
 use sstore_voter::checker::oracle_state;
 use sstore_voter::workload::Vote;
 use sstore_voter::{
@@ -97,38 +97,24 @@ pub fn exp_e4(ticks: u64, seed: u64) -> (SimReport, SStore) {
     (report, db)
 }
 
-/// E6/E4 support: run `n` voter batches with durability under `dir`,
-/// in the given on-disk format (both codecs are live in the same build,
-/// so json-vs-binary is an apples-to-apples sweep on one workload).
-pub fn run_durable_voter(
-    dir: &std::path::Path,
-    n_votes: usize,
-    group_commit: usize,
-    format: DurabilityFormat,
-) -> RunReport {
+/// E6 support: run `n` voter batches with durability under `dir`.
+pub fn run_durable_voter(dir: &std::path::Path, n_votes: usize, group_commit: usize) -> RunReport {
     let vs = votes(n_votes);
     let mut db = SStoreBuilder::new()
         .durability(dir, group_commit)
-        .log_format(format)
         .build()
         .expect("build");
     install(&mut db, WindowImpl::Native, &voter_config()).expect("install");
     run_sstore(&mut db, &vs, 1).expect("run")
 }
 
-/// E6/E4: measure recovery wall time for a log of `n_votes` border
-/// batches written in `format`.
-pub fn exp_e6_recovery(
-    dir: &std::path::Path,
-    n_votes: usize,
-    format: DurabilityFormat,
-) -> (f64, bool) {
+/// E6: measure recovery wall time for a log of `n_votes` border batches.
+pub fn exp_e6_recovery(dir: &std::path::Path, n_votes: usize) -> (f64, bool) {
     // Populate durable state, capture the reference, then "crash".
     let vs = votes(n_votes);
     let reference = {
         let mut db = SStoreBuilder::new()
             .durability(dir, 8)
-            .log_format(format)
             .build()
             .expect("build");
         install(&mut db, WindowImpl::Native, &voter_config()).expect("install");
@@ -136,7 +122,7 @@ pub fn exp_e6_recovery(
         capture_state(&mut db).expect("state")
     };
     let t0 = std::time::Instant::now();
-    let builder = SStoreBuilder::new().durability(dir, 8).log_format(format);
+    let builder = SStoreBuilder::new().durability(dir, 8);
     let mut recovered = recover(builder.config().clone(), |db| {
         install(db, WindowImpl::Native, &voter_config())
     })
@@ -252,46 +238,6 @@ pub fn exp_e9_run(
         .expect("query");
     state.sort();
     (secs, state)
-}
-
-/// E4: command-log append throughput, isolated from the voter engine —
-/// encode + buffered write + group-commit fsync for `records` border
-/// batches of `rows_per_record` rows each (mixed int/text cells, the
-/// shape streaming ingest produces). This is where the codec itself shows
-/// up: both formats pay the same fsync count, so any difference is
-/// serialization + write volume. Returns (bytes written, fsyncs).
-pub fn exp_e4_log_append(
-    dir: &std::path::Path,
-    records: usize,
-    rows_per_record: usize,
-    group_commit: usize,
-    format: DurabilityFormat,
-) -> (u64, u64) {
-    use sstore_core::common::{BatchId, Row, Value};
-    use sstore_core::{CommandLog, LogConfig, LogRecord};
-    let cfg = LogConfig::with_group_commit(dir, group_commit).with_format(format);
-    let mut log = CommandLog::open(cfg).expect("open log");
-    let rows: Vec<Row> = (0..rows_per_record)
-        .map(|i| {
-            Row::new(vec![
-                Value::Int(i as i64),
-                Value::Int((i * 37) as i64 % 1000),
-                Value::Text(format!("device-{i:04}")),
-                Value::Float(i as f64 * 0.5),
-            ])
-        })
-        .collect();
-    for b in 0..records {
-        log.append(&LogRecord::BorderBatch {
-            batch: BatchId::new(b as u64 + 1),
-            proc: "ingest".into(),
-            rows: rows.clone(), // refcount bumps; encode borrows the cells
-            ts: b as i64,
-        })
-        .expect("append");
-    }
-    log.sync().expect("sync");
-    (log.bytes_written(), log.syncs())
 }
 
 /// A fresh scratch directory under the system temp dir.
@@ -494,7 +440,7 @@ pub fn deploy_e13_kv(p: &mut SStore) -> sstore_core::common::Result<()> {
 fn e13_config(dir: &std::path::Path, delta: bool) -> sstore_core::PeConfig {
     use sstore_core::LogConfig;
     // Cap 0 forces full images at every retention point — the pre-PR-8
-    // behavior — without touching the process-global SSTORE_SNAPSHOT env.
+    // behavior.
     let cap = if delta { 64 } else { 0 };
     sstore_core::PeConfig {
         log: Some(LogConfig::new(dir).with_delta_chain_cap(cap)),
@@ -572,14 +518,12 @@ pub fn exp_e13_recovery(
 }
 
 /// E13 cluster leg: populate a `partitions`-way durable cluster with
-/// `count_events` traffic, crash it, and time `Cluster::recover` with
-/// the partition loop forced serial or left parallel (the default).
+/// `count_events` traffic, crash it, and time `Cluster::recover`.
 /// Returns (recovery wall seconds, recovered state matches).
 pub fn exp_e13_cluster_recovery(
     dir: &std::path::Path,
     partitions: usize,
     events: usize,
-    serial: bool,
 ) -> (f64, bool) {
     use sstore_core::{Cluster, RouteSpec};
     let builder = SStoreBuilder::new().durability(dir, 8).log_retention(512);
@@ -611,11 +555,6 @@ pub fn exp_e13_cluster_recovery(
         state.sort();
         state
     }; // crash: cluster dropped
-    if serial {
-        std::env::set_var("SSTORE_RECOVERY", "serial");
-    } else {
-        std::env::remove_var("SSTORE_RECOVERY");
-    }
     let t0 = std::time::Instant::now();
     let cluster = Cluster::recover(
         partitions,
@@ -627,7 +566,6 @@ pub fn exp_e13_cluster_recovery(
     )
     .expect("recover");
     let secs = t0.elapsed().as_secs_f64();
-    std::env::remove_var("SSTORE_RECOVERY");
     let mut state = cluster
         .query_all("SELECT * FROM totals", &[])
         .expect("state");
@@ -875,29 +813,5 @@ pub fn exp_e14_open_loop(
         p50_ms: pct(0.50),
         p95_ms: pct(0.95),
         secs: wall,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The binary log writes a fraction of the JSON byte volume for the
-    /// same records at the same fsync count (E4's write-amplification
-    /// claim, pinned as a regression test).
-    #[test]
-    fn binary_log_halves_write_volume() {
-        let jdir = scratch_dir("bytes-json");
-        let bdir = scratch_dir("bytes-bin");
-        let (json_bytes, json_syncs) = exp_e4_log_append(&jdir, 50, 64, 8, DurabilityFormat::Json);
-        let (bin_bytes, bin_syncs) = exp_e4_log_append(&bdir, 50, 64, 8, DurabilityFormat::Binary);
-        std::fs::remove_dir_all(jdir).ok();
-        std::fs::remove_dir_all(bdir).ok();
-        assert_eq!(json_syncs, bin_syncs, "fsync schedule must match");
-        assert!(
-            bin_bytes * 2 < json_bytes,
-            "binary {bin_bytes}B not < half of JSON {json_bytes}B"
-        );
-        println!("log bytes for 50x64-row records: json={json_bytes} binary={bin_bytes}");
     }
 }

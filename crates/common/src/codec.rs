@@ -1,9 +1,7 @@
 //! Binary codec for the durability path.
 //!
-//! The command log and snapshots originally serialized through JSON text —
-//! debuggable, but every committed batch paid a format/parse tax on rows
-//! that the in-memory pipeline already hands around as shared [`Row`]
-//! handles. This module is the length-prefixed binary replacement:
+//! The command log, snapshots and the coordinator's decision log all use
+//! this one length-prefixed binary format:
 //!
 //! * **varint/LE primitives** — LEB128 unsigned varints, zigzag signed
 //!   varints, little-endian `f64`/`u32`;
@@ -13,15 +11,9 @@
 //!   [`read_frame`] distinguishing a *torn tail* (an incomplete trailing
 //!   frame: the write crashed mid-way, drop it) from *corruption* (a
 //!   complete frame whose CRC fails: stop with an error);
-//! * **file headers** — a 4-byte magic plus a `u32` format version, so
-//!   readers can sniff binary vs legacy-JSON files and refuse formats
-//!   from the future;
-//! * **serde-tree bridge** — [`to_bytes`]/[`from_bytes`] binary-encode the
-//!   vendored serde [`json::Value`] tree, giving every
-//!   `#[derive(Serialize)]` type (catalog, schemas, index definitions) a
-//!   binary form without hand-written codecs. Hot structures (rows, log
-//!   records, index entries) use dedicated codecs instead and never build
-//!   the tree.
+//! * **file headers** — a 4-byte magic plus a `u32` format version;
+//!   [`check_file_header`] refuses any file that is not exactly
+//!   [`CODEC_VERSION`].
 //!
 //! The CRC is CRC-32 (IEEE 802.3, reflected, init/final `0xFFFF_FFFF`) —
 //! the same polynomial gzip and ethernet use.
@@ -42,26 +34,9 @@
 use crate::error::{Error, Result};
 use crate::row::Row;
 use crate::value::Value;
-use serde::{json, Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Format version stamped into every binary log / snapshot header.
-/// Bumped on breaking layout changes; readers reject newer versions.
-///
-/// * **v1** — the PR 4 layout: snapshot catalog metadata travels through
-///   the serde-tree bridge ([`to_bytes`]), command logs know only the
-///   single-sited record tags.
-/// * **v2** — catalog metadata is encoded straight into the frame buffer
-///   (no intermediate tree), and the command log gains the coordinator
-///   record tags ([`REC_PREPARE`], [`REC_DECISION`], [`REC_FORWARD`],
-///   [`REC_EDGE_HW`]). v1 files remain readable: the snapshot decoder
-///   branches on the header version, and v1 logs simply never contain the
-///   new tags.
-/// * **v3** — snapshot meta frames open with a kind byte (full image vs
-///   incremental delta chained to its base by the base's envelope key),
-///   and the coordinator log gains tagged records (decision vs compaction
-///   checkpoint). v1/v2 files remain readable: decoders branch on the
-///   header version, and pre-v3 layouts simply have no kind/tag byte.
+/// Format version stamped into every binary log / snapshot / `coord.log`
+/// header. v3 is the only layout; readers refuse every other version.
 pub const CODEC_VERSION: u32 = 3;
 
 /// Magic bytes opening a binary command log.
@@ -114,76 +89,6 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// approaches this; a larger length in a header is corruption, not a
 /// torn write.
 pub const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
-
-/// On-disk serialization format for the command log and snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DurabilityFormat {
-    /// Length-prefixed binary frames with CRC32 checksums (the default).
-    #[default]
-    Binary,
-    /// The legacy text format (JSON lines / JSON envelope). Kept live for
-    /// back-compat replay of pre-binary durability dirs and for the E6
-    /// json-vs-binary benchmarks.
-    Json,
-}
-
-// ---------------------------------------------------------------------------
-// Codec metrics
-// ---------------------------------------------------------------------------
-
-static TREE_NODES_ENCODED: AtomicU64 = AtomicU64::new(0);
-static TREE_ENCODES: AtomicU64 = AtomicU64::new(0);
-static DIRECT_META_ENCODES: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide counters for the metadata encoding paths.
-///
-/// The serde-tree bridge allocates one [`json::Value`] node per field it
-/// serializes; `tree_nodes_encoded` counts those allocations as they
-/// happen, and `direct_meta_encodes` counts metadata blobs (catalogs,
-/// coordinator records) that went straight to the frame buffer instead.
-/// A hot path that used to pay the bridge shows up as `direct` increments
-/// with a flat `tree_nodes` curve.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CodecMetrics {
-    /// Tree nodes allocated by the serde-tree bridge ([`to_bytes`] /
-    /// [`encode_tree`]) — one per encoded scalar, array, or object.
-    pub tree_nodes_encoded: u64,
-    /// Whole-value encodes that went through the tree bridge.
-    pub tree_encodes: u64,
-    /// Metadata encodes that bypassed the tree and wrote straight into
-    /// the frame buffer (zero intermediate allocations counted above).
-    pub direct_meta_encodes: u64,
-}
-
-impl CodecMetrics {
-    /// Current counter values.
-    pub fn snapshot() -> CodecMetrics {
-        CodecMetrics {
-            tree_nodes_encoded: TREE_NODES_ENCODED.load(Ordering::Relaxed),
-            tree_encodes: TREE_ENCODES.load(Ordering::Relaxed),
-            direct_meta_encodes: DIRECT_META_ENCODES.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Counter deltas since `earlier` (saturating).
-    pub fn since(&self, earlier: &CodecMetrics) -> CodecMetrics {
-        CodecMetrics {
-            tree_nodes_encoded: self
-                .tree_nodes_encoded
-                .saturating_sub(earlier.tree_nodes_encoded),
-            tree_encodes: self.tree_encodes.saturating_sub(earlier.tree_encodes),
-            direct_meta_encodes: self
-                .direct_meta_encodes
-                .saturating_sub(earlier.direct_meta_encodes),
-        }
-    }
-}
-
-/// Record one metadata encode that bypassed the serde-tree bridge.
-/// Called by direct metadata codecs (catalog, coordinator log).
-pub fn count_direct_meta_encode() {
-    DIRECT_META_ENCODES.fetch_add(1, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE)
@@ -240,22 +145,6 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
 /// Append a zigzag-encoded signed varint.
 pub fn put_ivarint(out: &mut Vec<u8>, v: i64) {
     put_uvarint(out, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn put_uvarint128(out: &mut Vec<u8>, mut v: u128) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_ivarint128(out: &mut Vec<u8>, v: i128) {
-    put_uvarint128(out, ((v << 1) ^ (v >> 127)) as u128);
 }
 
 /// Append a length-prefixed byte string.
@@ -361,30 +250,6 @@ impl<'a> Reader<'a> {
         Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
     }
 
-    fn uvarint128(&mut self) -> Result<u128> {
-        let mut v = 0u128;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 128 {
-                return Err(Error::Codec(format!(
-                    "varint overflows u128 at byte {}",
-                    self.pos
-                )));
-            }
-            v |= ((byte & 0x7F) as u128) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn ivarint128(&mut self) -> Result<i128> {
-        let u = self.uvarint128()?;
-        Ok(((u >> 1) as i128) ^ -((u & 1) as i128))
-    }
-
     /// Consume a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.uvarint()?;
@@ -487,120 +352,6 @@ pub fn decode_row(r: &mut Reader<'_>) -> Result<Row> {
 }
 
 // ---------------------------------------------------------------------------
-// serde-tree bridge
-// ---------------------------------------------------------------------------
-
-const TREE_NULL: u8 = 0;
-const TREE_FALSE: u8 = 1;
-const TREE_TRUE: u8 = 2;
-const TREE_INT: u8 = 3;
-const TREE_FLOAT: u8 = 4;
-const TREE_STR: u8 = 5;
-const TREE_ARRAY: u8 = 6;
-const TREE_OBJECT: u8 = 7;
-
-/// Binary-encode a serde [`json::Value`] tree.
-pub fn encode_tree(v: &json::Value, out: &mut Vec<u8>) {
-    TREE_NODES_ENCODED.fetch_add(1, Ordering::Relaxed);
-    match v {
-        json::Value::Null => out.push(TREE_NULL),
-        json::Value::Bool(false) => out.push(TREE_FALSE),
-        json::Value::Bool(true) => out.push(TREE_TRUE),
-        json::Value::Int(i) => {
-            out.push(TREE_INT);
-            put_ivarint128(out, *i);
-        }
-        json::Value::Float(f) => {
-            out.push(TREE_FLOAT);
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-        json::Value::Str(s) => {
-            out.push(TREE_STR);
-            put_str(out, s);
-        }
-        json::Value::Array(items) => {
-            out.push(TREE_ARRAY);
-            put_uvarint(out, items.len() as u64);
-            for item in items {
-                encode_tree(item, out);
-            }
-        }
-        json::Value::Object(entries) => {
-            out.push(TREE_OBJECT);
-            put_uvarint(out, entries.len() as u64);
-            for (k, v) in entries {
-                put_str(out, k);
-                encode_tree(v, out);
-            }
-        }
-    }
-}
-
-/// Decode a serde [`json::Value`] tree.
-pub fn decode_tree(r: &mut Reader<'_>) -> Result<json::Value> {
-    let at = r.pos();
-    match r.u8()? {
-        TREE_NULL => Ok(json::Value::Null),
-        TREE_FALSE => Ok(json::Value::Bool(false)),
-        TREE_TRUE => Ok(json::Value::Bool(true)),
-        TREE_INT => Ok(json::Value::Int(r.ivarint128()?)),
-        TREE_FLOAT => Ok(json::Value::Float(r.f64_le()?)),
-        TREE_STR => Ok(json::Value::Str(r.str()?.to_string())),
-        TREE_ARRAY => {
-            let n = r.uvarint()? as usize;
-            if n > r.remaining() {
-                return Err(Error::Codec(format!(
-                    "array length {n} exceeds remaining input at byte {at}"
-                )));
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_tree(r)?);
-            }
-            Ok(json::Value::Array(items))
-        }
-        TREE_OBJECT => {
-            let n = r.uvarint()? as usize;
-            if n > r.remaining() {
-                return Err(Error::Codec(format!(
-                    "object length {n} exceeds remaining input at byte {at}"
-                )));
-            }
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = r.str()?.to_string();
-                entries.push((k, decode_tree(r)?));
-            }
-            Ok(json::Value::Object(entries))
-        }
-        tag => Err(Error::Codec(format!("unknown tree tag {tag} at byte {at}"))),
-    }
-}
-
-/// Binary-encode any `#[derive(Serialize)]` type through its serde tree.
-/// Use for cold metadata (catalogs, schemas, index definitions); hot data
-/// has dedicated codecs that skip the tree.
-pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    TREE_ENCODES.fetch_add(1, Ordering::Relaxed);
-    let mut out = Vec::new();
-    encode_tree(&value.to_json(), &mut out);
-    out
-}
-
-/// Decode a type previously encoded with [`to_bytes`].
-pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T> {
-    let mut r = Reader::new(bytes);
-    let tree = decode_tree(&mut r)?;
-    if !r.is_empty() {
-        return Err(Error::Codec(format!(
-            "{} trailing bytes after encoded tree",
-            r.remaining()
-        )));
-    }
-    T::from_json(&tree).map_err(|e| Error::Codec(format!("decode: {e}")))
-}
-
-// ---------------------------------------------------------------------------
 // File headers and frames
 // ---------------------------------------------------------------------------
 
@@ -610,15 +361,9 @@ pub fn put_file_header(out: &mut Vec<u8>, magic: [u8; 4]) {
     out.extend_from_slice(&CODEC_VERSION.to_le_bytes());
 }
 
-/// True when `bytes` begins with the given magic (a binary file of that
-/// kind, any version).
-pub fn has_magic(bytes: &[u8], magic: [u8; 4]) -> bool {
-    bytes.len() >= 4 && bytes[..4] == magic
-}
-
-/// Consume and validate a file header, returning the format version.
-/// Rejects wrong magic and versions from the future.
-pub fn check_file_header(r: &mut Reader<'_>, magic: [u8; 4]) -> Result<u32> {
+/// Consume and validate a file header. Rejects a wrong magic and every
+/// version but [`CODEC_VERSION`].
+pub fn check_file_header(r: &mut Reader<'_>, magic: [u8; 4]) -> Result<()> {
     let got = r.take(4)?;
     if got != magic {
         return Err(Error::Codec(format!(
@@ -627,12 +372,12 @@ pub fn check_file_header(r: &mut Reader<'_>, magic: [u8; 4]) -> Result<u32> {
         )));
     }
     let version = r.u32_le()?;
-    if version > CODEC_VERSION {
+    if version != CODEC_VERSION {
         return Err(Error::Codec(format!(
-            "format version {version} is newer than supported ({CODEC_VERSION})"
+            "format version {version} is not supported (only v{CODEC_VERSION} is)"
         )));
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Reserve a frame header in `out` and return a position token for
@@ -847,7 +592,7 @@ mod tests {
         put_frame(&mut buf, b"world");
 
         let mut r = Reader::new(&buf);
-        assert_eq!(check_file_header(&mut r, LOG_MAGIC).unwrap(), CODEC_VERSION);
+        check_file_header(&mut r, LOG_MAGIC).unwrap();
         assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"hello")));
         assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"world")));
         assert!(matches!(read_frame(&mut r), FrameRead::Eof));
@@ -933,22 +678,11 @@ mod tests {
     }
 
     #[test]
-    fn tree_bridge_round_trips_derived_types() {
-        use crate::ids::BatchId;
-        let v: Vec<(String, Option<BatchId>)> =
-            vec![("a".into(), Some(BatchId::new(7))), ("b".into(), None)];
-        let bytes = to_bytes(&v);
-        let back: Vec<(String, Option<BatchId>)> = from_bytes(&bytes).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
     fn decode_never_panics_on_garbage() {
         // Any byte soup must produce Err, not a panic or huge allocation.
         let garbage: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0xA5).collect();
         let _ = decode_value(&mut Reader::new(&garbage));
         let _ = decode_row(&mut Reader::new(&garbage));
-        let _ = decode_tree(&mut Reader::new(&garbage));
         let mut r = Reader::new(&garbage);
         while let FrameRead::Frame(_) = read_frame(&mut r) {}
     }

@@ -20,7 +20,6 @@ pub mod types;
 pub mod value;
 
 pub use clock::Clock;
-pub use codec::{CodecMetrics, DurabilityFormat};
 pub use error::{Error, Result};
 pub use ids::{BatchId, PartitionId, ProcId, TableId, TxnId};
 pub use row::{Batch, Row, RowMetrics};

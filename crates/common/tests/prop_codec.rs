@@ -127,21 +127,7 @@ proptest! {
     fn garbage_decodes_fail_cleanly(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = codec::decode_value(&mut Reader::new(&bytes));
         let _ = codec::decode_row(&mut Reader::new(&bytes));
-        let _ = codec::decode_tree(&mut Reader::new(&bytes));
         let mut r = Reader::new(&bytes);
         while let FrameRead::Frame(_) = codec::read_frame(&mut r) {}
-    }
-
-    /// The serde-tree bridge round-trips every shape the JSON tree can
-    /// take (this is what catalogs/schemas ride through).
-    #[test]
-    fn tree_bridge_round_trips(rows in prop::collection::vec(arb_row(), 0..6)) {
-        use serde::{Deserialize, Serialize};
-        let tree = rows.to_json();
-        let mut buf = Vec::new();
-        codec::encode_tree(&tree, &mut buf);
-        let back = codec::decode_tree(&mut Reader::new(&buf)).unwrap();
-        let rows_back = Vec::<Row>::from_json(&back).unwrap();
-        prop_assert_eq!(rows_back.len(), rows.len());
     }
 }

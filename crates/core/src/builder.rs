@@ -1,7 +1,7 @@
 //! Fluent configuration for an S-Store instance.
 
 use crate::SStore;
-use sstore_common::{DurabilityFormat, PartitionId, Result};
+use sstore_common::{PartitionId, Result};
 use sstore_engine::EeConfig;
 use sstore_txn::log::{LogConfig, LogRetention};
 use sstore_txn::{ExecMode, PeConfig};
@@ -15,8 +15,6 @@ use std::path::Path;
 #[derive(Debug, Clone, Default)]
 pub struct SStoreBuilder {
     config: PeConfig,
-    /// Format chosen by `log_format` before `durability` was called.
-    pending_format: Option<DurabilityFormat>,
 }
 
 impl SStoreBuilder {
@@ -75,27 +73,12 @@ impl SStoreBuilder {
     }
 
     /// Enable command logging + snapshots under `dir`, fsyncing every
-    /// `group_commit_n` records. The on-disk format defaults to the
-    /// length-prefixed binary codec; see [`SStoreBuilder::log_format`].
+    /// `group_commit_n` records.
     pub fn durability(mut self, dir: impl AsRef<Path>, group_commit_n: usize) -> Self {
-        let format = self.pending_format.unwrap_or_default();
-        self.config.log = Some(
-            LogConfig::with_group_commit(dir.as_ref().to_path_buf(), group_commit_n)
-                .with_format(format),
-        );
-        self
-    }
-
-    /// Choose the durability serialization format: [`DurabilityFormat::Binary`]
-    /// (CRC-framed, the default) or the legacy [`DurabilityFormat::Json`]
-    /// (kept live for back-compat dirs and the E6 json-vs-binary
-    /// benchmarks). Composes with [`SStoreBuilder::durability`] in either
-    /// order; without `durability` the format has nothing to apply to.
-    pub fn log_format(mut self, format: DurabilityFormat) -> Self {
-        self.pending_format = Some(format);
-        if let Some(log) = &mut self.config.log {
-            log.format = format;
-        }
+        self.config.log = Some(LogConfig::with_group_commit(
+            dir.as_ref().to_path_buf(),
+            group_commit_n,
+        ));
         self
     }
 
@@ -168,28 +151,5 @@ mod tests {
         assert_eq!(c.client_trip_cost_micros, 10);
         assert_eq!(c.ee_trip_cost_micros, 5);
         assert_eq!(c.log.as_ref().unwrap().group_commit_n, 8);
-        assert_eq!(
-            c.log.as_ref().unwrap().format,
-            DurabilityFormat::Binary,
-            "binary is the default durability format"
-        );
-    }
-
-    #[test]
-    fn log_format_composes_with_durability_in_either_order() {
-        let before = SStoreBuilder::new()
-            .log_format(DurabilityFormat::Json)
-            .durability("/tmp/sstore-builder-fmt-a", 4);
-        assert_eq!(
-            before.config().log.as_ref().unwrap().format,
-            DurabilityFormat::Json
-        );
-        let after = SStoreBuilder::new()
-            .durability("/tmp/sstore-builder-fmt-b", 4)
-            .log_format(DurabilityFormat::Json);
-        assert_eq!(
-            after.config().log.as_ref().unwrap().format,
-            DurabilityFormat::Json
-        );
     }
 }

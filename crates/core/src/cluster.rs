@@ -41,8 +41,8 @@
 //! forwards dedupe by high-water mark, 2PC fragments resolve against the
 //! coordinator's decision log), or `→ Down` when the partition is
 //! non-durable, recovery fails, or the restart budget
-//! (`SSTORE_MAX_WORKER_RESTARTS`, default 3) is spent. A down partition
-//! resolves everything queued or subsequently sent with typed
+//! (`MAX_WORKER_RESTARTS`, 3) is spent. A down partition resolves
+//! everything queued or subsequently sent with typed
 //! [`Error::PartitionDown`] — clients never panic and never hang.
 //!
 //! In-flight work at the moment of the crash resolves by **provable
@@ -114,8 +114,7 @@
 //! Recovery rebuilds the partitions **in parallel** — each replays its
 //! own `p{i}` log on a scoped thread against the shared decision map —
 //! and only wires the workers (whose startup re-forwards unacked edge
-//! envelopes) once every partition is up. `SSTORE_RECOVERY=serial`
-//! forces the sequential loop for A/B measurement (benchmark E13).
+//! envelopes) once every partition is up.
 //!
 //! # Cross-partition workflow edges
 //!
@@ -538,10 +537,7 @@ impl Cluster {
                 Ok(p)
             }
         };
-        let parallel = recover
-            && n > 1
-            && !matches!(std::env::var("SSTORE_RECOVERY").as_deref(), Ok("serial"));
-        let partitions: Vec<SStore> = if parallel {
+        let partitions: Vec<SStore> = if recover && n > 1 {
             obs::timed_phase("recovery.parallel_join", || {
                 std::thread::scope(|s| {
                     let handles: Vec<_> = (0..n)
@@ -1193,15 +1189,10 @@ impl Drop for Cluster {
     }
 }
 
-/// `SSTORE_MAX_WORKER_RESTARTS` bounds how many times one partition's
-/// supervisor will re-run recovery before declaring the partition down
-/// (default 3 — a deterministic crash must not restart forever).
-fn restart_budget() -> u32 {
-    std::env::var("SSTORE_MAX_WORKER_RESTARTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-}
+/// How many times one partition's supervisor will re-run recovery before
+/// declaring the partition down — a deterministic crash must not restart
+/// forever.
+const MAX_WORKER_RESTARTS: u32 = 3;
 
 /// Push every outbox envelope to the hub. Counted into `in_flight`
 /// *before* the send so quiesce can never observe a gap.
@@ -1258,7 +1249,6 @@ fn supervised_worker(ctx: WorkerCtx, first: SStore) {
     let mut pending: VecDeque<WorkerMsg> = VecDeque::new();
     let mut crash = CrashCtx::default();
     let mut restarts_here = 0u32;
-    let budget = restart_budget();
     loop {
         let db = match db_slot.take() {
             Some(db) => db,
@@ -1353,16 +1343,16 @@ fn supervised_worker(ctx: WorkerCtx, first: SStore) {
 
         // (5) Restart or go down.
         let durable = ctx.builder.config().log.is_some();
-        if closed || !durable || restarts_here >= budget {
+        if closed || !durable || restarts_here >= MAX_WORKER_RESTARTS {
             if !durable {
                 slog!(
                     Error, partition = ctx.id.raw();
                     "partition is non-durable and cannot be restarted; down"
                 );
-            } else if restarts_here >= budget {
+            } else if restarts_here >= MAX_WORKER_RESTARTS {
                 slog!(
                     Error, partition = ctx.id.raw();
-                    "partition spent its restart budget ({budget}); down"
+                    "partition spent its restart budget ({MAX_WORKER_RESTARTS}); down"
                 );
             }
             down_tombstone(&ctx, &mut pending);

@@ -83,52 +83,40 @@ pub struct CoordState {
     pub next_gtid: u64,
 }
 
-// v3 record tags (one byte opening each frame payload). v2 files carry
-// untagged decision payloads; `CoordinatorLog::open` sniffs the header so
-// appends to an old file keep the format its readers expect.
+// Record tags (one byte opening each frame payload).
 const TAG_DECISION: u8 = 0;
 const TAG_CHECKPOINT: u8 = 1;
 
 /// Append-only durable decision log: `[SSCO magic + version]` then one
-/// CRC32 frame per decision, each encoded straight into the frame buffer
-/// (no serde tree). A torn trailing frame is an interrupted decision
-/// write — the decision was never acknowledged, so dropping it (and
-/// presuming abort) is exactly correct.
+/// tagged CRC32 frame per decision (or compaction checkpoint), each
+/// encoded straight into the frame buffer. A torn trailing frame is an
+/// interrupted decision write — the decision was never acknowledged, so
+/// dropping it (and presuming abort) is exactly correct.
 #[derive(Debug)]
 pub struct CoordinatorLog {
     file: File,
     path: PathBuf,
-    /// Header version of the file being appended to. v2 files take
-    /// untagged decision records (their readers know nothing else); v3
-    /// files take tagged records and checkpoint frames.
-    version: u32,
 }
 
 impl CoordinatorLog {
-    /// Open (creating if absent) `coord.log` under `dir`.
+    /// Open (creating if absent) `coord.log` under `dir`. An existing file
+    /// must begin with a valid `SSCO` v3 header; any other file is refused
+    /// with [`Error::Recovery`] and left untouched.
     pub fn open(dir: &Path) -> Result<CoordinatorLog> {
         fs::create_dir_all(dir)?;
         let path = dir.join("coord.log");
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let version = if file.metadata()?.len() == 0 {
+        if file.metadata()?.len() == 0 {
             let mut header = Vec::new();
             codec::put_file_header(&mut header, codec::COORD_MAGIC);
             let mut f = &file;
             f.write_all(&header)?;
             file.sync_data()?;
-            codec::CODEC_VERSION
         } else {
-            // Appends must match the format the existing header declares.
             let head = fs::read(&path)?;
-            let mut r = codec::Reader::new(&head[..head.len().min(codec::FILE_HEADER_LEN)]);
-            codec::check_file_header(&mut r, codec::COORD_MAGIC)
-                .map_err(|e| Error::Recovery(format!("coordinator log header: {e}")))?
-        };
-        Ok(CoordinatorLog {
-            file,
-            path,
-            version,
-        })
+            check_header(&mut codec::Reader::new(&head))?;
+        }
+        Ok(CoordinatorLog { file, path })
     }
 
     /// Path of the log file.
@@ -154,12 +142,9 @@ impl CoordinatorLog {
         commit: bool,
         participants: &[PartitionId],
     ) -> Result<()> {
-        codec::count_direct_meta_encode();
         let mut buf = Vec::new();
         let frame = codec::begin_frame(&mut buf);
-        if self.version >= 3 {
-            buf.push(TAG_DECISION);
-        }
+        buf.push(TAG_DECISION);
         codec::put_uvarint(&mut buf, gtid);
         buf.push(commit as u8);
         codec::put_uvarint(&mut buf, participants.len() as u64);
@@ -235,16 +220,14 @@ impl CoordinatorLog {
             });
         }
         let mut r = codec::Reader::new(&bytes);
-        let version = codec::check_file_header(&mut r, codec::COORD_MAGIC)
-            .map_err(|e| Error::Recovery(format!("coordinator log header: {e}")))?;
+        check_header(&mut r)?;
         let mut decisions = HashMap::new();
         let mut floor = 0u64;
         loop {
             match codec::read_frame(&mut r) {
                 FrameRead::Frame(payload) => {
                     let mut pr = codec::Reader::new(payload);
-                    let tag = if version >= 3 { pr.u8()? } else { TAG_DECISION };
-                    match tag {
+                    match pr.u8()? {
                         TAG_DECISION => {
                             let gtid = pr.uvarint()?;
                             let commit = pr.u8()? != 0;
@@ -311,9 +294,14 @@ impl CoordinatorLog {
         fs::rename(&tmp, &self.path)?;
         // The old handle points at the unlinked inode; reopen for append.
         self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.version = codec::CODEC_VERSION;
         Ok(())
     }
+}
+
+/// Validate the `SSCO` v3 file header, refusing anything else.
+fn check_header(r: &mut codec::Reader<'_>) -> Result<()> {
+    codec::check_file_header(r, codec::COORD_MAGIC)
+        .map_err(|e| Error::Recovery(format!("coordinator log header: {e}")))
 }
 
 /// Coordinator state: the gtid sequence, the optional decision log, and
@@ -485,13 +473,12 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
-    /// A pre-compaction (v2) log — untagged decision payloads — reads
-    /// through the version branch, and appends to it stay untagged so
-    /// the file remains self-consistent.
+    /// A pre-compaction (v2) log — untagged decision payloads — is
+    /// refused by both the reader and the writer, and its bytes are left
+    /// unchanged.
     #[test]
     fn v2_log_reads_and_appends_back_compat() {
         let dir = tempdir("v2");
-        fs::create_dir_all(&dir).unwrap();
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&codec::COORD_MAGIC);
         bytes.extend_from_slice(&2u32.to_le_bytes());
@@ -502,18 +489,12 @@ mod tests {
         codec::end_frame(&mut bytes, frame);
         fs::write(dir.join("coord.log"), &bytes).unwrap();
 
-        let state = CoordinatorLog::read(&dir).unwrap();
-        assert_eq!(state.decisions.get(&7), Some(&true));
-        assert_eq!(state.next_gtid, 8);
-
-        let mut log = CoordinatorLog::open(&dir).unwrap();
-        log.append_decision(8, true, &[PartitionId::new(0)])
-            .unwrap();
-        drop(log);
-        let state = CoordinatorLog::read(&dir).unwrap();
-        assert_eq!(state.decisions.len(), 2);
-        assert_eq!(state.decisions.get(&8), Some(&true));
-        assert_eq!(state.next_gtid, 9);
+        let err = CoordinatorLog::read(&dir).unwrap_err();
+        assert_eq!(err.kind(), "recovery");
+        assert!(err.to_string().contains("version 2"), "{err}");
+        let err = CoordinatorLog::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), "recovery");
+        assert_eq!(fs::read(dir.join("coord.log")).unwrap(), bytes);
         fs::remove_dir_all(dir).ok();
     }
 

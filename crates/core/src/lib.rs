@@ -87,5 +87,4 @@ pub mod common {
 
 /// Re-export of the durability configuration and command-log machinery
 /// (the log types are public for benches and durability tooling).
-pub use sstore_common::DurabilityFormat;
 pub use sstore_txn::log::{read_log, CommandLog, LogConfig, LogRecord, LogRetention};

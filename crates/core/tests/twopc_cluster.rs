@@ -684,7 +684,7 @@ fn participant_crash_after_decision_logged_replays_the_commit() {
 ///
 /// A supervised worker would restart from disk on its own and re-log the
 /// decision before `Cluster::recover` saw the directory, so each worker's
-/// restart budget (3, `SSTORE_MAX_WORKER_RESTARTS` unset) is spent first:
+/// restart budget (`MAX_WORKER_RESTARTS`, 3) is spent first:
 /// the kill then leaves the partitions down and the disk untouched.
 #[test]
 fn participant_crash_with_decision_still_buffered_commits_from_coord_log() {

@@ -84,7 +84,7 @@ pub struct ColAgg {
 /// from a scan before use (the state of affairs after snapshot decode,
 /// or after a mutation path that does not carry undo information). It is
 /// deliberately excluded from equality comparisons and serialized as
-/// JSON `null` so every persistent format is unchanged.
+/// JSON `null`.
 #[derive(Debug, Clone, Default)]
 pub struct WindowAggState {
     /// False = state unknown; rebuild before trusting `rows`/`cols`.
@@ -208,8 +208,8 @@ impl PartialEq for WindowAggState {
 }
 impl Eq for WindowAggState {}
 
-/// Serialized as JSON `null` (derived cache, rebuilt on demand), so log
-/// and snapshot formats are byte-identical with or without the field.
+/// Serialized as JSON `null` (derived cache, rebuilt on demand), so the
+/// serialized form is identical with or without the field.
 impl Serialize for WindowAggState {
     fn to_json(&self) -> json::Value {
         json::Value::Null
@@ -390,12 +390,10 @@ impl Catalog {
         self.metas.is_empty()
     }
 
-    /// Binary-encode the whole catalog straight into `out` — no serde
-    /// tree. `by_name` is not serialized (it is derivable from the metas),
-    /// so the encoding is deterministic regardless of hash-map iteration
-    /// order, unlike the tree-bridge form it replaces.
+    /// Binary-encode the whole catalog straight into `out`. `by_name` is
+    /// not serialized (it is derivable from the metas), so the encoding is
+    /// deterministic regardless of hash-map iteration order.
     pub fn encode_binary(&self, out: &mut Vec<u8>) {
-        codec::count_direct_meta_encode();
         codec::put_uvarint(out, self.metas.len() as u64);
         for m in &self.metas {
             codec::put_str(out, &m.name);

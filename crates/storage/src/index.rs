@@ -118,7 +118,7 @@ impl KeyRef<'_> {
 
 impl Index {
     /// Binary snapshot encoding: the definition followed by the entries,
-    /// all in the compact binary codec (no serde tree anywhere since v2).
+    /// all in the compact binary codec.
     /// Hash-index entries are sorted by key so the encoding is
     /// deterministic; within an entry the row-id list keeps its exact
     /// order (lookup results are order-sensitive).
@@ -158,33 +158,28 @@ impl Index {
         }
     }
 
-    /// Decode an index encoded by [`Index::encode_binary`]. `version` is
-    /// the snapshot header version (v1 carried the definition through the
-    /// serde-tree bridge). Entries are loaded verbatim (no uniqueness
-    /// re-checks: the data already passed them when it was live).
-    pub fn decode_binary(r: &mut codec::Reader<'_>, version: u32) -> Result<Index> {
-        let def: IndexDef = if version >= 2 {
-            let name = r.str()?.to_string();
-            let n = r.uvarint()? as usize;
-            if n > r.remaining() {
-                return Err(sstore_common::Error::Codec(format!(
-                    "index key-column count {n} exceeds remaining input"
-                )));
-            }
-            let mut key_cols = Vec::with_capacity(n);
-            for _ in 0..n {
-                key_cols.push(r.uvarint()? as usize);
-            }
-            let unique = r.u8()? != 0;
-            let ordered = r.u8()? != 0;
-            IndexDef {
-                name,
-                key_cols,
-                unique,
-                ordered,
-            }
-        } else {
-            codec::from_bytes(r.bytes()?)?
+    /// Decode an index encoded by [`Index::encode_binary`]. Entries are
+    /// loaded verbatim (no uniqueness re-checks: the data already passed
+    /// them when it was live).
+    pub fn decode_binary(r: &mut codec::Reader<'_>) -> Result<Index> {
+        let name = r.str()?.to_string();
+        let n = r.uvarint()? as usize;
+        if n > r.remaining() {
+            return Err(Error::Codec(format!(
+                "index key-column count {n} exceeds remaining input"
+            )));
+        }
+        let mut key_cols = Vec::with_capacity(n);
+        for _ in 0..n {
+            key_cols.push(r.uvarint()? as usize);
+        }
+        let unique = r.u8()? != 0;
+        let ordered = r.u8()? != 0;
+        let def = IndexDef {
+            name,
+            key_cols,
+            unique,
+            ordered,
         };
         let n_entries = r.uvarint()? as usize;
         let mut entries = Vec::with_capacity(n_entries.min(r.remaining()));

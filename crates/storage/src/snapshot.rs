@@ -5,43 +5,28 @@
 //! S-Store inherits that machinery; the recovery module in `sstore-txn`
 //! loads the latest snapshot and replays the command log from there.
 //!
-//! Two on-disk formats are live ([`sstore_common::DurabilityFormat`]):
-//!
-//! * **Binary** (default): a `SSNP` magic + version header, then CRC32
-//!   frames — one metadata frame (envelope fields + the catalog through
-//!   the serde-tree bridge) followed by one frame per table in the
-//!   compact value codec (`sstore_common::codec`). Row encoding borrows
-//!   the shared COW cells, so capturing + encoding never deep-copies
-//!   tuples.
-//! * **Json**: the legacy versioned JSON envelope, kept for back-compat
-//!   reads of pre-binary durability dirs and the E6 json-vs-binary
-//!   benchmarks.
-//!
-//! [`Snapshot::read_from`] sniffs the magic, so either format loads
-//! transparently. The envelope records enough metadata (`last_txn`,
-//! `last_batch`, `clock_micros`) for replay to resume exactly.
+//! On disk a snapshot is a `SSNP` magic + version header, then CRC32
+//! frames — one metadata frame (kind byte, envelope fields, catalog)
+//! followed by one frame per table in the compact value codec
+//! (`sstore_common::codec`). Row encoding borrows the shared COW cells, so
+//! capturing + encoding never deep-copies tuples. The envelope records
+//! enough metadata (`last_txn`, `last_batch`, `clock_micros`) for replay to
+//! resume exactly. [`Snapshot::read_from`] refuses any file that is not
+//! codec v3.
 
 use crate::catalog::Catalog;
 use crate::database::Database;
 use crate::table::{SlotOp, Table, TableDirt};
-use serde::{Deserialize, Serialize};
 use sstore_common::codec::{self, FrameRead};
 use sstore_common::fault;
-use sstore_common::{BatchId, DurabilityFormat, Error, Result, TxnId};
+use sstore_common::{BatchId, Error, Result, TxnId};
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Snapshot format version; bumped on breaking layout changes. The binary
-/// format carries its own version in the file header
-/// ([`codec::CODEC_VERSION`]); this constant versions the JSON envelope.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
 /// A consistent point-in-time image of one partition.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Snapshot {
-    /// Format version (must equal [`SNAPSHOT_VERSION`]).
-    pub version: u32,
     /// Highest transaction id included in the image.
     pub last_txn: Option<TxnId>,
     /// Highest border-input batch id fully applied in the image.
@@ -61,7 +46,6 @@ impl Snapshot {
         clock_micros: i64,
     ) -> Self {
         Snapshot {
-            version: SNAPSHOT_VERSION,
             last_txn,
             last_batch,
             clock_micros,
@@ -69,14 +53,9 @@ impl Snapshot {
         }
     }
 
-    /// Write to `path` atomically (write temp + rename) in `format`.
-    pub fn write_to(&self, path: &Path, format: DurabilityFormat) -> Result<()> {
-        let bytes = match format {
-            DurabilityFormat::Binary => self.encode_binary(),
-            DurabilityFormat::Json => serde_json::to_string(self)
-                .map_err(|e| Error::Io(format!("snapshot encode: {e}")))?
-                .into_bytes(),
-        };
+    /// Write to `path` atomically (write temp + rename).
+    pub fn write_to(&self, path: &Path) -> Result<()> {
+        let bytes = self.encode_binary();
         if let Some(e) = fault::io_error("snapshot-io-error") {
             // Injected temp-file write failure: nothing reached the real
             // name, so recovery still reads the previous image (or none)
@@ -98,27 +77,14 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Load from `path`, sniffing the format by its magic and verifying
-    /// the version. Any codec or checksum failure surfaces as a recovery
-    /// error: snapshots are written atomically (temp + rename), so unlike
-    /// a command-log tail there is no benign torn-write case.
+    /// Load from `path`, verifying magic, version and checksums. Any
+    /// failure — including a file of another format or codec version —
+    /// surfaces as a recovery error: snapshots are written atomically
+    /// (temp + rename), so unlike a command-log tail there is no benign
+    /// torn-write case.
     pub fn read_from(path: &Path) -> Result<Snapshot> {
         let bytes = fs::read(path)?;
-        if codec::has_magic(&bytes, codec::SNAPSHOT_MAGIC) {
-            return Self::decode_binary(&bytes)
-                .map_err(|e| Error::Recovery(format!("snapshot decode: {e}")));
-        }
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|e| Error::Recovery(format!("snapshot decode: {e}")))?;
-        let snap: Snapshot = serde_json::from_str(text)
-            .map_err(|e| Error::Recovery(format!("snapshot decode: {e}")))?;
-        if snap.version != SNAPSHOT_VERSION {
-            return Err(Error::Recovery(format!(
-                "snapshot version {} unsupported (expected {SNAPSHOT_VERSION})",
-                snap.version
-            )));
-        }
-        Ok(snap)
+        Self::decode_binary(&bytes).map_err(|e| Error::Recovery(format!("snapshot decode: {e}")))
     }
 
     /// The chain-identity key of this image: the envelope triple. Every
@@ -137,11 +103,8 @@ impl Snapshot {
     fn encode_binary(&self) -> Vec<u8> {
         let mut out = Vec::new();
         codec::put_file_header(&mut out, codec::SNAPSHOT_MAGIC);
-        // Metadata frame: kind byte (v3: full image vs delta), envelope
-        // fields, catalog, table count. The catalog is encoded straight
-        // into the frame buffer (v2) — the serde-tree bridge the v1
-        // layout used allocated an intermediate tree node per catalog
-        // field on every snapshot.
+        // Metadata frame: kind byte (full image vs delta), envelope
+        // fields, catalog, table count.
         let meta = codec::begin_frame(&mut out);
         out.push(KIND_FULL);
         encode_opt_u64(&mut out, self.last_txn.map(TxnId::raw));
@@ -161,40 +124,29 @@ impl Snapshot {
 
     fn decode_binary(bytes: &[u8]) -> Result<Snapshot> {
         let mut r = codec::Reader::new(bytes);
-        let version = codec::check_file_header(&mut r, codec::SNAPSHOT_MAGIC)?;
+        codec::check_file_header(&mut r, codec::SNAPSHOT_MAGIC)?;
         let meta = next_frame(&mut r)?;
         let mut m = codec::Reader::new(meta);
-        // v3 opens the meta frame with a kind byte; pre-v3 images are
-        // implicitly full.
-        if version >= 3 {
-            let kind = m.u8()?;
-            if kind != KIND_FULL {
-                return Err(Error::Codec(format!(
-                    "expected a full snapshot image, found kind {kind} \
-                     (a delta cannot load without its base)"
-                )));
-            }
+        let kind = m.u8()?;
+        if kind != KIND_FULL {
+            return Err(Error::Codec(format!(
+                "expected a full snapshot image, found kind {kind} \
+                 (a delta cannot load without its base)"
+            )));
         }
         let last_txn = decode_opt_u64(&mut m)?.map(TxnId::new);
         let last_batch = decode_opt_u64(&mut m)?.map(BatchId::new);
         let clock_micros = m.ivarint()?;
-        // v1 images carried the catalog through the serde-tree bridge
-        // (length-prefixed); v2+ encode it directly into the frame.
-        let catalog = if version >= 2 {
-            Catalog::decode_binary(&mut m)?
-        } else {
-            codec::from_bytes(m.bytes()?)?
-        };
+        let catalog = Catalog::decode_binary(&mut m)?;
         let table_count = m.uvarint()? as usize;
         let mut tables = Vec::with_capacity(table_count.min(bytes.len()));
         for i in 0..table_count {
             let payload = next_frame(&mut r)
                 .map_err(|e| Error::Codec(format!("table {i}/{table_count}: {e}")))?;
             let mut tr = codec::Reader::new(payload);
-            tables.push(Table::decode_binary(&mut tr, version)?);
+            tables.push(Table::decode_binary(&mut tr)?);
         }
         Ok(Snapshot {
-            version: SNAPSHOT_VERSION,
             last_txn,
             last_batch,
             clock_micros,
@@ -203,9 +155,9 @@ impl Snapshot {
     }
 }
 
-/// Meta-frame kind byte (v3+): a self-contained full image.
+/// Meta-frame kind byte: a self-contained full image.
 const KIND_FULL: u8 = 0;
-/// Meta-frame kind byte (v3+): an incremental delta chained to a base.
+/// Meta-frame kind byte: an incremental delta chained to a base.
 const KIND_DELTA: u8 = 1;
 
 /// Table-delta mode: replay a journaled op sequence against the base.
@@ -236,7 +188,7 @@ enum TableDelta {
 /// An incremental snapshot: only what changed since the predecessor
 /// image, chained to it by the predecessor's [`SnapshotKey`]. On disk it
 /// shares the `SSNP` header with full images; the meta frame's kind byte
-/// (v3) tells them apart, so a delta can never be mistaken for a base.
+/// tells them apart, so a delta can never be mistaken for a base.
 pub struct SnapshotDelta {
     /// Key of the image this delta chains onto.
     pub base: SnapshotKey,
@@ -296,8 +248,7 @@ impl SnapshotDelta {
         }
     }
 
-    /// Write to `path` atomically (write temp + rename). Deltas are
-    /// binary-only: the JSON envelope stays a full-image format.
+    /// Write to `path` atomically (write temp + rename).
     pub fn write_to(&self, path: &Path) -> Result<()> {
         let bytes = self.encode_binary();
         if let Some(e) = fault::io_error("snapshot-io-error") {
@@ -366,12 +317,7 @@ impl SnapshotDelta {
 
     fn decode_binary(bytes: &[u8]) -> Result<SnapshotDelta> {
         let mut r = codec::Reader::new(bytes);
-        let version = codec::check_file_header(&mut r, codec::SNAPSHOT_MAGIC)?;
-        if version < 3 {
-            return Err(Error::Codec(format!(
-                "snapshot delta requires header v3+, found v{version}"
-            )));
-        }
+        codec::check_file_header(&mut r, codec::SNAPSHOT_MAGIC)?;
         let meta = next_frame(&mut r)?;
         let mut m = codec::Reader::new(meta);
         let kind = m.u8()?;
@@ -407,7 +353,7 @@ impl SnapshotDelta {
                     }
                     TableDelta::Ops(ops)
                 }
-                MODE_FULL => TableDelta::Full(Box::new(Table::decode_binary(&mut tr, version)?)),
+                MODE_FULL => TableDelta::Full(Box::new(Table::decode_binary(&mut tr)?)),
                 mode => {
                     return Err(Error::Codec(format!(
                         "bad table-delta mode {mode} for table {tid}"
@@ -591,127 +537,65 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_both_formats() {
-        for format in [DurabilityFormat::Binary, DurabilityFormat::Json] {
-            let dir = tempdir();
-            let path = dir.join("snap.dat");
-            let db = sample_db();
-            let snap = Snapshot::capture(&db, Some(TxnId::new(7)), Some(BatchId::new(3)), 123);
-            snap.write_to(&path, format).unwrap();
-
-            let loaded = Snapshot::read_from(&path).unwrap();
-            assert_eq!(loaded.last_txn, Some(TxnId::new(7)));
-            assert_eq!(loaded.last_batch, Some(BatchId::new(3)));
-            assert_eq!(loaded.clock_micros, 123);
-            let t = loaded.database.resolve("t").unwrap();
-            assert_eq!(loaded.database.table(t).unwrap().len(), 10);
-            // Indexes survive the round trip.
-            assert!(loaded
-                .database
-                .table(t)
-                .unwrap()
-                .pk_lookup(&[Value::Int(5)])
-                .is_some());
-            fs::remove_dir_all(dir).ok();
-        }
-    }
-
-    #[test]
-    fn binary_and_json_load_identical_state() {
         let dir = tempdir();
+        let path = dir.join("snap.dat");
         let db = sample_db();
-        let snap = Snapshot::capture(&db, Some(TxnId::new(2)), None, 5);
-        let bin = dir.join("snap.bin");
-        let json = dir.join("snap.json");
-        snap.write_to(&bin, DurabilityFormat::Binary).unwrap();
-        snap.write_to(&json, DurabilityFormat::Json).unwrap();
-        let from_bin = Snapshot::read_from(&bin).unwrap();
-        let from_json = Snapshot::read_from(&json).unwrap();
-        assert_eq!(
-            serde_json::to_string(&from_bin.database).unwrap(),
-            serde_json::to_string(&from_json.database).unwrap()
-        );
-        // The binary image is substantially smaller than the JSON one.
-        let bin_len = fs::metadata(&bin).unwrap().len();
-        let json_len = fs::metadata(&json).unwrap().len();
-        assert!(
-            bin_len * 2 < json_len,
-            "binary snapshot {bin_len}B not < half of JSON {json_len}B"
-        );
+        let snap = Snapshot::capture(&db, Some(TxnId::new(7)), Some(BatchId::new(3)), 123);
+        snap.write_to(&path).unwrap();
+
+        let loaded = Snapshot::read_from(&path).unwrap();
+        assert_eq!(loaded.last_txn, Some(TxnId::new(7)));
+        assert_eq!(loaded.last_batch, Some(BatchId::new(3)));
+        assert_eq!(loaded.clock_micros, 123);
+        let t = loaded.database.resolve("t").unwrap();
+        assert_eq!(loaded.database.table(t).unwrap().len(), 10);
+        // Indexes survive the round trip.
+        assert!(loaded
+            .database
+            .table(t)
+            .unwrap()
+            .pk_lookup(&[Value::Int(5)])
+            .is_some());
         fs::remove_dir_all(dir).ok();
     }
 
-    /// The v2 write path encodes catalog and schema metadata straight to
-    /// the frame buffer: zero serde-tree nodes allocated, and the direct
-    /// counter moves. (The legacy assertion is in the same test so the
-    /// process-wide counters aren't raced by a sibling test.)
-    /// Serializes the tests that read the process-wide codec counters
-    /// against the one test that still drives the tree bridge.
-    static TREE_COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn binary_snapshot_bypasses_the_serde_tree_bridge() {
-        use sstore_common::CodecMetrics;
-        let _guard = TREE_COUNTER_LOCK.lock().unwrap();
+    /// Reading `bytes` as a snapshot fails with a recovery error that
+    /// names `version`.
+    fn assert_refused(bytes: &[u8], version: u32) {
         let dir = tempdir();
-        let snap = Snapshot::capture(&sample_db(), None, None, 0);
-
-        let before = CodecMetrics::snapshot();
-        snap.write_to(&dir.join("v2.dat"), DurabilityFormat::Binary)
-            .unwrap();
-        let direct = CodecMetrics::snapshot().since(&before);
-        assert_eq!(
-            direct.tree_nodes_encoded, 0,
-            "binary snapshot must not allocate serde-tree nodes"
+        let path = dir.join(format!("v{version}.dat"));
+        fs::write(&path, bytes).unwrap();
+        let err = Snapshot::read_from(&path).unwrap_err();
+        assert_eq!(err.kind(), "recovery");
+        assert!(
+            err.to_string().contains(&format!("version {version}")),
+            "{err}"
         );
-        assert!(direct.direct_meta_encodes >= 1);
-
-        // The old path (still live for JSON snapshots) pays the tree tax.
-        let before = CodecMetrics::snapshot();
-        let _ = codec::to_bytes(sample_db().catalog());
-        let tree = CodecMetrics::snapshot().since(&before);
-        assert!(tree.tree_nodes_encoded > 0);
         fs::remove_dir_all(dir).ok();
     }
 
-    /// A v1 binary snapshot (catalog, schemas, and index definitions
-    /// through the serde-tree bridge) still loads: every decoder branches
-    /// on the header version. The v1 image is written byte-by-byte here —
-    /// exactly the layout the PR 4 encoder produced for this database.
+    /// A v1 binary snapshot (the PR 4 layout: catalog, schemas, and index
+    /// definitions as length-prefixed serde-tree blobs) is refused at its
+    /// header. The image is written byte-by-byte in that layout; the
+    /// blobs are empty, as the reader never gets past the header.
     #[test]
     fn v1_binary_snapshot_still_loads() {
-        use crate::index::IndexDef;
-        let _guard = TREE_COUNTER_LOCK.lock().unwrap();
-
-        // The database the v1 image describes: `t (id INT PK)` with two
-        // rows, inserted in order (slots 0 and 1, no free slots).
-        let mut db = Database::new();
-        let schema = Schema::new(vec![Column::new("id", DataType::Int)], &["id"]).unwrap();
-        let t = db.create_table("t", schema.clone()).unwrap();
-        db.table_mut(t)
-            .unwrap()
-            .insert(vec![Value::Int(1)])
-            .unwrap();
-        db.table_mut(t)
-            .unwrap()
-            .insert(vec![Value::Int(2)])
-            .unwrap();
-
         let mut v1 = Vec::new();
         v1.extend_from_slice(&codec::SNAPSHOT_MAGIC);
         v1.extend_from_slice(&1u32.to_le_bytes());
-        // Meta frame: envelope + tree-bridged catalog + table count.
+        // Meta frame: envelope + catalog blob + table count.
         let f = codec::begin_frame(&mut v1);
         encode_opt_u64(&mut v1, Some(7)); // last_txn
         encode_opt_u64(&mut v1, Some(3)); // last_batch
         codec::put_ivarint(&mut v1, 123); // clock
-        codec::put_bytes(&mut v1, &codec::to_bytes(db.catalog()));
+        codec::put_bytes(&mut v1, &[]); // catalog
         codec::put_uvarint(&mut v1, 1); // table count
         codec::end_frame(&mut v1, f);
-        // Table frame, v1 layout: name, tree-bridged schema, slots, free
-        // list, pk index (tree-bridged def + entries), secondary count.
+        // Table frame: name, schema blob, slots, free list, pk index
+        // (definition blob + entries), secondary count.
         let f = codec::begin_frame(&mut v1);
         codec::put_str(&mut v1, "t");
-        codec::put_bytes(&mut v1, &codec::to_bytes(&schema));
+        codec::put_bytes(&mut v1, &[]); // schema
         codec::put_uvarint(&mut v1, 2); // slots
         for i in 1..=2i64 {
             v1.push(1);
@@ -719,15 +603,7 @@ mod tests {
         }
         codec::put_uvarint(&mut v1, 0); // free list
         v1.push(1); // pk index present
-        codec::put_bytes(
-            &mut v1,
-            &codec::to_bytes(&IndexDef {
-                name: "__pk".into(),
-                key_cols: vec![0],
-                unique: true,
-                ordered: true,
-            }),
-        );
+        codec::put_bytes(&mut v1, &[]); // index definition
         codec::put_uvarint(&mut v1, 2); // entries
         for (key, rid) in [(1i64, 0u64), (2, 1)] {
             codec::put_uvarint(&mut v1, 1);
@@ -737,25 +613,7 @@ mod tests {
         }
         codec::put_uvarint(&mut v1, 0); // secondary indexes
         codec::end_frame(&mut v1, f);
-
-        let dir = tempdir();
-        let path = dir.join("v1.dat");
-        fs::write(&path, &v1).unwrap();
-        let loaded = Snapshot::read_from(&path).unwrap();
-        assert_eq!(loaded.last_txn, Some(TxnId::new(7)));
-        assert_eq!(loaded.last_batch, Some(BatchId::new(3)));
-        assert_eq!(loaded.clock_micros, 123);
-        let lt = loaded.database.resolve("t").unwrap();
-        assert_eq!(loaded.database.table(lt).unwrap().len(), 2);
-        assert_eq!(
-            loaded
-                .database
-                .table(lt)
-                .unwrap()
-                .pk_lookup(&[Value::Int(2)]),
-            Some(1)
-        );
-        fs::remove_dir_all(dir).ok();
+        assert_refused(&v1, 1);
     }
 
     #[test]
@@ -763,7 +621,7 @@ mod tests {
         let dir = tempdir();
         let path = dir.join("snap.dat");
         let snap = Snapshot::capture(&sample_db(), None, None, 0);
-        snap.write_to(&path, DurabilityFormat::Binary).unwrap();
+        snap.write_to(&path).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -783,10 +641,9 @@ mod tests {
     }
 
     /// A v2 binary snapshot (pre-delta-chain: no kind byte in the meta
-    /// frame) still loads — the decoder only expects the kind byte from
-    /// v3 on. The image is hand-assembled with an explicit v2 header and
-    /// the current body encoders (the v2→v3 body layout is unchanged
-    /// apart from that byte).
+    /// frame) is refused at its header. The image is hand-assembled with
+    /// an explicit v2 header and the current body encoders (the v2→v3
+    /// body layout differs only by that byte).
     #[test]
     fn v2_binary_snapshot_still_loads() {
         let db = sample_db();
@@ -805,16 +662,7 @@ mod tests {
             table.encode_binary(&mut v2);
             codec::end_frame(&mut v2, f);
         }
-
-        let dir = tempdir();
-        let path = dir.join("v2.dat");
-        fs::write(&path, &v2).unwrap();
-        let loaded = Snapshot::read_from(&path).unwrap();
-        assert_eq!(loaded.last_txn, Some(TxnId::new(7)));
-        assert_eq!(loaded.clock_micros, 42);
-        let t = loaded.database.resolve("t").unwrap();
-        assert_eq!(loaded.database.table(t).unwrap().len(), 10);
-        fs::remove_dir_all(dir).ok();
+        assert_refused(&v2, 2);
     }
 
     #[test]
@@ -826,7 +674,7 @@ mod tests {
         let mut db = sample_db();
         let t = db.resolve("t").unwrap();
         let base = Snapshot::capture(&db, Some(TxnId::new(10)), None, 100);
-        base.write_to(&base_path, DurabilityFormat::Binary).unwrap();
+        base.write_to(&base_path).unwrap();
         db.enable_change_tracking();
 
         // Delta 1: mutate a handful of rows out of the 10.
@@ -881,9 +729,7 @@ mod tests {
 
         let mut db = sample_db();
         let old_base = Snapshot::capture(&db, Some(TxnId::new(1)), None, 10);
-        old_base
-            .write_to(&base_path, DurabilityFormat::Binary)
-            .unwrap();
+        old_base.write_to(&base_path).unwrap();
         db.enable_change_tracking();
         let t = db.resolve("t").unwrap();
         db.table_mut(t)
@@ -900,9 +746,7 @@ mod tests {
             .insert(vec![Value::Int(51), Value::Text("y".into())])
             .unwrap();
         let new_base = Snapshot::capture(&db, Some(TxnId::new(5)), None, 50);
-        new_base
-            .write_to(&base_path, DurabilityFormat::Binary)
-            .unwrap();
+        new_base.write_to(&base_path).unwrap();
 
         let (loaded, applied) = Snapshot::read_chain(&base_path, delta_path).unwrap();
         assert_eq!(applied, 0, "stale delta must not apply");
@@ -918,7 +762,7 @@ mod tests {
         let delta_path = |k: u64| dir.join(format!("snapshot.d{k}.dat"));
         let mut db = sample_db();
         let base = Snapshot::capture(&db, Some(TxnId::new(1)), None, 10);
-        base.write_to(&base_path, DurabilityFormat::Binary).unwrap();
+        base.write_to(&base_path).unwrap();
         db.enable_change_tracking();
         let t = db.resolve("t").unwrap();
         db.table_mut(t)
@@ -957,17 +801,18 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
+    /// A current image under any other header version — older or newer —
+    /// is refused, and so is a file of another format altogether.
     #[test]
     fn version_mismatch_rejected() {
+        let mut bytes = Snapshot::capture(&sample_db(), None, None, 0).encode_binary();
+        for version in [2u32, 4] {
+            bytes[4..codec::FILE_HEADER_LEN].copy_from_slice(&version.to_le_bytes());
+            assert_refused(&bytes, version);
+        }
         let dir = tempdir();
-        let path = dir.join("bad.json");
-        let db = Database::new();
-        let mut snap = Snapshot::capture(&db, None, None, 0);
-        snap.version = 999;
-        // (JSON envelope: the binary header carries its own version.)
-        // Bypass write_to's implicit current-version (capture sets it; we
-        // overwrote it) — write manually.
-        fs::write(&path, serde_json::to_string(&snap).unwrap()).unwrap();
+        let path = dir.join("snapshot.json");
+        fs::write(&path, b"{\"version\":1,\"last_txn\":null}").unwrap();
         let err = Snapshot::read_from(&path).unwrap_err();
         assert_eq!(err.kind(), "recovery");
         fs::remove_dir_all(dir).ok();

@@ -14,8 +14,8 @@ use sstore_common::{codec, Error, Result, Row, Schema, Value};
 /// One heap table (also the physical representation of streams and windows).
 ///
 /// Serialization goes through [`TableRepr`] so the transient change
-/// journal (delta-snapshot support) never reaches the on-disk JSON form —
-/// the legacy envelope layout is unchanged.
+/// journal (delta-snapshot support) and the column mirror never reach the
+/// serialized form.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(into = "TableRepr", try_from = "TableRepr")]
 pub struct Table {
@@ -40,8 +40,7 @@ pub struct Table {
     mirror: Mirror,
 }
 
-/// Serialization mirror of [`Table`]: exactly the persistent fields, in
-/// the pre-delta-snapshot layout, so JSON snapshots stay byte-compatible.
+/// Serialization mirror of [`Table`]: exactly the persistent fields.
 #[derive(Serialize, Deserialize)]
 pub struct TableRepr {
     name: String,
@@ -232,10 +231,9 @@ impl Table {
         &self.name
     }
 
-    /// Binary snapshot encoding of the whole table. The schema goes
-    /// through the serde-tree bridge (cold metadata); slots and indexes —
-    /// the bulk — use the compact value codec, with row encoding borrowing
-    /// the shared COW cells. The free-slot stack is serialized in order:
+    /// Binary snapshot encoding of the whole table: the schema, then the
+    /// slots and indexes in the compact value codec, with row encoding
+    /// borrowing the shared COW cells. The free-slot stack is serialized in order:
     /// recovery must reuse slots in exactly the pre-crash order for
     /// replay to assign identical row ids.
     pub fn encode_binary(&self, out: &mut Vec<u8>) {
@@ -268,16 +266,10 @@ impl Table {
         }
     }
 
-    /// Decode a table encoded by [`Table::encode_binary`]. `version` is
-    /// the snapshot file-header version: v1 images carried the schema
-    /// through the serde-tree bridge; v2+ encode it directly.
-    pub fn decode_binary(r: &mut codec::Reader<'_>, version: u32) -> Result<Table> {
+    /// Decode a table encoded by [`Table::encode_binary`].
+    pub fn decode_binary(r: &mut codec::Reader<'_>) -> Result<Table> {
         let name = r.str()?.to_string();
-        let schema: Schema = if version >= 2 {
-            Schema::decode_binary(r)?
-        } else {
-            codec::from_bytes(r.bytes()?)?
-        };
+        let schema = Schema::decode_binary(r)?;
         let n_slots = r.uvarint()? as usize;
         let mut slots = Vec::with_capacity(n_slots.min(r.remaining()));
         let mut live = 0usize;
@@ -302,7 +294,7 @@ impl Table {
         }
         let pk_index = match r.u8()? {
             0 => None,
-            1 => Some(Index::decode_binary(r, version)?),
+            1 => Some(Index::decode_binary(r)?),
             tag => {
                 return Err(Error::Codec(format!(
                     "bad pk-index tag {tag} in table `{name}`"
@@ -312,7 +304,7 @@ impl Table {
         let n_indexes = r.uvarint()? as usize;
         let mut indexes = Vec::with_capacity(n_indexes.min(r.remaining()));
         for _ in 0..n_indexes {
-            indexes.push(Index::decode_binary(r, version)?);
+            indexes.push(Index::decode_binary(r)?);
         }
         Ok(Table {
             name,

@@ -319,11 +319,7 @@ proptest! {
                         TableDirt::Full => {
                             let mut image = Vec::new();
                             live.encode_binary(&mut image);
-                            replica = Table::decode_binary(
-                                &mut codec::Reader::new(&image),
-                                codec::CODEC_VERSION,
-                            )
-                            .unwrap();
+                            replica = Table::decode_binary(&mut codec::Reader::new(&image)).unwrap();
                             prop_assert_eq!(replica.mirrored_columns(), 0);
                             replica_requested.clear();
                             replica_misfit_seen = [false; 6];

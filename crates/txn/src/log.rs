@@ -6,23 +6,14 @@
 //! in H-Store mode, each client invocation) is one record. Replaying the
 //! log through the deterministic procedures reconstructs the state.
 //!
-//! # On-disk formats
+//! # On-disk format
 //!
-//! Two formats are live ([`DurabilityFormat`]):
-//!
-//! * **Binary** (default): a `SSLG` magic + version header, then one CRC32
-//!   frame `[len u32 LE][crc32 u32 LE][payload]` per record, with the
-//!   payload in the compact value codec (`sstore_common::codec`). Row
-//!   encoding borrows the batch's shared COW rows — appending a record
-//!   never deep-copies tuples.
-//! * **Json**: the legacy JSON-lines format, kept for back-compat replay
-//!   of pre-binary durability dirs and for the E6 json-vs-binary
-//!   benchmarks.
-//!
-//! [`CommandLog::open`] *sniffs* a non-empty file and keeps appending in
-//! its existing format (mixing formats inside one file would corrupt it);
-//! the configured format takes over at the next truncation or retention
-//! rewrite. [`read_log`] sniffs the same way, so recovery replays either.
+//! A `SSLG` magic + version header, then one CRC32 frame
+//! `[len u32 LE][crc32 u32 LE][payload]` per record, with the payload in
+//! the compact value codec (`sstore_common::codec`). Row encoding borrows
+//! the batch's shared COW rows — appending a record never deep-copies
+//! tuples. [`CommandLog::open`] and [`read_log`] refuse a file with any
+//! other magic or codec version.
 //!
 //! # Group commit
 //!
@@ -40,17 +31,16 @@
 //! append — the medium corrupted once-intact data — so replay stops with
 //! a clear recovery error instead of silently losing suffix records.
 
-use serde::{Deserialize, Serialize};
 use sstore_common::codec::{self, FrameRead};
 use sstore_common::fault;
-use sstore_common::{BatchId, DurabilityFormat, Error, Result, Row};
+use sstore_common::{BatchId, Error, Result, Row};
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// One durable record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     /// A border input batch entering a workflow (S-Store mode).
     BorderBatch {
@@ -431,13 +421,8 @@ pub struct LogConfig {
     pub dir: PathBuf,
     /// fsync after this many records (group commit). 1 = every record.
     pub group_commit_n: usize,
-    /// On-disk serialization format (binary frames by default; JSON kept
-    /// for back-compat and the E6 benchmarks). Opening an existing log
-    /// file keeps *its* format until the next truncation/GC rewrite.
-    pub format: DurabilityFormat,
     /// Maximum delta-snapshot chain length before the next retention
-    /// point rewrites a full base image (binary format only; 0 disables
-    /// deltas entirely). Bounds both recovery replay work and the stale
+    /// point rewrites a full base image (0 disables deltas entirely). Bounds both recovery replay work and the stale
     /// log a long chain would otherwise pin.
     pub delta_chain_cap: u64,
 }
@@ -451,7 +436,6 @@ impl LogConfig {
         LogConfig {
             dir: dir.into(),
             group_commit_n: 1,
-            format: DurabilityFormat::default(),
             delta_chain_cap: DEFAULT_DELTA_CHAIN_CAP,
         }
     }
@@ -462,12 +446,6 @@ impl LogConfig {
             group_commit_n: n.max(1),
             ..LogConfig::new(dir)
         }
-    }
-
-    /// Override the on-disk format.
-    pub fn with_format(mut self, format: DurabilityFormat) -> Self {
-        self.format = format;
-        self
     }
 
     /// Override the delta-snapshot chain cap (0 = full images only).
@@ -481,9 +459,7 @@ impl LogConfig {
         self.dir.join("command.log")
     }
 
-    /// Path of the snapshot file. The name is format-independent (the
-    /// *content* carries a magic); only writes from the binary-era engine
-    /// use it.
+    /// Path of the base snapshot image.
     pub fn snapshot_path(&self) -> PathBuf {
         self.dir.join("snapshot.dat")
     }
@@ -495,13 +471,6 @@ impl LogConfig {
     pub fn delta_snapshot_path(&self, k: u64) -> PathBuf {
         self.dir.join(format!("snapshot.d{k}.dat"))
     }
-
-    /// Snapshot path written by pre-binary versions of the engine.
-    /// Recovery falls back to it when [`LogConfig::snapshot_path`] is
-    /// absent; a successful new snapshot deletes it.
-    pub fn legacy_snapshot_path(&self) -> PathBuf {
-        self.dir.join("snapshot.json")
-    }
 }
 
 /// Append-only command log writer with group-commit buffering: appends
@@ -511,12 +480,9 @@ impl LogConfig {
 pub struct CommandLog {
     file: File,
     /// Encoded-but-unwritten records (plus the file header before the
-    /// first sync of a fresh binary log).
+    /// first sync of a fresh log).
     pending: Vec<u8>,
     config: LogConfig,
-    /// The format of the file being appended to (may differ from
-    /// `config.format` until the next truncation/GC rewrite).
-    active_format: DurabilityFormat,
     unsynced: usize,
     records_written: u64,
     syncs: u64,
@@ -529,75 +495,53 @@ pub struct CommandLog {
 
 impl CommandLog {
     /// Open (creating or appending to) the log in `config.dir`. A
-    /// non-empty existing file is sniffed and appended to in its own
-    /// format; the configured format takes effect at the next truncation.
+    /// non-empty file must begin with a valid `SSLG` v3 header; any other
+    /// file is refused with [`Error::Recovery`] and left byte-identical.
     /// A torn trailing record left by a crash is trimmed off before
     /// appends are accepted — otherwise new records would land *after*
     /// the torn bytes and the next recovery would misread the boundary
-    /// as corruption (binary) or silently drop the suffix (JSON).
+    /// as corruption.
     pub fn open(config: LogConfig) -> Result<CommandLog> {
         fs::create_dir_all(&config.dir)?;
         let path = config.log_path();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let len = file.metadata()?.len();
+        let bytes = fs::read(&path)?;
         let mut pending = Vec::new();
-        let active_format = if len == 0 {
-            if config.format == DurabilityFormat::Binary {
-                codec::put_file_header(&mut pending, codec::LOG_MAGIC);
+        if bytes.len() < codec::FILE_HEADER_LEN {
+            if !bytes.is_empty() {
+                // The very first write tore inside the 8-byte header: no
+                // record was ever durable, restart from scratch.
+                sstore_common::slog!(
+                    Warn;
+                    "{}: trimming fully-torn log ({} bytes) and restarting empty",
+                    path.display(),
+                    bytes.len()
+                );
+                file.set_len(0)?;
+                file.sync_data()?;
             }
-            config.format
-        } else {
-            let format = sniff_format(&path)?.unwrap_or(DurabilityFormat::Json);
-            let bytes = fs::read(&path)?;
-            match intact_prefix_len(&bytes, format) {
-                Some(0) => {
-                    // Nothing survived (e.g. the very first write tore
-                    // inside the file header): restart empty in the
-                    // configured format, exactly like a fresh log.
-                    sstore_common::slog!(
-                        Warn;
-                        "{}: trimming fully-torn log ({} bytes) and restarting empty",
-                        path.display(),
-                        bytes.len()
-                    );
-                    file.set_len(0)?;
-                    file.sync_data()?;
-                    if config.format == DurabilityFormat::Binary {
-                        codec::put_file_header(&mut pending, codec::LOG_MAGIC);
-                    }
-                    config.format
-                }
-                Some(valid_len) => {
-                    fault::note("log-torn-tail-trimmed");
-                    sstore_common::slog!(
-                        Warn;
-                        "{}: trimming torn tail at byte {valid_len} (of {}) before resuming appends",
-                        path.display(),
-                        bytes.len()
-                    );
-                    file.set_len(valid_len as u64)?;
-                    file.sync_data()?;
-                    format
-                }
-                None => format,
-            }
-        };
+            codec::put_file_header(&mut pending, codec::LOG_MAGIC);
+        } else if let Some(valid_len) = intact_prefix_len(&bytes)? {
+            fault::note("log-torn-tail-trimmed");
+            sstore_common::slog!(
+                Warn;
+                "{}: trimming torn tail at byte {valid_len} (of {}) before resuming appends",
+                path.display(),
+                bytes.len()
+            );
+            file.set_len(valid_len as u64)?;
+            file.sync_data()?;
+        }
         Ok(CommandLog {
             file,
             pending,
             config,
-            active_format,
             unsynced: 0,
             records_written: 0,
             syncs: 0,
             bytes_written: 0,
             poisoned: false,
         })
-    }
-
-    /// The format records are currently appended in.
-    pub fn active_format(&self) -> DurabilityFormat {
-        self.active_format
     }
 
     /// Append a record; flushes per group-commit policy. Returns true if
@@ -612,7 +556,7 @@ impl CommandLog {
     /// unless the log is poisoned (unknown tail durability).
     pub fn append(&mut self, record: &LogRecord) -> Result<bool> {
         let base = self.pending.len();
-        encode_record_into(record, self.active_format, &mut self.pending)?;
+        encode_record_into(record, &mut self.pending);
         self.records_written += 1;
         self.unsynced += 1;
         if self.unsynced >= self.config.group_commit_n {
@@ -718,7 +662,7 @@ impl CommandLog {
 
     /// Truncate the log (after a snapshot covers everything in it).
     /// Buffered unsynced records are discarded along with the file
-    /// contents; the log restarts empty in the *configured* format.
+    /// contents; the log restarts empty.
     pub fn truncate(&mut self) -> Result<()> {
         let path = self.config.log_path();
         let file = OpenOptions::new()
@@ -730,10 +674,7 @@ impl CommandLog {
         self.file = OpenOptions::new().append(true).open(&path)?;
         self.pending.clear();
         self.unsynced = 0;
-        self.active_format = self.config.format;
-        if self.active_format == DurabilityFormat::Binary {
-            codec::put_file_header(&mut self.pending, codec::LOG_MAGIC);
-        }
+        codec::put_file_header(&mut self.pending, codec::LOG_MAGIC);
         Ok(())
     }
 
@@ -743,8 +684,7 @@ impl CommandLog {
     /// **covered** by a snapshot (`batch <= covered` — replay skips it
     /// anyway). Unacked or newer records are kept verbatim, so the log
     /// stays replayable; at a quiescent point this degenerates to full
-    /// truncation. The rewrite uses the *configured* format, migrating a
-    /// sniffed legacy-JSON log to binary at the first retention point.
+    /// truncation.
     ///
     /// Returns the number of records dropped.
     pub fn gc_acked_through(&mut self, covered: BatchId) -> Result<u64> {
@@ -777,16 +717,14 @@ impl CommandLog {
             .map(|(_, r)| r)
             .collect();
         let dropped = (records.len() - keep.len()) as u64;
-        if dropped == 0 && self.active_format == self.config.format {
+        if dropped == 0 {
             return Ok(0);
         }
 
         let mut buf = Vec::new();
-        if self.config.format == DurabilityFormat::Binary {
-            codec::put_file_header(&mut buf, codec::LOG_MAGIC);
-        }
+        codec::put_file_header(&mut buf, codec::LOG_MAGIC);
         for record in keep {
-            encode_record_into(record, self.config.format, &mut buf)?;
+            encode_record_into(record, &mut buf);
         }
         let tmp = path.with_extension("rewrite");
         {
@@ -798,7 +736,6 @@ impl CommandLog {
         self.file = OpenOptions::new().append(true).open(&path)?;
         self.pending.clear();
         self.unsynced = 0;
-        self.active_format = self.config.format;
         Ok(dropped)
     }
 }
@@ -820,124 +757,38 @@ impl Drop for CommandLog {
     }
 }
 
-/// Encode one record in the given on-disk format: a CRC32 frame (binary)
-/// or a JSON line. The single encoder behind both the append path and
-/// the GC rewrite, so the two can never drift.
-fn encode_record_into(
-    record: &LogRecord,
-    format: DurabilityFormat,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    match format {
-        DurabilityFormat::Binary => {
-            let frame = codec::begin_frame(out);
-            record.encode_binary(out);
-            codec::end_frame(out, frame);
-        }
-        DurabilityFormat::Json => {
-            let line =
-                serde_json::to_string(record).map_err(|e| Error::Io(format!("log encode: {e}")))?;
-            out.extend_from_slice(line.as_bytes());
-            out.push(b'\n');
-        }
-    }
-    Ok(())
+/// Encode one record as a CRC32 frame. The single encoder behind both
+/// the append path and the GC rewrite, so the two can never drift.
+fn encode_record_into(record: &LogRecord, out: &mut Vec<u8>) {
+    let frame = codec::begin_frame(out);
+    record.encode_binary(out);
+    codec::end_frame(out, frame);
 }
 
 /// Length of the intact record prefix when the file ends in a torn tail
 /// that should be trimmed before appends resume; `None` when the file is
 /// clean — or mid-stream corrupt, which is deliberately left untouched
 /// so replay surfaces the error instead of appends destroying evidence.
-fn intact_prefix_len(bytes: &[u8], format: DurabilityFormat) -> Option<usize> {
-    match format {
-        DurabilityFormat::Binary => {
-            if bytes.len() < codec::FILE_HEADER_LEN {
-                // The very first write tore inside the 8-byte header:
-                // no record was ever durable, restart from scratch.
-                return Some(0);
-            }
-            let mut r = codec::Reader::new(bytes);
-            if codec::check_file_header(&mut r, codec::LOG_MAGIC).is_err() {
-                // Complete header but wrong version — a compatibility
-                // problem, not a torn write; let replay surface it.
-                return None;
-            }
-            let mut valid_len = r.pos();
-            loop {
-                match codec::read_frame(&mut r) {
-                    FrameRead::Frame(_) => valid_len = r.pos(),
-                    FrameRead::Eof => return None,
-                    FrameRead::Torn { .. } => return Some(valid_len),
-                    FrameRead::Corrupt { .. } => return None,
-                }
-            }
-        }
-        DurabilityFormat::Json => {
-            // Valid prefix = every parseable, newline-terminated line.
-            // The writer always terminates lines, so an unterminated
-            // final line — even a parseable one — is a torn write, and
-            // appending after it would concatenate two records into one
-            // unparseable line. Mirroring the binary arm's torn/corrupt
-            // split: trim only when the bad region runs to end-of-file;
-            // a parseable record *after* a bad line means in-place
-            // corruption, which is left untouched (trimming would
-            // silently destroy the intact, fsynced suffix).
-            let mut valid_len = 0usize;
-            let is_record = |line: &[u8]| {
-                std::str::from_utf8(line)
-                    .is_ok_and(|t| serde_json::from_str::<LogRecord>(t.trim_end()).is_ok())
-            };
-            let is_blank =
-                |line: &[u8]| std::str::from_utf8(line).is_ok_and(|t| t.trim().is_empty());
-            let mut lines = bytes.split_inclusive(|&b| b == b'\n');
-            for line in lines.by_ref() {
-                if line.last() != Some(&b'\n') || !(is_blank(line) || is_record(line)) {
-                    let suffix_has_records =
-                        lines.any(|l| l.last() == Some(&b'\n') && is_record(l));
-                    return if suffix_has_records {
-                        None // mid-file corruption, not a torn tail
-                    } else {
-                        Some(valid_len)
-                    };
-                }
-                valid_len += line.len();
-            }
-            None
+/// A header of another format or version is refused.
+fn intact_prefix_len(bytes: &[u8]) -> Result<Option<usize>> {
+    let mut r = codec::Reader::new(bytes);
+    codec::check_file_header(&mut r, codec::LOG_MAGIC)
+        .map_err(|e| Error::Recovery(format!("command log header: {e}")))?;
+    let mut valid_len = r.pos();
+    loop {
+        match codec::read_frame(&mut r) {
+            FrameRead::Frame(_) => valid_len = r.pos(),
+            FrameRead::Eof | FrameRead::Corrupt { .. } => return Ok(None),
+            FrameRead::Torn { .. } => return Ok(Some(valid_len)),
         }
     }
 }
 
-/// Sniff a log file's on-disk format from its first bytes. `None` for a
-/// missing or empty file.
-pub fn sniff_format(path: &Path) -> Result<Option<DurabilityFormat>> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let mut head = [0u8; 4];
-    let mut read = 0;
-    while read < 4 {
-        match file.read(&mut head[read..])? {
-            0 => break,
-            n => read += n,
-        }
-    }
-    if read == 0 {
-        return Ok(None);
-    }
-    Ok(Some(if read == 4 && head == codec::LOG_MAGIC {
-        DurabilityFormat::Binary
-    } else {
-        DurabilityFormat::Json
-    }))
-}
-
-/// Read every record in a command log, in append order, sniffing the
-/// format. A torn trailing record (incomplete write at crash) is dropped
-/// with a warning; a checksum failure on a *complete* binary frame is
-/// corruption and fails with a clear error instead of silently dropping
-/// the suffix.
+/// Read every record in a command log, in append order. A torn trailing
+/// record (incomplete write at crash) is dropped with a warning; a
+/// checksum failure on a *complete* frame is corruption and fails with a
+/// clear error instead of silently dropping the suffix. A file of another
+/// format or codec version is refused.
 pub fn read_log(path: &Path) -> Result<Vec<LogRecord>> {
     let bytes = match fs::read(path) {
         Ok(b) => b,
@@ -947,15 +798,7 @@ pub fn read_log(path: &Path) -> Result<Vec<LogRecord>> {
     if bytes.is_empty() {
         return Ok(vec![]);
     }
-    if codec::has_magic(&bytes, codec::LOG_MAGIC) {
-        read_binary_log(path, &bytes)
-    } else {
-        read_json_log(&bytes)
-    }
-}
-
-fn read_binary_log(path: &Path, bytes: &[u8]) -> Result<Vec<LogRecord>> {
-    let mut r = codec::Reader::new(bytes);
+    let mut r = codec::Reader::new(&bytes);
     codec::check_file_header(&mut r, codec::LOG_MAGIC)
         .map_err(|e| Error::Recovery(format!("command log header: {e}")))?;
     let mut out = Vec::new();
@@ -997,24 +840,6 @@ fn read_binary_log(path: &Path, bytes: &[u8]) -> Result<Vec<LogRecord>> {
     Ok(out)
 }
 
-fn read_json_log(bytes: &[u8]) -> Result<Vec<LogRecord>> {
-    let text = String::from_utf8_lossy(bytes);
-    let mut out = Vec::new();
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<LogRecord>(line) {
-            Ok(r) => out.push(r),
-            // A torn tail is expected after a crash; anything before it
-            // was fsynced and must parse. (The legacy format cannot
-            // distinguish torn from corrupt — one reason it was replaced.)
-            Err(_) => break,
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1037,35 +862,25 @@ mod tests {
         }
     }
 
-    fn json_config(dir: &Path) -> LogConfig {
-        LogConfig::new(dir).with_format(DurabilityFormat::Json)
-    }
-
     #[test]
     fn append_and_read_round_trip_both_formats() {
-        for (tag, format) in [
-            ("rt-bin", DurabilityFormat::Binary),
-            ("rt-json", DurabilityFormat::Json),
-        ] {
-            let dir = tempdir(tag);
-            let cfg = LogConfig::new(&dir).with_format(format);
-            let mut log = CommandLog::open(cfg.clone()).unwrap();
-            for i in 1..=3 {
-                let synced = log.append(&batch_record(i)).unwrap();
-                assert!(synced); // group_commit_n = 1
-            }
-            log.append(&LogRecord::Ack {
-                batch: BatchId::new(1),
-            })
-            .unwrap();
-            drop(log);
-            assert_eq!(sniff_format(&cfg.log_path()).unwrap(), Some(format));
-            let records = read_log(&cfg.log_path()).unwrap();
-            assert_eq!(records.len(), 4);
-            assert_eq!(records[0], batch_record(1));
-            assert!(matches!(records[3], LogRecord::Ack { .. }));
-            std::fs::remove_dir_all(dir).ok();
+        let dir = tempdir("rt");
+        let cfg = LogConfig::new(&dir);
+        let mut log = CommandLog::open(cfg.clone()).unwrap();
+        for i in 1..=3 {
+            let synced = log.append(&batch_record(i)).unwrap();
+            assert!(synced); // group_commit_n = 1
         }
+        log.append(&LogRecord::Ack {
+            batch: BatchId::new(1),
+        })
+        .unwrap();
+        drop(log);
+        let records = read_log(&cfg.log_path()).unwrap();
+        assert_eq!(records.len(), 4);
+        assert_eq!(records[0], batch_record(1));
+        assert!(matches!(records[3], LogRecord::Ack { .. }));
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1140,69 +955,36 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_tolerated_json() {
-        let dir = tempdir("torn-json");
-        let cfg = json_config(&dir);
-        let mut log = CommandLog::open(cfg.clone()).unwrap();
-        log.append(&batch_record(1)).unwrap();
-        log.append(&batch_record(2)).unwrap();
-        drop(log);
-        let mut f = OpenOptions::new()
+    fn open_trims_torn_tail_before_appending() {
+        let dir = tempdir("trim");
+        let cfg = LogConfig::new(&dir);
+        {
+            let mut log = CommandLog::open(cfg.clone()).unwrap();
+            log.append(&batch_record(1)).unwrap();
+            log.append(&batch_record(2)).unwrap();
+        }
+        // Crash mid-append: a torn suffix after the intact records.
+        let mut torn = Vec::new();
+        encode_record_into(&batch_record(3), &mut torn);
+        let mut file = OpenOptions::new()
             .append(true)
             .open(cfg.log_path())
             .unwrap();
-        f.write_all(b"{\"BorderBatch\":{\"batch\":3,").unwrap();
-        drop(f);
-        let records = read_log(&cfg.log_path()).unwrap();
-        assert_eq!(records.len(), 2);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn open_trims_torn_tail_before_appending() {
-        for (tag, format) in [
-            ("trim-bin", DurabilityFormat::Binary),
-            ("trim-json", DurabilityFormat::Json),
-        ] {
-            let dir = tempdir(tag);
-            let cfg = LogConfig::new(&dir).with_format(format);
-            {
-                let mut log = CommandLog::open(cfg.clone()).unwrap();
-                log.append(&batch_record(1)).unwrap();
-                log.append(&batch_record(2)).unwrap();
-            }
-            // Crash mid-append: a torn suffix after the intact records.
-            let mut file = OpenOptions::new()
-                .append(true)
-                .open(cfg.log_path())
-                .unwrap();
-            match format {
-                DurabilityFormat::Binary => {
-                    let mut torn = Vec::new();
-                    let f = codec::begin_frame(&mut torn);
-                    batch_record(3).encode_binary(&mut torn);
-                    codec::end_frame(&mut torn, f);
-                    file.write_all(&torn[..torn.len() - 2]).unwrap();
-                }
-                DurabilityFormat::Json => {
-                    file.write_all(b"{\"BorderBatch\":{\"batch\":3,").unwrap();
-                }
-            }
-            drop(file);
-            // Reopen + append: the torn bytes must be trimmed first, or
-            // the new record would be unreachable on the next recovery.
-            {
-                let mut log = CommandLog::open(cfg.clone()).unwrap();
-                log.append(&batch_record(4)).unwrap();
-            }
-            let records = read_log(&cfg.log_path()).unwrap();
-            assert_eq!(
-                records,
-                vec![batch_record(1), batch_record(2), batch_record(4)],
-                "{tag}: post-trim log must be prefix + new record"
-            );
-            std::fs::remove_dir_all(dir).ok();
+        file.write_all(&torn[..torn.len() - 2]).unwrap();
+        drop(file);
+        // Reopen + append: the torn bytes must be trimmed first, or the
+        // new record would be unreachable on the next recovery.
+        {
+            let mut log = CommandLog::open(cfg.clone()).unwrap();
+            log.append(&batch_record(4)).unwrap();
         }
+        let records = read_log(&cfg.log_path()).unwrap();
+        assert_eq!(
+            records,
+            vec![batch_record(1), batch_record(2), batch_record(4)],
+            "post-trim log must be prefix + new record"
+        );
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1218,41 +1000,38 @@ mod tests {
         std::fs::write(cfg.log_path(), &partial[..6]).unwrap();
 
         let mut log = CommandLog::open(cfg.clone()).unwrap();
-        assert_eq!(log.active_format(), DurabilityFormat::Binary);
         log.append(&batch_record(1)).unwrap();
         drop(log);
         assert_eq!(read_log(&cfg.log_path()).unwrap(), vec![batch_record(1)]);
         std::fs::remove_dir_all(dir).ok();
     }
 
+    /// A file of another codec version or another format altogether is
+    /// refused by both the writer and the reader, and never modified.
     #[test]
-    fn open_leaves_mid_file_json_corruption_untouched() {
-        // In-place corruption of a middle JSON line is NOT a torn tail:
-        // trimming there would destroy the intact, fsynced records after
-        // it. open() must leave the file alone (replay keeps the legacy
-        // stop-at-bad-line behavior).
-        let dir = tempdir("json-midcorrupt");
-        let cfg = json_config(&dir);
-        {
-            let mut log = CommandLog::open(cfg.clone()).unwrap();
-            for i in 1..=3 {
-                log.append(&batch_record(i)).unwrap();
-            }
+    fn other_versions_and_formats_are_refused_untouched() {
+        let dir = tempdir("refuse");
+        let cfg = LogConfig::new(&dir);
+        let mut frames = Vec::new();
+        encode_record_into(&batch_record(1), &mut frames);
+        let mut files = vec![
+            b"{\"Ack\":{\"batch\":1}}\n".to_vec(), // a JSON-lines log
+        ];
+        for version in [2u32, 4] {
+            let mut bytes = codec::LOG_MAGIC.to_vec();
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.extend_from_slice(&frames);
+            // A torn tail too: refusal comes before any trimming.
+            bytes.extend_from_slice(&frames[..frames.len() - 2]);
+            files.push(bytes);
         }
-        let mut bytes = std::fs::read(cfg.log_path()).unwrap();
-        // Corrupt a byte inside the SECOND line, keeping its newline.
-        let first_nl = bytes.iter().position(|&b| b == b'\n').unwrap();
-        bytes[first_nl + 5] = b'\x01';
-        std::fs::write(cfg.log_path(), &bytes).unwrap();
-
-        let log = CommandLog::open(cfg.clone()).unwrap();
-        drop(log);
-        assert_eq!(
-            std::fs::metadata(cfg.log_path()).unwrap().len(),
-            bytes.len() as u64,
-            "open() must not truncate away intact records after corruption"
-        );
-        assert_eq!(read_log(&cfg.log_path()).unwrap(), vec![batch_record(1)]);
+        for contents in files {
+            std::fs::write(cfg.log_path(), &contents).unwrap();
+            let err = CommandLog::open(cfg.clone()).unwrap_err();
+            assert_eq!(err.kind(), "recovery", "{err}");
+            assert_eq!(read_log(&cfg.log_path()).unwrap_err().kind(), "recovery");
+            assert_eq!(std::fs::read(cfg.log_path()).unwrap(), contents);
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1282,7 +1061,6 @@ mod tests {
         let dir = tempdir("missing");
         let records = read_log(&dir.join("nope.log")).unwrap();
         assert!(records.is_empty());
-        assert_eq!(sniff_format(&dir.join("nope.log")).unwrap(), None);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1298,37 +1076,6 @@ mod tests {
         let records = read_log(&cfg.log_path()).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0], batch_record(2));
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn open_adopts_existing_format_until_truncate() {
-        let dir = tempdir("adopt");
-        // A legacy JSON log left by a pre-binary engine...
-        {
-            let mut log = CommandLog::open(json_config(&dir)).unwrap();
-            log.append(&batch_record(1)).unwrap();
-        }
-        // ...opened by a binary-configured engine: appends stay JSON so
-        // the file remains self-consistent.
-        let cfg = LogConfig::new(&dir); // binary default
-        let mut log = CommandLog::open(cfg.clone()).unwrap();
-        assert_eq!(log.active_format(), DurabilityFormat::Json);
-        log.append(&batch_record(2)).unwrap();
-        assert_eq!(
-            sniff_format(&cfg.log_path()).unwrap(),
-            Some(DurabilityFormat::Json)
-        );
-        assert_eq!(read_log(&cfg.log_path()).unwrap().len(), 2);
-        // Truncation switches the file to the configured (binary) format.
-        log.truncate().unwrap();
-        log.append(&batch_record(3)).unwrap();
-        drop(log);
-        assert_eq!(
-            sniff_format(&cfg.log_path()).unwrap(),
-            Some(DurabilityFormat::Binary)
-        );
-        assert_eq!(read_log(&cfg.log_path()).unwrap(), vec![batch_record(3)]);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1362,36 +1109,6 @@ mod tests {
         // The log keeps accepting appends after the rewrite.
         log.append(&batch_record(5)).unwrap();
         assert_eq!(read_log(&cfg.log_path()).unwrap().len(), 3);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn gc_migrates_legacy_json_logs_to_the_configured_format() {
-        let dir = tempdir("gc-migrate");
-        {
-            let mut log = CommandLog::open(json_config(&dir)).unwrap();
-            for i in 1..=3 {
-                log.append(&batch_record(i)).unwrap();
-            }
-            log.append(&LogRecord::Ack {
-                batch: BatchId::new(1),
-            })
-            .unwrap();
-        }
-        let cfg = LogConfig::new(&dir); // binary default
-        let mut log = CommandLog::open(cfg.clone()).unwrap();
-        assert_eq!(log.active_format(), DurabilityFormat::Json);
-        let dropped = log.gc_acked_through(BatchId::new(3)).unwrap();
-        assert_eq!(dropped, 2); // batch 1 + its ack
-        assert_eq!(log.active_format(), DurabilityFormat::Binary);
-        assert_eq!(
-            sniff_format(&cfg.log_path()).unwrap(),
-            Some(DurabilityFormat::Binary)
-        );
-        assert_eq!(
-            read_log(&cfg.log_path()).unwrap(),
-            vec![batch_record(2), batch_record(3)]
-        );
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -1697,9 +1697,7 @@ impl Partition {
     /// The log GC drops every record of a batch that is both acked and
     /// covered by the fresh snapshot ([`CommandLog::gc_acked_through`]);
     /// at quiescence that empties the log, but unacked records — possible
-    /// once workflows span partitions — are always kept replayable. The
-    /// rewrite also migrates a sniffed legacy-JSON log to the configured
-    /// format.
+    /// once workflows span partitions — are always kept replayable.
     pub fn snapshot(&mut self) -> Result<()> {
         if self.durability_poisoned() {
             // Live state no longer matches what the log will replay; a
@@ -1726,15 +1724,11 @@ impl Partition {
         let last_batch = Some(BatchId::new(self.next_batch));
         let clock_micros = self.clock.now();
         // An incremental delta is written when the previous image exists
-        // (its key is the chain link), the chain is under its cap, the
-        // format is binary (the JSON envelope stays full-image), and the
-        // operator hasn't forced full images (`SSTORE_SNAPSHOT=full`).
-        let use_delta = cfg.format == sstore_common::DurabilityFormat::Binary
-            && !delta_snapshots_disabled()
-            && self.snapshot_chain_len < cfg.delta_chain_cap
-            && self.last_snapshot_key.is_some();
-        if use_delta {
-            let base = self.last_snapshot_key.expect("checked above");
+        // (its key is the chain link) and the chain is under its cap.
+        let delta_base = self
+            .last_snapshot_key
+            .filter(|_| self.snapshot_chain_len < cfg.delta_chain_cap);
+        if let Some(base) = delta_base {
             let k = self.snapshot_chain_len + 1;
             let delta = SnapshotDelta::capture(
                 self.engine.db(),
@@ -1749,11 +1743,7 @@ impl Partition {
             self.stats.snapshots_delta += 1;
         } else {
             let snap = Snapshot::capture(self.engine.db(), last_txn, last_batch, clock_micros);
-            snap.write_to(&cfg.snapshot_path(), cfg.format)?;
-            // A pre-binary snapshot under the legacy name is now
-            // superseded; leaving it would let a future recovery read
-            // stale state.
-            let _ = std::fs::remove_file(cfg.legacy_snapshot_path());
+            snap.write_to(&cfg.snapshot_path())?;
             // Deltas of the superseded chain are harmless (their base key
             // no longer matches) but delete them for disk hygiene. A
             // crash mid-deletion leaves strays the chain walk rejects.
@@ -1773,10 +1763,7 @@ impl Partition {
         // image (works after both branches — a delta lands the full
         // current state in the chain too). Skipped entirely when deltas
         // can never be cut, so full-only configs pay no tracking cost.
-        if cfg.format == sstore_common::DurabilityFormat::Binary
-            && !delta_snapshots_disabled()
-            && cfg.delta_chain_cap > 0
-        {
+        if cfg.delta_chain_cap > 0 {
             self.engine.db_mut().enable_change_tracking();
         }
         if let Some(log) = &mut self.log {
@@ -1802,39 +1789,27 @@ impl Partition {
 
     /// Internal: used by recovery to restore state and replay.
     /// `chain_len` is the number of deltas the loaded snapshot chain
-    /// already carries: when `continue_chain` is set, the next retention
-    /// point extends the chain from there (the restored key is the link)
-    /// instead of forcing a full rewrite. Recovery clears the flag when
-    /// the image came from the legacy JSON path — deltas only ever chain
-    /// onto `snapshot.dat`.
-    pub(crate) fn restore_for_recovery(
-        &mut self,
-        snapshot: Option<Snapshot>,
-        chain_len: u64,
-        continue_chain: bool,
-    ) -> Result<()> {
-        if let Some(snap) = snapshot {
-            self.next_batch = snap.last_batch.map(BatchId::raw).unwrap_or(0);
-            self.next_txn = snap.last_txn.map(|t| t.raw() + 1).unwrap_or(1);
-            self.clock = Clock::starting_at(snap.clock_micros);
-            self.replay_covered = self.next_batch;
-            if continue_chain {
-                self.last_snapshot_key = Some(snap.key());
-                self.snapshot_chain_len = chain_len;
-            }
-            self.engine.restore_db(snap.database);
-            // Track replayed mutations: they are exactly the changes
-            // since the chain tail, so the next image can be a delta.
-            if continue_chain
-                && self.config.log.as_ref().is_some_and(|c| {
-                    c.format == sstore_common::DurabilityFormat::Binary && c.delta_chain_cap > 0
-                })
-                && !delta_snapshots_disabled()
-            {
-                self.engine.db_mut().enable_change_tracking();
-            }
+    /// already carries: the next retention point extends the chain from
+    /// there (the restored key is the link) instead of forcing a full
+    /// rewrite.
+    pub(crate) fn restore_for_recovery(&mut self, snap: Snapshot, chain_len: u64) {
+        self.next_batch = snap.last_batch.map(BatchId::raw).unwrap_or(0);
+        self.next_txn = snap.last_txn.map(|t| t.raw() + 1).unwrap_or(1);
+        self.clock = Clock::starting_at(snap.clock_micros);
+        self.replay_covered = self.next_batch;
+        self.last_snapshot_key = Some(snap.key());
+        self.snapshot_chain_len = chain_len;
+        self.engine.restore_db(snap.database);
+        // Track replayed mutations: they are exactly the changes since
+        // the chain tail, so the next image can be a delta.
+        if self
+            .config
+            .log
+            .as_ref()
+            .is_some_and(|c| c.delta_chain_cap > 0)
+        {
+            self.engine.db_mut().enable_change_tracking();
         }
-        Ok(())
     }
 
     /// Internal: append fresh Ack records for `batches` (recovery path).
@@ -2016,16 +1991,6 @@ impl Partition {
         }
         self.sync_log()
     }
-}
-
-/// `SSTORE_SNAPSHOT=full` forces every retention point to write a full
-/// base image (the pre-delta behavior), for A/B measurement and as an
-/// operational escape hatch. Any other value (or unset) allows deltas.
-fn delta_snapshots_disabled() -> bool {
-    matches!(
-        std::env::var("SSTORE_SNAPSHOT").as_deref(),
-        Ok("full") | Ok("FULL")
-    )
 }
 
 #[cfg(test)]

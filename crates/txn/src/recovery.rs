@@ -63,20 +63,13 @@ pub fn recover_with_decisions(
     let mut p = Partition::new(config)?;
     setup(&mut p)?;
 
-    // Snapshot (optional). The engine writes `snapshot.dat` (binary or
-    // JSON content, sniffed by magic) plus any chained delta images
-    // (`snapshot.d1.dat`, …); pre-binary durability dirs left a
-    // `snapshot.json`, which is read transparently and superseded by the
-    // next snapshot write. Deltas only ever chain onto `snapshot.dat`,
-    // so the legacy path never walks a chain.
+    // Snapshot (optional): `snapshot.dat` plus any chained delta images
+    // (`snapshot.d1.dat`, …).
     let snap_path = log_cfg.snapshot_path();
-    let legacy_path = log_cfg.legacy_snapshot_path();
     if snap_path.exists() {
         let (snapshot, chain_len) =
             Snapshot::read_chain(&snap_path, |k| log_cfg.delta_snapshot_path(k))?;
-        p.restore_for_recovery(Some(snapshot), chain_len, true)?;
-    } else if legacy_path.exists() {
-        p.restore_for_recovery(Some(Snapshot::read_from(&legacy_path)?), 0, false)?;
+        p.restore_for_recovery(snapshot, chain_len);
     }
 
     // Replay the tail of the log.
@@ -285,59 +278,24 @@ mod tests {
         assert_eq!(err.kind(), "recovery");
     }
 
-    /// A durability dir written by the pre-binary engine — JSON-lines
-    /// command log plus a `snapshot.json` envelope — recovers through the
-    /// back-compat path under the default (binary) configuration, and the
-    /// next snapshot migrates the dir to the binary layout.
+    /// A durability dir written by the pre-binary engine — a JSON-lines
+    /// command log — is refused: recovery fails with a recovery error,
+    /// and opening the log for appends refuses it without touching a byte.
     #[test]
     fn pre_binary_json_dir_recovers_through_back_compat() {
-        use crate::log::sniff_format;
-        use sstore_common::DurabilityFormat;
-
         let dir = tempdir("backcompat");
-        // Produce the legacy layout: run with the JSON format, snapshot
-        // mid-stream, then move the snapshot to its pre-binary name.
-        let json_config = PeConfig {
-            log: Some(LogConfig::new(&dir).with_format(DurabilityFormat::Json)),
-            ..PeConfig::default()
-        };
-        {
-            let mut p = Partition::new(json_config).unwrap();
-            setup(&mut p).unwrap();
-            for i in 1..=3 {
-                p.submit_batch("double", vec![vec![Value::Int(i)]]).unwrap();
-            }
-            p.snapshot().unwrap();
-            for i in 4..=5 {
-                p.submit_batch("double", vec![vec![Value::Int(i)]]).unwrap();
-            }
-            assert_eq!(total(&mut p), 30);
-        }
         let cfg = LogConfig::new(&dir);
-        std::fs::rename(cfg.snapshot_path(), cfg.legacy_snapshot_path()).unwrap();
-        assert_eq!(
-            sniff_format(&cfg.log_path()).unwrap(),
-            Some(DurabilityFormat::Json)
+        let json = concat!(
+            "{\"BorderBatch\":{\"batch\":1,\"proc\":\"double\",\"rows\":[[{\"Int\":1}]],\"ts\":0}}\n",
+            "{\"Ack\":{\"batch\":1}}\n",
         );
+        std::fs::write(cfg.log_path(), json).unwrap();
 
-        // Recover with the binary-default config: JSON log + legacy
-        // snapshot replay transparently.
-        let mut r = recover(config(&dir), setup).unwrap();
-        assert_eq!(total(&mut r), 30);
-        // The partition keeps working; its next snapshot migrates the dir
-        // to the binary layout and retires the legacy snapshot name.
-        r.submit_batch("double", vec![vec![Value::Int(10)]])
-            .unwrap();
-        r.snapshot().unwrap();
-        assert!(cfg.snapshot_path().exists());
-        assert!(!cfg.legacy_snapshot_path().exists());
-        assert_eq!(
-            sniff_format(&cfg.log_path()).unwrap(),
-            Some(DurabilityFormat::Binary)
-        );
-        drop(r);
-        let mut r2 = recover(config(&dir), setup).unwrap();
-        assert_eq!(total(&mut r2), 50);
+        let err = recover(config(&dir), setup).unwrap_err();
+        assert_eq!(err.kind(), "recovery", "{err}");
+        let err = crate::log::CommandLog::open(cfg.clone()).unwrap_err();
+        assert_eq!(err.kind(), "recovery", "{err}");
+        assert_eq!(std::fs::read(cfg.log_path()).unwrap(), json.as_bytes());
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -3,14 +3,13 @@
 //!
 //! 1. `LogRecord` binary round-trip for arbitrary batches (all value
 //!    types, empty procs/rows, extreme ids/timestamps);
-//! 2. **replay equivalence** — the same committed history written through
-//!    the legacy JSON log and through the binary log recovers to
-//!    byte-identical database state (including window contents, lifecycle
-//!    counters, and index images).
+//! 2. **replay equivalence** — a committed history written through the
+//!    binary log recovers to byte-identical database state (including
+//!    window contents, lifecycle counters, and index images).
 
 use proptest::prelude::*;
 use sstore_common::codec::Reader;
-use sstore_common::{BatchId, DurabilityFormat, Result, Row, Value};
+use sstore_common::{BatchId, Result, Row, Value};
 use sstore_storage::snapshot::Snapshot;
 use sstore_txn::log::LogRecord;
 use sstore_txn::recovery::recover;
@@ -110,53 +109,37 @@ proptest! {
         prop_assert_eq!(back, record);
     }
 
-    /// The same committed history, logged once through the legacy JSON
-    /// codec and once through the binary codec, recovers to byte-identical
-    /// database state.
+    /// A committed history, logged through the binary codec, recovers to
+    /// byte-identical database state.
     #[test]
-    fn replay_equivalence_json_vs_binary(
+    fn binary_replay_reproduces_live_state(
         batches in prop::collection::vec(
             prop::collection::vec(-3i64..40, 1..5), 1..10),
         case in 0u64..1_000_000,
     ) {
-        let mut states = Vec::new();
-        for (tag, format) in [
-            ("json", DurabilityFormat::Json),
-            ("bin", DurabilityFormat::Binary),
-        ] {
-            let dir = std::env::temp_dir().join(format!(
-                "sstore-prop-replaycodec-{tag}-{}-{case}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let config = PeConfig {
-                log: Some(LogConfig::new(&dir).with_format(format)),
-                ..PeConfig::default()
-            };
-            let live = {
-                let mut p = Partition::new(config.clone()).unwrap();
-                deploy(&mut p).unwrap();
-                for batch in &batches {
-                    let rows: Vec<Row> = batch
-                        .iter()
-                        .map(|v| Row::new(vec![Value::Int(*v)]))
-                        .collect();
-                    let _ = p.submit_batch("keeper", rows);
-                }
-                db_json(&p)
-            };
-            let recovered = recover(config, deploy).unwrap();
-            let replayed = db_json(&recovered);
-            prop_assert_eq!(
-                &replayed, &live,
-                "{} recovery diverged from live state", tag
-            );
-            states.push(live);
-            std::fs::remove_dir_all(&dir).ok();
-        }
-        // Live states agree between runs, and (via the assertions above)
-        // both recoveries reproduced them — the codec does not influence
-        // execution or replay.
-        prop_assert_eq!(&states[0], &states[1]);
+        let dir = std::env::temp_dir().join(format!(
+            "sstore-prop-replaycodec-{}-{case}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = PeConfig {
+            log: Some(LogConfig::new(&dir)),
+            ..PeConfig::default()
+        };
+        let live = {
+            let mut p = Partition::new(config.clone()).unwrap();
+            deploy(&mut p).unwrap();
+            for batch in &batches {
+                let rows: Vec<Row> = batch
+                    .iter()
+                    .map(|v| Row::new(vec![Value::Int(*v)]))
+                    .collect();
+                let _ = p.submit_batch("keeper", rows);
+            }
+            db_json(&p)
+        };
+        let recovered = recover(config, deploy).unwrap();
+        prop_assert_eq!(&db_json(&recovered), &live, "recovery diverged from live state");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
