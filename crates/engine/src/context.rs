@@ -137,22 +137,18 @@ impl ExecContext for EeContext<'_> {
     }
 
     fn insert_visible(&mut self, table: TableId, row: Row) -> Result<RowId> {
-        let kind = self.db.kind(table)?.clone();
-        match kind {
+        // Branch on the borrowed kind: the only copy of it taken is the
+        // undo snapshot a stream (here) or window (`insert_into_window`)
+        // insert needs.
+        match self.db.kind(table)? {
             TableKind::Base => {
                 let rid = self.db.table_mut(table)?.insert(row)?;
                 self.undo.push(UndoOp::Insert { table, rid });
                 Ok(rid)
             }
-            TableKind::Stream(_) => {
+            kind @ TableKind::Stream(_) => {
                 // Rewind counters on abort.
-                let prior = self
-                    .db
-                    .catalog()
-                    .meta(table)
-                    .expect("kind checked")
-                    .kind
-                    .clone();
+                let prior = kind.clone();
                 self.undo.push(UndoOp::KindMeta { table, prior });
                 let seq = {
                     let meta = self.db.catalog_mut().meta_mut(table).expect("kind checked");

@@ -2,8 +2,9 @@
 //!
 //! [`ExecutionEngine`] owns the partition's [`Database`], the EE trigger
 //! registry, and the engine counters. The partition engine (`sstore-txn`)
-//! drives it: one [`ExecutionEngine::execute_planned`] call is one PE→EE
-//! round trip; EE triggers cascade *inside* that call.
+//! drives it: one [`ExecutionEngine::execute_planned`] or
+//! [`ExecutionEngine::append_row`] call is one PE→EE round trip; EE
+//! triggers cascade *inside* that call.
 
 pub use crate::context::EeConfig;
 use crate::context::{EeContext, PendingFire};
@@ -11,11 +12,11 @@ use crate::gc;
 use crate::stats::EeStats;
 use crate::triggers::{EeTrigger, TriggerEvent, TriggerRegistry};
 use sstore_common::{BatchId, Error, ProcId, Result, Row, TableId, Value};
-use sstore_sql::exec::{self, QueryResult};
+use sstore_sql::exec::{self, ExecContext, QueryResult};
 use sstore_sql::plan::{DdlOp, PlannedStmt};
 use sstore_sql::{parse, plan_statement};
 use sstore_storage::catalog::{WindowKind, WindowSpec};
-use sstore_storage::{Database, IndexDef, UndoLog};
+use sstore_storage::{Database, IndexDef, RowId, UndoLog};
 use std::collections::VecDeque;
 
 /// Per-transaction-execution scratch state, owned by the partition engine
@@ -247,6 +248,39 @@ impl ExecutionEngine {
         scratch: &mut TxnScratch,
         now: i64,
     ) -> Result<QueryResult> {
+        self.trip(scratch, now, |ctx| exec::execute(stmt, ctx, params))
+    }
+
+    /// Append one row, given in visible-column order, to `table` inside a
+    /// TE: the `emit` path of stored procedures. Costs exactly what
+    /// `INSERT INTO table VALUES (?, …)` through [`Self::execute_planned`]
+    /// costs — **one PE→EE round trip** and one statement, with the stream
+    /// or window lifecycle and the EE trigger cascade run inside it — but
+    /// takes the caller's row handle as is: no plan, no evaluated copy. A
+    /// row of the wrong width fails the table's schema check
+    /// (`Error::Constraint`) before anything is appended.
+    pub fn append_row(
+        &mut self,
+        table: TableId,
+        row: Row,
+        scratch: &mut TxnScratch,
+        now: i64,
+    ) -> Result<RowId> {
+        self.trip(scratch, now, |ctx| {
+            ctx.check_write(table)?;
+            ctx.insert_visible(table, row)
+        })
+    }
+
+    /// One PE→EE round trip: run the `issued` statement against a fresh
+    /// context, then drain the EE trigger cascade it queued, within the
+    /// same TE.
+    fn trip<T>(
+        &mut self,
+        scratch: &mut TxnScratch,
+        now: i64,
+        issued: impl FnOnce(&mut EeContext<'_>) -> Result<T>,
+    ) -> Result<T> {
         self.stats.pe_ee_trips += 1;
         self.stats.statements += 1;
         let mut ctx = EeContext {
@@ -262,7 +296,7 @@ impl ExecutionEngine {
             queue: VecDeque::new(),
             depth: 0,
         };
-        let result = exec::execute(stmt, &mut ctx, params)?;
+        let result = issued(&mut ctx)?;
         // Drain the trigger cascade within the same transaction.
         while let Some(PendingFire {
             trigger,
@@ -391,6 +425,136 @@ mod tests {
             .execute_sql("SELECT n FROM counts WHERE k = 1", &[], &mut sc2, 0)
             .unwrap();
         assert_eq!(r.scalar_i64().unwrap(), 0);
+    }
+
+    #[test]
+    fn append_row_is_one_trip_with_cascade_and_rolls_back_whole() {
+        let mut e = engine_with_objects();
+        e.execute_sql("INSERT INTO counts VALUES (1, 0)", &[], &mut scratch(), 0)
+            .unwrap();
+        e.create_trigger(
+            "s1_to_s2",
+            "s1",
+            TriggerEvent::OnInsert,
+            &[
+                "INSERT INTO s2 (v) VALUES (?)",
+                "UPDATE counts SET n = n + 1 WHERE k = 1",
+            ],
+        )
+        .unwrap();
+        e.reset_stats();
+
+        let s1 = e.db().resolve("s1").unwrap();
+        let mut sc = TxnScratch::new(None, BatchId::new(9));
+        let row: Row = vec![Value::Int(7)].into();
+        e.append_row(s1, row.clone(), &mut sc, 0).unwrap();
+        e.append_row(s1, row.clone(), &mut sc, 0).unwrap();
+
+        // One trip per row; each costs 1 + 2 trigger statements.
+        assert_eq!(e.stats().pe_ee_trips, 2);
+        assert_eq!(e.stats().statements, 6);
+        assert_eq!(e.stats().insert_trigger_firings, 2);
+        // Stored rows carry `__batch`/`__seq`; the output batch shares the
+        // caller's handle instead of a copy.
+        let stored: Vec<Row> = e
+            .db()
+            .table(s1)
+            .unwrap()
+            .scan()
+            .map(|(_, r)| r.clone())
+            .collect();
+        assert_eq!(stored[0], vec![Value::Int(7), Value::Int(9), Value::Int(1)]);
+        assert_eq!(stored[1], vec![Value::Int(7), Value::Int(9), Value::Int(2)]);
+        assert_eq!(sc.appended.len(), 4);
+        assert!(std::ptr::eq(sc.appended[0].1.as_ref(), row.as_ref()));
+
+        // Abort undoes both appends, both cascades and the sequence.
+        sc.undo.rollback(e.db_mut()).unwrap();
+        let s2 = e.db().resolve("s2").unwrap();
+        assert!(e.db().table(s1).unwrap().is_empty());
+        assert!(e.db().table(s2).unwrap().is_empty());
+        match e.db().kind(s1).unwrap() {
+            sstore_storage::TableKind::Stream(m) => assert_eq!(m.next_seq, 0),
+            other => panic!("s1 is {other:?}"),
+        }
+        let r = e
+            .execute_sql("SELECT n FROM counts WHERE k = 1", &[], &mut scratch(), 0)
+            .unwrap();
+        assert_eq!(r.scalar_i64().unwrap(), 0);
+    }
+
+    #[test]
+    fn append_row_of_wrong_width_is_a_typed_error_appending_nothing() {
+        let mut e = engine_with_objects();
+        e.create_trigger(
+            "s1_to_s2",
+            "s1",
+            TriggerEvent::OnInsert,
+            &["INSERT INTO s2 (v) VALUES (?)"],
+        )
+        .unwrap();
+        let s1 = e.db().resolve("s1").unwrap();
+        let mut sc = scratch();
+        for cells in [vec![], vec![Value::Int(1), Value::Int(2)]] {
+            let err = e.append_row(s1, cells.into(), &mut sc, 0).unwrap_err();
+            assert_eq!(err.kind(), "constraint");
+        }
+        assert!(e.db().table(s1).unwrap().is_empty());
+        assert!(sc.appended.is_empty());
+        assert_eq!(e.stats().insert_trigger_firings, 0);
+    }
+
+    #[test]
+    fn bulk_delete_under_one_key_undoes_and_replays_exactly() {
+        let mut e = ExecutionEngine::new();
+        e.ddl_sql("CREATE TABLE v (id INT NOT NULL, c INT NOT NULL, PRIMARY KEY (id))")
+            .unwrap();
+        e.create_index("v", "v_by_c", &["c"], false, false).unwrap();
+        let v = e.db().resolve("v").unwrap();
+        let table = e.db_mut().table_mut(v).unwrap();
+        for id in 0..20_100i64 {
+            // 20 000 rows under c = 1, the rest under c = 2 spread through them.
+            let c = if id % 201 == 200 { 2 } else { 1 };
+            table.insert(vec![Value::Int(id), Value::Int(c)]).unwrap();
+        }
+        let encode = |e: &ExecutionEngine| {
+            let mut out = Vec::new();
+            e.db().table(v).unwrap().encode_binary(&mut out);
+            out
+        };
+        let before = encode(&e);
+        let base = e.db().table(v).unwrap().clone();
+        e.db_mut().table_mut(v).unwrap().set_journaling(true);
+
+        let mut sc = scratch();
+        let r = e
+            .execute_sql("DELETE FROM v WHERE c = 1", &[], &mut sc, 0)
+            .unwrap();
+        assert_eq!(r.rows_affected, 20_000);
+        let live = e.db().table(v).unwrap();
+        assert_eq!(live.len(), 100);
+        assert!(live
+            .index_lookup("v_by_c", &[Value::Int(1)])
+            .unwrap()
+            .is_empty());
+
+        // A delta replay of the journal drives the same slots and buckets.
+        let ops = match live.dirt() {
+            sstore_storage::TableDirt::Ops(ops) => ops.to_vec(),
+            other => panic!("expected ops, got {other:?}"),
+        };
+        let mut replayed = base;
+        for op in &ops {
+            replayed.apply_slot_op(op).unwrap();
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        replayed.encode_binary(&mut a);
+        live.encode_binary(&mut b);
+        assert_eq!(a, b);
+
+        // Undo restores the rows, the free list and the bucket order.
+        sc.undo.rollback(e.db_mut()).unwrap();
+        assert_eq!(encode(&e), before);
     }
 
     #[test]

@@ -180,7 +180,9 @@ pub fn execute(
             ctx.check_write(*table)?;
             let targets = matching_rows(*table, path, pred.as_ref(), ctx, &env)?;
             let mut n = 0;
-            for (rid, _) in targets {
+            // Reverse bucket order: each removal pops its index bucket's
+            // tail, so k rows under one key cost O(k), not O(k²).
+            for (rid, _) in targets.into_iter().rev() {
                 ctx.delete_row(*table, rid)?;
                 n += 1;
             }

@@ -251,7 +251,13 @@ impl Index {
 
     /// Remove a (key, row id) pair; it must be present.
     ///
-    /// Empty buckets are removed eagerly so `key_count` reflects live keys.
+    /// Costs O(bucket): the row id is searched from the bucket's tail and
+    /// swap-removed. Removing the tail is a pop that leaves the rest of
+    /// the bucket in order, so a caller removing many rows under one key
+    /// walks them in **reverse** bucket order; *k* removals then cost
+    /// O(*k*), and re-inserting them in forward order (undo) restores the
+    /// bucket exactly. Empty buckets are removed eagerly so `key_count`
+    /// reflects live keys.
     pub fn remove(&mut self, key: &[Value], rid: RowId) -> Result<()> {
         let removed = match &mut self.store {
             IndexStore::Hash(m) => {
@@ -287,7 +293,7 @@ impl Index {
 
     fn remove_from(ids: Option<&mut Vec<RowId>>, rid: RowId) -> bool {
         if let Some(ids) = ids {
-            if let Some(pos) = ids.iter().position(|&r| r == rid) {
+            if let Some(pos) = ids.iter().rposition(|&r| r == rid) {
                 ids.swap_remove(pos);
                 return true;
             }
@@ -369,6 +375,24 @@ mod tests {
         ix.remove(&[Value::Int(1)], 10).unwrap();
         assert_eq!(ix.get(&[Value::Int(1)]), &[11]);
         assert!(ix.remove(&[Value::Int(1)], 99).is_err());
+    }
+
+    #[test]
+    fn reverse_removal_pops_tail_and_forward_reinsert_restores_order() {
+        let mut ix = hash_idx(false);
+        let key = [Value::Int(1)];
+        for rid in 0..6 {
+            ix.insert(key.to_vec(), rid).unwrap();
+        }
+        // Removing the tail leaves the rest of the bucket in order.
+        for rid in (3..6).rev() {
+            ix.remove(&key, rid).unwrap();
+            assert_eq!(ix.get(&key), (0..rid).collect::<Vec<_>>());
+        }
+        for rid in 3..6 {
+            ix.insert(key.to_vec(), rid).unwrap();
+        }
+        assert_eq!(ix.get(&key), &[0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

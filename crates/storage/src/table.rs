@@ -416,6 +416,8 @@ impl Table {
 
     /// Replace the row at `rid`; returns the previous row (for undo).
     /// The returned old image is a shared handle (refcount bump, no copy).
+    /// Indexes are touched only when some key changes (`Value`'s `Eq` is
+    /// the relation both index maps use), so bucket order stays put.
     pub fn update(&mut self, rid: RowId, new_row: impl Into<Row>) -> Result<Row> {
         let new_row = self.schema.validate(new_row)?;
         let old = self
@@ -424,12 +426,19 @@ impl Table {
             .and_then(|s| s.as_ref())
             .cloned()
             .ok_or_else(|| Error::Internal(format!("update of missing row {rid}")))?;
-        self.index_remove(&old, rid)?;
-        if let Err(e) = self.index_insert(&new_row, rid) {
-            // Roll the index change back so the table stays consistent.
-            self.index_insert(&old, rid)
-                .expect("reinserting old index entries cannot fail");
-            return Err(e);
+        let rekey = self
+            .pk_index
+            .iter()
+            .chain(&self.indexes)
+            .any(|ix| *ix.key_ref(&old) != *ix.key_ref(&new_row));
+        if rekey {
+            self.index_remove(&old, rid)?;
+            if let Err(e) = self.index_insert(&new_row, rid) {
+                // Roll the index change back so the table stays consistent.
+                self.index_insert(&old, rid)
+                    .expect("reinserting old index entries cannot fail");
+                return Err(e);
+            }
         }
         if self.journal.is_some() {
             self.journal_record(SlotOp::Update {
@@ -465,7 +474,9 @@ impl Table {
         }
         self.mirror.write(rid, &row);
         self.slots[rid as usize] = Some(row);
-        if let Some(pos) = self.free.iter().position(|&f| f == rid) {
+        // Undo restores in reverse delete order, so the slot is the free
+        // stack's top: searching from the back makes a bulk undo linear.
+        if let Some(pos) = self.free.iter().rposition(|&f| f == rid) {
             self.free.swap_remove(pos);
         }
         self.live += 1;
@@ -788,6 +799,60 @@ mod tests {
         // Old entry must still be findable.
         assert_eq!(t.pk_lookup(&[Value::Int(1)]), Some(r1));
         assert_eq!(t.get(r1).unwrap()[1], Value::Text("a".into()));
+    }
+
+    /// `t` plus a non-unique index on `name`, holding rows 1..=4 where
+    /// rows 1, 2 and 4 share the name "a".
+    fn indexed_table() -> Table {
+        let mut t = table();
+        t.create_index(IndexDef {
+            name: "by_name".into(),
+            key_cols: vec![1],
+            unique: false,
+            ordered: false,
+        })
+        .unwrap();
+        for (id, name) in [(1, "a"), (2, "a"), (3, "b"), (4, "a")] {
+            t.insert(row(id, name)).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn key_stable_update_keeps_bucket_order_and_raises_no_conflict() {
+        let mut t = indexed_table();
+        let a = [Value::Text("a".into())];
+        assert_eq!(t.index_lookup("by_name", &a).unwrap(), &[0, 1, 3]);
+        // Same pk, same name: a re-keying update would move rid 0 to the
+        // bucket's tail; a key-stable one leaves it where it is.
+        let old = t.update(0, row(1, "a")).unwrap();
+        assert_eq!(old, row(1, "a"));
+        assert_eq!(t.index_lookup("by_name", &a).unwrap(), &[0, 1, 3]);
+        assert_eq!(t.pk_lookup(&[Value::Int(1)]), Some(0));
+        // Updating a unique key to itself is no conflict either.
+        t.update(2, row(3, "b")).unwrap();
+        assert_eq!(t.pk_lookup(&[Value::Int(3)]), Some(2));
+    }
+
+    #[test]
+    fn key_changing_update_moves_entry_and_unique_violation_rolls_back() {
+        let mut t = indexed_table();
+        let a = [Value::Text("a".into())];
+        let b = [Value::Text("b".into())];
+        t.update(0, row(1, "b")).unwrap();
+        assert_eq!(t.index_lookup("by_name", &a).unwrap(), &[3, 1]);
+        assert_eq!(t.index_lookup("by_name", &b).unwrap(), &[2, 0]);
+        // A pk collision leaves every index as it was.
+        let err = t.update(1, row(3, "c")).unwrap_err();
+        assert_eq!(err.kind(), "constraint");
+        assert_eq!(t.get(1).unwrap(), &row(2, "a"));
+        assert_eq!(t.pk_lookup(&[Value::Int(2)]), Some(1));
+        assert_eq!(t.pk_lookup(&[Value::Int(3)]), Some(2));
+        assert!(t
+            .index_lookup("by_name", &[Value::Text("c".into())])
+            .unwrap()
+            .is_empty());
+        assert_eq!(t.index_lookup("by_name", &a).unwrap(), &[3, 1]);
     }
 
     #[test]

@@ -710,12 +710,13 @@ impl Partition {
         let trace = self.pending_traces.pop_front();
         self.next_batch += 1;
         let batch = BatchId::new(self.next_batch);
-        let synced = self.log_record(&LogRecord::BorderBatch {
-            batch,
-            proc: proc.to_string(),
-            rows: rows.clone(),
-            ts: self.clock.now(),
-        })?;
+        let synced = self.logging()
+            && self.log_record(&LogRecord::BorderBatch {
+                batch,
+                proc: proc.to_string(),
+                rows: rows.clone(),
+                ts: self.clock.now(),
+            })?;
         self.note_batch_logged(batch, trace, synced);
         self.stats.batches_submitted += 1;
         self.batch_refs.insert(batch.raw(), 1);
@@ -746,12 +747,14 @@ impl Partition {
         simulate_cost(self.config.client_trip_cost_micros);
         self.next_batch += 1;
         let batch = BatchId::new(self.next_batch);
-        self.log_record(&LogRecord::Invocation {
-            batch,
-            proc: proc.to_string(),
-            rows: rows.clone(),
-            ts: self.clock.now(),
-        })?;
+        if self.logging() {
+            self.log_record(&LogRecord::Invocation {
+                batch,
+                proc: proc.to_string(),
+                rows: rows.clone(),
+                ts: self.clock.now(),
+            })?;
+        }
         self.batch_refs.insert(batch.raw(), 1);
         self.queue.push_back(Invocation {
             proc: pid,
@@ -1584,6 +1587,12 @@ impl Partition {
         Ok(())
     }
 
+    /// True when [`Self::log_record`] writes (a log is attached, no replay):
+    /// hot paths check it before building a record that copies rows.
+    fn logging(&self) -> bool {
+        self.log.is_some() && !self.replaying
+    }
+
     /// Append `record` to the command log. Returns whether the append
     /// triggered a group-commit fsync (so callers can resolve the
     /// `Fsynced` trace stage for everything the sync covered).
@@ -1638,7 +1647,7 @@ impl Partition {
     /// and resolve `Fsynced` when the append triggered a group commit.
     fn note_batch_logged(&mut self, batch: BatchId, trace: Option<TraceCtx>, synced: bool) {
         if let Some(t) = trace {
-            if self.log.is_some() && !self.replaying {
+            if self.logging() {
                 obs::record(Stage::Logged, t);
                 self.unsynced_traces.push(t);
             }
@@ -1997,6 +2006,7 @@ impl Partition {
 mod tests {
     use super::*;
     use crate::procedure::ProcSpec;
+    use sstore_storage::TableKind;
 
     /// votes_in -> validate -> validated -> count
     /// `validate` drops negative values; `count` bumps a counter table.
@@ -2137,6 +2147,45 @@ mod tests {
         );
         assert_eq!(p.stats().pe_trigger_firings, 0);
         assert_eq!(p.stats().user_aborts, 1);
+    }
+
+    #[test]
+    fn emit_of_wrong_width_fails_te_cleanly() {
+        let mut p = Partition::new(PeConfig::default()).unwrap();
+        p.ddl("CREATE STREAM s_in (v INT)").unwrap();
+        p.ddl("CREATE STREAM s_out (v INT)").unwrap();
+        p.ddl("CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))")
+            .unwrap();
+        p.register(
+            ProcSpec::new("wide", |ctx| {
+                ctx.exec("ins", &[Value::Int(1)])?;
+                ctx.emit(vec![Value::Int(7)])?;
+                ctx.emit(vec![Value::Int(8), Value::Int(9)])
+            })
+            .consumes("s_in")
+            .emits("s_out")
+            .stmt("ins", "INSERT INTO t VALUES (?)"),
+        )
+        .unwrap();
+        p.register(ProcSpec::new("sink_proc", |_ctx| Ok(())).consumes("s_out"))
+            .unwrap();
+
+        let outcomes = p.submit_batch("wide", vec![vec![Value::Int(1)]]).unwrap();
+        assert_eq!(outcomes.len(), 1);
+        assert_eq!(outcomes[0].status, TxnStatus::Failed);
+        assert!(outcomes[0].error.as_deref().unwrap().contains("arity"));
+        // The table write and the well-formed emit rolled back with it,
+        // the stream's sequence rewound, and nothing went downstream.
+        let count = |p: &mut Partition, sql: &str| p.query(sql, &[]).unwrap().scalar_i64().unwrap();
+        assert_eq!(count(&mut p, "SELECT COUNT(*) FROM t"), 0);
+        assert_eq!(count(&mut p, "SELECT COUNT(*) FROM s_out"), 0);
+        assert_eq!(p.stats().pe_trigger_firings, 0);
+        assert_eq!(p.stats().failed, 1);
+        let s_out = p.engine().db().resolve("s_out").unwrap();
+        match p.engine().db().kind(s_out).unwrap() {
+            TableKind::Stream(s) => assert_eq!(s.next_seq, 0),
+            other => panic!("s_out is {other:?}"),
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! each transaction execution gets a [`ProcContext`] giving it its input
 //! batch, its prepared statements, ad-hoc SQL, and an `emit` path onto its
 //! output stream.
+//!
+//! A TE only binds parameters: [`ProcContext::exec`] hands the engine a
+//! borrow of the plan prepared at registration, never a copy, and
+//! [`ProcContext::emit`] appends the row handle directly, with no plan at
+//! all.
 
 use sstore_common::{Batch, Error, ProcId, Result, Row, TableId, Value};
 use sstore_engine::{ExecutionEngine, TxnScratch};
@@ -232,12 +237,12 @@ impl ProcContext<'_> {
 
     /// Execute a prepared statement by name.
     pub fn exec(&mut self, stmt: &str, params: &[Value]) -> Result<QueryResult> {
-        let planned = self
-            .statements
+        // Copy the `&'a` map out so the plan borrow does not hold `self`.
+        let statements = self.statements;
+        let planned = statements
             .get(stmt)
-            .ok_or_else(|| Error::NotFound(format!("prepared statement `{stmt}`")))?
-            .clone();
-        self.dispatch(&planned, params)
+            .ok_or_else(|| Error::NotFound(format!("prepared statement `{stmt}`")))?;
+        self.dispatch(planned, params)
     }
 
     /// Execute ad-hoc SQL (planned per call; prefer [`ProcContext::exec`]).
@@ -248,23 +253,20 @@ impl ProcContext<'_> {
 
     /// Append a tuple to this procedure's output stream. The tuples
     /// emitted during one TE form the downstream procedure's input batch.
+    ///
+    /// The row handle goes straight to [`ExecutionEngine::append_row`]: one
+    /// PE→EE trip and one statement, stream lifecycle (`__batch`/`__seq`
+    /// stamping, EE triggers) applied, no plan built, and the handle itself
+    /// shared into the output batch. A row whose width is not the stream's
+    /// is a constraint error and the TE rolls back.
     pub fn emit(&mut self, row: impl Into<Row>) -> Result<()> {
-        let row = row.into();
         let stream = self
             .output_stream
             .ok_or_else(|| Error::Schedule("procedure has no output stream to emit to".into()))?;
-        // Synthesize a parameterized insert through the engine so stream
-        // lifecycle (batch/seq stamping, EE triggers) applies.
-        let arity = row.len();
-        let planned = PlannedStmt::Insert {
-            table: stream,
-            source: PhysicalPlan::Values {
-                rows: vec![(0..arity).map(sstore_sql::expr::BoundExpr::Param).collect()],
-            },
-            mapping: (0..arity).map(Some).collect(),
-            subqueries: vec![],
-        };
-        self.dispatch(&planned, &row)?;
+        simulate_cost(self.ee_trip_cost_micros);
+        simulate_latency(self.ee_trip_latency_micros);
+        self.engine
+            .append_row(stream, row.into(), self.scratch, self.now)?;
         Ok(())
     }
 

@@ -136,6 +136,32 @@ fn show_runs_to_single_winner_and_stops() {
     assert_eq!(elims, 4);
 }
 
+/// The TE hot path may get cheaper per statement, never chattier: a fixed
+/// Voter run pins the engine's PE→EE trip and statement counts (S-Store
+/// push at two batch sizes, H-Store with a client-driven workflow).
+#[test]
+fn voter_ee_trip_and_statement_counts_are_pinned() {
+    let cfg = config();
+    let votes = VoteGen::new(5, cfg.num_contestants).take(1_500);
+    let mut counts = Vec::new();
+    for batch in [1usize, 25] {
+        let mut db = SStoreBuilder::new().build().unwrap();
+        install(&mut db, WindowImpl::Native, &cfg).unwrap();
+        run_sstore(&mut db, &votes, batch).unwrap();
+        let s = db.engine().stats();
+        counts.push((s.pe_ee_trips, s.statements));
+    }
+    let mut db = SStoreBuilder::new().hstore_mode().build().unwrap();
+    install(&mut db, WindowImpl::Emulated, &cfg).unwrap();
+    run_hstore(&mut db, &votes, 4).unwrap();
+    let s = db.engine().stats();
+    counts.push((s.pe_ee_trips, s.statements));
+    assert_eq!(
+        counts,
+        vec![(14_586, 14_820), (14_712, 14_950), (14_826, 14_826)]
+    );
+}
+
 #[test]
 fn trending_window_reflects_only_recent_votes() {
     let cfg = VoterConfig {
