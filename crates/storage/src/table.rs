@@ -348,7 +348,8 @@ impl Table {
         let mut ix = Index::new(def);
         for (rid, slot) in self.slots.iter().enumerate() {
             if let Some(row) = slot {
-                ix.insert(ix.key_of(row), rid as RowId)?;
+                let key = ix.key_ref(row);
+                ix.insert(&key, rid as RowId)?;
             }
         }
         self.indexes.push(ix);
@@ -662,8 +663,8 @@ impl Table {
 
     fn index_insert(&mut self, row: &Row, rid: RowId) -> Result<()> {
         if let Some(pk) = &mut self.pk_index {
-            let key = pk.key_of(row);
-            pk.insert(key, rid).map_err(|_| {
+            let key = pk.key_ref(row);
+            pk.insert(&key, rid).map_err(|_| {
                 Error::Constraint(format!(
                     "duplicate primary key {:?} in table `{}`",
                     self.schema
@@ -676,8 +677,8 @@ impl Table {
             })?;
         }
         for i in 0..self.indexes.len() {
-            let key = self.indexes[i].key_of(row);
-            if let Err(e) = self.indexes[i].insert(key, rid) {
+            let key = self.indexes[i].key_ref(row);
+            if let Err(e) = self.indexes[i].insert(&key, rid) {
                 // Unwind the partial index inserts.
                 for j in 0..i {
                     let key = self.indexes[j].key_ref(row);
@@ -708,12 +709,18 @@ impl Table {
         Ok(())
     }
 
-    /// Approximate memory footprint in bytes (rows and their column
-    /// mirror; used by the GC experiment E7 to show bounded memory on
-    /// unbounded streams).
+    /// Approximate memory footprint in bytes (rows, their column mirror
+    /// and the indexes; used by the GC experiment E7 to show bounded
+    /// memory on unbounded streams).
     pub fn approx_bytes(&self) -> usize {
-        let mut total =
-            self.slots.capacity() * std::mem::size_of::<Option<Row>>() + self.mirror.heap_bytes();
+        let mut total = self.slots.capacity() * std::mem::size_of::<Option<Row>>()
+            + self.mirror.heap_bytes()
+            + self
+                .pk_index
+                .iter()
+                .chain(&self.indexes)
+                .map(Index::heap_bytes)
+                .sum::<usize>();
         for row in self.slots.iter().flatten() {
             total += row.len() * std::mem::size_of::<Value>();
             for v in row {
@@ -950,6 +957,39 @@ mod tests {
             t.insert(row(i, "some name")).unwrap();
         }
         assert!(t.approx_bytes() > before);
+    }
+
+    #[test]
+    fn approx_bytes_counts_index_entries_per_row() {
+        let cols = || {
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("phone", DataType::Int),
+            ]
+        };
+        let mut keyed = Table::new("keyed", Schema::new(cols(), &["id"]).unwrap());
+        keyed
+            .create_index(IndexDef {
+                name: "by_phone".into(),
+                key_cols: vec![1],
+                unique: false,
+                ordered: false,
+            })
+            .unwrap();
+        let mut bare = Table::new("bare", Schema::new(cols(), &[]).unwrap());
+        const ROWS: i64 = 10_000;
+        for i in 0..ROWS {
+            // Near-unique: every 100th phone repeats the one before it.
+            let r: Row = vec![Value::Int(i), Value::Int(i - (i % 100 == 1) as i64)].into();
+            keyed.insert(r.clone()).unwrap();
+            bare.insert(r).unwrap();
+        }
+        // Two 48 B entries per row, the hash map's spare capacity, and 100
+        // spilled buckets. An entry that allocated its key and its bucket
+        // would cost at least 104 B, which no row fits under the bound.
+        let index_bytes = keyed.approx_bytes() - bare.approx_bytes();
+        let per_row = index_bytes as f64 / ROWS as f64;
+        assert!((96.0..=160.0).contains(&per_row), "{per_row} B/row");
     }
 
     #[test]
