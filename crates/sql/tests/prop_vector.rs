@@ -16,6 +16,7 @@ use sstore_vector::compute::{arith_num, bool_to_sel, cmp_num};
 use sstore_vector::group::Groups;
 use sstore_vector::join::hash_join_i64;
 use sstore_vector::{ArithOp, Bitmap, CmpOp, Column, ColumnData, NumSrc};
+use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
 // Generators and lane-building helpers.
@@ -69,6 +70,19 @@ fn arb_key_col() -> impl Strategy<Value = (Vec<i64>, Vec<bool>)> {
         prop::collection::vec(-3i64..3, CAP..CAP + 1),
         prop::collection::vec(any::<bool>(), CAP..CAP + 1),
     )
+}
+
+/// Keys that are either all narrow or mixed with wide values, by case. A
+/// narrow lane (`narrow` over at most `CAP` rows) keeps the key span small
+/// enough for the direct-address kernels; a mixed one adds `any::<i64>()`,
+/// `i64::MIN` and `i64::MAX`, which mostly sends them to the `HashMap`
+/// fallback, while the narrow keys and the extremes still repeat.
+fn arb_keys(narrow: std::ops::Range<i64>) -> impl Strategy<Value = Vec<i64>> {
+    let mixed = prop_oneof![narrow.clone(), any::<i64>(), Just(i64::MIN), Just(i64::MAX)];
+    prop_oneof![
+        prop::collection::vec(narrow, CAP..CAP + 1),
+        prop::collection::vec(mixed, CAP..CAP + 1),
+    ]
 }
 
 /// Group the selected rows of the first `n` key cells with the kernel,
@@ -452,8 +466,8 @@ proptest! {
 
     #[test]
     fn hash_join_matches_nested_loop(
-        build in (prop::collection::vec(-8i64..8, CAP..CAP + 1), prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
-        probe in (prop::collection::vec(-8i64..8, CAP..CAP + 1), prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
+        build in (arb_keys(-8..8), prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
+        probe in (arb_keys(-8..8), prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
         shape in (0usize..CAP, 0usize..CAP, any::<bool>(), any::<bool>()),
         masks in (prop::collection::vec(any::<bool>(), CAP..CAP + 1), prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
     ) {
@@ -482,6 +496,34 @@ proptest! {
             }
         }
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn groups_match_reference(
+        // Duplicate-heavy keys, or spans of up to 80 keys over at most
+        // `CAP` rows: either side of the direct-address bound.
+        keys in (prop_oneof![arb_keys(-3..3), arb_keys(-40..40)], prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
+        shape in (0usize..CAP + 1, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>(), any::<bool>()),
+    ) {
+        let (n, mask, dense, timestamp) = shape;
+        let cells = int_cells(&keys, n);
+        let (data, validity) = int_lane(&cells);
+        let data = if timestamp { ColumnData::Timestamp(data) } else { ColumnData::Int(data) };
+        let sel = selection(&mask[..n], dense);
+        let got = Groups::of(&Column { data, validity }, sel.as_deref(), n).expect("typed lane");
+        // Reference: ids from a `HashMap` in order of first appearance,
+        // NULL (`None`) a key like any other.
+        let mut seen: HashMap<Option<i64>, u32> = HashMap::new();
+        let mut first = Vec::new();
+        for i in sel_indices(sel.as_deref(), n) {
+            let next = first.len() as u32;
+            let g = *seen.entry(cells[i]).or_insert(next);
+            if g == next {
+                first.push(i as u32);
+            }
+            prop_assert_eq!(got.ids[i], g, "row {}", i);
+        }
+        prop_assert_eq!(got.first, first);
     }
 }
 

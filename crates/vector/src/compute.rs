@@ -56,20 +56,26 @@ impl NumSrc<'_> {
 }
 
 /// Comparison operator, mirroring `BinOp::{Eq,Neq,Lt,Le,Gt,Ge}`.
+///
+/// Each discriminant is the set of orderings the operator accepts, as a
+/// 3-bit mask indexed by `Ordering as i8 + 1` (bit 0 `Less`, bit 1
+/// `Equal`, bit 2 `Greater`), so [`CmpOp::ord_ok`] is a shift, not a
+/// match, inside a kernel's loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum CmpOp {
     /// `=`
-    Eq,
+    Eq = 0b010,
     /// `<>`
-    Ne,
+    Ne = 0b101,
     /// `<`
-    Lt,
+    Lt = 0b001,
     /// `<=`
-    Le,
+    Le = 0b011,
     /// `>`
-    Gt,
+    Gt = 0b100,
     /// `>=`
-    Ge,
+    Ge = 0b110,
 }
 
 impl CmpOp {
@@ -77,13 +83,34 @@ impl CmpOp {
     /// the row path derives booleans from `sql_cmp`.
     #[inline]
     pub fn ord_ok(self, o: Ordering) -> bool {
-        match self {
-            CmpOp::Eq => o == Ordering::Equal,
-            CmpOp::Ne => o != Ordering::Equal,
-            CmpOp::Lt => o == Ordering::Less,
-            CmpOp::Le => o != Ordering::Greater,
-            CmpOp::Gt => o == Ordering::Greater,
-            CmpOp::Ge => o != Ordering::Less,
+        (self as u8 >> (o as i8 + 1)) & 1 == 1
+    }
+}
+
+/// `out[i] = f(&col[i], c)` for every selected row: a column against a
+/// constant in a loop of its own, with nothing decided per row but `f`.
+/// The dense loop walks the column and the output together, so it has no
+/// per-row bounds checks.
+#[inline]
+fn fill_vs_const<T, C: Copy>(
+    out: &mut [bool],
+    sel: Option<&[u32]>,
+    col: &[T],
+    c: C,
+    f: impl Fn(&T, C) -> bool,
+) {
+    match sel {
+        None => {
+            let col = &col[..out.len()];
+            for (o, x) in out.iter_mut().zip(col) {
+                *o = f(x, c);
+            }
+        }
+        Some(s) => {
+            for &i in s {
+                let i = i as usize;
+                out[i] = f(&col[i], c);
+            }
         }
     }
 }
@@ -127,6 +154,10 @@ pub fn combine_validity(
 /// promotes both sides to `f64` and uses `total_cmp` — exactly
 /// `Value::cmp_total` for numeric pairs. A NULL operand yields a NULL
 /// result bit (cleared validity), matching `sql_cmp → None → tri → Null`.
+///
+/// A float column against a float constant (`v >= ?`) runs its own loop,
+/// with the operands matched once per call; every other pair shares one
+/// int and one float loop.
 pub fn cmp_num(
     op: CmpOp,
     a: NumSrc,
@@ -137,14 +168,17 @@ pub fn cmp_num(
     rows: usize,
 ) -> (Vec<bool>, Option<Bitmap>) {
     let mut out = vec![false; rows];
-    if a.is_int() && b.is_int() {
-        for_sel!(sel, rows, i => {
-            out[i] = op.ord_ok(a.int_at(i).cmp(&b.int_at(i)));
-        });
-    } else {
-        for_sel!(sel, rows, i => {
-            out[i] = op.ord_ok(a.float_at(i).total_cmp(&b.float_at(i)));
-        });
+    let o = out.as_mut_slice();
+    match (a, b) {
+        (NumSrc::F(x), NumSrc::CF(c)) => {
+            fill_vs_const(o, sel, x, c, |x, c| op.ord_ok(x.total_cmp(&c)));
+        }
+        _ if a.is_int() && b.is_int() => for_sel!(sel, rows, i => {
+            o[i] = op.ord_ok(a.int_at(i).cmp(&b.int_at(i)));
+        }),
+        _ => for_sel!(sel, rows, i => {
+            o[i] = op.ord_ok(a.float_at(i).total_cmp(&b.float_at(i)));
+        }),
     }
     (out, combine_validity(av, bv, sel, rows))
 }
@@ -169,6 +203,10 @@ impl StrSrc<'_> {
 }
 
 /// String comparison (lexicographic byte order, as `Value::cmp_total`).
+/// `=` and `<>` between a column and a constant test equality rather than
+/// order: the length test and the common prefix's bytes are combined
+/// without a branch on the length, which text of mixed lengths would
+/// mispredict.
 pub fn cmp_str(
     op: CmpOp,
     a: StrSrc,
@@ -179,9 +217,20 @@ pub fn cmp_str(
     rows: usize,
 ) -> (Vec<bool>, Option<Bitmap>) {
     let mut out = vec![false; rows];
-    for_sel!(sel, rows, i => {
-        out[i] = op.ord_ok(a.at(i).cmp(b.at(i)));
-    });
+    let o = out.as_mut_slice();
+    match (op, a, b) {
+        (CmpOp::Eq | CmpOp::Ne, StrSrc::Col(d), StrSrc::Const(c))
+        | (CmpOp::Eq | CmpOp::Ne, StrSrc::Const(c), StrSrc::Col(d)) => {
+            let eq = op == CmpOp::Eq;
+            fill_vs_const(o, sel, d, c, |s: &String, c: &str| {
+                let n = s.len().min(c.len());
+                ((s.len() == c.len()) & (s.as_bytes()[..n] == c.as_bytes()[..n])) == eq
+            });
+        }
+        _ => for_sel!(sel, rows, i => {
+            o[i] = op.ord_ok(a.at(i).cmp(b.at(i)));
+        }),
+    }
     (out, combine_validity(av, bv, sel, rows))
 }
 
@@ -289,24 +338,38 @@ pub fn arith_num(
 /// Reduce a boolean result column to a selection vector: keep positions
 /// that are valid **and** true (the row path's `eval_pred` maps NULL to
 /// false).
+///
+/// Branch-free: every selected position is written to the next free slot
+/// of an output sized to the selection, and the slot is kept by advancing
+/// past it only when the row passes.
 pub fn bool_to_sel(
     vals: &[bool],
     validity: Option<&Bitmap>,
     sel: Option<&[u32]>,
     rows: usize,
 ) -> Vec<u32> {
-    let mut out = Vec::new();
-    for_sel!(sel, rows, i => {
-        if valid_at(validity, i) && vals[i] {
-            out.push(i as u32);
+    let mut out = vec![0u32; sel.map_or(rows, <[u32]>::len)];
+    let mut kept = 0;
+    match (sel, validity) {
+        (None, None) => {
+            for (i, &v) in vals[..rows].iter().enumerate() {
+                out[kept] = i as u32;
+                kept += v as usize;
+            }
         }
-    });
+        _ => for_sel!(sel, rows, i => {
+            out[kept] = i as u32;
+            kept += (valid_at(validity, i) & vals[i]) as usize;
+        }),
+    }
+    out.truncate(kept);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sstore_common::Value;
 
     fn bm(bits: &[bool]) -> Bitmap {
         let mut b = Bitmap::new_set(bits.len());
@@ -314,6 +377,115 @@ mod tests {
             b.set(i, v);
         }
         b
+    }
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// The row path's truth value of `a <op> b`, from `Value::cmp_total`.
+    fn row_cmp(op: CmpOp, a: &Value, b: &Value) -> bool {
+        let o = a.cmp_total(b);
+        match op {
+            CmpOp::Eq => o.is_eq(),
+            CmpOp::Ne => o.is_ne(),
+            CmpOp::Lt => o.is_lt(),
+            CmpOp::Le => o.is_le(),
+            CmpOp::Gt => o.is_gt(),
+            CmpOp::Ge => o.is_ge(),
+        }
+    }
+
+    fn selections() -> [Option<&'static [u32]>; 2] {
+        [None, Some(&[6, 1, 3])]
+    }
+
+    fn sel_rows(sel: Option<&[u32]>, rows: usize) -> Vec<usize> {
+        sel.map_or((0..rows).collect(), |s| {
+            s.iter().map(|&i| i as usize).collect()
+        })
+    }
+
+    #[test]
+    fn cmp_num_every_shape_and_op_matches_cmp_total() {
+        let ints = [2i64, -1, 0, 0, i64::MIN, i64::MAX, 3, i64::MAX - 1];
+        let floats = [
+            2.0f64,
+            f64::NAN,
+            -0.0,
+            0.0,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            -f64::NAN,
+            2.5,
+        ];
+        let (i, f) = (NumSrc::I(&ints), NumSrc::F(&floats));
+        // Column·column, then every column·constant pair both ways round
+        // and constant·constant; `2` against `2.0` crosses the promotion.
+        // `i64::MAX - 1` and `i64::MAX` are equal only as floats, so two
+        // ints must compare as ints.
+        let mut shapes = vec![(i, i), (f, f), (i, f), (f, i)];
+        for c in [
+            NumSrc::CI(0),
+            NumSrc::CI(2),
+            NumSrc::CI(i64::MIN),
+            NumSrc::CI(i64::MAX),
+            NumSrc::CF(0.0),
+            NumSrc::CF(-0.0),
+            NumSrc::CF(f64::NAN),
+            NumSrc::CF(2.0),
+        ] {
+            shapes.extend([(i, c), (c, i), (f, c), (c, f), (c, NumSrc::CI(2))]);
+            shapes.push((c, NumSrc::CF(-0.0)));
+        }
+        let value = |s: NumSrc, r: usize| match s {
+            NumSrc::I(d) => Value::Int(d[r]),
+            NumSrc::F(d) => Value::Float(d[r]),
+            NumSrc::CI(c) => Value::Int(c),
+            NumSrc::CF(c) => Value::Float(c),
+        };
+        for (a, b) in shapes {
+            for op in OPS {
+                for sel in selections() {
+                    let (out, v) = cmp_num(op, a, None, b, None, sel, ints.len());
+                    assert!(v.is_none());
+                    for r in sel_rows(sel, ints.len()) {
+                        let (x, y) = (value(a, r), value(b, r));
+                        assert_eq!(out[r], row_cmp(op, &x, &y), "{x} {op:?} {y}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cmp_str_eq_ne_with_the_constant_on_either_side() {
+        let lane: Vec<String> = ["", "a", "ab", "b", "a", "abc", "", "ab"]
+            .map(String::from)
+            .to_vec();
+        let text = |s: StrSrc, r: usize| Value::Text(s.at(r).to_string());
+        for c in ["", "a", "ab", "abd"] {
+            let (col, k) = (StrSrc::Col(&lane), StrSrc::Const(c));
+            // Eq and Ne take the equality loop; the other four stay on
+            // `cmp`, and must agree with it at the same inputs.
+            for op in OPS {
+                for (a, b) in [(col, k), (k, col)] {
+                    for sel in selections() {
+                        let (out, v) = cmp_str(op, a, None, b, None, sel, lane.len());
+                        assert!(v.is_none());
+                        for r in sel_rows(sel, lane.len()) {
+                            let (x, y) = (text(a, r), text(b, r));
+                            assert_eq!(out[r], row_cmp(op, &x, &y), "{x} {op:?} {y}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -433,8 +605,18 @@ mod tests {
 
     #[test]
     fn bool_to_sel_drops_null_and_false() {
-        let vals = [true, true, false, true];
-        let v = bm(&[true, false, true, true]);
-        assert_eq!(bool_to_sel(&vals, Some(&v), None, 4), vec![0, 3]);
+        let none: Vec<u32> = Vec::new();
+        let vals = [true, true, false, true, true];
+        let v = bm(&[true, false, true, true, true]);
+        assert_eq!(bool_to_sel(&vals, Some(&v), None, 5), vec![0, 3, 4]);
+        // Row 1 is NULL, row 2 false and row 4 unselected.
+        assert_eq!(bool_to_sel(&vals, Some(&v), Some(&[0, 1, 2, 3]), 5), [0, 3]);
+        assert_eq!(bool_to_sel(&vals, None, Some(&[1, 2, 4]), 5), [1, 4]);
+        assert_eq!(bool_to_sel(&[true; 5], None, None, 5), [0, 1, 2, 3, 4]);
+        assert_eq!(bool_to_sel(&[true; 5], Some(&v), None, 5), [0, 2, 3, 4]);
+        assert_eq!(bool_to_sel(&[false; 5], None, None, 5), none);
+        assert_eq!(bool_to_sel(&[false; 5], Some(&v), Some(&[0, 4]), 5), none);
+        assert_eq!(bool_to_sel(&[], None, None, 0), none);
+        assert_eq!(bool_to_sel(&vals, Some(&v), Some(&[]), 5), none);
     }
 }

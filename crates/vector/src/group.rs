@@ -10,6 +10,13 @@
 //! fed the group's rows in selection (= row) order: NULL cells are
 //! skipped, `SUM` over ints is checked, floats accumulate sequentially,
 //! `MIN`/`MAX` keep the first value on ties.
+//!
+//! An `Int` or `Timestamp` key lane whose valid selected keys span no more
+//! values (`max − min + 1`) than there are selected rows is numbered
+//! through a slot table indexed by `key − min`, hashing nothing; the table
+//! is then never longer than the id lane it fills. Wider lanes, lanes
+//! with no valid selected key, and every other key type go through a
+//! `HashMap`. Both ways give the same [`Groups`].
 
 use crate::column::{valid_at, Bitmap, Column, ColumnData};
 use crate::compute::NumSrc;
@@ -27,22 +34,22 @@ pub struct Groups {
     pub first: Vec<u32>,
 }
 
-/// Number the keys `key(i)` of the selected rows densely, first
-/// appearance first; rows without a valid key share one group.
-fn assign<K: Hash + Eq>(
-    key: impl Fn(usize) -> K,
+/// Number the selected rows' keys densely, first appearance first; rows
+/// without a valid key share one group. `id(i, next)` is the group of
+/// valid row `i`'s key: the one its key already has, else `next`.
+fn assign(
     validity: Option<&Bitmap>,
     sel: Option<&[u32]>,
     rows: usize,
+    mut id: impl FnMut(usize, u32) -> u32,
 ) -> Groups {
     let mut ids = vec![0u32; rows];
     let mut first: Vec<u32> = Vec::new();
-    let mut seen: HashMap<K, u32> = HashMap::new();
     let mut null_group: Option<u32> = None;
     for_sel!(sel, rows, i => {
         let next = first.len() as u32;
         let g = if valid_at(validity, i) {
-            *seen.entry(key(i)).or_insert(next)
+            id(i, next)
         } else {
             *null_group.get_or_insert(next)
         };
@@ -52,6 +59,46 @@ fn assign<K: Hash + Eq>(
         ids[i] = g;
     });
     Groups { ids, first }
+}
+
+/// [`assign`] with the keys `key(i)` remembered in a `HashMap`.
+fn hashed<K: Hash + Eq>(
+    key: impl Fn(usize) -> K,
+    validity: Option<&Bitmap>,
+    sel: Option<&[u32]>,
+    rows: usize,
+) -> Groups {
+    let mut seen: HashMap<K, u32> = HashMap::new();
+    assign(validity, sel, rows, |i, next| {
+        *seen.entry(key(i)).or_insert(next)
+    })
+}
+
+/// The smallest valid selected key of `d` and the span `max − min + 1`
+/// of those keys, when the span is at most `bound`. `None` when it is
+/// wider, or when no selected row has a valid key. The span is computed
+/// in `i128`, so a lane holding both `i64::MIN` and `i64::MAX` does not
+/// overflow it. A key `k` of the lane then sits at `k.wrapping_sub(min)`
+/// in a table of `span` slots.
+pub(crate) fn dense_range(
+    d: &[i64],
+    validity: Option<&Bitmap>,
+    sel: Option<&[u32]>,
+    rows: usize,
+    bound: usize,
+) -> Option<(i64, usize)> {
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+    for_sel!(sel, rows, i => {
+        if valid_at(validity, i) {
+            lo = lo.min(d[i]);
+            hi = hi.max(d[i]);
+        }
+    });
+    let span = i128::from(hi) - i128::from(lo) + 1;
+    // No valid key leaves `lo > hi`, a span below one.
+    (1..=bound as i128)
+        .contains(&span)
+        .then_some((lo, span as usize))
 }
 
 impl Groups {
@@ -88,18 +135,32 @@ impl Groups {
     pub fn of(col: &Column, sel: Option<&[u32]>, rows: usize) -> Option<Groups> {
         let v = col.validity.as_ref();
         Some(match &col.data {
-            ColumnData::Int(d) | ColumnData::Timestamp(d) => assign(|i| d[i], v, sel, rows),
+            ColumnData::Int(d) | ColumnData::Timestamp(d) => {
+                let selected = sel.map_or(rows, <[u32]>::len);
+                match dense_range(d, v, sel, rows, selected) {
+                    Some((min, span)) => {
+                        // `u32::MAX` = no group yet; any id is below it.
+                        let mut slot = vec![u32::MAX; span];
+                        assign(v, sel, rows, |i, next| {
+                            let g = &mut slot[d[i].wrapping_sub(min) as usize];
+                            *g = (*g).min(next);
+                            *g
+                        })
+                    }
+                    None => hashed(|i| d[i], v, sel, rows),
+                }
+            }
             // `Value` equality on floats is `total_cmp`, i.e. bit equality.
-            ColumnData::Float(d) => assign(|i| d[i].to_bits(), v, sel, rows),
-            ColumnData::Bool(d) => assign(|i| d[i], v, sel, rows),
-            ColumnData::Text(d) => assign(|i| d[i].as_str(), v, sel, rows),
+            ColumnData::Float(d) => hashed(|i| d[i].to_bits(), v, sel, rows),
+            ColumnData::Bool(d) => hashed(|i| d[i], v, sel, rows),
+            ColumnData::Text(d) => hashed(|i| d[i].as_str(), v, sel, rows),
             ColumnData::Generic(_) => return None,
         })
     }
 
     /// The groups of the key pair (`self`'s key, `other`'s key).
     pub fn and(&self, other: &Groups, sel: Option<&[u32]>, rows: usize) -> Groups {
-        assign(|i| (self.id(i), other.id(i)), None, sel, rows)
+        hashed(|i| (self.id(i), other.id(i)), None, sel, rows)
     }
 
     /// Fold the selected, valid rows into one accumulator per group.
@@ -296,6 +357,80 @@ mod tests {
             .and(&Groups::of(&b, None, 4).unwrap(), None, 4);
         assert_eq!(g.ids, vec![0, 1, 2, 0]);
         assert_eq!(g.len(), 3);
+    }
+
+    #[test]
+    fn span_equal_to_the_selection_is_dense_and_one_over_hashes() {
+        assert_eq!(dense_range(&[0, 3, 1, 3], None, None, 4, 4), Some((0, 4)));
+        assert_eq!(dense_range(&[0, 4, 1, 4], None, None, 4, 4), None);
+        // Only selected keys count, and the bound is the selection's size.
+        let sel = [1u32, 3];
+        assert_eq!(
+            dense_range(&[9, 0, -9, 1], None, Some(&sel), 4, 2),
+            Some((0, 2))
+        );
+        assert_eq!(dense_range(&[9, 0, -9, 2], None, Some(&sel), 4, 2), None);
+        for keys in [[0, 3, 1, 3], [0, 4, 1, 4]] {
+            let g = Groups::of(&col(DataType::Int, &keys.map(Value::Int)), None, 4).unwrap();
+            assert_eq!(g.ids, vec![0, 1, 2, 1]);
+            assert_eq!(g.first, vec![0, 1, 2]);
+        }
+        for keys in [[9, 0, -9, 1], [9, 0, -9, 2]] {
+            let c = col(DataType::Int, &keys.map(Value::Int));
+            let g = Groups::of(&c, Some(&sel), 4).unwrap();
+            assert_eq!((g.ids[1], g.ids[3]), (0, 1));
+            assert_eq!(g.first, vec![1, 3]);
+        }
+    }
+
+    #[test]
+    fn extreme_keys_do_not_overflow_the_span() {
+        let (min, max) = (i64::MIN, i64::MAX);
+        assert_eq!(dense_range(&[min, max], None, None, 2, 2), None);
+        assert_eq!(dense_range(&[max, min], None, None, 2, usize::MAX), None);
+        assert_eq!(
+            dense_range(&[min + 1, min], None, None, 2, 2),
+            Some((min, 2))
+        );
+        assert_eq!(
+            dense_range(&[max, max - 1], None, None, 2, 2),
+            Some((max - 1, 2))
+        );
+        for keys in [
+            [min, max, min],
+            [min + 1, min, min + 1],
+            [max, max - 1, max],
+        ] {
+            let c = col(DataType::Timestamp, &keys.map(Value::Timestamp));
+            let g = Groups::of(&c, None, 3).unwrap();
+            assert_eq!(g.ids, vec![0, 1, 0]);
+            assert_eq!(g.first, vec![0, 1]);
+        }
+    }
+
+    #[test]
+    fn no_valid_selected_key_falls_back() {
+        let nulls = col(DataType::Int, &[Value::Null, Value::Null, Value::Null]);
+        let ColumnData::Int(d) = &nulls.data else {
+            panic!()
+        };
+        assert_eq!(dense_range(d, nulls.validity.as_ref(), None, 3, 3), None);
+        let g = Groups::of(&nulls, None, 3).unwrap();
+        assert_eq!((g.ids, g.first), (vec![0, 0, 0], vec![0]));
+
+        let c = col(
+            DataType::Int,
+            &[5.into(), Value::Null, 6.into(), Value::Null],
+        );
+        let ColumnData::Int(d) = &c.data else {
+            panic!()
+        };
+        let sel = [1u32, 3];
+        assert_eq!(dense_range(d, c.validity.as_ref(), Some(&sel), 4, 2), None);
+        let g = Groups::of(&c, Some(&sel), 4).unwrap();
+        assert_eq!((g.ids[1], g.ids[3]), (0, 0));
+        assert_eq!(g.first, vec![1]);
+        assert!(Groups::of(&c, Some(&[]), 4).unwrap().is_empty());
     }
 
     #[test]

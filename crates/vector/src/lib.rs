@@ -14,9 +14,15 @@
 //!   each bit-identical to the scalar `expr` evaluator (same NULL
 //!   propagation, same overflow/division error strings, same first-error
 //!   ordering);
-//! - [`join`]: a hash build/probe kernel over `i64` key lanes for equi-joins;
-//! - [`group`]: dense group ids over a key lane and per-group
-//!   COUNT/SUM/AVG/MIN/MAX loops for `GROUP BY`.
+//! - [`join`]: a build/probe kernel over `i64` key lanes for equi-joins. It
+//!   addresses the build side directly by `key − min` when the build keys
+//!   are unique and span no more values than both sides have selected
+//!   rows, and hashes them otherwise;
+//! - [`group`]: dense group ids over a key lane, and per-group
+//!   COUNT/SUM/AVG/MIN/MAX loops for `GROUP BY`. An `Int`/`Timestamp` key
+//!   lane whose keys span no more values than there are selected rows is
+//!   numbered through a slot table indexed by `key − min`; other lanes go
+//!   through a `HashMap`.
 //!
 //! Everything here is engine-agnostic: the crate depends only on
 //! `sstore-common` and knows nothing about plans or tables. The lowering
