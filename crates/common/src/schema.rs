@@ -86,8 +86,9 @@ impl Schema {
 
     /// Index of `name` (case-insensitive).
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        let lname = name.to_ascii_lowercase();
-        self.columns.iter().position(|c| c.name == lname)
+        self.columns
+            .iter()
+            .position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
     /// Column definition by name.
@@ -285,7 +286,10 @@ mod tests {
         let row = vec![Value::Int(9), Value::Text("n".into()), Value::Null];
         assert_eq!(s.pk_of(&row), vec![Value::Int(9)]);
         assert_eq!(s.column_index("NAME"), Some(1));
+        assert_eq!(s.column_index("ScOrE"), Some(2));
+        assert_eq!(s.column("Id").map(|c| c.ty), Some(DataType::Int));
         assert!(s.column("missing").is_none());
+        assert!(s.column_index("nam").is_none());
     }
 
     #[test]

@@ -1002,18 +1002,40 @@ mod tests {
         let rows_only = t.approx_bytes();
         assert_eq!(t.column(1).len(), 100);
         assert_eq!(t.mirrored_columns(), 1);
-        // 100 `String` lanes and their heap, on top of the rows.
-        assert!(t.approx_bytes() >= rows_only + 100 * (24 + "some name".len()));
+        fn lane(t: &Table) -> &sstore_vector::TextLane {
+            match &t.column(1).data {
+                sstore_vector::ColumnData::Text(l) => l,
+                other => panic!("not a TEXT lane: {other:?}"),
+            }
+        }
+        // 100 cells of one string: their 4 B codes and one dictionary
+        // entry, on top of the rows; a lane of `String`s would hold
+        // 100 × (24 + 9) B.
+        assert_eq!(lane(&t).dict().len(), 1);
+        let mirror = t.approx_bytes() - rows_only;
+        assert!((100 * 4..100 * 4 + 256).contains(&mirror), "{mirror} B");
         assert!(t.live_lanes().is_none());
 
+        // Row 3's new string is unique, so replacing it releases its
+        // entry, and the next new string takes its code.
         t.update(3, row(3, "renamed")).unwrap();
-        let gone = t.delete(5).unwrap();
-        assert_eq!(t.column(1).value_at(3), Value::Text("renamed".into()));
-        // A freed TEXT lane gives its string back and is not selected.
-        assert_eq!(t.column(1).value_at(5), Value::Text(String::new()));
-        assert!(!t.live_lanes().unwrap().contains(&5));
-        t.restore(5, gone).unwrap();
-        assert_eq!(t.column(1).value_at(5), Value::Text("some name".into()));
+        let renamed = lane(&t).codes()[3];
+        t.update(3, row(3, "again")).unwrap();
+        assert_eq!(lane(&t).dict().len(), 2);
+        t.update(4, row(4, "third")).unwrap();
+        assert_eq!(lane(&t).codes()[4], renamed);
+        // A freed lane releases its string the same way. It holds the
+        // empty string, interned first under a fresh code; restoring the
+        // row takes "third"'s released code again.
+        let gone = t.delete(4).unwrap();
+        assert_eq!(t.column(1).value_at(4), Value::Text(String::new()));
+        assert!(!t.live_lanes().unwrap().contains(&4));
+        assert_eq!(lane(&t).dict().len(), 3);
+        t.restore(4, gone).unwrap();
+        assert_eq!(lane(&t).codes()[4], renamed);
+        assert_eq!(t.column(1).value_at(4), Value::Text("third".into()));
+        assert_eq!(t.column(1).value_at(3), Value::Text("again".into()));
+        assert_eq!(lane(&t).dict().len(), 3);
         // A failed insert into the full slot array leaves a free lane.
         assert!(t.insert(row(7, "dup")).is_err());
         assert_eq!(t.column(1).len(), t.lanes());

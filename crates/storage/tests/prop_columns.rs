@@ -345,6 +345,168 @@ proptest! {
     }
 }
 
+/// A write to the (id, s) table of the TEXT property: `s` is NULL or the
+/// `k`-th string of the case's alphabet.
+#[derive(Debug, Clone)]
+enum TextWrite {
+    Insert(i64, Option<u16>),
+    /// Update / delete the `n`-th live row (modulo the live count).
+    Update(usize, Option<u16>),
+    Delete(usize),
+}
+
+#[derive(Debug, Clone)]
+enum TextOp {
+    Write(TextWrite),
+    /// Run the writes under an undo log, then roll all of them back.
+    RolledBack(Vec<TextWrite>),
+    /// Delete the `n`-th live row and restore it into its slot.
+    Restore(usize),
+}
+
+/// A string's index in the alphabet, or NULL one time in four.
+fn arb_text() -> impl Strategy<Value = Option<u16>> {
+    prop_oneof![
+        (0u16..10_000).prop_map(Some),
+        (0u16..10_000).prop_map(Some),
+        (0u16..10_000).prop_map(Some),
+        Just(None),
+    ]
+}
+
+fn arb_text_write() -> impl Strategy<Value = TextWrite> {
+    prop_oneof![
+        (0i64..48, arb_text()).prop_map(|(id, s)| TextWrite::Insert(id, s)),
+        (0usize..64, arb_text()).prop_map(|(n, s)| TextWrite::Update(n, s)),
+        (0usize..64).prop_map(TextWrite::Delete),
+    ]
+}
+
+fn arb_text_ops() -> impl Strategy<Value = Vec<TextOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            arb_text_write().prop_map(TextOp::Write),
+            arb_text_write().prop_map(TextOp::Write),
+            arb_text_write().prop_map(TextOp::Write),
+            prop::collection::vec(arb_text_write(), 1..6).prop_map(TextOp::RolledBack),
+            (0usize..64).prop_map(TextOp::Restore),
+        ],
+        0..80,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A TEXT lane under every mutator holds, slot by slot, what a
+    /// `Vec<String>` model of the slots holds, equals the cold pivot on its
+    /// live lanes, and keeps exactly one dictionary entry per distinct
+    /// string in its cells, so never more entries than cells. Strings come
+    /// from a 4-string or a 10 000-string alphabet.
+    #[test]
+    fn text_lane_matches_pivot_and_model_with_a_bounded_dictionary(
+        ops in arb_text_ops(),
+        wide in any::<bool>(),
+    ) {
+        let text = |k: Option<u16>| match k {
+            None => Value::Null,
+            Some(k) if wide => Value::Text(format!("w{k}")),
+            Some(k) => Value::Text(format!("s{}", k % 4)),
+        };
+        let schema = Schema::new(
+            vec![Column::new("id", DataType::Int), Column::nullable("s", DataType::Text)],
+            &["id"],
+        )
+        .unwrap();
+        let mut db = Database::new();
+        let t = db.create_table("t", schema).unwrap();
+        db.table(t).unwrap().column(1);
+        // Slot → its cell; `None` = a free slot.
+        let mut model: Vec<Option<Value>> = Vec::new();
+
+        let apply = |db: &mut Database, undo: &mut UndoLog, model: &mut Vec<Option<Value>>, w: &TextWrite| {
+            let table = db.table_mut(t).unwrap();
+            match w {
+                TextWrite::Insert(id, k) => {
+                    let cell = text(*k);
+                    let row = Row::new(vec![Value::Int(*id), cell.clone()]);
+                    let inserted = table.insert(row);
+                    // A failed insert into a full slot array leaves a free slot.
+                    model.resize(table.lanes(), None);
+                    if let Ok(rid) = inserted {
+                        undo.push(UndoOp::Insert { table: t, rid });
+                        model[rid as usize] = Some(cell);
+                    }
+                }
+                TextWrite::Update(n, k) => {
+                    if let Some(rid) = nth_live(table, *n) {
+                        let cell = text(*k);
+                        let id = table.get(rid).unwrap()[0].clone();
+                        let old = table.update(rid, Row::new(vec![id, cell.clone()])).unwrap();
+                        undo.push(UndoOp::Update { table: t, rid, old });
+                        model[rid as usize] = Some(cell);
+                    }
+                }
+                TextWrite::Delete(n) => {
+                    if let Some(rid) = nth_live(table, *n) {
+                        let row = table.delete(rid).unwrap();
+                        undo.push(UndoOp::Delete { table: t, rid, row });
+                        model[rid as usize] = None;
+                    }
+                }
+            }
+        };
+
+        for op in &ops {
+            match op {
+                TextOp::Write(w) => apply(&mut db, &mut UndoLog::new(), &mut model, w),
+                TextOp::RolledBack(ws) => {
+                    let before = model.clone();
+                    let mut undo = UndoLog::new();
+                    for w in ws {
+                        apply(&mut db, &mut undo, &mut model, w);
+                    }
+                    undo.rollback(&mut db).unwrap();
+                    // Slots a rolled-back insert added stay, free.
+                    let lanes = model.len();
+                    model = before;
+                    model.resize(lanes, None);
+                }
+                TextOp::Restore(n) => {
+                    let table = db.table_mut(t).unwrap();
+                    if let Some(rid) = nth_live(table, *n) {
+                        let row = table.delete(rid).unwrap();
+                        table.restore(rid, row).unwrap();
+                    }
+                }
+            }
+
+            let table = db.table(t).unwrap();
+            let col = table.column(1);
+            let ColumnData::Text(lane) = &col.data else {
+                panic!("the lane stays TEXT: {:?}", col.data)
+            };
+            prop_assert_eq!(col.len(), model.len());
+            for (i, cell) in model.iter().enumerate() {
+                match cell {
+                    Some(v) => prop_assert_eq!(&col.value_at(i), v, "slot {}", i),
+                    // A free slot holds the empty string, not its last one.
+                    None => prop_assert_eq!(lane.get(i), ""),
+                }
+            }
+            let live: Vec<u32> = table.live_lanes().unwrap_or_else(|| (0..table.lanes() as u32).collect());
+            let pivot = table.column_batch(Some(&[1]));
+            let gathered = col.gather(&live);
+            for r in 0..pivot.rows {
+                prop_assert_eq!(gathered.value_at(r), pivot.column(1).value_at(r));
+            }
+            let distinct: BTreeSet<u32> = lane.codes().iter().copied().collect();
+            prop_assert_eq!(lane.dict().len(), distinct.len());
+            prop_assert!(lane.dict().len() <= col.len());
+        }
+    }
+}
+
 /// The one deterministic case the issue names: a FLOAT lane that receives
 /// a value which is not a float ends up exactly where the pivot does.
 #[test]

@@ -14,8 +14,19 @@
 //! match the rest of the column (possible because table cells are dynamic
 //! [`Value`]s) demote the whole column to a [`ColumnData::Generic`] lane of
 //! boxed values — correctness is never lost, only the fast kernels.
+//!
+//! A TEXT lane is a [`TextLane`]: one `u32` code per cell and a shared
+//! [`Dict`] holding each distinct string once. The dictionary counts the
+//! cells that hold each code; a code no cell holds any more is released
+//! and handed to the next new string, so a lane's dictionary never has
+//! more entries than the lane has cells, however many strings have passed
+//! through it. Kernels decide a text predicate once per dictionary entry
+//! and group by code. Two lanes may number the same strings differently,
+//! so lanes compare by their decoded strings.
 
 use sstore_common::{DataType, Value};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Fixed-length bitmap, one bit per row. Used for column validity
 /// (bit set = value present, clear = NULL).
@@ -96,6 +107,170 @@ pub fn valid_at(v: Option<&Bitmap>, i: usize) -> bool {
     v.is_none_or(|b| b.get(i))
 }
 
+/// The distinct strings of a [`TextLane`], each stored once under a dense
+/// `u32` code, with the number of cells that hold each code.
+#[derive(Debug, Clone, Default)]
+pub struct Dict {
+    /// Code → its string (`None` once released) and the cells holding it.
+    entries: Vec<(Option<Arc<str>>, u32)>,
+    /// String → code over the live entries, keyed by the `Arc` that
+    /// `entries` holds, so a string's bytes are stored once.
+    codes: HashMap<Arc<str>, u32>,
+    /// Released codes, handed out before new ones.
+    free: Vec<u32>,
+}
+
+impl Dict {
+    /// Number of live entries: the distinct strings some cell holds.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// True when no cell holds a string.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The string behind `code`, which some cell holds.
+    #[inline]
+    pub fn get(&self, code: u32) -> &str {
+        self.entries[code as usize]
+            .0
+            .as_deref()
+            .expect("a cell's code is live")
+    }
+
+    /// `f` of every live entry's string, indexed by code; a released code
+    /// gets `false`.
+    pub fn per_code(&self, f: impl Fn(&str) -> bool) -> Vec<bool> {
+        self.entries
+            .iter()
+            .map(|(s, _)| s.as_deref().is_some_and(&f))
+            .collect()
+    }
+
+    /// The code of `s`, now held by `n` more cells.
+    fn intern(&mut self, s: &str, n: u32) -> u32 {
+        if let Some(&c) = self.codes.get(s) {
+            self.entries[c as usize].1 += n;
+            return c;
+        }
+        let s: Arc<str> = Arc::from(s);
+        let entry = (Some(Arc::clone(&s)), n);
+        let c = match self.free.pop() {
+            Some(c) => {
+                self.entries[c as usize] = entry;
+                c
+            }
+            None => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+        };
+        self.codes.insert(s, c);
+        c
+    }
+
+    /// One cell fewer holds `code`; the last one releases it.
+    fn release(&mut self, code: u32) {
+        let (s, refs) = &mut self.entries[code as usize];
+        *refs -= 1;
+        if *refs == 0 {
+            let s = s.take().expect("a held code is live");
+            self.codes.remove(&s);
+            self.free.push(code);
+        }
+    }
+
+    /// Heap bytes held: the tables and one allocation per live string.
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.entries.capacity() * size_of::<(Option<Arc<str>>, u32)>()
+            + self.codes.capacity() * (size_of::<(Arc<str>, u32)>() + 1)
+            + self.free.capacity() * size_of::<u32>()
+            + self
+                .codes
+                .keys()
+                .map(|s| 2 * size_of::<usize>() + s.len())
+                .sum::<usize>()
+    }
+}
+
+/// A TEXT lane: one [`Dict`] code per cell. Only [`Column`]'s writers
+/// change it, so the dictionary's counts stay those of the lane's cells.
+#[derive(Debug, Clone, Default)]
+pub struct TextLane {
+    codes: Vec<u32>,
+    dict: Arc<Dict>,
+    /// Made by [`Column::gather`]: the shared dictionary counts the cells
+    /// of the lane gathered from, so the first write recounts.
+    gathered: bool,
+}
+
+impl TextLane {
+    /// The code of each cell.
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// The strings the codes name.
+    pub fn dict(&self) -> &Dict {
+        &self.dict
+    }
+
+    /// The string in cell `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &str {
+        self.dict.get(self.codes[i])
+    }
+
+    /// The dictionary for a write, counting this lane's cells: a gathered
+    /// lane first re-interns its cells into one of its own, and one that
+    /// another lane still shares is copied.
+    fn dict_mut(&mut self) -> &mut Dict {
+        if self.gathered {
+            let mut own = TextLane::default();
+            for &c in &self.codes {
+                own.put(own.codes.len(), self.dict.get(c));
+            }
+            *self = own;
+        }
+        Arc::make_mut(&mut self.dict)
+    }
+
+    /// Write `s` into cell `i`, or append it when `i` is the length. The
+    /// new string is interned before the old code is released, so
+    /// rewriting a cell with its own string frees nothing.
+    fn put(&mut self, i: usize, s: &str) {
+        let c = self.dict_mut().intern(s, 1);
+        match self.codes.get_mut(i) {
+            Some(old) => {
+                let old = std::mem::replace(old, c);
+                Arc::make_mut(&mut self.dict).release(old);
+            }
+            None => self.codes.push(c),
+        }
+    }
+
+    /// Grow to `len` cells holding the empty string.
+    fn grow(&mut self, len: usize) {
+        if len > self.codes.len() {
+            let n = (len - self.codes.len()) as u32;
+            let c = self.dict_mut().intern("", n);
+            self.codes.resize(len, c);
+        }
+    }
+}
+
+/// Lanes are equal when their cells decode to the same strings, whatever
+/// their codes.
+impl PartialEq for TextLane {
+    fn eq(&self, other: &Self) -> bool {
+        self.codes.len() == other.codes.len()
+            && (0..self.codes.len()).all(|i| self.get(i) == other.get(i))
+    }
+}
+
 /// The native lane behind a [`Column`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
@@ -105,8 +280,8 @@ pub enum ColumnData {
     Float(Vec<f64>),
     /// Booleans (`Value::Bool`).
     Bool(Vec<bool>),
-    /// UTF-8 strings (`Value::Text`).
-    Text(Vec<String>),
+    /// UTF-8 strings (`Value::Text`), dictionary-coded.
+    Text(TextLane),
     /// Microsecond timestamps (`Value::Timestamp`), lane-compatible with Int.
     Timestamp(Vec<i64>),
     /// Mixed-type escape hatch: boxed values, no fast kernels.
@@ -120,7 +295,7 @@ impl ColumnData {
             DataType::Int => ColumnData::Int(Vec::new()),
             DataType::Float => ColumnData::Float(Vec::new()),
             DataType::Bool => ColumnData::Bool(Vec::new()),
-            DataType::Text => ColumnData::Text(Vec::new()),
+            DataType::Text => ColumnData::Text(TextLane::default()),
             DataType::Timestamp => ColumnData::Timestamp(Vec::new()),
         }
     }
@@ -131,7 +306,7 @@ impl ColumnData {
             ColumnData::Int(d) | ColumnData::Timestamp(d) => d.len(),
             ColumnData::Float(d) => d.len(),
             ColumnData::Bool(d) => d.len(),
-            ColumnData::Text(d) => d.len(),
+            ColumnData::Text(l) => l.codes.len(),
             ColumnData::Generic(d) => d.len(),
         }
     }
@@ -147,18 +322,18 @@ impl ColumnData {
             ColumnData::Int(d) | ColumnData::Timestamp(d) => d.reserve(additional),
             ColumnData::Float(d) => d.reserve(additional),
             ColumnData::Bool(d) => d.reserve(additional),
-            ColumnData::Text(d) => d.reserve(additional),
+            ColumnData::Text(l) => l.codes.reserve(additional),
             ColumnData::Generic(d) => d.reserve(additional),
         }
     }
 
-    /// Resize to `len` cells; new cells hold the lane's default.
-    fn resize(&mut self, len: usize) {
+    /// Grow to `len` cells; new cells hold the lane's default.
+    fn grow(&mut self, len: usize) {
         match self {
             ColumnData::Int(d) | ColumnData::Timestamp(d) => d.resize(len, 0),
             ColumnData::Float(d) => d.resize(len, 0.0),
             ColumnData::Bool(d) => d.resize(len, false),
-            ColumnData::Text(d) => d.resize(len, String::new()),
+            ColumnData::Text(l) => l.grow(len),
             ColumnData::Generic(d) => d.resize(len, Value::Null),
         }
     }
@@ -178,7 +353,7 @@ impl Column {
     /// A column of `len` default cells, all valid, typed for `ty`.
     pub fn typed(ty: DataType, len: usize) -> Column {
         let mut data = ColumnData::empty(ty);
-        data.resize(len);
+        data.grow(len);
         Column {
             data,
             validity: None,
@@ -214,7 +389,7 @@ impl Column {
             ColumnData::Int(d) => Value::Int(d[i]),
             ColumnData::Float(d) => Value::Float(d[i]),
             ColumnData::Bool(d) => Value::Bool(d[i]),
-            ColumnData::Text(d) => Value::Text(d[i].clone()),
+            ColumnData::Text(l) => Value::Text(l.get(i).to_owned()),
             ColumnData::Timestamp(d) => Value::Timestamp(d[i]),
             ColumnData::Generic(d) => d[i].clone(),
         }
@@ -222,7 +397,7 @@ impl Column {
 
     /// Grow to `len` cells; the new cells are valid defaults.
     pub fn grow(&mut self, len: usize) {
-        self.data.resize(len);
+        self.data.grow(len);
         if let Some(v) = &mut self.validity {
             v.grow_set(len);
         }
@@ -259,7 +434,7 @@ impl Column {
             (ColumnData::Int(d), Value::Int(x)) => put(d, i, *x),
             (ColumnData::Float(d), Value::Float(x)) => put(d, i, *x),
             (ColumnData::Bool(d), Value::Bool(x)) => put(d, i, *x),
-            (ColumnData::Text(d), Value::Text(x)) => put(d, i, x.clone()),
+            (ColumnData::Text(l), Value::Text(x)) => l.put(i, x),
             (ColumnData::Timestamp(d), Value::Timestamp(x)) => put(d, i, *x),
             (ColumnData::Generic(d), v) => put(d, i, v.clone()),
             // Type drift within the column.
@@ -283,19 +458,20 @@ impl Column {
         self.set(self.len(), v);
     }
 
-    /// Put the lane's default into cell `i`, releasing a string's heap.
+    /// Put the lane's default into cell `i`, releasing a string's code.
     /// Validity is left alone: the caller no longer reads the cell.
     pub fn clear(&mut self, i: usize) {
         match &mut self.data {
             ColumnData::Int(d) | ColumnData::Timestamp(d) => d[i] = 0,
             ColumnData::Float(d) => d[i] = 0.0,
             ColumnData::Bool(d) => d[i] = false,
-            ColumnData::Text(d) => d[i] = String::new(),
+            ColumnData::Text(l) => l.put(i, ""),
             ColumnData::Generic(d) => d[i] = Value::Null,
         }
     }
 
-    /// The cells at `idx`, in that order, as a new column.
+    /// The cells at `idx`, in that order, as a new column. A TEXT lane
+    /// copies its codes and shares its dictionary.
     pub fn gather(&self, idx: &[u32]) -> Column {
         fn pick<T: Clone>(d: &[T], idx: &[u32]) -> Vec<T> {
             idx.iter().map(|&i| d[i as usize].clone()).collect()
@@ -304,7 +480,11 @@ impl Column {
             ColumnData::Int(d) => ColumnData::Int(pick(d, idx)),
             ColumnData::Float(d) => ColumnData::Float(pick(d, idx)),
             ColumnData::Bool(d) => ColumnData::Bool(pick(d, idx)),
-            ColumnData::Text(d) => ColumnData::Text(pick(d, idx)),
+            ColumnData::Text(l) => ColumnData::Text(TextLane {
+                codes: pick(&l.codes, idx),
+                dict: Arc::clone(&l.dict),
+                gathered: true,
+            }),
             ColumnData::Timestamp(d) => ColumnData::Timestamp(pick(d, idx)),
             ColumnData::Generic(d) => ColumnData::Generic(pick(d, idx)),
         };
@@ -320,16 +500,14 @@ impl Column {
         Column { data, validity }
     }
 
-    /// Heap bytes held by the lane, its strings and the validity bitmap.
+    /// Heap bytes held by the lane, its dictionary or strings, and the
+    /// validity bitmap.
     pub fn heap_bytes(&self) -> usize {
         let lane = match &self.data {
             ColumnData::Int(d) | ColumnData::Timestamp(d) => d.capacity() * 8,
             ColumnData::Float(d) => d.capacity() * 8,
             ColumnData::Bool(d) => d.capacity(),
-            ColumnData::Text(d) => {
-                d.capacity() * std::mem::size_of::<String>()
-                    + d.iter().map(String::capacity).sum::<usize>()
-            }
+            ColumnData::Text(l) => l.codes.capacity() * 4 + l.dict.heap_bytes(),
             ColumnData::Generic(d) => {
                 d.capacity() * std::mem::size_of::<Value>()
                     + d.iter()
@@ -490,6 +668,72 @@ mod tests {
         assert_eq!(c.value_at(0), Value::Text("z".into()));
         c.clear(2);
         assert_eq!(c.value_at(2), Value::Text(String::new()));
+    }
+
+    fn text(c: &Column) -> &TextLane {
+        match &c.data {
+            ColumnData::Text(l) => l,
+            other => panic!("not a TEXT lane: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn text_codes_are_released_and_reused() {
+        let mut c = Column::typed(DataType::Text, 3);
+        assert_eq!(text(&c).dict().len(), 1, "three empty strings, one entry");
+        for (i, s) in ["a", "b", "a"].into_iter().enumerate() {
+            c.set(i, &Value::Text(s.into()));
+        }
+        // The empty string lost its last cell.
+        assert_eq!(text(&c).dict().len(), 2);
+        assert_eq!(text(&c).codes(), &[1, 2, 1]);
+        // Rewriting a cell with its own string keeps its code.
+        c.set(1, &Value::Text("b".into()));
+        assert_eq!(text(&c).codes()[1], 2);
+        // "c" takes the empty string's released code, and "b" is released
+        // after it is interned; the next new string reuses "b"'s code.
+        c.set(1, &Value::Text("c".into()));
+        assert_eq!(text(&c).codes(), &[1, 0, 1]);
+        assert_eq!(text(&c).dict().len(), 2);
+        c.set(0, &Value::Null);
+        assert_eq!(text(&c).codes()[0], 2, "NULL's empty string");
+        assert_eq!(c.value_at(0), Value::Null);
+        c.clear(2);
+        c.clear(1);
+        assert_eq!(text(&c).dict().len(), 1);
+        assert_eq!(text(&c).codes(), &[2, 2, 2]);
+        assert_eq!(text(&c).get(1), "");
+    }
+
+    #[test]
+    fn text_lanes_compare_by_strings_and_gathers_recount_before_a_write() {
+        let mut a = Column::typed(DataType::Text, 0);
+        let mut b = Column::typed(DataType::Text, 0);
+        for s in ["x", "y", "x"] {
+            a.push(&Value::Text(s.into()));
+        }
+        for s in ["y", "x", "x", "y"] {
+            b.push(&Value::Text(s.into()));
+        }
+        assert_ne!(a, b);
+        // The same strings under other codes.
+        let b = b.gather(&[2, 0, 1]);
+        assert_ne!(text(&a).codes(), text(&b).codes());
+        assert_eq!(a, b);
+
+        // The gathered lane shares `a`'s dictionary and its counts, which
+        // are not its own: "x" is in two of `a`'s cells but four of `g`'s.
+        let mut g = a.gather(&[0, 0, 2, 2, 1]);
+        assert!(Arc::ptr_eq(&text(&g).dict, &text(&a).dict));
+        for i in 0..4 {
+            g.set(i, &Value::Text("z".into()));
+        }
+        let cells: Vec<Value> = (0..5).map(|i| g.value_at(i)).collect();
+        let want = ["z", "z", "z", "z", "y"].map(|s| Value::Text(s.into()));
+        assert_eq!(cells, want);
+        assert_eq!(text(&g).dict().len(), 2);
+        assert_eq!(a.value_at(0), Value::Text("x".into()));
+        assert_eq!(text(&a).dict().len(), 2);
     }
 
     #[test]

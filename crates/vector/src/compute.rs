@@ -10,7 +10,7 @@
 //! docs — so unselected slots hold unspecified defaults and must never be
 //! read.
 
-use crate::column::{valid_at, Bitmap, ColumnData};
+use crate::column::{valid_at, Bitmap, ColumnData, TextLane};
 use sstore_common::{Error, Result};
 use std::cmp::Ordering;
 
@@ -187,7 +187,7 @@ pub fn cmp_num(
 #[derive(Clone, Copy)]
 pub enum StrSrc<'a> {
     /// Text column lane.
-    Col(&'a [String]),
+    Col(&'a TextLane),
     /// Text constant.
     Const(&'a str),
 }
@@ -196,17 +196,16 @@ impl StrSrc<'_> {
     #[inline]
     fn at(&self, i: usize) -> &str {
         match self {
-            StrSrc::Col(d) => &d[i],
+            StrSrc::Col(l) => l.get(i),
             StrSrc::Const(s) => s,
         }
     }
 }
 
 /// String comparison (lexicographic byte order, as `Value::cmp_total`).
-/// `=` and `<>` between a column and a constant test equality rather than
-/// order: the length test and the common prefix's bytes are combined
-/// without a branch on the length, which text of mixed lengths would
-/// mispredict.
+/// A column against a constant, on either side, is decided once per
+/// dictionary entry; each row then reads its code's verdict. Two columns
+/// compare their decoded strings row by row.
 pub fn cmp_str(
     op: CmpOp,
     a: StrSrc,
@@ -218,16 +217,14 @@ pub fn cmp_str(
 ) -> (Vec<bool>, Option<Bitmap>) {
     let mut out = vec![false; rows];
     let o = out.as_mut_slice();
-    match (op, a, b) {
-        (CmpOp::Eq | CmpOp::Ne, StrSrc::Col(d), StrSrc::Const(c))
-        | (CmpOp::Eq | CmpOp::Ne, StrSrc::Const(c), StrSrc::Col(d)) => {
-            let eq = op == CmpOp::Eq;
-            fill_vs_const(o, sel, d, c, |s: &String, c: &str| {
-                let n = s.len().min(c.len());
-                ((s.len() == c.len()) & (s.as_bytes()[..n] == c.as_bytes()[..n])) == eq
-            });
-        }
-        _ => for_sel!(sel, rows, i => {
+    let verdict = match (a, b) {
+        (StrSrc::Col(l), StrSrc::Const(c)) => Some((l, l.dict().per_code(|s| op.ord_ok(s.cmp(c))))),
+        (StrSrc::Const(c), StrSrc::Col(l)) => Some((l, l.dict().per_code(|s| op.ord_ok(c.cmp(s))))),
+        _ => None,
+    };
+    match verdict {
+        Some((l, v)) => fill_vs_const(o, sel, l.codes(), v.as_slice(), |&c, v| v[c as usize]),
+        None => for_sel!(sel, rows, i => {
             o[i] = op.ord_ok(a.at(i).cmp(b.at(i)));
         }),
     }
@@ -369,7 +366,8 @@ pub fn bool_to_sel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sstore_common::Value;
+    use crate::Column;
+    use sstore_common::{DataType, Value};
 
     fn bm(bits: &[bool]) -> Bitmap {
         let mut b = Bitmap::new_set(bits.len());
@@ -464,22 +462,36 @@ mod tests {
     }
 
     #[test]
-    fn cmp_str_eq_ne_with_the_constant_on_either_side() {
-        let lane: Vec<String> = ["", "a", "ab", "b", "a", "abc", "", "ab"]
-            .map(String::from)
-            .to_vec();
-        let text = |s: StrSrc, r: usize| Value::Text(s.at(r).to_string());
-        for c in ["", "a", "ab", "abd"] {
-            let (col, k) = (StrSrc::Col(&lane), StrSrc::Const(c));
-            // Eq and Ne take the equality loop; the other four stay on
-            // `cmp`, and must agree with it at the same inputs.
+    fn cmp_str_every_op_with_the_constant_on_either_side() {
+        let mut col = Column::typed(DataType::Text, 0);
+        for s in ["", "a", "ab", "b", "a", "abc", "", "ab", "x", "y"] {
+            col.push(&Value::Text(s.into()));
+        }
+        // "x" and "y" lose their last cells, and "zz" and "b" take their
+        // codes; cell 9 turns NULL.
+        col.set(8, &Value::Text("ab".into()));
+        col.set(9, &Value::Null);
+        col.set(3, &Value::Text("zz".into()));
+        col.set(4, &Value::Text("b".into()));
+        let ColumnData::Text(lane) = &col.data else {
+            panic!("a TEXT lane")
+        };
+        assert_eq!(lane.dict().len(), 6);
+        assert!(lane.codes().iter().all(|&c| c < 7), "no code minted");
+        let rows = col.len();
+        let cv = col.validity.as_ref();
+        for c in ["", "a", "ab", "abd", "b", "zz", "zzz"] {
+            let (lc, k) = (StrSrc::Col(lane), StrSrc::Const(c));
             for op in OPS {
-                for (a, b) in [(col, k), (k, col)] {
-                    for sel in selections() {
-                        let (out, v) = cmp_str(op, a, None, b, None, sel, lane.len());
-                        assert!(v.is_none());
-                        for r in sel_rows(sel, lane.len()) {
-                            let (x, y) = (text(a, r), text(b, r));
+                for (a, av, b, bv) in [(lc, cv, k, None), (k, None, lc, cv)] {
+                    for sel in [None, Some(&[9u32, 6, 1, 3, 4][..])] {
+                        let (out, v) = cmp_str(op, a, av, b, bv, sel, rows);
+                        for r in sel_rows(sel, rows) {
+                            if col.is_null_at(r) {
+                                assert!(!valid_at(v.as_ref(), r), "NULL at {r}");
+                                continue;
+                            }
+                            let (x, y) = (Value::Text(a.at(r).into()), Value::Text(b.at(r).into()));
                             assert_eq!(out[r], row_cmp(op, &x, &y), "{x} {op:?} {y}");
                         }
                     }

@@ -9,7 +9,11 @@
 //! loop per aggregate, each bit-identical to the row path's accumulator
 //! fed the group's rows in selection (= row) order: NULL cells are
 //! skipped, `SUM` over ints is checked, floats accumulate sequentially,
-//! `MIN`/`MAX` keep the first value on ties.
+//! `MIN`/`MAX` keep the first value on ties. `COUNT` and the int `SUM`
+//! keep no `Option` per row: the ungrouped total stays in a register,
+//! and `SUM`'s overflow check is a flag tested once after the loop.
+//!
+//! A TEXT key lane is grouped by its dictionary codes.
 //!
 //! An `Int` or `Timestamp` key lane whose valid selected keys span no more
 //! values (`max − min + 1`) than there are selected rows is numbered
@@ -153,7 +157,8 @@ impl Groups {
             // `Value` equality on floats is `total_cmp`, i.e. bit equality.
             ColumnData::Float(d) => hashed(|i| d[i].to_bits(), v, sel, rows),
             ColumnData::Bool(d) => hashed(|i| d[i], v, sel, rows),
-            ColumnData::Text(d) => hashed(|i| d[i].as_str(), v, sel, rows),
+            // One code per distinct string within a lane.
+            ColumnData::Text(l) => hashed(|i| l.codes()[i], v, sel, rows),
             ColumnData::Generic(_) => return None,
         })
     }
@@ -170,42 +175,56 @@ impl Groups {
         validity: Option<&Bitmap>,
         sel: Option<&[u32]>,
         rows: usize,
-        mut step: impl FnMut(&mut A, usize) -> Result<()>,
-    ) -> Result<Vec<A>> {
+        mut step: impl FnMut(&mut A, usize),
+    ) -> Vec<A> {
         let mut acc = vec![init; self.len()];
         if let ([], [one]) = (self.ids.as_slice(), acc.as_mut_slice()) {
             // The ungrouped aggregate: one accumulator, no id lane.
             for_sel!(sel, rows, i => {
                 if valid_at(validity, i) {
-                    step(one, i)?;
+                    step(one, i);
                 }
             });
         } else {
             for_sel!(sel, rows, i => {
                 if valid_at(validity, i) {
-                    step(&mut acc[self.ids[i] as usize], i)?;
+                    step(&mut acc[self.ids[i] as usize], i);
                 }
             });
         }
-        Ok(acc)
+        acc
     }
 
     /// COUNT of non-NULL cells per group (`validity = None` counts rows).
     pub fn count(&self, validity: Option<&Bitmap>, sel: Option<&[u32]>, rows: usize) -> Vec<i64> {
-        if validity.is_none() && self.ids.is_empty() {
-            // One group, nothing to skip: its size is the selection's.
-            let n = sel.map_or(rows, <[u32]>::len) as i64;
+        if self.ids.is_empty() {
+            // At most one group, counted in a register.
+            let n = match validity {
+                None => sel.map_or(rows, <[u32]>::len) as i64,
+                Some(v) => {
+                    let mut n = 0i64;
+                    for_sel!(sel, rows, i => {
+                        n += v.get(i) as i64;
+                    });
+                    n
+                }
+            };
             return self.first.iter().map(|_| n).collect();
         }
-        self.fold(0i64, validity, sel, rows, |n, _| {
-            *n += 1;
-            Ok(())
-        })
-        .expect("counting cannot fail")
+        let mut acc = vec![0i64; self.len()];
+        for_sel!(sel, rows, i => {
+            acc[self.ids[i] as usize] += valid_at(validity, i) as i64;
+        });
+        acc
     }
 
     /// SUM over an int lane per group, erroring with the row path's
     /// `integer overflow in SUM`. `None` = no non-NULL input in the group.
+    ///
+    /// Every add wraps and sets a sticky flag on overflow. Until a group's
+    /// first overflow its wrapped sum is the true one, so the flag is set
+    /// exactly when the row path's checked accumulator errors: when some
+    /// prefix sum of some group leaves `i64`.
     pub fn sum_int(
         &self,
         d: &[i64],
@@ -213,15 +232,58 @@ impl Groups {
         sel: Option<&[u32]>,
         rows: usize,
     ) -> Result<Vec<Option<i64>>> {
-        self.fold(None, validity, sel, rows, |acc, i| {
-            *acc = Some(match *acc {
-                None => d[i],
-                Some(a) => a
-                    .checked_add(d[i])
-                    .ok_or_else(|| Error::Constraint("integer overflow in SUM".into()))?,
-            });
-            Ok(())
-        })
+        let mut overflow = false;
+        let mut add = |acc: &mut i64, x: i64| {
+            let (s, o) = acc.overflowing_add(x);
+            *acc = s;
+            overflow |= o;
+        };
+        let sums = match (self.ids.is_empty(), validity, sel) {
+            // No group; or the one group with no NULL to skip, its total
+            // kept in a register.
+            (true, _, _) if self.is_empty() => Vec::new(),
+            (true, None, None) => {
+                let mut total = 0i64;
+                for &x in &d[..rows] {
+                    add(&mut total, x);
+                }
+                vec![Some(total)]
+            }
+            (true, None, Some(s)) => {
+                let mut total = 0i64;
+                for &i in s {
+                    add(&mut total, d[i as usize]);
+                }
+                vec![Some(total)]
+            }
+            // Every row: every group has a valid cell.
+            (false, None, None) => {
+                let mut sum = vec![0i64; self.len()];
+                for (&g, &x) in self.ids[..rows].iter().zip(&d[..rows]) {
+                    add(&mut sum[g as usize], x);
+                }
+                sum.into_iter().map(Some).collect()
+            }
+            _ => {
+                let mut sum = vec![0i64; self.len()];
+                let mut seen = vec![false; self.len()];
+                for_sel!(sel, rows, i => {
+                    if valid_at(validity, i) {
+                        let g = self.id(i) as usize;
+                        add(&mut sum[g], d[i]);
+                        seen[g] = true;
+                    }
+                });
+                seen.into_iter()
+                    .zip(sum)
+                    .map(|(s, x)| s.then_some(x))
+                    .collect()
+            }
+        };
+        if overflow {
+            return Err(Error::Constraint("integer overflow in SUM".into()));
+        }
+        Ok(sums)
     }
 
     /// SUM over a float lane per group, in row order.
@@ -234,9 +296,7 @@ impl Groups {
     ) -> Vec<Option<f64>> {
         self.fold(None, validity, sel, rows, |acc, i| {
             *acc = Some(acc.map_or(d[i], |a| a + d[i]));
-            Ok(())
         })
-        .expect("float sums cannot fail")
     }
 
     /// AVG accumulators per group: sequential `f64` sum and non-NULL
@@ -251,9 +311,7 @@ impl Groups {
         self.fold((0f64, 0i64), validity, sel, rows, |(sum, n), i| {
             *sum += src.float_at(i);
             *n += 1;
-            Ok(())
         })
-        .expect("averaging cannot fail")
     }
 
     /// MIN/MAX over an int lane per group.
@@ -270,9 +328,7 @@ impl Groups {
             if better {
                 *best = Some(d[i]);
             }
-            Ok(())
         })
-        .expect("min/max cannot fail")
     }
 
     /// MIN/MAX over a float lane per group by `total_cmp`, keeping the
@@ -297,9 +353,7 @@ impl Groups {
             if better {
                 *best = Some(d[i]);
             }
-            Ok(())
         })
-        .expect("min/max cannot fail")
     }
 }
 
@@ -470,6 +524,59 @@ mod tests {
         let k = col(DataType::Int, &[1.into(), 2.into(), 3.into()]);
         let g = Groups::of(&k, None, 3).unwrap();
         assert!(g.sum_int(&d, None, None, 3).is_ok());
+    }
+
+    #[test]
+    fn sum_overflow_is_sticky_in_every_loop() {
+        let over = Err(Error::Constraint("integer overflow in SUM".into()));
+        let sel = [0u32, 1, 2];
+        // The last cell is NULL where a validity bitmap is given.
+        let mut nul = Bitmap::new_set(4);
+        nul.set(3, false);
+        let one = col(DataType::Int, &vec![Value::Int(7); 4]);
+        let split = col(DataType::Int, &[1.into(), 2.into(), 3.into(), 4.into()]);
+        // The first total fits but a prefix does not; the second leaves
+        // `i64` at its last add.
+        for d in [[i64::MAX, 1, -2, 9], [i64::MIN, -1, 0, 9]] {
+            let all = Groups::all(None, 3);
+            assert_eq!(all.sum_int(&d, None, None, 3), over);
+            let all = Groups::all(Some(&sel), 4);
+            assert_eq!(all.sum_int(&d, None, Some(&sel), 4), over);
+            let all = Groups::all(None, 4);
+            assert_eq!(all.sum_int(&d, Some(&nul), None, 4), over);
+            let g = Groups::of(&one, None, 3).unwrap();
+            assert_eq!(g.sum_int(&d, None, None, 3), over);
+            let g = Groups::of(&one, None, 4).unwrap();
+            assert_eq!(g.sum_int(&d, Some(&nul), None, 4), over);
+            // One cell per group: nothing overflows.
+            let g = Groups::of(&split, None, 3).unwrap();
+            let want: Vec<_> = d[..3].iter().map(|&x| Some(x)).collect();
+            assert_eq!(g.sum_int(&d, None, None, 3), Ok(want.clone()));
+            let g = Groups::of(&split, None, 4).unwrap();
+            let mut with_null = want;
+            with_null.push(None);
+            assert_eq!(g.sum_int(&d, Some(&nul), None, 4), Ok(with_null));
+        }
+    }
+
+    #[test]
+    fn null_only_and_empty_selections_reduce_without_panicking() {
+        let clear = Bitmap::new_clear(3);
+        let d = [5i64, 6, 7];
+        let all = Groups::all(None, 3);
+        assert_eq!(all.count(Some(&clear), None, 3), vec![0]);
+        assert_eq!(all.sum_int(&d, Some(&clear), None, 3), Ok(vec![None]));
+        let k = col(DataType::Int, &[1.into(), 2.into(), 1.into()]);
+        for g in [
+            Groups::all(Some(&[]), 3),
+            Groups::of(&k, Some(&[]), 3).unwrap(),
+        ] {
+            assert!(g.is_empty());
+            for v in [None, Some(&clear)] {
+                assert_eq!(g.count(v, Some(&[]), 3), Vec::<i64>::new());
+                assert_eq!(g.sum_int(&d, v, Some(&[]), 3), Ok(vec![]));
+            }
+        }
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //!
 //! - [`mod@column`]: typed column vectors ([`Column`], [`ColumnBatch`]) with a
 //!   validity [`Bitmap`] per column and a *selection vector* threaded
-//!   between operators instead of materializing intermediate rows;
+//!   between operators instead of materializing intermediate rows. A TEXT
+//!   lane ([`TextLane`]) is one `u32` code per cell into a reference-counted
+//!   [`Dict`] that stores each distinct string once and reuses released
+//!   codes, so it never has more entries than its lane has cells;
 //! - [`compute`]: type-specialized kernels — comparison, checked arithmetic,
 //!   predicate → selection filtering, and COUNT/SUM/AVG/MIN/MAX reductions —
 //!   each bit-identical to the scalar `expr` evaluator (same NULL
 //!   propagation, same overflow/division error strings, same first-error
-//!   ordering);
+//!   ordering). A TEXT column against a constant is compared once per
+//!   dictionary entry, not once per row;
 //! - [`join`]: a build/probe kernel over `i64` key lanes for equi-joins. It
 //!   addresses the build side directly by `key − min` when the build keys
 //!   are unique and span no more values than both sides have selected
@@ -22,7 +26,9 @@
 //!   COUNT/SUM/AVG/MIN/MAX loops for `GROUP BY`. An `Int`/`Timestamp` key
 //!   lane whose keys span no more values than there are selected rows is
 //!   numbered through a slot table indexed by `key − min`; other lanes go
-//!   through a `HashMap`.
+//!   through a `HashMap`, a TEXT lane by its codes. COUNT and the int SUM
+//!   add without an `Option` per row, and SUM tests its overflow flag
+//!   once per call.
 //!
 //! Everything here is engine-agnostic: the crate depends only on
 //! `sstore-common` and knows nothing about plans or tables. The lowering
@@ -60,5 +66,5 @@ pub mod compute;
 pub mod group;
 pub mod join;
 
-pub use column::{build_batch, Bitmap, Column, ColumnBatch, ColumnData};
+pub use column::{build_batch, Bitmap, Column, ColumnBatch, ColumnData, Dict, TextLane};
 pub use compute::{ArithOp, CmpOp, NumSrc};
