@@ -11,7 +11,6 @@
 //! aggregate exactly (merge(a, b) and recording the union are the same
 //! distribution).
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-bucket resolution: 2^5 = 32 sub-buckets per major range.
@@ -232,7 +231,7 @@ impl HistogramSnapshot {
 /// Serializable summary of one histogram: count plus headline
 /// percentiles in microseconds. This is the shape that appears per
 /// stage in `Cluster::observability_report()`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramReport {
     /// Number of recorded values.
     pub count: u64,

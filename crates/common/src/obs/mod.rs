@@ -17,8 +17,9 @@
 //!   [`slog!`](crate::slog) macro, filtered by `SSTORE_LOG`.
 //!
 //! The cluster layer assembles all of it into
-//! `Cluster::observability_report()` (see `sstore-core`), a
-//! serde-serializable JSON document benches and CI dump as artifacts.
+//! `Cluster::observability_report()` (see `sstore-core`), a plain-data
+//! report that renders itself as one JSON document for benches and CI
+//! to dump as artifacts.
 //!
 //! # Environment
 //!

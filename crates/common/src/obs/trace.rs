@@ -25,7 +25,6 @@
 //! bench to measure the overhead of the instrumentation itself).
 
 use super::hist::{Histogram, HistogramSnapshot};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 use std::time::Instant;
@@ -319,7 +318,7 @@ pub fn collect_events() -> (Vec<TraceEvent>, u64) {
 
 /// One stage passage inside a [`TraceSpan`], as an offset from the
 /// span's first buffered event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpanStage {
     /// Stage name (see [`Stage::name`]).
     pub stage: String,
@@ -329,7 +328,7 @@ pub struct SpanStage {
 
 /// A reconstructed per-batch timeline: every stage event buffered for
 /// one trace id, ordered by time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceSpan {
     /// The batch's trace id.
     pub trace: u64,

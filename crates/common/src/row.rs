@@ -26,13 +26,9 @@
 //! (paper §2, "Stream-oriented Transaction Model"). Because batch rows are
 //! shared handles, the ingest→router→worker→procedure-context hand-off is
 //! refcount traffic, not row copies.
-//!
-//! Rows serialize exactly like the plain `Vec<Value>` they replaced (a JSON
-//! array), so command-log and snapshot formats are unchanged.
 
 use crate::ids::BatchId;
 use crate::value::Value;
-use serde::{json, DeError, Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,7 +54,7 @@ static ROW_COW_BREAKS: PaddedCounter = PaddedCounter(AtomicU64::new(0));
 /// [`RowMetrics::snapshot`] before and after a region and subtract to
 /// attribute activity to it — but note the counters see every thread, so
 /// deltas are only exact when nothing else is running.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RowMetrics {
     /// Row handles cloned by reference (the zero-copy path).
     pub shares: u64,
@@ -243,20 +239,6 @@ impl Default for Row {
     }
 }
 
-/// Encodes as a JSON array of values — byte-identical to the `Vec<Value>`
-/// representation this type replaced, so log/snapshot formats carry over.
-impl Serialize for Row {
-    fn to_json(&self) -> json::Value {
-        json::Value::Array(self.0.iter().map(Serialize::to_json).collect())
-    }
-}
-
-impl Deserialize for Row {
-    fn from_json(v: &json::Value) -> Result<Self, DeError> {
-        Vec::<Value>::from_json(v).map(Row::new)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Batch
 // ---------------------------------------------------------------------------
@@ -270,7 +252,7 @@ impl Deserialize for Row {
 ///
 /// `Batch::clone` shares its rows (refcount bumps), so re-enqueueing or
 /// fanning a batch out never copies tuple data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     /// Identity of this batch within its workflow. Batch ids are assigned
     /// by the input manager in arrival order; the scheduler preserves that
@@ -322,27 +304,6 @@ mod tests {
         let e = Batch::empty(BatchId::new(2));
         assert!(e.is_empty());
         assert_eq!(e.id, BatchId::new(2));
-    }
-
-    #[test]
-    fn batch_serde_round_trip() {
-        let b = Batch::new(
-            BatchId::new(7),
-            vec![vec![Value::Int(1), Value::Text("x".into())]],
-        );
-        let s = serde_json::to_string(&b).unwrap();
-        let back: Batch = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, b);
-    }
-
-    #[test]
-    fn row_serializes_like_vec_value() {
-        let r = Row::new(vec![Value::Int(1), Value::Text("x".into())]);
-        let as_row = serde_json::to_string(&r).unwrap();
-        let as_vec = serde_json::to_string(&vec![Value::Int(1), Value::Text("x".into())]).unwrap();
-        assert_eq!(as_row, as_vec);
-        let back: Row = serde_json::from_str(&as_row).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

@@ -4,10 +4,9 @@ use crate::row::Row;
 use crate::types::DataType;
 use crate::value::Value;
 use crate::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// One column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name (case-insensitive in SQL; stored lower-case).
     pub name: String,
@@ -37,7 +36,7 @@ impl Column {
 }
 
 /// An ordered list of columns plus an optional primary key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<Column>,
     /// Indices (into `columns`) of the primary-key columns, in key order.
@@ -164,7 +163,7 @@ impl Schema {
         self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 
-    /// Binary-encode the schema straight into `out` — no serde tree.
+    /// Binary-encode the schema straight into `out`.
     /// Layout: column count, then `(name, type code, nullable)` per
     /// column, then the primary-key column indices.
     pub fn encode_binary(&self, out: &mut Vec<u8>) {

@@ -1,7 +1,6 @@
 //! Column data types and coercion rules.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The data types supported by the engine's SQL subset.
@@ -10,7 +9,7 @@ use std::fmt;
 /// 64-bit integers, doubles, varchar, booleans, and timestamps. Timestamps
 /// are logical microseconds (see [`crate::clock::Clock`]) so that runs are
 /// deterministic and replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer (`INT` / `BIGINT`).
     Int,

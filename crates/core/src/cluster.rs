@@ -162,7 +162,7 @@ use std::thread::JoinHandle;
 pub const DEFAULT_INGEST_QUEUE_DEPTH: usize = 256;
 
 /// Supervision state of one partition worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionHealth {
     /// The worker is draining its queue normally. Encoded as 0 in the
     /// shared health cells (variant order is the encoding).

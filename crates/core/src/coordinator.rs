@@ -50,7 +50,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Counters for the coordinator's view of the cluster's transactions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordStats {
     /// Submissions of multi-partition-declared procedures whose rows all
     /// routed to one partition: 2PC skipped entirely, the PR 2 ingest
@@ -477,7 +477,7 @@ mod tests {
     /// refused by both the reader and the writer, and its bytes are left
     /// unchanged.
     #[test]
-    fn v2_log_reads_and_appends_back_compat() {
+    fn v2_log_is_refused_by_reader_and_writer() {
         let dir = tempdir("v2");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&codec::COORD_MAGIC);

@@ -7,13 +7,12 @@
 
 use crate::cluster::PartitionHealth;
 use crate::coordinator::CoordStats;
-use serde::{Deserialize, Serialize};
 use sstore_common::{PartitionId, RowMetrics};
 
 /// Point-in-time counters for one partition, captured on its worker
 /// thread by [`crate::Cluster::metrics`] (so the numbers are consistent
 /// with everything queued before the capture).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PartitionMetrics {
     /// The site these counters belong to.
     pub partition: PartitionId,
@@ -63,23 +62,7 @@ impl PartitionMetrics {
     pub fn unavailable(partition: PartitionId) -> PartitionMetrics {
         PartitionMetrics {
             partition,
-            committed: 0,
-            batches_submitted: 0,
-            batches_completed: 0,
-            group_submissions: 0,
-            batches_coalesced: 0,
-            client_pe_trips: 0,
-            twopc_prepares: 0,
-            twopc_commits: 0,
-            twopc_aborts: 0,
-            forwards_out: 0,
-            forwards_in: 0,
-            forwards_deduped: 0,
-            speculative_tes: 0,
-            snapshots_full: 0,
-            snapshots_delta: 0,
-            mean_latency_us: 0.0,
-            available: false,
+            ..PartitionMetrics::default()
         }
     }
 
@@ -111,7 +94,7 @@ impl PartitionMetrics {
 
 /// Cluster-wide view: one [`PartitionMetrics`] per site, in partition
 /// order, plus the process-wide row-sharing counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterMetrics {
     /// Per-partition captures.
     pub partitions: Vec<PartitionMetrics>,

@@ -3,8 +3,8 @@
 //! per-stage dataflow latency histograms, registry counters and gauges,
 //! named phase timers (recovery breakdown), the K slowest batch
 //! timelines — together with a [`ClusterMetrics`] capture into one
-//! serde-serializable [`ObsReport`], dumped as JSON by benches and the
-//! CI observability smoke step.
+//! plain-data [`ObsReport`], which [`ObsReport::to_json`] renders as the
+//! JSON document benches and the CI observability smoke step dump.
 //!
 //! # Report window
 //!
@@ -25,11 +25,13 @@
 //! `batches_submitted` total of durable partitions (the standalone
 //! `obs_report` smoke binary asserts this).
 
-use crate::cluster::Cluster;
-use crate::metrics::ClusterMetrics;
-use serde::{Deserialize, Serialize};
-use sstore_common::obs::{self, HistogramReport, HistogramSnapshot, TraceSpan, STAGES};
+use crate::cluster::{Cluster, PartitionHealth};
+use crate::coordinator::CoordStats;
+use crate::metrics::{ClusterMetrics, PartitionMetrics};
+use sstore_common::obs::{self, HistogramReport, HistogramSnapshot, SpanStage, TraceSpan, STAGES};
+use sstore_common::{PartitionId, RowMetrics};
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::time::Instant;
 
 /// How many of the slowest batch timelines a report embeds.
@@ -60,7 +62,7 @@ impl ObsBaseline {
 
 /// The exported telemetry document. Everything is plain data; the
 /// schema is stable across runs (every key below is always present).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObsReport {
     /// Seconds from cluster construction to this report.
     pub uptime_s: f64,
@@ -98,14 +100,154 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// Serialize to JSON.
+    /// Render as one compact JSON object. Struct fields appear in
+    /// declaration order under their Rust names, map keys in sorted
+    /// order, [`PartitionHealth`] as its variant name, and non-finite
+    /// floats as `null`.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("ObsReport serializes infallibly")
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
+}
 
-    /// Parse a report back from JSON (schema checks in tests and CI).
-    pub fn from_json(s: &str) -> std::result::Result<ObsReport, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
+/// A value the report's JSON printer can render.
+trait Json {
+    fn write_json(&self, out: &mut String);
+}
+
+/// Write `items` comma-separated inside `brackets`, each after its key
+/// when it has one (an object member) and bare otherwise (an array item).
+fn seq<'a, I>(out: &mut String, brackets: [char; 2], items: I)
+where
+    I: IntoIterator<Item = (Option<&'a str>, &'a dyn Json)>,
+{
+    out.push(brackets[0]);
+    for (i, (key, value)) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if let Some(key) = key {
+            key.write_json(out);
+            out.push(':');
+        }
+        value.write_json(out);
+    }
+    out.push(brackets[1]);
+}
+
+impl Json for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl Json for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+/// Shortest round-tripping form, with `.0` added to an integral value so
+/// it still reads back as a float.
+impl Json for f64 {
+    fn write_json(&self, out: &mut String) {
+        if !self.is_finite() {
+            out.push_str("null");
+            return;
+        }
+        let start = out.len();
+        let _ = write!(out, "{self}");
+        if !out[start..].contains('.') {
+            out.push_str(".0");
+        }
+    }
+}
+
+macro_rules! json_display {
+    ($($t:ty),*) => {$(
+        impl Json for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+json_display!(u64, i64, bool);
+
+impl Json for PartitionId {
+    fn write_json(&self, out: &mut String) {
+        u64::from(self.raw()).write_json(out);
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        seq(out, ['[', ']'], self.iter().map(|v| (None, v as &dyn Json)));
+    }
+}
+
+impl<T: Json> Json for BTreeMap<String, T> {
+    fn write_json(&self, out: &mut String) {
+        let members = self.iter().map(|(k, v)| (Some(k.as_str()), v as &dyn Json));
+        seq(out, ['{', '}'], members);
+    }
+}
+
+/// Implement [`Json`] for plain structs as an object of the listed
+/// fields, in order. The destructuring pattern has no `..`, so a field
+/// added to one of these structs fails to compile until it is listed.
+macro_rules! json_object {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Json for $ty {
+            fn write_json(&self, out: &mut String) {
+                let $ty { $($field),* } = self;
+                seq(out, ['{', '}'], [$((Some(stringify!($field)), $field as &dyn Json)),*]);
+            }
+        }
+    )*};
+}
+
+json_object! {
+    ObsReport {
+        uptime_s, committed_per_s, skew, stages, counters, gauges, phases, metrics,
+        slowest_batches, trace_ring_overwrites,
+    }
+    HistogramReport { count, mean_us, p50_us, p95_us, p99_us, max_us }
+    ClusterMetrics { partitions, rows, coordinator, health, sheds, worker_restarts }
+    PartitionMetrics {
+        partition, committed, batches_submitted, batches_completed, group_submissions,
+        batches_coalesced, client_pe_trips, twopc_prepares, twopc_commits, twopc_aborts,
+        forwards_out, forwards_in, forwards_deduped, speculative_tes, snapshots_full,
+        snapshots_delta, mean_latency_us, available,
+    }
+    RowMetrics { shares, deep_copies, cow_breaks }
+    CoordStats {
+        single_partition_fast_path, multi_partition_txns, prepares_sent, commits, aborts,
+        log_compactions,
+    }
+    TraceSpan { trace, total_us, stages }
+    SpanStage { stage, at_us }
+}
+
+/// The variant's name, which is what `Debug` prints for a unit variant.
+impl Json for PartitionHealth {
+    fn write_json(&self, out: &mut String) {
+        format!("{self:?}").write_json(out);
     }
 }
 
@@ -144,5 +286,150 @@ impl Cluster {
             slowest_batches: obs::slowest_spans(SLOWEST_SPANS, self.obs_baseline.first_trace),
             trace_ring_overwrites: obs::collect_events().1,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fixed report exercising every rendering rule: integral,
+    /// fractional, tiny, huge, negative-zero and non-finite floats; names
+    /// with quotes, backslashes and control characters; empty and
+    /// multi-entry maps; every health variant.
+    fn golden_report() -> ObsReport {
+        let hist = |count, mean_us, p50_us, p95_us, p99_us, max_us| HistogramReport {
+            count,
+            mean_us,
+            p50_us,
+            p95_us,
+            p99_us,
+            max_us,
+        };
+        let partition = |id, committed, mean_latency_us, available| PartitionMetrics {
+            committed,
+            batches_submitted: 11,
+            batches_completed: 10,
+            group_submissions: 3,
+            batches_coalesced: 4,
+            client_pe_trips: 5,
+            twopc_prepares: 6,
+            twopc_commits: 7,
+            twopc_aborts: 8,
+            forwards_out: 9,
+            forwards_in: 10,
+            forwards_deduped: 1,
+            speculative_tes: 2,
+            snapshots_full: 3,
+            snapshots_delta: 4,
+            mean_latency_us,
+            available,
+            ..PartitionMetrics::unavailable(PartitionId::new(id))
+        };
+        ObsReport {
+            uptime_s: 12.0,
+            committed_per_s: f64::NAN,
+            skew: f64::INFINITY,
+            stages: BTreeMap::from([
+                ("acked".to_string(), hist(3, 1.5, 0.1, 1e-7, 1e21, 4.5e22)),
+                ("routed".to_string(), HistogramReport::default()),
+                (
+                    "q\"uote\\d".to_string(),
+                    hist(0, -0.0, f64::NEG_INFINITY, 2.5e-9, 123456.789, 7.0),
+                ),
+            ]),
+            counters: BTreeMap::from([
+                ("log.warn".to_string(), 7),
+                ("max".to_string(), u64::MAX),
+                ("tab\tnew\nret\r\u{1}\u{1f}é".to_string(), 0),
+            ]),
+            gauges: BTreeMap::from([("min".to_string(), i64::MIN), ("neg".to_string(), -5)]),
+            phases: BTreeMap::new(),
+            metrics: ClusterMetrics {
+                partitions: vec![
+                    partition(0, 100, 0.25, true),
+                    partition(1, 0, f64::NAN, false),
+                ],
+                rows: RowMetrics {
+                    shares: 1,
+                    deep_copies: 2,
+                    cow_breaks: 3,
+                },
+                coordinator: CoordStats {
+                    single_partition_fast_path: 1,
+                    multi_partition_txns: 2,
+                    prepares_sent: 3,
+                    commits: 4,
+                    aborts: 5,
+                    log_compactions: 6,
+                },
+                health: vec![
+                    PartitionHealth::Healthy,
+                    PartitionHealth::Restarting,
+                    PartitionHealth::Down,
+                ],
+                sheds: 0,
+                worker_restarts: 42,
+            },
+            slowest_batches: vec![
+                TraceSpan {
+                    trace: 9,
+                    total_us: 1000.0,
+                    stages: vec![
+                        SpanStage {
+                            stage: "routed".to_string(),
+                            at_us: 0.0,
+                        },
+                        SpanStage {
+                            stage: "a\u{7f}\"b".to_string(),
+                            at_us: 999.999,
+                        },
+                    ],
+                },
+                TraceSpan {
+                    trace: 10,
+                    total_us: f64::NAN,
+                    stages: Vec::new(),
+                },
+            ],
+            trace_ring_overwrites: 3,
+        }
+    }
+
+    /// `golden_report` as the derive-based serializer this printer
+    /// replaced rendered it: readers of the report see the same bytes.
+    const GOLDEN: &str = concat!(
+        r#"{"uptime_s":12.0,"committed_per_s":null,"skew":null,"stages":{"acked":{"count":3,"#,
+        r#""mean_us":1.5,"p50_us":0.1,"p95_us":0.0000001,"p99_us":1000000000000000000000.0,"#,
+        r#""max_us":45000000000000000000000.0},"q\"uote\\d":{"count":0,"mean_us":-0.0,"#,
+        r#""p50_us":null,"p95_us":0.0000000025,"p99_us":123456.789,"max_us":7.0},"#,
+        r#""routed":{"count":0,"mean_us":0.0,"p50_us":0.0,"p95_us":0.0,"p99_us":0.0,"#,
+        r#""max_us":0.0}},"counters":{"log.warn":7,"max":18446744073709551615,"#,
+        r#""tab\tnew\nret\r\u0001\u001fé":0},"gauges":{"min":-9223372036854775808,"#,
+        r#""neg":-5},"phases":{},"metrics":{"partitions":[{"partition":0,"#,
+        r#""committed":100,"batches_submitted":11,"batches_completed":10,"#,
+        r#""group_submissions":3,"batches_coalesced":4,"client_pe_trips":5,"#,
+        r#""twopc_prepares":6,"twopc_commits":7,"twopc_aborts":8,"forwards_out":9,"#,
+        r#""forwards_in":10,"forwards_deduped":1,"speculative_tes":2,"snapshots_full":3,"#,
+        r#""snapshots_delta":4,"mean_latency_us":0.25,"available":true},"#,
+        r#"{"partition":1,"committed":0,"batches_submitted":11,"batches_completed":10,"#,
+        r#""group_submissions":3,"batches_coalesced":4,"client_pe_trips":5,"#,
+        r#""twopc_prepares":6,"twopc_commits":7,"twopc_aborts":8,"forwards_out":9,"#,
+        r#""forwards_in":10,"forwards_deduped":1,"speculative_tes":2,"snapshots_full":3,"#,
+        r#""snapshots_delta":4,"mean_latency_us":null,"available":false}],"#,
+        r#""rows":{"shares":1,"deep_copies":2,"cow_breaks":3},"coordinator":{"single_partition_fast_path":1,"#,
+        r#""multi_partition_txns":2,"prepares_sent":3,"commits":4,"aborts":5,"#,
+        r#""log_compactions":6},"health":["Healthy","Restarting","Down"],"#,
+        r#""sheds":0,"worker_restarts":42},"slowest_batches":[{"trace":9,"#,
+        r#""total_us":1000.0,"stages":[{"stage":"routed","at_us":0.0},{"stage":"a"#,
+        "\u{7f}",
+        r#"\"b","#,
+        r#""at_us":999.999}]},{"trace":10,"total_us":null,"stages":[]}],"#,
+        r#""trace_ring_overwrites":3}"#,
+    );
+
+    #[test]
+    fn report_json_matches_golden_bytes() {
+        assert_eq!(golden_report().to_json(), GOLDEN);
     }
 }

@@ -9,7 +9,6 @@
 //!   an owner procedure for the paper's transaction-scope rule.
 
 use crate::index::RowId;
-use serde::{json, DeError, Deserialize, Serialize};
 use sstore_common::{codec, Column, DataType, Error, ProcId, Result, Schema, TableId, Value};
 use std::collections::{HashMap, VecDeque};
 
@@ -21,7 +20,7 @@ pub const COL_SEQ: &str = "__seq";
 pub const COL_TS: &str = "__ts";
 
 /// Sliding-window policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowKind {
     /// Tuple-based: keep the newest `size` tuples; downstream processing
     /// fires every `slide` insertions.
@@ -41,7 +40,7 @@ pub enum WindowKind {
 }
 
 /// Full window definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowSpec {
     /// The slide policy.
     pub kind: WindowKind,
@@ -52,7 +51,7 @@ pub struct WindowSpec {
 }
 
 /// Stream lifecycle metadata.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamMeta {
     /// Next sequence number to assign on append.
     pub next_seq: u64,
@@ -83,8 +82,7 @@ pub struct ColAgg {
 /// This is **derived** state: `valid = false` means it must be rebuilt
 /// from a scan before use (the state of affairs after snapshot decode,
 /// or after a mutation path that does not carry undo information). It is
-/// deliberately excluded from equality comparisons and serialized as
-/// JSON `null`.
+/// deliberately excluded from equality comparisons and from snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct WindowAggState {
     /// False = state unknown; rebuild before trusting `rows`/`cols`.
@@ -208,23 +206,8 @@ impl PartialEq for WindowAggState {
 }
 impl Eq for WindowAggState {}
 
-/// Serialized as JSON `null` (derived cache, rebuilt on demand), so the
-/// serialized form is identical with or without the field.
-impl Serialize for WindowAggState {
-    fn to_json(&self) -> json::Value {
-        json::Value::Null
-    }
-}
-
-/// Any serialized form decodes to "unknown, rebuild before use".
-impl Deserialize for WindowAggState {
-    fn from_json(_: &json::Value) -> std::result::Result<Self, DeError> {
-        Ok(WindowAggState::default())
-    }
-}
-
 /// Window lifecycle metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowMeta {
     /// The window definition.
     pub spec: WindowSpec,
@@ -240,7 +223,7 @@ pub struct WindowMeta {
 }
 
 /// What kind of object a table is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TableKind {
     /// Regular OLTP table.
     Base,
@@ -262,7 +245,7 @@ impl TableKind {
 }
 
 /// Catalog entry for one table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableMeta {
     /// Dense id used everywhere else in the engine.
     pub id: TableId,
@@ -285,7 +268,7 @@ pub struct TableMeta {
 }
 
 /// Name → metadata registry for one partition.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     by_name: HashMap<String, TableId>,
     metas: Vec<TableMeta>,

@@ -2,7 +2,6 @@
 
 use crate::catalog::{Catalog, TableKind, WindowSpec};
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 use sstore_common::{Error, Result, Schema, TableId};
 
 /// All the data owned by one partition.
@@ -10,7 +9,7 @@ use sstore_common::{Error, Result, Schema, TableId};
 /// H-Store executes transactions serially per partition, so `Database` is
 /// deliberately `&mut`-threaded (no interior mutability on the data path);
 /// the partition engine owns it behind a single-threaded executor.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     catalog: Catalog,
     /// Physical tables, indexed by `TableId` position.

@@ -11,7 +11,6 @@
 //! primary key, and nearly every entry of a near-unique secondary index,
 //! therefore costs no heap block of its own beyond a Text key's string.
 
-use serde::{Deserialize, Serialize};
 use sstore_common::{codec, Error, Result, Value};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -27,7 +26,7 @@ use std::ops::Bound;
 pub type RowId = u64;
 
 /// Definition of a secondary index.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexDef {
     /// Index name, unique within its table.
     pub name: String,
@@ -56,13 +55,6 @@ impl IndexKey {
         match key {
             [v] => IndexKey::One(v.clone()),
             _ => IndexKey::Many(key.into()),
-        }
-    }
-
-    fn from_vec(key: Vec<Value>) -> IndexKey {
-        match <[Value; 1]>::try_from(key) {
-            Ok([v]) => IndexKey::One(v),
-            Err(key) => IndexKey::Many(key.into_boxed_slice()),
         }
     }
 
@@ -135,13 +127,6 @@ enum RowIds {
 }
 
 impl RowIds {
-    fn from_vec(ids: Vec<RowId>) -> RowIds {
-        match ids[..] {
-            [rid] => RowIds::One(rid),
-            _ => RowIds::Many(ids),
-        }
-    }
-
     fn as_slice(&self) -> &[RowId] {
         match self {
             RowIds::One(rid) => std::slice::from_ref(rid),
@@ -197,49 +182,11 @@ impl IndexStore {
 }
 
 /// A live secondary index: definition plus data.
-///
-/// Serialized as `(def, entries)` pairs because JSON object keys must be
-/// strings; rebuilt into the hash/btree form on deserialization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(into = "IndexSerde", try_from = "IndexSerde")]
+#[derive(Debug, Clone)]
 pub struct Index {
     /// The definition this index was created from.
     pub def: IndexDef,
     store: IndexStore,
-}
-
-/// Serde mirror of [`Index`]: entry list instead of a map.
-#[derive(Serialize, Deserialize)]
-struct IndexSerde {
-    def: IndexDef,
-    entries: Vec<(Vec<Value>, Vec<RowId>)>,
-}
-
-impl From<Index> for IndexSerde {
-    fn from(ix: Index) -> Self {
-        let entry =
-            |(key, ids): (&IndexKey, &RowIds)| (key.as_slice().to_vec(), ids.as_slice().to_vec());
-        let entries = match &ix.store {
-            IndexStore::Hash(m) => m.iter().map(entry).collect(),
-            IndexStore::Ordered(m) => m.iter().map(entry).collect(),
-        };
-        IndexSerde {
-            def: ix.def,
-            entries,
-        }
-    }
-}
-
-impl TryFrom<IndexSerde> for Index {
-    type Error = String;
-    fn try_from(s: IndexSerde) -> std::result::Result<Self, String> {
-        let entries = s
-            .entries
-            .into_iter()
-            .map(|(key, ids)| (IndexKey::from_vec(key), RowIds::from_vec(ids)));
-        let store = IndexStore::new(s.def.ordered, entries);
-        Ok(Index { def: s.def, store })
-    }
 }
 
 /// A probe key for index lookups: borrowed straight out of a row when the

@@ -100,7 +100,9 @@ impl Snapshot {
         }
     }
 
-    fn encode_binary(&self) -> Vec<u8> {
+    /// The file bytes [`Snapshot::write_to`] writes: deterministic, so two
+    /// captures hold the same state exactly when their bytes are equal.
+    pub fn encode_binary(&self) -> Vec<u8> {
         let mut out = Vec::new();
         codec::put_file_header(&mut out, codec::SNAPSHOT_MAGIC);
         // Metadata frame: kind byte (full image vs delta), envelope
@@ -574,12 +576,13 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
-    /// A v1 binary snapshot (the PR 4 layout: catalog, schemas, and index
-    /// definitions as length-prefixed serde-tree blobs) is refused at its
-    /// header. The image is written byte-by-byte in that layout; the
-    /// blobs are empty, as the reader never gets past the header.
+    /// A v1 binary snapshot (the first binary layout: catalog, schemas,
+    /// and index definitions as length-prefixed blobs of a generic value
+    /// tree) is refused at its header. The image is written byte-by-byte
+    /// in that layout; the blobs are empty, as the reader never gets past
+    /// the header.
     #[test]
-    fn v1_binary_snapshot_still_loads() {
+    fn v1_binary_snapshot_is_refused_at_its_header() {
         let mut v1 = Vec::new();
         v1.extend_from_slice(&codec::SNAPSHOT_MAGIC);
         v1.extend_from_slice(&1u32.to_le_bytes());
@@ -645,7 +648,7 @@ mod tests {
     /// an explicit v2 header and the current body encoders (the v2→v3
     /// body layout differs only by that byte).
     #[test]
-    fn v2_binary_snapshot_still_loads() {
+    fn v2_binary_snapshot_is_refused_at_its_header() {
         let db = sample_db();
         let mut v2 = Vec::new();
         v2.extend_from_slice(&codec::SNAPSHOT_MAGIC);

@@ -8,16 +8,14 @@
 
 use crate::index::{Index, IndexDef, RowId};
 use crate::mirror::Mirror;
-use serde::{Deserialize, Serialize};
 use sstore_common::{codec, Error, Result, Row, Schema, Value};
 
 /// One heap table (also the physical representation of streams and windows).
 ///
-/// Serialization goes through [`TableRepr`] so the transient change
-/// journal (delta-snapshot support) and the column mirror never reach the
-/// serialized form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(into = "TableRepr", try_from = "TableRepr")]
+/// [`Table::encode_binary`] writes only the persistent fields: the
+/// transient change journal (delta-snapshot support) and the column mirror
+/// never reach the snapshot.
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
@@ -32,59 +30,12 @@ pub struct Table {
     /// Secondary indexes.
     indexes: Vec<Index>,
     /// Change journal for delta snapshots; `None` = tracking off. Never
-    /// serialized (runtime bookkeeping, not state).
+    /// encoded (runtime bookkeeping, not state).
     journal: Option<Journal>,
     /// Resident columns for vector scans, kept in step by the mutators.
-    /// Derived from `slots`, so not state either: never serialized, and a
+    /// Derived from `slots`, so not state either: never encoded, and a
     /// clone starts without one.
     mirror: Mirror,
-}
-
-/// Serialization mirror of [`Table`]: exactly the persistent fields.
-#[derive(Serialize, Deserialize)]
-pub struct TableRepr {
-    name: String,
-    schema: Schema,
-    slots: Vec<Option<Row>>,
-    free: Vec<RowId>,
-    live: usize,
-    pk_index: Option<Index>,
-    indexes: Vec<Index>,
-}
-
-impl From<Table> for TableRepr {
-    fn from(t: Table) -> TableRepr {
-        TableRepr {
-            name: t.name,
-            schema: t.schema,
-            slots: t.slots,
-            free: t.free,
-            live: t.live,
-            pk_index: t.pk_index,
-            indexes: t.indexes,
-        }
-    }
-}
-
-// The vendored serde derive only supports `try_from = "T"`, not
-// `from = "T"`, so the conversion must be TryFrom even though it
-// cannot fail.
-#[allow(clippy::infallible_try_from)]
-impl TryFrom<TableRepr> for Table {
-    type Error = std::convert::Infallible;
-    fn try_from(r: TableRepr) -> std::result::Result<Table, Self::Error> {
-        Ok(Table {
-            name: r.name,
-            schema: r.schema,
-            slots: r.slots,
-            free: r.free,
-            live: r.live,
-            pk_index: r.pk_index,
-            indexes: r.indexes,
-            journal: None,
-            mirror: Mirror::default(),
-        })
-    }
 }
 
 /// One journaled slot mutation — the exact physical operations the table
@@ -266,10 +217,16 @@ impl Table {
         }
     }
 
-    /// Decode a table encoded by [`Table::encode_binary`].
+    /// Decode a table encoded by [`Table::encode_binary`]. An image the
+    /// mutators could not have produced is refused with [`Error::Codec`]
+    /// rather than left to panic or corrupt later: every row must have the
+    /// schema's arity, the free list must name each empty slot exactly
+    /// once, and every index key column must lie inside the row.
     pub fn decode_binary(r: &mut codec::Reader<'_>) -> Result<Table> {
         let name = r.str()?.to_string();
+        let bad = |what: String| Error::Codec(format!("{what} in table `{name}`"));
         let schema = Schema::decode_binary(r)?;
+        let arity = schema.arity();
         let n_slots = r.uvarint()? as usize;
         let mut slots = Vec::with_capacity(n_slots.min(r.remaining()));
         let mut live = 0usize;
@@ -277,14 +234,14 @@ impl Table {
             match r.u8()? {
                 0 => slots.push(None),
                 1 => {
-                    slots.push(Some(codec::decode_row(r)?));
+                    let row = codec::decode_row(r)?;
+                    if row.len() != arity {
+                        return Err(bad(format!("a row of {} cells", row.len())));
+                    }
+                    slots.push(Some(row));
                     live += 1;
                 }
-                tag => {
-                    return Err(Error::Codec(format!(
-                        "bad slot tag {tag} in table `{name}`"
-                    )))
-                }
+                tag => return Err(bad(format!("bad slot tag {tag}"))),
             }
         }
         let n_free = r.uvarint()? as usize;
@@ -292,19 +249,28 @@ impl Table {
         for _ in 0..n_free {
             free.push(r.uvarint()?);
         }
+        let mut sorted = free.clone();
+        sorted.sort_unstable();
+        let empty = (0..n_slots as RowId).filter(|&rid| slots[rid as usize].is_none());
+        if !sorted.into_iter().eq(empty) {
+            return Err(bad("a free list that is not the empty slots".into()));
+        }
         let pk_index = match r.u8()? {
             0 => None,
             1 => Some(Index::decode_binary(r)?),
-            tag => {
-                return Err(Error::Codec(format!(
-                    "bad pk-index tag {tag} in table `{name}`"
-                )))
-            }
+            tag => return Err(bad(format!("bad pk-index tag {tag}"))),
         };
         let n_indexes = r.uvarint()? as usize;
         let mut indexes = Vec::with_capacity(n_indexes.min(r.remaining()));
         for _ in 0..n_indexes {
             indexes.push(Index::decode_binary(r)?);
+        }
+        let mut all = pk_index.iter().chain(&indexes);
+        if let Some(ix) = all.find(|ix| ix.def.key_cols.iter().any(|&c| c >= arity)) {
+            return Err(bad(format!(
+                "index `{}` keying a missing column",
+                ix.def.name
+            )));
         }
         Ok(Table {
             name,
@@ -1152,9 +1118,73 @@ mod tests {
         let mut t = table();
         t.set_journaling(true);
         t.insert(row(1, "a")).unwrap();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Table = serde_json::from_str(&json).unwrap();
+        let mut image = Vec::new();
+        t.encode_binary(&mut image);
+        let back = Table::decode_binary(&mut codec::Reader::new(&image)).unwrap();
         assert!(!back.journaling());
         assert_eq!(back.len(), 1);
+    }
+
+    /// Images the mutators could never write decode to a codec error, not
+    /// to a table that panics or corrupts itself on its next use. Each is
+    /// assembled field by field in `encode_binary`'s layout.
+    #[test]
+    fn inconsistent_images_are_refused_at_decode() {
+        let image = |slots: &[Option<Row>], free: &[RowId], pk_cols: Vec<usize>| {
+            let mut out = Vec::new();
+            codec::put_str(&mut out, "t");
+            table().schema.encode_binary(&mut out);
+            codec::put_uvarint(&mut out, slots.len() as u64);
+            for slot in slots {
+                match slot {
+                    None => out.push(0),
+                    Some(row) => {
+                        out.push(1);
+                        codec::encode_row(row, &mut out);
+                    }
+                }
+            }
+            codec::put_uvarint(&mut out, free.len() as u64);
+            for &rid in free {
+                codec::put_uvarint(&mut out, rid);
+            }
+            out.push(1); // pk index present, no entries
+            Index::new(IndexDef {
+                name: "__pk".into(),
+                key_cols: pk_cols,
+                unique: true,
+                ordered: true,
+            })
+            .encode_binary(&mut out);
+            codec::put_uvarint(&mut out, 0); // secondary indexes
+            out
+        };
+        let decode = |bytes: Vec<u8>| Table::decode_binary(&mut codec::Reader::new(&bytes));
+        let a = Some(row(1, "a"));
+
+        // The consistent baseline decodes and accepts an insert.
+        let mut ok = decode(image(&[a.clone(), None], &[1], vec![0])).unwrap();
+        ok.insert(row(2, "b")).unwrap();
+        assert_eq!(ok.len(), 2);
+
+        let refused = [
+            // A free id past the slot vector (the next insert would index
+            // out of bounds).
+            image(&[a.clone(), None], &[7], vec![0]),
+            // A free id naming a live slot (the next insert would
+            // overwrite it), and one listed twice.
+            image(&[a.clone(), None], &[0], vec![0]),
+            image(&[None, None], &[1, 1], vec![0]),
+            // An empty slot the free list does not name.
+            image(&[a.clone(), None], &[], vec![0]),
+            // A row narrower than the schema.
+            image(&[Some(vec![Value::Int(1)].into())], &[], vec![0]),
+            // An index keyed on a column the rows do not have.
+            image(&[a], &[], vec![2]),
+        ];
+        for bytes in refused {
+            let err = decode(bytes).unwrap_err();
+            assert_eq!(err.kind(), "codec", "{err}");
+        }
     }
 }

@@ -336,8 +336,9 @@ proptest! {
         // A copy of the table is a copy of its state, not of its mirror.
         let table = db.table(t).unwrap();
         prop_assert_eq!(table.clone().mirrored_columns(), 0);
-        let json = serde_json::to_string(table).unwrap();
-        let back: Table = serde_json::from_str(&json).unwrap();
+        let mut image = Vec::new();
+        table.encode_binary(&mut image);
+        let back = Table::decode_binary(&mut codec::Reader::new(&image)).unwrap();
         prop_assert_eq!(back.mirrored_columns(), 0);
         let mut all = BTreeSet::new();
         request(&back, 0xff, &mut all);

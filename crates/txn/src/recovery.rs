@@ -282,7 +282,7 @@ mod tests {
     /// command log — is refused: recovery fails with a recovery error,
     /// and opening the log for appends refuses it without touching a byte.
     #[test]
-    fn pre_binary_json_dir_recovers_through_back_compat() {
+    fn pre_binary_json_dir_is_refused_untouched() {
         let dir = tempdir("backcompat");
         let cfg = LogConfig::new(&dir);
         let json = concat!(

@@ -75,9 +75,11 @@ fn deploy(p: &mut Partition) -> Result<()> {
     Ok(())
 }
 
-fn db_json(p: &Partition) -> String {
-    let snap = Snapshot::capture(p.engine().db(), None, None, 0);
-    serde_json::to_string(&snap.database).expect("serialize")
+/// The partition's state as the bytes of a full snapshot image: exactly
+/// what recovery reads back, so floats compare by bits and hash-index
+/// entries in sorted order.
+fn db_bytes(p: &Partition) -> Vec<u8> {
+    Snapshot::capture(p.engine().db(), None, None, 0).encode_binary()
 }
 
 /// One interleaved step of the workload.
@@ -103,9 +105,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Staged outbox envelopes: (stream, batch, rows).
+type Envelopes = Vec<(String, u64, Vec<Row>)>;
+
 /// Run the workload on a fresh partition over `dir`. Returns the
 /// envelopes that were never acked (what recovery must re-stage).
-fn run_workload(config: &PeConfig, ops: &[Op]) -> (String, Vec<(String, u64, Vec<Row>)>) {
+fn run_workload(config: &PeConfig, ops: &[Op]) -> (Vec<u8>, Envelopes) {
     let mut p = Partition::new(config.clone()).unwrap();
     deploy(&mut p).unwrap();
     let mut unacked = Vec::new();
@@ -145,10 +150,10 @@ fn run_workload(config: &PeConfig, ops: &[Op]) -> (String, Vec<(String, u64, Vec
             }
         }
     }
-    (db_json(&p), unacked)
+    (db_bytes(&p), unacked)
 }
 
-fn staged(p: &mut Partition) -> Vec<(String, u64, Vec<Row>)> {
+fn staged(p: &mut Partition) -> Envelopes {
     let mut v: Vec<_> = p
         .take_outbox()
         .into_iter()
@@ -200,8 +205,8 @@ proptest! {
 
         let mut r_delta = recover(delta_cfg, deploy).unwrap();
         let mut r_full = recover(full_cfg, deploy).unwrap();
-        prop_assert_eq!(db_json(&r_delta), live_delta);
-        prop_assert_eq!(db_json(&r_full), live_full);
+        prop_assert_eq!(db_bytes(&r_delta), live_delta);
+        prop_assert_eq!(db_bytes(&r_full), live_full);
 
         // Both policies re-stage the same envelope set. (Replay also
         // re-stages acked envelopes whose records GC hasn't retired yet —

@@ -11,7 +11,7 @@
 
 use sstore::common::obs;
 use sstore::core::workloads::{count_events_rows, deploy_count_events};
-use sstore::{Cluster, ObsReport, RouteSpec, SStoreBuilder};
+use sstore::{Cluster, RouteSpec, SStoreBuilder};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -97,15 +97,16 @@ fn report_schema_round_trips_and_counts_reconcile() {
         assert!(!span.stages.is_empty());
     }
 
-    // JSON round trip preserves the document.
+    // The rendered document carries every stage's histogram (its exact
+    // bytes are pinned by the golden test beside the printer).
     let json = report.to_json();
-    let parsed = ObsReport::from_json(&json).expect("report JSON must parse");
-    assert_eq!(parsed.stages, report.stages);
-    assert_eq!(
-        parsed.metrics.total_committed(),
-        report.metrics.total_committed()
-    );
-    assert_eq!(parsed.slowest_batches.len(), report.slowest_batches.len());
+    for key in STAGE_KEYS {
+        let count = report.stages[key].count;
+        assert!(
+            json.contains(&format!("\"{key}\":{{\"count\":{count},")),
+            "{key}"
+        );
+    }
 
     drop(cluster);
     std::fs::remove_dir_all(dir).ok();
@@ -137,7 +138,6 @@ fn disabled_tracing_records_no_stages() {
     // through the embedded metrics even with tracing off.
     assert!(report.metrics.total_committed() >= 10);
     assert!(report.skew >= 1.0);
-    ObsReport::from_json(&report.to_json()).expect("report JSON must parse");
 }
 
 #[test]

@@ -32,21 +32,6 @@ fn clock_is_monotone_and_settable() {
 }
 
 #[test]
-fn value_round_trips_through_json() {
-    let values = vec![
-        Value::Null,
-        Value::Int(-42),
-        Value::Float(2.5),
-        Value::Text("quote ' and \\ back".into()),
-        Value::Bool(true),
-        Value::Timestamp(1_234_567),
-    ];
-    let encoded = serde_json::to_string(&values).unwrap();
-    let decoded: Vec<Value> = serde_json::from_str(&encoded).unwrap();
-    assert_eq!(decoded, values);
-}
-
-#[test]
 fn value_accessors_and_coercion_basics() {
     assert_eq!(Value::Int(3).as_int().unwrap(), 3);
     assert_eq!(Value::Int(3).as_float().unwrap(), 3.0);
