@@ -247,7 +247,7 @@ impl CitySim {
 }
 
 /// Check the invariants the demo's GUIs rely on. Panics with a
-/// description on violation (used by tests and the `figures` harness).
+/// description on violation (used by the tests and the `bikeshare` example).
 pub fn verify_invariants(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
     let docked = db
         .query("SELECT COUNT(*) FROM bikes WHERE status = 0", &[])?

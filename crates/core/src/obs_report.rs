@@ -3,8 +3,8 @@
 //! per-stage dataflow latency histograms, registry counters and gauges,
 //! named phase timers (recovery breakdown), the K slowest batch
 //! timelines — together with a [`ClusterMetrics`] capture into one
-//! plain-data [`ObsReport`], which [`ObsReport::to_json`] renders as the
-//! JSON document benches and the CI observability smoke step dump.
+//! plain-data [`ObsReport`], which [`ObsReport::to_json`] renders as
+//! one JSON document.
 //!
 //! # Report window
 //!
@@ -22,8 +22,8 @@
 //! With tracing on, every border batch this cluster logged records
 //! exactly one `logged` stage passage, so in a single-cluster process
 //! `stages["logged"].count` equals the cluster-wide
-//! `batches_submitted` total of durable partitions (the standalone
-//! `obs_report` smoke binary asserts this).
+//! `batches_submitted` total of durable partitions (`tests/observability.rs`
+//! asserts this, with and without a cross-partition edge).
 
 use crate::cluster::{Cluster, PartitionHealth};
 use crate::coordinator::CoordStats;

@@ -1,11 +1,11 @@
-//! Reference workloads shared by the benches, the `figures` harness, the
-//! cluster integration tests, and the router property suite.
+//! Reference workloads shared by the cluster integration tests, the
+//! router property suite and the observability tests.
 //!
 //! Keeping these in one place means every consumer — including the E9
-//! determinism gate, which compares a partitioned run byte-for-byte
+//! determinism check, which compares a partitioned run byte-for-byte
 //! against the single-partition reference — deploys the *same* schema and
-//! procedure; a copy-paste drift between a bench and its correctness
-//! test would otherwise go unnoticed.
+//! procedure; a copy-paste drift between two tests of one workload would
+//! otherwise go unnoticed.
 
 use crate::SStore;
 use sstore_common::{Result, Row, Value};

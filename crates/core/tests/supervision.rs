@@ -89,7 +89,8 @@ fn admission_control_sheds_when_full_and_backoff_retry_succeeds() {
         cluster.submit_batch_async("nap", one_row()).unwrap(),
         cluster.submit_batch_async("nap", one_row()).unwrap(),
     ];
-    let mut shed = false;
+    // Every `overloaded` refusal this test sees, the retry loop's too.
+    let mut refused = 0u64;
     for _ in 0..50 {
         match cluster.try_submit_batch_async("nap", one_row()) {
             Ok(t) => tickets.push(t),
@@ -99,12 +100,12 @@ fn admission_control_sheds_when_full_and_backoff_retry_succeeds() {
                     e.is_retryable(),
                     "a shed batch landed nowhere; retry is safe"
                 );
-                shed = true;
+                refused += 1;
                 break;
             }
         }
     }
-    assert!(shed, "a depth-1 queue behind 20ms batches must shed");
+    assert_eq!(refused, 1, "a depth-1 queue behind 20ms batches must shed");
     // The standard client response: back off (deterministic jitter) and
     // resubmit until admitted.
     let policy = RetryPolicy {
@@ -115,7 +116,13 @@ fn admission_control_sheds_when_full_and_backoff_retry_succeeds() {
     };
     tickets.push(
         policy
-            .run(|| cluster.try_submit_batch_async("nap", one_row()))
+            .run(|| {
+                let r = cluster.try_submit_batch_async("nap", one_row());
+                if matches!(&r, Err(e) if e.kind() == "overloaded") {
+                    refused += 1;
+                }
+                r
+            })
             .expect("backoff retry must eventually be admitted"),
     );
     for t in tickets {
@@ -124,7 +131,10 @@ fn admission_control_sheds_when_full_and_backoff_retry_succeeds() {
         }
     }
     let m = cluster.metrics();
-    assert!(m.sheds >= 1, "sheds must be counted in ClusterMetrics");
+    assert_eq!(
+        m.sheds, refused,
+        "every refused submission must be counted as exactly one shed"
+    );
     assert_eq!(m.health, vec![PartitionHealth::Healthy]);
 }
 

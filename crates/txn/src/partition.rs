@@ -20,7 +20,7 @@
 //! delayed polling racing with new input.
 
 use crate::log::{CommandLog, LogConfig, LogRecord, LogRetention};
-use crate::procedure::{simulate_cost, stmt_effects, ProcContext, ProcSpec, Procedure};
+use crate::procedure::{stmt_effects, ProcContext, ProcSpec, Procedure};
 use crate::stats::PeStats;
 use crate::transaction::{Invocation, InvocationOrigin, TxnOutcome, TxnStatus};
 use crate::workflow::{CrossEdge, Workflow};
@@ -131,18 +131,9 @@ pub struct PeConfig {
     /// Automatic snapshot-then-truncate policy (requires `log`). `None`
     /// leaves truncation manual, as before.
     pub retention: Option<LogRetention>,
-    /// PE triggers (ablation E3a; forced off in H-Store mode).
-    pub pe_triggers_enabled: bool,
     /// Override the serial-workflow decision (None = derive from shared
     /// writable tables, per the paper).
     pub serial_workflow: Option<bool>,
-    /// Simulated client↔PE round-trip cost in µs (busy-wait per trip).
-    pub client_trip_cost_micros: u64,
-    /// Simulated PE↔EE dispatch cost in µs (busy-wait per statement).
-    pub ee_trip_cost_micros: u64,
-    /// Simulated PE↔EE dispatch latency in µs (sleep per statement;
-    /// overlappable across partition workers, unlike the busy-wait).
-    pub ee_trip_latency_micros: u64,
     /// Command logging (None = durability off).
     pub log: Option<LogConfig>,
     /// Execution-engine tunables.
@@ -155,11 +146,7 @@ impl Default for PeConfig {
             mode: ExecMode::SStore,
             partition: PartitionId::new(0),
             retention: None,
-            pe_triggers_enabled: true,
             serial_workflow: None,
-            client_trip_cost_micros: 0,
-            ee_trip_cost_micros: 0,
-            ee_trip_latency_micros: 0,
             log: None,
             ee: EeConfig::default(),
         }
@@ -171,7 +158,6 @@ impl PeConfig {
     pub fn hstore() -> Self {
         PeConfig {
             mode: ExecMode::HStore,
-            pe_triggers_enabled: false,
             ..PeConfig::default()
         }
     }
@@ -573,7 +559,6 @@ impl Partition {
     /// one client↔PE round trip).
     pub fn query(&mut self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         self.stats.client_pe_trips += 1;
-        simulate_cost(self.config.client_trip_cost_micros);
         let mut scratch = TxnScratch::new(None, BatchId::new(0));
         let now = self.clock.now();
         let result = self.engine.execute_sql(sql, params, &mut scratch, now)?;
@@ -614,7 +599,6 @@ impl Partition {
     ) -> Result<BatchId> {
         let pid = self.border_proc_id(proc)?;
         self.stats.client_pe_trips += 1;
-        simulate_cost(self.config.client_trip_cost_micros);
         self.enqueue_border(pid, proc, rows.into_iter().map(Into::into).collect())
     }
 
@@ -654,7 +638,6 @@ impl Partition {
         }
         let pid = self.border_proc_id(proc)?;
         self.stats.client_pe_trips += 1;
-        simulate_cost(self.config.client_trip_cost_micros);
         self.stats.group_submissions += 1;
         self.stats.batches_coalesced += batches.len() as u64;
         let n = batches.len();
@@ -744,7 +727,6 @@ impl Partition {
         let pid = self.proc_id(proc)?;
         let rows: Vec<Row> = rows.into_iter().map(Into::into).collect();
         self.stats.client_pe_trips += 1;
-        simulate_cost(self.config.client_trip_cost_micros);
         self.next_batch += 1;
         let batch = BatchId::new(self.next_batch);
         if self.logging() {
@@ -845,8 +827,6 @@ impl Partition {
             now,
             output_stream,
             response: None,
-            ee_trip_cost_micros: self.config.ee_trip_cost_micros,
-            ee_trip_latency_micros: self.config.ee_trip_latency_micros,
         };
         let result = handler(&mut ctx);
         let response = ctx.response.take();
@@ -1059,7 +1039,6 @@ impl Partition {
         }
         let pid = self.border_proc_id(proc)?;
         self.stats.client_pe_trips += 1;
-        simulate_cost(self.config.client_trip_cost_micros);
         self.enqueue_border(pid, proc, rows.into_iter().map(Into::into).collect())?;
         self.speculating = true;
         let result = self.drain();
@@ -1422,8 +1401,6 @@ impl Partition {
             now,
             output_stream,
             response: None,
-            ee_trip_cost_micros: self.config.ee_trip_cost_micros,
-            ee_trip_latency_micros: self.config.ee_trip_latency_micros,
         };
         let result = handler(&mut ctx);
         let response = ctx.response.take();
@@ -1489,7 +1466,7 @@ impl Partition {
                 by_stream.entry(stream).or_default().push(row);
             }
 
-            if self.config.pe_triggers_enabled && self.config.mode == ExecMode::SStore {
+            if self.config.mode == ExecMode::SStore {
                 let serial = self.serial_workflow();
                 let mut to_schedule: Vec<Invocation> = Vec::new();
                 for stream in &order {
@@ -1671,7 +1648,6 @@ impl Partition {
     /// consumed tuples — the client-side tap of the demo dashboards.
     pub fn drain_sink(&mut self, stream: &str) -> Result<Vec<Row>> {
         self.stats.client_pe_trips += 1;
-        simulate_cost(self.config.client_trip_cost_micros);
         let sid = self.stream_id(stream)?;
         if !self.workflow.consumers_of(sid).is_empty() {
             return Err(Error::Schedule(format!(

@@ -219,14 +219,6 @@ pub struct ProcContext<'a> {
     pub output_stream: Option<TableId>,
     /// Response assembled for the client (OLTP-style procedures).
     pub response: Option<QueryResult>,
-    /// Simulated PE→EE dispatch cost in µs (0 = off). Applied per
-    /// statement to model a networked/IPC\'d deployment (experiment E3b).
-    pub ee_trip_cost_micros: u64,
-    /// Simulated PE→EE dispatch *latency* in µs (0 = off). Unlike the
-    /// busy-wait cost, latency is time spent blocked on the round trip
-    /// (`thread::sleep`), so concurrent partition workers overlap it —
-    /// the model for a remote/IPC\'d EE in the cluster scaling bench.
-    pub ee_trip_latency_micros: u64,
 }
 
 impl ProcContext<'_> {
@@ -263,8 +255,6 @@ impl ProcContext<'_> {
         let stream = self
             .output_stream
             .ok_or_else(|| Error::Schedule("procedure has no output stream to emit to".into()))?;
-        simulate_cost(self.ee_trip_cost_micros);
-        simulate_latency(self.ee_trip_latency_micros);
         self.engine
             .append_row(stream, row.into(), self.scratch, self.now)?;
         Ok(())
@@ -286,33 +276,8 @@ impl ProcContext<'_> {
     }
 
     fn dispatch(&mut self, planned: &PlannedStmt, params: &[Value]) -> Result<QueryResult> {
-        simulate_cost(self.ee_trip_cost_micros);
-        simulate_latency(self.ee_trip_latency_micros);
         self.engine
             .execute_planned(planned, params, self.scratch, self.now)
-    }
-}
-
-/// Sleep for `micros` to model a cross-layer round trip spent *blocked*
-/// (network/IPC latency). Sleeping threads release the core, so partition
-/// workers overlap these waits — the scaling behaviour a real
-/// shared-nothing deployment shows even on few cores. 0 is a no-op.
-pub fn simulate_latency(micros: u64) {
-    if micros == 0 {
-        return;
-    }
-    std::thread::sleep(std::time::Duration::from_micros(micros));
-}
-
-/// Busy-wait for `micros` to model a cross-layer round trip. Deterministic
-/// enough for benchmarking; 0 is a no-op.
-pub fn simulate_cost(micros: u64) {
-    if micros == 0 {
-        return;
-    }
-    let end = std::time::Instant::now() + std::time::Duration::from_micros(micros);
-    while std::time::Instant::now() < end {
-        std::hint::spin_loop();
     }
 }
 
@@ -385,8 +350,6 @@ mod tests {
             now: 7,
             output_stream: Some(out),
             response: None,
-            ee_trip_cost_micros: 0,
-            ee_trip_latency_micros: 0,
         };
         assert_eq!(ctx.input().len(), 1);
         assert_eq!(ctx.now(), 7);
@@ -422,19 +385,10 @@ mod tests {
             now: 0,
             output_stream: None,
             response: None,
-            ee_trip_cost_micros: 0,
-            ee_trip_latency_micros: 0,
         };
         assert_eq!(
             ctx.emit(vec![Value::Int(1)]).unwrap_err().kind(),
             "schedule"
         );
-    }
-
-    #[test]
-    fn simulate_cost_zero_is_noop() {
-        let t0 = std::time::Instant::now();
-        simulate_cost(0);
-        assert!(t0.elapsed().as_millis() < 5);
     }
 }

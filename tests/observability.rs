@@ -3,6 +3,8 @@
 //! JSON-round-trippable document whose per-stage histogram counts
 //! reconcile with the cluster's own batch counters, and disabling
 //! tracing must zero the stage recording without breaking anything.
+//! A cross-partition edge must show up in the `forwarded` and `acked`
+//! stages.
 //!
 //! The obs stage histograms are process-wide; each test windows them to
 //! its own cluster via the built-in baseline, but the tests still
@@ -10,7 +12,9 @@
 //! another's window.
 
 use sstore::common::obs;
-use sstore::core::workloads::{count_events_rows, deploy_count_events};
+use sstore::core::workloads::{
+    count_events_rows, deploy_count_events, deploy_two_stage, two_stage_rows, TWO_STAGE_EDGES,
+};
 use sstore::{Cluster, RouteSpec, SStoreBuilder};
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -107,6 +111,46 @@ fn report_schema_round_trips_and_counts_reconcile() {
             "{key}"
         );
     }
+
+    drop(cluster);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn edge_stages_record_forwarded_and_acked_batches() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    obs::set_enabled(true);
+    let dir = tempdir("edge");
+    let cluster = Cluster::with_edges(
+        2,
+        RouteSpec::hash(0),
+        64,
+        &SStoreBuilder::new().durability(&dir, 2),
+        deploy_two_stage,
+        TWO_STAGE_EDGES,
+    )
+    .unwrap();
+    for _ in 0..10 {
+        cluster
+            .submit_batch_async("route_events", two_stage_rows(16, 8))
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+    cluster.quiesce().unwrap();
+
+    let report = cluster.observability_report();
+    assert!(report.stages["forwarded"].count > 0, "edge never forwarded");
+    assert!(report.stages["acked"].count > 0, "edge never acked");
+    // Forwarded batches are logged at their destination, and count as
+    // submitted there, so `logged` still matches the partitions' totals.
+    let submitted: u64 = report
+        .metrics
+        .partitions
+        .iter()
+        .map(|p| p.batches_submitted)
+        .sum();
+    assert_eq!(report.stages["logged"].count, submitted);
 
     drop(cluster);
     std::fs::remove_dir_all(dir).ok();
