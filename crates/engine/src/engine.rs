@@ -158,7 +158,6 @@ impl ExecutionEngine {
         index_name: &str,
         columns: &[&str],
         unique: bool,
-        ordered: bool,
     ) -> Result<()> {
         let tid = self.db.resolve(table)?;
         let schema = self.db.table(tid)?.schema().clone();
@@ -174,7 +173,6 @@ impl ExecutionEngine {
             name: index_name.to_string(),
             key_cols,
             unique,
-            ordered,
         })
     }
 
@@ -509,7 +507,7 @@ mod tests {
         let mut e = ExecutionEngine::new();
         e.ddl_sql("CREATE TABLE v (id INT NOT NULL, c INT NOT NULL, PRIMARY KEY (id))")
             .unwrap();
-        e.create_index("v", "v_by_c", &["c"], false, false).unwrap();
+        e.create_index("v", "v_by_c", &["c"], false).unwrap();
         let v = e.db().resolve("v").unwrap();
         let table = e.db_mut().table_mut(v).unwrap();
         for id in 0..20_100i64 {

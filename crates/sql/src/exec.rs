@@ -764,6 +764,27 @@ mod tests {
         assert!(r.rows.is_empty());
     }
 
+    /// The INT pk stores bare integers, and a FLOAT literal probes it by
+    /// `Value` equality: `2.0` finds row 2 and `2.5` finds nothing.
+    #[test]
+    fn pk_point_lookup_with_float_literal() {
+        let mut db = setup();
+        seed(&mut db);
+        for (q, want) in [("2.0", vec!["bob"]), ("2.5", vec![])] {
+            let q = format!("SELECT name FROM t WHERE id = {q}");
+            let stmt = crate::parser::parse(&q).unwrap();
+            let plan = crate::planner::plan_statement(&stmt, &db).unwrap();
+            assert!(format!("{plan:?}").contains("PkPoint"), "{plan:?}");
+            let names: Vec<Value> = sql(&mut db, &q, &[])
+                .rows
+                .iter()
+                .map(|r| r[0].clone())
+                .collect();
+            let want: Vec<Value> = want.into_iter().map(|n| Value::Text(n.into())).collect();
+            assert_eq!(names, want, "{q}");
+        }
+    }
+
     #[test]
     fn aggregates_group_by_having_order() {
         let mut db = setup();
@@ -938,7 +959,6 @@ mod tests {
                 name: "by_name".into(),
                 key_cols: vec![1],
                 unique: false,
-                ordered: false,
             })
             .unwrap();
         let r = sql(

@@ -353,11 +353,6 @@ impl Catalog {
         self.metas.get_mut(id.raw() as usize)
     }
 
-    /// Metadata by name.
-    pub fn meta_by_name(&self, name: &str) -> Option<&TableMeta> {
-        self.resolve(name).and_then(|id| self.meta(id))
-    }
-
     /// All registered objects.
     pub fn all(&self) -> &[TableMeta] {
         &self.metas
@@ -646,7 +641,8 @@ mod tests {
         c.add_table("a", schema()).unwrap();
         c.add_stream("b", schema()).unwrap();
         assert_eq!(c.len(), 2);
-        assert!(c.meta_by_name("b").unwrap().kind.is_stream());
-        assert!(c.meta_by_name("missing").is_none());
+        let meta_by_name = |name| c.resolve(name).and_then(|id| c.meta(id));
+        assert!(meta_by_name("b").unwrap().kind.is_stream());
+        assert!(meta_by_name("missing").is_none());
     }
 }

@@ -87,11 +87,6 @@ impl Database {
             .ok_or_else(|| Error::NotFound(format!("table `{name}`")))
     }
 
-    /// Table by name.
-    pub fn table_by_name(&self, name: &str) -> Result<&Table> {
-        self.table(self.resolve(name)?)
-    }
-
     /// Number of tables (all kinds).
     pub fn table_count(&self) -> usize {
         self.tables.len()
@@ -162,7 +157,7 @@ mod tests {
         let mut db = Database::new();
         let t = db.create_table("t", schema()).unwrap();
         assert_eq!(db.resolve("T").unwrap(), t);
-        assert_eq!(db.table_by_name("t").unwrap().name(), "t");
+        assert_eq!(db.table(db.resolve("t").unwrap()).unwrap().name(), "t");
         assert!(db.resolve("nope").is_err());
         assert_eq!(db.table_count(), 1);
     }

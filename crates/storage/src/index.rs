@@ -1,22 +1,21 @@
-//! Secondary indexes: hash (point lookups) and ordered (range scans).
+//! Indexes, the primary key's and secondary ones: one hash-map shape.
 //!
-//! Both index kinds map a key (one or more cells, composite keys
-//! supported) to the row ids holding it; unique indexes additionally
-//! reject duplicate keys at insert time. Lookups, inserts and removals
-//! take the key as a borrowed `&[Value]`.
+//! An index maps a key (one or more cells, composite keys supported) to
+//! the row ids holding it; a unique index additionally rejects duplicate
+//! keys at insert time. Lookups, inserts and removals take the key as a
+//! borrowed `&[Value]`.
 //!
-//! An entry is stored compactly. A one-cell key sits inline in the map
-//! (only a composite key is boxed), and so does a bucket of one row id (a
-//! second id spills the bucket into a vector). Every entry of a one-column
-//! primary key, and nearly every entry of a near-unique secondary index,
-//! therefore costs no heap block of its own beyond a Text key's string.
+//! The table's schema decides how an index stores its keys. A key of one
+//! NOT NULL `INT` or `TIMESTAMP` column is a bare `i64`; every other key is
+//! a cell key, one cell inline and only a composite boxed. A bucket of one
+//! row id sits inline too (a second id spills it into a boxed vector). An
+//! integer-keyed entry therefore costs 24 B and no heap block of its own,
+//! and a cell-keyed one 40 B plus a Text key's string.
 
-use sstore_common::{codec, Error, Result, Value};
+use sstore_common::{codec, DataType, Error, Result, Schema, Value};
 use std::borrow::Borrow;
-use std::cmp::Ordering;
-use std::collections::{btree_map, hash_map, BTreeMap, HashMap};
+use std::collections::{hash_map, HashMap};
 use std::hash::{Hash, Hasher};
-use std::ops::Bound;
 
 /// Stable identifier of a row slot within one table.
 ///
@@ -25,7 +24,7 @@ use std::ops::Bound;
 /// pair (table, row id) is a stable address for the lifetime of an undo log.
 pub type RowId = u64;
 
-/// Definition of a secondary index.
+/// Definition of an index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexDef {
     /// Index name, unique within its table.
@@ -34,14 +33,11 @@ pub struct IndexDef {
     pub key_cols: Vec<usize>,
     /// Reject duplicate keys when true.
     pub unique: bool,
-    /// Ordered (B-tree) index supporting range scans when true; hash
-    /// otherwise.
-    pub ordered: bool,
 }
 
-/// A stored key: one cell inline, or a boxed composite. Hash, equality and
-/// order are those of the `[Value]` slice it stands for, which is the
-/// `Borrow` contract that lets both maps be probed with a `&[Value]`.
+/// A stored cell key: one cell inline, or a boxed composite. Hash and
+/// equality are those of the `[Value]` slice it stands for, which is the
+/// `Borrow` contract that lets the map be probed with a `&[Value]`.
 #[derive(Debug, Clone)]
 enum IndexKey {
     One(Value),
@@ -85,32 +81,12 @@ impl Borrow<[Value]> for IndexKey {
     }
 }
 
-// `One`/`One` skips the slice loop; comparing the one-cell slices would
-// give the same answer. Sequential inserts compare against every key on
-// the B-tree's right spine, so this is the insert path's inner loop.
 impl PartialEq for IndexKey {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (IndexKey::One(a), IndexKey::One(b)) => a == b,
-            _ => self.as_slice() == other.as_slice(),
-        }
+        self.as_slice() == other.as_slice()
     }
 }
 impl Eq for IndexKey {}
-
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        match (self, other) {
-            (IndexKey::One(a), IndexKey::One(b)) => a.cmp(b),
-            _ => self.as_slice().cmp(other.as_slice()),
-        }
-    }
-}
 
 impl Hash for IndexKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -118,12 +94,34 @@ impl Hash for IndexKey {
     }
 }
 
-/// The row ids under one key: one inline, or a vector once a second id
-/// arrives. The vector is kept until it drains, when the entry is removed.
+/// The `i64` an integer-keyed index files `key` under. An `Int` or
+/// `Timestamp` cell gives its value. A `Float` gives the integer it
+/// truncates to when `Value`'s own comparison (`total_cmp` on the widened
+/// integer) calls the two equal: `2.0` finds 2, while `2.5`, `-0.0` and
+/// NaN find nothing. `None` for any other key, which no entry can equal.
+fn int_key(key: &[Value]) -> Option<i64> {
+    match *key {
+        [Value::Int(k) | Value::Timestamp(k)] => Some(k),
+        [Value::Float(f)] => {
+            let k = f as i64;
+            (k as f64).total_cmp(&f).is_eq().then_some(k)
+        }
+        _ => None,
+    }
+}
+
+/// The row ids under one key: one inline, or a boxed vector once a second
+/// id arrives. The vector is kept until it drains, when the entry is
+/// removed.
+///
+/// The box costs a spilled bucket a second allocation, and buys every
+/// entry 8 B: `RowIds` is 16 B with it and 24 B with a bare `Vec`. Nearly
+/// every bucket of a pk or a near-unique index never spills.
+#[allow(clippy::box_collection)]
 #[derive(Debug, Clone)]
 enum RowIds {
     One(RowId),
-    Many(Vec<RowId>),
+    Many(Box<Vec<RowId>>),
 }
 
 impl RowIds {
@@ -136,7 +134,7 @@ impl RowIds {
 
     fn push(&mut self, rid: RowId) {
         match self {
-            RowIds::One(first) => *self = RowIds::Many(vec![*first, rid]),
+            RowIds::One(first) => *self = RowIds::Many(Box::new(vec![*first, rid])),
             RowIds::Many(ids) => ids.push(rid),
         }
     }
@@ -157,31 +155,120 @@ impl RowIds {
     fn heap_bytes(&self) -> usize {
         match self {
             RowIds::One(_) => 0,
-            RowIds::Many(ids) => ids.capacity() * std::mem::size_of::<RowId>(),
+            RowIds::Many(ids) => {
+                std::mem::size_of::<Vec<RowId>>() + ids.capacity() * std::mem::size_of::<RowId>()
+            }
+        }
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        let ids = self.as_slice();
+        codec::put_uvarint(out, ids.len() as u64);
+        for &rid in ids {
+            codec::put_uvarint(out, rid);
+        }
+    }
+
+    fn decode(r: &mut codec::Reader<'_>) -> Result<RowIds> {
+        Ok(match r.uvarint()? as usize {
+            1 => RowIds::One(r.uvarint()?),
+            n_ids => {
+                let mut ids = Vec::with_capacity(n_ids.min(r.remaining()));
+                for _ in 0..n_ids {
+                    ids.push(r.uvarint()?);
+                }
+                RowIds::Many(Box::new(ids))
+            }
+        })
+    }
+}
+
+/// Insert `rid` under `key`: one map probe, and a unique violation leaves
+/// the existing entry as it was.
+fn insert_in<K: Hash + Eq>(
+    map: &mut HashMap<K, RowIds>,
+    key: K,
+    rid: RowId,
+    def: &IndexDef,
+) -> Result<()> {
+    match map.entry(key) {
+        hash_map::Entry::Vacant(e) => {
+            e.insert(RowIds::One(rid));
+            Ok(())
+        }
+        hash_map::Entry::Occupied(_) if def.unique => Err(Error::Constraint(format!(
+            "unique index `{}` violated",
+            def.name
+        ))),
+        hash_map::Entry::Occupied(mut e) => {
+            e.get_mut().push(rid);
+            Ok(())
         }
     }
 }
 
-/// The index structure itself.
+/// Remove `rid` from under `key`, and the entry once its bucket drains.
+/// `None` when the pair is absent.
+fn remove_in<K, Q>(map: &mut HashMap<K, RowIds>, key: &Q, rid: RowId) -> Option<()>
+where
+    K: Borrow<Q> + Hash + Eq,
+    Q: Hash + Eq + ?Sized,
+{
+    if map.get_mut(key)?.remove(rid)? {
+        map.remove(key);
+    }
+    Some(())
+}
+
+/// Slots times slot size, plus what each entry points to.
+fn map_heap_bytes<K>(map: &HashMap<K, RowIds>, key_heap: impl Fn(&K) -> usize) -> usize {
+    map.capacity() * std::mem::size_of::<(K, RowIds)>()
+        + map
+            .iter()
+            .map(|(k, ids)| key_heap(k) + ids.heap_bytes())
+            .sum::<usize>()
+}
+
+/// The map behind an index, in the shape its schema picked.
 #[derive(Debug, Clone)]
 enum IndexStore {
-    /// Hash index: key -> row ids.
-    Hash(HashMap<IndexKey, RowIds>),
-    /// Ordered index: key -> row ids, range-scannable.
-    Ordered(BTreeMap<IndexKey, RowIds>),
+    /// A key of one NOT NULL `INT` or `TIMESTAMP` column. `cell` is the
+    /// column's constructor (`Value::Int` or `Value::Timestamp`), which
+    /// turns a key back into the cell it is encoded as.
+    Int {
+        map: HashMap<i64, RowIds>,
+        cell: fn(i64) -> Value,
+    },
+    /// Any other key.
+    Cells(HashMap<IndexKey, RowIds>),
 }
 
 impl IndexStore {
-    fn new(ordered: bool, entries: impl Iterator<Item = (IndexKey, RowIds)>) -> IndexStore {
-        if ordered {
-            IndexStore::Ordered(entries.collect())
-        } else {
-            IndexStore::Hash(entries.collect())
+    /// An empty map with room for `n` entries, in the shape `schema` gives
+    /// a key over `key_cols`. A column outside the schema gets cell keys;
+    /// the table refuses such an index anyway.
+    fn new(key_cols: &[usize], schema: &Schema, n: usize) -> IndexStore {
+        let cell: Option<fn(i64) -> Value> = match key_cols {
+            &[c] => match schema.columns().get(c) {
+                Some(col) if !col.nullable && col.ty == DataType::Int => Some(Value::Int),
+                Some(col) if !col.nullable && col.ty == DataType::Timestamp => {
+                    Some(Value::Timestamp)
+                }
+                _ => None,
+            },
+            _ => None,
+        };
+        match cell {
+            Some(cell) => IndexStore::Int {
+                map: HashMap::with_capacity(n),
+                cell,
+            },
+            None => IndexStore::Cells(HashMap::with_capacity(n)),
         }
     }
 }
 
-/// A live secondary index: definition plus data.
+/// A live index: definition plus data.
 #[derive(Debug, Clone)]
 pub struct Index {
     /// The definition this index was created from.
@@ -192,7 +279,7 @@ pub struct Index {
 /// A probe key for index lookups: borrowed straight out of a row when the
 /// key columns form a contiguous run (the common single-column case), owned
 /// only when a composite key has to be gathered from scattered columns.
-/// Both index kinds accept `&[Value]`, so probing with a borrowed key never
+/// Indexes accept `&[Value]`, so probing with a borrowed key never
 /// allocates.
 #[derive(Debug)]
 pub enum KeyRef<'a> {
@@ -214,52 +301,56 @@ impl std::ops::Deref for KeyRef<'_> {
 
 impl Index {
     /// Binary snapshot encoding: the definition followed by the entries,
-    /// all in the compact binary codec.
-    /// Hash-index entries are sorted by key so the encoding is
-    /// deterministic; within an entry the row-id list keeps its exact
-    /// order (lookup results are order-sensitive).
-    pub fn encode_binary(&self, out: &mut Vec<u8>) {
+    /// all in the compact binary codec. Entries are sorted by key so the
+    /// encoding is deterministic, and an integer key is written as the
+    /// cell of its column's type; within an entry the row-id list keeps
+    /// its exact order (lookup results are order-sensitive).
+    ///
+    /// `pk` fills the byte that once flagged a B-tree index: the primary
+    /// key's was the only B-tree, so it writes 1 and every other index 0,
+    /// and images keep their bytes. Decoding ignores the byte.
+    pub fn encode_binary(&self, pk: bool, out: &mut Vec<u8>) {
         codec::put_str(out, &self.def.name);
         codec::put_uvarint(out, self.def.key_cols.len() as u64);
         for &c in &self.def.key_cols {
             codec::put_uvarint(out, c as u64);
         }
         out.push(self.def.unique as u8);
-        out.push(self.def.ordered as u8);
-        let encode_entry = |(key, ids): (&IndexKey, &RowIds), out: &mut Vec<u8>| {
-            let key = key.as_slice();
-            codec::put_uvarint(out, key.len() as u64);
-            for v in key {
-                codec::encode_value(v, out);
-            }
-            let ids = ids.as_slice();
-            codec::put_uvarint(out, ids.len() as u64);
-            for &rid in ids {
-                codec::put_uvarint(out, rid);
-            }
-        };
+        out.push(pk as u8);
         match &self.store {
-            IndexStore::Ordered(m) => {
-                codec::put_uvarint(out, m.len() as u64);
-                for entry in m {
-                    encode_entry(entry, out);
+            IndexStore::Int { map, cell } => {
+                codec::put_uvarint(out, map.len() as u64);
+                let mut entries: Vec<(i64, &RowIds)> =
+                    map.iter().map(|(&k, ids)| (k, ids)).collect();
+                entries.sort_unstable_by_key(|&(k, _)| k);
+                for (k, ids) in entries {
+                    codec::put_uvarint(out, 1);
+                    codec::encode_value(&cell(k), out);
+                    ids.encode(out);
                 }
             }
-            IndexStore::Hash(m) => {
-                codec::put_uvarint(out, m.len() as u64);
-                let mut entries: Vec<(&IndexKey, &RowIds)> = m.iter().collect();
-                entries.sort_by(|a, b| a.0.cmp(b.0));
-                for entry in entries {
-                    encode_entry(entry, out);
+            IndexStore::Cells(map) => {
+                codec::put_uvarint(out, map.len() as u64);
+                let mut entries: Vec<(&IndexKey, &RowIds)> = map.iter().collect();
+                entries.sort_unstable_by(|a, b| a.0.as_slice().cmp(b.0.as_slice()));
+                for (key, ids) in entries {
+                    let key = key.as_slice();
+                    codec::put_uvarint(out, key.len() as u64);
+                    for v in key {
+                        codec::encode_value(v, out);
+                    }
+                    ids.encode(out);
                 }
             }
         }
     }
 
-    /// Decode an index encoded by [`Index::encode_binary`]. Entries are
-    /// loaded verbatim (no uniqueness re-checks: the data already passed
-    /// them when it was live).
-    pub fn decode_binary(r: &mut codec::Reader<'_>) -> Result<Index> {
+    /// Decode an index encoded by [`Index::encode_binary`], into the shape
+    /// `schema` gives its key. Entries are loaded verbatim (no uniqueness
+    /// re-checks: the data already passed them when it was live), except
+    /// that an integer-keyed index holding any key but one `Int` or
+    /// `Timestamp` cell is refused with [`Error::Codec`].
+    pub fn decode_binary(r: &mut codec::Reader<'_>, schema: &Schema) -> Result<Index> {
         let name = r.str()?.to_string();
         let n = r.uvarint()? as usize;
         if n > r.remaining() {
@@ -272,45 +363,52 @@ impl Index {
             key_cols.push(r.uvarint()? as usize);
         }
         let unique = r.u8()? != 0;
-        let ordered = r.u8()? != 0;
+        r.u8()?; // the former B-tree flag
+        let n_entries = r.uvarint()? as usize;
+        let mut store = IndexStore::new(&key_cols, schema, n_entries.min(r.remaining()));
+        match &mut store {
+            IndexStore::Int { map, .. } => {
+                for _ in 0..n_entries {
+                    let key = match r.uvarint()? {
+                        1 => Some(codec::decode_value(r)?),
+                        _ => None,
+                    };
+                    let Some(Value::Int(k) | Value::Timestamp(k)) = key else {
+                        return Err(Error::Codec(format!(
+                            "index `{name}` on an integer column holds a non-integer key"
+                        )));
+                    };
+                    map.insert(k, RowIds::decode(r)?);
+                }
+            }
+            IndexStore::Cells(map) => {
+                for _ in 0..n_entries {
+                    let key = match r.uvarint()? as usize {
+                        1 => IndexKey::One(codec::decode_value(r)?),
+                        key_len => {
+                            let mut key = Vec::with_capacity(key_len.min(r.remaining()));
+                            for _ in 0..key_len {
+                                key.push(codec::decode_value(r)?);
+                            }
+                            IndexKey::Many(key.into_boxed_slice())
+                        }
+                    };
+                    map.insert(key, RowIds::decode(r)?);
+                }
+            }
+        }
         let def = IndexDef {
             name,
             key_cols,
             unique,
-            ordered,
         };
-        let n_entries = r.uvarint()? as usize;
-        let mut entries = Vec::with_capacity(n_entries.min(r.remaining()));
-        for _ in 0..n_entries {
-            let key = match r.uvarint()? as usize {
-                1 => IndexKey::One(codec::decode_value(r)?),
-                key_len => {
-                    let mut key = Vec::with_capacity(key_len.min(r.remaining()));
-                    for _ in 0..key_len {
-                        key.push(codec::decode_value(r)?);
-                    }
-                    IndexKey::Many(key.into_boxed_slice())
-                }
-            };
-            let ids = match r.uvarint()? as usize {
-                1 => RowIds::One(r.uvarint()?),
-                n_ids => {
-                    let mut ids = Vec::with_capacity(n_ids.min(r.remaining()));
-                    for _ in 0..n_ids {
-                        ids.push(r.uvarint()?);
-                    }
-                    RowIds::Many(ids)
-                }
-            };
-            entries.push((key, ids));
-        }
-        let store = IndexStore::new(def.ordered, entries.into_iter());
         Ok(Index { def, store })
     }
 
-    /// Create an empty index from a definition.
-    pub fn new(def: IndexDef) -> Self {
-        let store = IndexStore::new(def.ordered, std::iter::empty());
+    /// Create an empty index from a definition, in the shape `schema`
+    /// gives its key.
+    pub fn new(def: IndexDef, schema: &Schema) -> Self {
+        let store = IndexStore::new(&def.key_cols, schema, 0);
         Index { def, store }
     }
 
@@ -336,34 +434,20 @@ impl Index {
     /// the existing entry as it was.
     ///
     /// One map probe: a new key becomes an entry holding just `rid`, an
-    /// existing one gets `rid` appended to its bucket. The key is copied
-    /// into the map only for a new entry, and a one-cell key of a type
-    /// other than Text copies without allocating.
+    /// existing one gets `rid` appended to its bucket. A cell key is
+    /// copied for the probe, which allocates only for a composite or Text
+    /// key; an integer key is not copied at all.
     pub fn insert(&mut self, key: &[Value], rid: RowId) -> Result<()> {
-        let ids = match &mut self.store {
-            IndexStore::Hash(m) => match m.entry(IndexKey::of(key)) {
-                hash_map::Entry::Occupied(e) => e.into_mut(),
-                hash_map::Entry::Vacant(e) => {
-                    e.insert(RowIds::One(rid));
-                    return Ok(());
-                }
+        match &mut self.store {
+            IndexStore::Int { map, .. } => match int_key(key) {
+                Some(k) => insert_in(map, k, rid, &self.def),
+                None => Err(Error::Internal(format!(
+                    "index `{}` on an integer column given key {key:?}",
+                    self.def.name
+                ))),
             },
-            IndexStore::Ordered(m) => match m.entry(IndexKey::of(key)) {
-                btree_map::Entry::Occupied(e) => e.into_mut(),
-                btree_map::Entry::Vacant(e) => {
-                    e.insert(RowIds::One(rid));
-                    return Ok(());
-                }
-            },
-        };
-        if self.def.unique && !ids.as_slice().is_empty() {
-            return Err(Error::Constraint(format!(
-                "unique index `{}` violated",
-                self.def.name
-            )));
+            IndexStore::Cells(map) => insert_in(map, IndexKey::of(key), rid, &self.def),
         }
-        ids.push(rid);
-        Ok(())
     }
 
     /// Remove a (key, row id) pair; it must be present.
@@ -373,91 +457,46 @@ impl Index {
     /// the bucket in order, so a caller removing many rows under one key
     /// walks them in **reverse** bucket order; *k* removals then cost
     /// O(*k*), and re-inserting them in forward order (undo) restores the
-    /// bucket exactly. Empty buckets are removed eagerly so `key_count`
-    /// reflects live keys.
+    /// bucket exactly. Empty buckets are removed eagerly, so the map holds
+    /// only live keys.
     pub fn remove(&mut self, key: &[Value], rid: RowId) -> Result<()> {
         let removed = match &mut self.store {
-            IndexStore::Hash(m) => {
-                let removed = m.get_mut(key).and_then(|ids| ids.remove(rid));
-                if removed == Some(true) {
-                    m.remove(key);
-                }
-                removed
-            }
-            IndexStore::Ordered(m) => {
-                let removed = m.get_mut(key).and_then(|ids| ids.remove(rid));
-                if removed == Some(true) {
-                    m.remove(key);
-                }
-                removed
-            }
+            IndexStore::Int { map, .. } => int_key(key).and_then(|k| remove_in(map, &k, rid)),
+            IndexStore::Cells(map) => remove_in(map, key, rid),
         };
-        match removed {
-            Some(_) => Ok(()),
-            None => Err(Error::Internal(format!(
+        removed.ok_or_else(|| {
+            Error::Internal(format!(
                 "index `{}` missing entry for row {rid}",
                 self.def.name
-            ))),
-        }
+            ))
+        })
     }
 
-    /// Row ids for an exact key.
+    /// Row ids for an exact key: those whose key equals it as a `Value`.
     pub fn get(&self, key: &[Value]) -> &[RowId] {
         let ids = match &self.store {
-            IndexStore::Hash(m) => m.get(key),
-            IndexStore::Ordered(m) => m.get(key),
+            IndexStore::Int { map, .. } => int_key(key).and_then(|k| map.get(&k)),
+            IndexStore::Cells(map) => map.get(key),
         };
         ids.map_or(&[], RowIds::as_slice)
     }
 
-    /// Range scan over an ordered index. Bounds are over full composite
-    /// keys. Returns row ids in key order. Errors on hash indexes.
-    pub fn range(&self, lo: Bound<Vec<Value>>, hi: Bound<Vec<Value>>) -> Result<Vec<RowId>> {
-        match &self.store {
-            IndexStore::Hash(_) => Err(Error::Internal(format!(
-                "index `{}` is not ordered; range scan unsupported",
-                self.def.name
-            ))),
-            IndexStore::Ordered(m) => {
-                let bounds: (Bound<&[Value]>, Bound<&[Value]>) = (
-                    lo.as_ref().map(Vec::as_slice),
-                    hi.as_ref().map(Vec::as_slice),
-                );
-                let mut out = Vec::new();
-                for (_, ids) in m.range::<[Value], _>(bounds) {
-                    out.extend_from_slice(ids.as_slice());
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        match &self.store {
-            IndexStore::Hash(m) => m.len(),
-            IndexStore::Ordered(m) => m.len(),
-        }
-    }
-
-    /// Approximate heap footprint in bytes: one (key, bucket) slot per
-    /// map entry, plus what entries point to (spilled buckets, boxed
-    /// composite keys, Text key strings). A hash index counts its
-    /// capacity; a B-tree counts its entries, without node slack.
+    /// Approximate heap footprint in bytes: every slot of the map in use
+    /// at its own size (24 B integer-keyed, 40 B cell-keyed), plus what
+    /// entries point to (spilled buckets, boxed composite keys, Text key
+    /// strings).
     pub fn heap_bytes(&self) -> usize {
-        const SLOT: usize = std::mem::size_of::<(IndexKey, RowIds)>();
-        let pointed = |(key, ids): (&IndexKey, &RowIds)| key.heap_bytes() + ids.heap_bytes();
         match &self.store {
-            IndexStore::Hash(m) => m.capacity() * SLOT + m.iter().map(pointed).sum::<usize>(),
-            IndexStore::Ordered(m) => m.len() * SLOT + m.iter().map(pointed).sum::<usize>(),
+            IndexStore::Int { map, .. } => map_heap_bytes(map, |_| 0),
+            IndexStore::Cells(map) => map_heap_bytes(map, IndexKey::heap_bytes),
         }
     }
 
     /// Drop all entries (used when truncating a table).
     pub fn clear(&mut self) {
         match &mut self.store {
-            IndexStore::Hash(m) => m.clear(),
-            IndexStore::Ordered(m) => m.clear(),
+            IndexStore::Int { map, .. } => map.clear(),
+            IndexStore::Cells(map) => map.clear(),
         }
     }
 }
@@ -465,23 +504,49 @@ impl Index {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sstore_common::Column;
 
-    fn hash_idx(unique: bool) -> Index {
-        Index::new(IndexDef {
-            name: "ix".into(),
-            key_cols: vec![0],
-            unique,
-            ordered: false,
-        })
+    /// `id INT NOT NULL, name TEXT, score FLOAT, at TIMESTAMP NOT NULL`:
+    /// an index on `id` alone or `at` alone is integer-keyed, any other
+    /// is cell-keyed.
+    fn schema() -> Schema {
+        Schema::keyless(vec![
+            Column::new("id", DataType::Int),
+            Column::nullable("name", DataType::Text),
+            Column::nullable("score", DataType::Float),
+            Column::new("at", DataType::Timestamp),
+        ])
+        .unwrap()
     }
 
-    fn btree_idx() -> Index {
-        Index::new(IndexDef {
-            name: "ox".into(),
-            key_cols: vec![1],
-            unique: false,
-            ordered: true,
-        })
+    fn index(name: &str, key_cols: Vec<usize>, unique: bool) -> Index {
+        let def = IndexDef {
+            name: name.into(),
+            key_cols,
+            unique,
+        };
+        Index::new(def, &schema())
+    }
+
+    fn hash_idx(unique: bool) -> Index {
+        index("ix", vec![0], unique)
+    }
+
+    /// A cell-keyed index over the nullable `name` column.
+    fn cell_idx() -> Index {
+        index("ox", vec![1], false)
+    }
+
+    fn is_int_keyed(ix: &Index) -> bool {
+        matches!(ix.store, IndexStore::Int { .. })
+    }
+
+    /// Number of distinct keys.
+    fn key_count(ix: &Index) -> usize {
+        match &ix.store {
+            IndexStore::Int { map, .. } => map.len(),
+            IndexStore::Cells(map) => map.len(),
+        }
     }
 
     #[test]
@@ -493,6 +558,14 @@ mod tests {
         ix.remove(&[Value::Int(1)], 10).unwrap();
         assert_eq!(ix.get(&[Value::Int(1)]), &[11]);
         assert!(ix.remove(&[Value::Int(1)], 99).is_err());
+        // The integer-keyed map probes removals the way it probes lookups:
+        // an integral Float is its integer, a Text key is in no entry.
+        assert!(is_int_keyed(&ix));
+        assert!(ix.remove(&[Value::Text("1".into())], 11).is_err());
+        ix.remove(&[Value::Float(1.0)], 11).unwrap();
+        assert!(ix.get(&[Value::Int(1)]).is_empty());
+        // An insert needs a key that is an integer.
+        assert_eq!(ix.insert(&[Value::Null], 9).unwrap_err().kind(), "internal");
     }
 
     #[test]
@@ -523,63 +596,59 @@ mod tests {
 
     #[test]
     fn key_extraction_composite() {
-        let ix = Index::new(IndexDef {
-            name: "c".into(),
-            key_cols: vec![2, 0],
-            unique: false,
-            ordered: false,
-        });
+        let ix = index("c", vec![2, 0], false);
         let row = vec![Value::Int(1), Value::Int(2), Value::Int(3)];
         assert_eq!(ix.key_of(&row), vec![Value::Int(3), Value::Int(1)]);
     }
 
     #[test]
-    fn range_scan_ordered() {
-        let mut ix = btree_idx();
-        for (k, rid) in [(5, 1u64), (1, 2), (3, 3), (9, 4)] {
-            ix.insert(&[Value::Int(k)], rid).unwrap();
-        }
-        let rids = ix
-            .range(
-                Bound::Included(vec![Value::Int(2)]),
-                Bound::Excluded(vec![Value::Int(9)]),
-            )
-            .unwrap();
-        assert_eq!(rids, vec![3, 1]);
-        assert_eq!(ix.key_count(), 4);
-    }
-
-    #[test]
-    fn range_on_hash_errors() {
-        let ix = hash_idx(false);
-        assert!(ix.range(Bound::Unbounded, Bound::Unbounded).is_err());
-    }
-
-    #[test]
     fn clear_empties() {
-        let mut ix = btree_idx();
+        let mut ix = cell_idx();
         ix.insert(&[Value::Int(1)], 1).unwrap();
         ix.clear();
-        assert_eq!(ix.key_count(), 0);
+        assert_eq!(key_count(&ix), 0);
+    }
+
+    #[test]
+    fn schema_picks_the_key_shape() {
+        let shapes = [
+            (vec![0], true),     // INT NOT NULL
+            (vec![3], true),     // TIMESTAMP NOT NULL
+            (vec![1], false),    // nullable TEXT
+            (vec![2], false),    // nullable FLOAT
+            (vec![0, 3], false), // composite of two integer columns
+        ];
+        for (key_cols, int_keyed) in shapes {
+            assert_eq!(is_int_keyed(&index("s", key_cols, false)), int_keyed);
+        }
+        // A nullable INT column keeps cell keys: NULL is no `i64`.
+        let nullable = Schema::keyless(vec![Column::nullable("n", DataType::Int)]).unwrap();
+        let def = IndexDef {
+            name: "n".into(),
+            key_cols: vec![0],
+            unique: false,
+        };
+        assert!(!is_int_keyed(&Index::new(def, &nullable)));
     }
 
     #[test]
     fn index_entry_layout_is_inline() {
         assert_eq!(size_of::<IndexKey>(), size_of::<Value>());
-        assert_eq!(size_of::<RowIds>(), size_of::<Vec<RowId>>());
+        assert_eq!(size_of::<RowIds>(), 16);
+        assert_eq!(size_of::<(i64, RowIds)>(), 24);
     }
 
     /// The stored bucket for `key`, to check which form it is in.
     fn bucket<'a>(ix: &'a Index, key: &[Value]) -> Option<&'a RowIds> {
         match &ix.store {
-            IndexStore::Hash(m) => m.get(key),
-            IndexStore::Ordered(m) => m.get(key),
+            IndexStore::Int { map, .. } => map.get(&int_key(key)?),
+            IndexStore::Cells(map) => map.get(key),
         }
     }
 
     #[test]
     fn index_bucket_goes_one_many_drained_gone() {
-        for mut ix in [hash_idx(false), btree_idx()] {
+        for mut ix in [hash_idx(false), cell_idx()] {
             let key = [Value::Int(7)];
             ix.insert(&key, 4).unwrap();
             assert!(matches!(bucket(&ix, &key), Some(RowIds::One(4))));
@@ -605,78 +674,74 @@ mod tests {
             ix.remove(&key, 2).unwrap();
             assert!(bucket(&ix, &key).is_none());
             assert_eq!(ix.get(&key), &[] as &[RowId]);
-            assert_eq!(ix.key_count(), 0);
+            assert_eq!(key_count(&ix), 0);
             assert!(ix.remove(&key, 2).is_err());
         }
     }
 
     #[test]
     fn index_unique_violation_leaves_entry_untouched() {
-        for ordered in [false, true] {
-            let mut ix = Index::new(IndexDef {
-                name: "u".into(),
-                key_cols: vec![0],
-                unique: true,
-                ordered,
-            });
-            let key = [Value::Text("k".into())];
+        // An integer-keyed and a cell-keyed (Text) unique index.
+        for (col, key) in [(0, Value::Int(42)), (1, Value::Text("k".into()))] {
+            let mut ix = index("u", vec![col], true);
+            let key = [key];
             ix.insert(&key, 3).unwrap();
             let before = ix.heap_bytes();
             assert_eq!(ix.insert(&key, 8).unwrap_err().kind(), "constraint");
             assert!(matches!(bucket(&ix, &key), Some(RowIds::One(3))));
             assert_eq!(ix.get(&key), &[3]);
-            assert_eq!((ix.key_count(), ix.heap_bytes()), (1, before));
+            assert_eq!((key_count(&ix), ix.heap_bytes()), (1, before));
         }
     }
 
     #[test]
     fn index_slice_lookups_for_text_and_composite_keys() {
-        let row = [Value::Text("ann".into()), Value::Int(2), Value::Float(0.5)];
+        let row = [
+            Value::Int(2),
+            Value::Text("ann".into()),
+            Value::Float(0.5),
+            Value::Timestamp(9),
+        ];
         let defs = [
-            (vec![0], true),     // Text, one cell
+            (vec![1], true),     // Text, one cell
             (vec![1, 2], true),  // contiguous composite
-            (vec![2, 0], false), // non-contiguous composite
+            (vec![2, 1], false), // non-contiguous composite
         ];
         for (key_cols, contiguous) in defs {
-            for ordered in [false, true] {
-                let mut ix = Index::new(IndexDef {
-                    name: "k".into(),
-                    key_cols: key_cols.clone(),
-                    unique: false,
-                    ordered,
-                });
-                let key = ix.key_ref(&row);
-                assert_eq!(matches!(key, KeyRef::Borrowed(_)), contiguous);
-                ix.insert(&key, 5).unwrap();
-                let probe: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
-                assert_eq!(ix.get(&probe), &[5]);
-                assert_eq!(ix.get(&key), &[5]);
-                if probe.len() > 1 {
-                    // A key prefix is a different key.
-                    assert!(ix.get(&probe[..1]).is_empty());
-                }
-                ix.remove(&probe, 5).unwrap();
-                assert_eq!(ix.key_count(), 0);
+            let mut ix = index("k", key_cols.clone(), false);
+            let key = ix.key_ref(&row);
+            assert_eq!(matches!(key, KeyRef::Borrowed(_)), contiguous);
+            ix.insert(&key, 5).unwrap();
+            let probe: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
+            assert_eq!(ix.get(&probe), &[5]);
+            assert_eq!(ix.get(&key), &[5]);
+            if probe.len() > 1 {
+                // A key prefix is a different key.
+                assert!(ix.get(&probe[..1]).is_empty());
             }
+            ix.remove(&probe, 5).unwrap();
+            assert_eq!(key_count(&ix), 0);
         }
     }
 
-    /// Four indexes (ordered and hash, unique and not, one-cell and
-    /// composite keys) built through a fixed insert/remove sequence.
-    fn golden_indexes() -> Vec<Index> {
+    /// Four indexes (unique and not, one-cell and composite keys, one of
+    /// them integer-keyed under `schema()`) built through a fixed
+    /// insert/remove sequence, each with the B-tree byte the parent's
+    /// layout wrote for it.
+    fn golden_indexes(schema: &Schema) -> Vec<(Index, bool)> {
         use Value::{Float, Int, Null, Text};
         let t = |s: &str| Text(s.into());
-        let def = |name: &str, key_cols: Vec<usize>, unique, ordered| IndexDef {
+        let def = |name: &str, key_cols: Vec<usize>, unique| IndexDef {
             name: name.into(),
             key_cols,
             unique,
-            ordered,
         };
         // (insert?, key, row id)
         type Step = (bool, Vec<Value>, RowId);
-        let plan: Vec<(IndexDef, Vec<Step>)> = vec![
+        let plan: Vec<(IndexDef, bool, Vec<Step>)> = vec![
             (
-                def("pk", vec![0], true, true),
+                def("pk", vec![0], true),
+                true,
                 vec![
                     (true, vec![Int(5)], 0),
                     (true, vec![Int(1)], 1),
@@ -687,7 +752,8 @@ mod tests {
                 ],
             ),
             (
-                def("by_name", vec![1], false, false),
+                def("by_name", vec![1], false),
+                false,
                 vec![
                     (true, vec![t("a")], 0),
                     (true, vec![t("b")], 1),
@@ -702,7 +768,8 @@ mod tests {
                 ],
             ),
             (
-                def("uq_pair", vec![0, 1], true, false),
+                def("uq_pair", vec![0, 1], true),
+                false,
                 vec![
                     (true, vec![Int(1), t("x")], 0),
                     (true, vec![Int(1), t("y")], 1),
@@ -712,7 +779,8 @@ mod tests {
                 ],
             ),
             (
-                def("by_pair", vec![2, 0], false, true),
+                def("by_pair", vec![2, 0], false),
+                true,
                 vec![
                     (true, vec![Int(1), Null], 0),
                     (true, vec![Int(1), Null], 1),
@@ -727,8 +795,8 @@ mod tests {
             ),
         ];
         plan.into_iter()
-            .map(|(def, steps)| {
-                let mut ix = Index::new(def);
+            .map(|(def, btree, steps)| {
+                let mut ix = Index::new(def, schema);
                 for (insert, key, rid) in steps {
                     if insert {
                         ix.insert(&key, rid).unwrap();
@@ -736,13 +804,14 @@ mod tests {
                         ix.remove(&key, rid).unwrap();
                     }
                 }
-                ix
+                (ix, btree)
             })
             .collect()
     }
 
-    /// `golden_indexes()` encoded by the `Vec`-keyed index this layout
-    /// replaced: the on-disk bytes must not change.
+    /// `golden_indexes()` encoded by the `Vec`-keyed index that two
+    /// layouts ago held them, B-trees included: the on-disk bytes must not
+    /// change.
     const GOLDEN: &[u8] = &[
         2, 112, 107, 1, 0, 1, 1, 4, 1, 1, 13, 1, 2, 1, 1, 2, 1, 1, 1, 1, 10, 1, 0, 1, 1, 136, 14,
         1, 3, 7, 98, 121, 95, 110, 97, 109, 101, 1, 1, 0, 0, 2, 1, 3, 1, 97, 3, 3, 2, 5, 1, 3, 1,
@@ -753,19 +822,29 @@ mod tests {
 
     #[test]
     fn index_encoding_matches_golden_bytes_and_round_trips() {
-        let mut out = Vec::new();
-        for ix in golden_indexes() {
-            ix.encode_binary(&mut out);
+        // `schema()` narrows "pk" to integer keys; with `id` nullable no
+        // index narrows. Both write the same bytes.
+        let mut cols = schema().columns().to_vec();
+        cols[0].nullable = true;
+        let cells_only = Schema::keyless(cols).unwrap();
+        for schema in [schema(), cells_only] {
+            let indexes = golden_indexes(&schema);
+            assert_eq!(is_int_keyed(&indexes[0].0), !schema.columns()[0].nullable);
+            let mut out = Vec::new();
+            for (ix, btree) in &indexes {
+                ix.encode_binary(*btree, &mut out);
+            }
+            assert_eq!(out, GOLDEN);
+            let mut r = codec::Reader::new(&out);
+            let mut again = Vec::new();
+            for (ix, btree) in &indexes {
+                let back = Index::decode_binary(&mut r, &schema).unwrap();
+                assert_eq!(back.def, ix.def);
+                assert_eq!(is_int_keyed(&back), is_int_keyed(ix));
+                back.encode_binary(*btree, &mut again);
+            }
+            assert_eq!(r.remaining(), 0);
+            assert_eq!(again, GOLDEN);
         }
-        assert_eq!(out, GOLDEN);
-        let mut r = codec::Reader::new(&out);
-        let mut again = Vec::new();
-        for ix in golden_indexes() {
-            let back = Index::decode_binary(&mut r).unwrap();
-            assert_eq!(back.def, ix.def);
-            back.encode_binary(&mut again);
-        }
-        assert_eq!(r.remaining(), 0);
-        assert_eq!(again, GOLDEN);
     }
 }

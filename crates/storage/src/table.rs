@@ -154,16 +154,14 @@ pub enum TableDirt<'a> {
 impl Table {
     /// Create an empty table. Builds the PK index automatically.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        let pk_index = if schema.has_pk() {
-            Some(Index::new(IndexDef {
+        let pk_index = schema.has_pk().then(|| {
+            let def = IndexDef {
                 name: "__pk".into(),
                 key_cols: schema.pk_indices().to_vec(),
                 unique: true,
-                ordered: true,
-            }))
-        } else {
-            None
-        };
+            };
+            Index::new(def, &schema)
+        });
         Table {
             name: name.into(),
             schema,
@@ -208,12 +206,12 @@ impl Table {
             None => out.push(0),
             Some(pk) => {
                 out.push(1);
-                pk.encode_binary(out);
+                pk.encode_binary(true, out);
             }
         }
         codec::put_uvarint(out, self.indexes.len() as u64);
         for ix in &self.indexes {
-            ix.encode_binary(out);
+            ix.encode_binary(false, out);
         }
     }
 
@@ -221,7 +219,8 @@ impl Table {
     /// mutators could not have produced is refused with [`Error::Codec`]
     /// rather than left to panic or corrupt later: every row must have the
     /// schema's arity, the free list must name each empty slot exactly
-    /// once, and every index key column must lie inside the row.
+    /// once, every index key column must lie inside the row, and an index
+    /// the schema keys by integer must hold only integer keys.
     pub fn decode_binary(r: &mut codec::Reader<'_>) -> Result<Table> {
         let name = r.str()?.to_string();
         let bad = |what: String| Error::Codec(format!("{what} in table `{name}`"));
@@ -257,13 +256,13 @@ impl Table {
         }
         let pk_index = match r.u8()? {
             0 => None,
-            1 => Some(Index::decode_binary(r)?),
+            1 => Some(Index::decode_binary(r, &schema)?),
             tag => return Err(bad(format!("bad pk-index tag {tag}"))),
         };
         let n_indexes = r.uvarint()? as usize;
         let mut indexes = Vec::with_capacity(n_indexes.min(r.remaining()));
         for _ in 0..n_indexes {
-            indexes.push(Index::decode_binary(r)?);
+            indexes.push(Index::decode_binary(r, &schema)?);
         }
         let mut all = pk_index.iter().chain(&indexes);
         if let Some(ix) = all.find(|ix| ix.def.key_cols.iter().any(|&c| c >= arity)) {
@@ -311,7 +310,7 @@ impl Table {
                 def.name
             )));
         }
-        let mut ix = Index::new(def);
+        let mut ix = Index::new(def, &self.schema);
         for (rid, slot) in self.slots.iter().enumerate() {
             if let Some(row) = slot {
                 let key = ix.key_ref(row);
@@ -384,7 +383,7 @@ impl Table {
     /// Replace the row at `rid`; returns the previous row (for undo).
     /// The returned old image is a shared handle (refcount bump, no copy).
     /// Indexes are touched only when some key changes (`Value`'s `Eq` is
-    /// the relation both index maps use), so bucket order stays put.
+    /// the relation every index map follows), so bucket order stays put.
     pub fn update(&mut self, rid: RowId, new_row: impl Into<Row>) -> Result<Row> {
         let new_row = self.schema.validate(new_row)?;
         let old = self
@@ -575,11 +574,6 @@ impl Table {
         self.journal = if on { Some(Journal::default()) } else { None };
     }
 
-    /// True when a change journal is attached.
-    pub fn journaling(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// Reset the journal after a successful image write; tracking stays on.
     pub fn clear_journal(&mut self) {
         if let Some(j) = &mut self.journal {
@@ -752,6 +746,61 @@ mod tests {
         assert_eq!(t.pk_lookup(&[Value::Int(6)]), None);
     }
 
+    /// An INT pk and a TIMESTAMP index store bare integers, yet every probe
+    /// cell finds exactly the rows a full scan finds under `Value`
+    /// equality: an `Int`, `Timestamp` or integral `Float` its integer, and
+    /// `-0.0`, a fractional `Float`, NULL, Text and Bool nothing.
+    #[test]
+    fn int_pk_probes_match_a_full_scan() {
+        let schema = Schema::new(
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("at", DataType::Timestamp),
+            ],
+            &["id"],
+        )
+        .unwrap();
+        let mut t = Table::new("t", schema);
+        t.create_index(IndexDef {
+            name: "by_at".into(),
+            key_cols: vec![1],
+            unique: false,
+        })
+        .unwrap();
+        const EDGE: i64 = 1 << 53;
+        for k in [0, 1, 2, -2, 7, EDGE, -EDGE, EDGE - 1] {
+            t.insert(vec![Value::Int(k), Value::Timestamp(k)]).unwrap();
+        }
+        let probes = [
+            Value::Int(2),
+            Value::Int(3),
+            Value::Timestamp(7),
+            Value::Float(2.0),
+            Value::Float(-2.0),
+            Value::Float(EDGE as f64),
+            Value::Float(-(EDGE as f64)),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(2.5),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Null,
+            Value::Text("2".into()),
+            Value::Bool(true),
+        ];
+        for probe in probes {
+            let scan = |c: usize| -> Vec<RowId> {
+                t.scan()
+                    .filter(|(_, r)| r[c] == probe)
+                    .map(|(rid, _)| rid)
+                    .collect()
+            };
+            let key = [probe.clone()];
+            assert_eq!(t.pk_lookup(&key).into_iter().collect::<Vec<_>>(), scan(0));
+            assert_eq!(t.index_lookup("by_at", &key).unwrap(), scan(1));
+        }
+    }
+
     #[test]
     fn update_maintains_indexes() {
         let mut t = table();
@@ -782,7 +831,6 @@ mod tests {
             name: "by_name".into(),
             key_cols: vec![1],
             unique: false,
-            ordered: false,
         })
         .unwrap();
         for (id, name) in [(1, "a"), (2, "a"), (3, "b"), (4, "a")] {
@@ -858,7 +906,6 @@ mod tests {
             name: "by_name".into(),
             key_cols: vec![1],
             unique: false,
-            ordered: false,
         })
         .unwrap();
         let rids = t
@@ -879,7 +926,6 @@ mod tests {
             name: "ix".into(),
             key_cols: vec![1],
             unique: false,
-            ordered: false,
         };
         t.create_index(def.clone()).unwrap();
         assert!(t.create_index(def).is_err());
@@ -939,7 +985,6 @@ mod tests {
                 name: "by_phone".into(),
                 key_cols: vec![1],
                 unique: false,
-                ordered: false,
             })
             .unwrap();
         let mut bare = Table::new("bare", Schema::new(cols(), &[]).unwrap());
@@ -950,12 +995,13 @@ mod tests {
             keyed.insert(r.clone()).unwrap();
             bare.insert(r).unwrap();
         }
-        // Two 48 B entries per row, the hash map's spare capacity, and 100
-        // spilled buckets. An entry that allocated its key and its bucket
-        // would cost at least 104 B, which no row fits under the bound.
+        // Two integer-keyed 24 B entries per row, each map's spare
+        // capacity (14 336 slots for 10 000 rows: 68.8 B), and 100 spilled
+        // buckets: 69.2 B. A 32 B entry would read 91.7 B, a 40 B
+        // cell-keyed one 114.7 B and the former 48 B one 137.6 B.
         let index_bytes = keyed.approx_bytes() - bare.approx_bytes();
         let per_row = index_bytes as f64 / ROWS as f64;
-        assert!((96.0..=160.0).contains(&per_row), "{per_row} B/row");
+        assert!((64.0..=76.0).contains(&per_row), "{per_row} B/row");
     }
 
     #[test]
@@ -1078,7 +1124,6 @@ mod tests {
             name: "ix".into(),
             key_cols: vec![1],
             unique: false,
-            ordered: false,
         })
         .unwrap();
         assert!(matches!(t.dirt(), TableDirt::Full));
@@ -1121,70 +1166,207 @@ mod tests {
         let mut image = Vec::new();
         t.encode_binary(&mut image);
         let back = Table::decode_binary(&mut codec::Reader::new(&image)).unwrap();
-        assert!(!back.journaling());
+        assert!(back.journal.is_none());
         assert_eq!(back.len(), 1);
     }
 
-    /// Images the mutators could never write decode to a codec error, not
-    /// to a table that panics or corrupts itself on its next use. Each is
-    /// assembled field by field in `encode_binary`'s layout.
-    #[test]
-    fn inconsistent_images_are_refused_at_decode() {
-        let image = |slots: &[Option<Row>], free: &[RowId], pk_cols: Vec<usize>| {
-            let mut out = Vec::new();
-            codec::put_str(&mut out, "t");
-            table().schema.encode_binary(&mut out);
-            codec::put_uvarint(&mut out, slots.len() as u64);
-            for slot in slots {
-                match slot {
-                    None => out.push(0),
-                    Some(row) => {
-                        out.push(1);
-                        codec::encode_row(row, &mut out);
-                    }
+    /// A table image of `table()`'s schema assembled field by field in
+    /// `encode_binary`'s layout: the slots, the free list, and a pk index
+    /// over `pk_cols` holding one row id under each key in `pk_keys`.
+    fn image(
+        slots: &[Option<Row>],
+        free: &[RowId],
+        pk_cols: &[usize],
+        pk_keys: &[(&[Value], RowId)],
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        codec::put_str(&mut out, "t");
+        table().schema.encode_binary(&mut out);
+        codec::put_uvarint(&mut out, slots.len() as u64);
+        for slot in slots {
+            match slot {
+                None => out.push(0),
+                Some(row) => {
+                    out.push(1);
+                    codec::encode_row(row, &mut out);
                 }
             }
-            codec::put_uvarint(&mut out, free.len() as u64);
-            for &rid in free {
-                codec::put_uvarint(&mut out, rid);
+        }
+        codec::put_uvarint(&mut out, free.len() as u64);
+        for &rid in free {
+            codec::put_uvarint(&mut out, rid);
+        }
+        out.push(1); // pk index present
+        codec::put_str(&mut out, "__pk");
+        codec::put_uvarint(&mut out, pk_cols.len() as u64);
+        for &c in pk_cols {
+            codec::put_uvarint(&mut out, c as u64);
+        }
+        out.extend([1, 1]); // unique, and the former B-tree flag
+        codec::put_uvarint(&mut out, pk_keys.len() as u64);
+        for &(key, rid) in pk_keys {
+            codec::put_uvarint(&mut out, key.len() as u64);
+            for v in key {
+                codec::encode_value(v, &mut out);
             }
-            out.push(1); // pk index present, no entries
-            Index::new(IndexDef {
-                name: "__pk".into(),
-                key_cols: pk_cols,
-                unique: true,
-                ordered: true,
-            })
-            .encode_binary(&mut out);
-            codec::put_uvarint(&mut out, 0); // secondary indexes
-            out
-        };
-        let decode = |bytes: Vec<u8>| Table::decode_binary(&mut codec::Reader::new(&bytes));
+            codec::put_uvarint(&mut out, 1);
+            codec::put_uvarint(&mut out, rid);
+        }
+        codec::put_uvarint(&mut out, 0); // secondary indexes
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Table> {
+        Table::decode_binary(&mut codec::Reader::new(bytes))
+    }
+
+    /// Images the mutators could never write decode to a codec error, not
+    /// to a table that panics or corrupts itself on its next use.
+    #[test]
+    fn inconsistent_images_are_refused_at_decode() {
         let a = Some(row(1, "a"));
 
         // The consistent baseline decodes and accepts an insert.
-        let mut ok = decode(image(&[a.clone(), None], &[1], vec![0])).unwrap();
+        let mut ok = decode(&image(&[a.clone(), None], &[1], &[0], &[])).unwrap();
         ok.insert(row(2, "b")).unwrap();
         assert_eq!(ok.len(), 2);
 
         let refused = [
             // A free id past the slot vector (the next insert would index
             // out of bounds).
-            image(&[a.clone(), None], &[7], vec![0]),
+            image(&[a.clone(), None], &[7], &[0], &[]),
             // A free id naming a live slot (the next insert would
             // overwrite it), and one listed twice.
-            image(&[a.clone(), None], &[0], vec![0]),
-            image(&[None, None], &[1, 1], vec![0]),
+            image(&[a.clone(), None], &[0], &[0], &[]),
+            image(&[None, None], &[1, 1], &[0], &[]),
             // An empty slot the free list does not name.
-            image(&[a.clone(), None], &[], vec![0]),
+            image(&[a.clone(), None], &[], &[0], &[]),
             // A row narrower than the schema.
-            image(&[Some(vec![Value::Int(1)].into())], &[], vec![0]),
+            image(&[Some(vec![Value::Int(1)].into())], &[], &[0], &[]),
             // An index keyed on a column the rows do not have.
-            image(&[a], &[], vec![2]),
+            image(&[a], &[], &[2], &[]),
         ];
         for bytes in refused {
-            let err = decode(bytes).unwrap_err();
+            let err = decode(&bytes).unwrap_err();
             assert_eq!(err.kind(), "codec", "{err}");
         }
+    }
+
+    /// An index on one NOT NULL INT column stores bare integers, so an
+    /// image whose entries for it hold anything but one integer cell is
+    /// refused at decode rather than surfacing as a failed lookup later.
+    #[test]
+    fn integer_index_with_non_integer_key_is_refused() {
+        use Value::{Bool, Float, Int, Null, Text};
+        let slots = [Some(row(1, "a"))];
+        let good = image(&slots, &[], &[0], &[(&[Int(1)], 0)]);
+        let t = decode(&good).unwrap();
+        assert_eq!(t.pk_lookup(&[Int(1)]), Some(0));
+        let mut again = Vec::new();
+        t.encode_binary(&mut again);
+        assert_eq!(again, good);
+
+        let bad_keys: [&[Value]; 7] = [
+            &[Text("1".into())],
+            &[Float(1.0)],
+            &[Float(1.5)],
+            &[Null],
+            &[Bool(true)],
+            &[Int(1), Int(2)],
+            &[],
+        ];
+        for key in bad_keys {
+            let err = decode(&image(&slots, &[], &[0], &[(key, 0)])).unwrap_err();
+            assert_eq!(err.kind(), "codec", "{key:?}: {err}");
+        }
+        // A pk on the TEXT column keeps cell keys, loaded verbatim.
+        let cells = image(&slots, &[], &[1], &[(&[Float(1.0)], 0)]);
+        assert!(decode(&cells).is_ok());
+    }
+
+    /// A table with an INT pk, a TIMESTAMP-keyed index and a near-unique
+    /// INT index with spilled buckets, after inserts, a delete, a re-keying
+    /// update and a slot reuse.
+    fn narrowed_table() -> Table {
+        let schema = Schema::new(
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("at", DataType::Timestamp),
+                Column::new("phone", DataType::Int),
+                Column::nullable("note", DataType::Text),
+            ],
+            &["id"],
+        )
+        .unwrap();
+        let mut t = Table::new("votes", schema);
+        for (name, col) in [("by_at", 1), ("by_phone", 2)] {
+            t.create_index(IndexDef {
+                name: name.into(),
+                key_cols: vec![col],
+                unique: false,
+            })
+            .unwrap();
+        }
+        let r = |id: i64, at: i64, phone: i64| -> Row {
+            vec![
+                Value::Int(id),
+                Value::Timestamp(at),
+                Value::Int(phone),
+                Value::Null,
+            ]
+            .into()
+        };
+        // Ids out of order and negative, so the encoder's sort shows; every
+        // third phone repeats the one before it, so by_phone spills buckets.
+        let ids = [40i64, -3, 7, 1 << 40, 12, 0, 99, -250, 5, 31];
+        for (i, id) in ids.into_iter().enumerate() {
+            let i = i as i64;
+            let phone = 5_550_000 + i - (i % 3 == 2) as i64;
+            t.insert(r(id, 1_000 * (i % 4), phone)).unwrap();
+        }
+        t.delete(2).unwrap();
+        t.update(4, r(13, 9_000, 5_550_001)).unwrap();
+        t.insert(r(-1, 0, 5_550_008)).unwrap();
+        t
+    }
+
+    /// `narrowed_table()` encoded by the layout before integer keys, whose
+    /// pk was a B-tree of cells: the on-disk bytes must not change.
+    const NARROWED_GOLDEN: &[u8] = &[
+        5, 118, 111, 116, 101, 115, 4, 2, 105, 100, 0, 0, 2, 97, 116, 4, 0, 5, 112, 104, 111, 110,
+        101, 0, 0, 4, 110, 111, 116, 101, 2, 1, 1, 0, 10, 1, 4, 1, 80, 6, 0, 1, 224, 190, 165, 5,
+        0, 1, 4, 1, 5, 6, 208, 15, 1, 226, 190, 165, 5, 0, 1, 4, 1, 1, 6, 0, 1, 240, 190, 165, 5,
+        0, 1, 4, 1, 128, 128, 128, 128, 128, 64, 6, 240, 46, 1, 230, 190, 165, 5, 0, 1, 4, 1, 26,
+        6, 208, 140, 1, 1, 226, 190, 165, 5, 0, 1, 4, 1, 0, 6, 208, 15, 1, 232, 190, 165, 5, 0, 1,
+        4, 1, 198, 1, 6, 160, 31, 1, 236, 190, 165, 5, 0, 1, 4, 1, 243, 3, 6, 240, 46, 1, 238, 190,
+        165, 5, 0, 1, 4, 1, 10, 6, 0, 1, 238, 190, 165, 5, 0, 1, 4, 1, 62, 6, 208, 15, 1, 242, 190,
+        165, 5, 0, 0, 1, 4, 95, 95, 112, 107, 1, 0, 1, 1, 10, 1, 1, 243, 3, 1, 7, 1, 1, 5, 1, 1, 1,
+        1, 1, 1, 2, 1, 1, 0, 1, 5, 1, 1, 10, 1, 8, 1, 1, 26, 1, 4, 1, 1, 62, 1, 9, 1, 1, 80, 1, 0,
+        1, 1, 198, 1, 1, 6, 1, 1, 128, 128, 128, 128, 128, 64, 1, 3, 2, 5, 98, 121, 95, 97, 116, 1,
+        1, 0, 0, 5, 1, 6, 0, 3, 0, 8, 2, 1, 6, 208, 15, 3, 1, 5, 9, 1, 6, 160, 31, 1, 6, 1, 6, 240,
+        46, 2, 3, 7, 1, 6, 208, 140, 1, 1, 4, 8, 98, 121, 95, 112, 104, 111, 110, 101, 1, 2, 0, 0,
+        8, 1, 1, 224, 190, 165, 5, 1, 0, 1, 1, 226, 190, 165, 5, 2, 1, 4, 1, 1, 230, 190, 165, 5,
+        1, 3, 1, 1, 232, 190, 165, 5, 1, 5, 1, 1, 236, 190, 165, 5, 1, 6, 1, 1, 238, 190, 165, 5,
+        2, 7, 8, 1, 1, 240, 190, 165, 5, 1, 2, 1, 1, 242, 190, 165, 5, 1, 9,
+    ];
+
+    #[test]
+    fn narrowed_index_encoding_matches_golden_bytes_and_round_trips() {
+        let mut out = Vec::new();
+        narrowed_table().encode_binary(&mut out);
+        assert_eq!(out, NARROWED_GOLDEN);
+        let back = decode(&out).unwrap();
+        let mut again = Vec::new();
+        back.encode_binary(&mut again);
+        assert_eq!(again, NARROWED_GOLDEN);
+        // The decoded indexes answer like the live ones.
+        assert_eq!(back.pk_lookup(&[Value::Int(1 << 40)]), Some(3));
+        assert_eq!(back.pk_lookup(&[Value::Int(7)]), None);
+        let at = |t: i64| back.index_lookup("by_at", &[Value::Timestamp(t)]).unwrap();
+        assert_eq!(at(0), &[0, 8, 2]);
+        assert_eq!(at(9_000), &[4]);
+        let phone = |p: i64| back.index_lookup("by_phone", &[Value::Int(p)]).unwrap();
+        assert_eq!(phone(5_550_001), &[1, 4]);
+        assert_eq!(phone(5_550_007), &[7, 8]);
     }
 }

@@ -100,7 +100,6 @@ proptest! {
             name: "by_v".into(),
             key_cols: vec![1],
             unique: false,
-            ordered: true,
         }).unwrap();
         let mut model = BTreeMap::new();
         for op in &ops {

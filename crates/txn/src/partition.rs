@@ -326,8 +326,7 @@ impl Partition {
         columns: &[&str],
         unique: bool,
     ) -> Result<()> {
-        self.engine
-            .create_index(table, name, columns, unique, false)
+        self.engine.create_index(table, name, columns, unique)
     }
 
     /// Register an EE trigger (delegates to the engine).
