@@ -25,4 +25,4 @@ pub mod sim;
 
 pub use procs::install;
 pub use schema::BikeConfig;
-pub use sim::{verify_invariants, CitySim, SimReport};
+pub use sim::{verify_invariants, CitySim};

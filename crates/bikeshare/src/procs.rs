@@ -616,7 +616,7 @@ mod tests {
             .unwrap()
             .scalar_i64()
             .unwrap();
-        assert_eq!(status, discount_status::REDEEMED);
+        assert_eq!(status, 3, "redeemed");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use sstore_common::{Result, Value};
 use sstore_core::SStore;
 
 /// Microseconds per simulated second.
-pub const SEC: i64 = 1_000_000;
+pub(crate) const SEC: i64 = 1_000_000;
 
 /// Tunables for the BikeShare application.
 #[derive(Debug, Clone)]
@@ -62,31 +62,19 @@ impl BikeConfig {
     }
 }
 
-/// Bike status codes (the `bikes.status` column).
-pub mod bike_status {
-    /// Docked at a station.
-    pub const DOCKED: i64 = 0;
-    /// Checked out, riding.
-    pub const RIDING: i64 = 1;
-}
-
-/// Discount status codes (the `discounts.status` column).
+/// Discount status codes (the `discounts.status` column): 0 offered, 1
+/// accepted, 2 expired, 3 redeemed. Bikes (`bikes.status`) are 0 docked or
+/// 1 riding. The procedures' SQL writes the codes as literals.
 pub mod discount_status {
     /// Offered, unclaimed.
-    pub const AVAILABLE: i64 = 0;
-    /// Claimed by a rider (exclusive).
-    pub const ACCEPTED: i64 = 1;
-    /// Lapsed before redemption.
-    pub const EXPIRED: i64 = 2;
-    /// Used on a return.
-    pub const REDEEMED: i64 = 3;
+    pub(crate) const AVAILABLE: i64 = 0;
 }
 
 /// Install tables, streams, indexes, and seed the city.
 ///
 /// Station coordinates form a √n×√n grid with 1 km spacing; bikes are
 /// docked round-robin.
-pub fn install_schema(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
+pub(crate) fn install_schema(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
     db.ddl(
         "CREATE TABLE stations (station_id INT NOT NULL, x FLOAT NOT NULL, y FLOAT NOT NULL, \
          docks INT NOT NULL, bikes_available INT NOT NULL, PRIMARY KEY (station_id))",

@@ -88,11 +88,6 @@ impl CitySim {
         })
     }
 
-    /// The report so far.
-    pub fn report(&self) -> &SimReport {
-        &self.report
-    }
-
     /// Run `ticks` simulated seconds.
     pub fn run(&mut self, db: &mut SStore, ticks: u64) -> Result<SimReport> {
         for _ in 0..ticks {
@@ -102,7 +97,7 @@ impl CitySim {
     }
 
     /// One simulated second.
-    pub fn step(&mut self, db: &mut SStore) -> Result<()> {
+    pub(crate) fn step(&mut self, db: &mut SStore) -> Result<()> {
         db.advance_clock(SEC);
         self.report.ticks += 1;
 

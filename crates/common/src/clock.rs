@@ -62,9 +62,6 @@ impl Clock {
     }
 }
 
-/// Microseconds in one second, as used throughout the workloads.
-pub const MICROS_PER_SEC: i64 = 1_000_000;
-
 #[cfg(test)]
 mod tests {
     use super::*;

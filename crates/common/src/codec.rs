@@ -13,7 +13,7 @@
 //!   complete frame whose CRC fails: stop with an error);
 //! * **file headers** — a 4-byte magic plus a `u32` format version;
 //!   [`check_file_header`] refuses any file that is not exactly
-//!   [`CODEC_VERSION`].
+//!   `CODEC_VERSION`.
 //!
 //! The CRC is CRC-32 (IEEE 802.3, reflected, init/final `0xFFFF_FFFF`) —
 //! the same polynomial gzip and ethernet use.
@@ -37,7 +37,7 @@ use crate::value::Value;
 
 /// Format version stamped into every binary log / snapshot / `coord.log`
 /// header. v3 is the only layout; readers refuse every other version.
-pub const CODEC_VERSION: u32 = 3;
+pub(crate) const CODEC_VERSION: u32 = 3;
 
 /// Magic bytes opening a binary command log.
 pub const LOG_MAGIC: [u8; 4] = *b"SSLG";
@@ -88,7 +88,7 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// Upper bound on a single frame's payload. Nothing the engine writes
 /// approaches this; a larger length in a header is corruption, not a
 /// torn write.
-pub const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE)
@@ -117,7 +117,7 @@ const fn build_crc_table() -> [u32; 256] {
 static CRC_TABLE: [u32; 256] = build_crc_table();
 
 /// CRC-32 (IEEE 802.3) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -192,7 +192,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume exactly `n` bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(Error::Codec(format!(
                 "unexpected end of input at byte {} (wanted {n} more, have {})",
@@ -211,13 +211,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume a little-endian `u32`.
-    pub fn u32_le(&mut self) -> Result<u32> {
+    pub(crate) fn u32_le(&mut self) -> Result<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Consume a little-endian `f64`.
-    pub fn f64_le(&mut self) -> Result<f64> {
+    pub(crate) fn f64_le(&mut self) -> Result<f64> {
         let b = self.take(8)?;
         Ok(f64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
@@ -251,7 +251,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<&'a [u8]> {
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.uvarint()?;
         if len > self.remaining() as u64 {
             return Err(Error::Codec(format!(
@@ -362,7 +362,7 @@ pub fn put_file_header(out: &mut Vec<u8>, magic: [u8; 4]) {
 }
 
 /// Consume and validate a file header. Rejects a wrong magic and every
-/// version but [`CODEC_VERSION`].
+/// version but `CODEC_VERSION`.
 pub fn check_file_header(r: &mut Reader<'_>, magic: [u8; 4]) -> Result<()> {
     let got = r.take(4)?;
     if got != magic {
@@ -396,13 +396,6 @@ pub fn end_frame(out: &mut [u8], start: usize) {
     let crc = crc32(&out[payload_start..]);
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// Append one complete frame wrapping `payload`.
-pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
 }
 
 /// Outcome of reading one frame from a byte stream.
@@ -513,6 +506,13 @@ pub fn read_frame<'a>(r: &mut Reader<'a>) -> FrameRead<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Append one complete frame wrapping `payload`.
+    fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

@@ -11,6 +11,9 @@
 //! child-process sandbox, leaving the on-disk state exactly as a real
 //! crash would).
 //!
+//! Nothing reads the environment: the crash campaign derives its plan from
+//! a seed and arms the child process in place.
+//!
 //! Arming is process-global: tests that arm kill points must serialize
 //! against other cluster-driving tests in the same test binary (each
 //! integration-test *file* is its own process, so cross-file interference
@@ -100,25 +103,6 @@ pub fn disarm() {
     let mut g = ARMED.lock().unwrap_or_else(|p| p.into_inner());
     *g = None;
     ANY_ARMED.store(false, Ordering::SeqCst);
-}
-
-/// Arm from the environment (the child-process sandbox entry):
-/// `SSTORE_FAULT_POINT` names the point, `SSTORE_FAULT_NTH` the 1-based
-/// firing hit (default 1), and `SSTORE_FAULT_MODE` selects the action —
-/// `abort` (default: a crash sandbox), `io` (one-shot injected IO error),
-/// or `panic-once` (one-shot worker kill, exercising supervision).
-pub fn arm_from_env() {
-    if let Ok(point) = std::env::var("SSTORE_FAULT_POINT") {
-        let nth = std::env::var("SSTORE_FAULT_NTH")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
-        match std::env::var("SSTORE_FAULT_MODE").as_deref() {
-            Ok("io") => arm_io_error(&point, nth),
-            Ok("panic-once") => arm_once(&point, nth, KillMode::Panic),
-            _ => arm(&point, nth, KillMode::Abort),
-        }
-    }
 }
 
 /// A kill point: dies here (per the armed mode) when `point` is armed and

@@ -21,10 +21,6 @@ macro_rules! id_type {
             pub const fn raw(self) -> $inner {
                 self.0
             }
-            /// The next id in sequence (ids are dense and monotone).
-            pub const fn next(self) -> Self {
-                Self(self.0 + 1)
-            }
         }
 
         impl fmt::Display for $name {
@@ -74,7 +70,7 @@ mod tests {
     #[test]
     fn ids_are_ordered_and_displayable() {
         let a = TxnId::new(1);
-        let b = a.next();
+        let b = TxnId::new(2);
         assert!(a < b);
         assert_eq!(b.raw(), 2);
         assert_eq!(a.to_string(), "txn1");

@@ -91,11 +91,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// A point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -129,7 +124,7 @@ impl Default for HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// An empty snapshot (identity element of [`HistogramSnapshot::merge`]).
-    pub fn empty() -> HistogramSnapshot {
+    pub(crate) fn empty() -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: vec![0; BUCKETS],
             count: 0,

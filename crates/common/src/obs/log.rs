@@ -83,12 +83,6 @@ fn max_level() -> u8 {
     parsed as u8
 }
 
-/// Override the maximum emitted level at runtime (tests; normal
-/// configuration is the `SSTORE_LOG` environment variable).
-pub fn set_max_level(level: Level) {
-    MAX_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
 /// Would a message at `level` be emitted? The macro checks this before
 /// formatting, so disabled levels are nearly free.
 #[inline]
@@ -196,11 +190,11 @@ mod tests {
 
     #[test]
     fn emitted_lines_bump_the_level_counter() {
-        set_max_level(Level::Debug);
+        MAX_LEVEL.store(Level::Debug as u8, Ordering::Relaxed);
         let before = counter("log.debug").get();
         slog!(Debug, partition = 9, trace = 123; "counted {}", "once");
         assert_eq!(counter("log.debug").get(), before + 1);
-        set_max_level(Level::Warn);
+        MAX_LEVEL.store(Level::Warn as u8, Ordering::Relaxed);
         let before = counter("log.debug").get();
         slog!(Debug; "suppressed");
         assert_eq!(counter("log.debug").get(), before, "filtered out");

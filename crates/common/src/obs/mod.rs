@@ -6,11 +6,12 @@
 //!   O(1) wait-free `record`, mergeable [`HistogramSnapshot`]s, p50/p95/
 //!   p99/max with ≤ ~3% relative error.
 //! * **[`registry`]** — a process-wide named-metric registry: sharded
-//!   cache-padded [`Counter`]s, [`Gauge`]s, and named histograms.
+//!   cache-padded [`Counter`](registry::Counter)s,
+//!   [`Gauge`](registry::Gauge)s, and named histograms.
 //!   Registration is the cold path; recording is relaxed atomics only.
 //! * **[`trace`]** — batch lifecycle tracing: a [`TraceCtx`] minted at
 //!   submission and threaded through the pipeline, per-[`Stage`]
-//!   cumulative-latency histograms, and bounded per-thread [`Ring`]
+//!   cumulative-latency histograms, and bounded per-thread `Ring`
 //!   buffers of timestamped events from which [`slowest_spans`]
 //!   reconstructs the slowest batches' timelines.
 //! * **[`log`]** — structured leveled logging via the
@@ -35,12 +36,9 @@ pub mod registry;
 pub mod trace;
 
 pub use hist::{Histogram, HistogramReport, HistogramSnapshot};
-pub use log::{log_enabled, log_event, set_max_level, Level};
-pub use registry::{
-    counter, gauge, histogram, record_phase_ns, registry_snapshot, timed_phase, Counter, Gauge,
-    RegistrySnapshot,
-};
+pub use log::{log_enabled, log_event, Level};
+pub use registry::{counter, gauge, histogram, record_phase_ns, registry_snapshot, timed_phase};
 pub use trace::{
-    collect_events, enabled, next_trace_id, now_ns, record, set_enabled, slowest_spans,
-    stage_snapshot, Ring, SpanStage, Stage, TraceCtx, TraceEvent, TraceSpan, STAGES,
+    collect_events, enabled, next_trace_id, record, set_enabled, slowest_spans, stage_snapshot,
+    SpanStage, Stage, TraceCtx, TraceSpan, STAGES,
 };

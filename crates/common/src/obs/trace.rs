@@ -10,7 +10,7 @@
 //! 1. adds the **cumulative** latency since submit to that stage's
 //!    process-wide [`Histogram`] (relaxed atomics — wait-free), and
 //! 2. appends a timestamped [`TraceEvent`] to the calling thread's
-//!    bounded [`Ring`] buffer (fixed memory, overwrite-oldest, no
+//!    bounded `Ring` buffer (fixed memory, overwrite-oldest, no
 //!    allocation).
 //!
 //! Because stage histograms record time-since-submit, the per-stage
@@ -36,7 +36,7 @@ use std::time::Instant;
 /// Nanoseconds since the process's first observability timestamp
 /// (monotonic, never wall-clock — immune to NTP steps).
 #[inline]
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
@@ -52,7 +52,7 @@ pub fn now_ns() -> u64 {
 pub struct TraceCtx {
     /// Unique per process, minted at submission.
     pub id: u64,
-    /// [`now_ns`] at mint time.
+    /// `now_ns` at mint time.
     pub t0: u64,
 }
 
@@ -216,13 +216,13 @@ pub struct TraceEvent {
     pub trace: u64,
     /// Which stage was reached.
     pub stage: Stage,
-    /// [`now_ns`] when it was reached.
+    /// `now_ns` when it was reached.
     pub at_ns: u64,
 }
 
 /// A bounded ring of [`TraceEvent`]s: fixed capacity allocated up
 /// front, overwrite-oldest when full. Pushing never allocates.
-pub struct Ring {
+pub(crate) struct Ring {
     buf: Vec<TraceEvent>,
     /// Next write position (wraps at capacity once full).
     next: usize,
@@ -233,7 +233,7 @@ pub struct Ring {
 
 impl Ring {
     /// A ring holding at most `cap` events (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Ring {
+    pub(crate) fn new(cap: usize) -> Ring {
         let cap = cap.max(1);
         Ring {
             buf: Vec::with_capacity(cap),
@@ -244,7 +244,7 @@ impl Ring {
     }
 
     /// Append an event, overwriting the oldest once the ring is full.
-    pub fn push(&mut self, ev: TraceEvent) {
+    pub(crate) fn push(&mut self, ev: TraceEvent) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
@@ -255,7 +255,7 @@ impl Ring {
     }
 
     /// The buffered events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
+    pub(crate) fn events(&self) -> Vec<TraceEvent> {
         if self.buf.len() < self.cap {
             self.buf.clone()
         } else {
@@ -265,7 +265,7 @@ impl Ring {
     }
 
     /// How many events have been overwritten (lost) so far.
-    pub fn overwrites(&self) -> u64 {
+    pub(crate) fn overwrites(&self) -> u64 {
         self.overwrites
     }
 }

@@ -119,7 +119,8 @@ impl Row {
     }
 
     /// True when no other handle shares this row's cells.
-    pub fn is_unique(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_unique(&self) -> bool {
         Arc::strong_count(&self.0) == 1
     }
 

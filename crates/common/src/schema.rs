@@ -90,11 +90,6 @@ impl Schema {
             .position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
-    /// Column definition by name.
-    pub fn column(&self, name: &str) -> Option<&Column> {
-        self.column_index(name).map(|i| &self.columns[i])
-    }
-
     /// The primary-key column indices (empty when keyless).
     pub fn pk_indices(&self) -> &[usize] {
         &self.pk
@@ -103,11 +98,6 @@ impl Schema {
     /// True if the schema declares a primary key.
     pub fn has_pk(&self) -> bool {
         !self.pk.is_empty()
-    }
-
-    /// Extract the primary-key values from a (validated) row.
-    pub fn pk_of(&self, row: &[Value]) -> Vec<Value> {
-        self.pk.iter().map(|&i| row[i].clone()).collect()
     }
 
     /// Validate arity, coerce each value to its column type, and enforce
@@ -156,11 +146,6 @@ impl Schema {
         let mut s = Schema::keyless(columns)?;
         s.pk = self.pk.clone();
         Ok(s)
-    }
-
-    /// Names of all columns (useful for plan display and tests).
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
     }
 
     /// Binary-encode the schema straight into `out`.
@@ -282,12 +267,8 @@ mod tests {
         let s = schema();
         assert_eq!(s.pk_indices(), &[0]);
         assert!(s.has_pk());
-        let row = vec![Value::Int(9), Value::Text("n".into()), Value::Null];
-        assert_eq!(s.pk_of(&row), vec![Value::Int(9)]);
         assert_eq!(s.column_index("NAME"), Some(1));
         assert_eq!(s.column_index("ScOrE"), Some(2));
-        assert_eq!(s.column("Id").map(|c| c.ty), Some(DataType::Int));
-        assert!(s.column("missing").is_none());
         assert!(s.column_index("nam").is_none());
     }
 

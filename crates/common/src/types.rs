@@ -24,15 +24,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// True if a value of type `from` may be stored in a column of type
-    /// `self` (possibly with a widening conversion).
-    pub fn accepts(self, from: DataType) -> bool {
-        self == from
-            || (self == DataType::Float && from == DataType::Int)
-            || (self == DataType::Timestamp && from == DataType::Int)
-            || (self == DataType::Int && from == DataType::Timestamp)
-    }
-
     /// Coerce `v` to this type if possible. `Null` passes through untouched
     /// (nullability is checked separately by the schema layer).
     pub fn coerce(self, v: Value) -> Option<Value> {
@@ -51,7 +42,7 @@ impl DataType {
     }
 
     /// Stable one-byte code for the binary metadata codec.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             DataType::Int => 0,
             DataType::Float => 1,
@@ -62,7 +53,7 @@ impl DataType {
     }
 
     /// Inverse of [`DataType::code`].
-    pub fn from_code(code: u8) -> Option<DataType> {
+    pub(crate) fn from_code(code: u8) -> Option<DataType> {
         Some(match code {
             0 => DataType::Int,
             1 => DataType::Float,
@@ -74,7 +65,7 @@ impl DataType {
     }
 
     /// SQL keyword for this type, as accepted by the parser.
-    pub fn sql_name(self) -> &'static str {
+    pub(crate) fn sql_name(self) -> &'static str {
         match self {
             DataType::Int => "INT",
             DataType::Float => "FLOAT",
@@ -97,7 +88,6 @@ mod tests {
 
     #[test]
     fn int_widens_to_float() {
-        assert!(DataType::Float.accepts(DataType::Int));
         assert_eq!(
             DataType::Float.coerce(Value::Int(3)),
             Some(Value::Float(3.0))
@@ -106,7 +96,6 @@ mod tests {
 
     #[test]
     fn text_does_not_coerce_to_int() {
-        assert!(!DataType::Int.accepts(DataType::Text));
         assert_eq!(DataType::Int.coerce(Value::Text("3".into())), None);
     }
 

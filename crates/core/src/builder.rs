@@ -56,7 +56,7 @@ impl SStoreBuilder {
 
     /// Assign this partition's site id ([`crate::Cluster`] does this for
     /// each worker; standalone instances stay p0).
-    pub fn partition_id(mut self, id: PartitionId) -> Self {
+    pub(crate) fn partition_id(mut self, id: PartitionId) -> Self {
         self.config.partition = id;
         self
     }
@@ -80,8 +80,7 @@ mod tests {
     fn defaults_are_sstore_mode() {
         let b = SStoreBuilder::new();
         assert_eq!(b.config().mode, ExecMode::SStore);
-        assert!(b.config().ee.ee_triggers_enabled);
-        b.build().unwrap();
+        assert!(b.build().unwrap().engine().config().ee_triggers_enabled);
     }
 
     #[test]

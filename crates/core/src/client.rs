@@ -55,7 +55,8 @@ impl ClientRequest {
 }
 
 /// Policy invoked after each response; pushes follow-up requests.
-pub type ResponsePolicy<'a> = dyn FnMut(&ClientRequest, &TxnOutcome, &mut Vec<ClientRequest>) + 'a;
+pub(crate) type ResponsePolicy<'a> =
+    dyn FnMut(&ClientRequest, &TxnOutcome, &mut Vec<ClientRequest>) + 'a;
 
 /// A deterministic pipelined client (see module docs).
 pub struct PipelinedClient<'a> {
@@ -98,16 +99,6 @@ impl<'a> PipelinedClient<'a> {
         self.queue.len()
     }
 
-    /// Total requests processed.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Follow-up requests generated so far.
-    pub fn follow_ups(&self) -> u64 {
-        self.follow_ups
-    }
-
     /// Process one queued request against the partition. Responses may
     /// generate follow-ups, which join the back of the queue — *behind*
     /// any external input that has already arrived. Returns the outcome,
@@ -125,15 +116,6 @@ impl<'a> PipelinedClient<'a> {
             self.queue.push_back(r);
         }
         Ok(Some(outcome))
-    }
-
-    /// Run until the queue is empty; returns the number of requests run.
-    pub fn run_to_completion(&mut self, partition: &mut Partition) -> Result<u64> {
-        let mut n = 0;
-        while self.step(partition)?.is_some() {
-            n += 1;
-        }
-        Ok(n)
     }
 }
 
@@ -186,7 +168,10 @@ mod tests {
         // Two external inputs arrive before any response is handled.
         client.feed(ClientRequest::external("stage1", vec![vec![Value::Int(1)]]));
         client.feed(ClientRequest::external("stage1", vec![vec![Value::Int(2)]]));
-        client.run_to_completion(&mut p).unwrap();
+        let mut processed = 0;
+        while client.step(&mut p).unwrap().is_some() {
+            processed += 1;
+        }
 
         let r = p
             .query("SELECT tag, v FROM trace ORDER BY seq", &[])
@@ -207,8 +192,7 @@ mod tests {
                 ("stage2".into(), 2),
             ]
         );
-        assert_eq!(client.processed(), 4);
-        assert_eq!(client.follow_ups(), 2);
+        assert_eq!(processed, 4);
     }
 
     #[test]

@@ -56,7 +56,7 @@
 //! [`Cluster::try_submit_batch_async`] refuses (rather than blocks) when
 //! a target ingest queue is full, shedding with retryable
 //! [`Error::Overloaded`] *before* anything is enqueued — the
-//! all-or-nothing reservation ([`crate::ingest::IngestQueue::try_send_all`])
+//! all-or-nothing reservation (`crate::ingest::IngestQueue::try_send_all`)
 //! guarantees a shed batch landed nowhere. [`crate::RetryPolicy`] is the
 //! matching client loop (exponential backoff, deterministic jitter).
 //!
@@ -664,24 +664,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Replace the routing declaration (validated against the partition
-    /// count). Affects subsequent submissions only.
-    pub fn declare_route(&mut self, spec: RouteSpec) -> Result<()> {
-        self.router = Router::new(spec, self.workers.len())?;
-        Ok(())
-    }
-
-    /// Declare `stream` a cross-partition workflow edge on every
-    /// partition (see [`Cluster::with_edges`], which also covers
-    /// recovery). Affects subsequent emissions only.
-    pub fn declare_cross_edge(&self, stream: &str, key_col: usize) -> Result<()> {
-        for i in 0..self.workers.len() {
-            let name = stream.to_string();
-            self.with_partition(i, move |db| db.declare_cross_edge(&name, key_col))??;
-        }
-        Ok(())
-    }
-
     /// Run `f` against one partition on its worker thread and return the
     /// result (dashboards, tests, snapshots). Blocks until the worker
     /// reaches this job in queue order. Returns [`Error::PartitionDown`]
@@ -819,8 +801,8 @@ impl Cluster {
     /// `key_col` must name the cluster's declared partition-key column
     /// (anything else is rejected — routing the same table by two
     /// different columns would silently split a key's state across
-    /// partitions). To route by another column, [`Cluster::declare_route`]
-    /// first.
+    /// partitions). The route is fixed when the cluster is built
+    /// ([`Cluster::with_config`]).
     pub fn submit_batch_partitioned<R: Into<Row>>(
         &self,
         proc: &str,
@@ -831,7 +813,7 @@ impl Cluster {
         if declared != key_col {
             return Err(Error::Schedule(format!(
                 "cluster routes on partition-key column {declared}; cannot route by \
-                 column {key_col} (declare_route first to change the partition key)"
+                 column {key_col} (the route is fixed when the cluster is built)"
             )));
         }
         let ticket = self.submit_batch_async(proc, rows)?;
@@ -1115,7 +1097,7 @@ impl Cluster {
     /// capture reflects everything queued on its partition before it.
     ///
     /// Never fails and never panics: a partition whose worker is down
-    /// contributes an all-zero [`PartitionMetrics::unavailable`]
+    /// contributes an all-zero `PartitionMetrics::unavailable`
     /// placeholder (`available: false`) — dashboards keep rendering
     /// through an outage.
     pub fn metrics(&self) -> ClusterMetrics {

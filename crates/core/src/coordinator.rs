@@ -10,12 +10,12 @@
 //!
 //! Division of labour:
 //!
-//! * [`Coordinator`] — gtid assignment, the decision step, and counters.
+//! * `Coordinator` — gtid assignment, the decision step, and counters.
 //!   Owned by `Cluster` behind a mutex: multi-sited transactions are
 //!   serialized (as in H-Store, where a multi-partition transaction
 //!   blocks the cluster), which also rules out distributed deadlock
 //!   between concurrent prepare rounds.
-//! * [`CoordinatorLog`] — the durable decision log (`coord.log` in the
+//! * `CoordinatorLog` — the durable decision log (`coord.log` in the
 //!   cluster's durability dir). `append_decision` fsyncs **before** any
 //!   commit decision is sent: that write is the commit point of the
 //!   protocol. Recovery reads it to resolve participants' in-doubt
@@ -73,7 +73,7 @@ pub struct CoordStats {
 /// on file and the gtid sequence resume point (already folded across
 /// checkpoint frames and decision records).
 #[derive(Debug, Clone, Default)]
-pub struct CoordState {
+pub(crate) struct CoordState {
     /// `gtid → commit?` for every decision record in the log.
     pub decisions: HashMap<u64, bool>,
     /// First gtid safe to allocate: past every checkpoint floor and every
@@ -93,7 +93,7 @@ const TAG_CHECKPOINT: u8 = 1;
 /// interrupted decision write — the decision was never acknowledged, so
 /// dropping it (and presuming abort) is exactly correct.
 #[derive(Debug)]
-pub struct CoordinatorLog {
+pub(crate) struct CoordinatorLog {
     file: File,
     path: PathBuf,
 }
@@ -102,7 +102,7 @@ impl CoordinatorLog {
     /// Open (creating if absent) `coord.log` under `dir`. An existing file
     /// must begin with a valid `SSCO` v3 header; any other file is refused
     /// with [`Error::Recovery`] and left untouched.
-    pub fn open(dir: &Path) -> Result<CoordinatorLog> {
+    pub(crate) fn open(dir: &Path) -> Result<CoordinatorLog> {
         fs::create_dir_all(dir)?;
         let path = dir.join("coord.log");
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -119,11 +119,6 @@ impl CoordinatorLog {
         Ok(CoordinatorLog { file, path })
     }
 
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Durably record the global outcome of `gtid` — for a commit, this
     /// fsync IS the commit point: participants only learn a commit that
     /// is already on disk here.
@@ -136,7 +131,7 @@ impl CoordinatorLog {
     /// `Err` is returned; if even that rollback fails, the error is
     /// [`Error::Recovery`]-grade fatal and the caller must not hand *any*
     /// outcome to participants.
-    pub fn append_decision(
+    pub(crate) fn append_decision(
         &mut self,
         gtid: u64,
         commit: bool,
@@ -201,7 +196,7 @@ impl CoordinatorLog {
     /// time)). Missing or empty file reads empty; a torn trailing frame
     /// is dropped (an unacknowledged decision — presumed abort covers
     /// it); mid-file corruption is a recovery error.
-    pub fn read(dir: &Path) -> Result<CoordState> {
+    pub(crate) fn read(dir: &Path) -> Result<CoordState> {
         let path = dir.join("coord.log");
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -278,7 +273,7 @@ impl CoordinatorLog {
     /// then are this log's records redundant.
     /// Write-temp-then-rename: a crash leaves either the old file or the
     /// new one, both complete.
-    pub fn compact(&mut self, next_gtid: u64) -> Result<()> {
+    pub(crate) fn compact(&mut self, next_gtid: u64) -> Result<()> {
         let mut buf = Vec::new();
         codec::put_file_header(&mut buf, codec::COORD_MAGIC);
         let frame = codec::begin_frame(&mut buf);
@@ -307,7 +302,7 @@ fn check_header(r: &mut codec::Reader<'_>) -> Result<()> {
 /// Coordinator state: the gtid sequence, the optional decision log, and
 /// counters. One per [`crate::Cluster`], behind a mutex.
 #[derive(Debug)]
-pub struct Coordinator {
+pub(crate) struct Coordinator {
     next_gtid: u64,
     log: Option<CoordinatorLog>,
     stats: CoordStats,
@@ -317,13 +312,13 @@ pub struct Coordinator {
 }
 
 /// Appended decision records that trigger a checkpoint compaction of the
-/// coordinator log (see [`Coordinator::should_compact`]).
+/// coordinator log (see `Coordinator::should_compact`).
 pub const COORD_COMPACT_EVERY: u64 = 256;
 
 impl Coordinator {
     /// Build a coordinator resuming after the highest previously-decided
     /// gtid.
-    pub fn new(log: Option<CoordinatorLog>, next_gtid: u64) -> Coordinator {
+    pub(crate) fn new(log: Option<CoordinatorLog>, next_gtid: u64) -> Coordinator {
         Coordinator {
             next_gtid: next_gtid.max(1),
             log,
@@ -333,7 +328,7 @@ impl Coordinator {
     }
 
     /// Allocate the next global transaction id.
-    pub fn begin(&mut self) -> u64 {
+    pub(crate) fn begin(&mut self) -> u64 {
         let gtid = self.next_gtid;
         self.next_gtid += 1;
         gtid
@@ -344,7 +339,12 @@ impl Coordinator {
     /// abort writes **nothing** (presumed abort): recovery treats a gtid
     /// absent from the log as aborted, so the record would buy nothing,
     /// and skipping it removes an fsync from every abort round.
-    pub fn decide(&mut self, gtid: u64, commit: bool, participants: &[PartitionId]) -> Result<()> {
+    pub(crate) fn decide(
+        &mut self,
+        gtid: u64,
+        commit: bool,
+        participants: &[PartitionId],
+    ) -> Result<()> {
         if commit {
             if let Some(log) = &mut self.log {
                 log.append_decision(gtid, true, participants)?;
@@ -361,13 +361,13 @@ impl Coordinator {
     /// worth compacting. The cluster checks this after the decide
     /// fan-out and, when set, proves the records redundant (worker
     /// barrier + log sync) before calling [`Coordinator::compact`].
-    pub fn should_compact(&self) -> bool {
+    pub(crate) fn should_compact(&self) -> bool {
         self.log.is_some() && self.records_since_compaction >= COORD_COMPACT_EVERY
     }
 
     /// Checkpoint-compact the decision log (see
     /// [`CoordinatorLog::compact`] for the caller's proof obligation).
-    pub fn compact(&mut self) -> Result<()> {
+    pub(crate) fn compact(&mut self) -> Result<()> {
         if let Some(log) = &mut self.log {
             log.compact(self.next_gtid)?;
             self.stats.log_compactions += 1;
@@ -377,18 +377,18 @@ impl Coordinator {
     }
 
     /// Count a single-partition fast-path submission.
-    pub fn note_fast_path(&mut self) {
+    pub(crate) fn note_fast_path(&mut self) {
         self.stats.single_partition_fast_path += 1;
     }
 
     /// Count a multi-sited transaction and its prepare fan-out.
-    pub fn note_multi_partition(&mut self, participants: usize) {
+    pub(crate) fn note_multi_partition(&mut self, participants: usize) {
         self.stats.multi_partition_txns += 1;
         self.stats.prepares_sent += participants as u64;
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CoordStats {
+    pub(crate) fn stats(&self) -> CoordStats {
         self.stats
     }
 }

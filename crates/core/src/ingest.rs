@@ -10,7 +10,7 @@
 //! queue (and backlog) its predecessor left behind.
 //!
 //! The queue also gives admission control a primitive the channel never
-//! had: [`IngestQueue::try_send_all`], an **all-or-nothing** reservation
+//! had: `IngestQueue::try_send_all`, an **all-or-nothing** reservation
 //! across several partitions' queues. A sharded submission either lands
 //! on every target queue or on none — shedding can never leave a batch
 //! half-admitted.
@@ -29,7 +29,7 @@ pub enum SendError {
 
 /// Why a non-blocking send was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrySendError {
+pub(crate) enum TrySendError {
     /// The queue is at capacity — admission control sheds.
     Full,
     /// The cluster began shutdown.
@@ -114,31 +114,13 @@ impl<T> IngestQueue<T> {
         }
     }
 
-    /// Non-blocking send: refuses with [`TrySendError::Full`] instead of
-    /// waiting — the admission-control primitive.
-    pub fn try_send(&self, item: T) -> Result<(), TrySendError> {
-        let mut st = self.lock();
-        if st.closed {
-            return Err(TrySendError::Closed);
-        }
-        if st.dead {
-            return Err(TrySendError::Down);
-        }
-        if st.q.len() >= self.inner.cap {
-            return Err(TrySendError::Full);
-        }
-        st.q.push_back(item);
-        self.inner.not_empty.notify_one();
-        Ok(())
-    }
-
     /// All-or-nothing non-blocking send across several queues: every
     /// `(queue, item)` pair is admitted, or none is. The caller must
     /// pass the queues in a globally consistent order (the cluster uses
     /// ascending partition id) — this function holds all the locks at
     /// once, and a consistent order is what rules out deadlock between
     /// concurrent submitters.
-    pub fn try_send_all(sends: Vec<(&IngestQueue<T>, T)>) -> Result<(), TrySendError> {
+    pub(crate) fn try_send_all(sends: Vec<(&IngestQueue<T>, T)>) -> Result<(), TrySendError> {
         // Phase 1: lock everything and verify capacity + liveness.
         let mut guards: Vec<MutexGuard<'_, State<T>>> = Vec::with_capacity(sends.len());
         for (q, _) in &sends {
@@ -184,7 +166,7 @@ impl<T> IngestQueue<T> {
     }
 
     /// Non-blocking receive (the coalescing lookahead).
-    pub fn try_recv(&self) -> Option<T> {
+    pub(crate) fn try_recv(&self) -> Option<T> {
         let mut st = self.lock();
         let item = st.q.pop_front();
         if item.is_some() {
@@ -204,31 +186,16 @@ impl<T> IngestQueue<T> {
     /// Mark the owning worker permanently down: senders fail fast with
     /// [`SendError::Down`] / [`TrySendError::Down`] while the tombstone
     /// drain consumes what was already queued.
-    pub fn mark_dead(&self) {
+    pub(crate) fn mark_dead(&self) {
         let mut st = self.lock();
         st.dead = true;
         self.inner.not_full.notify_all();
     }
 
-    /// Queued items right now.
-    pub fn len(&self) -> usize {
-        self.lock().q.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// True when the queue is at capacity (an advisory check — the
     /// answer can be stale by the time the caller acts on it).
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.lock().q.len() >= self.inner.cap
-    }
-
-    /// The capacity this queue was built with.
-    pub fn cap(&self) -> usize {
-        self.inner.cap
     }
 }
 
@@ -236,14 +203,19 @@ impl<T> IngestQueue<T> {
 mod tests {
     use super::*;
 
+    /// Non-blocking send of one item: `try_send_all` over one queue.
+    fn try_send<T>(q: &IngestQueue<T>, item: T) -> Result<(), TrySendError> {
+        IngestQueue::try_send_all(vec![(q, item)])
+    }
+
     #[test]
     fn fifo_and_capacity() {
         let q = IngestQueue::new(2);
-        q.try_send(1).unwrap();
-        q.try_send(2).unwrap();
-        assert_eq!(q.try_send(3), Err(TrySendError::Full));
+        try_send(&q, 1).unwrap();
+        try_send(&q, 2).unwrap();
+        assert_eq!(try_send(&q, 3), Err(TrySendError::Full));
         assert_eq!(q.recv(), Some(1));
-        q.try_send(3).unwrap();
+        try_send(&q, 3).unwrap();
         assert_eq!(q.recv(), Some(2));
         assert_eq!(q.recv(), Some(3));
         assert!(q.try_recv().is_none());
@@ -265,7 +237,7 @@ mod tests {
         q.send(1).unwrap();
         q.mark_dead();
         assert_eq!(q.send(2), Err(SendError::Down));
-        assert_eq!(q.try_send(2), Err(TrySendError::Down));
+        assert_eq!(try_send(&q, 2), Err(TrySendError::Down));
         assert_eq!(q.recv(), Some(1));
     }
 
@@ -273,10 +245,13 @@ mod tests {
     fn try_send_all_is_all_or_nothing() {
         let a = IngestQueue::new(1);
         let b = IngestQueue::new(1);
-        b.try_send(99).unwrap(); // b is now full
+        try_send(&b, 99).unwrap(); // b is now full
         let err = IngestQueue::try_send_all(vec![(&a, 1), (&b, 2)]).unwrap_err();
         assert_eq!(err, TrySendError::Full);
-        assert!(a.is_empty(), "nothing may land when any target is full");
+        assert!(
+            a.try_recv().is_none(),
+            "nothing may land when any target is full"
+        );
         assert_eq!(b.recv(), Some(99));
         IngestQueue::try_send_all(vec![(&a, 1), (&b, 2)]).unwrap();
         assert_eq!((a.recv(), b.recv()), (Some(1), Some(2)));

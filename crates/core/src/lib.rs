@@ -60,7 +60,7 @@ pub mod workloads;
 pub use builder::SStoreBuilder;
 pub use client::{ClientRequest, PipelinedClient, RequestKind};
 pub use cluster::{Cluster, PartitionHealth};
-pub use coordinator::{CoordState, CoordStats, Coordinator, CoordinatorLog, COORD_COMPACT_EVERY};
+pub use coordinator::COORD_COMPACT_EVERY;
 pub use metrics::{ClusterMetrics, PartitionMetrics};
 pub use obs_report::ObsReport;
 pub use retry::RetryPolicy;

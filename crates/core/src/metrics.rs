@@ -59,7 +59,7 @@ impl PartitionMetrics {
     /// Placeholder for a partition whose worker could not answer the
     /// capture (down or restarting): all-zero counters, `available:
     /// false`.
-    pub fn unavailable(partition: PartitionId) -> PartitionMetrics {
+    pub(crate) fn unavailable(partition: PartitionId) -> PartitionMetrics {
         PartitionMetrics {
             partition,
             ..PartitionMetrics::default()
@@ -67,7 +67,7 @@ impl PartitionMetrics {
     }
 
     /// Snapshot a partition's counters.
-    pub fn capture(p: &sstore_txn::Partition) -> PartitionMetrics {
+    pub(crate) fn capture(p: &sstore_txn::Partition) -> PartitionMetrics {
         let s = p.stats();
         PartitionMetrics {
             partition: s.partition,

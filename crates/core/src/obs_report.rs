@@ -35,12 +35,12 @@ use std::fmt::Write;
 use std::time::Instant;
 
 /// How many of the slowest batch timelines a report embeds.
-pub const SLOWEST_SPANS: usize = 8;
+pub(crate) const SLOWEST_SPANS: usize = 8;
 
 /// Observability state at cluster construction, subtracted from
 /// process-wide totals at report time so a report is windowed to one
 /// cluster's lifetime.
-pub struct ObsBaseline {
+pub(crate) struct ObsBaseline {
     /// One snapshot per [`STAGES`] entry, in stage order.
     stages: Vec<HistogramSnapshot>,
     /// Traces minted before this id belong to earlier clusters.
@@ -51,7 +51,7 @@ pub struct ObsBaseline {
 
 impl ObsBaseline {
     /// Snapshot the current stage histograms and trace horizon.
-    pub fn capture() -> ObsBaseline {
+    pub(crate) fn capture() -> ObsBaseline {
         ObsBaseline {
             stages: STAGES.iter().map(|s| obs::stage_snapshot(*s)).collect(),
             first_trace: obs::next_trace_id(),
@@ -91,7 +91,7 @@ pub struct ObsReport {
     pub metrics: ClusterMetrics,
     /// The slowest batch timelines observed in the trace rings since
     /// this cluster was built, slowest first (at most
-    /// [`SLOWEST_SPANS`]).
+    /// `SLOWEST_SPANS`).
     pub slowest_batches: Vec<TraceSpan>,
     /// Trace-ring events overwritten process-wide: non-zero means the
     /// slowest-batch list may miss older batches (raise

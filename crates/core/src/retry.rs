@@ -48,7 +48,7 @@ impl RetryPolicy {
     /// `base * 2^(attempt-1)` capped at `cap`, then jittered uniformly
     /// over `[delay/2, delay]` ("equal jitter" — keeps some spread
     /// without collapsing to zero sleep).
-    pub fn backoff(&self, attempt: u32, rng: &mut StdRng) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, rng: &mut StdRng) -> Duration {
         let exp = self
             .base
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(20));

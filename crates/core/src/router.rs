@@ -52,7 +52,7 @@ impl RouteSpec {
     }
 
     /// The declared partition-key column.
-    pub fn key_col(&self) -> usize {
+    pub(crate) fn key_col(&self) -> usize {
         match self {
             RouteSpec::Hash { key_col } | RouteSpec::Range { key_col, .. } => *key_col,
         }
@@ -91,13 +91,8 @@ impl Router {
         Ok(Router { spec, partitions })
     }
 
-    /// Number of partitions routed over.
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
     /// The spec this router was compiled from.
-    pub fn spec(&self) -> &RouteSpec {
+    pub(crate) fn spec(&self) -> &RouteSpec {
         &self.spec
     }
 
@@ -169,11 +164,6 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// Partitions involved in this submission (those that received rows).
-    pub fn partitions(&self) -> Vec<PartitionId> {
-        self.pending.iter().map(|(p, _)| *p).collect()
-    }
-
     /// Block until every involved partition finished its share; returns
     /// per-partition outcomes in partition order.
     ///

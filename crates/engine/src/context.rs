@@ -1,6 +1,6 @@
 //! The EE's transactional execution context.
 //!
-//! [`EeContext`] is the [`ExecContext`] implementation the SQL executor
+//! `EeContext` is the [`ExecContext`] implementation the SQL executor
 //! runs against inside a transaction execution. It:
 //!
 //! * records undo for every mutation (atomic aborts);
@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 
 /// One queued EE trigger firing.
 #[derive(Debug, Clone)]
-pub struct PendingFire {
+pub(crate) struct PendingFire {
     /// Index into the trigger registry.
     pub trigger: usize,
     /// Statement parameters (the inserted row for insert triggers — a
@@ -40,8 +40,6 @@ pub struct EeConfig {
     /// Master switch for EE triggers (ablation E3b). When off, stream and
     /// window inserts never enqueue trigger work.
     pub ee_triggers_enabled: bool,
-    /// Maximum trigger cascade depth before the transaction aborts.
-    pub max_trigger_depth: u32,
     /// Which executor eligible read plans run on (vectorized batch
     /// kernels vs. the row interpreter); `ExecutionEngine::set_exec_path`
     /// changes it.
@@ -52,14 +50,13 @@ impl Default for EeConfig {
     fn default() -> Self {
         EeConfig {
             ee_triggers_enabled: true,
-            max_trigger_depth: 16,
             exec_path: ExecPath::default(),
         }
     }
 }
 
 /// The per-statement execution context (see module docs).
-pub struct EeContext<'a> {
+pub(crate) struct EeContext<'a> {
     /// Partition data.
     pub db: &'a mut Database,
     /// Undo log of the enclosing transaction execution.
@@ -290,7 +287,7 @@ mod tests {
         (
             UndoLog::new(),
             EeStats::new(),
-            TriggerRegistry::new(),
+            TriggerRegistry::default(),
             EeConfig::default(),
             Vec::new(),
         )

@@ -19,6 +19,9 @@ use sstore_storage::catalog::{WindowKind, WindowSpec};
 use sstore_storage::{Database, IndexDef, RowId, UndoLog};
 use std::collections::VecDeque;
 
+/// Maximum EE trigger cascade depth before the transaction aborts.
+const MAX_TRIGGER_DEPTH: u32 = 16;
+
 /// Per-transaction-execution scratch state, owned by the partition engine
 /// and threaded through every statement of the TE.
 #[derive(Debug, Default)]
@@ -59,14 +62,6 @@ impl ExecutionEngine {
     /// Engine with default configuration.
     pub fn new() -> Self {
         ExecutionEngine::default()
-    }
-
-    /// Engine with explicit configuration.
-    pub fn with_config(config: EeConfig) -> Self {
-        ExecutionEngine {
-            config,
-            ..ExecutionEngine::default()
-        }
     }
 
     /// Read access to the data.
@@ -114,7 +109,7 @@ impl ExecutionEngine {
     // ---- DDL ---------------------------------------------------------------
 
     /// Execute a DDL operation (outside any transaction, like H-Store).
-    pub fn ddl(&mut self, op: &DdlOp) -> Result<TableId> {
+    pub(crate) fn ddl(&mut self, op: &DdlOp) -> Result<TableId> {
         match op {
             DdlOp::CreateTable { name, schema } => self.db.create_table(name, schema.clone()),
             DdlOp::CreateStream { name, schema } => self.db.create_stream(name, schema.clone()),
@@ -223,11 +218,6 @@ impl ExecutionEngine {
         Ok(())
     }
 
-    /// Number of registered EE triggers.
-    pub fn trigger_count(&self) -> usize {
-        self.registry.len()
-    }
-
     // ---- Statement execution ---------------------------------------------------
 
     /// Plan a statement against the current catalog (prepared-statement
@@ -302,10 +292,9 @@ impl ExecutionEngine {
             depth,
         }) = ctx.queue.pop_front()
         {
-            if depth > ctx.config.max_trigger_depth {
+            if depth > MAX_TRIGGER_DEPTH {
                 return Err(Error::Constraint(format!(
-                    "EE trigger cascade exceeded depth {}",
-                    ctx.config.max_trigger_depth
+                    "EE trigger cascade exceeded depth {MAX_TRIGGER_DEPTH}"
                 )));
             }
             ctx.depth = depth;

@@ -18,7 +18,7 @@ use sstore_storage::Database;
 
 /// Delete all tuples of `stream` belonging to batches `<= up_to`.
 /// Advances the stream's GC watermark. Returns the number of rows removed.
-pub fn gc_stream(db: &mut Database, stream: TableId, up_to: BatchId) -> Result<usize> {
+pub(crate) fn gc_stream(db: &mut Database, stream: TableId, up_to: BatchId) -> Result<usize> {
     // Validate the object and locate the hidden batch column.
     let batch_pos = {
         let meta = db
@@ -56,18 +56,18 @@ pub fn gc_stream(db: &mut Database, stream: TableId, up_to: BatchId) -> Result<u
     Ok(n)
 }
 
-/// Current GC watermark of a stream (None until the first GC).
-pub fn watermark(db: &Database, stream: TableId) -> Result<Option<u64>> {
-    match db.kind(stream)? {
-        TableKind::Stream(s) => Ok(s.gc_watermark),
-        _ => Err(Error::Internal(format!("{stream} is not a stream"))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sstore_common::{Column, DataType, Schema, Value};
+
+    /// The GC watermark `gc_stream` left in the stream's catalog entry.
+    fn watermark(db: &Database, stream: TableId) -> Option<u64> {
+        match db.kind(stream).unwrap() {
+            TableKind::Stream(s) => s.gc_watermark,
+            _ => panic!("{stream} is not a stream"),
+        }
+    }
 
     fn stream_db() -> (Database, TableId) {
         let mut db = Database::new();
@@ -92,7 +92,7 @@ mod tests {
         let removed = gc_stream(&mut db, s, BatchId::new(2)).unwrap();
         assert_eq!(removed, 3);
         assert_eq!(db.table(s).unwrap().len(), 1);
-        assert_eq!(watermark(&db, s).unwrap(), Some(2));
+        assert_eq!(watermark(&db, s), Some(2));
     }
 
     #[test]
@@ -101,7 +101,7 @@ mod tests {
         append(&mut db, s, 1, 1, 1);
         gc_stream(&mut db, s, BatchId::new(5)).unwrap();
         gc_stream(&mut db, s, BatchId::new(3)).unwrap();
-        assert_eq!(watermark(&db, s).unwrap(), Some(5));
+        assert_eq!(watermark(&db, s), Some(5));
     }
 
     #[test]
@@ -110,7 +110,6 @@ mod tests {
         let schema = Schema::keyless(vec![Column::new("v", DataType::Int)]).unwrap();
         let t = db.create_table("t", schema).unwrap();
         assert!(gc_stream(&mut db, t, BatchId::new(1)).is_err());
-        assert!(watermark(&db, t).is_err());
     }
 
     #[test]

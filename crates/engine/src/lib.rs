@@ -3,7 +3,7 @@
 //! S-Store's **execution engine (EE)** — the lower layer of the paper's
 //! two-layer architecture (Fig. 1). It wraps the storage engine with:
 //!
-//! * a transactional [`context::EeContext`] that records undo for every
+//! * a transactional `context::EeContext` that records undo for every
 //!   mutation and enforces the window **scope** rule;
 //! * **streams**: inserts stamp hidden `__batch`/`__seq` columns and are
 //!   collected as the transaction's output batches;
@@ -25,4 +25,4 @@ pub mod windows;
 
 pub use engine::{EeConfig, ExecutionEngine, TxnScratch};
 pub use stats::EeStats;
-pub use triggers::{EeTrigger, TriggerEvent};
+pub use triggers::TriggerEvent;

@@ -28,43 +28,7 @@ pub struct EeStats {
 
 impl EeStats {
     /// Zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EeStats::default()
-    }
-
-    /// Difference `self - earlier` (for per-benchmark-window deltas).
-    pub fn delta_since(&self, earlier: &EeStats) -> EeStats {
-        EeStats {
-            pe_ee_trips: self.pe_ee_trips - earlier.pe_ee_trips,
-            statements: self.statements - earlier.statements,
-            insert_trigger_firings: self.insert_trigger_firings - earlier.insert_trigger_firings,
-            window_slides: self.window_slides - earlier.window_slides,
-            stream_appends: self.stream_appends - earlier.stream_appends,
-            window_evictions: self.window_evictions - earlier.window_evictions,
-            rows_gcd: self.rows_gcd - earlier.rows_gcd,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delta_subtracts_fieldwise() {
-        let a = EeStats {
-            pe_ee_trips: 10,
-            statements: 20,
-            ..EeStats::new()
-        };
-        let b = EeStats {
-            pe_ee_trips: 4,
-            statements: 5,
-            ..EeStats::new()
-        };
-        let d = a.delta_since(&b);
-        assert_eq!(d.pe_ee_trips, 6);
-        assert_eq!(d.statements, 15);
-        assert_eq!(d.rows_gcd, 0);
     }
 }

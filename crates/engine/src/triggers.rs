@@ -25,7 +25,7 @@ pub enum TriggerEvent {
 
 /// One registered EE trigger.
 #[derive(Debug, Clone)]
-pub struct EeTrigger {
+pub(crate) struct EeTrigger {
     /// Trigger name (unique per engine).
     pub name: String,
     /// The stream/window it watches.
@@ -38,18 +38,13 @@ pub struct EeTrigger {
 
 /// Registry of EE triggers with per-table firing indexes.
 #[derive(Debug, Clone, Default)]
-pub struct TriggerRegistry {
+pub(crate) struct TriggerRegistry {
     triggers: Vec<EeTrigger>,
 }
 
 impl TriggerRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        TriggerRegistry::default()
-    }
-
     /// Register a trigger; names must be unique.
-    pub fn register(&mut self, trigger: EeTrigger) -> Result<usize> {
+    pub(crate) fn register(&mut self, trigger: EeTrigger) -> Result<usize> {
         if self.triggers.iter().any(|t| t.name == trigger.name) {
             return Err(Error::AlreadyExists(format!("trigger `{}`", trigger.name)));
         }
@@ -57,35 +52,20 @@ impl TriggerRegistry {
         Ok(self.triggers.len() - 1)
     }
 
-    /// All triggers, by registration index.
-    pub fn all(&self) -> &[EeTrigger] {
-        &self.triggers
-    }
-
     /// Trigger by index.
-    pub fn get(&self, idx: usize) -> Option<&EeTrigger> {
+    pub(crate) fn get(&self, idx: usize) -> Option<&EeTrigger> {
         self.triggers.get(idx)
     }
 
     /// Indexes of triggers firing for `(table, event)`, in registration
     /// order (registration order = firing order, deterministically).
-    pub fn matching(&self, table: TableId, event: TriggerEvent) -> Vec<usize> {
+    pub(crate) fn matching(&self, table: TableId, event: TriggerEvent) -> Vec<usize> {
         self.triggers
             .iter()
             .enumerate()
             .filter(|(_, t)| t.table == table && t.event == event)
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Number of registered triggers.
-    pub fn len(&self) -> usize {
-        self.triggers.len()
-    }
-
-    /// True when no triggers are registered.
-    pub fn is_empty(&self) -> bool {
-        self.triggers.is_empty()
     }
 }
 
@@ -104,7 +84,7 @@ mod tests {
 
     #[test]
     fn register_and_match() {
-        let mut r = TriggerRegistry::new();
+        let mut r = TriggerRegistry::default();
         r.register(trig("a", 0, TriggerEvent::OnInsert)).unwrap();
         r.register(trig("b", 0, TriggerEvent::OnInsert)).unwrap();
         r.register(trig("c", 0, TriggerEvent::OnSlide)).unwrap();
@@ -118,12 +98,12 @@ mod tests {
             r.matching(TableId::new(9), TriggerEvent::OnInsert),
             Vec::<usize>::new()
         );
-        assert_eq!(r.len(), 4);
+        assert_eq!(r.triggers.len(), 4);
     }
 
     #[test]
     fn duplicate_names_rejected() {
-        let mut r = TriggerRegistry::new();
+        let mut r = TriggerRegistry::default();
         r.register(trig("a", 0, TriggerEvent::OnInsert)).unwrap();
         let err = r.register(trig("a", 1, TriggerEvent::OnSlide)).unwrap_err();
         assert_eq!(err.kind(), "already_exists");

@@ -226,7 +226,7 @@ fn rebuild_aggs_if_invalid(db: &mut Database, table: TableId) -> Result<()> {
 }
 
 /// Positions of the hidden `__seq` and `__ts` columns of a window.
-pub fn hidden_positions(db: &Database, table: TableId) -> Result<(usize, usize)> {
+pub(crate) fn hidden_positions(db: &Database, table: TableId) -> Result<(usize, usize)> {
     let schema = db.table(table)?.schema();
     let seq = schema
         .column_index(COL_SEQ)

@@ -4,9 +4,9 @@
 //! fault point to arm, on which hit it fires, and the exact telemetry
 //! workload (partition count, batches, rows — see
 //! [`crate::telemetry::gen_batches`]). A **child process** builds a
-//! durable cluster, arms the point — [`KILL_POINTS`] in
+//! durable cluster, arms the point — `KILL_POINTS` in
 //! [`sstore_common::fault::KillMode::Abort`] mode (the process dies
-//! exactly as a crash would), [`IO_POINTS`] as a one-shot injected disk
+//! exactly as a crash would), `IO_POINTS` as a one-shot injected disk
 //! error (the process survives and the affected batch must fail
 //! cleanly) — and submits the batches serially, appending one
 //! `"{i} ok|fail|unk"` verdict line per completed submission to
@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 /// Every kill point the campaign can arm — the named 2PC/recovery/log
 /// stage boundaries instrumented in `txn`, `core`, and `storage`. The
 /// child process vaporizes (`KillMode::Abort`) exactly as a crash would.
-pub const KILL_POINTS: &[&str] = &[
+pub(crate) const KILL_POINTS: &[&str] = &[
     "prepare-logged",
     "pre-commit-point-fsync",
     "post-commit-point-fsync",
@@ -59,7 +59,7 @@ pub const KILL_POINTS: &[&str] = &[
 /// fail with a typed error and zero partial state; everything after it
 /// must proceed normally — the recovery check then accepts the recorded
 /// applied set, with IO-failed batches of unknown fate tried both ways.
-pub const IO_POINTS: &[&str] = &[
+pub(crate) const IO_POINTS: &[&str] = &[
     "log-append-io-error",
     "snapshot-io-error",
     "coord-log-io-error",
@@ -99,7 +99,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Expand `seed` deterministically.
-    pub fn from_seed(seed: u64) -> FaultPlan {
+    pub(crate) fn from_seed(seed: u64) -> FaultPlan {
         let mut rng = StdRng::seed_from_u64(seed);
         let idx = rng.random_range(0..KILL_POINTS.len() + IO_POINTS.len());
         FaultPlan {
@@ -120,7 +120,7 @@ impl FaultPlan {
     }
 
     /// The trial's border batches (shared by child and parent).
-    pub fn workload(&self) -> Vec<Vec<Row>> {
+    pub(crate) fn workload(&self) -> Vec<Vec<Row>> {
         gen_batches(
             self.seed,
             self.batches,
@@ -273,7 +273,7 @@ pub fn run_trial(child_exe: &Path, seed: u64, keep_dir: bool) -> TrialResult {
 ///
 /// **Process-global**: arms a kill point, so only the campaign parent
 /// (which runs trials serially) may call this — never in-process tests.
-pub fn drill_recovery_fault(plan: &FaultPlan, dir: &Path) -> Result<(), String> {
+pub(crate) fn drill_recovery_fault(plan: &FaultPlan, dir: &Path) -> Result<(), String> {
     fault::disarm();
     fault::arm("recovery-mid-replay", 1, fault::KillMode::Panic);
     // The panic is expected; keep its backtrace off the campaign output.
@@ -307,7 +307,7 @@ pub fn drill_recovery_fault(plan: &FaultPlan, dir: &Path) -> Result<(), String> 
 /// oracle of the applied set plus **some subset** of the uncertain
 /// batches — anything else (a lost ack, a resurrected abort, a doubled
 /// edge delivery) matches no candidate and fails with the seed.
-pub fn check_recovery(plan: &FaultPlan, dir: &Path) -> Result<(), String> {
+pub(crate) fn check_recovery(plan: &FaultPlan, dir: &Path) -> Result<(), String> {
     fault::disarm();
     let batches = plan.workload();
     let mut applied: Vec<usize> = Vec::new();

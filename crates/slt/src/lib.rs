@@ -24,9 +24,5 @@ pub mod parser;
 pub mod runner;
 pub mod telemetry;
 
-pub use parser::{parse_slt, SltRecord, SortMode};
-pub use runner::{
-    discover_slt_files, run_slt_dir, run_slt_dir_dual, run_slt_dir_with, run_slt_file,
-    run_slt_file_dual, run_slt_file_with,
-};
+pub use runner::{run_slt_dir_dual, run_slt_dir_with};
 pub use sstore_core::ExecPath;

@@ -33,11 +33,11 @@
 //! Result formatting: one line per row, columns joined by single spaces;
 //! `NULL` for SQL NULL, `(empty)` for the empty string.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// How a `query` record's rows are compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SortMode {
+pub(crate) enum SortMode {
     /// Compare rows in the order the engine produced them.
     NoSort,
     /// Lexicographically sort actual and expected lines before comparing.
@@ -46,7 +46,7 @@ pub enum SortMode {
 
 /// One executable record of an `.slt` file.
 #[derive(Debug, Clone)]
-pub enum SltRecord {
+pub(crate) enum SltRecord {
     /// `statement ok` / `statement error <substring>`.
     Statement {
         /// The SQL text.
@@ -72,22 +72,12 @@ pub enum SltRecord {
     Clock {
         /// Microseconds to advance by.
         micros: i64,
-        /// 1-based line of the directive.
-        line: usize,
     },
 }
 
-/// A parsed `.slt` file.
-#[derive(Debug)]
-pub struct SltFile {
-    /// Where it came from.
-    pub path: PathBuf,
-    /// Records in file order.
-    pub records: Vec<SltRecord>,
-}
-
-/// Parse `text` (read from `path`, used only for messages) into records.
-pub fn parse_slt(path: &Path, text: &str) -> Result<SltFile, String> {
+/// Parse `text` (read from `path`, used only for messages) into records,
+/// in file order.
+pub(crate) fn parse_slt(path: &Path, text: &str) -> Result<Vec<SltRecord>, String> {
     let lines: Vec<&str> = text.lines().collect();
     let mut records = Vec::new();
     let mut i = 0usize;
@@ -159,10 +149,7 @@ pub fn parse_slt(path: &Path, text: &str) -> Result<SltFile, String> {
                 .trim()
                 .parse()
                 .map_err(|e| err(format!("bad clock micros: {e}")))?;
-            records.push(SltRecord::Clock {
-                micros,
-                line: lineno,
-            });
+            records.push(SltRecord::Clock { micros });
             i += 1;
         } else {
             return Err(err(format!(
@@ -170,10 +157,7 @@ pub fn parse_slt(path: &Path, text: &str) -> Result<SltFile, String> {
             )));
         }
     }
-    Ok(SltFile {
-        path: path.to_path_buf(),
-        records,
-    })
+    Ok(records)
 }
 
 /// Collect SQL lines from `start` until `stop` matches (on the trimmed
@@ -216,8 +200,8 @@ SELECT id FROM t
 2
 ";
         let f = parse_slt(Path::new("x.slt"), text).unwrap();
-        assert_eq!(f.records.len(), 4);
-        match &f.records[0] {
+        assert_eq!(f.len(), 4);
+        match &f[0] {
             SltRecord::Statement {
                 sql, expect_error, ..
             } => {
@@ -226,17 +210,14 @@ SELECT id FROM t
             }
             r => panic!("unexpected {r:?}"),
         }
-        match &f.records[1] {
+        match &f[1] {
             SltRecord::Statement { expect_error, .. } => {
                 assert_eq!(expect_error.as_deref(), Some("duplicate key"));
             }
             r => panic!("unexpected {r:?}"),
         }
-        assert!(matches!(
-            f.records[2],
-            SltRecord::Clock { micros: 250000, .. }
-        ));
-        match &f.records[3] {
+        assert!(matches!(f[2], SltRecord::Clock { micros: 250000 }));
+        match &f[3] {
             SltRecord::Query { expected, sort, .. } => {
                 assert_eq!(expected, &["1", "2"]);
                 assert_eq!(*sort, SortMode::RowSort);

@@ -6,9 +6,9 @@
 //! everything that drifted.
 //!
 //! Every file can run three ways: pinned to the row interpreter
-//! ([`run_slt_file_with`] with [`ExecPath::Row`]), pinned to the
+//! (`run_slt_file_with` with [`ExecPath::Row`]), pinned to the
 //! vectorized executor ([`ExecPath::Vector`]), or in **dual** mode
-//! ([`run_slt_file_dual`]) where two engines execute the script in
+//! (`run_slt_file_dual`) where two engines execute the script in
 //! lockstep and every query's raw output must match row-for-row before
 //! any `rowsort` normalization — a direct parity oracle for the
 //! vectorized path.
@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 /// Format one result row the way `.slt` expected blocks are written:
 /// values joined by single spaces, `NULL` for NULL, `(empty)` for the
 /// empty string.
-pub fn format_row(values: &[Value]) -> String {
+pub(crate) fn format_row(values: &[Value]) -> String {
     values
         .iter()
         .map(|v| match v {
@@ -60,21 +60,14 @@ fn build_engine(path: &Path, exec: ExecPath) -> std::result::Result<SStore, Stri
     }
 }
 
-/// Run one `.slt` file against a fresh [`SStore`] using the default
-/// (vectorized) executor path. Returns the list of failure messages (empty =
-/// pass).
-pub fn run_slt_file(path: &Path) -> Vec<String> {
-    run_slt_file_with(path, ExecPath::default())
-}
-
 /// Run one `.slt` file against a fresh [`SStore`] pinned to `exec`.
 /// Returns the list of failure messages (empty = pass).
-pub fn run_slt_file_with(path: &Path, exec: ExecPath) -> Vec<String> {
+pub(crate) fn run_slt_file_with(path: &Path, exec: ExecPath) -> Vec<String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => return vec![format!("{}: unreadable: {e}", path.display())],
     };
-    let file = match parse_slt(path, &text) {
+    let records = match parse_slt(path, &text) {
         Ok(f) => f,
         Err(e) => return vec![e],
     };
@@ -83,9 +76,9 @@ pub fn run_slt_file_with(path: &Path, exec: ExecPath) -> Vec<String> {
         Err(e) => return vec![e],
     };
     let mut failures = Vec::new();
-    for record in &file.records {
+    for record in &records {
         match record {
-            SltRecord::Clock { micros, .. } => db.advance_clock(*micros),
+            SltRecord::Clock { micros } => db.advance_clock(*micros),
             SltRecord::Statement {
                 sql,
                 expect_error,
@@ -148,12 +141,12 @@ pub fn run_slt_file_with(path: &Path, exec: ExecPath) -> Vec<String> {
 /// semantics), and the vector engine's *raw* output — before any
 /// `rowsort` normalization — must equal the row engine's raw output.
 /// Any divergence is a parity failure.
-pub fn run_slt_file_dual(path: &Path) -> Vec<String> {
+pub(crate) fn run_slt_file_dual(path: &Path) -> Vec<String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => return vec![format!("{}: unreadable: {e}", path.display())],
     };
-    let file = match parse_slt(path, &text) {
+    let records = match parse_slt(path, &text) {
         Ok(f) => f,
         Err(e) => return vec![e],
     };
@@ -166,9 +159,9 @@ pub fn run_slt_file_dual(path: &Path) -> Vec<String> {
         Err(e) => return vec![e],
     };
     let mut failures = Vec::new();
-    for record in &file.records {
+    for record in &records {
         match record {
-            SltRecord::Clock { micros, .. } => {
+            SltRecord::Clock { micros } => {
                 row_db.advance_clock(*micros);
                 vec_db.advance_clock(*micros);
             }
@@ -276,7 +269,7 @@ fn indent(lines: &[String]) -> String {
 
 /// Recursively collect `*.slt` files under `dir`, sorted by path for a
 /// stable run order.
-pub fn discover_slt_files(dir: &Path) -> Vec<PathBuf> {
+pub(crate) fn discover_slt_files(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
@@ -294,17 +287,6 @@ pub fn discover_slt_files(dir: &Path) -> Vec<PathBuf> {
     }
     out.sort();
     out
-}
-
-/// Run every `.slt` file under `dir`. Returns `(files run, failures)` —
-/// the caller decides whether an empty directory is itself a failure.
-pub fn run_slt_dir(dir: &Path) -> (usize, Vec<String>) {
-    let files = discover_slt_files(dir);
-    let mut failures = Vec::new();
-    for f in &files {
-        failures.extend(run_slt_file(f));
-    }
-    (files.len(), failures)
 }
 
 /// Run every `.slt` file under `dir` pinned to one executor path.
@@ -339,7 +321,7 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::write(&p, text).unwrap();
-        let f = run_slt_file(&p);
+        let f = run_slt_file_with(&p, ExecPath::default());
         std::fs::remove_file(&p).ok();
         f
     }

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 pub const POISON_TEMP: i64 = -1000;
 /// Readings strictly above this temperature count as `hot` in
 /// `device_stats`.
-pub const HOT_TEMP: i64 = 90;
+pub(crate) const HOT_TEMP: i64 = 90;
 
 /// Cross-partition edge declarations for [`deploy_telemetry`]: the
 /// `area_feed` stream routes by its area column.
@@ -199,7 +199,7 @@ impl TelemetryOracle {
     }
 
     /// Fold one batch in (no-op if it contains a poison reading).
-    pub fn apply(&mut self, rows: &[Row]) {
+    pub(crate) fn apply(&mut self, rows: &[Row]) {
         if rows.iter().any(|r| int(&r[2]) <= POISON_TEMP) {
             return;
         }

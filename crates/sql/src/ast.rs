@@ -27,24 +27,24 @@ pub struct Select {
     /// `SELECT DISTINCT` — deduplicate output rows.
     pub distinct: bool,
     /// Projection list.
-    pub items: Vec<SelectItem>,
+    pub(crate) items: Vec<SelectItem>,
     /// `FROM` clause; `None` for table-less selects (`SELECT 1+1`).
-    pub from: Option<FromClause>,
+    pub(crate) from: Option<FromClause>,
     /// `WHERE` predicate.
-    pub where_pred: Option<Expr>,
+    pub(crate) where_pred: Option<Expr>,
     /// `GROUP BY` expressions.
-    pub group_by: Vec<Expr>,
+    pub(crate) group_by: Vec<Expr>,
     /// `HAVING` predicate (requires `GROUP BY` or aggregates).
-    pub having: Option<Expr>,
+    pub(crate) having: Option<Expr>,
     /// `ORDER BY` keys with descending flags.
-    pub order_by: Vec<OrderKey>,
+    pub(crate) order_by: Vec<OrderKey>,
     /// `LIMIT` row count.
     pub limit: Option<u64>,
 }
 
 /// One projection item.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
+pub(crate) enum SelectItem {
     /// `*` — expands to the visible columns of the FROM tables.
     Star,
     /// `expr [AS alias]`
@@ -58,16 +58,16 @@ pub enum SelectItem {
 
 /// `FROM base [JOIN t ON pred]*` — inner equi-joins only.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FromClause {
+pub(crate) struct FromClause {
     /// First table.
-    pub base: TableRef,
+    pub(crate) base: TableRef,
     /// Joined tables with their `ON` predicates.
-    pub joins: Vec<(TableRef, Expr)>,
+    pub(crate) joins: Vec<(TableRef, Expr)>,
 }
 
 /// A table reference with optional alias.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableRef {
+pub(crate) struct TableRef {
     /// Table/stream/window name.
     pub name: String,
     /// `AS` alias.
@@ -76,14 +76,14 @@ pub struct TableRef {
 
 impl TableRef {
     /// The name this reference binds in scope (alias if present).
-    pub fn binding(&self) -> &str {
+    pub(crate) fn binding(&self) -> &str {
         self.alias.as_deref().unwrap_or(&self.name)
     }
 }
 
 /// One `ORDER BY` key.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OrderKey {
+pub(crate) struct OrderKey {
     /// Sort expression.
     pub expr: Expr,
     /// True for `DESC`.
@@ -98,12 +98,12 @@ pub struct Insert {
     /// Explicit column list (empty = all visible columns in order).
     pub columns: Vec<String>,
     /// The rows.
-    pub source: InsertSource,
+    pub(crate) source: InsertSource,
 }
 
 /// Where inserted rows come from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum InsertSource {
+pub(crate) enum InsertSource {
     /// Literal row expressions.
     Values(Vec<Vec<Expr>>),
     /// A subquery.
@@ -116,9 +116,9 @@ pub struct Update {
     /// Target table.
     pub table: String,
     /// Assignments.
-    pub sets: Vec<(String, Expr)>,
+    pub(crate) sets: Vec<(String, Expr)>,
     /// Row filter.
-    pub where_pred: Option<Expr>,
+    pub(crate) where_pred: Option<Expr>,
 }
 
 /// `DELETE FROM table [WHERE pred]`.
@@ -127,12 +127,12 @@ pub struct Delete {
     /// Target table.
     pub table: String,
     /// Row filter.
-    pub where_pred: Option<Expr>,
+    pub(crate) where_pred: Option<Expr>,
 }
 
 /// One column in a `CREATE` statement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnDef {
+pub(crate) struct ColumnDef {
     /// Column name.
     pub name: String,
     /// Declared type.
@@ -148,7 +148,7 @@ pub struct CreateTable {
     /// Table name.
     pub name: String,
     /// Columns.
-    pub columns: Vec<ColumnDef>,
+    pub(crate) columns: Vec<ColumnDef>,
     /// Primary-key column names.
     pub primary_key: Vec<String>,
 }
@@ -159,7 +159,7 @@ pub struct CreateStream {
     /// Stream name.
     pub name: String,
     /// Columns.
-    pub columns: Vec<ColumnDef>,
+    pub(crate) columns: Vec<ColumnDef>,
 }
 
 /// `CREATE WINDOW name (cols...) ROWS n SLIDE m` or `... RANGE n SLIDE m`.
@@ -168,7 +168,7 @@ pub struct CreateWindow {
     /// Window name.
     pub name: String,
     /// Columns.
-    pub columns: Vec<ColumnDef>,
+    pub(crate) columns: Vec<ColumnDef>,
     /// True for `ROWS` (tuple-based), false for `RANGE` (time-based, µs).
     pub tuple_based: bool,
     /// Window size (tuples or µs).
@@ -219,7 +219,7 @@ pub enum UnaryOp {
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Literal value.
     Literal(Value),
     /// Positional parameter (`?`), numbered left to right from 0.
@@ -301,16 +301,8 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Convenience constructor for a bare column reference.
-    pub fn col(name: &str) -> Expr {
-        Expr::Column {
-            table: None,
-            name: name.to_string(),
-        }
-    }
-
     /// True if this expression (recursively) contains an aggregate call.
-    pub fn contains_aggregate(&self) -> bool {
+    pub(crate) fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Func { name, .. } if is_aggregate(name) => true,
             Expr::Func { args, .. } => args.iter().any(Expr::contains_aggregate),
@@ -336,13 +328,21 @@ impl Expr {
 }
 
 /// True for the five supported aggregate function names (lower-case).
-pub fn is_aggregate(name: &str) -> bool {
+pub(crate) fn is_aggregate(name: &str) -> bool {
     matches!(name, "count" | "sum" | "avg" | "min" | "max")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A bare column reference.
+    fn col(name: &str) -> Expr {
+        Expr::Column {
+            table: None,
+            name: name.to_string(),
+        }
+    }
 
     #[test]
     fn aggregate_detection() {
@@ -358,10 +358,10 @@ mod tests {
             right: Box::new(agg),
         };
         assert!(nested.contains_aggregate());
-        assert!(!Expr::col("x").contains_aggregate());
+        assert!(!col("x").contains_aggregate());
         let scalar = Expr::Func {
             name: "abs".into(),
-            args: vec![Expr::col("x")],
+            args: vec![col("x")],
             distinct: false,
         };
         assert!(!scalar.contains_aggregate());

@@ -303,7 +303,11 @@ fn for_each_candidate(
 /// vectorized executor when the context requests it and the plan shape
 /// both qualifies ([`vexec::eligible`]) and benefits
 /// ([`vexec::worthwhile`]); otherwise the row interpreter runs.
-pub fn run_plan(plan: &PhysicalPlan, ctx: &dyn ExecContext, env: &EvalEnv<'_>) -> Result<Vec<Row>> {
+pub(crate) fn run_plan(
+    plan: &PhysicalPlan,
+    ctx: &dyn ExecContext,
+    env: &EvalEnv<'_>,
+) -> Result<Vec<Row>> {
     if ctx.exec_path() == ExecPath::Vector && vexec::worthwhile(plan) {
         let db = ctx.db();
         let arity = |t: TableId| db.table(t).map(|tb| tb.schema().arity()).unwrap_or(0);

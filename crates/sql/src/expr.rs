@@ -1,6 +1,6 @@
 //! Bound expressions and their evaluation.
 //!
-//! The planner resolves AST expressions ([`crate::ast::Expr`]) into
+//! The planner resolves AST expressions (`crate::ast::Expr`) into
 //! [`BoundExpr`]s whose column references are positional offsets into the
 //! executor's row layout, so evaluation is allocation-light and needs no
 //! name lookups.
@@ -76,7 +76,7 @@ pub enum BoundExpr {
 
 impl BoundExpr {
     /// Collect every `ColumnRef` position the expression mentions.
-    pub fn collect_refs(&self, out: &mut BTreeSet<usize>) {
+    pub(crate) fn collect_refs(&self, out: &mut BTreeSet<usize>) {
         match self {
             BoundExpr::ColumnRef(i) => {
                 out.insert(*i);
@@ -170,7 +170,7 @@ pub enum ScalarFn {
 
 impl ScalarFn {
     /// Resolve a lower-cased function name.
-    pub fn by_name(name: &str) -> Option<ScalarFn> {
+    pub(crate) fn by_name(name: &str) -> Option<ScalarFn> {
         Some(match name {
             "abs" => ScalarFn::Abs,
             "sqrt" => ScalarFn::Sqrt,
@@ -187,7 +187,7 @@ impl ScalarFn {
     }
 
     /// Expected argument count (`None` = variadic).
-    pub fn arity(self) -> Option<usize> {
+    pub(crate) fn arity(self) -> Option<usize> {
         match self {
             ScalarFn::Power => Some(2),
             ScalarFn::Coalesce => None,
@@ -206,17 +206,6 @@ pub struct EvalEnv<'a> {
     pub now: i64,
     /// Pre-evaluated scalar subquery results, by slot.
     pub subs: &'a [Value],
-}
-
-impl<'a> EvalEnv<'a> {
-    /// Environment with no parameters.
-    pub fn empty() -> EvalEnv<'static> {
-        EvalEnv {
-            params: &[],
-            now: 0,
-            subs: &[],
-        }
-    }
 }
 
 /// Evaluate `expr` against `row`.
@@ -300,7 +289,7 @@ pub fn eval(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<Value>
 }
 
 /// Evaluate a predicate: NULL counts as false (SQL WHERE semantics).
-pub fn eval_pred(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<bool> {
+pub(crate) fn eval_pred(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<bool> {
     match eval(expr, row, env)? {
         Value::Bool(b) => Ok(b),
         Value::Null => Ok(false),
@@ -525,6 +514,15 @@ fn eval_scalar(func: ScalarFn, mut vals: Vec<Value>) -> Result<Value> {
 mod tests {
     use super::*;
 
+    /// Environment with no parameters.
+    fn empty_env() -> EvalEnv<'static> {
+        EvalEnv {
+            params: &[],
+            now: 0,
+            subs: &[],
+        }
+    }
+
     fn lit(v: impl Into<Value>) -> BoundExpr {
         BoundExpr::Literal(v.into())
     }
@@ -538,7 +536,7 @@ mod tests {
     }
 
     fn ev(e: &BoundExpr) -> Value {
-        eval(e, &[], &EvalEnv::empty()).unwrap()
+        eval(e, &[], &empty_env()).unwrap()
     }
 
     #[test]
@@ -556,16 +554,16 @@ mod tests {
     #[test]
     fn division_by_zero_errors() {
         let e = bin(BinOp::Div, lit(1), lit(0));
-        assert!(eval(&e, &[], &EvalEnv::empty()).is_err());
+        assert!(eval(&e, &[], &empty_env()).is_err());
         let e = bin(BinOp::Mod, lit(1), lit(0));
-        assert!(eval(&e, &[], &EvalEnv::empty()).is_err());
+        assert!(eval(&e, &[], &empty_env()).is_err());
     }
 
     #[test]
     fn overflow_is_an_error_not_a_panic() {
         let e = bin(BinOp::Add, lit(i64::MAX), lit(1));
         assert_eq!(
-            eval(&e, &[], &EvalEnv::empty()).unwrap_err().kind(),
+            eval(&e, &[], &empty_env()).unwrap_err().kind(),
             "constraint"
         );
     }
@@ -704,9 +702,9 @@ mod tests {
 
     #[test]
     fn pred_null_is_false() {
-        assert!(!eval_pred(&BoundExpr::Literal(Value::Null), &[], &EvalEnv::empty()).unwrap());
-        assert!(eval_pred(&lit(true), &[], &EvalEnv::empty()).unwrap());
-        assert!(eval_pred(&lit(1), &[], &EvalEnv::empty()).is_err());
+        assert!(!eval_pred(&BoundExpr::Literal(Value::Null), &[], &empty_env()).unwrap());
+        assert!(eval_pred(&lit(true), &[], &empty_env()).unwrap());
+        assert!(eval_pred(&lit(1), &[], &empty_env()).is_err());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub enum Token {
 
 impl Token {
     /// True if this token is the given keyword (case-insensitive).
-    pub fn is_kw(&self, kw: &str) -> bool {
+    pub(crate) fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }

@@ -21,9 +21,6 @@ pub mod plan;
 pub mod planner;
 pub mod vexec;
 
-pub use ast::Stmt;
-pub use exec::{ExecContext, QueryResult};
 pub use parser::parse;
-pub use plan::PhysicalPlan;
 pub use planner::plan_statement;
 pub use vexec::ExecPath;

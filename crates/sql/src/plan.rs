@@ -96,7 +96,7 @@ pub enum PhysicalPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggExpr {
     /// Which aggregate.
-    pub func: AggFunc,
+    pub(crate) func: AggFunc,
     /// Argument over the input row; `None` only for `COUNT(*)`.
     pub arg: Option<BoundExpr>,
     /// `DISTINCT` modifier: deduplicate argument values before folding.
@@ -105,7 +105,7 @@ pub struct AggExpr {
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
+pub(crate) enum AggFunc {
     /// `COUNT(*)` — counts rows.
     CountStar,
     /// `COUNT(expr)` — counts non-NULL values.
@@ -217,7 +217,7 @@ pub enum DdlOp {
 impl PhysicalPlan {
     /// Number of columns this plan produces, given a resolver for table
     /// arities (storage arity, hidden columns included).
-    pub fn arity(&self, table_arity: &dyn Fn(TableId) -> usize) -> usize {
+    pub(crate) fn arity(&self, table_arity: &dyn Fn(TableId) -> usize) -> usize {
         match self {
             PhysicalPlan::Values { rows } => rows.first().map(Vec::len).unwrap_or(0),
             PhysicalPlan::Scan { table, .. } => table_arity(*table),

@@ -25,9 +25,9 @@
 //!
 //! # Path selection
 //!
-//! [`eligible`] is a pure shape check: full-scan leaves, equi-join `ON`
+//! `eligible` is a pure shape check: full-scan leaves, equi-join `ON`
 //! clauses, and any stack of Filter/Project/Aggregate/Sort/Limit/Distinct
-//! above them. [`worthwhile`] additionally requires at least one operator
+//! above them. `worthwhile` additionally requires at least one operator
 //! that benefits from batching (a residual predicate, an aggregate, or a
 //! join) so that trivial `SELECT *` scans keep the row path's
 //! zero-copy row handles. The planner stamps `PlannedStmt::Query` with
@@ -93,7 +93,7 @@ pub enum ExecPath {
 /// leaves, joins with at least one top-level equi-conjunct, and the
 /// standard relational operators above them. Point lookups (`PkPoint`/
 /// `IndexPoint`) and `VALUES` stay on the row path.
-pub fn eligible(plan: &PhysicalPlan, table_arity: &dyn Fn(TableId) -> usize) -> bool {
+pub(crate) fn eligible(plan: &PhysicalPlan, table_arity: &dyn Fn(TableId) -> usize) -> bool {
     match plan {
         PhysicalPlan::Values { .. } => false,
         PhysicalPlan::Scan { path, .. } => matches!(path, AccessPath::Full),
@@ -115,7 +115,7 @@ pub fn eligible(plan: &PhysicalPlan, table_arity: &dyn Fn(TableId) -> usize) -> 
 /// from batching (filter, aggregate, or join). A bare `SELECT * FROM t`
 /// materializes every cell either way, and the row path's refcounted row
 /// handles are cheaper than a build-then-pivot.
-pub fn worthwhile(plan: &PhysicalPlan) -> bool {
+pub(crate) fn worthwhile(plan: &PhysicalPlan) -> bool {
     match plan {
         PhysicalPlan::Values { .. } => false,
         PhysicalPlan::Scan { residual, .. } => residual.is_some(),
@@ -132,7 +132,7 @@ pub fn worthwhile(plan: &PhysicalPlan) -> bool {
 /// Extract `(left_col, right_col)` equi-join pairs from the top-level
 /// `AND`-conjuncts of `on`. Column offsets in `on` index the concatenated
 /// row; `right_col` is returned relative to the right input.
-pub fn equi_pairs(on: &BoundExpr, left_arity: usize) -> Vec<(usize, usize)> {
+pub(crate) fn equi_pairs(on: &BoundExpr, left_arity: usize) -> Vec<(usize, usize)> {
     let mut conjuncts = Vec::new();
     flatten_and(on, &mut conjuncts);
     let mut out = Vec::new();
@@ -249,7 +249,11 @@ fn needed_with<'e>(needed: &[usize], extra: impl IntoIterator<Item = &'e BoundEx
 }
 
 /// Run an eligible plan on the vector path and materialize the result.
-pub fn run(plan: &PhysicalPlan, ctx: &dyn ExecContext, env: &EvalEnv<'_>) -> Result<Vec<Row>> {
+pub(crate) fn run(
+    plan: &PhysicalPlan,
+    ctx: &dyn ExecContext,
+    env: &EvalEnv<'_>,
+) -> Result<Vec<Row>> {
     vrun(plan, ctx, env, None).map(materialize_out)
 }
 

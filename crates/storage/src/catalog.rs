@@ -95,7 +95,7 @@ pub struct WindowAggState {
 
 impl WindowAggState {
     /// Fresh, trusted-empty state (for a newly created window).
-    pub fn new_valid() -> Self {
+    pub(crate) fn new_valid() -> Self {
         WindowAggState {
             valid: true,
             rows: 0,
@@ -252,7 +252,7 @@ pub struct TableMeta {
     /// Lower-cased object name.
     pub name: String,
     /// The *visible* schema (what SQL sees). The storage schema may append
-    /// hidden lifecycle columns; see [`Catalog::storage_schema`].
+    /// hidden lifecycle columns; see `Catalog::storage_schema`.
     pub visible_schema: Schema,
     /// Object kind and lifecycle state.
     pub kind: TableKind,
@@ -276,7 +276,7 @@ pub struct Catalog {
 
 impl Catalog {
     /// Empty catalog.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Catalog::default()
     }
 
@@ -298,17 +298,22 @@ impl Catalog {
     }
 
     /// Register a base table.
-    pub fn add_table(&mut self, name: &str, schema: Schema) -> Result<TableId> {
+    pub(crate) fn add_table(&mut self, name: &str, schema: Schema) -> Result<TableId> {
         self.register(name, schema, TableKind::Base)
     }
 
     /// Register a stream.
-    pub fn add_stream(&mut self, name: &str, schema: Schema) -> Result<TableId> {
+    pub(crate) fn add_stream(&mut self, name: &str, schema: Schema) -> Result<TableId> {
         self.register(name, schema, TableKind::Stream(StreamMeta::default()))
     }
 
     /// Register a window.
-    pub fn add_window(&mut self, name: &str, schema: Schema, spec: WindowSpec) -> Result<TableId> {
+    pub(crate) fn add_window(
+        &mut self,
+        name: &str,
+        schema: Schema,
+        spec: WindowSpec,
+    ) -> Result<TableId> {
         self.register(
             name,
             schema,
@@ -324,7 +329,7 @@ impl Catalog {
 
     /// The storage-level schema for a catalog entry: the visible schema
     /// plus any hidden lifecycle columns required by the kind.
-    pub fn storage_schema(meta: &TableMeta) -> Result<Schema> {
+    pub(crate) fn storage_schema(meta: &TableMeta) -> Result<Schema> {
         match &meta.kind {
             TableKind::Base => Ok(meta.visible_schema.clone()),
             TableKind::Stream(_) => meta.visible_schema.with_hidden(vec![
@@ -339,7 +344,7 @@ impl Catalog {
     }
 
     /// Resolve a name (case-insensitive).
-    pub fn resolve(&self, name: &str) -> Option<TableId> {
+    pub(crate) fn resolve(&self, name: &str) -> Option<TableId> {
         self.by_name.get(&name.to_ascii_lowercase()).copied()
     }
 
@@ -353,25 +358,10 @@ impl Catalog {
         self.metas.get_mut(id.raw() as usize)
     }
 
-    /// All registered objects.
-    pub fn all(&self) -> &[TableMeta] {
-        &self.metas
-    }
-
-    /// Number of registered objects.
-    pub fn len(&self) -> usize {
-        self.metas.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.metas.is_empty()
-    }
-
     /// Binary-encode the whole catalog straight into `out`. `by_name` is
     /// not serialized (it is derivable from the metas), so the encoding is
     /// deterministic regardless of hash-map iteration order.
-    pub fn encode_binary(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_binary(&self, out: &mut Vec<u8>) {
         codec::put_uvarint(out, self.metas.len() as u64);
         for m in &self.metas {
             codec::put_str(out, &m.name);
@@ -424,7 +414,7 @@ impl Catalog {
 
     /// Decode a catalog encoded by [`Catalog::encode_binary`]; `by_name`
     /// is rebuilt from the decoded metas.
-    pub fn decode_binary(r: &mut codec::Reader<'_>) -> Result<Catalog> {
+    pub(crate) fn decode_binary(r: &mut codec::Reader<'_>) -> Result<Catalog> {
         let n = r.uvarint()? as usize;
         if n > r.remaining() {
             return Err(Error::Codec(format!(
@@ -614,7 +604,7 @@ mod tests {
         let mut buf = Vec::new();
         c.encode_binary(&mut buf);
         let back = Catalog::decode_binary(&mut codec::Reader::new(&buf)).unwrap();
-        assert_eq!(back.len(), 3);
+        assert_eq!(back.metas.len(), 3);
         assert_eq!(back.resolve("base_t"), c.resolve("base_t"));
         assert_eq!(back.meta(sid).unwrap().kind, c.meta(sid).unwrap().kind);
         assert_eq!(back.meta(wid).unwrap().kind, c.meta(wid).unwrap().kind);
@@ -637,10 +627,10 @@ mod tests {
     #[test]
     fn meta_by_name_and_len() {
         let mut c = Catalog::new();
-        assert!(c.is_empty());
+        assert!(c.metas.is_empty());
         c.add_table("a", schema()).unwrap();
         c.add_stream("b", schema()).unwrap();
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.metas.len(), 2);
         let meta_by_name = |name| c.resolve(name).and_then(|id| c.meta(id));
         assert!(meta_by_name("b").unwrap().kind.is_stream());
         assert!(meta_by_name("missing").is_none());

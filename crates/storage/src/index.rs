@@ -282,7 +282,7 @@ pub struct Index {
 /// Indexes accept `&[Value]`, so probing with a borrowed key never
 /// allocates.
 #[derive(Debug)]
-pub enum KeyRef<'a> {
+pub(crate) enum KeyRef<'a> {
     /// Key cells borrowed from the row.
     Borrowed(&'a [Value]),
     /// Key cells gathered into a fresh vector (non-contiguous composite).
@@ -309,7 +309,7 @@ impl Index {
     /// `pk` fills the byte that once flagged a B-tree index: the primary
     /// key's was the only B-tree, so it writes 1 and every other index 0,
     /// and images keep their bytes. Decoding ignores the byte.
-    pub fn encode_binary(&self, pk: bool, out: &mut Vec<u8>) {
+    pub(crate) fn encode_binary(&self, pk: bool, out: &mut Vec<u8>) {
         codec::put_str(out, &self.def.name);
         codec::put_uvarint(out, self.def.key_cols.len() as u64);
         for &c in &self.def.key_cols {
@@ -350,7 +350,7 @@ impl Index {
     /// re-checks: the data already passed them when it was live), except
     /// that an integer-keyed index holding any key but one `Int` or
     /// `Timestamp` cell is refused with [`Error::Codec`].
-    pub fn decode_binary(r: &mut codec::Reader<'_>, schema: &Schema) -> Result<Index> {
+    pub(crate) fn decode_binary(r: &mut codec::Reader<'_>, schema: &Schema) -> Result<Index> {
         let name = r.str()?.to_string();
         let n = r.uvarint()? as usize;
         if n > r.remaining() {
@@ -407,7 +407,7 @@ impl Index {
 
     /// Create an empty index from a definition, in the shape `schema`
     /// gives its key.
-    pub fn new(def: IndexDef, schema: &Schema) -> Self {
+    pub(crate) fn new(def: IndexDef, schema: &Schema) -> Self {
         let store = IndexStore::new(&def.key_cols, schema, 0);
         Index { def, store }
     }
@@ -419,7 +419,7 @@ impl Index {
 
     /// Borrow this index's key out of a full row without allocating when
     /// the key columns are contiguous (always true for single-column keys).
-    pub fn key_ref<'a>(&self, row: &'a [Value]) -> KeyRef<'a> {
+    pub(crate) fn key_ref<'a>(&self, row: &'a [Value]) -> KeyRef<'a> {
         match self.def.key_cols.as_slice() {
             [] => KeyRef::Borrowed(&[]),
             &[i] => KeyRef::Borrowed(std::slice::from_ref(&row[i])),
@@ -437,7 +437,7 @@ impl Index {
     /// existing one gets `rid` appended to its bucket. A cell key is
     /// copied for the probe, which allocates only for a composite or Text
     /// key; an integer key is not copied at all.
-    pub fn insert(&mut self, key: &[Value], rid: RowId) -> Result<()> {
+    pub(crate) fn insert(&mut self, key: &[Value], rid: RowId) -> Result<()> {
         match &mut self.store {
             IndexStore::Int { map, .. } => match int_key(key) {
                 Some(k) => insert_in(map, k, rid, &self.def),
@@ -459,7 +459,7 @@ impl Index {
     /// O(*k*), and re-inserting them in forward order (undo) restores the
     /// bucket exactly. Empty buckets are removed eagerly, so the map holds
     /// only live keys.
-    pub fn remove(&mut self, key: &[Value], rid: RowId) -> Result<()> {
+    pub(crate) fn remove(&mut self, key: &[Value], rid: RowId) -> Result<()> {
         let removed = match &mut self.store {
             IndexStore::Int { map, .. } => int_key(key).and_then(|k| remove_in(map, &k, rid)),
             IndexStore::Cells(map) => remove_in(map, key, rid),
@@ -473,7 +473,7 @@ impl Index {
     }
 
     /// Row ids for an exact key: those whose key equals it as a `Value`.
-    pub fn get(&self, key: &[Value]) -> &[RowId] {
+    pub(crate) fn get(&self, key: &[Value]) -> &[RowId] {
         let ids = match &self.store {
             IndexStore::Int { map, .. } => int_key(key).and_then(|k| map.get(&k)),
             IndexStore::Cells(map) => map.get(key),
@@ -485,7 +485,7 @@ impl Index {
     /// at its own size (24 B integer-keyed, 40 B cell-keyed), plus what
     /// entries point to (spilled buckets, boxed composite keys, Text key
     /// strings).
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         match &self.store {
             IndexStore::Int { map, .. } => map_heap_bytes(map, |_| 0),
             IndexStore::Cells(map) => map_heap_bytes(map, IndexKey::heap_bytes),
@@ -493,7 +493,7 @@ impl Index {
     }
 
     /// Drop all entries (used when truncating a table).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         match &mut self.store {
             IndexStore::Int { map, .. } => map.clear(),
             IndexStore::Cells(map) => map.clear(),

@@ -20,9 +20,7 @@ pub mod snapshot;
 pub mod table;
 pub mod undo;
 
-pub use catalog::{
-    Catalog, StreamMeta, TableKind, TableMeta, WindowAggState, WindowKind, WindowMeta, WindowSpec,
-};
+pub use catalog::TableKind;
 pub use database::Database;
 pub use index::{IndexDef, RowId};
 pub use table::{SlotOp, Table, TableDirt};

@@ -273,7 +273,7 @@ impl SnapshotDelta {
     }
 
     /// Load a delta, verifying magic, version, checksums, and kind.
-    pub fn read_from(path: &Path) -> Result<SnapshotDelta> {
+    pub(crate) fn read_from(path: &Path) -> Result<SnapshotDelta> {
         let bytes = fs::read(path)?;
         Self::decode_binary(&bytes)
             .map_err(|e| Error::Recovery(format!("snapshot delta decode: {e}")))
@@ -382,7 +382,7 @@ impl Snapshot {
     /// `delta.base == self.key()` (the chain loader uses a mismatch as
     /// the benign end-of-prefix signal, so `apply_delta` treats it as a
     /// hard internal error).
-    pub fn apply_delta(&mut self, delta: SnapshotDelta) -> Result<()> {
+    pub(crate) fn apply_delta(&mut self, delta: SnapshotDelta) -> Result<()> {
         if delta.base != self.key() {
             return Err(Error::Recovery(format!(
                 "delta {} does not chain onto this image",

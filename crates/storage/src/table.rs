@@ -83,7 +83,7 @@ const OP_TRUNCATE: u8 = 4;
 
 impl SlotOp {
     /// Append the compact binary encoding (delta snapshot frames).
-    pub fn encode_binary(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_binary(&self, out: &mut Vec<u8>) {
         match self {
             SlotOp::Insert { rid, row } => {
                 out.push(OP_INSERT);
@@ -109,7 +109,7 @@ impl SlotOp {
     }
 
     /// Decode one op from a delta frame.
-    pub fn decode_binary(r: &mut codec::Reader<'_>) -> Result<SlotOp> {
+    pub(crate) fn decode_binary(r: &mut codec::Reader<'_>) -> Result<SlotOp> {
         Ok(match r.u8()? {
             OP_INSERT => SlotOp::Insert {
                 rid: r.uvarint()?,
@@ -173,11 +173,6 @@ impl Table {
             journal: None,
             mirror: Mirror::default(),
         }
-    }
-
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Binary snapshot encoding of the whole table: the schema, then the
@@ -328,7 +323,7 @@ impl Table {
     }
 
     /// Look up a secondary index by name.
-    pub fn index(&self, name: &str) -> Option<&Index> {
+    pub(crate) fn index(&self, name: &str) -> Option<&Index> {
         self.indexes.iter().find(|ix| ix.def.name == name)
     }
 
@@ -672,7 +667,7 @@ impl Table {
     /// Approximate memory footprint in bytes (rows, their column mirror
     /// and the indexes; used by the GC experiment E7 to show bounded
     /// memory on unbounded streams).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         let mut total = self.slots.capacity() * std::mem::size_of::<Option<Row>>()
             + self.mirror.heap_bytes()
             + self

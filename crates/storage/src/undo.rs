@@ -99,22 +99,6 @@ impl UndoLog {
         self.ops.is_empty()
     }
 
-    /// A savepoint marker: the current length. Rolling back to a savepoint
-    /// undoes only operations recorded after it (used for per-statement
-    /// atomicity inside procedures).
-    pub fn savepoint(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Undo everything after `savepoint`, newest first.
-    pub fn rollback_to(&mut self, db: &mut Database, savepoint: usize) -> Result<()> {
-        while self.ops.len() > savepoint {
-            let op = self.ops.pop().expect("len checked");
-            Self::apply(db, op)?;
-        }
-        Ok(())
-    }
-
     /// Undo the entire transaction, newest first.
     pub fn rollback(mut self, db: &mut Database) -> Result<()> {
         while let Some(op) = self.ops.pop() {
@@ -224,24 +208,6 @@ mod tests {
         undo.push(UndoOp::Update { table: t, rid, old });
         undo.rollback(&mut db).unwrap();
         assert_eq!(db.table(t).unwrap().get(rid).unwrap()[1], Value::Int(10));
-    }
-
-    #[test]
-    fn savepoint_partial_rollback() {
-        let (mut db, t) = db_with_table();
-        let mut undo = UndoLog::new();
-        let r1 = db.table_mut(t).unwrap().insert(row(1, 10)).unwrap();
-        undo.push(UndoOp::Insert { table: t, rid: r1 });
-        let sp = undo.savepoint();
-        let r2 = db.table_mut(t).unwrap().insert(row(2, 20)).unwrap();
-        undo.push(UndoOp::Insert { table: t, rid: r2 });
-        undo.rollback_to(&mut db, sp).unwrap();
-        // Row 2 gone, row 1 still present.
-        assert_eq!(db.table(t).unwrap().len(), 1);
-        assert!(db.table(t).unwrap().pk_lookup(&[Value::Int(1)]).is_some());
-        // Full rollback clears row 1 too.
-        undo.rollback(&mut db).unwrap();
-        assert!(db.table(t).unwrap().is_empty());
     }
 
     #[test]

@@ -37,9 +37,9 @@ pub mod stats;
 pub mod transaction;
 pub mod workflow;
 
-pub use log::{LogConfig, LogRetention};
+pub use log::LogConfig;
 pub use partition::{ExecMode, InboundForward, Partition, PeConfig, RemoteForward};
 pub use procedure::{ProcContext, ProcSpec};
 pub use stats::PeStats;
-pub use transaction::{Invocation, InvocationOrigin, TxnOutcome, TxnStatus};
+pub use transaction::{Invocation, TxnOutcome, TxnStatus};
 pub use workflow::{CrossEdge, Workflow};

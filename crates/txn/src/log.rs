@@ -153,7 +153,7 @@ impl LogRecord {
     /// The batch this record belongs to. [`LogRecord::EdgeHighWater`] is
     /// batch-less bookkeeping and reports batch 0 (never acked, so GC
     /// handles it specially rather than through the acked set).
-    pub fn batch(&self) -> BatchId {
+    pub(crate) fn batch(&self) -> BatchId {
         match self {
             LogRecord::BorderBatch { batch, .. }
             | LogRecord::Invocation { batch, .. }
@@ -428,7 +428,7 @@ pub struct LogConfig {
 }
 
 /// Default [`LogConfig::delta_chain_cap`].
-pub const DEFAULT_DELTA_CHAIN_CAP: u64 = 8;
+pub(crate) const DEFAULT_DELTA_CHAIN_CAP: u64 = 8;
 
 impl LogConfig {
     /// Config with per-record sync.
@@ -468,7 +468,7 @@ impl LogConfig {
     /// [`LogConfig::snapshot_path`]. Recovery applies `snapshot.d1.dat`,
     /// `snapshot.d2.dat`, … until a file is missing or names a
     /// superseded base.
-    pub fn delta_snapshot_path(&self, k: u64) -> PathBuf {
+    pub(crate) fn delta_snapshot_path(&self, k: u64) -> PathBuf {
         self.dir.join(format!("snapshot.d{k}.dat"))
     }
 }
@@ -641,7 +641,7 @@ impl CommandLog {
     /// True once a failed write rollback left the file tail of unknown
     /// durability. A poisoned log accepts no further appends; the owning
     /// partition should go down deliberately and be recovered from disk.
-    pub fn poisoned(&self) -> bool {
+    pub(crate) fn poisoned(&self) -> bool {
         self.poisoned
     }
 
@@ -651,31 +651,13 @@ impl CommandLog {
     }
 
     /// fsyncs issued.
-    pub fn syncs(&self) -> u64 {
+    pub(crate) fn syncs(&self) -> u64 {
         self.syncs
     }
 
     /// Bytes written to the file over this log's lifetime.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
-    }
-
-    /// Truncate the log (after a snapshot covers everything in it).
-    /// Buffered unsynced records are discarded along with the file
-    /// contents; the log restarts empty.
-    pub fn truncate(&mut self) -> Result<()> {
-        let path = self.config.log_path();
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
-        file.sync_all()?;
-        self.file = OpenOptions::new().append(true).open(&path)?;
-        self.pending.clear();
-        self.unsynced = 0;
-        codec::put_file_header(&mut self.pending, codec::LOG_MAGIC);
-        Ok(())
     }
 
     /// Upstream-backup garbage collection: rewrite the log dropping every
@@ -687,7 +669,7 @@ impl CommandLog {
     /// truncation.
     ///
     /// Returns the number of records dropped.
-    pub fn gc_acked_through(&mut self, covered: BatchId) -> Result<u64> {
+    pub(crate) fn gc_acked_through(&mut self, covered: BatchId) -> Result<u64> {
         self.sync()?; // pending records must be visible to the reader
         let path = self.config.log_path();
         let records = read_log(&path)?;
@@ -1061,21 +1043,6 @@ mod tests {
         let dir = tempdir("missing");
         let records = read_log(&dir.join("nope.log")).unwrap();
         assert!(records.is_empty());
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn truncate_empties_log() {
-        let dir = tempdir("trunc");
-        let cfg = LogConfig::new(&dir);
-        let mut log = CommandLog::open(cfg.clone()).unwrap();
-        log.append(&batch_record(1)).unwrap();
-        log.truncate().unwrap();
-        log.append(&batch_record(2)).unwrap();
-        drop(log);
-        let records = read_log(&cfg.log_path()).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0], batch_record(2));
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -22,14 +22,14 @@
 use crate::log::{CommandLog, LogConfig, LogRecord, LogRetention};
 use crate::procedure::{stmt_effects, ProcContext, ProcSpec, Procedure};
 use crate::stats::PeStats;
-use crate::transaction::{Invocation, InvocationOrigin, TxnOutcome, TxnStatus};
+use crate::transaction::{Invocation, TxnOutcome, TxnStatus};
 use crate::workflow::{CrossEdge, Workflow};
 use sstore_common::fault;
 use sstore_common::obs::{self, Stage, TraceCtx};
 use sstore_common::{
     Batch, BatchId, Clock, Error, PartitionId, ProcId, Result, Row, TableId, TxnId, Value,
 };
-use sstore_engine::{EeConfig, ExecutionEngine, TxnScratch};
+use sstore_engine::{ExecutionEngine, TxnScratch};
 use sstore_sql::exec::QueryResult;
 use sstore_storage::snapshot::{Snapshot, SnapshotDelta, SnapshotKey};
 use std::collections::{HashMap, VecDeque};
@@ -136,8 +136,6 @@ pub struct PeConfig {
     pub serial_workflow: Option<bool>,
     /// Command logging (None = durability off).
     pub log: Option<LogConfig>,
-    /// Execution-engine tunables.
-    pub ee: EeConfig,
 }
 
 impl Default for PeConfig {
@@ -148,17 +146,6 @@ impl Default for PeConfig {
             retention: None,
             serial_workflow: None,
             log: None,
-            ee: EeConfig::default(),
-        }
-    }
-}
-
-impl PeConfig {
-    /// The paper's H-Store baseline configuration.
-    pub fn hstore() -> Self {
-        PeConfig {
-            mode: ExecMode::HStore,
-            ..PeConfig::default()
         }
     }
 }
@@ -278,7 +265,7 @@ impl Partition {
             ..PeStats::new()
         };
         Ok(Partition {
-            engine: ExecutionEngine::with_config(config.ee.clone()),
+            engine: ExecutionEngine::new(),
             procs: Vec::new(),
             by_name: HashMap::new(),
             workflow: Workflow::default(),
@@ -499,11 +486,6 @@ impl Partition {
         self.engine.reset_stats();
     }
 
-    /// This partition's site id.
-    pub fn id(&self) -> PartitionId {
-        self.config.partition
-    }
-
     /// The logical clock.
     pub fn clock(&self) -> &Clock {
         &self.clock
@@ -525,7 +507,7 @@ impl Partition {
     }
 
     /// Resolve a procedure name.
-    pub fn proc_id(&self, name: &str) -> Result<ProcId> {
+    pub(crate) fn proc_id(&self, name: &str) -> Result<ProcId> {
         self.by_name
             .get(name)
             .copied()
@@ -705,11 +687,6 @@ impl Partition {
         self.queue.push_back(Invocation {
             proc: pid,
             batch: Batch::new(batch, rows),
-            origin: if self.replaying {
-                InvocationOrigin::Recovery
-            } else {
-                InvocationOrigin::Client
-            },
         });
         Ok(batch)
     }
@@ -740,11 +717,6 @@ impl Partition {
         self.queue.push_back(Invocation {
             proc: pid,
             batch: Batch::new(batch, rows),
-            origin: if self.replaying {
-                InvocationOrigin::Recovery
-            } else {
-                InvocationOrigin::Client
-            },
         });
         let outcomes = self.drain()?;
         outcomes
@@ -924,7 +896,6 @@ impl Partition {
         let inv = Invocation {
             proc: frag.proc,
             batch: Batch::empty(frag.batch),
-            origin: InvocationOrigin::Client,
         };
         let outcome = if commit {
             frag.undo.commit();
@@ -1273,7 +1244,6 @@ impl Partition {
             self.queue.push_back(Invocation {
                 proc: consumer,
                 batch: Batch::new(batch, rows.clone()),
-                origin: InvocationOrigin::PeTrigger,
             });
         }
         Ok(batch)
@@ -1298,7 +1268,7 @@ impl Partition {
     /// True when `batch` still has outstanding references (e.g. an edge
     /// forward whose receiver has not acked). Recovery must not blanket-
     /// ack such batches.
-    pub fn has_pending_refs(&self, batch: BatchId) -> bool {
+    pub(crate) fn has_pending_refs(&self, batch: BatchId) -> bool {
         self.batch_refs.contains_key(&batch.raw())
     }
 
@@ -1529,7 +1499,6 @@ impl Partition {
                         to_schedule.push(Invocation {
                             proc: consumer,
                             batch: Batch::new(b, rows.clone()),
-                            origin: InvocationOrigin::PeTrigger,
                         });
                     }
                 }
@@ -1613,11 +1582,6 @@ impl Partition {
         self.pending_traces.push_back(trace);
     }
 
-    /// The lifecycle trace attached to a live batch, if any.
-    pub fn batch_trace(&self, batch: BatchId) -> Option<TraceCtx> {
-        self.batch_traces.get(&batch.raw()).copied()
-    }
-
     /// Bookkeeping after a batch's input record hit the log: record the
     /// `Logged` stage, remember the trace for the batch's later stages,
     /// and resolve `Fsynced` when the append triggered a group commit.
@@ -1679,7 +1643,7 @@ impl Partition {
     /// client calls).
     ///
     /// The log GC drops every record of a batch that is both acked and
-    /// covered by the fresh snapshot ([`CommandLog::gc_acked_through`]);
+    /// covered by the fresh snapshot (`CommandLog::gc_acked_through`);
     /// at quiescence that empties the log, but unacked records — possible
     /// once workflows span partitions — are always kept replayable.
     pub fn snapshot(&mut self) -> Result<()> {
@@ -2075,7 +2039,10 @@ mod tests {
 
     #[test]
     fn hstore_mode_requires_client_driving() {
-        let mut p = pipeline(PeConfig::hstore());
+        let mut p = pipeline(PeConfig {
+            mode: ExecMode::HStore,
+            ..PeConfig::default()
+        });
         // Client invokes validate; downstream does NOT fire.
         p.invoke("validate", vec![vec![Value::Int(1)]]).unwrap();
         assert_eq!(total(&mut p), 0);

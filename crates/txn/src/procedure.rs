@@ -20,7 +20,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Procedure body: control code over the context.
-pub type ProcHandler = Arc<dyn Fn(&mut ProcContext<'_>) -> Result<()> + Send + Sync>;
+pub(crate) type ProcHandler = Arc<dyn Fn(&mut ProcContext<'_>) -> Result<()> + Send + Sync>;
 
 /// Declarative definition of a stored procedure, passed to
 /// [`crate::partition::Partition::register`].
@@ -109,7 +109,7 @@ impl ProcSpec {
 }
 
 /// A registered procedure (spec compiled against the catalog).
-pub struct Procedure {
+pub(crate) struct Procedure {
     /// Dense id.
     pub id: ProcId,
     /// Name.
@@ -142,7 +142,7 @@ impl std::fmt::Debug for Procedure {
 }
 
 /// Collect the tables a plan reads.
-pub fn plan_reads(plan: &PhysicalPlan, out: &mut HashSet<TableId>) {
+pub(crate) fn plan_reads(plan: &PhysicalPlan, out: &mut HashSet<TableId>) {
     match plan {
         PhysicalPlan::Scan { table, .. } => {
             out.insert(*table);
@@ -162,7 +162,7 @@ pub fn plan_reads(plan: &PhysicalPlan, out: &mut HashSet<TableId>) {
 }
 
 /// Compute the (read, write) table sets of a planned statement.
-pub fn stmt_effects(stmt: &PlannedStmt) -> (HashSet<TableId>, HashSet<TableId>) {
+pub(crate) fn stmt_effects(stmt: &PlannedStmt) -> (HashSet<TableId>, HashSet<TableId>) {
     let mut reads = HashSet::new();
     let mut writes = HashSet::new();
     match stmt {

@@ -631,8 +631,9 @@ mod tests {
     fn hstore_invocations_replay_too() {
         let dir = tempdir("hstore");
         let cfg = || PeConfig {
+            mode: crate::ExecMode::HStore,
             log: Some(LogConfig::new(&dir)),
-            ..PeConfig::hstore()
+            ..PeConfig::default()
         };
         let hsetup = |p: &mut Partition| -> Result<()> {
             p.ddl("CREATE TABLE acc (k INT NOT NULL, n INT NOT NULL, PRIMARY KEY (k))")?;

@@ -80,12 +80,12 @@ pub struct PeStats {
 
 impl PeStats {
     /// Zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PeStats::default()
     }
 
     /// Record one TE latency.
-    pub fn record_latency(&mut self, nanos: u128) {
+    pub(crate) fn record_latency(&mut self, nanos: u128) {
         self.latency_ns_total += nanos;
         let micros = (nanos / 1_000) as u64;
         let bucket = (64 - micros.leading_zeros() as usize).min(self.latency_hist.len() - 1);
@@ -98,23 +98,6 @@ impl PeStats {
             return 0.0;
         }
         self.latency_ns_total as f64 / self.committed as f64 / 1_000.0
-    }
-
-    /// Approximate p99 latency in microseconds from the histogram.
-    pub fn p99_latency_us(&self) -> f64 {
-        let total: u64 = self.latency_hist.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (total as f64 * 0.99).ceil() as u64;
-        let mut seen = 0;
-        for (i, &n) in self.latency_hist.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return (1u64 << i) as f64;
-            }
-        }
-        (1u64 << (self.latency_hist.len() - 1)) as f64
     }
 
     /// Total TEs that finished (committed + aborted + failed).
@@ -134,12 +117,10 @@ mod tests {
         s.record_latency(1_000); // 1µs -> bucket 0 region
         s.record_latency(3_000_000); // 3ms
         assert!(s.mean_latency_us() > 1000.0);
-        assert!(s.p99_latency_us() >= 2048.0);
     }
 
     #[test]
     fn p99_empty_is_zero() {
-        assert_eq!(PeStats::new().p99_latency_us(), 0.0);
         assert_eq!(PeStats::new().mean_latency_us(), 0.0);
     }
 

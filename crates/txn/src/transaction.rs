@@ -3,18 +3,6 @@
 use sstore_common::{Batch, ProcId, TxnId};
 use sstore_sql::exec::QueryResult;
 
-/// Why a TE was scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvocationOrigin {
-    /// Submitted by a client (border procedure input, or any invocation in
-    /// H-Store mode).
-    Client,
-    /// Scheduled by a PE trigger after the upstream TE committed.
-    PeTrigger,
-    /// Replayed from the command log during recovery.
-    Recovery,
-}
-
 /// One pending transaction execution: a stored procedure plus the input
 /// batch that defines it (paper §2: "An S-Store transaction is defined by
 /// two things: a stored procedure definition and a batch of input tuples").
@@ -24,8 +12,6 @@ pub struct Invocation {
     pub proc: ProcId,
     /// Its input batch.
     pub batch: Batch,
-    /// Provenance (client, PE trigger, recovery).
-    pub origin: InvocationOrigin,
 }
 
 /// Terminal state of a TE.

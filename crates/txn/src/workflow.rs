@@ -7,7 +7,7 @@
 //!
 //! # Cross-partition edges
 //!
-//! A stream may be declared **remote** ([`Workflow::declare_remote`],
+//! A stream may be declared **remote** (`Workflow::declare_remote`,
 //! driven by `Cluster::declare_cross_edge`): tuples a TE emits onto it are
 //! not consumed by this partition's PE triggers but routed — by a declared
 //! key column — to the partitions owning the downstream keys, where the
@@ -52,7 +52,7 @@ pub struct Workflow {
 
 impl Workflow {
     /// Build the workflow from the registered procedures.
-    pub fn build(procs: &[Procedure]) -> Result<Workflow> {
+    pub(crate) fn build(procs: &[Procedure]) -> Result<Workflow> {
         let mut wf = Workflow::default();
         for p in procs {
             if let Some(out) = p.output_stream {
@@ -148,7 +148,7 @@ impl Workflow {
     }
 
     /// Procedures consuming `stream`.
-    pub fn consumers_of(&self, stream: TableId) -> &[ProcId] {
+    pub(crate) fn consumers_of(&self, stream: TableId) -> &[ProcId] {
         self.consumers
             .get(&stream)
             .map(Vec::as_slice)
@@ -156,12 +156,12 @@ impl Workflow {
     }
 
     /// The producer of `stream` (None when it's a border input).
-    pub fn producer_of(&self, stream: TableId) -> Option<ProcId> {
+    pub(crate) fn producer_of(&self, stream: TableId) -> Option<ProcId> {
         self.producer.get(&stream).copied()
     }
 
     /// Is `proc` a border stored procedure (no upstream producer)?
-    pub fn is_border(&self, proc: ProcId) -> bool {
+    pub(crate) fn is_border(&self, proc: ProcId) -> bool {
         self.nodes
             .iter()
             .find(|(p, _, _)| *p == proc)
@@ -181,21 +181,14 @@ impl Workflow {
     /// Declare `stream` a cross-partition edge routed by `key_col` (see
     /// the module docs). Emissions onto it are forwarded through the
     /// cluster router instead of firing local PE triggers.
-    pub fn declare_remote(&mut self, edge: CrossEdge) {
+    pub(crate) fn declare_remote(&mut self, edge: CrossEdge) {
         self.remote.insert(edge.stream, edge.key_col);
     }
 
     /// The routing column of `stream` when it is a declared cross-partition
     /// edge, `None` for ordinary (local) streams.
-    pub fn remote_key_col(&self, stream: TableId) -> Option<usize> {
+    pub(crate) fn remote_key_col(&self, stream: TableId) -> Option<usize> {
         self.remote.get(&stream).copied()
-    }
-
-    /// All declared cross-partition edges.
-    pub fn remote_edges(&self) -> impl Iterator<Item = CrossEdge> + '_ {
-        self.remote
-            .iter()
-            .map(|(&stream, &key_col)| CrossEdge { stream, key_col })
     }
 
     /// Number of procedures in the workflow.

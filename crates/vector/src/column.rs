@@ -54,18 +54,13 @@ impl Bitmap {
     }
 
     /// Number of bits.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when the bitmap has zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Read bit `i`.
     #[inline]
-    pub fn get(&self, i: usize) -> bool {
+    pub(crate) fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / 64] >> (i % 64) & 1 == 1
     }
@@ -83,7 +78,7 @@ impl Bitmap {
     }
 
     /// Grow to `len` bits; the new bits are set.
-    pub fn grow_set(&mut self, len: usize) {
+    pub(crate) fn grow_set(&mut self, len: usize) {
         debug_assert!(len >= self.len);
         let old = self.len;
         self.words.resize(len.div_ceil(64), u64::MAX);
@@ -96,7 +91,7 @@ impl Bitmap {
     }
 
     /// Heap bytes held.
-    pub fn heap_bytes(&self) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
@@ -133,7 +128,7 @@ impl Dict {
 
     /// The string behind `code`, which some cell holds.
     #[inline]
-    pub fn get(&self, code: u32) -> &str {
+    pub(crate) fn get(&self, code: u32) -> &str {
         self.entries[code as usize]
             .0
             .as_deref()
@@ -142,7 +137,7 @@ impl Dict {
 
     /// `f` of every live entry's string, indexed by code; a released code
     /// gets `false`.
-    pub fn per_code(&self, f: impl Fn(&str) -> bool) -> Vec<bool> {
+    pub(crate) fn per_code(&self, f: impl Fn(&str) -> bool) -> Vec<bool> {
         self.entries
             .iter()
             .map(|(s, _)| s.as_deref().is_some_and(&f))
@@ -301,7 +296,7 @@ impl ColumnData {
     }
 
     /// Number of cells in the lane.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             ColumnData::Int(d) | ColumnData::Timestamp(d) => d.len(),
             ColumnData::Float(d) => d.len(),
@@ -309,11 +304,6 @@ impl ColumnData {
             ColumnData::Text(l) => l.codes.len(),
             ColumnData::Generic(d) => d.len(),
         }
-    }
-
-    /// True when the lane has zero cells.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Reserve room for `additional` more cells.
@@ -367,7 +357,7 @@ impl Column {
 
     /// True when the column has zero cells.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data.len() == 0
     }
 
     /// True when cell `i` is NULL. Generic lanes may hold `Value::Null`
@@ -454,7 +444,7 @@ impl Column {
     }
 
     /// Append one cell.
-    pub fn push(&mut self, v: &Value) {
+    pub(crate) fn push(&mut self, v: &Value) {
         self.set(self.len(), v);
     }
 

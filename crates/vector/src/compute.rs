@@ -59,7 +59,7 @@ impl NumSrc<'_> {
 ///
 /// Each discriminant is the set of orderings the operator accepts, as a
 /// 3-bit mask indexed by `Ordering as i8 + 1` (bit 0 `Less`, bit 1
-/// `Equal`, bit 2 `Greater`), so [`CmpOp::ord_ok`] is a shift, not a
+/// `Equal`, bit 2 `Greater`), so `CmpOp::ord_ok` is a shift, not a
 /// match, inside a kernel's loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
@@ -82,7 +82,7 @@ impl CmpOp {
     /// Map an [`Ordering`] to the operator's truth value, matching how
     /// the row path derives booleans from `sql_cmp`.
     #[inline]
-    pub fn ord_ok(self, o: Ordering) -> bool {
+    pub(crate) fn ord_ok(self, o: Ordering) -> bool {
         (self as u8 >> (o as i8 + 1)) & 1 == 1
     }
 }
@@ -132,7 +132,7 @@ pub enum ArithOp {
 
 /// AND the two operand validities over the selection. `None` = all valid.
 /// Only selected bits of the result are meaningful.
-pub fn combine_validity(
+pub(crate) fn combine_validity(
     av: Option<&Bitmap>,
     bv: Option<&Bitmap>,
     sel: Option<&[u32]>,

@@ -10,7 +10,7 @@
 //!   validity [`Bitmap`] per column and a *selection vector* threaded
 //!   between operators instead of materializing intermediate rows. A TEXT
 //!   lane ([`TextLane`]) is one `u32` code per cell into a reference-counted
-//!   [`Dict`] that stores each distinct string once and reuses released
+//!   [`Dict`](column::Dict) that stores each distinct string once and reuses released
 //!   codes, so it never has more entries than its lane has cells;
 //! - [`compute`]: type-specialized kernels — comparison, checked arithmetic,
 //!   predicate → selection filtering, and COUNT/SUM/AVG/MIN/MAX reductions —
@@ -66,5 +66,5 @@ pub mod compute;
 pub mod group;
 pub mod join;
 
-pub use column::{build_batch, Bitmap, Column, ColumnBatch, ColumnData, Dict, TextLane};
+pub use column::{build_batch, Bitmap, Column, ColumnBatch, ColumnData, TextLane};
 pub use compute::{ArithOp, CmpOp, NumSrc};

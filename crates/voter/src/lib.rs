@@ -27,9 +27,9 @@ pub mod runner;
 pub mod schema;
 pub mod workload;
 
-pub use checker::{capture_state, diff_states, Discrepancies, VoterState};
+pub use checker::{capture_state, diff_states, VoterState};
 pub use oracle::Oracle;
 pub use procs::{install, WindowImpl};
-pub use runner::{run_hstore, run_sstore, RunReport};
+pub use runner::{run_hstore, run_sstore};
 pub use schema::VoterConfig;
 pub use workload::VoteGen;

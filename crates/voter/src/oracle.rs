@@ -113,12 +113,12 @@ impl Oracle {
     }
 
     /// Live recorded votes.
-    pub fn live_votes(&self) -> usize {
+    pub(crate) fn live_votes(&self) -> usize {
         self.votes.len()
     }
 
     /// The current leader (highest count, ties to lowest number).
-    pub fn leader(&self) -> Option<i64> {
+    pub(crate) fn leader(&self) -> Option<i64> {
         self.counts
             .iter()
             .max_by_key(|(&c, &n)| (n, std::cmp::Reverse(c)))

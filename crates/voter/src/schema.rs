@@ -30,7 +30,7 @@ impl Default for VoterConfig {
 
 /// Create every table, stream, window, and index the Voter app needs, and
 /// seed the contestants. Idempotence is not required (fresh partitions).
-pub fn install_schema(db: &mut SStore, config: &VoterConfig) -> Result<()> {
+pub(crate) fn install_schema(db: &mut SStore, config: &VoterConfig) -> Result<()> {
     db.ddl(
         "CREATE TABLE contestants (contestant_number INT NOT NULL, \
          contestant_name VARCHAR(64) NOT NULL, PRIMARY KEY (contestant_number))",

@@ -73,7 +73,7 @@ impl VoteGen {
     }
 
     /// Produce the next vote.
-    pub fn next_vote(&mut self) -> Vote {
+    pub(crate) fn next_vote(&mut self) -> Vote {
         let contestant = if self.rng.random_bool(self.p_invalid) {
             self.num_contestants + 1 + self.rng.random_range(0..100)
         } else {

@@ -34,8 +34,6 @@
 pub use sstore_core as core;
 
 pub use sstore_core::{
-    common, recover, ClientRequest, Cluster, ClusterMetrics, EeConfig, EeStats, ExecMode,
-    Invocation, LogConfig, LogRetention, ObsReport, PartitionMetrics, PartitionOutcomes, PeConfig,
-    PeStats, PipelinedClient, ProcContext, ProcSpec, QueryResult, RequestKind, RouteSpec, Router,
-    SStore, SStoreBuilder, Ticket, TriggerEvent, TxnOutcome, TxnStatus, Workflow,
+    common, recover, Cluster, PeConfig, ProcSpec, RouteSpec, SStore, SStoreBuilder, TriggerEvent,
+    TxnStatus,
 };

@@ -6,10 +6,13 @@
 //!   structured, counted in the obs registry) — never raw `eprintln!`.
 //!   Doc prose mentioning the macro name without the call's open paren
 //!   is fine.
-//! * Library code reads only the operator and harness switches from the
-//!   environment (logging, tracing, fault injection) and never writes it:
-//!   an engine behaviour that an environment variable can fork is a
-//!   setting nobody can see in the code that builds the engine.
+//! * Library code reads only the operator switches from the environment
+//!   (logging, tracing) and never writes it: an engine behaviour that an
+//!   environment variable can fork is a setting nobody can see in the code
+//!   that builds the engine.
+//! * Each crate keeps its `pub` items within a budget. An item no other
+//!   crate names is `pub(crate)`, so rustc's dead-code lint sees it; a
+//!   change that raises a budget says why.
 
 use std::path::{Path, PathBuf};
 
@@ -66,14 +69,7 @@ fn library_sources_use_slog_not_eprintln() {
 }
 
 /// The environment variables library code may read.
-const ALLOWED_ENV_VARS: [&str; 6] = [
-    "SSTORE_LOG",
-    "SSTORE_TRACE",
-    "SSTORE_TRACE_RING",
-    "SSTORE_FAULT_POINT",
-    "SSTORE_FAULT_NTH",
-    "SSTORE_FAULT_MODE",
-];
+const ALLOWED_ENV_VARS: [&str; 3] = ["SSTORE_LOG", "SSTORE_TRACE", "SSTORE_TRACE_RING"];
 
 #[test]
 fn library_sources_read_only_operator_env_vars() {
@@ -100,5 +96,70 @@ fn library_sources_read_only_operator_env_vars() {
         "library code may read only {ALLOWED_ENV_VARS:?} from the environment \
          and never write it:\n{}",
         offenders.join("\n")
+    );
+}
+
+/// The most `pub` fn/struct/enum/trait/type/const/static items each crate
+/// may declare in its library sources (`pub use`, `pub mod` and `pub(…)`
+/// do not count, nor do lines from a file's first `#[cfg(test)]` on).
+const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
+    ("sstore", 0),
+    ("bikeshare", 8),
+    ("common", 146),
+    ("core", 77),
+    ("engine", 26),
+    ("slt", 19),
+    ("sql", 31),
+    ("storage", 88),
+    ("txn", 90),
+    ("vector", 51),
+    ("voter", 22),
+];
+
+/// True for a line declaring a `pub` item (a `pub const fn` counts once).
+fn declares_pub_item(line: &str) -> bool {
+    const KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+    line.trim_start()
+        .strip_prefix("pub ")
+        .and_then(|rest| rest.split(|c: char| !c.is_alphanumeric()).next())
+        .is_some_and(|word| KINDS.contains(&word))
+}
+
+#[test]
+fn library_pub_items_stay_within_budget() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut counts = std::collections::BTreeMap::new();
+    for path in library_sources() {
+        let rel = path.strip_prefix(root).unwrap();
+        let krate = match rel.strip_prefix("crates") {
+            Ok(inner) => inner.iter().next().unwrap().to_string_lossy().into_owned(),
+            Err(_) => "sstore".to_string(),
+        };
+        let text = std::fs::read_to_string(&path).unwrap();
+        let n = text
+            .lines()
+            .take_while(|line| !line.starts_with("#[cfg(test)]"))
+            .filter(|line| declares_pub_item(line))
+            .count();
+        *counts.entry(krate).or_insert(0) += n;
+    }
+    let mut over = Vec::new();
+    for (krate, n) in &counts {
+        let budget = PUB_ITEM_BUDGET
+            .iter()
+            .find(|(k, _)| k == krate)
+            .map(|b| b.1);
+        println!("pub items: {krate:<10} {n:>4} (budget {budget:?})");
+        if budget.is_none_or(|b| *n > b) {
+            over.push(format!("{krate}: {n} pub items, budget {budget:?}"));
+        }
+    }
+    let total: usize = counts.values().sum();
+    println!("pub items: total      {total:>4}");
+    assert!(
+        over.is_empty(),
+        "narrow what no other crate names to `pub(crate)`, or raise the budget \
+         and say why:\n{}",
+        over.join("\n")
     );
 }
