@@ -7,13 +7,23 @@
 //! * a full scan **borrows** the table's resident columns
 //!   ([`sstore_storage::Table::column`], lane *i* = slot *i*, maintained by
 //!   the table's mutators) — no per-query row → column pivot — and starts
-//!   from the selection of live lanes;
-//! * `WHERE` clauses narrow the selection vector;
+//!   from every lane, or from the table's liveness mask when it has a free
+//!   slot;
+//! * `WHERE` clauses turn into a mask: the predicate's `bool` lane ANDed
+//!   with its validity and the incoming selection;
 //! * an equi-join on one integer key asks each side only for the columns
-//!   somebody reads, hashes and probes the key lanes, keeps its output as a
-//!   (probe, build) pair of index vectors and gathers just those columns;
-//! * aggregates, grouped or not, assign dense group ids off the key lanes
-//!   and run one typed loop per aggregate.
+//!   somebody reads and probes the key lanes. When each probe row matches
+//!   at most one build row through a dense slot table, the output is the
+//!   probe batch itself under a hit mask, plus the build columns somebody
+//!   reads gathered through a build-row lane; otherwise it is a (probe,
+//!   build) pair of index vectors that just those columns are gathered
+//!   through;
+//! * aggregates, grouped or not, reduce straight off the lanes under the
+//!   selection, one typed loop per aggregate; a dense integer key indexes
+//!   the accumulators itself.
+//!
+//! Positions are built from a mask only where an operator emits rows one
+//! by one: a projection.
 //!
 //! Anything the kernels cannot express exactly — mixed-type (`Generic`)
 //! lanes, `IN`/`BETWEEN`/scalar functions — falls back cell-by-cell onto
@@ -66,10 +76,12 @@ use crate::expr::{eval, eval_pred, BoundExpr, EvalEnv};
 use crate::plan::{AccessPath, AggExpr, AggFunc, PhysicalPlan};
 use sstore_common::{DataType, Error, Result, Row, TableId, Value};
 use sstore_storage::TableKind;
-use sstore_vector::compute::{arith_num, bool_to_sel, cmp_bool, cmp_num, cmp_str, BoolSrc, StrSrc};
+use sstore_vector::compute::{
+    arith_num, bool_to_sel, cmp_bool, cmp_num, cmp_str, to_mask, BoolSrc, StrSrc,
+};
 use sstore_vector::group::Groups;
-use sstore_vector::join::hash_join_i64;
-use sstore_vector::{ArithOp, Bitmap, CmpOp, Column, ColumnData, NumSrc};
+use sstore_vector::join::{hash_join_i64, Matches};
+use sstore_vector::{ArithOp, Bitmap, CmpOp, Column, ColumnData, NumSrc, Sel};
 use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
@@ -194,25 +206,40 @@ impl VBatch<'_> {
     }
 }
 
+/// The surviving lanes of a batch, owned by the operator output that
+/// carries them; [`Selection::sel`] lends them to a kernel as a [`Sel`].
+enum Selection<'a> {
+    /// Every lane.
+    All,
+    /// Row-aligned: the lanes whose flag is set. A scan borrows its
+    /// table's liveness mask.
+    Mask(Cow<'a, [bool]>),
+}
+
+impl Selection<'_> {
+    fn sel(&self) -> Sel<'_> {
+        match self {
+            Selection::All => Sel::All,
+            Selection::Mask(m) => Sel::Mask(m),
+        }
+    }
+}
+
 /// Intermediate operator output: a batch plus selection while the data can
 /// stay columnar, or materialized rows once an operator pivots.
 enum VOut<'a> {
     Batch {
         batch: VBatch<'a>,
-        /// Surviving lanes, in row order. `None` = all.
-        sel: Option<Vec<u32>>,
+        sel: Selection<'a>,
     },
     Rows(Vec<Row>),
 }
 
-fn sel_count(sel: Option<&[u32]>, rows: usize) -> usize {
-    sel.map_or(rows, <[u32]>::len)
-}
-
-fn sel_iter<'a>(sel: Option<&'a [u32]>, rows: usize) -> Box<dyn Iterator<Item = usize> + 'a> {
+fn sel_iter<'a>(sel: Sel<'a>, rows: usize) -> Box<dyn Iterator<Item = usize> + 'a> {
     match sel {
-        None => Box::new(0..rows),
-        Some(s) => Box::new(s.iter().map(|&i| i as usize)),
+        Sel::All => Box::new(0..rows),
+        Sel::Mask(m) => Box::new((0..rows).filter(move |&i| m[i])),
+        Sel::Pos(s) => Box::new(s.iter().map(|&i| i as usize)),
     }
 }
 
@@ -226,7 +253,7 @@ fn row_of(batch: &VBatch<'_>, i: usize) -> Row {
         .collect()
 }
 
-fn materialize(batch: &VBatch<'_>, sel: Option<&[u32]>) -> Vec<Row> {
+fn materialize(batch: &VBatch<'_>, sel: Sel) -> Vec<Row> {
     sel_iter(sel, batch.rows)
         .map(|i| row_of(batch, i))
         .collect()
@@ -235,7 +262,7 @@ fn materialize(batch: &VBatch<'_>, sel: Option<&[u32]>) -> Vec<Row> {
 fn materialize_out(out: VOut<'_>) -> Vec<Row> {
     match out {
         VOut::Rows(rows) => rows,
-        VOut::Batch { batch, sel } => materialize(&batch, sel.as_deref()),
+        VOut::Batch { batch, sel } => materialize(&batch, sel.sel()),
     }
 }
 
@@ -303,10 +330,13 @@ fn vrun<'a>(
                 rows: tb.lanes(),
                 columns,
             };
-            let live = tb.live_lanes();
+            let live = match tb.live_mask() {
+                None => Selection::All,
+                Some(m) => Selection::Mask(Cow::Borrowed(m)),
+            };
             let sel = match residual {
                 None => live,
-                Some(p) => Some(pred_selection(p, &batch, live.as_deref(), env)?),
+                Some(p) => Selection::Mask(pred_mask(p, &batch, live.sel(), env)?.into()),
             };
             Ok(VOut::Batch { batch, sel })
         }
@@ -323,10 +353,10 @@ fn vrun<'a>(
                     Ok(VOut::Rows(out))
                 }
                 VOut::Batch { batch, sel } => {
-                    let sel = pred_selection(pred, &batch, sel.as_deref(), env)?;
+                    let mask = pred_mask(pred, &batch, sel.sel(), env)?;
                     Ok(VOut::Batch {
                         batch,
-                        sel: Some(sel),
+                        sel: Selection::Mask(mask.into()),
                     })
                 }
             }
@@ -347,8 +377,17 @@ fn vrun<'a>(
                     Ok(VOut::Rows(out))
                 }
                 VOut::Batch { batch, sel } => {
-                    let sel = sel.as_deref();
-                    if sel_count(sel, batch.rows) == 0 {
+                    // Every expression and then every output row walks
+                    // the selection, so a mask becomes positions once.
+                    let pos;
+                    let sel = match sel.sel() {
+                        Sel::Mask(m) => {
+                            pos = bool_to_sel(m);
+                            Sel::Pos(&pos)
+                        }
+                        sel => sel,
+                    };
+                    if sel.is_empty(batch.rows) {
                         return Ok(VOut::Rows(Vec::new()));
                     }
                     let cols = exprs
@@ -379,10 +418,10 @@ fn vrun<'a>(
             let rows = match vrun(input, ctx, env, Some(&child_needed))? {
                 VOut::Rows(rows) => rows,
                 VOut::Batch { batch, sel } => {
-                    let sel = sel.as_deref();
+                    let sel = sel.sel();
                     // Over no rows the row path evaluates nothing and
                     // still owes an ungrouped aggregate its one row.
-                    if sel_count(sel, batch.rows) > 0 {
+                    if !sel.is_empty(batch.rows) {
                         if let Some(rows) = try_agg_kernels(&batch, sel, group_exprs, aggs, env)? {
                             return Ok(VOut::Rows(rows));
                         }
@@ -419,18 +458,14 @@ fn vrun<'a>(
                     Ok(VOut::Rows(rows))
                 }
                 VOut::Batch { batch, sel } => {
-                    if sel_count(sel.as_deref(), batch.rows) <= k {
-                        Ok(VOut::Batch { batch, sel })
-                    } else {
-                        let sel = sel_iter(sel.as_deref(), batch.rows)
-                            .take(k)
-                            .map(|i| i as u32)
-                            .collect();
-                        Ok(VOut::Batch {
-                            batch,
-                            sel: Some(sel),
-                        })
+                    let mut mask = vec![false; batch.rows];
+                    for i in sel_iter(sel.sel(), batch.rows).take(k) {
+                        mask[i] = true;
                     }
+                    Ok(VOut::Batch {
+                        batch,
+                        sel: Selection::Mask(mask.into()),
+                    })
                 }
             }
         }
@@ -593,7 +628,7 @@ fn arith_op_of(op: crate::ast::BinOp) -> ArithOp {
 /// don't cover (mixed-type lanes), caller takes the scalar fallback.
 /// Comparisons never type-error (`cmp_total` is total), so heterogeneous
 /// pairs are the only reason to bail.
-fn vcmp(op: CmpOp, l: &VCol<'_>, r: &VCol<'_>, sel: Option<&[u32]>, rows: usize) -> Option<Column> {
+fn vcmp(op: CmpOp, l: &VCol<'_>, r: &VCol<'_>, sel: Sel, rows: usize) -> Option<Column> {
     if is_const_null(l) || is_const_null(r) {
         return Some(all_null(ColumnData::Bool(vec![false; rows]), rows));
     }
@@ -626,7 +661,7 @@ fn varith(
     op: ArithOp,
     l: &VCol<'_>,
     r: &VCol<'_>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     rows: usize,
 ) -> Option<Result<Column>> {
     if is_const_null(l) || is_const_null(r) {
@@ -651,7 +686,7 @@ fn varith(
 fn veval<'a>(
     e: &BoundExpr,
     batch: &'a VBatch<'_>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     env: &EvalEnv<'_>,
 ) -> Result<VCol<'a>> {
     match e {
@@ -729,7 +764,7 @@ fn veval<'a>(
 fn veval_cellwise(
     e: &BoundExpr,
     batch: &VBatch<'_>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     env: &EvalEnv<'_>,
 ) -> Result<VCol<'static>> {
     let mut refs = BTreeSet::new();
@@ -756,7 +791,7 @@ fn vand_or(
     left: &BoundExpr,
     right: &BoundExpr,
     batch: &VBatch<'_>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     env: &EvalEnv<'_>,
 ) -> Result<VCol<'static>> {
     let op_name = if is_and { "AND" } else { "OR" };
@@ -784,7 +819,7 @@ fn vand_or(
         }
     }
     if !sub.is_empty() {
-        let rcol = veval(right, batch, Some(&sub), env)?;
+        let rcol = veval(right, batch, Sel::Pos(&sub), env)?;
         for &iu in &sub {
             let i = iu as usize;
             match (rcol.value_at(i), ltri[i]) {
@@ -805,38 +840,45 @@ fn vand_or(
     }))
 }
 
-/// Evaluate a predicate over the selection and reduce it to the surviving
-/// row indices. NULL counts as false (SQL `WHERE` semantics).
-fn pred_selection(
+/// Evaluate a predicate over the selection and reduce it to a mask of the
+/// surviving rows: selected, and true. NULL counts as false (SQL `WHERE`
+/// semantics).
+fn pred_mask(
     pred: &BoundExpr,
     batch: &VBatch<'_>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     env: &EvalEnv<'_>,
-) -> Result<Vec<u32>> {
-    if sel_count(sel, batch.rows) == 0 {
-        return Ok(Vec::new());
+) -> Result<Vec<bool>> {
+    let rows = batch.rows;
+    if sel.is_empty(rows) {
+        return Ok(vec![false; rows]);
     }
-    let c = veval(pred, batch, sel, env)?;
-    if let Some(Column {
-        data: ColumnData::Bool(vals),
-        validity,
-    }) = c.col()
-    {
-        return Ok(bool_to_sel(vals, validity.as_ref(), sel, batch.rows));
-    }
-    let mut out = Vec::new();
-    for i in sel_iter(sel, batch.rows) {
-        match c.value_at(i) {
-            Value::Bool(true) => out.push(i as u32),
-            Value::Bool(false) | Value::Null => {}
-            other => {
-                return Err(Error::TypeMismatch(format!(
-                    "predicate evaluated to non-boolean {other}"
-                )));
+    let (vals, validity) = match veval(pred, batch, sel, env)? {
+        VCol::Owned(Column {
+            data: ColumnData::Bool(vals),
+            validity,
+        }) => (vals, validity),
+        VCol::Ref(Column {
+            data: ColumnData::Bool(vals),
+            validity,
+        }) => (vals.clone(), validity.clone()),
+        c => {
+            let mut out = vec![false; rows];
+            for i in sel_iter(sel, rows) {
+                match c.value_at(i) {
+                    Value::Bool(b) => out[i] = b,
+                    Value::Null => {}
+                    other => {
+                        return Err(Error::TypeMismatch(format!(
+                            "predicate evaluated to non-boolean {other}"
+                        )));
+                    }
+                }
             }
+            return Ok(out);
         }
-    }
-    Ok(out)
+    };
+    Ok(to_mask(vals, validity.as_ref(), sel))
 }
 
 // ---------------------------------------------------------------------------
@@ -854,7 +896,7 @@ fn pred_selection(
 /// Caller guarantees a non-empty selection.
 fn try_agg_kernels(
     batch: &VBatch<'_>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     group_exprs: &[BoundExpr],
     aggs: &[AggExpr],
     env: &EvalEnv<'_>,
@@ -888,7 +930,9 @@ fn try_agg_kernels(
     let mut results: Vec<Vec<Value>> = Vec::with_capacity(aggs.len());
     for agg in aggs {
         if agg.func == AggFunc::CountStar {
-            results.push(ints(groups.count(None, sel, rows)));
+            // Counted last: an int SUM's pass may count the rows on the
+            // side, and COUNT(*) cannot fail, so the order is not seen.
+            results.push(Vec::new());
             continue;
         }
         let Some(arg) = &agg.arg else {
@@ -953,6 +997,11 @@ fn try_agg_kernels(
                 .collect(),
             _ => return Ok(None),
         });
+    }
+    for (agg, r) in aggs.iter().zip(&mut results) {
+        if agg.func == AggFunc::CountStar {
+            *r = ints(groups.count(None, sel, rows));
+        }
     }
     Ok(Some(
         groups
@@ -1056,50 +1105,88 @@ fn join_outputs<'a>(
     above: &[usize],
     env: &EvalEnv<'_>,
 ) -> Result<VOut<'a>> {
-    // Fast path: single `INT = INT` key over intact batches — probe with
-    // the i64 kernel, keep the matches as two index vectors, and gather
-    // only the columns somebody reads. No row is built.
-    if let (
-        [(lp, rp)],
-        VOut::Batch {
-            batch: lb,
-            sel: lsel,
-        },
-        VOut::Batch {
-            batch: rb,
-            sel: rsel,
-        },
-    ) = (pairs, &lout, &rout)
-    {
-        let lc = lb.column(*lp);
-        let rc = rb.column(*rp);
-        if let (
-            ColumnData::Int(ld) | ColumnData::Timestamp(ld),
-            ColumnData::Int(rd) | ColumnData::Timestamp(rd),
-        ) = (&lc.data, &rc.data)
-        {
-            let (lidx, ridx) = hash_join_i64(
-                rd,
-                rc.validity.as_ref(),
-                rsel.as_deref(),
-                ld,
-                lc.validity.as_ref(),
-                lsel.as_deref(),
-            );
-            // `on` is nothing but the key the kernel just matched (i64
-            // equality is `=` on Int and Timestamp lanes alike): every
-            // pair passes, and `on`'s columns need no gather.
-            let on_is_key = matches!(
-                on,
-                BoundExpr::Binary { op: crate::ast::BinOp::Eq, left, right }
-                    if matches!((&**left, &**right), (BoundExpr::ColumnRef(_), BoundExpr::ColumnRef(_)))
-            );
-            let gathered = if on_is_key {
-                above.to_vec()
-            } else {
-                needed_with(above, [on])
+    let int_lane = |c: &Column| matches!(c.data, ColumnData::Int(_) | ColumnData::Timestamp(_));
+    match (lout, rout, pairs) {
+        (
+            VOut::Batch {
+                batch: lb,
+                sel: lsel,
+            },
+            VOut::Batch {
+                batch: rb,
+                sel: rsel,
+            },
+            &[(lp, rp)],
+        ) if int_lane(lb.column(lp)) && int_lane(rb.column(rp)) => {
+            join_i64((lb, lsel, lp), (rb, rsel, rp), on, left_arity, above, env)
+        }
+        (lout, rout, _) => join_rows(lout, rout, on, pairs, env).map(VOut::Rows),
+    }
+}
+
+/// The fast path: a single `INT = INT` key over intact batches, probed
+/// with the i64 kernel (left side probes, right side builds). No row is
+/// built. A unique dense build side hands back the left batch itself
+/// under a hit mask, plus the right columns somebody reads, gathered
+/// through a build-row lane; otherwise the matches are two index vectors
+/// that just the columns somebody reads are gathered through. Each side
+/// comes with its key column's position.
+fn join_i64<'a>(
+    (lb, lsel, lp): (VBatch<'a>, Selection<'a>, usize),
+    (rb, rsel, rp): (VBatch<'a>, Selection<'a>, usize),
+    on: &BoundExpr,
+    left_arity: usize,
+    above: &[usize],
+    env: &EvalEnv<'_>,
+) -> Result<VOut<'a>> {
+    // `on` is nothing but the key the kernel matches (i64 equality is `=`
+    // on Int and Timestamp lanes alike): every pair passes, and `on`'s
+    // columns need no gather.
+    let on_is_key = matches!(
+        on,
+        BoundExpr::Binary { op: crate::ast::BinOp::Eq, left, right }
+            if matches!((&**left, &**right), (BoundExpr::ColumnRef(_), BoundExpr::ColumnRef(_)))
+    );
+    let gathered = if on_is_key {
+        above.to_vec()
+    } else {
+        needed_with(above, [on])
+    };
+    let reads_right = gathered.iter().any(|&c| c >= left_arity);
+    let (lc, rc) = (lb.column(lp), rb.column(rp));
+    let (ColumnData::Int(ld) | ColumnData::Timestamp(ld)) = &lc.data else {
+        unreachable!("join_outputs checked the key lanes")
+    };
+    let (ColumnData::Int(rd) | ColumnData::Timestamp(rd)) = &rc.data else {
+        unreachable!("join_outputs checked the key lanes")
+    };
+    let matches = hash_join_i64(
+        rd,
+        rc.validity.as_ref(),
+        rsel.sel(),
+        ld,
+        lc.validity.as_ref(),
+        lsel.sel(),
+        reads_right,
+    );
+    let mut columns = vec![None; left_arity + rb.columns.len()];
+    let (batch, sel) = match matches {
+        Matches::Unique { hit, build_rows } => {
+            let mut left = lb.columns;
+            for c in gathered {
+                columns[c] = if c < left_arity {
+                    left[c].take()
+                } else {
+                    Some(Cow::Owned(rb.column(c - left_arity).gather(&build_rows)))
+                };
+            }
+            let batch = VBatch {
+                rows: lb.rows,
+                columns,
             };
-            let mut columns = vec![None; left_arity + rb.columns.len()];
+            (batch, Selection::Mask(hit.into()))
+        }
+        Matches::Pairs(lidx, ridx) => {
             for c in gathered {
                 columns[c] = Some(Cow::Owned(if c < left_arity {
                     lb.column(c).gather(&lidx)
@@ -1111,15 +1198,15 @@ fn join_outputs<'a>(
                 rows: lidx.len(),
                 columns,
             };
-            let sel = if on_is_key {
-                None
-            } else {
-                Some(pred_selection(on, &batch, None, env)?)
-            };
-            return Ok(VOut::Batch { batch, sel });
+            (batch, Selection::All)
         }
-    }
-    join_rows(lout, rout, on, pairs, env).map(VOut::Rows)
+    };
+    let sel = if on_is_key {
+        sel
+    } else {
+        Selection::Mask(pred_mask(on, &batch, sel.sel(), env)?.into())
+    };
+    Ok(VOut::Batch { batch, sel })
 }
 
 /// The general join — several keys, keys that are not integer lanes, or a

@@ -12,10 +12,10 @@ use sstore_sql::expr::{eval, BoundExpr, EvalEnv};
 use sstore_sql::ExecPath;
 use sstore_storage::{Database, RowId};
 use sstore_vector::column::valid_at;
-use sstore_vector::compute::{arith_num, bool_to_sel, cmp_num};
+use sstore_vector::compute::{arith_num, bool_to_sel, cmp_num, to_mask};
 use sstore_vector::group::Groups;
-use sstore_vector::join::hash_join_i64;
-use sstore_vector::{ArithOp, Bitmap, CmpOp, Column, ColumnData, NumSrc};
+use sstore_vector::join::{hash_join_i64, Matches};
+use sstore_vector::{ArithOp, Bitmap, CmpOp, Column, ColumnData, NumSrc, Sel};
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
@@ -90,11 +90,12 @@ fn arb_keys(narrow: std::ops::Range<i64>) -> impl Strategy<Value = Vec<i64>> {
 /// groups in order of first appearance, NULL a key like any other. Every
 /// other case is the ungrouped aggregate instead (`nulls[CAP - 1]` says
 /// which): one group holding every selected row.
-fn grouped(
+fn grouped<'k>(
     keys: &(Vec<i64>, Vec<bool>),
-    sel: Option<&[u32]>,
+    col: &'k mut Column,
+    sel: Sel,
     n: usize,
-) -> (Groups, Vec<Vec<usize>>) {
+) -> (Groups<'k>, Vec<Vec<usize>>) {
     if keys.1[CAP - 1] {
         let all = sel_indices(sel, n);
         let members = if all.is_empty() { vec![] } else { vec![all] };
@@ -102,11 +103,12 @@ fn grouped(
     }
     let cells = int_cells(keys, n);
     let (data, validity) = int_lane(&cells);
-    let col = Column {
+    *col = Column {
         data: ColumnData::Int(data),
         validity,
     };
-    let groups = Groups::of(&col, sel, n).expect("typed lane");
+    let groups = Groups::of(col, sel, n).expect("typed lane");
+    let ids = groups.ids(sel, n);
     let mut order: Vec<Option<i64>> = Vec::new();
     let mut members: Vec<Vec<usize>> = Vec::new();
     for i in sel_indices(sel, n) {
@@ -119,10 +121,7 @@ fn grouped(
                 order.len() - 1
             });
         members[g].push(i);
-        assert_eq!(
-            groups.ids[i] as usize, g,
-            "group ids follow first appearance"
-        );
+        assert_eq!(ids[i] as usize, g, "group ids follow first appearance");
     }
     assert_eq!(groups.len(), members.len());
     (groups, members)
@@ -164,25 +163,38 @@ fn float_lane(vals: &[Option<f64>]) -> (Vec<f64>, Option<Bitmap>) {
     (data, Some(bm))
 }
 
-/// Selection vector from a keep-mask; `None` when the caller wants dense.
-fn selection(mask: &[bool], dense: bool) -> Option<Vec<u32>> {
-    if dense {
-        None
-    } else {
-        Some(
-            mask.iter()
-                .enumerate()
-                .filter(|(_, &k)| k)
-                .map(|(i, _)| i as u32)
-                .collect(),
-        )
+/// An owned selection of each form a kernel takes: every row, the
+/// positions of a keep-mask, or the keep-mask itself.
+enum TestSel {
+    All,
+    Pos(Vec<u32>),
+    Mask(Vec<bool>),
+}
+
+impl TestSel {
+    fn sel(&self) -> Sel<'_> {
+        match self {
+            TestSel::All => Sel::All,
+            TestSel::Pos(p) => Sel::Pos(p),
+            TestSel::Mask(m) => Sel::Mask(m),
+        }
     }
 }
 
-fn sel_indices(sel: Option<&[u32]>, rows: usize) -> Vec<usize> {
+/// The selection of form `form` (`0..3`) from a keep-mask.
+fn selection(mask: &[bool], form: u8) -> TestSel {
+    match form {
+        0 => TestSel::All,
+        1 => TestSel::Pos(bool_to_sel(mask)),
+        _ => TestSel::Mask(mask.to_vec()),
+    }
+}
+
+fn sel_indices(sel: Sel, rows: usize) -> Vec<usize> {
     match sel {
-        None => (0..rows).collect(),
-        Some(s) => s.iter().map(|&i| i as usize).collect(),
+        Sel::All => (0..rows).collect(),
+        Sel::Pos(s) => s.iter().map(|&i| i as usize).collect(),
+        Sel::Mask(m) => (0..rows).filter(|&i| m[i]).collect(),
     }
 }
 
@@ -238,21 +250,21 @@ proptest! {
     fn cmp_int_kernel_matches_scalar(
         a in arb_int_col(),
         b in arb_int_col(),
-        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>()),
+        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), 0u8..3),
         op_ix in 0usize..6,
     ) {
-        let (n, mask, dense) = shape;
+        let (n, mask, form) = shape;
         let (op, binop) = CMP_OPS[op_ix];
         let a = int_cells(&a, n);
         let b = int_cells(&b, n);
         let (ad, av) = int_lane(&a);
         let (bd, bv) = int_lane(&b);
-        let sel = selection(&mask[..n], dense);
+        let sel = selection(&mask[..n], form);
         let (out, validity) = cmp_num(
             op, NumSrc::I(&ad), av.as_ref(), NumSrc::I(&bd), bv.as_ref(),
-            sel.as_deref(), n,
+            sel.sel(), n,
         );
-        for i in sel_indices(sel.as_deref(), n) {
+        for i in sel_indices(sel.sel(), n) {
             let expect = scalar_binary(binop, int_value(a[i]), int_value(b[i])).unwrap();
             match expect {
                 Value::Null => prop_assert!(!valid_at(validity.as_ref(), i)),
@@ -269,21 +281,21 @@ proptest! {
     fn cmp_mixed_kernel_matches_scalar(
         a in arb_int_col(),
         b in arb_float_col(),
-        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>()),
+        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), 0u8..3),
         op_ix in 0usize..6,
     ) {
-        let (n, mask, dense) = shape;
+        let (n, mask, form) = shape;
         let (op, binop) = CMP_OPS[op_ix];
         let a = int_cells(&a, n);
         let b = float_cells(&b, n);
         let (ad, av) = int_lane(&a);
         let (bd, bv) = float_lane(&b);
-        let sel = selection(&mask[..n], dense);
+        let sel = selection(&mask[..n], form);
         let (out, validity) = cmp_num(
             op, NumSrc::I(&ad), av.as_ref(), NumSrc::F(&bd), bv.as_ref(),
-            sel.as_deref(), n,
+            sel.sel(), n,
         );
-        for i in sel_indices(sel.as_deref(), n) {
+        for i in sel_indices(sel.sel(), n) {
             let expect = scalar_binary(binop, int_value(a[i]), float_value(b[i])).unwrap();
             match expect {
                 Value::Null => prop_assert!(!valid_at(validity.as_ref(), i)),
@@ -300,25 +312,25 @@ proptest! {
     fn arith_int_kernel_matches_scalar_with_error_parity(
         a in arb_int_col(),
         b in arb_int_col(),
-        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>()),
+        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), 0u8..3),
         op_ix in 0usize..5,
     ) {
-        let (n, mask, dense) = shape;
+        let (n, mask, form) = shape;
         let (op, binop) = ARITH_OPS[op_ix];
         let a = int_cells(&a, n);
         let b = int_cells(&b, n);
         let (ad, av) = int_lane(&a);
         let (bd, bv) = int_lane(&b);
-        let sel = selection(&mask[..n], dense);
+        let sel = selection(&mask[..n], form);
         let kernel = arith_num(
             op, NumSrc::I(&ad), av.as_ref(), NumSrc::I(&bd), bv.as_ref(),
-            sel.as_deref(), n,
+            sel.sel(), n,
         );
         // The reference: scalar eval in selection (= row) order, stopping
         // at the first error exactly like the interpreter does.
         let mut reference: Vec<(usize, Value)> = Vec::new();
         let mut ref_err = None;
-        for i in sel_indices(sel.as_deref(), n) {
+        for i in sel_indices(sel.sel(), n) {
             match scalar_binary(binop, int_value(a[i]), int_value(b[i])) {
                 Ok(v) => reference.push((i, v)),
                 Err(e) => { ref_err = Some(e); break; }
@@ -348,14 +360,15 @@ proptest! {
     fn sum_int_kernel_matches_scalar_fold(
         a in arb_int_col(),
         keys in arb_key_col(),
-        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>()),
+        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), 0u8..3),
     ) {
-        let (n, mask, dense) = shape;
+        let (n, mask, form) = shape;
         let a = int_cells(&a, n);
         let (ad, av) = int_lane(&a);
-        let sel = selection(&mask[..n], dense);
-        let (groups, members) = grouped(&keys, sel.as_deref(), n);
-        let kernel = groups.sum_int(&ad, av.as_ref(), sel.as_deref(), n);
+        let sel = selection(&mask[..n], form);
+        let mut key_col = Column::typed(DataType::Int, 0);
+        let (groups, members) = grouped(&keys, &mut key_col, sel.sel(), n);
+        let kernel = groups.sum_int(&ad, av.as_ref(), sel.sel(), n);
         // Reference: per group, a checked fold in selection order, as the
         // row aggregate accumulator does.
         let want: Vec<Option<Option<i64>>> = members
@@ -380,16 +393,17 @@ proptest! {
         ints in arb_int_col(),
         floats in arb_float_col(),
         keys in arb_key_col(),
-        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>()),
+        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), 0u8..3),
     ) {
-        let (n, mask, dense) = shape;
+        let (n, mask, form) = shape;
         let ints = int_cells(&ints, n);
         let floats = float_cells(&floats, n);
         let (id, iv) = int_lane(&ints);
         let (fd, fv) = float_lane(&floats);
-        let sel = selection(&mask[..n], dense);
-        let sel = sel.as_deref();
-        let (groups, members) = grouped(&keys, sel, n);
+        let sel = selection(&mask[..n], form);
+        let sel = sel.sel();
+        let mut key_col = Column::typed(DataType::Int, 0);
+        let (groups, members) = grouped(&keys, &mut key_col, sel, n);
 
         let live_ints: Vec<Vec<i64>> = members
             .iter()
@@ -437,23 +451,23 @@ proptest! {
     fn bool_to_sel_matches_pred_semantics(
         a in arb_int_col(),
         b in arb_int_col(),
-        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>()),
+        shape in (0usize..CAP, prop::collection::vec(any::<bool>(), CAP..CAP + 1), 0u8..3),
     ) {
         // Derive a boolean column from a comparison, then check the
         // filter keeps exactly the rows where the scalar predicate says
         // true (NULL → dropped, as eval_pred maps NULL to false).
-        let (n, mask, dense) = shape;
+        let (n, mask, form) = shape;
         let a = int_cells(&a, n);
         let b = int_cells(&b, n);
         let (ad, av) = int_lane(&a);
         let (bd, bv) = int_lane(&b);
-        let sel = selection(&mask[..n], dense);
+        let sel = selection(&mask[..n], form);
         let (vals, validity) = cmp_num(
             CmpOp::Lt, NumSrc::I(&ad), av.as_ref(), NumSrc::I(&bd), bv.as_ref(),
-            sel.as_deref(), n,
+            sel.sel(), n,
         );
-        let got = bool_to_sel(&vals, validity.as_ref(), sel.as_deref(), n);
-        let want: Vec<u32> = sel_indices(sel.as_deref(), n)
+        let got = bool_to_sel(&to_mask(vals, validity.as_ref(), sel.sel()));
+        let want: Vec<u32> = sel_indices(sel.sel(), n)
             .into_iter()
             .filter(|&i| matches!(
                 scalar_binary(BinOp::Lt, int_value(a[i]), int_value(b[i])),
@@ -468,27 +482,40 @@ proptest! {
     fn hash_join_matches_nested_loop(
         build in (arb_keys(-8..8), prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
         probe in (arb_keys(-8..8), prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
-        shape in (0usize..CAP, 0usize..CAP, any::<bool>(), any::<bool>()),
+        shape in (0usize..CAP, 0usize..CAP, 0u8..3, 0u8..3),
         masks in (prop::collection::vec(any::<bool>(), CAP..CAP + 1), prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
     ) {
-        let (bn, pn, bdense, pdense) = shape;
+        let (bn, pn, bform, pform) = shape;
         let build = int_cells(&build, bn);
         let probe = int_cells(&probe, pn);
         let (bd, bv) = int_lane(&build);
         let (pd, pv) = int_lane(&probe);
-        let bsel = selection(&masks.0[..bn], bdense);
-        let psel = selection(&masks.1[..pn], pdense);
-        let got = hash_join_i64(
-            &bd, bv.as_ref(), bsel.as_deref(),
-            &pd, pv.as_ref(), psel.as_deref(),
+        let bsel = selection(&masks.0[..bn], bform);
+        let psel = selection(&masks.1[..pn], pform);
+        let join = |build_rows| hash_join_i64(
+            &bd, bv.as_ref(), bsel.sel(),
+            &pd, pv.as_ref(), psel.sel(),
+            build_rows,
         );
+        // Asking for the build rows changes nothing else.
+        let (with_rows, without) = (join(true), join(false));
+        match (&with_rows, &without) {
+            (Matches::Unique { hit, .. }, Matches::Unique { hit: bare, build_rows }) => {
+                prop_assert_eq!(hit.len(), pn);
+                prop_assert_eq!(hit, bare);
+                prop_assert!(build_rows.is_empty());
+            }
+            (Matches::Pairs(..), Matches::Pairs(..)) => prop_assert_eq!(&with_rows, &without),
+            _ => prop_assert!(false, "asking for build rows changed the path"),
+        }
+        let got = with_rows.into_pairs();
         // Reference: the row interpreter's nested loop with the probe
         // side outer — probe-major, build matches in selection order,
         // NULL keys never matching.
         let mut want = (Vec::new(), Vec::new());
-        for p in sel_indices(psel.as_deref(), pn) {
+        for p in sel_indices(psel.sel(), pn) {
             let Some(pk) = probe[p] else { continue };
-            for b in sel_indices(bsel.as_deref(), bn) {
+            for b in sel_indices(bsel.sel(), bn) {
                 if build[b] == Some(pk) {
                     want.0.push(p as u32);
                     want.1.push(b as u32);
@@ -503,26 +530,32 @@ proptest! {
         // Duplicate-heavy keys, or spans of up to 80 keys over at most
         // `CAP` rows: either side of the direct-address bound.
         keys in (prop_oneof![arb_keys(-3..3), arb_keys(-40..40)], prop::collection::vec(any::<bool>(), CAP..CAP + 1)),
-        shape in (0usize..CAP + 1, prop::collection::vec(any::<bool>(), CAP..CAP + 1), any::<bool>(), any::<bool>()),
+        shape in (0usize..CAP + 1, prop::collection::vec(any::<bool>(), CAP..CAP + 1), 0u8..3, any::<bool>()),
     ) {
-        let (n, mask, dense, timestamp) = shape;
+        let (n, mask, form, timestamp) = shape;
         let cells = int_cells(&keys, n);
         let (data, validity) = int_lane(&cells);
         let data = if timestamp { ColumnData::Timestamp(data) } else { ColumnData::Int(data) };
-        let sel = selection(&mask[..n], dense);
-        let got = Groups::of(&Column { data, validity }, sel.as_deref(), n).expect("typed lane");
+        let sel = selection(&mask[..n], form);
+        let col = Column { data, validity };
+        let got = Groups::of(&col, sel.sel(), n).expect("typed lane");
+        let ids = got.ids(sel.sel(), n);
+        let mut sizes: Vec<i64> = Vec::new();
         // Reference: ids from a `HashMap` in order of first appearance,
         // NULL (`None`) a key like any other.
         let mut seen: HashMap<Option<i64>, u32> = HashMap::new();
         let mut first = Vec::new();
-        for i in sel_indices(sel.as_deref(), n) {
+        for i in sel_indices(sel.sel(), n) {
             let next = first.len() as u32;
             let g = *seen.entry(cells[i]).or_insert(next);
             if g == next {
                 first.push(i as u32);
+                sizes.push(0);
             }
-            prop_assert_eq!(got.ids[i], g, "row {}", i);
+            sizes[g as usize] += 1;
+            prop_assert_eq!(ids[i], g, "row {}", i);
         }
+        prop_assert_eq!(got.count(None, sel.sel(), n), sizes);
         prop_assert_eq!(got.first, first);
     }
 }
@@ -694,6 +727,145 @@ proptest! {
                     sql, r.map(|q| q.rows.len()), v.map(|q| q.rows.len())
                 ),
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Masks end to end: a `WHERE` feeding COUNT/SUM, a dense `GROUP BY`, and a
+// unique-key join filtered on its build side, on nullable lanes, on a
+// table with free slots, with key spans of exactly the table's lane count
+// (direct addressing) and of one more (the `HashMap`).
+// ---------------------------------------------------------------------------
+
+/// `f(id, k, w, v)` with `rows` rows, every `gap`-th deleted again so the
+/// scan starts from a liveness mask, and `g(k, grp)` over the keys
+/// `0 .. dims`. `f.k` spans `0 ..= span - 1` over the lanes.
+fn masked_db(rows: usize, span: i64, dims: i64, cells: &[(i64, bool, i64, bool, f64)]) -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        "f",
+        Schema::new(
+            vec![
+                SchemaColumn::new("id", DataType::Int),
+                SchemaColumn::nullable("k", DataType::Int),
+                SchemaColumn::nullable("w", DataType::Int),
+                SchemaColumn::new("v", DataType::Float),
+            ],
+            &["id"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    db.create_table(
+        "g",
+        Schema::new(
+            vec![
+                SchemaColumn::new("k", DataType::Int),
+                SchemaColumn::nullable("grp", DataType::Int),
+            ],
+            &["k"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let mut ctx = DirectContext {
+        db: &mut db,
+        now_micros: 0,
+    };
+    for (i, &(k, k_null, w, w_null, v)) in cells.iter().take(rows).enumerate() {
+        // The first and last rows pin the span's ends; the rest fall inside.
+        let k = match i {
+            0 => 0,
+            _ if i == rows - 1 => span - 1,
+            _ => k.rem_euclid(span),
+        };
+        let null_ok = i != 0 && i != rows - 1;
+        run_sql(
+            "INSERT INTO f VALUES (?, ?, ?, ?)",
+            &mut ctx,
+            &[
+                Value::Int(i as i64),
+                if k_null && null_ok {
+                    Value::Null
+                } else {
+                    Value::Int(k)
+                },
+                if w_null { Value::Null } else { Value::Int(w) },
+                Value::Float(v),
+            ],
+        )
+        .unwrap();
+    }
+    for k in 0..dims {
+        let grp = if k % 5 == 4 {
+            Value::Null
+        } else {
+            Value::Int(k % 3)
+        };
+        run_sql(
+            "INSERT INTO g VALUES (?, ?)",
+            &mut ctx,
+            &[Value::Int(k), grp],
+        )
+        .unwrap();
+    }
+    db
+}
+
+const MASKED_QUERIES: &[&str] = &[
+    "SELECT COUNT(*), COUNT(w), SUM(w) FROM f WHERE v >= ?",
+    "SELECT COUNT(*), SUM(w), MIN(w), MAX(v) FROM f WHERE k = ?",
+    "SELECT k, COUNT(*), COUNT(w), SUM(w) FROM f GROUP BY k",
+    "SELECT k, COUNT(*), SUM(w), AVG(v) FROM f WHERE v >= ? GROUP BY k",
+    "SELECT COUNT(*), SUM(f.w) FROM f JOIN g ON f.k = g.k WHERE g.grp = ?",
+    "SELECT f.id, g.grp, f.w FROM f JOIN g ON f.k = g.k WHERE g.grp = ? AND f.v >= ?",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn masked_aggregates_agree_between_row_and_vector_paths(
+        cells in prop::collection::vec(
+            ((0i64..64, any::<bool>()), (prop_oneof![-50i64..50, Just(i64::MAX)], any::<bool>()), 0i64..8),
+            CAP..CAP + 1,
+        ),
+        shape in (2usize..CAP + 1, any::<bool>(), 2usize..6, 0i64..3),
+        params in (0i64..8, 0i64..64),
+    ) {
+        let (rows, one_over, gap, grp) = shape;
+        let cells: Vec<_> = cells
+            .into_iter()
+            .map(|((k, kn), (w, wn), v)| (k, kn, w, wn, v as f64 / 2.0))
+            .collect();
+        // Every lane stays a lane after the deletes, so the dense bound
+        // is the table's row count before them.
+        let span = rows as i64 + i64::from(one_over);
+        let mut db = masked_db(rows, span, span, &cells);
+        let mut ctx = DirectContext { db: &mut db, now_micros: 0 };
+        for id in (1..rows - 1).step_by(gap) {
+            run_sql("DELETE FROM f WHERE id = ?", &mut ctx, &[Value::Int(id as i64)]).unwrap();
+        }
+        let (threshold, key) = (Value::Float(params.0 as f64 / 2.0), Value::Int(params.1 % span));
+        for sql in MASKED_QUERIES {
+            let args: Vec<Value> = match sql.matches('?').count() {
+                0 => vec![],
+                1 if sql.contains("grp") => vec![Value::Int(grp)],
+                1 if sql.contains("k = ?") => vec![key.clone()],
+                1 => vec![threshold.clone()],
+                _ => vec![Value::Int(grp), threshold.clone()],
+            };
+            let mut outcome = [ExecPath::Row, ExecPath::Vector].map(|path| {
+                let mut ctx = PathCtx {
+                    inner: DirectContext { db: &mut db, now_micros: 7 },
+                    path,
+                };
+                run_sql(sql, &mut ctx, &args).map(|q| q.rows).map_err(|e| e.to_string())
+            });
+            let vector = outcome[1].clone();
+            let row = std::mem::replace(&mut outcome[0], Ok(vec![]));
+            prop_assert_eq!(row, vector, "row/vector differ for `{}` {:?}", sql, args);
         }
     }
 }

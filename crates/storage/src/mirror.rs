@@ -6,7 +6,7 @@
 //! is slot *i*: built once from the slots, then patched in O(1) per lane
 //! by the table's five mutators — the ones that feed the slot-op journal,
 //! so undo rollback and delta replay maintain it too. Lanes of free slots
-//! hold defaults and are never selected (`Table::live_lanes`).
+//! hold defaults and are never selected (`Table::live_mask`).
 //!
 //! A lane is typed by the column's declared type; a cell of another type
 //! (only `restore` and decoded images bypass schema validation) demotes
@@ -16,6 +16,10 @@
 //! The mirror is **not state**: it is never serialized, compared or
 //! journaled, a cloned or decoded table starts without one, and it is
 //! rebuilt on first use.
+//!
+//! Beside the columns it keeps a liveness mask, one `bool` per slot, that
+//! the same mutators patch: a vector scan of a table with free slots
+//! starts from it as its selection (`Table::live_mask`).
 //!
 //! Readers only hold `&Table` (every read path reaches storage through
 //! `ExecContext::db`), so columns are built behind `OnceLock`s at the
@@ -32,9 +36,13 @@ use std::sync::OnceLock;
 
 /// See the module docs. The outer cell is set by the first vector scan
 /// that reads a column; the inner ones, one per schema column, by the
-/// first scan that reads that column.
+/// first scan that reads that column; the mask by the first scan of a
+/// table with a free slot.
 #[derive(Default)]
-pub(crate) struct Mirror(OnceLock<Box<[OnceLock<Column>]>>);
+pub(crate) struct Mirror {
+    cols: OnceLock<Box<[OnceLock<Column>]>>,
+    live: OnceLock<Vec<bool>>,
+}
 
 /// A copy of a table starts without a mirror.
 impl Clone for Mirror {
@@ -53,7 +61,7 @@ impl Mirror {
     /// Column `c` with one lane per slot, built on first use.
     pub(crate) fn column(&self, schema: &Schema, slots: &[Option<Row>], c: usize) -> &Column {
         let cols = self
-            .0
+            .cols
             .get_or_init(|| (0..schema.arity()).map(|_| OnceLock::new()).collect());
         cols[c].get_or_init(|| {
             let mut col = Column::typed(schema.columns()[c].ty, slots.len());
@@ -66,11 +74,18 @@ impl Mirror {
         })
     }
 
+    /// One flag per slot, set where the slot holds a row; built on first
+    /// use.
+    pub(crate) fn live(&self, slots: &[Option<Row>]) -> &[bool] {
+        self.live
+            .get_or_init(|| slots.iter().map(Option::is_some).collect())
+    }
+
     /// The built columns with their schema positions. Nothing built is
     /// the one branch an unmirrored table pays per mutation.
     #[inline]
     fn built_mut(&mut self) -> impl Iterator<Item = (usize, &mut Column)> {
-        self.0
+        self.cols
             .get_mut()
             .into_iter()
             .flat_map(|cols| cols.iter_mut().enumerate())
@@ -83,6 +98,13 @@ impl Mirror {
         for (c, col) in self.built_mut() {
             col.set(rid as usize, row.get(c).unwrap_or(&Value::Null));
         }
+        if let Some(live) = self.live.get_mut() {
+            let i = rid as usize;
+            if i >= live.len() {
+                live.resize(i + 1, false);
+            }
+            live[i] = true;
+        }
     }
 
     /// Slot `rid` was freed.
@@ -91,12 +113,18 @@ impl Mirror {
         for (_, col) in self.built_mut() {
             col.clear(rid as usize);
         }
+        if let Some(live) = self.live.get_mut() {
+            live[rid as usize] = false;
+        }
     }
 
     /// The slot array now has `lanes` slots, the new ones free.
     pub(crate) fn grow(&mut self, lanes: usize) {
         for (_, col) in self.built_mut() {
             col.grow(lanes);
+        }
+        if let Some(live) = self.live.get_mut() {
+            live.resize(lanes, false);
         }
     }
 
@@ -105,22 +133,26 @@ impl Mirror {
         for (c, col) in self.built_mut() {
             *col = Column::typed(schema.columns()[c].ty, 0);
         }
+        if let Some(live) = self.live.get_mut() {
+            live.clear();
+        }
     }
 
     /// How many columns have been built.
     pub(crate) fn built(&self) -> usize {
-        self.0
+        self.cols
             .get()
             .map_or(0, |cols| cols.iter().filter(|c| c.get().is_some()).count())
     }
 
-    /// Heap bytes held by the built columns.
+    /// Heap bytes held by the built columns and the liveness mask.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.0.get().map_or(0, |cols| {
+        let cols = self.cols.get().map_or(0, |cols| {
             cols.iter()
                 .filter_map(OnceLock::get)
                 .map(Column::heap_bytes)
                 .sum()
-        })
+        });
+        cols + self.live.get().map_or(0, Vec::capacity)
     }
 }

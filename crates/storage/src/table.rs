@@ -513,13 +513,16 @@ impl Table {
         self.slots.len()
     }
 
-    /// The lanes that hold live rows, in slot order — the selection a
-    /// vector scan starts from. `None` = every lane is live.
-    pub fn live_lanes(&self) -> Option<Vec<u32>> {
+    /// One flag per lane, set where the slot holds a live row — the mask
+    /// a vector scan starts from. `None` = every lane is live. Kept by the
+    /// mirror, so only the first call on a table walks its slots.
+    pub fn live_mask(&self) -> Option<&[bool]> {
         if self.free.is_empty() {
             return None;
         }
-        Some(self.scan().map(|(rid, _)| rid as u32).collect())
+        let live = self.mirror.live(&self.slots);
+        debug_assert_eq!(live.len(), self.slots.len(), "mirror out of step");
+        Some(live)
     }
 
     /// How many columns the mirror currently holds (0 for a table no
@@ -1021,7 +1024,7 @@ mod tests {
         assert_eq!(lane(&t).dict().len(), 1);
         let mirror = t.approx_bytes() - rows_only;
         assert!((100 * 4..100 * 4 + 256).contains(&mirror), "{mirror} B");
-        assert!(t.live_lanes().is_none());
+        assert!(t.live_mask().is_none());
 
         // Row 3's new string is unique, so replacing it releases its
         // entry, and the next new string takes its code.
@@ -1036,7 +1039,7 @@ mod tests {
         // row takes "third"'s released code again.
         let gone = t.delete(4).unwrap();
         assert_eq!(t.column(1).value_at(4), Value::Text(String::new()));
-        assert!(!t.live_lanes().unwrap().contains(&4));
+        assert!(!t.live_mask().unwrap()[4]);
         assert_eq!(lane(&t).dict().len(), 3);
         t.restore(4, gone).unwrap();
         assert_eq!(lane(&t).codes()[4], renamed);
@@ -1046,7 +1049,9 @@ mod tests {
         // A failed insert into the full slot array leaves a free lane.
         assert!(t.insert(row(7, "dup")).is_err());
         assert_eq!(t.column(1).len(), t.lanes());
-        assert_eq!(t.live_lanes().unwrap().len(), 100);
+        let live = t.live_mask().unwrap();
+        assert_eq!(live.len(), t.lanes());
+        assert_eq!(live.iter().filter(|&&l| l).count(), 100);
 
         t.truncate();
         assert_eq!((t.lanes(), t.column(1).len()), (0, 0));

@@ -193,6 +193,25 @@ fn same_cell(a: &Value, b: &Value) -> bool {
     format!("{a:?}") == format!("{b:?}")
 }
 
+/// The lanes a vector scan of `table` starts from, by its liveness mask,
+/// after checking the mask flags exactly the slots that hold a row.
+fn live_lanes(table: &Table) -> Vec<u32> {
+    let lanes = table.lanes();
+    match table.live_mask() {
+        None => {
+            assert_eq!(table.len(), lanes, "no mask, yet a free slot");
+            (0..lanes as u32).collect()
+        }
+        Some(mask) => {
+            assert_eq!(mask.len(), lanes, "one flag per slot");
+            for (i, &live) in mask.iter().enumerate() {
+                assert_eq!(live, table.get(i as RowId).is_some(), "slot {i}");
+            }
+            sstore_vector::compute::bool_to_sel(mask)
+        }
+    }
+}
+
 /// The invariant. `requested` are the columns some scan has asked this
 /// table for; `misfit_seen[c]` says a misfit went into column `c` while
 /// it was mirrored and no truncate has happened since (the lane stays
@@ -203,9 +222,7 @@ fn check(table: &Table, requested: &BTreeSet<usize>, misfit_seen: &mut [bool; 6]
     assert_eq!(table.mirrored_columns(), requested.len());
     let needed: Vec<usize> = requested.iter().copied().collect();
     let fresh = table.column_batch(Some(&needed));
-    let live: Vec<u32> = table
-        .live_lanes()
-        .unwrap_or_else(|| (0..table.lanes() as u32).collect());
+    let live = live_lanes(table);
     assert_eq!(live.len(), fresh.rows);
     for &c in &needed {
         let lane = table.column(c);
@@ -495,7 +512,7 @@ proptest! {
                     None => prop_assert_eq!(lane.get(i), ""),
                 }
             }
-            let live: Vec<u32> = table.live_lanes().unwrap_or_else(|| (0..table.lanes() as u32).collect());
+            let live = live_lanes(table);
             let pivot = table.column_batch(Some(&[1]));
             let gathered = col.gather(&live);
             for r in 0..pivot.rows {

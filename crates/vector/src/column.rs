@@ -94,6 +94,25 @@ impl Bitmap {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
     }
+
+    /// The bitwise AND of two bitmaps of one length.
+    pub(crate) fn and(&self, other: &Bitmap) -> Bitmap {
+        debug_assert_eq!(self.len, other.len);
+        let words = self.words.iter().zip(&other.words).map(|(a, b)| a & b);
+        Bitmap {
+            words: words.collect(),
+            len: self.len,
+        }
+    }
+
+    /// Clear each `mask[i]` whose bit `i` is clear.
+    pub(crate) fn and_into(&self, mask: &mut [bool]) {
+        for (&w, chunk) in self.words.iter().zip(mask.chunks_mut(64)) {
+            for (j, m) in chunk.iter_mut().enumerate() {
+                *m &= (w >> j) & 1 == 1;
+            }
+        }
+    }
 }
 
 /// Reads bit `i` of an optional validity bitmap; absent bitmap = all valid.

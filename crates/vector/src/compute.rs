@@ -1,16 +1,19 @@
 //! Type-specialized compute kernels: comparison, checked arithmetic and
-//! predicate filtering (the aggregate reductions are in [`crate::group`]).
+//! the predicate → mask reduction (the aggregate reductions are in
+//! [`crate::group`]).
 //!
-//! Every kernel takes an optional *selection* (`Option<&[u32]>`, `None` =
-//! all rows dense) and optional validity bitmaps, and is specified as
-//! bit-identical to evaluating the scalar `expr` path per selected row:
-//! same NULL propagation (NULL operand → NULL result, checked *before*
-//! division-by-zero), same error strings, and same first-error ordering
-//! (selection order = row order). Outputs are row-aligned — see the crate
-//! docs — so unselected slots hold unspecified defaults and must never be
-//! read.
+//! Every kernel takes a [`Sel`] and optional validity bitmaps, and is
+//! specified as bit-identical to evaluating the scalar `expr` path per
+//! selected row: same NULL propagation (NULL operand → NULL result,
+//! checked *before* division-by-zero), same error strings, and same
+//! first-error ordering (selection order = row order). Outputs are
+//! row-aligned — see the crate docs — so unselected slots hold
+//! unspecified values and must never be read. A comparison cannot fail,
+//! so under a mask it compares every lane and leaves the mask to whoever
+//! reads the result; arithmetic can, so it visits only selected rows.
 
 use crate::column::{valid_at, Bitmap, ColumnData, TextLane};
+use crate::Sel;
 use sstore_common::{Error, Result};
 use std::cmp::Ordering;
 
@@ -85,34 +88,99 @@ impl CmpOp {
     pub(crate) fn ord_ok(self, o: Ordering) -> bool {
         (self as u8 >> (o as i8 + 1)) & 1 == 1
     }
+
+    /// The operator with its operands swapped: `a op b` is `b op.flip() a`.
+    fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            same => same,
+        }
+    }
 }
 
-/// `out[i] = f(&col[i], c)` for every selected row: a column against a
-/// constant in a loop of its own, with nothing decided per row but `f`.
-/// The dense loop walks the column and the output together, so it has no
-/// per-row bounds checks.
+/// `out[i] = f(&col[i], c)` for every row `sel` may name: a column against
+/// a constant in a loop of its own, with nothing decided per row but `f`.
+/// Under `All` and `Mask` the loop walks the column and the output
+/// together, so it has no per-row bounds checks.
 #[inline]
 fn fill_vs_const<T, C: Copy>(
     out: &mut [bool],
-    sel: Option<&[u32]>,
+    sel: Sel,
     col: &[T],
     c: C,
     f: impl Fn(&T, C) -> bool,
 ) {
     match sel {
-        None => {
+        Sel::All | Sel::Mask(_) => {
             let col = &col[..out.len()];
             for (o, x) in out.iter_mut().zip(col) {
                 *o = f(x, c);
             }
         }
-        Some(s) => {
+        Sel::Pos(s) => {
             for &i in s {
                 let i = i as usize;
                 out[i] = f(&col[i], c);
             }
         }
     }
+}
+
+/// `out[i] = key(col[i]) op k` through [`fill_vs_const`], with the
+/// operator matched once per call so each loop is one plain compare.
+#[inline]
+fn cmp_vs_const<T, K: Ord + Copy>(
+    out: &mut [bool],
+    sel: Sel,
+    col: &[T],
+    op: CmpOp,
+    k: K,
+    key: impl Fn(&T) -> K,
+) {
+    match op {
+        CmpOp::Eq => fill_vs_const(out, sel, col, k, |x, k| key(x) == k),
+        CmpOp::Ne => fill_vs_const(out, sel, col, k, |x, k| key(x) != k),
+        CmpOp::Lt => fill_vs_const(out, sel, col, k, |x, k| key(x) < k),
+        CmpOp::Le => fill_vs_const(out, sel, col, k, |x, k| key(x) <= k),
+        CmpOp::Gt => fill_vs_const(out, sel, col, k, |x, k| key(x) > k),
+        CmpOp::Ge => fill_vs_const(out, sel, col, k, |x, k| key(x) >= k),
+    }
+}
+
+/// `out[i] = col[i] op c` by `f64::total_cmp`, one plain loop per
+/// operator. For a constant that is neither zero nor NaN, IEEE compares
+/// agree with `total_cmp` on every non-NaN cell (both zeros lie on one
+/// side of `c`), and a NaN cell sorts by its sign: above every number
+/// when positive, below when negative. So each row is an IEEE compare
+/// plus that fix-up, which vectorizes. A zero or NaN constant compares
+/// the integer keys `total_cmp` orders by instead.
+#[inline]
+fn cmp_float_const(out: &mut [bool], sel: Sel, col: &[f64], op: CmpOp, c: f64) {
+    if c.is_nan() || c == 0.0 {
+        return cmp_vs_const(out, sel, col, op, total_key(&c), total_key);
+    }
+    let (above, below) = (op.ord_ok(Ordering::Greater), op.ord_ok(Ordering::Less));
+    let nan = move |x: f64| x.is_nan() & if x.is_sign_negative() { below } else { above };
+    match op {
+        CmpOp::Eq => fill_vs_const(out, sel, col, c, |&x, c| x == c),
+        CmpOp::Ne => fill_vs_const(out, sel, col, c, |&x, c| x != c),
+        CmpOp::Lt => fill_vs_const(out, sel, col, c, |&x, c| (x < c) | nan(x)),
+        CmpOp::Le => fill_vs_const(out, sel, col, c, |&x, c| (x <= c) | nan(x)),
+        CmpOp::Gt => fill_vs_const(out, sel, col, c, |&x, c| (x > c) | nan(x)),
+        CmpOp::Ge => fill_vs_const(out, sel, col, c, |&x, c| (x >= c) | nan(x)),
+    }
+}
+
+/// The `i64` whose order is `f64::total_cmp`'s: the bits as a signed
+/// integer, with every bit but the sign flipped on negative values — the
+/// mapping `total_cmp` itself compares by.
+#[inline]
+fn total_key(x: &f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Arithmetic operator, mirroring `BinOp::{Add,Sub,Mul,Div,Mod}`.
@@ -130,24 +198,13 @@ pub enum ArithOp {
     Mod,
 }
 
-/// AND the two operand validities over the selection. `None` = all valid.
-/// Only selected bits of the result are meaningful.
-pub(crate) fn combine_validity(
-    av: Option<&Bitmap>,
-    bv: Option<&Bitmap>,
-    sel: Option<&[u32]>,
-    rows: usize,
-) -> Option<Bitmap> {
-    if av.is_none() && bv.is_none() {
-        return None;
+/// AND the two operand validities. `None` = all valid.
+pub(crate) fn combine_validity(av: Option<&Bitmap>, bv: Option<&Bitmap>) -> Option<Bitmap> {
+    match (av, bv) {
+        (None, None) => None,
+        (Some(v), None) | (None, Some(v)) => Some(v.clone()),
+        (Some(a), Some(b)) => Some(a.and(b)),
     }
-    let mut out = Bitmap::new_set(rows);
-    for_sel!(sel, rows, i => {
-        if !valid_at(av, i) || !valid_at(bv, i) {
-            out.set(i, false);
-        }
-    });
-    Some(out)
 }
 
 /// Numeric comparison. Both-int pairs compare as `i64`; any float operand
@@ -155,24 +212,26 @@ pub(crate) fn combine_validity(
 /// `Value::cmp_total` for numeric pairs. A NULL operand yields a NULL
 /// result bit (cleared validity), matching `sql_cmp → None → tri → Null`.
 ///
-/// A float column against a float constant (`v >= ?`) runs its own loop,
-/// with the operands matched once per call; every other pair shares one
-/// int and one float loop.
+/// A column against a constant of its own type (`v >= ?`, `k = ?`), on
+/// either side, runs one plain loop per operator; a float one is an IEEE
+/// compare plus a fix-up for NaN cells, which sort by their sign. Every
+/// other pair shares one int and one float loop.
 pub fn cmp_num(
     op: CmpOp,
     a: NumSrc,
     av: Option<&Bitmap>,
     b: NumSrc,
     bv: Option<&Bitmap>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     rows: usize,
 ) -> (Vec<bool>, Option<Bitmap>) {
     let mut out = vec![false; rows];
     let o = out.as_mut_slice();
     match (a, b) {
-        (NumSrc::F(x), NumSrc::CF(c)) => {
-            fill_vs_const(o, sel, x, c, |x, c| op.ord_ok(x.total_cmp(&c)));
-        }
+        (NumSrc::F(x), NumSrc::CF(c)) => cmp_float_const(o, sel, x, op, c),
+        (NumSrc::CF(c), NumSrc::F(x)) => cmp_float_const(o, sel, x, op.flip(), c),
+        (NumSrc::I(x), NumSrc::CI(c)) => cmp_vs_const(o, sel, x, op, c, |&x| x),
+        (NumSrc::CI(c), NumSrc::I(x)) => cmp_vs_const(o, sel, x, op.flip(), c, |&x| x),
         _ if a.is_int() && b.is_int() => for_sel!(sel, rows, i => {
             o[i] = op.ord_ok(a.int_at(i).cmp(&b.int_at(i)));
         }),
@@ -180,7 +239,7 @@ pub fn cmp_num(
             o[i] = op.ord_ok(a.float_at(i).total_cmp(&b.float_at(i)));
         }),
     }
-    (out, combine_validity(av, bv, sel, rows))
+    (out, combine_validity(av, bv))
 }
 
 /// A string operand lane: column or constant.
@@ -212,7 +271,7 @@ pub fn cmp_str(
     av: Option<&Bitmap>,
     b: StrSrc,
     bv: Option<&Bitmap>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     rows: usize,
 ) -> (Vec<bool>, Option<Bitmap>) {
     let mut out = vec![false; rows];
@@ -228,7 +287,7 @@ pub fn cmp_str(
             o[i] = op.ord_ok(a.at(i).cmp(b.at(i)));
         }),
     }
-    (out, combine_validity(av, bv, sel, rows))
+    (out, combine_validity(av, bv))
 }
 
 /// A boolean operand lane: column or constant.
@@ -257,14 +316,14 @@ pub fn cmp_bool(
     av: Option<&Bitmap>,
     b: BoolSrc,
     bv: Option<&Bitmap>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     rows: usize,
 ) -> (Vec<bool>, Option<Bitmap>) {
     let mut out = vec![false; rows];
     for_sel!(sel, rows, i => {
         out[i] = op.ord_ok(a.at(i).cmp(&b.at(i)));
     });
-    (out, combine_validity(av, bv, sel, rows))
+    (out, combine_validity(av, bv))
 }
 
 /// Numeric arithmetic with the row path's exact semantics: NULL operand →
@@ -279,10 +338,10 @@ pub fn arith_num(
     av: Option<&Bitmap>,
     b: NumSrc,
     bv: Option<&Bitmap>,
-    sel: Option<&[u32]>,
+    sel: Sel,
     rows: usize,
 ) -> Result<(ColumnData, Option<Bitmap>)> {
-    let validity = combine_validity(av, bv, sel, rows);
+    let validity = combine_validity(av, bv);
     if a.is_int() && b.is_int() {
         let mut out = vec![0i64; rows];
         for_sel!(sel, rows, i => {
@@ -332,32 +391,42 @@ pub fn arith_num(
     }
 }
 
-/// Reduce a boolean result column to a selection vector: keep positions
-/// that are valid **and** true (the row path's `eval_pred` maps NULL to
-/// false).
-///
-/// Branch-free: every selected position is written to the next free slot
-/// of an output sized to the selection, and the slot is kept by advancing
-/// past it only when the row passes.
-pub fn bool_to_sel(
-    vals: &[bool],
-    validity: Option<&Bitmap>,
-    sel: Option<&[u32]>,
-    rows: usize,
-) -> Vec<u32> {
-    let mut out = vec![0u32; sel.map_or(rows, <[u32]>::len)];
-    let mut kept = 0;
-    match (sel, validity) {
-        (None, None) => {
-            for (i, &v) in vals[..rows].iter().enumerate() {
-                out[kept] = i as u32;
-                kept += v as usize;
+/// Reduce a boolean result lane to a row-aligned mask: a row is kept
+/// when it is selected, valid **and** true (the row path's `eval_pred`
+/// maps NULL to false). The lane becomes the mask in place.
+pub fn to_mask(mut vals: Vec<bool>, validity: Option<&Bitmap>, sel: Sel) -> Vec<bool> {
+    match sel {
+        Sel::All => {}
+        Sel::Mask(m) => {
+            for (v, &k) in vals.iter_mut().zip(m) {
+                *v &= k;
             }
         }
-        _ => for_sel!(sel, rows, i => {
-            out[kept] = i as u32;
-            kept += (valid_at(validity, i) & vals[i]) as usize;
-        }),
+        Sel::Pos(s) => {
+            let mut kept = vec![false; vals.len()];
+            for &i in s {
+                kept[i as usize] = vals[i as usize];
+            }
+            vals = kept;
+        }
+    }
+    if let Some(v) = validity {
+        v.and_into(&mut vals);
+    }
+    vals
+}
+
+/// The positions of a mask's set rows, in order.
+///
+/// Branch-free: every row is written to the next free slot of an output
+/// sized to the mask, and the slot is kept by advancing past it only when
+/// the row is set.
+pub fn bool_to_sel(mask: &[bool]) -> Vec<u32> {
+    let mut out = vec![0u32; mask.len()];
+    let mut kept = 0;
+    for (i, &k) in mask.iter().enumerate() {
+        out[kept] = i as u32;
+        kept += k as usize;
     }
     out.truncate(kept);
     out
@@ -399,14 +468,21 @@ mod tests {
         }
     }
 
-    fn selections() -> [Option<&'static [u32]>; 2] {
-        [None, Some(&[6, 1, 3])]
+    const MASK: [bool; 10] = [
+        false, true, false, true, true, false, true, false, false, true,
+    ];
+
+    /// Every row, some positions, and a mask.
+    fn selections(rows: usize) -> [Sel<'static>; 3] {
+        [Sel::All, Sel::Pos(&[1, 3, 6]), Sel::Mask(&MASK[..rows])]
     }
 
-    fn sel_rows(sel: Option<&[u32]>, rows: usize) -> Vec<usize> {
-        sel.map_or((0..rows).collect(), |s| {
-            s.iter().map(|&i| i as usize).collect()
-        })
+    fn sel_rows(sel: Sel, rows: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        for_sel!(sel, rows, i => {
+            out.push(i);
+        });
+        out
     }
 
     #[test]
@@ -436,6 +512,9 @@ mod tests {
             NumSrc::CF(0.0),
             NumSrc::CF(-0.0),
             NumSrc::CF(f64::NAN),
+            NumSrc::CF(-f64::NAN),
+            NumSrc::CF(f64::INFINITY),
+            NumSrc::CF(f64::NEG_INFINITY),
             NumSrc::CF(2.0),
         ] {
             shapes.extend([(i, c), (c, i), (f, c), (c, f), (c, NumSrc::CI(2))]);
@@ -449,7 +528,7 @@ mod tests {
         };
         for (a, b) in shapes {
             for op in OPS {
-                for sel in selections() {
+                for sel in selections(ints.len()) {
                     let (out, v) = cmp_num(op, a, None, b, None, sel, ints.len());
                     assert!(v.is_none());
                     for r in sel_rows(sel, ints.len()) {
@@ -484,7 +563,7 @@ mod tests {
             let (lc, k) = (StrSrc::Col(lane), StrSrc::Const(c));
             for op in OPS {
                 for (a, av, b, bv) in [(lc, cv, k, None), (k, None, lc, cv)] {
-                    for sel in [None, Some(&[9u32, 6, 1, 3, 4][..])] {
+                    for sel in selections(rows) {
                         let (out, v) = cmp_str(op, a, av, b, bv, sel, rows);
                         for r in sel_rows(sel, rows) {
                             if col.is_null_at(r) {
@@ -503,7 +582,15 @@ mod tests {
     #[test]
     fn cmp_int_lanes() {
         let a = [1i64, 5, 3];
-        let (out, v) = cmp_num(CmpOp::Lt, NumSrc::I(&a), None, NumSrc::CI(3), None, None, 3);
+        let (out, v) = cmp_num(
+            CmpOp::Lt,
+            NumSrc::I(&a),
+            None,
+            NumSrc::CI(3),
+            None,
+            Sel::All,
+            3,
+        );
         assert_eq!(out, vec![true, false, false]);
         assert!(v.is_none());
     }
@@ -517,7 +604,7 @@ mod tests {
             None,
             NumSrc::CF(2.0),
             None,
-            None,
+            Sel::All,
             2,
         );
         assert_eq!(out, vec![false, true]);
@@ -533,7 +620,7 @@ mod tests {
             Some(&av),
             NumSrc::CI(2),
             None,
-            None,
+            Sel::All,
             2,
         );
         let v = v.unwrap();
@@ -550,7 +637,7 @@ mod tests {
             None,
             NumSrc::CI(1),
             None,
-            None,
+            Sel::All,
             1,
         )
         .unwrap_err();
@@ -570,7 +657,7 @@ mod tests {
             None,
             NumSrc::I(&b),
             Some(&bv),
-            None,
+            Sel::All,
             2,
         )
         .unwrap();
@@ -590,7 +677,7 @@ mod tests {
             None,
             NumSrc::I(&b),
             None,
-            Some(&sel),
+            Sel::Pos(&sel),
             2,
         )
         .unwrap();
@@ -607,7 +694,7 @@ mod tests {
             None,
             NumSrc::CF(0.0),
             None,
-            None,
+            Sel::All,
             1,
         )
         .unwrap();
@@ -620,15 +707,27 @@ mod tests {
         let none: Vec<u32> = Vec::new();
         let vals = [true, true, false, true, true];
         let v = bm(&[true, false, true, true, true]);
-        assert_eq!(bool_to_sel(&vals, Some(&v), None, 5), vec![0, 3, 4]);
+        let keep = |vals: &[bool], v: Option<&Bitmap>, sel: Sel| {
+            bool_to_sel(&to_mask(vals.to_vec(), v, sel))
+        };
+        assert_eq!(keep(&vals, Some(&v), Sel::All), vec![0, 3, 4]);
         // Row 1 is NULL, row 2 false and row 4 unselected.
-        assert_eq!(bool_to_sel(&vals, Some(&v), Some(&[0, 1, 2, 3]), 5), [0, 3]);
-        assert_eq!(bool_to_sel(&vals, None, Some(&[1, 2, 4]), 5), [1, 4]);
-        assert_eq!(bool_to_sel(&[true; 5], None, None, 5), [0, 1, 2, 3, 4]);
-        assert_eq!(bool_to_sel(&[true; 5], Some(&v), None, 5), [0, 2, 3, 4]);
-        assert_eq!(bool_to_sel(&[false; 5], None, None, 5), none);
-        assert_eq!(bool_to_sel(&[false; 5], Some(&v), Some(&[0, 4]), 5), none);
-        assert_eq!(bool_to_sel(&[], None, None, 0), none);
-        assert_eq!(bool_to_sel(&vals, Some(&v), Some(&[]), 5), none);
+        assert_eq!(keep(&vals, Some(&v), Sel::Pos(&[0, 1, 2, 3])), [0, 3]);
+        let mask = [true, true, true, true, false];
+        assert_eq!(keep(&vals, Some(&v), Sel::Mask(&mask)), [0, 3]);
+        assert_eq!(keep(&vals, None, Sel::Pos(&[1, 2, 4])), [1, 4]);
+        assert_eq!(keep(&[true; 5], None, Sel::All), [0, 1, 2, 3, 4]);
+        assert_eq!(keep(&[true; 5], Some(&v), Sel::All), [0, 2, 3, 4]);
+        assert_eq!(keep(&[false; 5], None, Sel::All), none);
+        assert_eq!(keep(&[false; 5], Some(&v), Sel::Pos(&[0, 4])), none);
+        assert_eq!(keep(&[], None, Sel::All), none);
+        assert_eq!(keep(&vals, Some(&v), Sel::Pos(&[])), none);
+        assert_eq!(keep(&vals, None, Sel::Mask(&[false; 5])), none);
+        // Past 64 rows the validity spans two words.
+        let mut wide = Bitmap::new_set(70);
+        wide.set(65, false);
+        let got = keep(&[true; 70], Some(&wide), Sel::All);
+        assert_eq!(got.len(), 69);
+        assert!(!got.contains(&65));
     }
 }

@@ -6,32 +6,68 @@
 //! `INT = INT` join key, avoiding per-probe `Value` hashing.
 //!
 //! When the valid selected build keys span (`max − min + 1`) no more
-//! values than there are selected build and probe rows together, and no
-//! key occurs twice, the build side is addressed directly by `key − min`
-//! through one slot per key, probed without a branch per row, and nothing
-//! is hashed. Wider build sides, build sides with a duplicate key and
-//! build sides with no valid selected key go through a `HashMap`. Both
-//! ways yield the same pairs in the same order.
+//! values than the two sides have rows, and no key occurs twice, the
+//! build side is addressed directly by `key − min` through one slot per
+//! key, probed without a branch per row, and nothing is hashed. Each probe
+//! row then matches at most once, so the join's output is the probe side
+//! itself, filtered by a hit mask: [`Matches::Unique`]. Wider build sides,
+//! build sides with a duplicate key and build sides with no valid
+//! selected key go through a `HashMap` and yield index pairs,
+//! [`Matches::Pairs`]. Both name the same matches in the same order.
 
 use crate::column::{valid_at, Bitmap};
-use crate::group::dense_range;
+use crate::group::{dense_range, each_lane};
+use crate::Sel;
 use std::collections::HashMap;
 
-/// Join two selections on `i64` equality. Returns the matches as two
-/// parallel index vectors `(probe_idx, build_idx)` — the join's output
-/// stays columnar, and the caller gathers only the columns it needs —
-/// in probe-major order, with build matches in build-selection order:
-/// exactly the iteration order of the row interpreter's nested loop when
-/// the probe side is the outer relation. NULL keys never match (SQL `=`
-/// is NULL-rejecting).
+/// The matches of [`hash_join_i64`], in probe-major order with build
+/// matches in build-selection order: exactly the iteration order of the
+/// row interpreter's nested loop when the probe side is the outer
+/// relation. NULL keys never match (SQL `=` is NULL-rejecting).
+#[derive(Debug, PartialEq, Eq)]
+pub enum Matches {
+    /// Each probe row matches at most one build row. `hit` is row-aligned
+    /// with the probe side: selected, valid and matched. `build_rows[i]`
+    /// is the build row probe row `i` matched, for each hit `i` (other
+    /// lanes hold some valid build row); it is empty unless asked for.
+    Unique {
+        /// The probe rows that matched.
+        hit: Vec<bool>,
+        /// Row-aligned with the probe side: the build row of each hit.
+        build_rows: Vec<u32>,
+    },
+    /// The matches as two parallel index vectors `(probe, build)` — the
+    /// join's output stays columnar, and the caller gathers only the
+    /// columns it needs.
+    Pairs(Vec<u32>, Vec<u32>),
+}
+
+impl Matches {
+    /// The matches as `(probe, build)` index pairs. A [`Matches::Unique`]
+    /// must carry its `build_rows`.
+    pub fn into_pairs(self) -> (Vec<u32>, Vec<u32>) {
+        match self {
+            Matches::Pairs(p, b) => (p, b),
+            Matches::Unique { hit, build_rows } => (0..hit.len())
+                .filter(|&i| hit[i])
+                .map(|i| (i as u32, build_rows[i]))
+                .unzip(),
+        }
+    }
+}
+
+/// Join two selections on `i64` equality; see [`Matches`]. `build_rows`
+/// says whether a unique join should also name each hit's build row,
+/// which only a caller that reads build-side columns needs.
 pub fn hash_join_i64(
     build: &[i64],
     build_validity: Option<&Bitmap>,
-    build_sel: Option<&[u32]>,
+    build_sel: Sel,
     probe: &[i64],
     probe_validity: Option<&Bitmap>,
-    probe_sel: Option<&[u32]>,
-) -> (Vec<u32>, Vec<u32>) {
+    probe_sel: Sel,
+    build_rows: bool,
+) -> Matches {
     let build = Side {
         keys: build,
         validity: build_validity,
@@ -42,7 +78,7 @@ pub fn hash_join_i64(
         validity: probe_validity,
         sel: probe_sel,
     };
-    let bound = build.selected() + probe.selected();
+    let bound = build.sel.bound(build.keys.len()) + probe.sel.bound(probe.keys.len());
     if let Some((min, span)) = dense_range(
         build.keys,
         build.validity,
@@ -50,8 +86,8 @@ pub fn hash_join_i64(
         build.keys.len(),
         bound,
     ) {
-        if let Some(pairs) = unique_join(build, probe, min, span) {
-            return pairs;
+        if let Some(m) = unique_join(build, probe, min, span, build_rows) {
+            return m;
         }
     }
     let mut table: HashMap<i64, Vec<u32>> = HashMap::new();
@@ -63,7 +99,7 @@ pub fn hash_join_i64(
             build_idx.extend_from_slice(m);
         }
     });
-    (probe_idx, build_idx)
+    Matches::Pairs(probe_idx, build_idx)
 }
 
 /// One input of the join: a key lane, its validity and its selection.
@@ -71,15 +107,10 @@ pub fn hash_join_i64(
 struct Side<'a> {
     keys: &'a [i64],
     validity: Option<&'a Bitmap>,
-    sel: Option<&'a [u32]>,
+    sel: Sel<'a>,
 }
 
 impl Side<'_> {
-    /// Number of selected rows.
-    fn selected(self) -> usize {
-        self.sel.map_or(self.keys.len(), <[u32]>::len)
-    }
-
     /// `f(i, key)` for each selected row with a valid key, in selection
     /// order.
     fn each_valid(self, mut f: impl FnMut(usize, i64)) {
@@ -94,11 +125,16 @@ impl Side<'_> {
 /// [`hash_join_i64`] with every valid selected build key in
 /// `min .. min + span`, through one slot per key at `key − min`. `None`
 /// when some key has two build rows.
-fn unique_join(build: Side, probe: Side, min: i64, span: usize) -> Option<(Vec<u32>, Vec<u32>)> {
+fn unique_join(
+    build: Side,
+    probe: Side,
+    min: i64,
+    span: usize,
+    want_rows: bool,
+) -> Option<Matches> {
     // Out-of-range keys wrap to offsets of `span` or more. Slot `span` is
     // the miss that out-of-range probes are clamped to, so the probe
-    // writes every candidate pair and keeps it by advancing past it only
-    // on a hit.
+    // reads a slot for every lane and keeps it only on a hit.
     const MISS: u32 = u32::MAX;
     let at = |k: i64| k.wrapping_sub(min) as u64 as usize;
     let mut slot = vec![MISS; span + 1];
@@ -111,30 +147,43 @@ fn unique_join(build: Side, probe: Side, min: i64, span: usize) -> Option<(Vec<u
     if dup {
         return None;
     }
-    let n = probe.selected();
-    let (mut probe_idx, mut build_idx) = (vec![0u32; n], vec![0u32; n]);
-    let mut kept = 0;
-    for_sel!(probe.sel, probe.keys.len(), i => {
+    let rows = probe.keys.len();
+    let mut hit = vec![false; rows];
+    let mut build_rows = vec![0u32; if want_rows { rows } else { 0 }];
+    each_lane(probe.validity, probe.sel, rows, |i, keep| {
         let b = slot[at(probe.keys[i]).min(span)];
-        probe_idx[kept] = i as u32;
-        build_idx[kept] = b;
-        kept += (valid_at(probe.validity, i) & (b != MISS)) as usize;
+        let h = keep & (b != MISS);
+        hit[i] = h;
+        if want_rows {
+            // A miss names build row 0, which exists: some key was valid.
+            build_rows[i] = b & (h as u32).wrapping_neg();
+        }
     });
-    probe_idx.truncate(kept);
-    build_idx.truncate(kept);
-    Some((probe_idx, build_idx))
+    Some(Matches::Unique { hit, build_rows })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The matches as pairs, whichever way the kernel found them.
+    fn join(
+        build: &[i64],
+        bv: Option<&Bitmap>,
+        bsel: Sel,
+        probe: &[i64],
+        pv: Option<&Bitmap>,
+        psel: Sel,
+    ) -> (Vec<u32>, Vec<u32>) {
+        hash_join_i64(build, bv, bsel, probe, pv, psel, true).into_pairs()
+    }
+
     #[test]
     fn matches_in_probe_major_build_order() {
         // A span of 11 over three plus three rows: the `HashMap` path.
         let build = [10i64, 20, 10];
         let probe = [10i64, 30, 20];
-        let pairs = hash_join_i64(&build, None, None, &probe, None, None);
+        let pairs = join(&build, None, Sel::All, &probe, None, Sel::All);
         assert_eq!(pairs, (vec![0, 0, 2], vec![0, 2, 1]));
     }
 
@@ -144,39 +193,39 @@ mod tests {
         let mut bv = Bitmap::new_set(2);
         bv.set(0, false);
         let probe = [1i64];
-        let pairs = hash_join_i64(&build, Some(&bv), None, &probe, None, None);
+        let pairs = join(&build, Some(&bv), Sel::All, &probe, None, Sel::All);
         assert_eq!(pairs, (vec![0], vec![1]));
         // A NULL probe row's lane default must not hit, through one slot
         // per key or through the `HashMap` a duplicate key falls back to.
         let probe = [0i64, 0];
         let mut pv = Bitmap::new_set(2);
         pv.set(0, false);
-        let unique = hash_join_i64(&[0], None, None, &probe, Some(&pv), None);
+        let unique = join(&[0], None, Sel::All, &probe, Some(&pv), Sel::All);
         assert_eq!(unique, (vec![1], vec![0]));
-        let dup = hash_join_i64(&[0, 0], None, None, &probe, Some(&pv), None);
+        let dup = join(&[0, 0], None, Sel::All, &probe, Some(&pv), Sel::All);
         assert_eq!(dup, (vec![1, 1], vec![0, 1]));
     }
 
     #[test]
     fn span_equal_to_both_selections_is_dense_and_one_over_hashes() {
         // Two build rows and two probe rows bound the span at four.
-        assert_eq!(dense_range(&[0, 3], None, None, 2, 4), Some((0, 4)));
-        assert_eq!(dense_range(&[0, 4], None, None, 2, 4), None);
-        let dense = hash_join_i64(&[0, 3], None, None, &[3, 0], None, None);
+        assert_eq!(dense_range(&[0, 3], None, Sel::All, 2, 4), Some((0, 4)));
+        assert_eq!(dense_range(&[0, 4], None, Sel::All, 2, 4), None);
+        let dense = join(&[0, 3], None, Sel::All, &[3, 0], None, Sel::All);
         assert_eq!(dense, (vec![0, 1], vec![1, 0]));
-        let hashed = hash_join_i64(&[0, 4], None, None, &[4, 0], None, None);
+        let hashed = join(&[0, 4], None, Sel::All, &[4, 0], None, Sel::All);
         assert_eq!(hashed, (vec![0, 1], vec![1, 0]));
         // Selected rows set the bound (two build rows and one probe row),
         // and an unselected build key far away does not widen the span.
         let (bsel, psel) = ([0u32, 2], [1u32]);
         assert_eq!(
-            dense_range(&[0, 100, 2], None, Some(&bsel), 3, 3),
+            dense_range(&[0, 100, 2], None, Sel::Pos(&bsel), 3, 3),
             Some((0, 3))
         );
-        assert_eq!(dense_range(&[0, 100, 3], None, Some(&bsel), 3, 3), None);
+        assert_eq!(dense_range(&[0, 100, 3], None, Sel::Pos(&bsel), 3, 3), None);
         for build in [[0i64, 100, 2], [0, 100, 3]] {
             let probe = [100, build[2], 0];
-            let got = hash_join_i64(&build, None, Some(&bsel), &probe, None, Some(&psel));
+            let got = join(&build, None, Sel::Pos(&bsel), &probe, None, Sel::Pos(&psel));
             assert_eq!(got, (vec![1], vec![2]));
         }
     }
@@ -184,31 +233,45 @@ mod tests {
     #[test]
     fn extreme_keys_join_without_overflow() {
         let (min, max) = (i64::MIN, i64::MAX);
-        let hashed = hash_join_i64(&[min, max], None, None, &[max, 0, min], None, None);
+        let hashed = join(&[min, max], None, Sel::All, &[max, 0, min], None, Sel::All);
         assert_eq!(hashed, (vec![0, 2], vec![1, 0]));
         // Dense at either end of the domain; probes far outside the
         // range, on both sides, miss.
-        let low = hash_join_i64(
+        let low = join(
             &[min + 1, min],
             None,
-            None,
+            Sel::All,
             &[max, min, -1, min + 1],
             None,
-            None,
+            Sel::All,
         );
         assert_eq!(low, (vec![1, 3], vec![1, 0]));
-        let high = hash_join_i64(&[max, max - 1], None, None, &[min, max, 0], None, None);
+        let high = join(
+            &[max, max - 1],
+            None,
+            Sel::All,
+            &[min, max, 0],
+            None,
+            Sel::All,
+        );
         assert_eq!(high, (vec![1], vec![0]));
     }
 
     #[test]
     fn no_valid_selected_build_key_matches_nothing() {
         let nulls = Bitmap::new_clear(2);
-        let got = hash_join_i64(&[0, 0], Some(&nulls), None, &[0, 0], None, None);
+        let got = join(&[0, 0], Some(&nulls), Sel::All, &[0, 0], None, Sel::All);
         assert_eq!(got, (vec![], vec![]));
         let mut bv = Bitmap::new_set(3);
         bv.set(1, false);
-        let got = hash_join_i64(&[5, 0, 6], Some(&bv), Some(&[1]), &[0, 5, 6], None, None);
+        let got = join(
+            &[5, 0, 6],
+            Some(&bv),
+            Sel::Pos(&[1]),
+            &[0, 5, 6],
+            None,
+            Sel::All,
+        );
         assert_eq!(got, (vec![], vec![]));
     }
 
@@ -217,14 +280,14 @@ mod tests {
         // Three build ids over a span of three, yet key 0 occurs twice
         // and key 1 never: one slot per key would drop a match.
         let build = [0i64, 2, 0];
-        assert_eq!(dense_range(&build, None, None, 3, 7), Some((0, 3)));
+        assert_eq!(dense_range(&build, None, Sel::All, 3, 7), Some((0, 3)));
         let probe = [0i64, 1, 2, 0];
-        assert_eq!(unique_join(side(&build), side(&probe), 0, 3), None);
-        let got = hash_join_i64(&build, None, None, &probe, None, None);
+        assert_eq!(unique_join(side(&build), side(&probe), 0, 3, true), None);
+        let got = join(&build, None, Sel::All, &probe, None, Sel::All);
         assert_eq!(got, (vec![0, 0, 2, 3, 3], vec![0, 2, 1, 0, 2]));
         // Unique keys over the same span take the slots.
         let unique = [0i64, 2, 1];
-        let slots = unique_join(side(&unique), side(&probe), 0, 3);
+        let slots = unique_join(side(&unique), side(&probe), 0, 3, true).map(Matches::into_pairs);
         assert_eq!(slots, Some((vec![0, 1, 2, 3], vec![0, 2, 1, 0])));
     }
 
@@ -232,7 +295,7 @@ mod tests {
         Side {
             keys,
             validity: None,
-            sel: None,
+            sel: Sel::All,
         }
     }
 
@@ -242,7 +305,7 @@ mod tests {
         let probe = [7i64, 7];
         let bsel = [1u32];
         let psel = [0u32];
-        let pairs = hash_join_i64(&build, None, Some(&bsel), &probe, None, Some(&psel));
+        let pairs = join(&build, None, Sel::Pos(&bsel), &probe, None, Sel::Pos(&psel));
         assert_eq!(pairs, (vec![0], vec![1]));
     }
 }
