@@ -451,23 +451,11 @@ fn vrun<'a>(
             Ok(VOut::Rows(rows))
         }
         PhysicalPlan::Limit { input, n } => {
-            let k = *n as usize;
-            match vrun(input, ctx, env, needed)? {
-                VOut::Rows(mut rows) => {
-                    rows.truncate(k);
-                    Ok(VOut::Rows(rows))
-                }
-                VOut::Batch { batch, sel } => {
-                    let mut mask = vec![false; batch.rows];
-                    for i in sel_iter(sel.sel(), batch.rows).take(k) {
-                        mask[i] = true;
-                    }
-                    Ok(VOut::Batch {
-                        batch,
-                        sel: Selection::Mask(mask.into()),
-                    })
-                }
-            }
+            // The planner puts a Project, Sort or Distinct under every
+            // Limit, and each of them hands up rows.
+            let mut rows = materialize_out(vrun(input, ctx, env, needed)?);
+            rows.truncate(*n as usize);
+            Ok(VOut::Rows(rows))
         }
         PhysicalPlan::Distinct { input } => {
             let rows = materialize_out(vrun(input, ctx, env, None)?);
@@ -928,10 +916,12 @@ fn try_agg_kernels(
     let ints = |v: Vec<i64>| v.into_iter().map(Value::Int).collect();
     let opt = |v: Option<Value>| v.unwrap_or(Value::Null);
     let mut results: Vec<Vec<Value>> = Vec::with_capacity(aggs.len());
+    // The rows per group. An int SUM over a lane without NULLs counts
+    // them in its pass, so COUNT(*) is filled in after every other
+    // aggregate; it cannot fail, so the order is not seen.
+    let mut row_counts: Option<Vec<i64>> = None;
     for agg in aggs {
         if agg.func == AggFunc::CountStar {
-            // Counted last: an int SUM's pass may count the rows on the
-            // side, and COUNT(*) cannot fail, so the order is not seen.
             results.push(Vec::new());
             continue;
         }
@@ -958,11 +948,13 @@ fn try_agg_kernels(
             // A Generic lane may hold NULLs the bitmap does not know.
             (_, ColumnData::Generic(_)) => return Ok(None),
             (AggFunc::Count, _) => ints(groups.count(v, sel, rows)),
-            (AggFunc::Sum, ColumnData::Int(d)) => groups
-                .sum_int(d, v, sel, rows)?
-                .into_iter()
-                .map(|s| opt(s.map(Value::Int)))
-                .collect(),
+            (AggFunc::Sum, ColumnData::Int(d)) => {
+                let (sums, counts) = groups.sum_int(d, v, sel, rows)?;
+                if v.is_none() {
+                    row_counts = Some(counts);
+                }
+                sums.into_iter().map(|s| opt(s.map(Value::Int))).collect()
+            }
             (AggFunc::Sum, ColumnData::Float(d)) => groups
                 .sum_float(d, v, sel, rows)
                 .into_iter()
@@ -1000,7 +992,8 @@ fn try_agg_kernels(
     }
     for (agg, r) in aggs.iter().zip(&mut results) {
         if agg.func == AggFunc::CountStar {
-            *r = ints(groups.count(None, sel, rows));
+            let counts = row_counts.get_or_insert_with(|| groups.count(None, sel, rows));
+            *r = ints(counts.clone());
         }
     }
     Ok(Some(

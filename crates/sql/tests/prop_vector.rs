@@ -108,7 +108,6 @@ fn grouped<'k>(
         validity,
     };
     let groups = Groups::of(col, sel, n).expect("typed lane");
-    let ids = groups.ids(sel, n);
     let mut order: Vec<Option<i64>> = Vec::new();
     let mut members: Vec<Vec<usize>> = Vec::new();
     for i in sel_indices(sel, n) {
@@ -121,10 +120,24 @@ fn grouped<'k>(
                 order.len() - 1
             });
         members[g].push(i);
-        assert_eq!(ids[i] as usize, g, "group ids follow first appearance");
+        assert_eq!(
+            group_of(&groups, sel, n, i),
+            Some(g),
+            "groups follow first appearance"
+        );
     }
     assert_eq!(groups.len(), members.len());
     (groups, members)
+}
+
+/// The group of selected row `i`, read through `count`: a COUNT over a
+/// bitmap with only row `i` set is 1 in `i`'s group and 0 in every other.
+fn group_of(groups: &Groups, sel: Sel, n: usize, i: usize) -> Option<usize> {
+    let mut only = Bitmap::new_clear(n);
+    only.set(i, true);
+    let counts = groups.count(Some(&only), sel, n);
+    let g = counts.iter().position(|&c| c != 0)?;
+    (counts[g] == 1 && counts.iter().sum::<i64>() == 1).then_some(g)
 }
 
 /// Materialize `Option` cells: NULL where the mask (damped to ~25%
@@ -381,9 +394,15 @@ proptest! {
             .collect();
         match kernel {
             Err(_) => prop_assert!(want.contains(&None), "kernel overflowed but reference did not"),
-            Ok(got) => {
+            Ok((got, counts)) => {
                 let want: Option<Vec<Option<i64>>> = want.into_iter().collect();
                 prop_assert_eq!(Some(got), want);
+                // The cells each sum added: the group's COUNT of the lane.
+                let valid: Vec<i64> = members
+                    .iter()
+                    .map(|rows| rows.iter().filter(|&&i| a[i].is_some()).count() as i64)
+                    .collect();
+                prop_assert_eq!(counts, valid);
             }
         }
     }
@@ -508,7 +527,13 @@ proptest! {
             (Matches::Pairs(..), Matches::Pairs(..)) => prop_assert_eq!(&with_rows, &without),
             _ => prop_assert!(false, "asking for build rows changed the path"),
         }
-        let got = with_rows.into_pairs();
+        let got: (Vec<u32>, Vec<u32>) = match with_rows {
+            Matches::Pairs(p, b) => (p, b),
+            Matches::Unique { hit, build_rows } => (0..pn)
+                .filter(|&i| hit[i])
+                .map(|i| (i as u32, build_rows[i]))
+                .unzip(),
+        };
         // Reference: the row interpreter's nested loop with the probe
         // side outer — probe-major, build matches in selection order,
         // NULL keys never matching.
@@ -539,7 +564,6 @@ proptest! {
         let sel = selection(&mask[..n], form);
         let col = Column { data, validity };
         let got = Groups::of(&col, sel.sel(), n).expect("typed lane");
-        let ids = got.ids(sel.sel(), n);
         let mut sizes: Vec<i64> = Vec::new();
         // Reference: ids from a `HashMap` in order of first appearance,
         // NULL (`None`) a key like any other.
@@ -553,7 +577,7 @@ proptest! {
                 sizes.push(0);
             }
             sizes[g as usize] += 1;
-            prop_assert_eq!(ids[i], g, "row {}", i);
+            prop_assert_eq!(group_of(&got, sel.sel(), n, i), Some(g as usize), "row {}", i);
         }
         prop_assert_eq!(got.count(None, sel.sel(), n), sizes);
         prop_assert_eq!(got.first, first);
@@ -621,6 +645,9 @@ const E2E_QUERIES: &[&str] = &[
     "SELECT id FROM t WHERE a IN (1, 2, 3) OR f > 10.0",
     "SELECT id FROM t WHERE a BETWEEN 0 AND 50 AND f < 100.0",
     "SELECT id, a FROM t WHERE a > 0 AND f > 0.0 ORDER BY a, id LIMIT 5",
+    "SELECT id, a FROM t WHERE a > 0 LIMIT 3",
+    "SELECT id FROM t LIMIT 2",
+    "SELECT id FROM t LIMIT 1000",
     "SELECT DISTINCT a FROM t WHERE a IS NOT NULL",
     "SELECT t.id, d.name FROM t JOIN d ON t.k = d.k",
     "SELECT t.id, d.name FROM t JOIN d ON t.k = d.k AND t.a > 1",
@@ -732,8 +759,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Masks end to end: a `WHERE` feeding COUNT/SUM, a dense `GROUP BY`, and a
-// unique-key join filtered on its build side, on nullable lanes, on a
+// Masks end to end: a `WHERE` feeding COUNT/SUM, a dense `GROUP BY`, a
+// unique-key join filtered on its build side, and `LIMIT`s below and
+// above the row count, on nullable lanes, on a
 // table with free slots, with key spans of exactly the table's lane count
 // (direct addressing) and of one more (the `HashMap`).
 // ---------------------------------------------------------------------------
@@ -820,6 +848,9 @@ const MASKED_QUERIES: &[&str] = &[
     "SELECT k, COUNT(*), SUM(w), AVG(v) FROM f WHERE v >= ? GROUP BY k",
     "SELECT COUNT(*), SUM(f.w) FROM f JOIN g ON f.k = g.k WHERE g.grp = ?",
     "SELECT f.id, g.grp, f.w FROM f JOIN g ON f.k = g.k WHERE g.grp = ? AND f.v >= ?",
+    "SELECT id, w FROM f WHERE v >= ? LIMIT 3",
+    "SELECT id FROM f LIMIT 4",
+    "SELECT id FROM f LIMIT 40",
 ];
 
 proptest! {

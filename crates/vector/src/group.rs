@@ -12,9 +12,7 @@
 //! `MIN`/`MAX` keep the first value on ties. `COUNT` and the int `SUM`
 //! keep no `Option` and take no branch per row: an unselected or NULL
 //! cell counts as nothing and adds zero, and `SUM`'s overflow check is a
-//! flag tested once after the loop. The rows per group are counted once:
-//! by `COUNT(*)`, or on the side by an int `SUM` over a lane without
-//! NULLs, which then leaves `COUNT(*)` nothing to do.
+//! flag tested once after the loop.
 //!
 //! An `Int` or `Timestamp` key lane whose valid selected keys span no more
 //! values (`max − min + 1`) than there are selected rows — every row,
@@ -33,7 +31,6 @@ use crate::column::{valid_at, Bitmap, Column, ColumnData};
 use crate::compute::NumSrc;
 use crate::Sel;
 use sstore_common::{Error, Result};
-use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -44,8 +41,6 @@ pub struct Groups<'a> {
     by: By<'a>,
     /// The first selected row of each group, in group order.
     pub first: Vec<u32>,
-    /// Selected rows per bucket, once some pass has counted them.
-    rows: OnceCell<Vec<i64>>,
 }
 
 /// How a row finds its accumulator, its *bucket*.
@@ -201,7 +196,10 @@ fn hashed<K: Hash + Eq>(
         }
         ids[i] = g;
     });
-    Groups::new(By::Ids(ids), first)
+    Groups {
+        by: By::Ids(ids),
+        first,
+    }
 }
 
 /// The smallest valid selected key of `d` and the span `max − min + 1`
@@ -234,14 +232,6 @@ pub(crate) fn dense_range(
 }
 
 impl<'a> Groups<'a> {
-    fn new(by: By<'a>, first: Vec<u32>) -> Groups<'a> {
-        Groups {
-            by,
-            first,
-            rows: OnceCell::new(),
-        }
-    }
-
     /// Number of groups.
     pub fn len(&self) -> usize {
         self.first.len()
@@ -255,7 +245,10 @@ impl<'a> Groups<'a> {
     /// Every selected row in one group: the ungrouped aggregate.
     pub fn all(sel: Sel, rows: usize) -> Groups<'static> {
         let first = sel.first(rows).map(|i| i as u32);
-        Groups::new(By::One, first.into_iter().collect())
+        Groups {
+            by: By::One,
+            first: first.into_iter().collect(),
+        }
     }
 
     /// Group the selected rows by `col`. `None` for a `Generic` lane,
@@ -311,7 +304,10 @@ impl<'a> Groups<'a> {
                 }
             }
         });
-        Groups::new(By::Dense(d), first)
+        Groups {
+            by: By::Dense(d),
+            first,
+        }
     }
 
     /// The groups of the key pair (`self`'s key, `other`'s key).
@@ -322,7 +318,7 @@ impl<'a> Groups<'a> {
 
     /// Row-aligned: the group of each selected row. A dense or ungrouped
     /// `self` keeps no such lane and builds it here.
-    pub fn ids(&self, sel: Sel, rows: usize) -> Vec<u32> {
+    pub(crate) fn ids(&self, sel: Sel, rows: usize) -> Vec<u32> {
         if let By::Ids(ids) = &self.by {
             return ids.clone();
         }
@@ -382,9 +378,6 @@ impl<'a> Groups<'a> {
 
     /// COUNT of non-NULL cells per group (`validity = None` counts rows).
     pub fn count(&self, validity: Option<&Bitmap>, sel: Sel, rows: usize) -> Vec<i64> {
-        if let (None, Some(counted)) = (validity, self.rows.get()) {
-            return self.finish(counted.clone());
-        }
         let acc = match &self.by {
             // One group: counted in a register.
             By::One => {
@@ -398,20 +391,18 @@ impl<'a> Groups<'a> {
                 acc
             }
         };
-        if validity.is_none() {
-            let _ = self.rows.set(acc.clone());
-        }
         self.finish(acc)
     }
 
     /// SUM over an int lane per group, erroring with the row path's
-    /// `integer overflow in SUM`. `None` = no non-NULL input in the group.
+    /// `integer overflow in SUM`, and the cells each sum added: its
+    /// `COUNT` of the lane, or over a lane without NULLs its `COUNT(*)`.
+    /// `None` = no non-NULL input in the group.
     ///
     /// Every add wraps and sets a sticky flag on overflow. Until a group's
     /// first overflow its wrapped sum is the true one, so the flag is set
     /// exactly when the row path's checked accumulator errors: when some
-    /// prefix sum of some group leaves `i64`. Over a lane without NULLs the
-    /// pass also counts the rows per group, for `COUNT(*)`.
+    /// prefix sum of some group leaves `i64`.
     ///
     /// No cell is loaded only when it is selected: a select whose operand
     /// is such a load is compiled to a branch, which a mask mispredicts
@@ -423,7 +414,7 @@ impl<'a> Groups<'a> {
         validity: Option<&Bitmap>,
         sel: Sel,
         rows: usize,
-    ) -> Result<Vec<Option<i64>>> {
+    ) -> Result<(Vec<Option<i64>>, Vec<i64>)> {
         let d = &d[..rows];
         let fast = match (&self.by, validity, sel) {
             (By::Dense(dk), None, Sel::All) if dk.validity.is_none() => dense_sum(dk, d),
@@ -468,16 +459,9 @@ impl<'a> Groups<'a> {
             return Err(Error::Constraint("integer overflow in SUM".into()));
         }
         let (sums, counts): (Vec<i64>, Vec<i64>) = acc.into_iter().unzip();
-        let valid = self.finish(counts.clone());
-        if validity.is_none() {
-            let _ = self.rows.set(counts);
-        }
-        Ok(self
-            .finish(sums)
-            .into_iter()
-            .zip(valid)
-            .map(|(x, n)| (n > 0).then_some(x))
-            .collect())
+        let counts = self.finish(counts);
+        let sums = self.finish(sums).into_iter().zip(&counts);
+        Ok((sums.map(|(x, &n)| (n > 0).then_some(x)).collect(), counts))
     }
 
     /// SUM over a float lane per group, in row order.
@@ -606,6 +590,11 @@ mod tests {
     use crate::Sel;
     use sstore_common::{DataType, Value};
 
+    /// `sum_int`'s sums, without its counts.
+    fn sums(r: Result<(Vec<Option<i64>>, Vec<i64>)>) -> Result<Vec<Option<i64>>> {
+        r.map(|(sums, _)| sums)
+    }
+
     fn col(ty: DataType, cells: &[Value]) -> Column {
         let mut c = Column::typed(ty, 0);
         for v in cells {
@@ -637,12 +626,43 @@ mod tests {
             DataType::Text,
             &["a".into(), "b".into(), "a".into(), "c".into()],
         );
+        // Positions need not ascend: groups follow the selection's order.
+        let sel = Sel::Pos(&[3, 1, 2]);
+        let g = Groups::of(&c, sel, 4).unwrap();
+        assert_eq!(g.first, vec![3, 1, 2]);
+        let ids = g.ids(sel, 4);
+        assert_eq!((ids[3], ids[1], ids[2]), (0, 1, 2));
         let mask = [false, true, true, true];
         for sel in [Sel::Pos(&[1, 2, 3]), Sel::Mask(&mask)] {
             let g = Groups::of(&c, sel, 4).unwrap();
             assert_eq!(g.first, vec![1, 2, 3]);
             assert_eq!(g.ids(sel, 4)[1..], [0, 1, 2]);
         }
+    }
+
+    #[test]
+    fn dense_keys_under_unordered_positions_follow_the_selection() {
+        // Dense keys 5..=7 named out of row order: groups, and each
+        // group's float sum, follow the positions' order.
+        let c = col(DataType::Int, &[5, 6, 7, 5, 6, 5].map(Value::Int));
+        let sel = Sel::Pos(&[5, 2, 0, 4, 3, 1]);
+        let g = Groups::of(&c, sel, 6).unwrap();
+        assert!(matches!(g.by, By::Dense(_)));
+        assert_eq!(g.first, vec![5, 2, 4]);
+        assert_eq!(g.ids(sel, 6), vec![0, 2, 1, 0, 2, 0]);
+        assert_eq!(g.count(None, sel, 6), vec![3, 1, 2]);
+        let w = [1, 2, 3, 4, 5, 6];
+        assert_eq!(
+            g.sum_int(&w, None, sel, 6),
+            Ok((vec![Some(11), Some(3), Some(7)], vec![3, 1, 2]))
+        );
+        // In selection order 1.0 + 1e16 rounds the 1.0 away and −1e16
+        // then leaves 0.0; in row order the group would sum to 1.0.
+        let f = [1e16, 2.0, 3.0, -1e16, 4.0, 1.0];
+        assert_eq!(
+            g.sum_float(&f, None, sel, 6),
+            vec![Some(0.0), Some(3.0), Some(6.0)]
+        );
     }
 
     #[test]
@@ -773,7 +793,10 @@ mod tests {
         let v = w.validity.as_ref();
         assert_eq!(g.count(None, Sel::All, 4), vec![2, 2]);
         assert_eq!(g.count(v, Sel::All, 4), vec![2, 0]);
-        assert_eq!(g.sum_int(d, v, Sel::All, 4).unwrap(), vec![Some(40), None]);
+        assert_eq!(
+            sums(g.sum_int(d, v, Sel::All, 4)).unwrap(),
+            vec![Some(40), None]
+        );
         assert_eq!(
             g.avg(NumSrc::I(d), v, Sel::All, 4),
             vec![(40.0, 2), (0.0, 0)]
@@ -790,12 +813,12 @@ mod tests {
         let k = col(DataType::Int, &[1.into(), 2.into(), 1.into()]);
         let d = [i64::MAX, i64::MAX, 1];
         let g = Groups::of(&k, Sel::All, 3).unwrap();
-        let err = g.sum_int(&d, None, Sel::All, 3).unwrap_err();
+        let err = sums(g.sum_int(&d, None, Sel::All, 3)).unwrap_err();
         assert_eq!(err, Error::Constraint("integer overflow in SUM".into()));
         // The same cells in different groups do not overflow.
         let k = col(DataType::Int, &[1.into(), 2.into(), 3.into()]);
         let g = Groups::of(&k, Sel::All, 3).unwrap();
-        assert!(g.sum_int(&d, None, Sel::All, 3).is_ok());
+        assert!(sums(g.sum_int(&d, None, Sel::All, 3)).is_ok());
     }
 
     #[test]
@@ -811,23 +834,23 @@ mod tests {
         // `i64` at its last add.
         for d in [[i64::MAX, 1, -2, 9], [i64::MIN, -1, 0, 9]] {
             let all = Groups::all(Sel::All, 3);
-            assert_eq!(all.sum_int(&d, None, Sel::All, 3), over);
+            assert_eq!(sums(all.sum_int(&d, None, Sel::All, 3)), over);
             let all = Groups::all(Sel::Pos(&sel), 4);
-            assert_eq!(all.sum_int(&d, None, Sel::Pos(&sel), 4), over);
+            assert_eq!(sums(all.sum_int(&d, None, Sel::Pos(&sel), 4)), over);
             let all = Groups::all(Sel::All, 4);
-            assert_eq!(all.sum_int(&d, Some(&nul), Sel::All, 4), over);
+            assert_eq!(sums(all.sum_int(&d, Some(&nul), Sel::All, 4)), over);
             let g = Groups::of(&one, Sel::All, 3).unwrap();
-            assert_eq!(g.sum_int(&d, None, Sel::All, 3), over);
+            assert_eq!(sums(g.sum_int(&d, None, Sel::All, 3)), over);
             let g = Groups::of(&one, Sel::All, 4).unwrap();
-            assert_eq!(g.sum_int(&d, Some(&nul), Sel::All, 4), over);
+            assert_eq!(sums(g.sum_int(&d, Some(&nul), Sel::All, 4)), over);
             // One cell per group: nothing overflows.
             let g = Groups::of(&split, Sel::All, 3).unwrap();
             let want: Vec<_> = d[..3].iter().map(|&x| Some(x)).collect();
-            assert_eq!(g.sum_int(&d, None, Sel::All, 3), Ok(want.clone()));
+            assert_eq!(sums(g.sum_int(&d, None, Sel::All, 3)), Ok(want.clone()));
             let g = Groups::of(&split, Sel::All, 4).unwrap();
             let mut with_null = want;
             with_null.push(None);
-            assert_eq!(g.sum_int(&d, Some(&nul), Sel::All, 4), Ok(with_null));
+            assert_eq!(sums(g.sum_int(&d, Some(&nul), Sel::All, 4)), Ok(with_null));
         }
     }
 
@@ -837,7 +860,10 @@ mod tests {
         let d = [5i64, 6, 7];
         let all = Groups::all(Sel::All, 3);
         assert_eq!(all.count(Some(&clear), Sel::All, 3), vec![0]);
-        assert_eq!(all.sum_int(&d, Some(&clear), Sel::All, 3), Ok(vec![None]));
+        assert_eq!(
+            sums(all.sum_int(&d, Some(&clear), Sel::All, 3)),
+            Ok(vec![None])
+        );
         let k = col(DataType::Int, &[1.into(), 2.into(), 1.into()]);
         for g in [
             Groups::all(Sel::Pos(&[]), 3),
@@ -846,7 +872,7 @@ mod tests {
             assert!(g.is_empty());
             for v in [None, Some(&clear)] {
                 assert_eq!(g.count(v, Sel::Pos(&[]), 3), Vec::<i64>::new());
-                assert_eq!(g.sum_int(&d, v, Sel::Pos(&[]), 3), Ok(vec![]));
+                assert_eq!(sums(g.sum_int(&d, v, Sel::Pos(&[]), 3)), Ok(vec![]));
             }
         }
     }
@@ -876,7 +902,8 @@ mod tests {
         let all = Groups::all(Sel::Mask(&mask), 3);
         let by_key = Groups::of(&keys, Sel::Mask(&mask), 3).unwrap();
         for g in [&all, &by_key] {
-            assert_eq!(g.sum_int(&d, None, Sel::Mask(&mask), 3), Ok(vec![Some(0)]));
+            let got = g.sum_int(&d, None, Sel::Mask(&mask), 3);
+            assert_eq!(got, Ok((vec![Some(0)], vec![2])));
             assert_eq!(g.count(None, Sel::Mask(&mask), 3), vec![2]);
         }
         // Masked in, `[i64::MAX, 1, -1]` leaves `i64` after its second
@@ -887,20 +914,24 @@ mod tests {
         // A validity bitmap with nothing cleared takes the NULL-aware loop.
         let nul = Bitmap::new_set(3);
         for g in [&all, &by_key] {
-            assert_eq!(g.sum_int(&d, None, Sel::Mask(&every), 3), over);
-            assert_eq!(g.sum_int(&d, Some(&nul), Sel::Mask(&every), 3), over);
+            assert_eq!(sums(g.sum_int(&d, None, Sel::Mask(&every), 3)), over);
+            assert_eq!(sums(g.sum_int(&d, Some(&nul), Sel::Mask(&every), 3)), over);
         }
         // An all-false mask selects nothing: no group, and for an
         // ungrouped aggregate's one row, COUNT 0 and a NULL SUM.
         let none = [false; 3];
         assert!(Groups::all(Sel::Mask(&none), 3).is_empty());
         assert!(Groups::of(&keys, Sel::Mask(&none), 3).unwrap().is_empty());
-        let one = Groups::new(By::One, vec![0]);
+        let one = Groups {
+            by: By::One,
+            first: vec![0],
+        };
         assert_eq!(one.count(None, Sel::Mask(&none), 3), vec![0]);
-        assert_eq!(one.sum_int(&d, None, Sel::Mask(&none), 3), Ok(vec![None]));
+        let got = one.sum_int(&d, None, Sel::Mask(&none), 3);
+        assert_eq!(got, Ok((vec![None], vec![0])));
         let clear = Bitmap::new_clear(3);
         assert_eq!(
-            one.sum_int(&d, Some(&clear), Sel::Mask(&every), 3),
+            sums(one.sum_int(&d, Some(&clear), Sel::Mask(&every), 3)),
             Ok(vec![None])
         );
     }
@@ -935,10 +966,13 @@ mod tests {
         assert_eq!(g.count(v, sel, 7), vec![2, 1, 0]);
         let w = [10, i64::MAX, 20, 7, 30, i64::MIN, 9];
         assert_eq!(
-            g.sum_int(&w, None, sel, 7),
+            sums(g.sum_int(&w, None, sel, 7)),
             Ok(vec![Some(40), Some(20), Some(9)])
         );
-        assert_eq!(g.sum_int(&w, v, sel, 7), Ok(vec![Some(40), Some(20), None]));
+        assert_eq!(
+            sums(g.sum_int(&w, v, sel, 7)),
+            Ok(vec![Some(40), Some(20), None])
+        );
         assert_eq!(
             g.min_max_int(&w, None, sel, 7, true),
             vec![Some(30), Some(20), Some(9)]
@@ -965,7 +999,7 @@ mod tests {
         let g = Groups::all(Sel::Mask(&mask), rows);
         let want = fold(&d, &mask);
         let got = g.sum_int(&d, None, Sel::Mask(&mask), rows);
-        assert_eq!(got, Ok(vec![want.0]));
+        assert_eq!(got, Ok((vec![want.0], vec![want.1])));
         assert_eq!(g.count(None, Sel::Mask(&mask), rows), vec![want.1]);
         // An overflow inside a sparsely read block, one inside a dense
         // block, and a masked-out extreme in either: each is seen exactly
@@ -982,7 +1016,7 @@ mod tests {
                 d[big] = x;
                 d[also] = x;
                 let g = Groups::all(Sel::Mask(&mask), rows);
-                let got = g.sum_int(&d, None, Sel::Mask(&mask), rows);
+                let got = sums(g.sum_int(&d, None, Sel::Mask(&mask), rows));
                 match fold(&d, &mask).0 {
                     Some(total) => assert_eq!(got, Ok(vec![Some(total)]), "{big} {x}"),
                     None => assert_eq!(got, over, "{big} {x}"),
@@ -1026,8 +1060,8 @@ mod tests {
                 Some(want) => {
                     let sums: Vec<_> = want.iter().map(|w| w.0).collect();
                     let counts: Vec<_> = want.iter().map(|w| w.1).collect();
-                    assert_eq!(got, Ok(sums));
                     assert_eq!(g.count(None, Sel::All, rows), counts);
+                    assert_eq!(got, Ok((sums, counts)));
                 }
                 None => assert_eq!(
                     got,

@@ -42,20 +42,6 @@ pub enum Matches {
     Pairs(Vec<u32>, Vec<u32>),
 }
 
-impl Matches {
-    /// The matches as `(probe, build)` index pairs. A [`Matches::Unique`]
-    /// must carry its `build_rows`.
-    pub fn into_pairs(self) -> (Vec<u32>, Vec<u32>) {
-        match self {
-            Matches::Pairs(p, b) => (p, b),
-            Matches::Unique { hit, build_rows } => (0..hit.len())
-                .filter(|&i| hit[i])
-                .map(|i| (i as u32, build_rows[i]))
-                .unzip(),
-        }
-    }
-}
-
 /// Join two selections on `i64` equality; see [`Matches`]. `build_rows`
 /// says whether a unique join should also name each hit's build row,
 /// which only a caller that reads build-side columns needs.
@@ -165,6 +151,20 @@ fn unique_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Matches {
+        /// The matches as `(probe, build)` index pairs. A [`Matches::Unique`]
+        /// must carry its `build_rows`.
+        fn into_pairs(self) -> (Vec<u32>, Vec<u32>) {
+            match self {
+                Matches::Pairs(p, b) => (p, b),
+                Matches::Unique { hit, build_rows } => (0..hit.len())
+                    .filter(|&i| hit[i])
+                    .map(|i| (i as u32, build_rows[i]))
+                    .unzip(),
+            }
+        }
+    }
 
     /// The matches as pairs, whichever way the kernel found them.
     fn join(

@@ -48,8 +48,9 @@
 //! per lane even for a sparse result, which is the right trade for the
 //! dense scans this crate exists to accelerate.
 
-/// Which rows of a batch a kernel works on. Every form names rows in
-/// ascending order.
+/// Which rows of a batch a kernel works on. `All` and `Mask` name rows
+/// in ascending order; `Pos` names them in its own order, which need not
+/// ascend, and a kernel visits them, and orders groups, in that order.
 #[derive(Clone, Copy, Debug)]
 pub enum Sel<'a> {
     /// Every row.

@@ -112,7 +112,7 @@ const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("sql", 31),
     ("storage", 88),
     ("txn", 90),
-    ("vector", 57),
+    ("vector", 55),
     ("voter", 22),
 ];
 
