@@ -2,8 +2,12 @@
 //!
 //! The durability and 2PC paths embed named **kill points** at the stage
 //! boundaries that matter for crash consistency (`prepare-logged`,
-//! `commit-point` pre/post fsync, `decide-delivered`, `forward-logged`,
-//! `snapshot-mid-write`, `log-mid-write`). In normal operation every kill
+//! `commit-point` pre/post fsync, `decide-delivered`, `forward-logged`).
+//! Every write through [`crate::durable`] has one too: a torn append
+//! (`log-mid-write`, `coord-log-mid-write`) or a death between a
+//! replacement's fsync and its rename (`snapshot-mid-write`,
+//! `delta-snapshot-mid-write`, `log-gc-mid-write`,
+//! `coord-compact-mid-write`). In normal operation every kill
 //! point is a single relaxed atomic load — effectively free. A test (or
 //! the crash-campaign child process) *arms* one point with [`arm`]; from
 //! the `nth` hit onward the process either panics (unwinding just the

@@ -10,6 +10,7 @@
 
 pub mod clock;
 pub mod codec;
+pub mod durable;
 pub mod error;
 pub mod fault;
 pub mod ids;

@@ -27,6 +27,9 @@
 //!   durable as its synced prepare record plus this log), and the record
 //!   reaches the disk with that partition's next sync.
 //!
+//! `coord.log`'s crash rules — torn header and torn tail, rollback of a
+//! failed write, poisoning — are those of `sstore_common::durable`.
+//!
 //! The log is kept short by **checkpoint compaction**. A commit record
 //! is redundant only once every participant holds its own local
 //! `Decision` on disk, and nothing on the decide path puts it there — so
@@ -41,13 +44,12 @@
 //! lives in `sstore_txn::partition`; the message plumbing over the worker
 //! ingest queues lives in [`crate::cluster`].
 
-use sstore_common::codec::{self, FrameRead};
+use sstore_common::codec;
+use sstore_common::durable::{self, AppendFile};
 use sstore_common::fault;
 use sstore_common::{Error, PartitionId, Result};
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Counters for the coordinator's view of the cluster's transactions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,43 +96,24 @@ const TAG_CHECKPOINT: u8 = 1;
 /// dropping it (and presuming abort) is exactly correct.
 #[derive(Debug)]
 pub(crate) struct CoordinatorLog {
-    file: File,
-    path: PathBuf,
+    file: AppendFile,
 }
 
 impl CoordinatorLog {
-    /// Open (creating if absent) `coord.log` under `dir`. An existing file
-    /// must begin with a valid `SSCO` v3 header; any other file is refused
-    /// with [`Error::Recovery`] and left untouched.
+    /// Open (creating if absent) `coord.log` under `dir`, trimming a torn
+    /// tail. A file of another format or version is refused with
+    /// [`Error::Recovery`] and left untouched.
     pub(crate) fn open(dir: &Path) -> Result<CoordinatorLog> {
-        fs::create_dir_all(dir)?;
-        let path = dir.join("coord.log");
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if file.metadata()?.len() == 0 {
-            let mut header = Vec::new();
-            codec::put_file_header(&mut header, codec::COORD_MAGIC);
-            let mut f = &file;
-            f.write_all(&header)?;
-            file.sync_data()?;
-        } else {
-            let head = fs::read(&path)?;
-            check_header(&mut codec::Reader::new(&head))?;
-        }
-        Ok(CoordinatorLog { file, path })
+        let (file, _) = AppendFile::open(&dir.join("coord.log"), codec::COORD_MAGIC)?;
+        Ok(CoordinatorLog { file })
     }
 
     /// Durably record the global outcome of `gtid` — for a commit, this
     /// fsync IS the commit point: participants only learn a commit that
-    /// is already on disk here.
-    ///
-    /// Failure atomicity: a 2PC decision must be *provably durable* or
-    /// *provably absent* — a record of unknown durability would let live
-    /// participants and a later recovery resolve the same gtid
-    /// differently. On a write/sync failure the file is rolled back to
-    /// its pre-append length (removing the maybe-persisted bytes) before
-    /// `Err` is returned; if even that rollback fails, the error is
-    /// [`Error::Recovery`]-grade fatal and the caller must not hand *any*
-    /// outcome to participants.
+    /// is already on disk here. A decision must be *provably durable* or
+    /// *provably absent*: on [`Error::Io`] the write was rolled back; on
+    /// [`Error::Recovery`] it was not, and no outcome may be released.
+    /// Fault points: `coord-log-mid-write`, `coord-log-io-error`.
     pub(crate) fn append_decision(
         &mut self,
         gtid: u64,
@@ -151,112 +134,41 @@ impl CoordinatorLog {
         // in memory. A crash here leaves the gtid in doubt — recovery
         // presumes abort.
         fault::kill_point("pre-commit-point-fsync");
-        let old_len = self.file.metadata()?.len();
-        // Fault point `coord-log-io-error`: an injected write failure
-        // takes the same rollback path as a real one — the decision must
-        // end up provably absent, and the round aborts cleanly.
-        let result: std::result::Result<(), String> = match fault::io_error("coord-log-io-error") {
-            Some(e) => Err(e.to_string()),
-            None => self
-                .file
-                .write_all(&buf)
-                .and_then(|_| self.file.sync_data())
-                .map_err(|e| e.to_string()),
-        };
-        match result {
-            Ok(()) => {
-                // Kill point: the fsync above IS the commit point — the
-                // outcome is decided but no participant has heard it.
-                // Recovery must finish the second phase from this log.
-                fault::kill_point("post-commit-point-fsync");
-                Ok(())
-            }
-            Err(write_err) => {
-                let rolled_back = self
-                    .file
-                    .set_len(old_len)
-                    .and_then(|_| self.file.sync_data());
-                match rolled_back {
-                    Ok(()) => Err(Error::Io(format!(
-                        "decision for gtid {gtid} not recorded (rolled back): {write_err}"
-                    ))),
-                    Err(trunc_err) => Err(Error::Recovery(format!(
-                        "decision for gtid {gtid} has UNKNOWN durability: write failed \
-                         ({write_err}) and rollback failed ({trunc_err}); no outcome may \
-                         be released until the log is inspected"
-                    ))),
-                }
-            }
-        }
+        self.file
+            .append(&buf, "coord-log-mid-write", "coord-log-io-error")?;
+        // Kill point: the fsync above IS the commit point — the outcome
+        // is decided but no participant has heard it. Recovery must
+        // finish the second phase from this log.
+        fault::kill_point("post-commit-point-fsync");
+        Ok(())
     }
 
     /// Read `dir/coord.log`: every decision still on file plus the gtid
-    /// resume floor (checkpoint frames fold in here — after a compaction
-    /// the file is one checkpoint, so this is O(recent), not O(all
-    /// time)). Missing or empty file reads empty; a torn trailing frame
-    /// is dropped (an unacknowledged decision — presumed abort covers
-    /// it); mid-file corruption is a recovery error.
+    /// resume floor (checkpoint frames fold in here, so after a
+    /// compaction this is O(recent), not O(all time)). A torn tail is an
+    /// unacknowledged decision, which presumed abort covers.
     pub(crate) fn read(dir: &Path) -> Result<CoordState> {
-        let path = dir.join("coord.log");
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(CoordState {
-                    next_gtid: 1,
-                    ..CoordState::default()
-                })
-            }
-            Err(e) => return Err(e.into()),
-        };
-        if bytes.is_empty() {
-            return Ok(CoordState {
-                next_gtid: 1,
-                ..CoordState::default()
-            });
-        }
-        let mut r = codec::Reader::new(&bytes);
-        check_header(&mut r)?;
         let mut decisions = HashMap::new();
         let mut floor = 0u64;
-        loop {
-            match codec::read_frame(&mut r) {
-                FrameRead::Frame(payload) => {
-                    let mut pr = codec::Reader::new(payload);
-                    match pr.u8()? {
-                        TAG_DECISION => {
-                            let gtid = pr.uvarint()?;
-                            let commit = pr.u8()? != 0;
-                            // Participant list: present for operators, not
-                            // needed for resolution.
-                            decisions.insert(gtid, commit);
-                        }
-                        TAG_CHECKPOINT => {
-                            floor = floor.max(pr.uvarint()?);
-                        }
-                        t => {
-                            return Err(Error::Recovery(format!(
-                                "coordinator log: unknown record tag {t}"
-                            )))
-                        }
-                    }
+        durable::for_each_frame(&dir.join("coord.log"), codec::COORD_MAGIC, |payload| {
+            let mut pr = codec::Reader::new(payload);
+            match pr.u8()? {
+                TAG_DECISION => {
+                    let gtid = pr.uvarint()?;
+                    let commit = pr.u8()? != 0;
+                    // Participant list: present for operators, not
+                    // needed for resolution.
+                    decisions.insert(gtid, commit);
                 }
-                FrameRead::Eof => break,
-                FrameRead::Torn { offset } => {
-                    sstore_common::slog!(
-                        Warn;
-                        "{}: dropping torn trailing decision at byte {offset} \
-                         (never acknowledged; presumed abort applies)",
-                        path.display()
-                    );
-                    break;
-                }
-                FrameRead::Corrupt { offset, detail } => {
+                TAG_CHECKPOINT => floor = floor.max(pr.uvarint()?),
+                t => {
                     return Err(Error::Recovery(format!(
-                        "coordinator log corrupted at byte {offset}: {detail}"
-                    )));
+                        "coordinator log: unknown record tag {t}"
+                    )))
                 }
             }
-        }
+            Ok(())
+        })?;
         let past_decided = decisions.keys().max().map_or(0, |g| g + 1);
         Ok(CoordState {
             decisions,
@@ -270,33 +182,16 @@ impl CoordinatorLog {
     /// participant of every gtid below `next_gtid` holds a durable local
     /// `Decision` record (the cluster runs a worker barrier after the
     /// decide fan-out that syncs every participant's command log) — only
-    /// then are this log's records redundant.
-    /// Write-temp-then-rename: a crash leaves either the old file or the
-    /// new one, both complete.
+    /// then are this log's records redundant. Kill point:
+    /// `coord-compact-mid-write`.
     pub(crate) fn compact(&mut self, next_gtid: u64) -> Result<()> {
         let mut buf = Vec::new();
-        codec::put_file_header(&mut buf, codec::COORD_MAGIC);
         let frame = codec::begin_frame(&mut buf);
         buf.push(TAG_CHECKPOINT);
         codec::put_uvarint(&mut buf, next_gtid);
         codec::end_frame(&mut buf, frame);
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_data()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        // The old handle points at the unlinked inode; reopen for append.
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        Ok(())
+        self.file.rewrite(&buf, "coord-compact-mid-write")
     }
-}
-
-/// Validate the `SSCO` v3 file header, refusing anything else.
-fn check_header(r: &mut codec::Reader<'_>) -> Result<()> {
-    codec::check_file_header(r, codec::COORD_MAGIC)
-        .map_err(|e| Error::Recovery(format!("coordinator log header: {e}")))
 }
 
 /// Coordinator state: the gtid sequence, the optional decision log, and
@@ -396,6 +291,16 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::PathBuf;
+
+    /// Serializes the tests that compact: one of them arms the
+    /// compaction's kill point, and the fault registry is process-global.
+    static COMPACT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn compact_lock() -> std::sync::MutexGuard<'static, ()> {
+        COMPACT_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     fn tempdir(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -448,8 +353,58 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
+    /// A decision appended after a torn trailing frame lands after the
+    /// intact prefix, not after the torn bytes.
+    #[test]
+    fn reopen_trims_a_torn_tail_before_the_next_decision() {
+        let dir = tempdir("trim");
+        let mut log = CoordinatorLog::open(&dir).unwrap();
+        log.append_decision(9, true, &[PartitionId::new(0)])
+            .unwrap();
+        drop(log);
+        // A crash mid-way through the next decision's write: a copy of
+        // the last frame without its final bytes.
+        let path = dir.join("coord.log");
+        let mut bytes = fs::read(&path).unwrap();
+        let torn = bytes[codec::FILE_HEADER_LEN..bytes.len() - 2].to_vec();
+        bytes.extend_from_slice(&torn);
+        fs::write(&path, &bytes).unwrap();
+
+        let mut log = CoordinatorLog::open(&dir).unwrap();
+        log.append_decision(10, true, &[PartitionId::new(1)])
+            .unwrap();
+        drop(log);
+        let state = CoordinatorLog::read(&dir).unwrap();
+        assert_eq!(state.decisions, HashMap::from([(9, true), (10, true)]));
+        assert_eq!(state.next_gtid, 11);
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// The very first write tore inside the 8-byte header: no decision
+    /// was ever durable, so the log reads empty and restarts.
+    #[test]
+    fn torn_coord_header_restarts_the_log_empty() {
+        let dir = tempdir("torn-header");
+        let mut header = Vec::new();
+        codec::put_file_header(&mut header, codec::COORD_MAGIC);
+        fs::write(dir.join("coord.log"), &header[..5]).unwrap();
+
+        let state = CoordinatorLog::read(&dir).unwrap();
+        assert!(state.decisions.is_empty());
+        assert_eq!(state.next_gtid, 1);
+        let mut log = CoordinatorLog::open(&dir).unwrap();
+        log.append_decision(1, true, &[PartitionId::new(0)])
+            .unwrap();
+        drop(log);
+        let state = CoordinatorLog::read(&dir).unwrap();
+        assert_eq!(state.decisions, HashMap::from([(1, true)]));
+        assert_eq!(state.next_gtid, 2);
+        fs::remove_dir_all(dir).ok();
+    }
+
     #[test]
     fn checkpoint_compaction_keeps_floor_and_later_decisions() {
+        let _compact = compact_lock();
         let dir = tempdir("compact");
         let mut log = CoordinatorLog::open(&dir).unwrap();
         for g in 1..=40 {
@@ -470,6 +425,36 @@ mod tests {
         let state = CoordinatorLog::read(&dir).unwrap();
         assert_eq!(state.decisions.get(&50), Some(&true));
         assert_eq!(state.next_gtid, 51);
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// A crash between the compacted file's fsync and its rename leaves
+    /// the old log, which reads back whole; a retry then compacts.
+    #[test]
+    fn compaction_crash_keeps_the_old_log() {
+        let _compact = compact_lock();
+        let dir = tempdir("compact-crash");
+        let mut log = CoordinatorLog::open(&dir).unwrap();
+        for g in 1..=3 {
+            log.append_decision(g, true, &[PartitionId::new(0)])
+                .unwrap();
+        }
+        let before = CoordinatorLog::read(&dir).unwrap();
+
+        fault::arm("coord-compact-mid-write", 1, fault::KillMode::Panic);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| log.compact(4)));
+        fault::disarm();
+        assert!(crashed.is_err(), "the armed kill point must fire");
+        let state = CoordinatorLog::read(&dir).unwrap();
+        assert_eq!(state.decisions, before.decisions);
+        assert_eq!(state.next_gtid, 4);
+
+        log.compact(4).unwrap();
+        log.append_decision(5, true, &[PartitionId::new(1)])
+            .unwrap();
+        let state = CoordinatorLog::read(&dir).unwrap();
+        assert_eq!(state.decisions, HashMap::from([(5, true)]));
+        assert_eq!(state.next_gtid, 6);
         fs::remove_dir_all(dir).ok();
     }
 

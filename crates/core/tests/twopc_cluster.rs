@@ -4,6 +4,7 @@
 //! edges, and distributed recovery from durable state.
 
 use sstore_core::common::fault::{self, KillMode};
+use sstore_core::common::{codec, durable};
 use sstore_core::common::{Row, Value};
 use sstore_core::workloads::{
     count_events_rows, deploy_count_events, deploy_count_events_multi, deploy_two_stage,
@@ -808,5 +809,91 @@ fn compaction_never_drops_a_commit_a_participant_has_not_synced() {
         .sum();
     assert_eq!(n, 8 * commits as i64, "an acknowledged commit was lost");
     drop(recovered);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A crash inside the commit-point write (`coord-log-mid-write`) leaves
+/// half a decision frame on `coord.log`. The decision was never durable,
+/// so recovery presumes abort for its fragments; reopening the log trims
+/// the torn bytes, so the next round's decision lands on the intact
+/// prefix, under a fresh gtid, and survives a second recovery.
+#[test]
+fn torn_coordinator_decision_recovers_and_never_reuses_a_gtid() {
+    let _guard = fault_lock();
+    let dir = tempdir("coord-tear");
+    let builder = || SStoreBuilder::new().durability(&dir, 1);
+    let recover = || {
+        Cluster::recover(
+            2,
+            RouteSpec::hash(0),
+            16,
+            &builder(),
+            deploy_count_events_multi,
+            &[],
+        )
+        .unwrap()
+    };
+    let keys = |cluster: &Cluster| -> Vec<i64> {
+        let mut keys: Vec<i64> = cluster
+            .query_all("SELECT key FROM totals", &[])
+            .unwrap()
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
+        keys.sort();
+        keys
+    };
+    {
+        let cluster = Cluster::with_config(
+            2,
+            RouteSpec::hash(0),
+            16,
+            &builder(),
+            deploy_count_events_multi,
+        )
+        .unwrap();
+        // gtid 1 commits; gtid 2 tears inside its decision write.
+        cluster
+            .submit_batch_atomic("count_events", straddling_rows())
+            .unwrap()
+            .wait()
+            .unwrap();
+        crash_atomic_submission(cluster, "coord-log-mid-write", straddling_rows_from(700));
+    }
+    {
+        let recovered = recover();
+        assert_eq!(keys(&recovered), (0..8).collect::<Vec<_>>());
+        let m = recovered.metrics();
+        assert_eq!(
+            m.partitions.iter().map(|p| p.twopc_aborts).sum::<u64>(),
+            2,
+            "both fragments of the torn decision presume abort"
+        );
+        recovered
+            .submit_batch_atomic("count_events", straddling_rows_from(800))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let stats = recovered.coordinator_stats();
+        assert_eq!(
+            (stats.multi_partition_txns, stats.commits, stats.aborts),
+            (1, 1, 0)
+        );
+    }
+    let recovered = recover();
+    let expected: Vec<i64> = (0..8).chain(800..808).collect();
+    assert_eq!(keys(&recovered), expected, "the torn round stays aborted");
+    drop(recovered);
+    // The committed decisions on file: the torn gtid 2 is gone, and the
+    // round after the crash took gtid 3 rather than reusing it.
+    let mut gtids = Vec::new();
+    durable::for_each_frame(&dir.join("coord.log"), codec::COORD_MAGIC, |payload| {
+        let mut r = codec::Reader::new(payload);
+        assert_eq!(r.u8()?, 0, "a decision frame");
+        gtids.push(r.uvarint()?);
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(gtids, vec![1, 3]);
     std::fs::remove_dir_all(dir).ok();
 }

@@ -18,10 +18,9 @@ use crate::catalog::Catalog;
 use crate::database::Database;
 use crate::table::{SlotOp, Table, TableDirt};
 use sstore_common::codec::{self, FrameRead};
-use sstore_common::fault;
+use sstore_common::durable;
 use sstore_common::{BatchId, Error, Result, TxnId};
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// A consistent point-in-time image of one partition.
@@ -53,28 +52,11 @@ impl Snapshot {
         }
     }
 
-    /// Write to `path` atomically (write temp + rename).
+    /// Write to `path` atomically (temp file + rename). A failure leaves
+    /// recovery on the previous image (or none) plus the un-GC'd log.
     pub fn write_to(&self, path: &Path) -> Result<()> {
         let bytes = self.encode_binary();
-        if let Some(e) = fault::io_error("snapshot-io-error") {
-            // Injected temp-file write failure: nothing reached the real
-            // name, so recovery still reads the previous image (or none)
-            // plus the un-GC'd log. The caller keeps the old retention
-            // state and retries at the next boundary.
-            return Err(e);
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        // Kill point: the new image is fully written but not yet visible
-        // under the real name. A crash here must leave recovery reading
-        // the previous snapshot (or none) plus the un-GC'd log.
-        fault::kill_point("snapshot-mid-write");
-        fs::rename(&tmp, path)?;
-        Ok(())
+        durable::write_atomic(path, &bytes, "snapshot-io-error", "snapshot-mid-write")
     }
 
     /// Load from `path`, verifying magic, version and checksums. Any
@@ -250,26 +232,16 @@ impl SnapshotDelta {
         }
     }
 
-    /// Write to `path` atomically (write temp + rename).
+    /// Write to `path` atomically; a failure leaves recovery on the
+    /// intact chain prefix plus the un-GC'd log.
     pub fn write_to(&self, path: &Path) -> Result<()> {
         let bytes = self.encode_binary();
-        if let Some(e) = fault::io_error("snapshot-io-error") {
-            // Same contract as the base writer: zero partial state, the
-            // chain prefix on disk stays authoritative.
-            return Err(e);
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        // Kill point: the delta is durable but not yet visible under its
-        // chain name. A crash here must leave recovery on the intact
-        // chain prefix plus the un-GC'd command log.
-        fault::kill_point("delta-snapshot-mid-write");
-        fs::rename(&tmp, path)?;
-        Ok(())
+        durable::write_atomic(
+            path,
+            &bytes,
+            "snapshot-io-error",
+            "delta-snapshot-mid-write",
+        )
     }
 
     /// Load a delta, verifying magic, version, checksums, and kind.

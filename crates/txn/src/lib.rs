@@ -43,3 +43,11 @@ pub use procedure::{ProcContext, ProcSpec};
 pub use stats::PeStats;
 pub use transaction::{Invocation, TxnOutcome, TxnStatus};
 pub use workflow::{CrossEdge, Workflow};
+
+#[cfg(test)]
+/// Serializes the unit tests that arm a fault point with those that run
+/// through it: the fault registry is process-global.
+pub(crate) fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}

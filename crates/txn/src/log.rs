@@ -12,8 +12,9 @@
 //! `[len u32 LE][crc32 u32 LE][payload]` per record, with the payload in
 //! the compact value codec (`sstore_common::codec`). Row encoding borrows
 //! the batch's shared COW rows — appending a record never deep-copies
-//! tuples. [`CommandLog::open`] and [`read_log`] refuse a file with any
-//! other magic or codec version.
+//! tuples. The crash rules — refusing another magic or codec version,
+//! trimming a torn tail, rolling back a failed write — are those of
+//! `sstore_common::durable`.
 //!
 //! # Group commit
 //!
@@ -21,22 +22,12 @@
 //! file with **one `write(2)` + one fsync** after every `group_commit_n`
 //! records (1 = sync per record). A whole coalesced batch group therefore
 //! costs a single write + fsync rather than a line-sized write per record.
-//!
-//! # Torn tails vs corruption
-//!
-//! A trailing frame whose bytes run out (header or payload incomplete) is
-//! the signature of a write interrupted by a crash: everything before it
-//! was fsynced, so [`read_log`] drops the tail with a warning and replay
-//! proceeds. A *complete* frame failing its CRC cannot come from a torn
-//! append — the medium corrupted once-intact data — so replay stops with
-//! a clear recovery error instead of silently losing suffix records.
 
-use sstore_common::codec::{self, FrameRead};
+use sstore_common::codec;
+use sstore_common::durable::{self, AppendFile};
 use sstore_common::fault;
 use sstore_common::{BatchId, Error, Result, Row};
 use std::collections::HashSet;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// One durable record.
@@ -201,10 +192,7 @@ impl LogRecord {
                 });
                 codec::put_uvarint(out, batch.raw());
                 codec::put_str(out, proc);
-                codec::put_uvarint(out, rows.len() as u64);
-                for row in rows {
-                    codec::encode_row(row, out);
-                }
+                put_rows(out, rows);
                 codec::put_ivarint(out, *ts);
             }
             LogRecord::Ack { batch } => {
@@ -222,10 +210,7 @@ impl LogRecord {
                 codec::put_uvarint(out, *gtid);
                 codec::put_uvarint(out, batch.raw());
                 codec::put_str(out, proc);
-                codec::put_uvarint(out, rows.len() as u64);
-                for row in rows {
-                    codec::encode_row(row, out);
-                }
+                put_rows(out, rows);
                 codec::put_ivarint(out, *ts);
             }
             LogRecord::Decision {
@@ -251,10 +236,7 @@ impl LogRecord {
                 codec::put_str(out, stream);
                 codec::put_uvarint(out, *src_partition as u64);
                 codec::put_uvarint(out, *src_batch);
-                codec::put_uvarint(out, rows.len() as u64);
-                for row in rows {
-                    codec::encode_row(row, out);
-                }
+                put_rows(out, rows);
                 codec::put_ivarint(out, *ts);
             }
             LogRecord::EdgeHighWater { entries } => {
@@ -276,10 +258,7 @@ impl LogRecord {
                 codec::put_uvarint(out, batch.raw());
                 codec::put_str(out, stream);
                 codec::put_uvarint(out, *key_col as u64);
-                codec::put_uvarint(out, rows.len() as u64);
-                for row in rows {
-                    codec::encode_row(row, out);
-                }
+                put_rows(out, rows);
             }
         }
     }
@@ -291,11 +270,7 @@ impl LogRecord {
             REC_BORDER | REC_INVOKE => {
                 let batch = BatchId::new(r.uvarint()?);
                 let proc = r.str()?.to_string();
-                let n = r.uvarint()? as usize;
-                let mut rows = Vec::with_capacity(n.min(r.remaining()));
-                for _ in 0..n {
-                    rows.push(codec::decode_row(r)?);
-                }
+                let rows = read_rows(r)?;
                 let ts = r.ivarint()?;
                 Ok(if tag == REC_BORDER {
                     LogRecord::BorderBatch {
@@ -316,49 +291,26 @@ impl LogRecord {
             REC_ACK => Ok(LogRecord::Ack {
                 batch: BatchId::new(r.uvarint()?),
             }),
-            REC_PREPARE => {
-                let gtid = r.uvarint()?;
-                let batch = BatchId::new(r.uvarint()?);
-                let proc = r.str()?.to_string();
-                let n = r.uvarint()? as usize;
-                let mut rows = Vec::with_capacity(n.min(r.remaining()));
-                for _ in 0..n {
-                    rows.push(codec::decode_row(r)?);
-                }
-                let ts = r.ivarint()?;
-                Ok(LogRecord::PrepareMarker {
-                    gtid,
-                    batch,
-                    proc,
-                    rows,
-                    ts,
-                })
-            }
+            REC_PREPARE => Ok(LogRecord::PrepareMarker {
+                gtid: r.uvarint()?,
+                batch: BatchId::new(r.uvarint()?),
+                proc: r.str()?.to_string(),
+                rows: read_rows(r)?,
+                ts: r.ivarint()?,
+            }),
             REC_DECISION => Ok(LogRecord::Decision {
                 gtid: r.uvarint()?,
                 batch: BatchId::new(r.uvarint()?),
                 commit: r.u8()? != 0,
             }),
-            REC_FORWARD => {
-                let batch = BatchId::new(r.uvarint()?);
-                let stream = r.str()?.to_string();
-                let src_partition = r.uvarint()? as u32;
-                let src_batch = r.uvarint()?;
-                let n = r.uvarint()? as usize;
-                let mut rows = Vec::with_capacity(n.min(r.remaining()));
-                for _ in 0..n {
-                    rows.push(codec::decode_row(r)?);
-                }
-                let ts = r.ivarint()?;
-                Ok(LogRecord::Forward {
-                    batch,
-                    stream,
-                    src_partition,
-                    src_batch,
-                    rows,
-                    ts,
-                })
-            }
+            REC_FORWARD => Ok(LogRecord::Forward {
+                batch: BatchId::new(r.uvarint()?),
+                stream: r.str()?.to_string(),
+                src_partition: r.uvarint()? as u32,
+                src_batch: r.uvarint()?,
+                rows: read_rows(r)?,
+                ts: r.ivarint()?,
+            }),
             REC_EDGE_HW => {
                 let n = r.uvarint()? as usize;
                 let mut entries = Vec::with_capacity(n.min(r.remaining()));
@@ -370,22 +322,12 @@ impl LogRecord {
                 }
                 Ok(LogRecord::EdgeHighWater { entries })
             }
-            REC_FORWARD_OUT => {
-                let batch = BatchId::new(r.uvarint()?);
-                let stream = r.str()?.to_string();
-                let key_col = r.uvarint()? as u32;
-                let n = r.uvarint()? as usize;
-                let mut rows = Vec::with_capacity(n.min(r.remaining()));
-                for _ in 0..n {
-                    rows.push(codec::decode_row(r)?);
-                }
-                Ok(LogRecord::ForwardOut {
-                    batch,
-                    stream,
-                    key_col,
-                    rows,
-                })
-            }
+            REC_FORWARD_OUT => Ok(LogRecord::ForwardOut {
+                batch: BatchId::new(r.uvarint()?),
+                stream: r.str()?.to_string(),
+                key_col: r.uvarint()? as u32,
+                rows: read_rows(r)?,
+            }),
             tag => Err(Error::Codec(format!("unknown log record tag {tag}"))),
         }
     }
@@ -478,69 +420,34 @@ impl LogConfig {
 /// file as one write + one fsync.
 #[derive(Debug)]
 pub struct CommandLog {
-    file: File,
-    /// Encoded-but-unwritten records (plus the file header before the
-    /// first sync of a fresh log).
+    file: AppendFile,
+    /// Encoded-but-unwritten records.
     pending: Vec<u8>,
     config: LogConfig,
     unsynced: usize,
     records_written: u64,
     syncs: u64,
     bytes_written: u64,
-    /// Set when a failed group write could not be rolled back: the file
-    /// tail is of unknown durability, so no further append may land
-    /// after it. Every later append/sync fails with `Error::Recovery`.
-    poisoned: bool,
 }
 
 impl CommandLog {
-    /// Open (creating or appending to) the log in `config.dir`. A
-    /// non-empty file must begin with a valid `SSLG` v3 header; any other
-    /// file is refused with [`Error::Recovery`] and left byte-identical.
-    /// A torn trailing record left by a crash is trimmed off before
-    /// appends are accepted — otherwise new records would land *after*
-    /// the torn bytes and the next recovery would misread the boundary
-    /// as corruption.
+    /// Open (creating or appending to) the log in `config.dir`, trimming
+    /// a torn trailing record left by a crash. A file of another format
+    /// or codec version is refused with [`Error::Recovery`] and left
+    /// byte-identical.
     pub fn open(config: LogConfig) -> Result<CommandLog> {
-        fs::create_dir_all(&config.dir)?;
-        let path = config.log_path();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        let bytes = fs::read(&path)?;
-        let mut pending = Vec::new();
-        if bytes.len() < codec::FILE_HEADER_LEN {
-            if !bytes.is_empty() {
-                // The very first write tore inside the 8-byte header: no
-                // record was ever durable, restart from scratch.
-                sstore_common::slog!(
-                    Warn;
-                    "{}: trimming fully-torn log ({} bytes) and restarting empty",
-                    path.display(),
-                    bytes.len()
-                );
-                file.set_len(0)?;
-                file.sync_data()?;
-            }
-            codec::put_file_header(&mut pending, codec::LOG_MAGIC);
-        } else if let Some(valid_len) = intact_prefix_len(&bytes)? {
+        let (file, trimmed) = AppendFile::open(&config.log_path(), codec::LOG_MAGIC)?;
+        if trimmed {
             fault::note("log-torn-tail-trimmed");
-            sstore_common::slog!(
-                Warn;
-                "{}: trimming torn tail at byte {valid_len} (of {}) before resuming appends",
-                path.display(),
-                bytes.len()
-            );
-            file.set_len(valid_len as u64)?;
-            file.sync_data()?;
         }
         Ok(CommandLog {
             file,
-            pending,
+            pending: Vec::new(),
             config,
             unsynced: 0,
             records_written: 0,
             syncs: 0,
             bytes_written: 0,
-            poisoned: false,
         })
     }
 
@@ -574,64 +481,17 @@ impl CommandLog {
     }
 
     /// Force the buffered records down: one write + one fsync for the
-    /// whole group. No-op when nothing is unsynced.
-    ///
-    /// A failed (or injected — fault point `log-append-io-error`) group
-    /// write is rolled back to the pre-write file length, so no torn
-    /// frame is left as a durable prefix boundary: the buffered records
-    /// stay pending and the failure surfaces as a retryable
-    /// [`Error::Io`]. Only if the rollback *also* fails is the log
-    /// poisoned — the tail is then of unknown durability, and every
-    /// later append fails with [`Error::Recovery`].
+    /// whole group; no-op when nothing is unsynced. A failed write keeps
+    /// the records pending (`sstore_common::durable` rolls it back, or
+    /// poisons the log). Fault points: `log-mid-write`,
+    /// `log-append-io-error`.
     pub fn sync(&mut self) -> Result<()> {
         if self.unsynced == 0 {
             return Ok(());
         }
-        if self.poisoned {
-            return Err(Error::Recovery(
-                "command log poisoned by an earlier failed write rollback".into(),
-            ));
-        }
-        if let Some(mode) = fault::should_fire("log-mid-write") {
-            // Injected torn write: half the buffered group reaches disk,
-            // then the process dies — exactly what a crash between
-            // `write` and `fsync` can leave behind. The reader must
-            // treat the partial frame as a benign torn tail.
-            let half = self.pending.len() / 2;
-            let _ = self.file.write_all(&self.pending[..half]);
-            let _ = self.file.sync_data();
-            self.pending.clear();
-            self.unsynced = 0;
-            fault::die("log-mid-write", mode);
-        }
-        let old_len = self.file.metadata()?.len();
-        let write = match fault::io_error("log-append-io-error") {
-            Some(e) => Err(e),
-            None => self
-                .file
-                .write_all(&self.pending)
-                .and_then(|()| self.file.sync_data())
-                .map_err(Error::from),
-        };
-        if let Err(e) = write {
-            let rollback = self
-                .file
-                .set_len(old_len)
-                .and_then(|()| self.file.sync_data());
-            return Err(match rollback {
-                Ok(()) => Error::Io(format!(
-                    "command log group write failed (rolled back, retryable): {e}"
-                )),
-                Err(r) => {
-                    self.poisoned = true;
-                    Error::Recovery(format!(
-                        "command log group write failed and rollback failed — log tail \
-                         of unknown durability: write: {e}; rollback: {r}"
-                    ))
-                }
-            });
-        }
-        self.bytes_written += self.pending.len() as u64;
+        self.bytes_written +=
+            self.file
+                .append(&self.pending, "log-mid-write", "log-append-io-error")?;
         self.pending.clear();
         self.unsynced = 0;
         self.syncs += 1;
@@ -642,7 +502,7 @@ impl CommandLog {
     /// durability. A poisoned log accepts no further appends; the owning
     /// partition should go down deliberately and be recovered from disk.
     pub(crate) fn poisoned(&self) -> bool {
-        self.poisoned
+        self.file.poisoned()
     }
 
     /// Records appended over this log's lifetime.
@@ -671,8 +531,7 @@ impl CommandLog {
     /// Returns the number of records dropped.
     pub(crate) fn gc_acked_through(&mut self, covered: BatchId) -> Result<u64> {
         self.sync()?; // pending records must be visible to the reader
-        let path = self.config.log_path();
-        let records = read_log(&path)?;
+        let records = read_log(&self.config.log_path())?;
         let acked: HashSet<u64> = records
             .iter()
             .filter_map(|r| match r {
@@ -704,20 +563,12 @@ impl CommandLog {
         }
 
         let mut buf = Vec::new();
-        codec::put_file_header(&mut buf, codec::LOG_MAGIC);
         for record in keep {
             encode_record_into(record, &mut buf);
         }
-        let tmp = path.with_extension("rewrite");
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&buf)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        self.file = OpenOptions::new().append(true).open(&path)?;
-        self.pending.clear();
-        self.unsynced = 0;
+        // Kill point `log-gc-mid-write`: the rewritten log is synced but
+        // not yet renamed over the old one.
+        self.file.rewrite(&buf, "log-gc-mid-write")?;
         Ok(dropped)
     }
 }
@@ -727,16 +578,33 @@ impl Drop for CommandLog {
     /// non-crash exit never loses the unsynced tail (crash durability is
     /// still bounded by `group_commit_n`, as before).
     fn drop(&mut self) {
-        if std::thread::panicking() || self.poisoned {
+        if std::thread::panicking() {
             // A thread dying by panic (e.g. an injected kill) must not
             // flush the buffered group as if shutdown were clean — the
-            // crash contract is that unsynced records are lost. A
-            // poisoned log must not write past a tail of unknown
-            // durability either.
+            // crash contract is that unsynced records are lost. (A
+            // poisoned log refuses the flush by itself.)
             return;
         }
         let _ = self.sync();
     }
+}
+
+/// Encode a row list: its length, then each row (borrowing its cells).
+fn put_rows(out: &mut Vec<u8>, rows: &[Row]) {
+    codec::put_uvarint(out, rows.len() as u64);
+    for row in rows {
+        codec::encode_row(row, out);
+    }
+}
+
+/// Decode a row list written by [`put_rows`].
+fn read_rows(r: &mut codec::Reader<'_>) -> Result<Vec<Row>> {
+    let n = r.uvarint()? as usize;
+    let mut rows = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        rows.push(codec::decode_row(r)?);
+    }
+    Ok(rows)
 }
 
 /// Encode one record as a CRC32 frame. The single encoder behind both
@@ -747,77 +615,24 @@ fn encode_record_into(record: &LogRecord, out: &mut Vec<u8>) {
     codec::end_frame(out, frame);
 }
 
-/// Length of the intact record prefix when the file ends in a torn tail
-/// that should be trimmed before appends resume; `None` when the file is
-/// clean — or mid-stream corrupt, which is deliberately left untouched
-/// so replay surfaces the error instead of appends destroying evidence.
-/// A header of another format or version is refused.
-fn intact_prefix_len(bytes: &[u8]) -> Result<Option<usize>> {
-    let mut r = codec::Reader::new(bytes);
-    codec::check_file_header(&mut r, codec::LOG_MAGIC)
-        .map_err(|e| Error::Recovery(format!("command log header: {e}")))?;
-    let mut valid_len = r.pos();
-    loop {
-        match codec::read_frame(&mut r) {
-            FrameRead::Frame(_) => valid_len = r.pos(),
-            FrameRead::Eof | FrameRead::Corrupt { .. } => return Ok(None),
-            FrameRead::Torn { .. } => return Ok(Some(valid_len)),
-        }
-    }
-}
-
-/// Read every record in a command log, in append order. A torn trailing
-/// record (incomplete write at crash) is dropped with a warning; a
-/// checksum failure on a *complete* frame is corruption and fails with a
-/// clear error instead of silently dropping the suffix. A file of another
-/// format or codec version is refused.
+/// Read every record in a command log, in append order. A missing file
+/// reads empty; a torn trailing record is dropped with a warning; a
+/// corrupt complete frame, or a file of another format or codec version,
+/// is a recovery error (see `sstore_common::durable`).
 pub fn read_log(path: &Path) -> Result<Vec<LogRecord>> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(vec![]),
-        Err(e) => return Err(e.into()),
-    };
-    if bytes.is_empty() {
-        return Ok(vec![]);
-    }
-    let mut r = codec::Reader::new(&bytes);
-    codec::check_file_header(&mut r, codec::LOG_MAGIC)
-        .map_err(|e| Error::Recovery(format!("command log header: {e}")))?;
     let mut out = Vec::new();
-    loop {
-        match codec::read_frame(&mut r) {
-            FrameRead::Frame(payload) => {
-                let mut pr = codec::Reader::new(payload);
-                let record = LogRecord::decode_binary(&mut pr).map_err(|e| {
-                    Error::Recovery(format!(
-                        "command log: undecodable record in checksum-valid frame \
-                         (record {}): {e}",
-                        out.len()
-                    ))
-                })?;
-                out.push(record);
-            }
-            FrameRead::Eof => break,
-            FrameRead::Torn { offset } => {
-                fault::note("log-torn-tail");
-                sstore_common::slog!(
-                    Warn;
-                    "{}: dropping torn trailing frame at byte {offset} \
-                     (incomplete write at crash); {} intact records replayed",
-                    path.display(),
-                    out.len()
-                );
-                break;
-            }
-            FrameRead::Corrupt { offset, detail } => {
-                return Err(Error::Recovery(format!(
-                    "command log corrupted at byte {offset}: {detail}; \
-                     {} records before it are intact — replay stopped rather \
-                     than silently dropping the suffix",
-                    out.len()
-                )));
-            }
-        }
+    let torn = durable::for_each_frame(path, codec::LOG_MAGIC, |payload| {
+        let record = LogRecord::decode_binary(&mut codec::Reader::new(payload)).map_err(|e| {
+            Error::Recovery(format!(
+                "command log: undecodable record in checksum-valid frame (record {}): {e}",
+                out.len()
+            ))
+        })?;
+        out.push(record);
+        Ok(())
+    })?;
+    if torn.is_some() {
+        fault::note("log-torn-tail");
     }
     Ok(out)
 }
@@ -826,6 +641,8 @@ pub fn read_log(path: &Path) -> Result<Vec<LogRecord>> {
 mod tests {
     use super::*;
     use sstore_common::Value;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn tempdir(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -988,8 +805,9 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
-    /// A file of another codec version or another format altogether is
-    /// refused by both the writer and the reader, and never modified.
+    /// A file of another codec version or another format altogether, or
+    /// one holding a corrupt complete frame, is refused by both the
+    /// writer and the reader, and never modified.
     #[test]
     fn other_versions_and_formats_are_refused_untouched() {
         let dir = tempdir("refuse");
@@ -999,12 +817,15 @@ mod tests {
         let mut files = vec![
             b"{\"Ack\":{\"batch\":1}}\n".to_vec(), // a JSON-lines log
         ];
-        for version in [2u32, 4] {
+        for version in [2u32, 4, 3] {
             let mut bytes = codec::LOG_MAGIC.to_vec();
             bytes.extend_from_slice(&version.to_le_bytes());
             bytes.extend_from_slice(&frames);
             // A torn tail too: refusal comes before any trimming.
             bytes.extend_from_slice(&frames[..frames.len() - 2]);
+            if version == 3 {
+                bytes[codec::FILE_HEADER_LEN + codec::FRAME_HEADER_LEN + 2] ^= 0x20;
+            }
             files.push(bytes);
         }
         for contents in files {
@@ -1048,6 +869,7 @@ mod tests {
 
     #[test]
     fn gc_drops_only_acked_covered_batches() {
+        let _fault = crate::fault_lock();
         let dir = tempdir("gc-acked");
         let cfg = LogConfig::new(&dir);
         let mut log = CommandLog::open(cfg.clone()).unwrap();
@@ -1076,6 +898,39 @@ mod tests {
         // The log keeps accepting appends after the rewrite.
         log.append(&batch_record(5)).unwrap();
         assert_eq!(read_log(&cfg.log_path()).unwrap().len(), 3);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// A crash between the GC rewrite's fsync and its rename leaves the
+    /// old log, which reads back whole; a retry then collects it.
+    #[test]
+    fn gc_rewrite_crash_keeps_the_old_log() {
+        let _fault = crate::fault_lock();
+        let dir = tempdir("gc-crash");
+        let cfg = LogConfig::new(&dir);
+        let mut log = CommandLog::open(cfg.clone()).unwrap();
+        log.append(&batch_record(1)).unwrap();
+        log.append(&batch_record(2)).unwrap();
+        log.append(&LogRecord::Ack {
+            batch: BatchId::new(1),
+        })
+        .unwrap();
+        let before = read_log(&cfg.log_path()).unwrap();
+
+        fault::arm("log-gc-mid-write", 1, fault::KillMode::Panic);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            log.gc_acked_through(BatchId::new(2))
+        }));
+        fault::disarm();
+        assert!(crashed.is_err(), "the armed kill point must fire");
+        assert_eq!(read_log(&cfg.log_path()).unwrap(), before);
+
+        assert_eq!(log.gc_acked_through(BatchId::new(2)).unwrap(), 2);
+        log.append(&batch_record(3)).unwrap();
+        assert_eq!(
+            read_log(&cfg.log_path()).unwrap(),
+            vec![batch_record(2), batch_record(3)]
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -2255,6 +2255,7 @@ mod tests {
 
     #[test]
     fn retention_truncates_log_and_recovery_still_works() {
+        let _fault = crate::fault_lock();
         use crate::log::{read_log, LogRetention};
         use crate::recovery::recover;
 
@@ -2527,6 +2528,7 @@ mod tests {
 
     #[test]
     fn retention_snapshot_deferred_while_fragment_prepared() {
+        let _fault = crate::fault_lock();
         let dir = std::env::temp_dir().join(format!("sstore-spec-snap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = PeConfig {

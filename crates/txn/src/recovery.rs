@@ -237,6 +237,7 @@ mod tests {
 
     #[test]
     fn replay_from_snapshot_plus_log() {
+        let _fault = crate::fault_lock();
         let dir = tempdir("snaplog");
         {
             let mut p = Partition::new(config(&dir)).unwrap();
@@ -331,6 +332,7 @@ mod tests {
     /// record forever).
     #[test]
     fn lost_ack_is_reissued_after_replay_so_gc_drains() {
+        let _fault = crate::fault_lock();
         use crate::log::{read_log, LogRecord};
 
         let dir = tempdir("lostack");
@@ -595,6 +597,7 @@ mod tests {
     /// partition (the EdgeHighWater record carries the mark).
     #[test]
     fn edge_dedup_survives_snapshot_and_log_gc() {
+        let _fault = crate::fault_lock();
         let dir = tempdir("2pc-edgehw");
         {
             let mut p = Partition::new(config(&dir)).unwrap();

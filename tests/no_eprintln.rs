@@ -105,7 +105,7 @@ fn library_sources_read_only_operator_env_vars() {
 const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("sstore", 0),
     ("bikeshare", 8),
-    ("common", 146),
+    ("common", 153),
     ("core", 77),
     ("engine", 26),
     ("slt", 19),
