@@ -21,8 +21,8 @@
 //! returns the K slowest.
 //!
 //! Tracing is on by default; `SSTORE_TRACE=off` (or `0`) disables it at
-//! startup and [`set_enabled`] toggles it at runtime (used by the E9
-//! bench to measure the overhead of the instrumentation itself).
+//! startup and [`set_enabled`] toggles it at runtime: the benchmark's
+//! `--trace` switch, and its `obs.trace_overhead_share` on/off rounds.
 
 use super::hist::{Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -50,11 +50,13 @@ pub mod builder;
 pub mod client;
 pub mod cluster;
 pub mod coordinator;
+mod hub;
 pub mod ingest;
 pub mod metrics;
 pub mod obs_report;
 pub mod retry;
 pub mod router;
+mod worker;
 pub mod workloads;
 
 pub use builder::SStoreBuilder;

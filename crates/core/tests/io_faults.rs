@@ -216,6 +216,7 @@ fn forward_run_io_error_fails_every_member_and_refills_exactly_once() {
             Row::new(vec![Value::Int(src_batch as i64), Value::Int(1)]),
             Row::new(vec![Value::Int(100), Value::Int(1)]),
         ],
+        trace: None,
     };
     let run = || vec![shard(1, 5), shard(1, 6), shard(2, 9)];
     {

@@ -451,7 +451,7 @@ mod tests {
             let mut p = Partition::new(config(&dir)).unwrap();
             setup(&mut p).unwrap();
             p.submit_batch("double", vec![vec![Value::Int(1)]]).unwrap();
-            p.prepare_fragment(42, "double", vec![vec![Value::Int(100)]])
+            p.prepare_fragment(42, "double", vec![vec![Value::Int(100)]], None)
                 .unwrap();
             // Crash: prepared, voted yes, decision never arrived.
         }
@@ -490,7 +490,7 @@ mod tests {
         {
             let mut p = Partition::new(config(&dir)).unwrap();
             setup(&mut p).unwrap();
-            p.prepare_fragment(7, "double", vec![vec![Value::Int(10)]])
+            p.prepare_fragment(7, "double", vec![vec![Value::Int(10)]], None)
                 .unwrap();
             // Crash after the coordinator's commit record became durable,
             // before the participant heard about it.
@@ -519,7 +519,7 @@ mod tests {
         {
             let mut p = Partition::new(config(&dir)).unwrap();
             setup(&mut p).unwrap();
-            p.prepare_fragment(5, "double", vec![vec![Value::Int(3)]])
+            p.prepare_fragment(5, "double", vec![vec![Value::Int(3)]], None)
                 .unwrap();
             let outcomes = p.decide_fragment(5, true).unwrap();
             assert!(outcomes.iter().all(|o| o.is_committed()));
@@ -543,7 +543,7 @@ mod tests {
         {
             let mut p = Partition::new(config(&dir)).unwrap();
             setup(&mut p).unwrap();
-            p.prepare_fragment(11, "double", vec![vec![Value::Int(50)]])
+            p.prepare_fragment(11, "double", vec![vec![Value::Int(50)]], None)
                 .unwrap();
             p.decide_fragment(11, false).unwrap();
             p.submit_batch("double", vec![vec![Value::Int(4)]]).unwrap();

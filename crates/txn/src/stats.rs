@@ -79,11 +79,6 @@ pub struct PeStats {
 }
 
 impl PeStats {
-    /// Zeroed counters.
-    pub(crate) fn new() -> Self {
-        PeStats::default()
-    }
-
     /// Record one TE latency.
     pub(crate) fn record_latency(&mut self, nanos: u128) {
         self.latency_ns_total += nanos;
@@ -112,8 +107,10 @@ mod tests {
 
     #[test]
     fn latency_recording() {
-        let mut s = PeStats::new();
-        s.committed = 2;
+        let mut s = PeStats {
+            committed: 2,
+            ..PeStats::default()
+        };
         s.record_latency(1_000); // 1µs -> bucket 0 region
         s.record_latency(3_000_000); // 3ms
         assert!(s.mean_latency_us() > 1000.0);
@@ -121,7 +118,7 @@ mod tests {
 
     #[test]
     fn p99_empty_is_zero() {
-        assert_eq!(PeStats::new().mean_latency_us(), 0.0);
+        assert_eq!(PeStats::default().mean_latency_us(), 0.0);
     }
 
     #[test]
@@ -130,7 +127,7 @@ mod tests {
             committed: 5,
             user_aborts: 2,
             failed: 1,
-            ..PeStats::new()
+            ..PeStats::default()
         };
         assert_eq!(s.total_tes(), 8);
     }

@@ -75,6 +75,15 @@ impl Workflow {
         Ok(wf)
     }
 
+    /// Rebuild from `procs`, keeping the declared cross-partition edges:
+    /// stream ids are deployment-deterministic, so the map stays valid.
+    pub(crate) fn rebuild(&self, procs: &[Procedure]) -> Result<Workflow> {
+        Ok(Workflow {
+            remote: self.remote.clone(),
+            ..Workflow::build(procs)?
+        })
+    }
+
     fn check_acyclic(&self, procs: &[Procedure]) -> Result<()> {
         // Kahn's algorithm over proc nodes.
         let mut indeg: HashMap<ProcId, usize> = HashMap::new();

@@ -13,6 +13,9 @@
 //! * Each crate keeps its `pub` items within a budget. An item no other
 //!   crate names is `pub(crate)`, so rustc's dead-code lint sees it; a
 //!   change that raises a budget says why.
+//! * Each crate keeps its non-test source lines within a budget, and the
+//!   test prints every crate's count beside its largest file. A change
+//!   that raises a budget says why.
 
 use std::path::{Path, PathBuf};
 
@@ -99,6 +102,22 @@ fn library_sources_read_only_operator_env_vars() {
     );
 }
 
+/// The crate a library source belongs to (`sstore` for the umbrella).
+fn crate_of(path: &Path) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    match path.strip_prefix(root).unwrap().strip_prefix("crates") {
+        Ok(inner) => inner.iter().next().unwrap().to_string_lossy().into_owned(),
+        Err(_) => "sstore".to_string(),
+    }
+}
+
+/// A source's non-test lines: those before its first line-start
+/// `#[cfg(test)]`.
+fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .take_while(|line| !line.starts_with("#[cfg(test)]"))
+}
+
 /// The most `pub` fn/struct/enum/trait/type/const/static items each crate
 /// may declare in its library sources (`pub use`, `pub mod` and `pub(…)`
 /// do not count, nor do lines from a file's first `#[cfg(test)]` on).
@@ -111,7 +130,7 @@ const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("slt", 19),
     ("sql", 31),
     ("storage", 88),
-    ("txn", 90),
+    ("txn", 89),
     ("vector", 55),
     ("voter", 22),
 ];
@@ -127,21 +146,13 @@ fn declares_pub_item(line: &str) -> bool {
 
 #[test]
 fn library_pub_items_stay_within_budget() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut counts = std::collections::BTreeMap::new();
     for path in library_sources() {
-        let rel = path.strip_prefix(root).unwrap();
-        let krate = match rel.strip_prefix("crates") {
-            Ok(inner) => inner.iter().next().unwrap().to_string_lossy().into_owned(),
-            Err(_) => "sstore".to_string(),
-        };
         let text = std::fs::read_to_string(&path).unwrap();
-        let n = text
-            .lines()
-            .take_while(|line| !line.starts_with("#[cfg(test)]"))
+        let n = non_test_lines(&text)
             .filter(|line| declares_pub_item(line))
             .count();
-        *counts.entry(krate).or_insert(0) += n;
+        *counts.entry(crate_of(&path)).or_insert(0) += n;
     }
     let mut over = Vec::new();
     for (krate, n) in &counts {
@@ -160,6 +171,57 @@ fn library_pub_items_stay_within_budget() {
         over.is_empty(),
         "narrow what no other crate names to `pub(crate)`, or raise the budget \
          and say why:\n{}",
+        over.join("\n")
+    );
+}
+
+/// The most non-test lines ([`non_test_lines`]) each crate's library
+/// sources may hold, pinned at today's counts.
+const LINE_BUDGET: [(&str, usize); 11] = [
+    ("bikeshare", 877),
+    ("common", 3071),
+    ("core", 3519),
+    ("engine", 1020),
+    ("slt", 1216),
+    ("sql", 5233),
+    ("sstore", 39),
+    ("storage", 2667),
+    ("txn", 3462),
+    ("vector", 1963),
+    ("voter", 904),
+];
+
+#[test]
+fn library_lines_stay_within_budget() {
+    // crate → (lines, (largest file's lines, largest file))
+    let mut counts = std::collections::BTreeMap::new();
+    for path in library_sources() {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let n = non_test_lines(&text).count();
+        let (total, largest) = counts
+            .entry(crate_of(&path))
+            .or_insert((0, (0, PathBuf::new())));
+        *total += n;
+        if n > largest.0 {
+            *largest = (n, path);
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut over = Vec::new();
+    for (krate, (n, (largest_n, largest))) in &counts {
+        let budget = LINE_BUDGET.iter().find(|(k, _)| k == krate).map(|b| b.1);
+        let largest = largest.strip_prefix(root).unwrap().display();
+        println!("lines: {krate:<10} {n:>5} (budget {budget:?}), largest {largest} ({largest_n})");
+        if budget.is_none_or(|b| *n > b) {
+            over.push(format!("{krate}: {n} lines, budget {budget:?}"));
+        }
+    }
+    let total: usize = counts.values().map(|c| c.0).sum();
+    println!("lines: total      {total:>5}");
+    assert!(
+        over.is_empty(),
+        "a crate outgrew its line budget; delete what the change made \
+         redundant, or raise the budget and say why:\n{}",
         over.join("\n")
     );
 }

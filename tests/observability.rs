@@ -4,7 +4,8 @@
 //! reconcile with the cluster's own batch counters, and disabling
 //! tracing must zero the stage recording without breaking anything.
 //! A cross-partition edge must show up in the `forwarded` and `acked`
-//! stages.
+//! stages, and a refused submission must not lend its trace to the next
+//! batch.
 //!
 //! The obs stage histograms are process-wide; each test windows them to
 //! its own cluster via the built-in baseline, but the tests still
@@ -12,6 +13,7 @@
 //! another's window.
 
 use sstore::common::obs;
+use sstore::common::{Row, Value};
 use sstore::core::workloads::{
     count_events_rows, deploy_count_events, deploy_two_stage, two_stage_rows, TWO_STAGE_EDGES,
 };
@@ -151,6 +153,50 @@ fn edge_stages_record_forwarded_and_acked_batches() {
         .map(|p| p.batches_submitted)
         .sum();
     assert_eq!(report.stages["logged"].count, submitted);
+
+    drop(cluster);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_refused_submission_keeps_its_trace_to_itself() {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    obs::set_enabled(true);
+    let dir = tempdir("refused");
+    let cluster = Cluster::with_config(
+        1,
+        RouteSpec::hash(0),
+        64,
+        &SStoreBuilder::new().durability(&dir, 1),
+        deploy_two_stage,
+    )
+    .unwrap();
+    // `apply_events` is interior (fed by `route_events`): refused.
+    let interior = vec![Row::new(vec![Value::Int(1), Value::Int(2)])];
+    let err = cluster
+        .submit_batch_async("apply_events", interior)
+        .unwrap()
+        .wait()
+        .unwrap_err();
+    assert_eq!(err.kind(), "schedule");
+    cluster
+        .submit_batch_async("route_events", two_stage_rows(4, 4))
+        .unwrap()
+        .wait()
+        .unwrap();
+    cluster.quiesce().unwrap();
+
+    // Traces are minted in submission order: the refused one first.
+    let mut spans = cluster.observability_report().slowest_batches;
+    spans.sort_by_key(|s| s.trace);
+    let stages =
+        |i: usize| -> Vec<String> { spans[i].stages.iter().map(|s| s.stage.clone()).collect() };
+    assert_eq!(spans.len(), 2, "one trace per submission");
+    let (refused, valid) = (stages(0), stages(1));
+    assert!(!refused.iter().any(|s| s == "logged"), "{refused:?}");
+    assert!(!refused.iter().any(|s| s == "executed"), "{refused:?}");
+    assert!(valid.iter().any(|s| s == "logged"), "{valid:?}");
+    assert!(valid.iter().any(|s| s == "executed"), "{valid:?}");
 
     drop(cluster);
     std::fs::remove_dir_all(dir).ok();
