@@ -2,8 +2,9 @@
 //! two-stage streaming workflow.
 
 use crate::schema::{discount_status, install_schema, BikeConfig, SEC};
-use sstore_common::{Result, Value};
-use sstore_core::{ExecMode, ProcSpec, QueryResult, SStore};
+use sstore_common::{Result, Row, Value};
+use sstore_core::{ExecMode, ProcContext, ProcSpec, QueryResult, SStore};
+use std::sync::Arc;
 
 /// Install the complete BikeShare application (schema + procedures).
 ///
@@ -22,23 +23,23 @@ pub fn install(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
     Ok(())
 }
 
-fn respond_row(ctx: &mut sstore_core::ProcContext<'_>, columns: &[&str], row: Vec<Value>) {
+fn respond_row<const N: usize>(ctx: &mut ProcContext<'_>, cols: &Arc<[String]>, row: [Value; N]) {
     ctx.respond(QueryResult {
-        columns: columns.iter().map(|c| c.to_string()).collect(),
-        rows: vec![row.into()],
+        columns: Arc::clone(cols),
+        rows: vec![Row::from(row)],
         rows_affected: 0,
     });
 }
 
 /// OLTP: `checkout(rider_id, station_id)` — rent a bike.
 fn register_checkout(db: &mut SStore) -> Result<()> {
+    let columns: Arc<[String]> = ["ride_id", "bike_id"].map(String::from).into();
     db.register(
-        ProcSpec::new("checkout", |ctx| {
+        ProcSpec::new("checkout", move |ctx| {
             let row = ctx
                 .input()
                 .rows
                 .first()
-                .cloned()
                 .ok_or_else(|| ctx.abort("checkout requires (rider_id, station_id)"))?;
             let rider = row[0].clone();
             let station = row[1].clone();
@@ -66,11 +67,7 @@ fn register_checkout(db: &mut SStore) -> Result<()> {
             )?;
             ctx.exec("bike_out", &[rider, bike.clone()])?;
             ctx.exec("station_minus", &[station])?;
-            respond_row(
-                ctx,
-                &["ride_id", "bike_id"],
-                vec![Value::Int(ride_id), bike],
-            );
+            respond_row(ctx, &columns, [Value::Int(ride_id), bike]);
             Ok(())
         })
         .stmt(
@@ -108,13 +105,15 @@ fn register_checkout(db: &mut SStore) -> Result<()> {
 /// card, redeem an accepted discount if one applies.
 fn register_return(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
     let price = cfg.price_per_min;
+    let columns: Arc<[String]> = ["ride_id", "charged", "discount_id"]
+        .map(String::from)
+        .into();
     db.register(
         ProcSpec::new("return_bike", move |ctx| {
             let row = ctx
                 .input()
                 .rows
                 .first()
-                .cloned()
                 .ok_or_else(|| ctx.abort("return_bike requires (rider_id, station_id)"))?;
             let rider = row[0].clone();
             let station = row[1].clone();
@@ -152,8 +151,8 @@ fn register_return(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
             ctx.exec("station_plus", &[station])?;
             respond_row(
                 ctx,
-                &["ride_id", "charged", "discount_id"],
-                vec![ride_id, Value::Int(charge), discount_applied],
+                &columns,
+                [ride_id, Value::Int(charge), discount_applied],
             );
             Ok(())
         })
@@ -203,13 +202,13 @@ fn register_return(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
 /// §3.2 operation that *requires* transactional processing.
 fn register_accept_discount(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
     let expiry = cfg.discount_expiry;
+    let columns: Arc<[String]> = ["discount_id"].map(String::from).into();
     db.register(
         ProcSpec::new("accept_discount", move |ctx| {
             let row = ctx
                 .input()
                 .rows
                 .first()
-                .cloned()
                 .ok_or_else(|| ctx.abort("accept_discount requires (rider_id, discount_id)"))?;
             let rider = row[0].clone();
             let did = row[1].clone();
@@ -226,7 +225,7 @@ fn register_accept_discount(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
                 "claim",
                 &[rider, Value::Timestamp(ctx.now() + expiry), did.clone()],
             )?;
-            respond_row(ctx, &["discount_id"], vec![did]);
+            respond_row(ctx, &columns, [did]);
             Ok(())
         })
         .stmt(
@@ -248,8 +247,7 @@ fn register_accept_discount(db: &mut SStore, cfg: &BikeConfig) -> Result<()> {
 fn register_gps_ingest(db: &mut SStore, cfg: &BikeConfig, wired: bool) -> Result<()> {
     let alert_speed = cfg.alert_speed;
     let mut spec = ProcSpec::new("gps_ingest", move |ctx| {
-        let rows = ctx.input().rows.clone();
-        for row in rows {
+        for row in &ctx.input().rows {
             let bike = row[0].clone();
             let (x, y) = (row[1].as_float()?, row[2].as_float()?);
             let q = ctx.exec("bike_state", std::slice::from_ref(&bike))?;
@@ -283,7 +281,7 @@ fn register_gps_ingest(db: &mut SStore, cfg: &BikeConfig, wired: bool) -> Result
                 ctx.exec("alert", &[bike, Value::Float(speed)])?;
             }
             if ctx.output_stream.is_some() {
-                ctx.emit(vec![rider, Value::Float(x), Value::Float(y)])?;
+                ctx.emit([rider, Value::Float(x), Value::Float(y)])?;
             }
         }
         Ok(())
@@ -321,8 +319,7 @@ fn register_discount_calc(db: &mut SStore, cfg: &BikeConfig, wired: bool) -> Res
     let expiry = cfg.discount_expiry;
     let mut spec = ProcSpec::new("discount_calc", move |ctx| {
         ctx.exec("expire", &[Value::Timestamp(ctx.now())])?;
-        let rows = ctx.input().rows.clone();
-        for row in rows {
+        for row in &ctx.input().rows {
             let (x, y) = (row[1].clone(), row[2].clone());
             let needy = ctx.exec(
                 "needy_near",

@@ -101,7 +101,8 @@ fn count(counter: &PaddedCounter) {
 pub struct Row(Arc<[Value]>);
 
 impl Row {
-    /// Build a row from owned cells (no copy; the vector is consumed).
+    /// Build a row from owned cells, copied into a fresh shared block: a
+    /// `vec![..]` row costs two allocations, `Row::from([..])` costs one.
     pub fn new(values: Vec<Value>) -> Row {
         Row(values.into())
     }
@@ -134,11 +135,7 @@ impl Row {
     /// deep copy — used to append hidden lifecycle columns).
     pub fn with_appended(&self, extra: impl IntoIterator<Item = Value>) -> Row {
         count(&ROW_DEEP_COPIES);
-        let extra = extra.into_iter();
-        let mut v: Vec<Value> = Vec::with_capacity(self.0.len() + extra.size_hint().0);
-        v.extend_from_slice(&self.0);
-        v.extend(extra);
-        Row(v.into())
+        self.0.iter().cloned().chain(extra).collect()
     }
 
     /// A new row holding the first `n` cells (counted as a deep copy —
@@ -152,10 +149,7 @@ impl Row {
     /// counted as one deep copy).
     pub fn concat(&self, other: &Row) -> Row {
         count(&ROW_DEEP_COPIES);
-        let mut v: Vec<Value> = Vec::with_capacity(self.0.len() + other.0.len());
-        v.extend_from_slice(&self.0);
-        v.extend_from_slice(&other.0);
-        Row(v.into())
+        self.0.iter().chain(other.0.iter()).cloned().collect()
     }
 }
 
@@ -182,6 +176,12 @@ impl AsRef<[Value]> for Row {
 impl From<Vec<Value>> for Row {
     fn from(v: Vec<Value>) -> Row {
         Row::new(v)
+    }
+}
+
+impl<const N: usize> From<[Value; N]> for Row {
+    fn from(cells: [Value; N]) -> Row {
+        Row(Arc::from(cells))
     }
 }
 

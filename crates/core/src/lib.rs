@@ -19,9 +19,9 @@
 //! // A one-procedure workflow: flag hot readings.
 //! db.register(
 //!     ProcSpec::new("monitor", |ctx| {
-//!         for row in ctx.input().rows.clone() {
+//!         for row in &ctx.input().rows {
 //!             if row[0].as_int()? > 40 {
-//!                 ctx.emit(row)?;
+//!                 ctx.emit(row.clone())?;
 //!             }
 //!         }
 //!         Ok(())

@@ -22,7 +22,7 @@ pub fn deploy_count_events(db: &mut SStore) -> Result<()> {
     )?;
     db.register(
         ProcSpec::new("count_events", |ctx| {
-            for row in ctx.input().rows.clone() {
+            for row in &ctx.input().rows {
                 let key = row[0].clone();
                 let amount = row[1].clone();
                 let seen = ctx.exec("get", std::slice::from_ref(&key))?;
@@ -52,7 +52,7 @@ pub fn deploy_count_events(db: &mut SStore) -> Result<()> {
 pub fn count_events_rows(n: usize, key_mod: i64, amount_mod: i64) -> Vec<Row> {
     (0..n)
         .map(|i| {
-            Row::new(vec![
+            Row::from([
                 Value::Int(i as i64 % key_mod),
                 Value::Int(i as i64 % amount_mod),
             ])
@@ -72,7 +72,7 @@ pub fn deploy_count_events_multi(db: &mut SStore) -> Result<()> {
     )?;
     db.register(
         ProcSpec::new("count_events", |ctx| {
-            for row in ctx.input().rows.clone() {
+            for row in &ctx.input().rows {
                 let key = row[0].clone();
                 let amount = row[1].clone();
                 if amount.as_int()? < 0 {
@@ -119,7 +119,7 @@ pub fn deploy_two_stage(db: &mut SStore) -> Result<()> {
     )?;
     db.register(
         ProcSpec::new("route_events", |ctx| {
-            for row in ctx.input().rows.clone() {
+            for row in &ctx.input().rows {
                 let src = row[0].clone();
                 let seen = ctx.exec("get", std::slice::from_ref(&src))?;
                 if seen.rows.is_empty() {
@@ -127,7 +127,7 @@ pub fn deploy_two_stage(db: &mut SStore) -> Result<()> {
                 } else {
                     ctx.exec("bump", &[src])?;
                 }
-                ctx.emit(vec![row[1].clone(), row[2].clone()])?;
+                ctx.emit([row[1].clone(), row[2].clone()])?;
             }
             Ok(())
         })
@@ -139,7 +139,7 @@ pub fn deploy_two_stage(db: &mut SStore) -> Result<()> {
     )?;
     db.register(
         ProcSpec::new("apply_events", |ctx| {
-            for row in ctx.input().rows.clone() {
+            for row in &ctx.input().rows {
                 let dest = row[0].clone();
                 let amount = row[1].clone();
                 let seen = ctx.exec("get", std::slice::from_ref(&dest))?;
@@ -172,7 +172,7 @@ pub const TWO_STAGE_EDGES: &[(&str, usize)] = &[("hand_off", 0)];
 pub fn two_stage_rows(n: usize, key_mod: i64) -> Vec<Row> {
     (0..n)
         .map(|i| {
-            Row::new(vec![
+            Row::from([
                 Value::Int(i as i64 % key_mod),
                 Value::Int((i as i64 + 1) % key_mod),
                 Value::Int(i as i64 % 7),

@@ -11,6 +11,7 @@ use crate::vexec::{self, ExecPath};
 use sstore_common::{Error, Result, Row, TableId, Value};
 use sstore_storage::{Database, RowId, Table};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// The storage/transaction facade the executor runs against.
 ///
@@ -52,8 +53,10 @@ pub trait ExecContext {
 /// Result of executing one statement.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
-    /// Output column names (SELECT only).
-    pub columns: Vec<String>,
+    /// Output column names (SELECT only), shared with the planned
+    /// statement (or, for a procedure's response, built once at
+    /// registration).
+    pub columns: Arc<[String]>,
     /// Output rows (SELECT only).
     pub rows: Vec<Row>,
     /// Rows inserted/updated/deleted (DML only).
@@ -112,7 +115,7 @@ pub fn execute(
                 run_plan_row(plan, ctx, &env)?
             };
             Ok(QueryResult {
-                columns: columns.clone(),
+                columns: Arc::clone(columns),
                 rows,
                 rows_affected: 0,
             })
@@ -124,22 +127,23 @@ pub fn execute(
             ..
         } => {
             ctx.check_write(*table)?;
-            let src_rows = run_plan(source, ctx, &env)?;
-            let mut n = 0;
-            for src in src_rows {
-                let visible: Row = mapping
-                    .iter()
-                    .map(|m| match m {
-                        Some(i) => src
-                            .get(*i)
-                            .cloned()
-                            .ok_or_else(|| Error::Internal("insert mapping out of range".into())),
-                        None => Ok(Value::Null),
-                    })
-                    .collect::<Result<_>>()?;
-                ctx.insert_visible(*table, visible)?;
-                n += 1;
-            }
+            let n = match source {
+                // One VALUES row is evaluated straight into the stored row.
+                PhysicalPlan::Values { rows } if rows.len() == 1 => {
+                    let exprs = &rows[0];
+                    let row = insert_row(mapping, exprs.len(), |i| eval(&exprs[i], &[], &env))?;
+                    ctx.insert_visible(*table, row)?;
+                    1
+                }
+                _ => {
+                    let src_rows = run_plan(source, ctx, &env)?;
+                    for src in &src_rows {
+                        let row = insert_row(mapping, src.len(), |i| Ok(src[i].clone()))?;
+                        ctx.insert_visible(*table, row)?;
+                    }
+                    src_rows.len()
+                }
+            };
             Ok(QueryResult {
                 rows_affected: n,
                 ..Default::default()
@@ -153,18 +157,15 @@ pub fn execute(
             ..
         } => {
             ctx.check_write(*table)?;
-            let targets = matching_rows(*table, path, pred.as_ref(), ctx, &env)?;
+            let (first, rest) = matching_rows(*table, path, pred.as_ref(), ctx, &env)?;
             let mut n = 0;
-            for (rid, old_row) in targets {
-                // Evaluate every SET against the old image, then COW once.
-                let vals: Vec<(usize, Value)> = sets
-                    .iter()
-                    .map(|(pos, e)| Ok((*pos, eval(e, &old_row, &env)?)))
-                    .collect::<Result<_>>()?;
+            for (rid, old_row) in first.into_iter().chain(rest) {
+                // COW once, then evaluate every SET against the old image
+                // (still held by `old_row`) straight into the copy.
                 let mut new_row = old_row.clone();
                 let cells = new_row.make_mut();
-                for (pos, v) in vals {
-                    cells[pos] = v;
+                for (pos, e) in sets {
+                    cells[*pos] = eval(e, &old_row, &env)?;
                 }
                 ctx.update_row(*table, rid, new_row)?;
                 n += 1;
@@ -178,11 +179,11 @@ pub fn execute(
             table, path, pred, ..
         } => {
             ctx.check_write(*table)?;
-            let targets = matching_rows(*table, path, pred.as_ref(), ctx, &env)?;
+            let (first, rest) = matching_rows(*table, path, pred.as_ref(), ctx, &env)?;
             let mut n = 0;
             // Reverse bucket order: each removal pops its index bucket's
             // tail, so k rows under one key cost O(k), not O(k²).
-            for (rid, _) in targets.into_iter().rev() {
+            for (rid, _) in rest.into_iter().rev().chain(first) {
                 ctx.delete_row(*table, rid)?;
                 n += 1;
             }
@@ -230,30 +231,95 @@ fn eval_subqueries(
     Ok(vals)
 }
 
-/// Materialize the `(rid, row)` pairs a DML predicate selects. Collected
-/// before mutation so the scan never observes its own writes (Halloween
-/// protection).
+/// A DML target: the row id and the row's image before the statement.
+type Target = (RowId, Row);
+
+/// Materialize the targets a DML predicate selects, in candidate order:
+/// the first inline, so a point statement's at most one target needs no
+/// buffer, and the rest in a vector. Collected before mutation so the
+/// scan never observes its own writes (Halloween protection).
 fn matching_rows(
     table: TableId,
     path: &AccessPath,
     pred: Option<&BoundExpr>,
     ctx: &dyn ExecContext,
     env: &EvalEnv<'_>,
-) -> Result<Vec<(RowId, Row)>> {
-    ctx.check_read(table)?;
-    let tb = ctx.db().table(table)?;
-    let mut out = Vec::new();
-    for_each_candidate(tb, path, env, |rid, row| {
-        let keep = match pred {
-            Some(p) => eval_pred(p, row, env)?,
-            None => true,
-        };
-        if keep {
-            out.push((rid, row.clone()));
+) -> Result<(Option<Target>, Vec<Target>)> {
+    let (mut first, mut rest) = (None, Vec::new());
+    scan(table, path, pred, ctx, env, |rid, row| {
+        match first {
+            None => first = Some((rid, row.clone())),
+            Some(_) => rest.push((rid, row.clone())),
         }
         Ok(())
     })?;
-    Ok(out)
+    Ok((first, rest))
+}
+
+/// Drive `visit(rid, row)` over the rows of `table` that an access path
+/// selects and `filter` keeps.
+fn scan(
+    table: TableId,
+    path: &AccessPath,
+    filter: Option<&BoundExpr>,
+    ctx: &dyn ExecContext,
+    env: &EvalEnv<'_>,
+    mut visit: impl FnMut(RowId, &Row) -> Result<()>,
+) -> Result<()> {
+    ctx.check_read(table)?;
+    for_each_candidate(ctx.db().table(table)?, path, env, |rid, row| {
+        if filter.map_or(Ok(true), |p| eval_pred(p, row, env))? {
+            visit(rid, row)?;
+        }
+        Ok(())
+    })
+}
+
+/// The visible-order row an INSERT stores; `cell(i)` reads column `i` of
+/// the `width`-wide source row.
+fn insert_row(
+    mapping: &[Option<usize>],
+    width: usize,
+    cell: impl Fn(usize) -> Result<Value>,
+) -> Result<Row> {
+    eval_row(mapping.iter().map(|m| match *m {
+        Some(i) if i < width => cell(i),
+        Some(_) => Err(Error::Internal("insert mapping out of range".into())),
+        None => Ok(Value::Null),
+    }))
+}
+
+/// Evaluate a point path's key, onto the stack when it is one cell.
+fn with_key<T>(
+    keys: &[BoundExpr],
+    env: &EvalEnv<'_>,
+    probe: impl FnOnce(&[Value]) -> Result<T>,
+) -> Result<T> {
+    if let [key] = keys {
+        return probe(&[eval(key, &[], env)?]);
+    }
+    let key: Vec<Value> = keys
+        .iter()
+        .map(|e| eval(e, &[], env))
+        .collect::<Result<_>>()?;
+    probe(&key)
+}
+
+/// Build a row from per-cell results, failing with the first error. The
+/// cells are collected without a `Result` adapter in between, so an
+/// exact-size source (a map over a slice) fills one allocation instead of
+/// a vector that is then copied.
+fn eval_row(cells: impl Iterator<Item = Result<Value>>) -> Result<Row> {
+    let mut err = None;
+    let row = cells
+        .map(|cell| {
+            cell.unwrap_or_else(|e| {
+                err.get_or_insert(e);
+                Value::Null
+            })
+        })
+        .collect();
+    err.map_or(Ok(row), Err)
 }
 
 /// Drive `visit(rid, row)` over every row an access path selects, in
@@ -271,30 +337,24 @@ fn for_each_candidate(
                 visit(rid, row)?;
             }
         }
-        AccessPath::PkPoint(keys) => {
-            let key: Vec<Value> = keys
-                .iter()
-                .map(|e| eval(e, &[], env))
-                .collect::<Result<_>>()?;
-            if let Some(rid) = tb.pk_lookup(&key) {
+        AccessPath::PkPoint(keys) => with_key(keys, env, |key| {
+            if let Some(rid) = tb.pk_lookup(key) {
                 let row = tb
                     .get(rid)
                     .ok_or_else(|| Error::Internal(format!("dangling row id {rid}")))?;
                 visit(rid, row)?;
             }
-        }
-        AccessPath::IndexPoint(name, keys) => {
-            let key: Vec<Value> = keys
-                .iter()
-                .map(|e| eval(e, &[], env))
-                .collect::<Result<_>>()?;
-            for &rid in tb.index_lookup(name, &key)? {
+            Ok(())
+        })?,
+        AccessPath::IndexPoint(name, keys) => with_key(keys, env, |key| {
+            for &rid in tb.index_lookup(name, key)? {
                 let row = tb
                     .get(rid)
                     .ok_or_else(|| Error::Internal(format!("dangling row id {rid}")))?;
                 visit(rid, row)?;
             }
-        }
+            Ok(())
+        })?,
     }
     Ok(())
 }
@@ -329,25 +389,17 @@ pub(crate) fn run_plan_row(
     match plan {
         PhysicalPlan::Values { rows } => rows
             .iter()
-            .map(|exprs| exprs.iter().map(|e| eval(e, &[], env)).collect())
+            .map(|exprs| eval_row(exprs.iter().map(|e| eval(e, &[], env))))
             .collect(),
         PhysicalPlan::Scan {
             table,
             path,
             residual,
         } => {
-            ctx.check_read(*table)?;
-            let tb = ctx.db().table(*table)?;
             let mut out = Vec::new();
-            for_each_candidate(tb, path, env, |_, row| {
-                let keep = match residual {
-                    Some(p) => eval_pred(p, row, env)?,
-                    None => true,
-                };
-                if keep {
-                    // Shared handle: scans hand out refcount bumps, not copies.
-                    out.push(row.clone());
-                }
+            scan(*table, path, residual.as_ref(), ctx, env, |_, row| {
+                // Shared handle: scans hand out refcount bumps, not copies.
+                out.push(row.clone());
                 Ok(())
             })?;
             Ok(out)
@@ -377,10 +429,23 @@ pub(crate) fn run_plan_row(
             Ok(out)
         }
         PhysicalPlan::Project { input, exprs } => {
-            let rows = run_plan(input, ctx, env)?;
-            rows.iter()
-                .map(|row| exprs.iter().map(|e| eval(e, row, env)).collect())
-                .collect()
+            let project = |row: &Row| eval_row(exprs.iter().map(|e| eval(e, row, env)));
+            if let PhysicalPlan::Scan {
+                table,
+                path: path @ (AccessPath::PkPoint(_) | AccessPath::IndexPoint(..)),
+                residual,
+            } = &**input
+            {
+                // A point scan projects each row it finds straight into a
+                // result row, with no vector of scanned handles between.
+                let mut out = Vec::new();
+                scan(*table, path, residual.as_ref(), ctx, env, |_, row| {
+                    out.push(project(row)?);
+                    Ok(())
+                })?;
+                return Ok(out);
+            }
+            run_plan(input, ctx, env)?.iter().map(project).collect()
         }
         PhysicalPlan::Aggregate {
             input,
@@ -738,7 +803,7 @@ mod tests {
         let mut db = setup();
         seed(&mut db);
         let r = sql(&mut db, "SELECT * FROM t ORDER BY id", &[]);
-        assert_eq!(r.columns, vec!["id", "name", "score"]);
+        assert_eq!(&*r.columns, ["id", "name", "score"]);
         assert_eq!(r.rows.len(), 4);
         assert_eq!(r.rows[0][1], Value::Text("alice".into()));
     }
@@ -799,7 +864,7 @@ mod tests {
              HAVING COUNT(*) >= 1 ORDER BY c DESC, name LIMIT 2",
             &[],
         );
-        assert_eq!(r.columns, vec!["name", "c", "s"]);
+        assert_eq!(&*r.columns, ["name", "c", "s"]);
         assert_eq!(r.rows.len(), 2);
         assert_eq!(r.rows[0][0], Value::Text("bob".into()));
         assert_eq!(r.rows[0][1], Value::Int(2));

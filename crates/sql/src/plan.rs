@@ -8,6 +8,7 @@
 
 use crate::expr::BoundExpr;
 use sstore_common::{Schema, TableId};
+use std::sync::Arc;
 
 /// Access path for a scan.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,8 +133,9 @@ pub enum PlannedStmt {
     Query {
         /// The operator tree.
         plan: PhysicalPlan,
-        /// Output column names (aliases applied).
-        columns: Vec<String>,
+        /// Output column names (aliases applied), shared with every
+        /// result of this statement.
+        columns: Arc<[String]>,
         /// Scalar subquery plans.
         subqueries: Vec<PhysicalPlan>,
         /// Planner verdict: the plan shape qualifies for (and benefits

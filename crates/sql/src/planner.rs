@@ -95,7 +95,7 @@ pub fn plan_statement(stmt: &Stmt, db: &Database) -> Result<PlannedStmt> {
                 crate::vexec::worthwhile(&plan) && crate::vexec::eligible(&plan, &arity);
             Ok(PlannedStmt::Query {
                 plan,
-                columns,
+                columns: columns.into(),
                 subqueries: subs,
                 vectorizable,
             })
@@ -1235,7 +1235,7 @@ mod tests {
     fn select_star_hides_hidden_columns() {
         match plan("SELECT * FROM s") {
             PlannedStmt::Query { plan, columns, .. } => {
-                assert_eq!(columns, vec!["v"]);
+                assert_eq!(&*columns, ["v"]);
                 match plan {
                     PhysicalPlan::Project { exprs, .. } => assert_eq!(exprs.len(), 1),
                     other => panic!("{other:?}"),
@@ -1248,7 +1248,7 @@ mod tests {
     #[test]
     fn hidden_columns_resolvable_by_name() {
         match plan("SELECT __seq FROM s") {
-            PlannedStmt::Query { columns, .. } => assert_eq!(columns, vec!["__seq"]),
+            PlannedStmt::Query { columns, .. } => assert_eq!(&*columns, ["__seq"]),
             _ => panic!(),
         }
     }
@@ -1325,7 +1325,7 @@ mod tests {
         match plan("SELECT name, COUNT(*) AS c FROM t GROUP BY name HAVING COUNT(*) > 1 ORDER BY c DESC LIMIT 3")
         {
             PlannedStmt::Query { plan, columns, .. } => {
-                assert_eq!(columns, vec!["name", "c"]);
+                assert_eq!(&*columns, ["name", "c"]);
                 let s = format!("{plan:?}");
                 assert!(s.contains("Aggregate"));
                 assert!(s.contains("Sort"));
@@ -1428,7 +1428,7 @@ mod tests {
         let stmt = parse("SELECT t.name, u.id FROM t JOIN u ON t.id = u.t_id").unwrap();
         let planned = plan_statement(&stmt, &db).unwrap();
         match planned {
-            PlannedStmt::Query { columns, .. } => assert_eq!(columns, vec!["name", "id"]),
+            PlannedStmt::Query { columns, .. } => assert_eq!(&*columns, ["name", "id"]),
             _ => panic!(),
         }
         // ambiguous bare column

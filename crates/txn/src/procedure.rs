@@ -221,9 +221,9 @@ pub struct ProcContext<'a> {
     pub response: Option<QueryResult>,
 }
 
-impl ProcContext<'_> {
-    /// The input batch.
-    pub fn input(&self) -> &Batch {
+impl<'a> ProcContext<'a> {
+    /// The input batch, borrowed for the TE (not from `self`): iterable while executing.
+    pub fn input(&self) -> &'a Batch {
         self.input
     }
 
@@ -369,6 +369,43 @@ mod tests {
         assert_eq!(rows[0][0], Value::Int(42));
         assert_eq!(rows[0][1], Value::Int(3));
         assert_eq!(scratch.appended.len(), 1);
+    }
+
+    /// `input()` hands out the batch's own borrow, so a body walks its rows
+    /// by reference while it executes statements: no clone of the row
+    /// vector, and each row is the batch's handle itself.
+    #[test]
+    fn body_iterates_input_by_reference_while_executing() {
+        let mut engine = ExecutionEngine::new();
+        engine
+            .ddl_sql("CREATE TABLE t (id INT, PRIMARY KEY (id))")
+            .unwrap();
+        let mut scratch = TxnScratch::new(Some(ProcId::new(0)), BatchId::new(1));
+        let mut stmts = HashMap::new();
+        stmts.insert(
+            "ins".to_string(),
+            engine.prepare("INSERT INTO t VALUES (?)").unwrap(),
+        );
+        let input = Batch::new(
+            BatchId::new(1),
+            vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+        );
+        let mut ctx = ProcContext {
+            engine: &mut engine,
+            scratch: &mut scratch,
+            statements: &stmts,
+            input: &input,
+            now: 0,
+            output_stream: None,
+            response: None,
+        };
+        for (row, original) in ctx.input().rows.iter().zip(&input.rows) {
+            assert!(std::ptr::eq(row, original), "the batch's own row handle");
+            ctx.exec("ins", &[row[0].clone()]).unwrap();
+        }
+        drop(ctx);
+        let t = engine.db().resolve("t").unwrap();
+        assert_eq!(engine.db().table(t).unwrap().len(), 2);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::schema::{install_schema, VoterConfig};
 use sstore_common::{Result, Row, Value};
 use sstore_core::{ExecMode, ProcSpec, QueryResult, SStore, TriggerEvent};
+use std::sync::Arc;
 
 /// How the trending window is maintained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,10 +48,12 @@ pub fn install(db: &mut SStore, window_impl: WindowImpl, config: &VoterConfig) -
 
 /// SP1 — validate and record each vote; forward valid ones.
 fn register_sp1(db: &mut SStore, wired: bool) -> Result<()> {
+    let columns: Arc<[String]> = ["vote_id", "phone_number", "contestant_number"]
+        .map(String::from)
+        .into();
     let mut spec = ProcSpec::new("validate", move |ctx| {
-        let rows = ctx.input().rows.clone();
         let mut validated = Vec::new();
-        for row in rows {
+        for row in &ctx.input().rows {
             let phone = row[0].clone();
             let contestant = row[1].clone();
             let exists = ctx.exec("contestant_exists", std::slice::from_ref(&contestant))?;
@@ -69,7 +72,7 @@ fn register_sp1(db: &mut SStore, wired: bool) -> Result<()> {
                 "record",
                 &[Value::Int(vid), phone.clone(), contestant.clone()],
             )?;
-            let out = Row::new(vec![Value::Int(vid), phone, contestant]);
+            let out = Row::from([Value::Int(vid), phone, contestant]);
             if ctx.output_stream.is_some() {
                 ctx.emit(out.clone())?;
             }
@@ -77,11 +80,7 @@ fn register_sp1(db: &mut SStore, wired: bool) -> Result<()> {
         }
         // The H-Store client forwards these to SP2 itself.
         ctx.respond(QueryResult {
-            columns: vec![
-                "vote_id".into(),
-                "phone_number".into(),
-                "contestant_number".into(),
-            ],
+            columns: Arc::clone(&columns),
             rows: validated,
             rows_affected: 0,
         });
@@ -126,11 +125,11 @@ fn register_sp2(
     let window = config.trending_window;
     let slide = config.trending_slide;
     let native = window_impl == WindowImpl::Native;
+    let columns: Arc<[String]> = ["signals"].map(String::from).into();
 
     let mut spec = ProcSpec::new("leaderboard", move |ctx| {
-        let rows = ctx.input().rows.clone();
         let mut signals = 0i64;
-        for row in rows {
+        for row in &ctx.input().rows {
             let contestant = row[2].clone();
             ctx.exec("bump_count", std::slice::from_ref(&contestant))?;
             ctx.exec("bump_total", &[])?;
@@ -151,14 +150,14 @@ fn register_sp2(
             if since >= every {
                 ctx.exec("reset_since", &[])?;
                 if ctx.output_stream.is_some() {
-                    ctx.emit(vec![Value::Int(total)])?;
+                    ctx.emit([Value::Int(total)])?;
                 }
                 signals += 1;
             }
         }
         ctx.respond(QueryResult {
-            columns: vec!["signals".into()],
-            rows: vec![vec![Value::Int(signals)].into()],
+            columns: Arc::clone(&columns),
+            rows: vec![Row::from([Value::Int(signals)])],
             rows_affected: 0,
         });
         Ok(())

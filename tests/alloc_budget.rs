@@ -1,0 +1,237 @@
+//! Allocation budgets on the TE hot path, pinned as invariants.
+//!
+//! A counting global allocator tallies `alloc`, `alloc_zeroed` and
+//! `realloc` calls per thread, so the test threads running beside a
+//! measurement never count toward it. Each test reads the counter around
+//! a steady-state region and fails when the per-operation figure exceeds
+//! its budget, printing the measured value either way; run with
+//! `--nocapture` to see every reading.
+//!
+//! Budgets are upper bounds with a little slack over the measured value.
+//! A change that raises one says why.
+
+use sstore::common::{Row, Value};
+use sstore::core::workloads::{count_events_rows, deploy_count_events};
+use sstore::{ProcSpec, SStore, SStoreBuilder};
+use sstore_voter::{install, VoteGen, VoterConfig, WindowImpl};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Arc, Mutex};
+
+/// The system allocator, counting the calls that obtain memory.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// The only unsafe code in the workspace: a `GlobalAlloc` cannot be
+// implemented without it. Every method forwards its arguments unchanged
+// to `System`, and the counter it bumps is a `const` thread-local `Cell`,
+// which neither allocates nor registers a destructor.
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller meets `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller meets `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: the caller meets `GlobalAlloc::realloc`'s contract, and
+        // `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller meets `GlobalAlloc::dealloc`'s contract, and
+        // `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Print `what` per operation and fail when it exceeds `budget`.
+fn check(what: &str, total: u64, ops: u64, budget: f64) {
+    let per_op = total as f64 / ops as f64;
+    println!("{what}: {per_op:.2} allocations (budget {budget})");
+    assert!(
+        per_op <= budget,
+        "{what}: {per_op:.2} allocations per operation, over the budget of {budget}"
+    );
+}
+
+/// Allocations `make` performs (its result is kept opaque to the
+/// optimizer, which could otherwise elide an unused allocation).
+fn allocations_of<T>(make: impl FnOnce() -> T) -> u64 {
+    let before = allocs();
+    drop(std::hint::black_box(make()));
+    allocs() - before
+}
+
+#[test]
+fn row_construction_allocates_as_documented() {
+    let new = allocations_of(|| Row::new(vec![Value::Int(1), Value::Int(2)]));
+    let array = allocations_of(|| Row::from([Value::Int(1), Value::Int(2)]));
+    let cells = [Value::Int(1), Value::Int(2)];
+    let collected = allocations_of(|| cells.iter().cloned().collect::<Row>());
+    let row = Row::from(cells);
+    let wider = allocations_of(|| row.with_appended([Value::Int(3), Value::Int(4)]));
+    let joined = allocations_of(|| row.concat(&row));
+    println!(
+        "row: Row::new(vec![..]) {new}, Row::from([..]) {array}, collect {collected}, \
+         with_appended {wider}, concat {joined}"
+    );
+    assert_eq!((new, array, collected, wider, joined), (2, 1, 1, 1, 1));
+}
+
+/// One Voter vote as the benchmark issues it: a one-row border batch
+/// through the three-procedure workflow, then a millisecond of show time.
+fn vote(db: &mut SStore, phone: i64, contestant: i64) {
+    db.submit_batch(
+        "validate",
+        vec![vec![Value::Int(phone), Value::Int(contestant)]],
+    )
+    .unwrap();
+    db.advance_clock(1_000);
+}
+
+#[test]
+fn voter_vote_allocations_stay_within_budget() {
+    const WARM: usize = 5_000;
+    const TIMED: usize = 50_000;
+    let config = VoterConfig {
+        elimination_every: 4_000,
+        trending_window: 100,
+        trending_slide: 10,
+        ..VoterConfig::default()
+    };
+    let mut db = SStoreBuilder::new().build().unwrap();
+    install(&mut db, WindowImpl::Native, &config).unwrap();
+    let votes = VoteGen::new(7, config.num_contestants).take(WARM + TIMED);
+    for v in &votes[..WARM] {
+        vote(&mut db, v.phone, v.contestant);
+    }
+    let before = allocs();
+    for v in &votes[WARM..] {
+        vote(&mut db, v.phone, v.contestant);
+    }
+    check("voter: per vote", allocs() - before, TIMED as u64, 43.0);
+}
+
+#[test]
+fn count_events_allocations_per_row_stay_within_budget() {
+    const KEYS: i64 = 1_000;
+    const BATCH: usize = 64;
+    const BATCHES: usize = 200;
+    let mut db = SStoreBuilder::new().build().unwrap();
+    deploy_count_events(&mut db).unwrap();
+    // The first batch creates every key, so each timed row takes the
+    // steady-state path: a point SELECT, then the bump UPDATE.
+    db.submit_batch("count_events", count_events_rows(KEYS as usize, KEYS, 7))
+        .unwrap();
+    let batches: Vec<Vec<Row>> = (0..BATCHES)
+        .map(|_| count_events_rows(BATCH, KEYS, 7))
+        .collect();
+    let before = allocs();
+    for rows in batches {
+        db.submit_batch("count_events", rows).unwrap();
+    }
+    check(
+        "count_events: per row",
+        allocs() - before,
+        (BATCH * BATCHES) as u64,
+        3.25,
+    );
+}
+
+/// Rows in the point-statement table.
+const TABLE_ROWS: i64 = 100_000;
+/// Statements of each kind timed.
+const PROBES: i64 = 2_000;
+
+#[derive(Default)]
+struct PointCosts {
+    select: u64,
+    update: u64,
+    insert: u64,
+}
+
+/// A point `SELECT`, a point `UPDATE` and a single-row `INSERT … VALUES`,
+/// each issued from a procedure body on a table of [`TABLE_ROWS`] rows.
+/// Only the `exec` call and the drop of its result are counted.
+#[test]
+fn point_statement_allocations_stay_within_budget() {
+    let mut db = SStoreBuilder::new().build().unwrap();
+    db.ddl("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL, PRIMARY KEY (k))")
+        .unwrap();
+    db.register(
+        ProcSpec::new("load", |ctx| {
+            for row in &ctx.input().rows {
+                ctx.exec("put", &[row[0].clone(), row[1].clone()])?;
+            }
+            Ok(())
+        })
+        .stmt("put", "INSERT INTO kv VALUES (?, ?)"),
+    )
+    .unwrap();
+    let costs = Arc::new(Mutex::new(PointCosts::default()));
+    let out = Arc::clone(&costs);
+    db.register(
+        ProcSpec::new("probe", move |ctx| {
+            let mut c = PointCosts::default();
+            for i in 0..PROBES {
+                let key = [Value::Int(i * 37 % TABLE_ROWS)];
+                let before = allocs();
+                drop(ctx.exec("get", &key)?);
+                c.select += allocs() - before;
+
+                let before = allocs();
+                drop(ctx.exec("bump", &key)?);
+                c.update += allocs() - before;
+
+                let row = [Value::Int(TABLE_ROWS + i), Value::Int(i)];
+                let before = allocs();
+                drop(ctx.exec("put", &row)?);
+                c.insert += allocs() - before;
+            }
+            *out.lock().unwrap() = c;
+            Ok(())
+        })
+        .stmt("get", "SELECT v FROM kv WHERE k = ?")
+        .stmt("bump", "UPDATE kv SET v = v + 1 WHERE k = ?")
+        .stmt("put", "INSERT INTO kv VALUES (?, ?)"),
+    )
+    .unwrap();
+    for start in (0..TABLE_ROWS).step_by(1_000) {
+        let rows: Vec<Row> = (start..start + 1_000)
+            .map(|k| Row::from([Value::Int(k), Value::Int(0)]))
+            .collect();
+        db.submit_batch("load", rows).unwrap();
+    }
+    db.submit_batch::<Row>("probe", vec![]).unwrap();
+
+    let c = costs.lock().unwrap();
+    let n = PROBES as u64;
+    check("point SELECT", c.select, n, 2.1);
+    check("point UPDATE", c.update, n, 1.1);
+    check("single-row INSERT … VALUES", c.insert, n, 1.1);
+}

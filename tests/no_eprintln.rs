@@ -178,17 +178,17 @@ fn library_pub_items_stay_within_budget() {
 /// The most non-test lines ([`non_test_lines`]) each crate's library
 /// sources may hold, pinned at today's counts.
 const LINE_BUDGET: [(&str, usize); 11] = [
-    ("bikeshare", 877),
+    ("bikeshare", 874),
     ("common", 3071),
     ("core", 3519),
     ("engine", 1020),
     ("slt", 1216),
-    ("sql", 5233),
+    ("sql", 5300),
     ("sstore", 39),
     ("storage", 2667),
     ("txn", 3462),
     ("vector", 1963),
-    ("voter", 904),
+    ("voter", 903),
 ];
 
 #[test]

@@ -55,7 +55,7 @@ fn aggregates_with_grouping_and_having() {
             &[],
         )
         .unwrap();
-    assert_eq!(r.columns, vec!["customer", "n", "total", "mean"]);
+    assert_eq!(&*r.columns, ["customer", "n", "total", "mean"]);
     assert_eq!(r.rows.len(), 3);
     assert_eq!(r.rows[0][0], Value::Text("acme".into()));
     assert_eq!(r.rows[0][2], Value::Float(350.0));
