@@ -24,5 +24,4 @@ pub mod parser;
 pub mod runner;
 pub mod telemetry;
 
-pub use runner::{run_slt_dir_dual, run_slt_dir_with};
-pub use sstore_core::ExecPath;
+pub use runner::run_slt_dir_dual;

@@ -1,17 +1,13 @@
-//! Executes parsed `.slt` files against a fresh engine.
+//! Executes parsed `.slt` files against fresh engines.
 //!
-//! Each file gets its own [`SStore`] instance (no state leaks between
-//! files); each mismatch becomes one diff line, and a file's failures are
-//! collected rather than stopping at the first — a golden run reports
-//! everything that drifted.
-//!
-//! Every file can run three ways: pinned to the row interpreter
-//! (`run_slt_file_with` with [`ExecPath::Row`]), pinned to the
-//! vectorized executor ([`ExecPath::Vector`]), or in **dual** mode
-//! (`run_slt_file_dual`) where two engines execute the script in
-//! lockstep and every query's raw output must match row-for-row before
-//! any `rowsort` normalization — a direct parity oracle for the
-//! vectorized path.
+//! Each file runs on two fresh [`SStore`] instances in lockstep, one
+//! pinned to the row interpreter and one to the vectorized executor (no
+//! state leaks between files). Every expectation is judged on both
+//! engines, and every query's raw output must match row-for-row across
+//! them before any `rowsort` normalization, a direct parity oracle for
+//! the vectorized path. Each mismatch becomes one diff line, and a file's
+//! failures are collected rather than stopping at the first, so a golden
+//! run reports everything that drifted.
 
 use crate::parser::{parse_slt, SltRecord, SortMode};
 use sstore_common::{Result, Value};
@@ -60,87 +56,13 @@ fn build_engine(path: &Path, exec: ExecPath) -> std::result::Result<SStore, Stri
     }
 }
 
-/// Run one `.slt` file against a fresh [`SStore`] pinned to `exec`.
-/// Returns the list of failure messages (empty = pass).
-pub(crate) fn run_slt_file_with(path: &Path, exec: ExecPath) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("{}: unreadable: {e}", path.display())],
-    };
-    let records = match parse_slt(path, &text) {
-        Ok(f) => f,
-        Err(e) => return vec![e],
-    };
-    let mut db = match build_engine(path, exec) {
-        Ok(db) => db,
-        Err(e) => return vec![e],
-    };
-    let mut failures = Vec::new();
-    for record in &records {
-        match record {
-            SltRecord::Clock { micros } => db.advance_clock(*micros),
-            SltRecord::Statement {
-                sql,
-                expect_error,
-                line,
-            } => match (execute(&mut db, sql), expect_error) {
-                (Ok(_), None) => {}
-                (Ok(_), Some(want)) => failures.push(format!(
-                    "{}:{line}: expected error containing `{want}`, statement succeeded\n  {sql}",
-                    path.display()
-                )),
-                (Err(e), Some(want)) => {
-                    let msg = e.to_string();
-                    if !msg.to_lowercase().contains(&want.to_lowercase()) {
-                        failures.push(format!(
-                            "{}:{line}: error `{msg}` does not contain `{want}`\n  {sql}",
-                            path.display()
-                        ));
-                    }
-                }
-                (Err(e), None) => failures.push(format!(
-                    "{}:{line}: statement failed: {e}\n  {sql}",
-                    path.display()
-                )),
-            },
-            SltRecord::Query {
-                sql,
-                expected,
-                sort,
-                line,
-            } => match execute(&mut db, sql) {
-                Err(e) => failures.push(format!(
-                    "{}:{line}: query failed: {e}\n  {sql}",
-                    path.display()
-                )),
-                Ok(mut actual) => {
-                    let mut expected = expected.clone();
-                    if *sort == SortMode::RowSort {
-                        actual.sort();
-                        expected.sort();
-                    }
-                    if actual != expected {
-                        failures.push(format!(
-                            "{}:{line}: result mismatch\n  {sql}\n  expected:\n{}\n  actual:\n{}",
-                            path.display(),
-                            indent(&expected),
-                            indent(&actual)
-                        ));
-                    }
-                }
-            },
-        }
-    }
-    failures
-}
-
 /// Run one `.slt` file through **both** executor paths in lockstep: a
 /// row-interpreter engine and a vectorized engine each execute every
-/// record. Statements must agree on success vs. failure; queries are
-/// checked against the expected block on the row engine (the reference
-/// semantics), and the vector engine's *raw* output — before any
-/// `rowsort` normalization — must equal the row engine's raw output.
-/// Any divergence is a parity failure.
+/// record. Statements must agree on success vs. failure, and an expected
+/// error's text must appear in each engine's message; queries are checked
+/// against the expected block, and the vector engine's *raw* output —
+/// before any `rowsort` normalization — must equal the row engine's raw
+/// output. Any divergence is a parity failure.
 pub(crate) fn run_slt_file_dual(path: &Path) -> Vec<String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -181,10 +103,8 @@ pub(crate) fn run_slt_file_dual(path: &Path) -> Vec<String> {
                     ));
                     continue;
                 }
-                // Expectations are judged against the row engine; the
-                // vector engine only has to agree on ok vs. err.
                 match (&row_res, expect_error) {
-                    (Ok(_), None) | (Err(_), Some(_)) => {}
+                    (Ok(_), None) => {}
                     (Ok(_), Some(want)) => failures.push(format!(
                         "{}:{line}: expected error containing `{want}`, statement succeeded\n  {sql}",
                         path.display()
@@ -193,6 +113,19 @@ pub(crate) fn run_slt_file_dual(path: &Path) -> Vec<String> {
                         "{}:{line}: statement failed: {e}\n  {sql}",
                         path.display()
                     )),
+                    (Err(_), Some(want)) => {
+                        // Both failed: the outcomes agree.
+                        for (engine, res) in [("row", &row_res), ("vector", &vec_res)] {
+                            let Err(e) = res else { continue };
+                            let msg = e.to_string();
+                            if !msg.to_lowercase().contains(&want.to_lowercase()) {
+                                failures.push(format!(
+                                    "{}:{line}: {engine} engine error `{msg}` does not contain `{want}`\n  {sql}",
+                                    path.display()
+                                ));
+                            }
+                        }
+                    }
                 }
             }
             SltRecord::Query {
@@ -289,16 +222,6 @@ pub(crate) fn discover_slt_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Run every `.slt` file under `dir` pinned to one executor path.
-pub fn run_slt_dir_with(dir: &Path, exec: ExecPath) -> (usize, Vec<String>) {
-    let files = discover_slt_files(dir);
-    let mut failures = Vec::new();
-    for f in &files {
-        failures.extend(run_slt_file_with(f, exec));
-    }
-    (files.len(), failures)
-}
-
 /// Run every `.slt` file under `dir` in dual row/vector lockstep mode.
 pub fn run_slt_dir_dual(dir: &Path) -> (usize, Vec<String>) {
     let files = discover_slt_files(dir);
@@ -321,7 +244,7 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::write(&p, text).unwrap();
-        let f = run_slt_file_with(&p, ExecPath::default());
+        let f = run_slt_file_dual(&p);
         std::fs::remove_file(&p).ok();
         f
     }
@@ -355,6 +278,18 @@ mod tests {
              statement error duplicate\nINSERT INTO t VALUES (1)\n",
         );
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn error_text_is_judged_on_both_engines() {
+        let f = run_text(
+            "statement ok\nCREATE TABLE t (id INT, PRIMARY KEY (id))\n\n\
+             statement ok\nINSERT INTO t VALUES (1)\n\n\
+             statement error no such text\nINSERT INTO t VALUES (1)\n",
+        );
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f[0].contains("row engine error"), "{}", f[0]);
+        assert!(f[1].contains("vector engine error"), "{}", f[1]);
     }
 
     #[test]

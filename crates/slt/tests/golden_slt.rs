@@ -1,20 +1,18 @@
-//! The golden suite: every `.slt` file under `tests/slt/` runs against a
-//! fresh engine; any drift from the expected results fails with per-file
+//! The golden suite: every `.slt` file under `tests/slt/` runs against
+//! fresh engines; any drift from the expected results fails with per-file
 //! diffs. Add coverage by adding files — no Rust required.
 //!
-//! The suite runs three ways: pinned to the row interpreter, pinned to
-//! the vectorized executor, and in dual lockstep mode where every
-//! query's raw output must match across both engines before any
-//! `rowsort` normalization.
+//! Each file runs once, on a row-interpreter engine and a vectorized
+//! engine in lockstep: every expectation is judged on both, and every
+//! query's raw output must match across them before any `rowsort`
+//! normalization.
 
-use sstore_slt::ExecPath;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-fn slt_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/slt")
-}
-
-fn assert_clean(files: usize, failures: Vec<String>, dir: &Path) {
+#[test]
+fn golden_slt_suite_row_vector_parity() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/slt");
+    let (files, failures) = sstore_slt::run_slt_dir_dual(&dir);
     assert!(
         files >= 15,
         "expected at least 15 .slt files under {}, found {files}",
@@ -26,25 +24,4 @@ fn assert_clean(files: usize, failures: Vec<String>, dir: &Path) {
         failures.len(),
         failures.join("\n")
     );
-}
-
-#[test]
-fn golden_slt_suite_passes_row_engine() {
-    let dir = slt_dir();
-    let (files, failures) = sstore_slt::run_slt_dir_with(&dir, ExecPath::Row);
-    assert_clean(files, failures, &dir);
-}
-
-#[test]
-fn golden_slt_suite_passes_vector_engine() {
-    let dir = slt_dir();
-    let (files, failures) = sstore_slt::run_slt_dir_with(&dir, ExecPath::Vector);
-    assert_clean(files, failures, &dir);
-}
-
-#[test]
-fn golden_slt_suite_row_vector_parity() {
-    let dir = slt_dir();
-    let (files, failures) = sstore_slt::run_slt_dir_dual(&dir);
-    assert_clean(files, failures, &dir);
 }

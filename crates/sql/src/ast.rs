@@ -301,28 +301,31 @@ pub(crate) enum Expr {
 }
 
 impl Expr {
+    /// The sub-expressions this node evaluates in the same query, in
+    /// source order; a subquery's expressions are its own.
+    pub(crate) fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (fixed, list): ([Option<&Expr>; 3], &[Expr]) = match self {
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => ([Some(expr), None, None], &[]),
+            Expr::Binary { left, right, .. } => ([Some(left), Some(right), None], &[]),
+            Expr::InList { expr, list, .. } => ([Some(expr), None, None], list),
+            Expr::Between { expr, lo, hi, .. } => ([Some(expr), Some(lo), Some(hi)], &[]),
+            Expr::Func { args, .. } => ([None, None, None], args),
+            Expr::Literal(_)
+            | Expr::Param(_)
+            | Expr::Column { .. }
+            | Expr::Exists { .. }
+            | Expr::Wildcard
+            | Expr::Subquery(_) => ([None, None, None], &[]),
+        };
+        fixed.into_iter().flatten().chain(list)
+    }
+
     /// True if this expression (recursively) contains an aggregate call.
+    /// A subquery's aggregates, `EXISTS` included, are its own.
     pub(crate) fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Func { name, .. } if is_aggregate(name) => true,
-            Expr::Func { args, .. } => args.iter().any(Expr::contains_aggregate),
-            // EXISTS aggregates internally, not in the outer query.
-            Expr::Exists { .. } => false,
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.contains_aggregate() || lo.contains_aggregate() || hi.contains_aggregate()
-            }
-            // A subquery's aggregates are its own; they do not make the
-            // outer query an aggregate query.
-            Expr::Subquery(_) => false,
-            _ => false,
+            e => e.children().any(Expr::contains_aggregate),
         }
     }
 }

@@ -75,36 +75,68 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
+    /// The sub-expressions this node evaluates, in source order.
+    fn children(&self) -> impl Iterator<Item = &BoundExpr> {
+        let (fixed, list): ([Option<&BoundExpr>; 3], &[BoundExpr]) = match self {
+            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => {
+                ([Some(expr), None, None], &[])
+            }
+            BoundExpr::Binary { left, right, .. } => ([Some(left), Some(right), None], &[]),
+            BoundExpr::InList { expr, list, .. } => ([Some(expr), None, None], list),
+            BoundExpr::Between { expr, lo, hi, .. } => ([Some(expr), Some(lo), Some(hi)], &[]),
+            BoundExpr::Scalar { args, .. } => ([None, None, None], args),
+            BoundExpr::Literal(_)
+            | BoundExpr::Param(_)
+            | BoundExpr::ColumnRef(_)
+            | BoundExpr::SubqueryRef(_) => ([None, None, None], &[]),
+        };
+        fixed.into_iter().flatten().chain(list)
+    }
+
+    /// [`BoundExpr::children`], mutably.
+    fn children_mut(&mut self) -> impl Iterator<Item = &mut BoundExpr> {
+        let (fixed, list): ([Option<&mut BoundExpr>; 3], &mut [BoundExpr]) = match self {
+            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => {
+                ([Some(expr), None, None], &mut [])
+            }
+            BoundExpr::Binary { left, right, .. } => ([Some(left), Some(right), None], &mut []),
+            BoundExpr::InList { expr, list, .. } => ([Some(expr), None, None], list),
+            BoundExpr::Between { expr, lo, hi, .. } => ([Some(expr), Some(lo), Some(hi)], &mut []),
+            BoundExpr::Scalar { args, .. } => ([None, None, None], args),
+            BoundExpr::Literal(_)
+            | BoundExpr::Param(_)
+            | BoundExpr::ColumnRef(_)
+            | BoundExpr::SubqueryRef(_) => ([None, None, None], &mut []),
+        };
+        fixed.into_iter().flatten().chain(list)
+    }
+
+    /// The operands of the top-level `AND` chain, left to right (the
+    /// expression itself when it is no `AND`).
+    pub(crate) fn conjuncts(&self) -> impl Iterator<Item = &BoundExpr> {
+        let mut stack = vec![self];
+        std::iter::from_fn(move || {
+            let mut e = stack.pop()?;
+            while let BoundExpr::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } = e
+            {
+                stack.push(right);
+                e = left;
+            }
+            Some(e)
+        })
+    }
+
     /// Collect every `ColumnRef` position the expression mentions.
     pub(crate) fn collect_refs(&self, out: &mut BTreeSet<usize>) {
         match self {
             BoundExpr::ColumnRef(i) => {
                 out.insert(*i);
             }
-            BoundExpr::Literal(_) | BoundExpr::Param(_) | BoundExpr::SubqueryRef(_) => {}
-            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => {
-                expr.collect_refs(out)
-            }
-            BoundExpr::Binary { left, right, .. } => {
-                left.collect_refs(out);
-                right.collect_refs(out);
-            }
-            BoundExpr::InList { expr, list, .. } => {
-                expr.collect_refs(out);
-                for item in list {
-                    item.collect_refs(out);
-                }
-            }
-            BoundExpr::Between { expr, lo, hi, .. } => {
-                expr.collect_refs(out);
-                lo.collect_refs(out);
-                hi.collect_refs(out);
-            }
-            BoundExpr::Scalar { args, .. } => {
-                for a in args {
-                    a.collect_refs(out);
-                }
-            }
+            e => e.children().for_each(|c| c.collect_refs(out)),
         }
     }
 
@@ -113,30 +145,7 @@ impl BoundExpr {
     pub(crate) fn rebase_refs(&mut self, base: usize) {
         match self {
             BoundExpr::ColumnRef(i) => *i -= base,
-            BoundExpr::Literal(_) | BoundExpr::Param(_) | BoundExpr::SubqueryRef(_) => {}
-            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => {
-                expr.rebase_refs(base)
-            }
-            BoundExpr::Binary { left, right, .. } => {
-                left.rebase_refs(base);
-                right.rebase_refs(base);
-            }
-            BoundExpr::InList { expr, list, .. } => {
-                expr.rebase_refs(base);
-                for item in list {
-                    item.rebase_refs(base);
-                }
-            }
-            BoundExpr::Between { expr, lo, hi, .. } => {
-                expr.rebase_refs(base);
-                lo.rebase_refs(base);
-                hi.rebase_refs(base);
-            }
-            BoundExpr::Scalar { args, .. } => {
-                for a in args {
-                    a.rebase_refs(base);
-                }
-            }
+            e => e.children_mut().for_each(|c| c.rebase_refs(base)),
         }
     }
 }
@@ -454,7 +463,10 @@ fn eval_scalar(func: ScalarFn, mut vals: Vec<Value>) -> Result<Value> {
             .unwrap_or(Value::Null)),
         ScalarFn::Abs => match vals.pop().unwrap() {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(i.abs())),
+            Value::Int(i) => i
+                .checked_abs()
+                .map(Value::Int)
+                .ok_or_else(|| Error::Constraint("integer overflow in ABS".into())),
             Value::Float(f) => Ok(Value::Float(f.abs())),
             other => Err(Error::TypeMismatch(format!("ABS of {other}"))),
         },
@@ -469,19 +481,25 @@ fn eval_scalar(func: ScalarFn, mut vals: Vec<Value>) -> Result<Value> {
             }
             Ok(Value::Float(f.sqrt()))
         }
-        ScalarFn::Floor => {
+        ScalarFn::Floor | ScalarFn::Ceil => {
             let v = vals.pop().unwrap();
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            Ok(Value::Int(v.as_float()?.floor() as i64))
-        }
-        ScalarFn::Ceil => {
-            let v = vals.pop().unwrap();
-            if v.is_null() {
-                return Ok(Value::Null);
+            let f = v.as_float()?;
+            let f = if func == ScalarFn::Floor {
+                f.floor()
+            } else {
+                f.ceil()
+            };
+            // `as` would turn NaN into 0 and saturate out-of-range values;
+            // `i64::MIN as f64` is exact and `i64::MAX as f64` is 2^63.
+            if !(i64::MIN as f64..i64::MAX as f64).contains(&f) {
+                return Err(Error::Constraint(format!(
+                    "{func:?} of {f} has no INT value"
+                )));
             }
-            Ok(Value::Int(v.as_float()?.ceil() as i64))
+            Ok(Value::Int(f as i64))
         }
         ScalarFn::Power => {
             let y = vals.pop().unwrap();
@@ -684,6 +702,28 @@ mod tests {
             )),
             Value::Int(7)
         );
+    }
+
+    #[test]
+    fn int_results_out_of_range_are_errors_not_panics() {
+        let call = |f, arg| BoundExpr::Scalar {
+            func: f,
+            args: vec![arg],
+        };
+        let kind = |e: &BoundExpr| eval(e, &[], &empty_env()).unwrap_err().kind();
+        assert_eq!(kind(&call(ScalarFn::Abs, lit(i64::MIN))), "constraint");
+        assert_eq!(
+            ev(&call(ScalarFn::Abs, lit(i64::MIN + 1))),
+            Value::Int(i64::MAX)
+        );
+        for f in [ScalarFn::Floor, ScalarFn::Ceil] {
+            for x in [f64::NAN, f64::INFINITY, -f64::INFINITY, 9.3e18, -9.3e18] {
+                assert_eq!(kind(&call(f, lit(x))), "constraint", "{f:?}({x})");
+            }
+        }
+        let min = i64::MIN as f64;
+        assert_eq!(ev(&call(ScalarFn::Floor, lit(min))), Value::Int(i64::MIN));
+        assert_eq!(ev(&call(ScalarFn::Ceil, lit(-0.5))), Value::Int(0));
     }
 
     #[test]

@@ -145,10 +145,8 @@ pub(crate) fn worthwhile(plan: &PhysicalPlan) -> bool {
 /// `AND`-conjuncts of `on`. Column offsets in `on` index the concatenated
 /// row; `right_col` is returned relative to the right input.
 pub(crate) fn equi_pairs(on: &BoundExpr, left_arity: usize) -> Vec<(usize, usize)> {
-    let mut conjuncts = Vec::new();
-    flatten_and(on, &mut conjuncts);
     let mut out = Vec::new();
-    for c in conjuncts {
+    for c in on.conjuncts() {
         if let BoundExpr::Binary {
             op: crate::ast::BinOp::Eq,
             left,
@@ -165,20 +163,6 @@ pub(crate) fn equi_pairs(on: &BoundExpr, left_arity: usize) -> Vec<(usize, usize
         }
     }
     out
-}
-
-fn flatten_and<'e>(e: &'e BoundExpr, out: &mut Vec<&'e BoundExpr>) {
-    if let BoundExpr::Binary {
-        op: crate::ast::BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        flatten_and(left, out);
-        flatten_and(right, out);
-    } else {
-        out.push(e);
-    }
 }
 
 // ---------------------------------------------------------------------------

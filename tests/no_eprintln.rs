@@ -127,7 +127,7 @@ const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("common", 153),
     ("core", 77),
     ("engine", 26),
-    ("slt", 19),
+    ("slt", 18),
     ("sql", 31),
     ("storage", 88),
     ("txn", 89),
@@ -182,8 +182,8 @@ const LINE_BUDGET: [(&str, usize); 11] = [
     ("common", 3071),
     ("core", 3519),
     ("engine", 1020),
-    ("slt", 1216),
-    ("sql", 5300),
+    ("slt", 1138),
+    ("sql", 5115),
     ("sstore", 39),
     ("storage", 2667),
     ("txn", 3462),

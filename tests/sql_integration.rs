@@ -268,3 +268,38 @@ fn order_by_alias_and_expression() {
         .unwrap();
     assert_eq!(r.rows, r2.rows);
 }
+
+/// A grouped query's outputs are bound like every other expression, so a
+/// bad call is refused when the statement is planned, whether or not a
+/// group exists to evaluate it on.
+#[test]
+fn grouped_outputs_are_refused_at_plan_time_on_any_table() {
+    let mut db = SStoreBuilder::new().build().unwrap();
+    db.ddl("CREATE TABLE t (k INT NOT NULL, name VARCHAR(8) NOT NULL, PRIMARY KEY (k))")
+        .unwrap();
+    let cases = [
+        (
+            "SELECT abs(k, k) FROM t GROUP BY k",
+            "function `abs` expects 1 argument(s)",
+        ),
+        (
+            "SELECT lower(DISTINCT name) FROM t GROUP BY name",
+            "DISTINCT only applies to aggregates, not `lower`",
+        ),
+        (
+            "SELECT now(1) FROM t GROUP BY k",
+            "function `now` expects 0 argument(s)",
+        ),
+    ];
+    for filled in [false, true] {
+        if filled {
+            db.setup_sql("INSERT INTO t VALUES (1, 'a'), (2, 'b')", &[])
+                .unwrap();
+        }
+        for (sql, message) in cases {
+            let e = db.query(sql, &[]).unwrap_err();
+            assert_eq!(e.kind(), "parse", "{sql} (filled: {filled}): {e}");
+            assert!(e.to_string().contains(message), "{sql}: {e}");
+        }
+    }
+}
