@@ -40,8 +40,8 @@ pub struct EeConfig {
     /// Master switch for EE triggers (ablation E3b). When off, stream and
     /// window inserts never enqueue trigger work.
     pub ee_triggers_enabled: bool,
-    /// Which executor eligible read plans run on (vectorized batch
-    /// kernels vs. the row interpreter); `ExecutionEngine::set_exec_path`
+    /// The mode SELECT plans run in (column lanes where an operator
+    /// consumes them, or rows only); `ExecutionEngine::set_exec_path`
     /// changes it.
     pub exec_path: ExecPath,
 }

@@ -99,9 +99,9 @@ impl ExecutionEngine {
         self.config.ee_triggers_enabled = enabled;
     }
 
-    /// Select the executor for eligible read plans: vectorized batch
-    /// kernels (the default) or the row interpreter (reference semantics,
-    /// for parity tests and A/B measurements).
+    /// Select the mode SELECT plans run in: batches of column lanes where
+    /// an operator consumes them (the default), or rows only (reference
+    /// semantics, for parity tests and A/B measurements).
     pub fn set_exec_path(&mut self, path: sstore_sql::ExecPath) {
         self.config.exec_path = path;
     }

@@ -1,7 +1,7 @@
 //! Executes parsed `.slt` files against fresh engines.
 //!
 //! Each file runs on two fresh [`SStore`] instances in lockstep, one
-//! pinned to the row interpreter and one to the vectorized executor (no
+//! pinned to the plan walker's row mode and one to its vector mode (no
 //! state leaks between files). Every expectation is judged on both
 //! engines, and every query's raw output must match row-for-row across
 //! them before any `rowsort` normalization, a direct parity oracle for
@@ -56,8 +56,8 @@ fn build_engine(path: &Path, exec: ExecPath) -> std::result::Result<SStore, Stri
     }
 }
 
-/// Run one `.slt` file through **both** executor paths in lockstep: a
-/// row-interpreter engine and a vectorized engine each execute every
+/// Run one `.slt` file through **both** walker modes in lockstep: a
+/// row-mode engine and a vector-mode engine each execute every
 /// record. Statements must agree on success vs. failure, and an expected
 /// error's text must appear in each engine's message; queries are checked
 /// against the expected block, and the vector engine's *raw* output —

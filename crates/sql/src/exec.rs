@@ -1,9 +1,14 @@
-//! Plan execution.
+//! Statement execution.
 //!
-//! The executor walks a [`PhysicalPlan`] row-at-a-time. Reads go straight
-//! to the [`Database`]; all mutations are routed through [`ExecContext`] so
-//! the execution engine layered above can attach undo logging, stream and
-//! window lifecycle maintenance, EE triggers, and round-trip accounting.
+//! [`execute`] runs a planned statement: a SELECT plan, a scalar subquery
+//! and an INSERT … SELECT source go to the one plan walker
+//! ([`crate::vexec`]); INSERT, UPDATE and DELETE find their target rows
+//! here. This module also holds what the walker's row operators share
+//! with DML: the access-path scan and the row aggregate accumulator.
+//! Reads go straight to the [`Database`]; all mutations are routed
+//! through [`ExecContext`] so the execution engine layered above can
+//! attach undo logging, stream and window lifecycle maintenance, EE
+//! triggers, and round-trip accounting.
 
 use crate::expr::{eval, eval_pred, BoundExpr, EvalEnv};
 use crate::plan::{AccessPath, AggExpr, AggFunc, PhysicalPlan, PlannedStmt};
@@ -42,9 +47,9 @@ pub trait ExecContext {
     /// Replace the *full storage* row at `rid`, recording undo.
     fn update_row(&mut self, table: TableId, rid: RowId, new_row: Row) -> Result<()>;
 
-    /// Which executor eligible read plans route through. Defaults to the
-    /// vectorized path; the engine overrides this with its per-partition
-    /// configuration.
+    /// The mode the plan walker runs SELECT plans in. Defaults to
+    /// [`ExecPath::Vector`]; the engine overrides this with its
+    /// per-partition configuration.
     fn exec_path(&self) -> ExecPath {
         ExecPath::default()
     }
@@ -99,27 +104,11 @@ pub fn execute(
         subs: &subs,
     };
     match stmt {
-        PlannedStmt::Query {
-            plan,
-            columns,
-            vectorizable,
-            ..
-        } => {
-            // The planner pre-computes eligibility; the context picks the
-            // path. Ineligible (or not-worthwhile) plans run the row
-            // interpreter, whose recursion still re-enters [`run_plan`] so
-            // eligible *subtrees* vectorize.
-            let rows = if *vectorizable && ctx.exec_path() == ExecPath::Vector {
-                vexec::run(plan, &*ctx, &env)?
-            } else {
-                run_plan_row(plan, ctx, &env)?
-            };
-            Ok(QueryResult {
-                columns: Arc::clone(columns),
-                rows,
-                rows_affected: 0,
-            })
-        }
+        PlannedStmt::Query { plan, columns, .. } => Ok(QueryResult {
+            columns: Arc::clone(columns),
+            rows: vexec::run(plan, &*ctx, &env)?,
+            rows_affected: 0,
+        }),
         PlannedStmt::Insert {
             table,
             source,
@@ -136,7 +125,7 @@ pub fn execute(
                     1
                 }
                 _ => {
-                    let src_rows = run_plan(source, ctx, &env)?;
+                    let src_rows = vexec::run(source, &*ctx, &env)?;
                     for src in &src_rows {
                         let row = insert_row(mapping, src.len(), |i| Ok(src[i].clone()))?;
                         ctx.insert_visible(*table, row)?;
@@ -214,7 +203,7 @@ fn eval_subqueries(
                 now,
                 subs: &vals,
             };
-            run_plan(plan, ctx, &env)?
+            vexec::run(plan, ctx, &env)?
         };
         if rows.len() > 1 {
             return Err(Error::Constraint(format!(
@@ -258,7 +247,7 @@ fn matching_rows(
 
 /// Drive `visit(rid, row)` over the rows of `table` that an access path
 /// selects and `filter` keeps.
-fn scan(
+pub(crate) fn scan(
     table: TableId,
     path: &AccessPath,
     filter: Option<&BoundExpr>,
@@ -309,7 +298,7 @@ fn with_key<T>(
 /// cells are collected without a `Result` adapter in between, so an
 /// exact-size source (a map over a slice) fills one allocation instead of
 /// a vector that is then copied.
-fn eval_row(cells: impl Iterator<Item = Result<Value>>) -> Result<Row> {
+pub(crate) fn eval_row(cells: impl Iterator<Item = Result<Value>>) -> Result<Row> {
     let mut err = None;
     let row = cells
         .map(|cell| {
@@ -324,7 +313,7 @@ fn eval_row(cells: impl Iterator<Item = Result<Value>>) -> Result<Row> {
 
 /// Drive `visit(rid, row)` over every row an access path selects, in
 /// deterministic order (slot order for full scans, bucket order for point
-/// probes). Shared by DML target collection and the Scan operator.
+/// probes). Shared by DML target collection and the walker's row scans.
 fn for_each_candidate(
     tb: &Table,
     path: &AccessPath,
@@ -357,135 +346,6 @@ fn for_each_candidate(
         })?,
     }
     Ok(())
-}
-
-/// Run a read-only plan to a materialized row set, routing through the
-/// vectorized executor when the context requests it and the plan shape
-/// both qualifies ([`vexec::eligible`]) and benefits
-/// ([`vexec::worthwhile`]); otherwise the row interpreter runs.
-pub(crate) fn run_plan(
-    plan: &PhysicalPlan,
-    ctx: &dyn ExecContext,
-    env: &EvalEnv<'_>,
-) -> Result<Vec<Row>> {
-    if ctx.exec_path() == ExecPath::Vector && vexec::worthwhile(plan) {
-        let db = ctx.db();
-        let arity = |t: TableId| db.table(t).map(|tb| tb.schema().arity()).unwrap_or(0);
-        if vexec::eligible(plan, &arity) {
-            return vexec::run(plan, ctx, env);
-        }
-    }
-    run_plan_row(plan, ctx, env)
-}
-
-/// The tuple-at-a-time interpreter. Recursive child calls re-enter
-/// [`run_plan`] so vector-eligible subtrees of a row-only plan still take
-/// the batch path.
-pub(crate) fn run_plan_row(
-    plan: &PhysicalPlan,
-    ctx: &dyn ExecContext,
-    env: &EvalEnv<'_>,
-) -> Result<Vec<Row>> {
-    match plan {
-        PhysicalPlan::Values { rows } => rows
-            .iter()
-            .map(|exprs| eval_row(exprs.iter().map(|e| eval(e, &[], env))))
-            .collect(),
-        PhysicalPlan::Scan {
-            table,
-            path,
-            residual,
-        } => {
-            let mut out = Vec::new();
-            scan(*table, path, residual.as_ref(), ctx, env, |_, row| {
-                // Shared handle: scans hand out refcount bumps, not copies.
-                out.push(row.clone());
-                Ok(())
-            })?;
-            Ok(out)
-        }
-        PhysicalPlan::NestedLoopJoin { left, right, on } => {
-            let lrows = run_plan(left, ctx, env)?;
-            let rrows = run_plan(right, ctx, env)?;
-            let mut out = Vec::new();
-            for l in &lrows {
-                for r in &rrows {
-                    let joined = l.concat(r);
-                    if eval_pred(on, &joined, env)? {
-                        out.push(joined);
-                    }
-                }
-            }
-            Ok(out)
-        }
-        PhysicalPlan::Filter { input, pred } => {
-            let rows = run_plan(input, ctx, env)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                if eval_pred(pred, &row, env)? {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-        PhysicalPlan::Project { input, exprs } => {
-            let project = |row: &Row| eval_row(exprs.iter().map(|e| eval(e, row, env)));
-            if let PhysicalPlan::Scan {
-                table,
-                path: path @ (AccessPath::PkPoint(_) | AccessPath::IndexPoint(..)),
-                residual,
-            } = &**input
-            {
-                // A point scan projects each row it finds straight into a
-                // result row, with no vector of scanned handles between.
-                let mut out = Vec::new();
-                scan(*table, path, residual.as_ref(), ctx, env, |_, row| {
-                    out.push(project(row)?);
-                    Ok(())
-                })?;
-                return Ok(out);
-            }
-            run_plan(input, ctx, env)?.iter().map(project).collect()
-        }
-        PhysicalPlan::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-        } => {
-            let rows = run_plan(input, ctx, env)?;
-            run_aggregate(&rows, group_exprs, aggs, env)
-        }
-        PhysicalPlan::Sort { input, keys } => {
-            let mut rows = run_plan(input, ctx, env)?;
-            rows.sort_by(|a, b| {
-                for (pos, desc) in keys {
-                    let ord = a[*pos].cmp_total(&b[*pos]);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(rows)
-        }
-        PhysicalPlan::Limit { input, n } => {
-            let mut rows = run_plan(input, ctx, env)?;
-            rows.truncate(*n as usize);
-            Ok(rows)
-        }
-        PhysicalPlan::Distinct { input } => {
-            let rows = run_plan(input, ctx, env)?;
-            let mut seen: std::collections::HashSet<Row> = HashSet::with_capacity(rows.len());
-            let mut out = Vec::with_capacity(rows.len());
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(out)
-        }
-    }
 }
 
 /// One in-progress aggregate value.

@@ -5,7 +5,8 @@
 //! procedures are made of (paper §2).
 //!
 //! Pipeline: [`lexer`] → [`parser`] (producing the [`ast`]) → [`planner`]
-//! (name resolution + logical plan) → [`exec`] (row-at-a-time evaluation).
+//! (name resolution + logical plan) → [`exec`] (statement execution, with
+//! every SELECT plan run by the one walker in [`vexec`]).
 //!
 //! Execution is parameterized by [`exec::ExecContext`]: reads go straight to
 //! the storage layer, while every mutation is routed through the context so

@@ -138,10 +138,6 @@ pub enum PlannedStmt {
         columns: Arc<[String]>,
         /// Scalar subquery plans.
         subqueries: Vec<PhysicalPlan>,
-        /// Planner verdict: the plan shape qualifies for (and benefits
-        /// from) the vectorized executor ([`crate::vexec`]). The context's
-        /// [`crate::vexec::ExecPath`] makes the final routing call.
-        vectorizable: bool,
     },
     /// `INSERT`: evaluate `source`, remap into visible-column order, insert.
     Insert {

@@ -7,8 +7,8 @@ use crate::plan::{AggExpr, AggFunc, PhysicalPlan};
 use sstore_common::{Error, Result};
 
 /// One aggregate call as the query writes it. `COUNT(*)` and `COUNT()`
-/// are the same call (`arg` is `None`); arguments past the first are not
-/// part of it.
+/// are the same call (`arg` is `None`); [`calls`] refuses a call with more
+/// than one argument.
 #[derive(Debug, PartialEq)]
 pub(super) struct AggCall<'a> {
     name: &'a str,
@@ -57,15 +57,22 @@ pub(super) fn calls(s: &Select) -> Result<Option<Vec<AggCall<'_>>>> {
         ));
     }
     let mut calls = Vec::new();
-    post_group().for_each(|e| collect(e, &mut calls));
+    post_group().try_for_each(|e| collect(e, &mut calls))?;
     Ok(Some(calls))
 }
 
-fn collect<'a>(e: &'a Expr, out: &mut Vec<AggCall<'a>>) {
-    match AggCall::of(e) {
-        Some(call) if !out.contains(&call) => out.push(call),
-        Some(_) => {}
-        None => e.children().for_each(|c| collect(c, out)),
+fn collect<'a>(e: &'a Expr, out: &mut Vec<AggCall<'a>>) -> Result<()> {
+    match (AggCall::of(e), e) {
+        (Some(_), Expr::Func { name, args, .. }) if args.len() > 1 => Err(Error::Parse(format!(
+            "function `{name}` expects 1 argument(s)"
+        ))),
+        (Some(call), _) => {
+            if !out.contains(&call) {
+                out.push(call);
+            }
+            Ok(())
+        }
+        (None, _) => e.children().try_for_each(|c| collect(c, out)),
     }
 }
 

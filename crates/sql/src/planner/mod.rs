@@ -26,14 +26,10 @@ pub fn plan_statement(stmt: &Stmt, db: &Database) -> Result<PlannedStmt> {
         Stmt::Select(s) => {
             let mut subs = Vec::new();
             let (plan, columns) = select::plan_select(s, db, &mut subs)?;
-            let arity = |t| db.table(t).map(|tb| tb.schema().arity()).unwrap_or(0);
-            let vectorizable =
-                crate::vexec::worthwhile(&plan) && crate::vexec::eligible(&plan, &arity);
             Ok(PlannedStmt::Query {
                 plan,
                 columns: columns.into(),
                 subqueries: subs,
-                vectorizable,
             })
         }
         Stmt::Insert(i) => dml::plan_insert(i, db),

@@ -1,8 +1,8 @@
 //! Property tests for the vectorized executor: every compute kernel is
 //! bit-identical to evaluating the scalar `expr` path per selected row
 //! (same NULL propagation, same checked-overflow errors in the same
-//! order), and whole queries return identical results through the row
-//! interpreter and the vectorized path.
+//! order), and whole queries return identical results through the plan
+//! walker's row and vector modes.
 
 use proptest::prelude::*;
 use sstore_common::{Column as SchemaColumn, DataType, Result, Row, Schema, TableId, Value};
@@ -585,8 +585,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: whole queries agree between the row interpreter and the
-// vectorized executor.
+// End-to-end: whole queries agree between the plan walker's row mode and
+// its vector mode.
 // ---------------------------------------------------------------------------
 
 /// Wraps [`DirectContext`] to pin the executor path (a bare
@@ -635,7 +635,10 @@ fn query_with(db: &mut Database, sql: &str, path: ExecPath) -> Result<QueryResul
 /// arithmetic, aggregates, text predicates, joins (both the i64 fast
 /// path and the generic keyed path), sort/limit/distinct, grouped
 /// aggregation, and IN/BETWEEN fallbacks that mix cellwise evaluation
-/// into batches.
+/// into batches; then the nodes that always yield rows in either mode: a
+/// point lookup, a theta join's nested loop over a filtered scan, a
+/// scalar subquery, a table-less SELECT, and DISTINCT + ORDER BY over an
+/// equi-join.
 const E2E_QUERIES: &[&str] = &[
     "SELECT COUNT(*), COUNT(a), SUM(a), AVG(a), MIN(a), MAX(a) FROM t",
     "SELECT COUNT(*), SUM(f), MIN(f), MAX(f) FROM t WHERE a >= 0",
@@ -653,6 +656,11 @@ const E2E_QUERIES: &[&str] = &[
     "SELECT t.id, d.name FROM t JOIN d ON t.k = d.k AND t.a > 1",
     "SELECT COUNT(*) FROM t JOIN d ON t.s = d.name",
     "SELECT a, COUNT(*), SUM(f) FROM t GROUP BY a",
+    "SELECT a FROM t WHERE id = 3",
+    "SELECT t.id, d.name FROM t JOIN d ON t.k < d.k WHERE t.a > 1",
+    "SELECT id FROM t WHERE a = (SELECT MAX(a) FROM t)",
+    "SELECT 1 + 2",
+    "SELECT DISTINCT d.name FROM t JOIN d ON t.k = d.k ORDER BY name",
 ];
 
 type E2eRow = (i64, Option<i64>, f64, String);

@@ -4,10 +4,11 @@
 //! their mutators pay one branch; `SELECT COUNT(*)` reads no column and
 //! builds none either.
 
+use sstore_core::common::Value;
 use sstore_core::workloads::{
     count_events_rows, deploy_count_events, deploy_two_stage, two_stage_rows, TWO_STAGE_EDGES,
 };
-use sstore_core::{Cluster, RouteSpec, SStoreBuilder};
+use sstore_core::{Cluster, ExecPath, RouteSpec, SStoreBuilder};
 
 #[test]
 fn batch_workload_builds_no_column() {
@@ -70,4 +71,45 @@ fn count_star_builds_no_column_and_a_filter_builds_what_it_reads() {
         .query("SELECT COUNT(*), SUM(n) FROM totals WHERE n >= 8", &[])
         .unwrap();
     assert_eq!(r.rows[0].to_values(), vec![16.into(), 128.into()]);
+}
+
+/// Row mode reads no lane whatever the plan, and in vector mode a bare
+/// `SELECT *`, sorted or not, hands up row handles: neither builds a
+/// column.
+#[test]
+fn row_mode_and_bare_scans_build_no_column() {
+    let mut db = SStoreBuilder::new().build().unwrap();
+    db.ddl("CREATE TABLE t (id INT NOT NULL, k INT NOT NULL, v INT, PRIMARY KEY (id))")
+        .unwrap();
+    db.ddl("CREATE TABLE d (k INT NOT NULL, name TEXT NOT NULL, PRIMARY KEY (k))")
+        .unwrap();
+    db.ddl("CREATE WINDOW w (v INT) ROWS 4 SLIDE 1").unwrap();
+    for i in 0..16 {
+        let row = [Value::Int(i), Value::Int(i % 4), Value::Int(i * 10)];
+        db.setup_sql("INSERT INTO t VALUES (?, ?, ?)", &row)
+            .unwrap();
+        db.setup_sql("INSERT INTO w VALUES (?)", &[Value::Int(i)])
+            .unwrap();
+    }
+    for k in 0..4 {
+        let row = [Value::Int(k), Value::Text(format!("dim{k}"))];
+        db.setup_sql("INSERT INTO d VALUES (?, ?)", &row).unwrap();
+    }
+
+    db.engine_mut().set_exec_path(ExecPath::Row);
+    for (sql, rows) in [
+        ("SELECT id FROM t WHERE v > 50", 10),
+        ("SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k", 4),
+        ("SELECT t.id, d.name FROM t JOIN d ON t.k = d.k", 16),
+        ("SELECT COUNT(*), SUM(v) FROM w", 1),
+    ] {
+        assert_eq!(db.query(sql, &[]).unwrap().rows.len(), rows, "{sql}");
+        assert_eq!(db.engine().db().mirrored_columns(), 0, "{sql}");
+    }
+
+    db.engine_mut().set_exec_path(ExecPath::Vector);
+    for sql in ["SELECT * FROM t", "SELECT * FROM t ORDER BY id"] {
+        assert_eq!(db.query(sql, &[]).unwrap().rows.len(), 16, "{sql}");
+        assert_eq!(db.engine().db().mirrored_columns(), 0, "{sql}");
+    }
 }

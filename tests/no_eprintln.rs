@@ -183,7 +183,7 @@ const LINE_BUDGET: [(&str, usize); 11] = [
     ("core", 3519),
     ("engine", 1020),
     ("slt", 1138),
-    ("sql", 5115),
+    ("sql", 4996),
     ("sstore", 39),
     ("storage", 2667),
     ("txn", 3462),
