@@ -429,10 +429,10 @@ pub enum FrameRead<'a> {
 /// True when the byte span contains a plausible complete frame at any
 /// alignment: a positive in-cap length that fits, whose payload passes
 /// its CRC. Used to tell a torn tail (no valid data follows the failure)
-/// from mid-stream corruption (valid frames follow). Zero-length
-/// candidates are excluded — the engine never writes empty frames, and a
-/// zero-filled torn region (blocks allocated but never written) would
-/// otherwise false-positive as `len=0, crc=0`.
+/// from mid-stream corruption (valid frames follow). Zero-length frames
+/// are never valid — every writer's payload starts with a tag, a varint
+/// or a table image — and a zero-filled torn region (blocks allocated but
+/// never written) would otherwise pass as `len=0, crc=0`.
 fn has_valid_frame_after(bytes: &[u8]) -> bool {
     if bytes.len() < FRAME_HEADER_LEN {
         return false;
@@ -469,12 +469,12 @@ pub fn read_frame<'a>(r: &mut Reader<'a>) -> FrameRead<'a> {
     }
     let len = r.u32_le().expect("checked header length");
     let crc = r.u32_le().expect("checked header length");
-    if (r.remaining() as u64) < len as u64 || len > MAX_FRAME_LEN {
-        // The declared length is impossible. A torn append (or trailing
-        // garbage) looks exactly like a bit-flipped length field from
-        // here, so disambiguate by content: if any checksum-valid frame
-        // exists *after* this point, once-intact data went bad mid-file
-        // and dropping the suffix would silently lose committed records.
+    if len == 0 || (r.remaining() as u64) < len as u64 || len > MAX_FRAME_LEN {
+        // The declared length is impossible (zero is, see above). A torn
+        // append (or trailing garbage) looks exactly like a bit-flipped
+        // length field from here, so disambiguate by content: if any
+        // checksum-valid frame exists *after* this point, once-intact data
+        // went bad mid-file and dropping the suffix would lose records.
         return if has_valid_frame_after(&r.buf[offset + 1..]) {
             FrameRead::Corrupt {
                 offset,
@@ -636,6 +636,30 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"first")));
         assert!(matches!(read_frame(&mut r), FrameRead::Torn { .. }));
+    }
+
+    #[test]
+    fn a_zero_filled_tail_is_torn_and_zeros_before_a_frame_are_corrupt() {
+        // A crash can persist a file's size before its data, leaving
+        // zeros where the last appends were: `len = 0, crc = 0` passes
+        // the CRC of an empty payload, but no writer makes empty frames.
+        let mut buf = Vec::new();
+        put_frame(&mut buf, b"first");
+        put_frame(&mut buf, b"second");
+        let zeros_at = buf.len();
+        buf.extend_from_slice(&[0; 24]);
+        let mut r = Reader::new(&buf);
+        assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"first")));
+        assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"second")));
+        assert!(matches!(read_frame(&mut r), FrameRead::Torn { offset } if offset == zeros_at));
+
+        let mut buf = vec![0; 24];
+        put_frame(&mut buf, b"after");
+        let mut r = Reader::new(&buf);
+        assert!(matches!(
+            read_frame(&mut r),
+            FrameRead::Corrupt { offset: 0, .. }
+        ));
     }
 
     #[test]

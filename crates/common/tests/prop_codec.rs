@@ -122,6 +122,31 @@ proptest! {
         prop_assert_eq!(seen, whole_frames);
     }
 
+    /// Zeros after a valid stream (a file whose size outlived its data)
+    /// read as the intact frames, then a torn tail at the first zero.
+    #[test]
+    fn a_zero_run_after_valid_frames_is_a_torn_tail(
+        rows in prop::collection::vec(arb_row(), 0..6),
+        zeros in 1usize..64,
+    ) {
+        let mut buf = Vec::new();
+        for row in &rows {
+            let f = codec::begin_frame(&mut buf);
+            codec::encode_row(row, &mut buf);
+            codec::end_frame(&mut buf, f);
+        }
+        let end = buf.len();
+        buf.resize(end + zeros, 0);
+        let mut r = Reader::new(&buf);
+        for _ in &rows {
+            prop_assert!(matches!(codec::read_frame(&mut r), FrameRead::Frame(_)));
+        }
+        match codec::read_frame(&mut r) {
+            FrameRead::Torn { offset } => prop_assert_eq!(offset, end),
+            other => prop_assert!(false, "zeros read as {other:?}"),
+        }
+    }
+
     /// Decoding arbitrary bytes never panics (errors are fine).
     #[test]
     fn garbage_decodes_fail_cleanly(bytes in prop::collection::vec(any::<u8>(), 0..256)) {

@@ -10,10 +10,10 @@
 //! attach undo logging, stream and window lifecycle maintenance, EE
 //! triggers, and round-trip accounting.
 
-use crate::expr::{eval, eval_pred, BoundExpr, EvalEnv};
+use crate::expr::{eval, eval_pred, ill_typed, BoundExpr, EvalEnv};
 use crate::plan::{AccessPath, AggExpr, AggFunc, PhysicalPlan, PlannedStmt};
 use crate::vexec::{self, ExecPath};
-use sstore_common::{Error, Result, Row, TableId, Value};
+use sstore_common::{DataType, Error, Result, Row, TableId, Value};
 use sstore_storage::{Database, RowId, Table};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -88,6 +88,7 @@ pub fn execute(
     ctx: &mut dyn ExecContext,
     params: &[Value],
 ) -> Result<QueryResult> {
+    check_params(stmt, params)?;
     let now = ctx.now();
     // Evaluate uncorrelated scalar subqueries once, in slot order. Earlier
     // slots are visible to later ones (inner subqueries bind first).
@@ -186,6 +187,25 @@ pub fn execute(
                 .into(),
         )),
     }
+}
+
+/// Refuse a parameter value of a type its use does not accept (see
+/// [`PlannedStmt`]), once, before it meets any operator.
+fn check_params(stmt: &PlannedStmt, params: &[Value]) -> Result<()> {
+    let (PlannedStmt::Query { params: p, .. }
+    | PlannedStmt::Insert { params: p, .. }
+    | PlannedStmt::Update { params: p, .. }
+    | PlannedStmt::Delete { params: p, .. }) = stmt
+    else {
+        return Ok(());
+    };
+    for (i, (ok, v)) in p.iter().zip(params).enumerate() {
+        if let Some(t) = v.data_type().filter(|t| !ok.is_empty() && !ok.contains(t)) {
+            let e = format!("parameter ?{i} is {t}, but its use takes one of {ok:?}");
+            return Err(Error::TypeMismatch(e));
+        }
+    }
+    Ok(())
 }
 
 /// Evaluate a statement's scalar subquery plans into their slot values.
@@ -372,47 +392,37 @@ impl AggState {
     }
 
     fn update(&mut self, arg: Option<&Value>) -> Result<()> {
-        match self {
-            AggState::CountStar(n) => *n += 1,
-            AggState::Count(n) => {
-                if arg.is_some_and(|v| !v.is_null()) {
-                    *n += 1;
-                }
+        // Only COUNT(*) counts a row without a non-NULL argument.
+        let Some(v) = arg.filter(|v| !v.is_null()) else {
+            if let AggState::CountStar(n) = self {
+                *n += 1;
             }
+            return Ok(());
+        };
+        match self {
+            AggState::CountStar(n) | AggState::Count(n) => *n += 1,
             AggState::Sum { acc } => {
-                if let Some(v) = arg.filter(|v| !v.is_null()) {
-                    *acc = Some(match acc.take() {
-                        None => v.clone(),
-                        Some(Value::Int(a)) => match v {
-                            Value::Int(b) => Value::Int(a.checked_add(*b).ok_or_else(|| {
-                                Error::Constraint("integer overflow in SUM".into())
-                            })?),
-                            _ => Value::Float(a as f64 + v.as_float()?),
-                        },
-                        Some(prev) => Value::Float(prev.as_float()? + v.as_float()?),
-                    });
-                }
+                *acc = Some(match (acc.take(), v) {
+                    (None, v) => v.clone(),
+                    (Some(Value::Int(a)), Value::Int(b)) => Value::Int(
+                        a.checked_add(*b)
+                            .ok_or_else(|| Error::Constraint("integer overflow in SUM".into()))?,
+                    ),
+                    (Some(Value::Float(a)), Value::Float(b)) => Value::Float(a + b),
+                    _ => return Err(ill_typed()),
+                })
             }
             AggState::Avg { sum, n } => {
-                if let Some(v) = arg.filter(|v| !v.is_null()) {
-                    *sum += v.as_float()?;
-                    *n += 1;
-                }
+                *sum += v.as_float()?;
+                *n += 1;
             }
-            AggState::Min(cur) => {
-                if let Some(v) = arg.filter(|v| !v.is_null()) {
-                    if cur.as_ref().is_none_or(|c| v.cmp_total(c).is_lt()) {
-                        *cur = Some(v.clone());
-                    }
-                }
+            AggState::Min(cur) if cur.as_ref().is_none_or(|c| v.cmp_total(c).is_lt()) => {
+                *cur = Some(v.clone())
             }
-            AggState::Max(cur) => {
-                if let Some(v) = arg.filter(|v| !v.is_null()) {
-                    if cur.as_ref().is_none_or(|c| v.cmp_total(c).is_gt()) {
-                        *cur = Some(v.clone());
-                    }
-                }
+            AggState::Max(cur) if cur.as_ref().is_none_or(|c| v.cmp_total(c).is_gt()) => {
+                *cur = Some(v.clone())
             }
+            AggState::Min(_) | AggState::Max(_) => {}
         }
         Ok(())
     }
@@ -594,8 +604,7 @@ impl DirectContext<'_> {
 }
 
 /// The zero of a column type, used to pad non-nullable hidden columns.
-fn zero_value(ty: sstore_common::DataType) -> Value {
-    use sstore_common::DataType;
+pub(crate) fn zero_value(ty: DataType) -> Value {
     match ty {
         DataType::Int => Value::Int(0),
         DataType::Float => Value::Float(0.0),

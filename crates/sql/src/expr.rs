@@ -3,10 +3,13 @@
 //! The planner resolves AST expressions (`crate::ast::Expr`) into
 //! [`BoundExpr`]s whose column references are positional offsets into the
 //! executor's row layout, so evaluation is allocation-light and needs no
-//! name lookups.
+//! name lookups. The planner's binder has also decided every operand's
+//! type and refused the operators that cannot take it, so evaluation
+//! checks no types: the arm a `match` still needs for a value of another
+//! type returns one shared internal error.
 
 use crate::ast::{BinOp, UnaryOp};
-use sstore_common::{Error, Result, Value};
+use sstore_common::{DataType, Error, Result, Value};
 use std::collections::BTreeSet;
 
 /// A name-resolved expression, ready for evaluation.
@@ -24,6 +27,9 @@ pub enum BoundExpr {
         op: UnaryOp,
         /// Operand.
         expr: Box<BoundExpr>,
+        /// Result type (`None`: decided by untyped parameters, and then
+        /// the expression reads no column).
+        ty: Option<DataType>,
     },
     /// Binary op.
     Binary {
@@ -67,6 +73,16 @@ pub enum BoundExpr {
         func: ScalarFn,
         /// Arguments.
         args: Vec<BoundExpr>,
+        /// Result type, as for [`BoundExpr::Unary`].
+        ty: Option<DataType>,
+    },
+    /// A value converted by [`DataType::coerce`], where the binder would
+    /// otherwise let one expression yield two types (`COALESCE(1, 2.5)`).
+    Cast {
+        /// Operand.
+        expr: Box<BoundExpr>,
+        /// Target type.
+        ty: DataType,
     },
     /// Reference to a pre-evaluated uncorrelated scalar subquery (slot in
     /// [`EvalEnv::subs`]). The executor evaluates the statement's subquery
@@ -76,11 +92,11 @@ pub enum BoundExpr {
 
 impl BoundExpr {
     /// The sub-expressions this node evaluates, in source order.
-    fn children(&self) -> impl Iterator<Item = &BoundExpr> {
+    pub(crate) fn children(&self) -> impl Iterator<Item = &BoundExpr> {
         let (fixed, list): ([Option<&BoundExpr>; 3], &[BoundExpr]) = match self {
-            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => {
-                ([Some(expr), None, None], &[])
-            }
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::Cast { expr, .. } => ([Some(expr), None, None], &[]),
             BoundExpr::Binary { left, right, .. } => ([Some(left), Some(right), None], &[]),
             BoundExpr::InList { expr, list, .. } => ([Some(expr), None, None], list),
             BoundExpr::Between { expr, lo, hi, .. } => ([Some(expr), Some(lo), Some(hi)], &[]),
@@ -96,9 +112,9 @@ impl BoundExpr {
     /// [`BoundExpr::children`], mutably.
     fn children_mut(&mut self) -> impl Iterator<Item = &mut BoundExpr> {
         let (fixed, list): ([Option<&mut BoundExpr>; 3], &mut [BoundExpr]) = match self {
-            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => {
-                ([Some(expr), None, None], &mut [])
-            }
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::Cast { expr, .. } => ([Some(expr), None, None], &mut []),
             BoundExpr::Binary { left, right, .. } => ([Some(left), Some(right), None], &mut []),
             BoundExpr::InList { expr, list, .. } => ([Some(expr), None, None], list),
             BoundExpr::Between { expr, lo, hi, .. } => ([Some(expr), Some(lo), Some(hi)], &mut []),
@@ -217,6 +233,12 @@ pub struct EvalEnv<'a> {
     pub subs: &'a [Value],
 }
 
+/// The error of a value reaching an operator that cannot take its type,
+/// which the binder's typing rules out.
+pub(crate) fn ill_typed() -> Error {
+    Error::Internal("a value of a type the binder did not decide reached an operator".into())
+}
+
 /// Evaluate `expr` against `row`.
 pub fn eval(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<Value> {
     match expr {
@@ -230,10 +252,11 @@ pub fn eval(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<Value>
             .get(*i)
             .cloned()
             .ok_or_else(|| Error::Internal(format!("column offset {i} out of range"))),
-        BoundExpr::Unary { op, expr } => {
+        BoundExpr::Unary { op, expr, .. } => {
             let v = eval(expr, row, env)?;
             eval_unary(*op, v)
         }
+        BoundExpr::Cast { expr, ty } => ty.coerce(eval(expr, row, env)?).ok_or_else(ill_typed),
         BoundExpr::Binary { op, left, right } => eval_binary(*op, left, right, row, env),
         BoundExpr::IsNull { expr, negated } => {
             let v = eval(expr, row, env)?;
@@ -248,20 +271,15 @@ pub fn eval(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<Value>
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            let mut saw_null = false;
+            // `v = a OR v = b OR ...`, stopping at the first match.
+            let mut found = Some(false);
             for item in list {
-                let cand = eval(item, row, env)?;
-                match v.sql_eq(&cand) {
-                    Some(true) => return Ok(Value::Bool(!*negated)),
-                    Some(false) => {}
-                    None => saw_null = true,
+                found = and_or(true, found, v.sql_eq(&eval(item, row, env)?));
+                if found == Some(true) {
+                    break;
                 }
             }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
-            }
+            Ok(tri(found.map(|f| f != *negated)))
         }
         BoundExpr::Between {
             expr,
@@ -284,7 +302,7 @@ pub fn eval(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<Value>
             .get(*i)
             .cloned()
             .ok_or_else(|| Error::Internal(format!("missing subquery slot {i}"))),
-        BoundExpr::Scalar { func, args } => {
+        BoundExpr::Scalar { func, args, .. } => {
             if *func == ScalarFn::Now {
                 return Ok(Value::Timestamp(env.now));
             }
@@ -299,12 +317,26 @@ pub fn eval(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<Value>
 
 /// Evaluate a predicate: NULL counts as false (SQL WHERE semantics).
 pub(crate) fn eval_pred(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<bool> {
-    match eval(expr, row, env)? {
-        Value::Bool(b) => Ok(b),
-        Value::Null => Ok(false),
-        other => Err(Error::TypeMismatch(format!(
-            "predicate evaluated to non-boolean {other}"
-        ))),
+    Ok(truth(&eval(expr, row, env)?)? == Some(true))
+}
+
+/// A BOOLEAN value's truth, `None` for NULL.
+pub(crate) fn truth(v: &Value) -> Result<Option<bool>> {
+    match v {
+        Value::Bool(b) => Ok(Some(*b)),
+        Value::Null => Ok(None),
+        _ => Err(ill_typed()),
+    }
+}
+
+/// `l AND r` (`stop` false) or `l OR r` (`stop` true) in three-valued
+/// logic, once `l` has not decided it on its own: a deciding `r` wins
+/// even over a NULL `l`.
+pub(crate) fn and_or(stop: bool, l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    match (l, r) {
+        (_, Some(b)) if b == stop => Some(stop),
+        (None, _) | (_, None) => None,
+        _ => Some(!stop),
     }
 }
 
@@ -317,12 +349,12 @@ fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
                 .map(Value::Int)
                 .ok_or_else(|| Error::Constraint("integer overflow in negation".into())),
             Value::Float(f) => Ok(Value::Float(-f)),
-            other => Err(Error::TypeMismatch(format!("cannot negate {other}"))),
+            _ => Err(ill_typed()),
         },
         UnaryOp::Not => match v {
             Value::Null => Ok(Value::Null),
             Value::Bool(b) => Ok(Value::Bool(!b)),
-            other => Err(Error::TypeMismatch(format!("NOT applied to {other}"))),
+            _ => Err(ill_typed()),
         },
     }
 }
@@ -335,42 +367,14 @@ fn eval_binary(
     env: &EvalEnv<'_>,
 ) -> Result<Value> {
     // AND/OR get short-circuit + three-valued logic.
-    match op {
-        BinOp::And => {
-            let l = eval(left, row, env)?;
-            match l {
-                Value::Bool(false) => return Ok(Value::Bool(false)),
-                Value::Bool(true) | Value::Null => {}
-                other => {
-                    return Err(Error::TypeMismatch(format!("AND applied to {other}")));
-                }
-            }
-            let r = eval(right, row, env)?;
-            return match (l, r) {
-                (_, Value::Bool(false)) => Ok(Value::Bool(false)),
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                (Value::Bool(a), Value::Bool(b)) => Ok(Value::Bool(a && b)),
-                (_, other) => Err(Error::TypeMismatch(format!("AND applied to {other}"))),
-            };
+    if let BinOp::And | BinOp::Or = op {
+        let stop = op == BinOp::Or;
+        let l = truth(&eval(left, row, env)?)?;
+        if l == Some(stop) {
+            return Ok(Value::Bool(stop));
         }
-        BinOp::Or => {
-            let l = eval(left, row, env)?;
-            match l {
-                Value::Bool(true) => return Ok(Value::Bool(true)),
-                Value::Bool(false) | Value::Null => {}
-                other => {
-                    return Err(Error::TypeMismatch(format!("OR applied to {other}")));
-                }
-            }
-            let r = eval(right, row, env)?;
-            return match (l, r) {
-                (_, Value::Bool(true)) => Ok(Value::Bool(true)),
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                (Value::Bool(a), Value::Bool(b)) => Ok(Value::Bool(a || b)),
-                (_, other) => Err(Error::TypeMismatch(format!("OR applied to {other}"))),
-            };
-        }
-        _ => {}
+        let r = truth(&eval(right, row, env)?)?;
+        return Ok(tri(and_or(stop, l, r)));
     }
 
     let l = eval(left, row, env)?;
@@ -447,46 +451,38 @@ fn arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
     }
 }
 
-fn eval_scalar(func: ScalarFn, mut vals: Vec<Value>) -> Result<Value> {
-    if let Some(expected) = func.arity() {
-        if vals.len() != expected {
-            return Err(Error::Constraint(format!(
-                "{func:?} expects {expected} argument(s), got {}",
-                vals.len()
-            )));
-        }
-    }
-    match func {
-        ScalarFn::Coalesce => Ok(vals
+/// Apply `func` to its arguments, whose count the binder checked.
+fn eval_scalar(func: ScalarFn, vals: Vec<Value>) -> Result<Value> {
+    if func == ScalarFn::Coalesce {
+        return Ok(vals
             .into_iter()
             .find(|v| !v.is_null())
-            .unwrap_or(Value::Null)),
-        ScalarFn::Abs => match vals.pop().unwrap() {
-            Value::Null => Ok(Value::Null),
-            Value::Int(i) => i
-                .checked_abs()
-                .map(Value::Int)
-                .ok_or_else(|| Error::Constraint("integer overflow in ABS".into())),
-            Value::Float(f) => Ok(Value::Float(f.abs())),
-            other => Err(Error::TypeMismatch(format!("ABS of {other}"))),
+            .unwrap_or(Value::Null));
+    }
+    // Every other function is NULL on a NULL argument.
+    if vals.iter().any(Value::is_null) {
+        return Ok(Value::Null);
+    }
+    let mut args = vals.into_iter();
+    let mut arg = || args.next().ok_or_else(ill_typed);
+    Ok(match func {
+        ScalarFn::Abs => match arg()? {
+            Value::Int(i) => Value::Int(
+                i.checked_abs()
+                    .ok_or_else(|| Error::Constraint("integer overflow in ABS".into()))?,
+            ),
+            Value::Float(f) => Value::Float(f.abs()),
+            _ => return Err(ill_typed()),
         },
         ScalarFn::Sqrt => {
-            let v = vals.pop().unwrap();
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let f = v.as_float()?;
+            let f = arg()?.as_float()?;
             if f < 0.0 {
                 return Err(Error::Constraint("SQRT of negative value".into()));
             }
-            Ok(Value::Float(f.sqrt()))
+            Value::Float(f.sqrt())
         }
         ScalarFn::Floor | ScalarFn::Ceil => {
-            let v = vals.pop().unwrap();
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let f = v.as_float()?;
+            let f = arg()?.as_float()?;
             let f = if func == ScalarFn::Floor {
                 f.floor()
             } else {
@@ -499,33 +495,22 @@ fn eval_scalar(func: ScalarFn, mut vals: Vec<Value>) -> Result<Value> {
                     "{func:?} of {f} has no INT value"
                 )));
             }
-            Ok(Value::Int(f as i64))
+            Value::Int(f as i64)
         }
-        ScalarFn::Power => {
-            let y = vals.pop().unwrap();
-            let x = vals.pop().unwrap();
-            if x.is_null() || y.is_null() {
-                return Ok(Value::Null);
+        ScalarFn::Power => Value::Float(arg()?.as_float()?.powf(arg()?.as_float()?)),
+        ScalarFn::Length | ScalarFn::Lower | ScalarFn::Upper => {
+            let Value::Text(s) = arg()? else {
+                return Err(ill_typed());
+            };
+            match func {
+                ScalarFn::Length => Value::Int(s.chars().count() as i64),
+                ScalarFn::Lower => Value::Text(s.to_lowercase()),
+                _ => Value::Text(s.to_uppercase()),
             }
-            Ok(Value::Float(x.as_float()?.powf(y.as_float()?)))
         }
-        ScalarFn::Length => match vals.pop().unwrap() {
-            Value::Null => Ok(Value::Null),
-            Value::Text(s) => Ok(Value::Int(s.chars().count() as i64)),
-            other => Err(Error::TypeMismatch(format!("LENGTH of {other}"))),
-        },
-        ScalarFn::Lower => match vals.pop().unwrap() {
-            Value::Null => Ok(Value::Null),
-            Value::Text(s) => Ok(Value::Text(s.to_lowercase())),
-            other => Err(Error::TypeMismatch(format!("LOWER of {other}"))),
-        },
-        ScalarFn::Upper => match vals.pop().unwrap() {
-            Value::Null => Ok(Value::Null),
-            Value::Text(s) => Ok(Value::Text(s.to_uppercase())),
-            other => Err(Error::TypeMismatch(format!("UPPER of {other}"))),
-        },
-        ScalarFn::Now => unreachable!("handled in eval"),
-    }
+        // COALESCE is answered above, and `eval` answers NOW().
+        ScalarFn::Coalesce | ScalarFn::Now => return Err(ill_typed()),
+    })
 }
 
 #[cfg(test)]
@@ -678,7 +663,11 @@ mod tests {
 
     #[test]
     fn scalar_functions() {
-        let call = |f, args| BoundExpr::Scalar { func: f, args };
+        let call = |f, args| BoundExpr::Scalar {
+            func: f,
+            args,
+            ty: None,
+        };
         assert_eq!(ev(&call(ScalarFn::Abs, vec![lit(-4)])), Value::Int(4));
         assert_eq!(ev(&call(ScalarFn::Sqrt, vec![lit(9.0)])), Value::Float(3.0));
         assert_eq!(ev(&call(ScalarFn::Floor, vec![lit(2.7)])), Value::Int(2));
@@ -709,6 +698,7 @@ mod tests {
         let call = |f, arg| BoundExpr::Scalar {
             func: f,
             args: vec![arg],
+            ty: None,
         };
         let kind = |e: &BoundExpr| eval(e, &[], &empty_env()).unwrap_err().kind();
         assert_eq!(kind(&call(ScalarFn::Abs, lit(i64::MIN))), "constraint");
@@ -736,6 +726,7 @@ mod tests {
         let e = BoundExpr::Scalar {
             func: ScalarFn::Now,
             args: vec![],
+            ty: Some(DataType::Timestamp),
         };
         assert_eq!(eval(&e, &[], &env).unwrap(), Value::Timestamp(1234));
     }

@@ -7,7 +7,7 @@
 //! throughput.
 
 use crate::expr::BoundExpr;
-use sstore_common::{Schema, TableId};
+use sstore_common::{DataType, Schema, TableId};
 use std::sync::Arc;
 
 /// Access path for a scan.
@@ -126,7 +126,9 @@ pub(crate) enum AggFunc {
 /// `subqueries` on each DML/query variant holds the plans of uncorrelated
 /// scalar subqueries, in slot order matching
 /// [`crate::expr::BoundExpr::SubqueryRef`]; the executor evaluates them
-/// once per statement, before the main plan.
+/// once per statement, before the main plan. `params` holds, per
+/// statement parameter, the value types its use accepts (empty: any),
+/// which the executor checks each value against first.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlannedStmt {
     /// `SELECT`: run the plan, report `columns` as output names.
@@ -138,6 +140,8 @@ pub enum PlannedStmt {
         columns: Arc<[String]>,
         /// Scalar subquery plans.
         subqueries: Vec<PhysicalPlan>,
+        /// The value types each parameter accepts.
+        params: Vec<Vec<DataType>>,
     },
     /// `INSERT`: evaluate `source`, remap into visible-column order, insert.
     Insert {
@@ -151,6 +155,8 @@ pub enum PlannedStmt {
         mapping: Vec<Option<usize>>,
         /// Scalar subquery plans.
         subqueries: Vec<PhysicalPlan>,
+        /// The value types each parameter accepts.
+        params: Vec<Vec<DataType>>,
     },
     /// `UPDATE`: for each matching row, recompute the listed columns.
     Update {
@@ -164,6 +170,8 @@ pub enum PlannedStmt {
         sets: Vec<(usize, BoundExpr)>,
         /// Scalar subquery plans.
         subqueries: Vec<PhysicalPlan>,
+        /// The value types each parameter accepts.
+        params: Vec<Vec<DataType>>,
     },
     /// `DELETE` matching rows.
     Delete {
@@ -175,6 +183,8 @@ pub enum PlannedStmt {
         pred: Option<BoundExpr>,
         /// Scalar subquery plans.
         subqueries: Vec<PhysicalPlan>,
+        /// The value types each parameter accepts.
+        params: Vec<Vec<DataType>>,
     },
     /// DDL, executed by the engine outside any transaction.
     Ddl(DdlOp),

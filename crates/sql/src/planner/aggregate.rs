@@ -1,10 +1,10 @@
 //! Aggregate queries: the aggregate calls a grouped SELECT computes, and
 //! the `Aggregate` operator computing them under its GROUP BY keys.
 
-use super::bind::Binder;
+use super::bind::{Binder, Ty};
 use crate::ast::{self, Expr, Select, SelectItem};
 use crate::plan::{AggExpr, AggFunc, PhysicalPlan};
-use sstore_common::{Error, Result};
+use sstore_common::{DataType, Error, Result};
 
 /// One aggregate call as the query writes it. `COUNT(*)` and `COUNT()`
 /// are the same call (`arg` is `None`); [`calls`] refuses a call with more
@@ -77,14 +77,18 @@ fn collect<'a>(e: &'a Expr, out: &mut Vec<AggCall<'a>>) -> Result<()> {
 }
 
 /// Put the `Aggregate` computing `keys` and `calls` over `input`, whose
-/// row `binder` binds the keys and the calls' arguments over.
+/// row `binder` binds the keys and the calls' arguments over, with the
+/// types of its output row: COUNT is INT, AVG FLOAT, and SUM, MIN and MAX
+/// their argument's type.
 pub(super) fn plan_aggregate(
     input: PhysicalPlan,
     keys: &[Expr],
     calls: &[AggCall<'_>],
     binder: &mut Binder<'_>,
-) -> Result<PhysicalPlan> {
-    let group_exprs = keys.iter().map(|k| binder.bind(k)).collect::<Result<_>>()?;
+) -> Result<(PhysicalPlan, Vec<Ty>)> {
+    let keys = keys.iter().map(|k| binder.typed(k));
+    let (group_exprs, mut types): (Vec<_>, Vec<_>) =
+        keys.collect::<Result<Vec<_>>>()?.into_iter().unzip();
     let mut aggs = Vec::with_capacity(calls.len());
     for call in calls {
         let func = match (call.name, call.arg) {
@@ -100,15 +104,26 @@ pub(super) fn plan_aggregate(
         if call.distinct && call.arg.is_none() {
             return Err(Error::Parse("COUNT(DISTINCT *) is not valid".into()));
         }
+        let arg = call.arg.map(|a| binder.typed(a)).transpose()?;
+        if let (AggFunc::Sum | AggFunc::Avg, Some((bound, ty))) = (func, &arg) {
+            let name = call.name.to_uppercase();
+            binder.accept(bound, *ty, &[DataType::Int, DataType::Float], &name)?;
+        }
+        types.push(match func {
+            AggFunc::CountStar | AggFunc::Count => Some(DataType::Int),
+            AggFunc::Avg => Some(DataType::Float),
+            _ => arg.as_ref().and_then(|a| a.1),
+        });
         aggs.push(AggExpr {
             func,
-            arg: call.arg.map(|a| binder.bind(a)).transpose()?,
+            arg: arg.map(|a| a.0),
             distinct: call.distinct,
         });
     }
-    Ok(PhysicalPlan::Aggregate {
+    let plan = PhysicalPlan::Aggregate {
         input: Box::new(input),
         group_exprs,
         aggs,
-    })
+    };
+    Ok((plan, types))
 }

@@ -1,13 +1,50 @@
-//! Name resolution: one [`Binder`] turns every AST expression into a
-//! [`BoundExpr`] over the row of the [`Scope`] it is evaluated in.
+//! Name and type resolution: one [`Binder`] turns every AST expression
+//! into a [`BoundExpr`] over the row of the [`Scope`] it is evaluated in,
+//! then decides its type, refusing an operand its operator cannot take
+//! with an error naming the operator, so execution never meets one. A
+//! parameter is typed by its one use, and `execute` checks its value.
 
 use super::aggregate::AggCall;
 use super::select::plan_select;
-use crate::ast::{self, BinOp, Expr, Select, SelectItem};
+use crate::ast::{self, BinOp, Expr, Select, SelectItem, UnaryOp};
 use crate::expr::{BoundExpr, ScalarFn};
 use crate::plan::PhysicalPlan;
-use sstore_common::{Error, Result, TableId, Value};
+use sstore_common::{DataType, Error, Result, TableId, Value};
 use sstore_storage::Database;
+use std::fmt::Display;
+use DataType::{Bool, Float, Int, Text, Timestamp};
+
+/// A bound expression's type: `None` for NULL, and for a parameter (or
+/// an expression of parameters only) its use has not typed yet.
+pub(super) type Ty = Option<DataType>;
+
+/// The types that compare with `t`: all numbers, or `t` alone.
+fn family(t: DataType) -> &'static [DataType] {
+    match t {
+        Int | Float | Timestamp => &[Int, Float, Timestamp],
+        Text => &[Text],
+        Bool => &[Bool],
+    }
+}
+
+/// Refuse a `t` that `op` cannot take: it takes the types in `ok`.
+pub(super) fn check(t: DataType, ok: &[DataType], op: &dyn Display) -> Result<()> {
+    match ok.contains(&t) {
+        true => Ok(()),
+        false => Err(Error::TypeMismatch(format!("{op} cannot take {t}"))),
+    }
+}
+
+/// The types whose values [`DataType::coerce`] turns into `to` (a
+/// planner test holds the two equal).
+pub(super) fn coercible(to: DataType) -> &'static [DataType] {
+    match to {
+        Int | Timestamp => &[Int, Timestamp],
+        Float => &[Int, Float],
+        Text => &[Text],
+        Bool => &[Bool],
+    }
+}
 
 /// One column visible to name resolution.
 #[derive(Debug, Clone)]
@@ -19,6 +56,8 @@ struct LayoutCol {
     /// Part of the user-visible schema (hidden lifecycle columns are
     /// resolvable by explicit name but excluded from `*`).
     visible: bool,
+    /// Declared type.
+    ty: DataType,
 }
 
 /// The row layout a plan fragment produces.
@@ -43,6 +82,7 @@ impl Layout {
                 binding: binding.to_string(),
                 name: c.name.clone(),
                 visible: i < visible_arity,
+                ty: c.ty,
             })
             .collect();
         Ok(Layout { cols })
@@ -77,13 +117,18 @@ impl Layout {
         }
     }
 
-    /// The position and name of each column `*` expands to.
-    pub(super) fn visible_columns(&self) -> impl Iterator<Item = (usize, &str)> {
+    /// The declared type of column `pos`.
+    pub(super) fn ty(&self, pos: usize) -> DataType {
+        self.cols[pos].ty
+    }
+
+    /// The position, name and type of each column `*` expands to.
+    pub(super) fn visible_columns(&self) -> impl Iterator<Item = (usize, &str, DataType)> {
         self.cols
             .iter()
             .enumerate()
             .filter(|(_, c)| c.visible)
-            .map(|(i, c)| (i, c.name.as_str()))
+            .map(|(i, c)| (i, c.name.as_str(), c.ty))
     }
 }
 
@@ -94,12 +139,23 @@ pub(super) enum Scope<'a> {
     /// and aggregate calls are refused.
     Row(&'a Layout),
     /// An `Aggregate`'s output row, the GROUP BY keys then the aggregate
-    /// calls: a sub-expression written as one of them reads its column,
-    /// and any other column reference is refused.
+    /// calls, of `types`: a sub-expression written as one of them reads
+    /// its column, and any other column reference is refused.
     Grouped {
         keys: &'a [Expr],
         calls: &'a [AggCall<'a>],
+        types: &'a [Ty],
     },
+}
+
+/// What the binders of one statement share: the plans of its
+/// uncorrelated subqueries in slot order with their types, and, per
+/// parameter, the value types its use accepts (empty: any).
+#[derive(Default)]
+pub(super) struct Slots {
+    pub(super) subs: Vec<PhysicalPlan>,
+    sub_types: Vec<Ty>,
+    pub(super) params: Vec<Vec<DataType>>,
 }
 
 /// Binds expressions over one [`Scope`], planning the uncorrelated
@@ -107,25 +163,48 @@ pub(super) enum Scope<'a> {
 pub(super) struct Binder<'a> {
     pub(super) scope: Scope<'a>,
     db: &'a Database,
-    subs: &'a mut Vec<PhysicalPlan>,
+    slots: &'a mut Slots,
 }
 
 impl<'a> Binder<'a> {
     /// A binder over the row `layout` describes.
-    pub(super) fn over(
-        layout: &'a Layout,
-        db: &'a Database,
-        subs: &'a mut Vec<PhysicalPlan>,
-    ) -> Self {
+    pub(super) fn over(layout: &'a Layout, db: &'a Database, slots: &'a mut Slots) -> Self {
         Binder {
             scope: Scope::Row(layout),
             db,
-            subs,
+            slots,
         }
     }
 
     pub(super) fn bind(&mut self, e: &Expr) -> Result<BoundExpr> {
-        if let Scope::Grouped { keys, calls } = self.scope {
+        Ok(self.typed(e)?.0)
+    }
+
+    /// Bind `e` and decide its type.
+    pub(super) fn typed(&mut self, e: &Expr) -> Result<(BoundExpr, Ty)> {
+        let mut bound = self.resolve(e)?;
+        let ty = self.type_of(&mut bound)?;
+        Ok((bound, ty))
+    }
+
+    /// Bind the condition of `clause`, which must be BOOLEAN.
+    pub(super) fn pred(&mut self, e: &Expr, clause: &str) -> Result<BoundExpr> {
+        let (b, t) = self.typed(e)?;
+        self.accept(&b, t, &[Bool], &clause)?;
+        Ok(b)
+    }
+
+    /// Bind a value stored into a column of type `to`, which
+    /// [`DataType::coerce`] must turn it into.
+    pub(super) fn stored(&mut self, e: &Expr, to: DataType, what: &str) -> Result<BoundExpr> {
+        let (b, t) = self.typed(e)?;
+        self.accept(&b, t, coercible(to), &what)?;
+        Ok(b)
+    }
+
+    /// Resolve the names in `e`.
+    fn resolve(&mut self, e: &Expr) -> Result<BoundExpr> {
+        if let Scope::Grouped { keys, calls, .. } = self.scope {
             if let Some(pos) = keys.iter().position(|k| k == e) {
                 return Ok(BoundExpr::ColumnRef(pos));
             }
@@ -150,15 +229,16 @@ impl<'a> Binder<'a> {
             },
             Expr::Unary { op, expr } => BoundExpr::Unary {
                 op: *op,
-                expr: Box::new(self.bind(expr)?),
+                expr: Box::new(self.resolve(expr)?),
+                ty: None,
             },
             Expr::Binary { op, left, right } => BoundExpr::Binary {
                 op: *op,
-                left: Box::new(self.bind(left)?),
-                right: Box::new(self.bind(right)?),
+                left: Box::new(self.resolve(left)?),
+                right: Box::new(self.resolve(right)?),
             },
             Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(self.bind(expr)?),
+                expr: Box::new(self.resolve(expr)?),
                 negated: *negated,
             },
             Expr::InList {
@@ -166,8 +246,8 @@ impl<'a> Binder<'a> {
                 list,
                 negated,
             } => BoundExpr::InList {
-                expr: Box::new(self.bind(expr)?),
-                list: self.bind_all(list)?,
+                expr: Box::new(self.resolve(expr)?),
+                list: self.resolve_all(list)?,
                 negated: *negated,
             },
             Expr::Between {
@@ -176,9 +256,9 @@ impl<'a> Binder<'a> {
                 hi,
                 negated,
             } => BoundExpr::Between {
-                expr: Box::new(self.bind(expr)?),
-                lo: Box::new(self.bind(lo)?),
-                hi: Box::new(self.bind(hi)?),
+                expr: Box::new(self.resolve(expr)?),
+                lo: Box::new(self.resolve(lo)?),
+                hi: Box::new(self.resolve(hi)?),
                 negated: *negated,
             },
             Expr::Func {
@@ -205,38 +285,220 @@ impl<'a> Binder<'a> {
                 }
                 BoundExpr::Scalar {
                     func,
-                    args: self.bind_all(args)?,
+                    args: self.resolve_all(args)?,
+                    ty: None,
                 }
             }
             Expr::Wildcard => return Err(Error::Parse("`*` only allowed inside COUNT(*)".into())),
             Expr::Subquery(sel) => {
-                let (plan, cols) = plan_select(sel, self.db, self.subs)?;
-                if cols.len() != 1 {
+                let (plan, _, types) = plan_select(sel, self.db, self.slots)?;
+                if types.len() != 1 {
                     return Err(Error::Parse(format!(
                         "scalar subquery must return one column, got {}",
-                        cols.len()
+                        types.len()
                     )));
                 }
-                self.subquery_slot(plan)
+                self.subquery_slot(plan, types[0])
             }
             Expr::Exists { select, negated } => {
-                let (plan, _) = plan_select(&exists_to_count(select)?, self.db, self.subs)?;
+                let (plan, _, _) = plan_select(&exists_to_count(select)?, self.db, self.slots)?;
                 BoundExpr::Binary {
                     op: if *negated { BinOp::Eq } else { BinOp::Gt },
-                    left: Box::new(self.subquery_slot(plan)),
+                    left: Box::new(self.subquery_slot(plan, Some(Int))),
                     right: Box::new(BoundExpr::Literal(Value::Int(0))),
                 }
             }
         })
     }
 
-    fn bind_all(&mut self, es: &[Expr]) -> Result<Vec<BoundExpr>> {
-        es.iter().map(|e| self.bind(e)).collect()
+    fn resolve_all(&mut self, es: &[Expr]) -> Result<Vec<BoundExpr>> {
+        es.iter().map(|e| self.resolve(e)).collect()
     }
 
-    fn subquery_slot(&mut self, plan: PhysicalPlan) -> BoundExpr {
-        self.subs.push(plan);
-        BoundExpr::SubqueryRef(self.subs.len() - 1)
+    fn subquery_slot(&mut self, plan: PhysicalPlan, ty: Ty) -> BoundExpr {
+        self.slots.subs.push(plan);
+        self.slots.sub_types.push(ty);
+        BoundExpr::SubqueryRef(self.slots.subs.len() - 1)
+    }
+
+    /// Decide the type of the bound `e`: refuse an operand its operator
+    /// cannot take, type the parameters by their use, record the result
+    /// type where execution reads it, and cast the arguments of a
+    /// `COALESCE` that would otherwise yield two types.
+    fn type_of(&mut self, e: &mut BoundExpr) -> Result<Ty> {
+        use BoundExpr as B;
+        Ok(match e {
+            B::Literal(v) => v.data_type(),
+            B::Param(_) => None,
+            B::ColumnRef(i) => match self.scope {
+                Scope::Row(layout) => Some(layout.ty(*i)),
+                Scope::Grouped { types, .. } => types[*i],
+            },
+            B::SubqueryRef(i) => self.slots.sub_types[*i],
+            B::Cast { ty, .. } => Some(*ty),
+            B::IsNull { expr, .. } => self.type_of(expr).map(|_| Some(Bool))?,
+            B::Unary { op, expr, ty } => {
+                let t = self.type_of(expr)?;
+                let (ok, out, name): (&[_], _, _) = match op {
+                    UnaryOp::Neg => (&[Int, Float], t, "negation"),
+                    UnaryOp::Not => (&[Bool], Some(Bool), "NOT"),
+                };
+                self.accept(expr, t, ok, &name)?;
+                *ty = out;
+                out
+            }
+            B::Binary { op, left, right } => {
+                let (lt, rt) = (self.type_of(left)?, self.type_of(right)?);
+                let name = format!("operator {op:?}");
+                match op {
+                    BinOp::And | BinOp::Or => {
+                        self.accept(left, lt, &[Bool], &name)?;
+                        self.accept(right, rt, &[Bool], &name)?;
+                    }
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
+                        // Numbers compute with numbers, but TIMESTAMP not with
+                        // FLOAT; a parameter takes what coerces to the other
+                        // operand's type, which keeps the result's type.
+                        for (b, t, other) in [(&**left, lt, rt), (&**right, rt, lt)] {
+                            let ok: &[_] = match (t, other) {
+                                (None, None) => &[Int, Float],
+                                (None, Some(o)) => coercible(o),
+                                (Some(_), Some(Timestamp)) => &[Int, Timestamp],
+                                (Some(_), Some(Float)) => &[Int, Float],
+                                (Some(_), _) => &[Int, Float, Timestamp],
+                            };
+                            self.accept(b, t, ok, &name)?;
+                        }
+                        // INT and TIMESTAMP compute as INT; FLOAT wins.
+                        return Ok(match (lt, rt) {
+                            (Some(Float), _) | (_, Some(Float)) => Some(Float),
+                            (None, None) => None,
+                            _ => Some(Int),
+                        });
+                    }
+                    _ => self.comparable((left, lt), (right, rt), &name)?,
+                }
+                Some(Bool)
+            }
+            B::InList { expr, list, .. } => {
+                let t = self.type_of(expr)?;
+                for item in list {
+                    let it = self.type_of(item)?;
+                    self.comparable((expr, t), (item, it), &"IN")?;
+                }
+                Some(Bool)
+            }
+            B::Between { expr, lo, hi, .. } => {
+                let t = self.type_of(expr)?;
+                for bound in [lo, hi] {
+                    let bt = self.type_of(bound)?;
+                    self.comparable((expr, t), (bound, bt), &"BETWEEN")?;
+                }
+                Some(Bool)
+            }
+            B::Scalar { func, args, ty } => {
+                *ty = self.scalar(*func, args)?;
+                *ty
+            }
+        })
+    }
+
+    /// Check that an operand `b` of type `t` is one `op` takes, of `ok`;
+    /// an untyped one is typed by this use instead: each of its
+    /// parameters accepts what this use and its others accept.
+    pub(super) fn accept(
+        &mut self,
+        b: &BoundExpr,
+        t: Ty,
+        ok: &[DataType],
+        op: &dyn Display,
+    ) -> Result<()> {
+        match (t, b) {
+            (Some(t), _) => check(t, ok, op),
+            (None, BoundExpr::Param(i)) => {
+                let params = &mut self.slots.params;
+                if params.len() <= *i {
+                    params.resize(i + 1, Vec::new());
+                }
+                match &mut params[*i] {
+                    any if any.is_empty() => *any = ok.to_vec(),
+                    some => some.retain(|t| ok.contains(t)),
+                }
+                if params[*i].is_empty() {
+                    return Err(Error::TypeMismatch(format!(
+                        "parameter ?{i}: no type both {op} and its other uses take"
+                    )));
+                }
+                Ok(())
+            }
+            // An untyped value computed from parameters has their type.
+            (None, BoundExpr::Binary { .. } | BoundExpr::Unary { .. })
+            | (None, BoundExpr::Scalar { .. }) => {
+                b.children().try_for_each(|c| self.accept(c, None, ok, op))
+            }
+            (None, _) => Ok(()),
+        }
+    }
+
+    /// Check that two operands compare: numbers with numbers, any other
+    /// type with itself; an untyped one is typed by the other.
+    fn comparable(
+        &mut self,
+        l: (&BoundExpr, Ty),
+        r: (&BoundExpr, Ty),
+        op: &dyn Display,
+    ) -> Result<()> {
+        let with = |t: Ty| t.map_or(&[Int, Float, Text, Bool, Timestamp][..], family);
+        self.accept(r.0, r.1, with(l.1), op)?;
+        self.accept(l.0, l.1, with(r.1), op)
+    }
+
+    /// Type a scalar function call's arguments and decide its result.
+    fn scalar(&mut self, func: ScalarFn, args: &mut [BoundExpr]) -> Result<Ty> {
+        let types = args
+            .iter_mut()
+            .map(|a| self.type_of(a))
+            .collect::<Result<Vec<_>>>()?;
+        let (ok, ty): (&[_], _) = match func {
+            ScalarFn::Abs => (&[Int, Float], types[0]),
+            ScalarFn::Sqrt | ScalarFn::Power => (&[Int, Float], Some(Float)),
+            ScalarFn::Floor | ScalarFn::Ceil => (&[Int, Float], Some(Int)),
+            ScalarFn::Length => (&[Text], Some(Int)),
+            ScalarFn::Lower | ScalarFn::Upper => (&[Text], Some(Text)),
+            ScalarFn::Now => (&[], Some(Timestamp)),
+            ScalarFn::Coalesce => return self.coalesce(args, &types),
+        };
+        let name = format!("{func:?}").to_uppercase();
+        for (a, t) in args.iter().zip(types) {
+            self.accept(a, t, ok, &name)?;
+        }
+        Ok(ty)
+    }
+
+    /// `COALESCE` yields its first typed argument's type, or one its other
+    /// arguments' types coerce to. An argument of another type, or an
+    /// untyped one, is cast to it, so no call yields two types.
+    fn coalesce(&mut self, args: &mut [BoundExpr], types: &[Ty]) -> Result<Ty> {
+        let mut ty: Ty = None;
+        for &t in types.iter().flatten() {
+            ty = Some(match ty {
+                Some(u) if coercible(u).contains(&t) => u,
+                Some(u) if !coercible(t).contains(&u) => {
+                    let e = format!("COALESCE cannot take {u} and {t}");
+                    return Err(Error::TypeMismatch(e));
+                }
+                _ => t,
+            });
+        }
+        let Some(to) = ty else { return Ok(None) };
+        for (a, &t) in args.iter_mut().zip(types) {
+            if t != ty && *a != BoundExpr::Literal(Value::Null) {
+                self.accept(a, t, coercible(to), &"COALESCE")?;
+                let expr = Box::new(std::mem::replace(a, BoundExpr::Param(0)));
+                *a = BoundExpr::Cast { expr, ty: to };
+            }
+        }
+        Ok(ty)
     }
 }
 

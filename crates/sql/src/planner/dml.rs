@@ -1,10 +1,10 @@
 //! INSERT, UPDATE and DELETE.
 
-use super::bind::{Binder, Layout};
+use super::bind::{check, coercible, Binder, Layout, Slots};
 use super::select::{choose_access_path, plan_select};
 use crate::ast::{self, InsertSource};
 use crate::plan::{AccessPath, PhysicalPlan, PlannedStmt};
-use sstore_common::{Error, Result};
+use sstore_common::{DataType, Error, Result};
 use sstore_storage::Database;
 
 pub(super) fn plan_insert(i: &ast::Insert, db: &Database) -> Result<PlannedStmt> {
@@ -37,11 +37,16 @@ pub(super) fn plan_insert(i: &ast::Insert, db: &Database) -> Result<PlannedStmt>
         }
     }
 
-    let mut subs = Vec::new();
+    let mut slots = Slots::default();
+    let targets: Vec<(DataType, String)> = provided
+        .iter()
+        .map(|&p| &visible.columns()[p])
+        .map(|c| (c.ty, format!("column `{}`", c.name)))
+        .collect();
     let source = match &i.source {
         InsertSource::Values(rows) => {
             let empty = Layout::default();
-            let mut binder = Binder::over(&empty, db, &mut subs);
+            let mut binder = Binder::over(&empty, db, &mut slots);
             let mut bound_rows = Vec::with_capacity(rows.len());
             for row in rows {
                 if row.len() != provided.len() {
@@ -52,21 +57,24 @@ pub(super) fn plan_insert(i: &ast::Insert, db: &Database) -> Result<PlannedStmt>
                     )));
                 }
                 let mut bound = Vec::with_capacity(row.len());
-                for e in row {
-                    bound.push(binder.bind(e)?);
+                for (e, (ty, what)) in row.iter().zip(&targets) {
+                    bound.push(binder.stored(e, *ty, what)?);
                 }
                 bound_rows.push(bound);
             }
             PhysicalPlan::Values { rows: bound_rows }
         }
         InsertSource::Select(sel) => {
-            let (plan, cols) = plan_select(sel, db, &mut subs)?;
-            if cols.len() != provided.len() {
+            let (plan, _, types) = plan_select(sel, db, &mut slots)?;
+            if types.len() != provided.len() {
                 return Err(Error::Parse(format!(
                     "INSERT SELECT produces {} columns but {} expected",
-                    cols.len(),
+                    types.len(),
                     provided.len()
                 )));
+            }
+            for (t, (ty, what)) in types.into_iter().zip(&targets) {
+                t.map_or(Ok(()), |t| check(t, coercible(*ty), what))?;
             }
             plan
         }
@@ -81,7 +89,8 @@ pub(super) fn plan_insert(i: &ast::Insert, db: &Database) -> Result<PlannedStmt>
         table,
         source,
         mapping,
-        subqueries: subs,
+        subqueries: slots.subs,
+        params: slots.params,
     })
 }
 
@@ -94,18 +103,19 @@ pub(super) fn plan_update(u: &ast::Update, db: &Database) -> Result<PlannedStmt>
         .ok_or_else(|| Error::NotFound(format!("table `{}`", u.table)))?;
     let visible_arity = meta.visible_schema.arity();
 
-    let mut subs = Vec::new();
-    let mut binder = Binder::over(&layout, db, &mut subs);
+    let mut slots = Slots::default();
+    let mut binder = Binder::over(&layout, db, &mut slots);
     let mut sets = Vec::with_capacity(u.sets.len());
     for (col, e) in &u.sets {
         let pos = layout.resolve(None, col)?;
         if pos >= visible_arity {
             return Err(Error::Scope(format!("cannot update hidden column `{col}`")));
         }
-        sets.push((pos, binder.bind(e)?));
+        let what = format!("column `{col}`");
+        sets.push((pos, binder.stored(e, layout.ty(pos), &what)?));
     }
     let (path, pred) = match &u.where_pred {
-        Some(p) => choose_access_path(table, p, &layout, db, &mut subs)?,
+        Some(p) => choose_access_path(table, p, &layout, db, &mut slots)?,
         None => (AccessPath::Full, None),
     };
     Ok(PlannedStmt::Update {
@@ -113,22 +123,24 @@ pub(super) fn plan_update(u: &ast::Update, db: &Database) -> Result<PlannedStmt>
         path,
         pred,
         sets,
-        subqueries: subs,
+        subqueries: slots.subs,
+        params: slots.params,
     })
 }
 
 pub(super) fn plan_delete(d: &ast::Delete, db: &Database) -> Result<PlannedStmt> {
     let table = db.resolve(&d.table)?;
     let layout = Layout::from_table(db, table, &d.table)?;
-    let mut subs = Vec::new();
+    let mut slots = Slots::default();
     let (path, pred) = match &d.where_pred {
-        Some(p) => choose_access_path(table, p, &layout, db, &mut subs)?,
+        Some(p) => choose_access_path(table, p, &layout, db, &mut slots)?,
         None => (AccessPath::Full, None),
     };
     Ok(PlannedStmt::Delete {
         table,
         path,
         pred,
-        subqueries: subs,
+        subqueries: slots.subs,
+        params: slots.params,
     })
 }

@@ -1,8 +1,9 @@
 //! Name resolution and plan construction, one job per module:
 //!
 //! * this module dispatches a statement and plans DDL;
-//! * `bind` resolves names: one `Binder` binds every expression over
-//!   its scope, a FROM clause's row or a grouped query's aggregate row;
+//! * `bind` resolves names and types: one `Binder` binds every
+//!   expression over its scope, a FROM clause's row or a grouped query's
+//!   aggregate row, and refuses the operators its types do not fit;
 //! * `select` plans a SELECT: the FROM tree, the WHERE folded into an
 //!   access path or into the scans below a join, and the outputs with
 //!   DISTINCT, ORDER BY and LIMIT on top;
@@ -24,12 +25,13 @@ use sstore_storage::Database;
 pub fn plan_statement(stmt: &Stmt, db: &Database) -> Result<PlannedStmt> {
     match stmt {
         Stmt::Select(s) => {
-            let mut subs = Vec::new();
-            let (plan, columns) = select::plan_select(s, db, &mut subs)?;
+            let mut slots = bind::Slots::default();
+            let (plan, columns, _) = select::plan_select(s, db, &mut slots)?;
             Ok(PlannedStmt::Query {
                 plan,
                 columns: columns.into(),
-                subqueries: subs,
+                subqueries: slots.subs,
+                params: slots.params,
             })
         }
         Stmt::Insert(i) => dml::plan_insert(i, db),
@@ -442,20 +444,22 @@ mod tests {
             "{scan:?}"
         );
         // A probe of a NOT NULL INT key finds what `=` accepts, whatever the
-        // probe's type: `id + 0 = ?` scans the table and must agree.
+        // probe's type: `id + 0 = ?` scans the table and must agree. Both
+        // refuse a TEXT probe, which no comparison with a number takes.
         let mut db = test_db();
         let mut run = |sql: &str, params: &[Value]| {
             let mut ctx = DirectContext {
                 db: &mut db,
                 now_micros: 0,
             };
-            run_sql(sql, &mut ctx, params).unwrap().rows
+            run_sql(sql, &mut ctx, params).map(|r| r.rows)
         };
         for id in [0, 1, 2, 3] {
             run(
                 "INSERT INTO t VALUES (?, ?, NULL)",
                 &[Value::Int(id), Value::Text(format!("n{id}"))],
-            );
+            )
+            .unwrap();
         }
         for probe in [
             Value::Int(2),
@@ -469,6 +473,7 @@ mod tests {
             let probed = run("SELECT name FROM t WHERE id = ?", &params);
             let scanned = run("SELECT name FROM t WHERE id + 0 = ?", &params);
             assert_eq!(probed, scanned, "probe {probe:?}");
+            assert_eq!(probed.is_err(), probe.data_type() == Some(DataType::Text));
         }
     }
 
@@ -500,6 +505,30 @@ mod tests {
                     ..
                 } => {}
                 other => panic!("{sql}: {other:?}"),
+            }
+        }
+    }
+
+    /// The binder's table of coercions is `DataType::coerce`'s rule.
+    #[test]
+    fn coercible_follows_coerce() {
+        use DataType::*;
+        let samples = [
+            Value::Int(1),
+            Value::Float(0.5),
+            Value::Text("x".into()),
+            Value::Bool(true),
+            Value::Timestamp(1),
+        ];
+        for to in [Int, Float, Text, Bool, Timestamp] {
+            for v in &samples {
+                let from = v.data_type().unwrap();
+                let coerces = to.coerce(v.clone()).is_some();
+                assert_eq!(
+                    super::bind::coercible(to).contains(&from),
+                    coerces,
+                    "{from} to {to}"
+                );
             }
         }
     }

@@ -2,7 +2,7 @@
 //! residuals, the outputs, and the DISTINCT / ORDER BY / LIMIT on top.
 
 use super::aggregate;
-use super::bind::{Binder, Layout, Scope};
+use super::bind::{Binder, Layout, Scope, Slots, Ty};
 use crate::ast::{self, BinOp, Expr, Select, SelectItem};
 use crate::expr::BoundExpr;
 use crate::plan::{AccessPath, PhysicalPlan};
@@ -10,25 +10,31 @@ use sstore_common::{DataType, Error, Result, TableId, Value};
 use sstore_storage::Database;
 use std::collections::BTreeSet;
 
+/// Plan `s`, with its output columns' names and types.
 pub(super) fn plan_select(
     s: &Select,
     db: &Database,
-    subs: &mut Vec<PhysicalPlan>,
-) -> Result<(PhysicalPlan, Vec<String>)> {
-    let (mut plan, layout) = plan_from(s, db, subs)?;
+    slots: &mut Slots,
+) -> Result<(PhysicalPlan, Vec<String>, Vec<Ty>)> {
+    let (mut plan, layout) = plan_from(s, db, slots)?;
 
     // WHERE: try to fold simple equality conjuncts into an access path.
     if let Some(pred) = &s.where_pred {
-        plan = apply_where(plan, &layout, pred, db, subs)?;
+        plan = apply_where(plan, &layout, pred, db, slots)?;
     }
 
     let calls = aggregate::calls(s)?;
-    let mut binder = Binder::over(&layout, db, subs);
+    let mut group_types = Vec::new();
     if let Some(calls) = &calls {
-        plan = aggregate::plan_aggregate(plan, &s.group_by, calls, &mut binder)?;
+        let mut binder = Binder::over(&layout, db, slots);
+        (plan, group_types) = aggregate::plan_aggregate(plan, &s.group_by, calls, &mut binder)?;
+    }
+    let mut binder = Binder::over(&layout, db, slots);
+    if let Some(calls) = &calls {
         binder.scope = Scope::Grouped {
             keys: &s.group_by,
             calls,
+            types: &group_types,
         };
     }
     // A grouped HAVING is bound before the outputs and one without
@@ -39,18 +45,20 @@ pub(super) fn plan_select(
     }
 
     // The projection: select outputs first, appended sort keys after.
-    let mut exprs = Vec::new();
-    let mut names = Vec::new();
+    let (mut exprs, mut names, mut types) = (Vec::new(), Vec::new(), Vec::new());
     for item in &s.items {
         match item {
             SelectItem::Star => {
-                for (pos, name) in layout.visible_columns() {
+                for (pos, name, ty) in layout.visible_columns() {
                     exprs.push(BoundExpr::ColumnRef(pos));
                     names.push(name.to_string());
+                    types.push(Some(ty));
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                exprs.push(binder.bind(expr)?);
+                let (bound, ty) = binder.typed(expr)?;
+                exprs.push(bound);
+                types.push(ty);
                 names.push(output_name(expr, alias.as_deref(), names.len()));
             }
         }
@@ -106,7 +114,7 @@ pub(super) fn plan_select(
         };
     }
     names.truncate(out_arity);
-    Ok((plan, names))
+    Ok((plan, names, types))
 }
 
 /// `plan` filtered by `s`'s HAVING, if it has one.
@@ -114,7 +122,7 @@ fn having(plan: PhysicalPlan, s: &Select, binder: &mut Binder<'_>) -> Result<Phy
     Ok(match &s.having {
         Some(h) => PhysicalPlan::Filter {
             input: Box::new(plan),
-            pred: binder.bind(h)?,
+            pred: binder.pred(h, "HAVING")?,
         },
         None => plan,
     })
@@ -151,11 +159,7 @@ fn output_name(expr: &Expr, alias: Option<&str>, pos: usize) -> String {
 }
 
 /// Build the FROM tree and its layout.
-fn plan_from(
-    s: &Select,
-    db: &Database,
-    subs: &mut Vec<PhysicalPlan>,
-) -> Result<(PhysicalPlan, Layout)> {
+fn plan_from(s: &Select, db: &Database, slots: &mut Slots) -> Result<(PhysicalPlan, Layout)> {
     let Some(f) = &s.from else {
         return Ok((
             PhysicalPlan::Values { rows: vec![vec![]] },
@@ -172,7 +176,7 @@ fn plan_from(
     for (tref, on) in &f.joins {
         let tid = db.resolve(&tref.name)?;
         layout = layout.concat(Layout::from_table(db, tid, tref.binding())?);
-        let on = Binder::over(&layout, db, subs).bind(on)?;
+        let on = Binder::over(&layout, db, slots).pred(on, "ON")?;
         plan = PhysicalPlan::NestedLoopJoin {
             left: Box::new(plan),
             right: Box::new(PhysicalPlan::Scan {
@@ -194,7 +198,7 @@ fn apply_where(
     layout: &Layout,
     pred: &Expr,
     db: &Database,
-    subs: &mut Vec<PhysicalPlan>,
+    slots: &mut Slots,
 ) -> Result<PhysicalPlan> {
     if let PhysicalPlan::Scan {
         table,
@@ -202,14 +206,14 @@ fn apply_where(
         residual: None,
     } = plan
     {
-        let (path, residual) = choose_access_path(table, pred, layout, db, subs)?;
+        let (path, residual) = choose_access_path(table, pred, layout, db, slots)?;
         return Ok(PhysicalPlan::Scan {
             table,
             path,
             residual,
         });
     }
-    let bound = Binder::over(layout, db, subs).bind(pred)?;
+    let bound = Binder::over(layout, db, slots).pred(pred, "WHERE")?;
     Ok(push_below_joins(plan, bound, db))
 }
 
@@ -320,6 +324,7 @@ fn cannot_raise(e: &BoundExpr) -> bool {
         BoundExpr::Unary {
             op: ast::UnaryOp::Not,
             expr,
+            ..
         } => cannot_raise(expr),
         _ => false,
     }
@@ -350,9 +355,9 @@ pub(super) fn choose_access_path(
     pred: &Expr,
     layout: &Layout,
     db: &Database,
-    subs: &mut Vec<PhysicalPlan>,
+    slots: &mut Slots,
 ) -> Result<(AccessPath, Option<BoundExpr>)> {
-    let pred = Binder::over(layout, db, subs).bind(pred)?;
+    let pred = Binder::over(layout, db, slots).pred(pred, "WHERE")?;
     // `(conjunct number, key column, value)` of each `col = e` conjunct.
     let eqs: Vec<(usize, usize, &BoundExpr)> = pred
         .conjuncts()

@@ -4,7 +4,7 @@
 use super::expr::{veval, VCol};
 use super::VBatch;
 use crate::exec::ExecContext;
-use crate::expr::{BoundExpr, EvalEnv};
+use crate::expr::{ill_typed, BoundExpr, EvalEnv};
 use crate::plan::{AccessPath, AggExpr, AggFunc, PhysicalPlan};
 use sstore_common::{DataType, Error, Result, Row, Value};
 use sstore_storage::TableKind;
@@ -14,12 +14,12 @@ use sstore_vector::{Column, ColumnData, NumSrc, Sel};
 /// Aggregation straight off the lanes: group ids from the key columns
 /// (one group when there are none), then one typed loop per aggregate.
 /// `None` = something has no kernel — `DISTINCT`, a key that is an
-/// expression rather than a column, a key or `COUNT` argument in a
-/// `Generic` lane, or an argument lane whose `SUM`/`AVG`/`MIN`/`MAX`
-/// carries row-path type errors (Text, Bool; Timestamp sums) — and the
-/// caller falls back to the row accumulator for exact parity. Groups come
-/// out in order of first appearance, as `run_aggregate` emits them.
-/// Caller guarantees a non-empty selection.
+/// expression rather than a column, a constant argument to anything but
+/// `COUNT`, or `MIN`/`MAX` over a TEXT or BOOL lane — and the caller falls
+/// back to the row accumulator. The binder gives `SUM` and `AVG` only
+/// INT and FLOAT arguments. Groups come out in order of first
+/// appearance, as `run_aggregate` emits them. Caller guarantees a
+/// non-empty selection.
 pub(super) fn try_agg_kernels(
     batch: &VBatch<'_>,
     sel: Sel,
@@ -40,9 +40,7 @@ pub(super) fn try_agg_kernels(
         let VCol::Ref(key) = veval(e, batch, sel, env)? else {
             return Ok(None);
         };
-        let Some(g) = Groups::of(key, sel, rows) else {
-            return Ok(None);
-        };
+        let g = Groups::of(key, sel, rows);
         groups = Some(match groups {
             None => g,
             Some(outer) => outer.and(&g, sel, rows),
@@ -83,8 +81,6 @@ pub(super) fn try_agg_kernels(
         let v = c.validity.as_ref();
         let want_max = agg.func == AggFunc::Max;
         results.push(match (agg.func, &c.data) {
-            // A Generic lane may hold NULLs the bitmap does not know.
-            (_, ColumnData::Generic(_)) => return Ok(None),
             (AggFunc::Count, _) => ints(groups.count(v, sel, rows)),
             (AggFunc::Sum, ColumnData::Int(d)) => {
                 let (sums, counts) = groups.sum_int(d, v, sel, rows)?;
@@ -125,7 +121,8 @@ pub(super) fn try_agg_kernels(
                 .into_iter()
                 .map(|m| opt(m.map(Value::Float)))
                 .collect(),
-            _ => return Ok(None),
+            (AggFunc::Min | AggFunc::Max, _) => return Ok(None),
+            _ => return Err(ill_typed()),
         });
     }
     for (agg, r) in aggs.iter().zip(&mut results) {

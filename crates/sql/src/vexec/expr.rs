@@ -4,8 +4,8 @@
 //! predicate to the mask of the lanes it keeps.
 
 use super::{sel_iter, VBatch};
-use crate::expr::{eval, BoundExpr, EvalEnv};
-use sstore_common::{Error, Result, Value};
+use crate::expr::{and_or, eval, ill_typed, truth, BoundExpr, EvalEnv};
+use sstore_common::{DataType, Error, Result, Value};
 use sstore_vector::compute::{arith_num, cmp_bool, cmp_num, cmp_str, to_mask, BoolSrc, StrSrc};
 use sstore_vector::{ArithOp, Bitmap, CmpOp, Column, ColumnData, NumSrc, Sel};
 use std::collections::BTreeSet;
@@ -51,22 +51,19 @@ fn all_null(data: ColumnData, rows: usize) -> Column {
     }
 }
 
-/// View a result as a numeric kernel operand. The `bool` flag marks
-/// timestamp-typed sources, whose arithmetic against floats must take the
-/// scalar fallback (the row path's `as_float` rejects timestamps).
-fn num_src<'v>(v: &'v VCol<'_>) -> Option<(NumSrc<'v>, Option<&'v Bitmap>, bool)> {
+/// View a result as a numeric kernel operand: an INT, FLOAT or TIMESTAMP
+/// lane or constant (a TIMESTAMP computes as an INT).
+fn num_src<'v>(v: &'v VCol<'_>) -> Option<(NumSrc<'v>, Option<&'v Bitmap>)> {
     match v {
-        VCol::Const(Value::Int(k)) => Some((NumSrc::CI(*k), None, false)),
-        VCol::Const(Value::Float(f)) => Some((NumSrc::CF(*f), None, false)),
-        VCol::Const(Value::Timestamp(t)) => Some((NumSrc::CI(*t), None, true)),
+        VCol::Const(Value::Int(k) | Value::Timestamp(k)) => Some((NumSrc::CI(*k), None)),
+        VCol::Const(Value::Float(f)) => Some((NumSrc::CF(*f), None)),
         VCol::Const(_) => None,
         _ => {
             let c = v.col()?;
             let validity = c.validity.as_ref();
             match &c.data {
-                ColumnData::Int(d) => Some((NumSrc::I(d), validity, false)),
-                ColumnData::Timestamp(d) => Some((NumSrc::I(d), validity, true)),
-                ColumnData::Float(d) => Some((NumSrc::F(d), validity, false)),
+                ColumnData::Int(d) | ColumnData::Timestamp(d) => Some((NumSrc::I(d), validity)),
+                ColumnData::Float(d) => Some((NumSrc::F(d), validity)),
                 _ => None,
             }
         }
@@ -105,82 +102,41 @@ fn is_const_null(v: &VCol<'_>) -> bool {
     matches!(v, VCol::Const(Value::Null))
 }
 
-fn cmp_op_of(op: crate::ast::BinOp) -> CmpOp {
-    match op {
-        crate::ast::BinOp::Eq => CmpOp::Eq,
-        crate::ast::BinOp::Neq => CmpOp::Ne,
-        crate::ast::BinOp::Lt => CmpOp::Lt,
-        crate::ast::BinOp::Le => CmpOp::Le,
-        crate::ast::BinOp::Gt => CmpOp::Gt,
-        crate::ast::BinOp::Ge => CmpOp::Ge,
-        other => unreachable!("not a comparison operator: {other:?}"),
-    }
-}
-
-fn arith_op_of(op: crate::ast::BinOp) -> ArithOp {
-    match op {
-        crate::ast::BinOp::Add => ArithOp::Add,
-        crate::ast::BinOp::Sub => ArithOp::Sub,
-        crate::ast::BinOp::Mul => ArithOp::Mul,
-        crate::ast::BinOp::Div => ArithOp::Div,
-        crate::ast::BinOp::Mod => ArithOp::Mod,
-        other => unreachable!("not an arithmetic operator: {other:?}"),
-    }
-}
-
-/// Kernel dispatch for a comparison; `None` = operand shapes the kernels
-/// don't cover (mixed-type lanes), caller takes the scalar fallback.
-/// Comparisons never type-error (`cmp_total` is total), so heterogeneous
-/// pairs are the only reason to bail.
-fn vcmp(op: CmpOp, l: &VCol<'_>, r: &VCol<'_>, sel: Sel, rows: usize) -> Option<Column> {
+/// Kernel dispatch for a comparison. The binder only compares numbers
+/// with numbers and other types with themselves, and each such pair has
+/// a kernel.
+fn vcmp(op: CmpOp, l: &VCol<'_>, r: &VCol<'_>, sel: Sel, rows: usize) -> Result<Column> {
     if is_const_null(l) || is_const_null(r) {
-        return Some(all_null(ColumnData::Bool(vec![false; rows]), rows));
+        return Ok(all_null(ColumnData::Bool(vec![false; rows]), rows));
     }
-    if let (Some((a, av, _)), Some((b, bv, _))) = (num_src(l), num_src(r)) {
-        let (vals, validity) = cmp_num(op, a, av, b, bv, sel, rows);
-        return Some(Column {
-            data: ColumnData::Bool(vals),
-            validity,
-        });
-    }
-    if let (Some((a, av)), Some((b, bv))) = (str_src(l), str_src(r)) {
-        let (vals, validity) = cmp_str(op, a, av, b, bv, sel, rows);
-        return Some(Column {
-            data: ColumnData::Bool(vals),
-            validity,
-        });
-    }
-    if let (Some((a, av)), Some((b, bv))) = (bool_src(l), bool_src(r)) {
-        let (vals, validity) = cmp_bool(op, a, av, b, bv, sel, rows);
-        return Some(Column {
-            data: ColumnData::Bool(vals),
-            validity,
-        });
-    }
-    None
+    let (vals, validity) = if let (Some((a, av)), Some((b, bv))) = (num_src(l), num_src(r)) {
+        cmp_num(op, a, av, b, bv, sel, rows)
+    } else if let (Some((a, av)), Some((b, bv))) = (str_src(l), str_src(r)) {
+        cmp_str(op, a, av, b, bv, sel, rows)
+    } else if let (Some((a, av)), Some((b, bv))) = (bool_src(l), bool_src(r)) {
+        cmp_bool(op, a, av, b, bv, sel, rows)
+    } else {
+        return Err(ill_typed());
+    };
+    Ok(Column {
+        data: ColumnData::Bool(vals),
+        validity,
+    })
 }
 
-/// Kernel dispatch for arithmetic; `None` = take the scalar fallback.
-fn varith(
-    op: ArithOp,
-    l: &VCol<'_>,
-    r: &VCol<'_>,
-    sel: Sel,
-    rows: usize,
-) -> Option<Result<Column>> {
+/// Kernel dispatch for arithmetic, whose operands the binder has made
+/// numbers (and never a TIMESTAMP with a FLOAT).
+fn varith(op: ArithOp, l: &VCol<'_>, r: &VCol<'_>, sel: Sel, rows: usize) -> Result<Column> {
     if is_const_null(l) || is_const_null(r) {
         // The row path checks NULL operands before anything else, so a
         // NULL constant nulls the whole column regardless of the other
         // operand's type.
-        return Some(Ok(all_null(ColumnData::Int(vec![0; rows]), rows)));
+        return Ok(all_null(ColumnData::Int(vec![0; rows]), rows));
     }
-    let (a, av, a_ts) = num_src(l)?;
-    let (b, bv, b_ts) = num_src(r)?;
-    if (a_ts || b_ts) && !(a.is_int() && b.is_int()) {
-        // Timestamp ⊕ Float errors in the row path; go scalar for parity.
-        return None;
-    }
-    Some(arith_num(op, a, av, b, bv, sel, rows).map(|(data, validity)| Column { data, validity }))
+    let (Some((a, av)), Some((b, bv))) = (num_src(l), num_src(r)) else {
+        return Err(ill_typed());
+    };
+    arith_num(op, a, av, b, bv, sel, rows).map(|(data, validity)| Column { data, validity })
 }
 
 /// Evaluate `e` over the selected rows of `batch`. Kernel-backed where the
@@ -194,27 +150,11 @@ pub(super) fn veval<'a>(
     env: &EvalEnv<'_>,
 ) -> Result<VCol<'a>> {
     match e {
-        BoundExpr::Literal(v) => Ok(VCol::Const(v.clone())),
-        BoundExpr::Param(i) => env
-            .params
-            .get(*i)
-            .cloned()
-            .map(VCol::Const)
-            .ok_or_else(|| Error::Constraint(format!("missing parameter ?{i}"))),
-        BoundExpr::SubqueryRef(i) => env
-            .subs
-            .get(*i)
-            .cloned()
-            .map(VCol::Const)
-            .ok_or_else(|| Error::Internal(format!("missing subquery slot {i}"))),
         BoundExpr::ColumnRef(i) => {
             if *i >= batch.columns.len() {
                 return Err(Error::Internal(format!("column offset {i} out of range")));
             }
             Ok(VCol::Ref(batch.column(*i)))
-        }
-        BoundExpr::Scalar { func, .. } if *func == crate::expr::ScalarFn::Now => {
-            Ok(VCol::Const(Value::Timestamp(env.now)))
         }
         BoundExpr::IsNull { expr, negated } => {
             let c = veval(expr, batch, sel, env)?;
@@ -227,44 +167,43 @@ pub(super) fn veval<'a>(
                 validity: None,
             }))
         }
-        BoundExpr::Binary { op, left, right } => match op {
-            crate::ast::BinOp::And => vand_or(true, left, right, batch, sel, env),
-            crate::ast::BinOp::Or => vand_or(false, left, right, batch, sel, env),
-            crate::ast::BinOp::Eq
-            | crate::ast::BinOp::Neq
-            | crate::ast::BinOp::Lt
-            | crate::ast::BinOp::Le
-            | crate::ast::BinOp::Gt
-            | crate::ast::BinOp::Ge => {
-                let l = veval(left, batch, sel, env)?;
-                let r = veval(right, batch, sel, env)?;
-                match vcmp(cmp_op_of(*op), &l, &r, sel, batch.rows) {
-                    Some(c) => Ok(VCol::Owned(c)),
-                    None => veval_cellwise(e, batch, sel, env),
-                }
+        BoundExpr::Binary { op, left, right } => {
+            use crate::ast::BinOp::*;
+            if let And | Or = op {
+                return vand_or(*op == Or, left, right, batch, sel, env);
             }
-            crate::ast::BinOp::Add
-            | crate::ast::BinOp::Sub
-            | crate::ast::BinOp::Mul
-            | crate::ast::BinOp::Div
-            | crate::ast::BinOp::Mod => {
-                let l = veval(left, batch, sel, env)?;
-                let r = veval(right, batch, sel, env)?;
-                match varith(arith_op_of(*op), &l, &r, sel, batch.rows) {
-                    Some(res) => res.map(VCol::Owned),
-                    None => veval_cellwise(e, batch, sel, env),
-                }
+            let l = veval(left, batch, sel, env)?;
+            let r = veval(right, batch, sel, env)?;
+            let cmp = |op| vcmp(op, &l, &r, sel, batch.rows);
+            let arith = |op| varith(op, &l, &r, sel, batch.rows);
+            match op {
+                Eq => cmp(CmpOp::Eq),
+                Neq => cmp(CmpOp::Ne),
+                Lt => cmp(CmpOp::Lt),
+                Le => cmp(CmpOp::Le),
+                Gt => cmp(CmpOp::Gt),
+                Ge => cmp(CmpOp::Ge),
+                Add => arith(ArithOp::Add),
+                Sub => arith(ArithOp::Sub),
+                Mul => arith(ArithOp::Mul),
+                Div => arith(ArithOp::Div),
+                Mod => arith(ArithOp::Mod),
+                And | Or => Err(ill_typed()),
             }
-        },
-        // IN / BETWEEN / unary ops / scalar functions: scalar fallback —
-        // exact semantics, still batched through the selection.
+            .map(VCol::Owned)
+        }
+        // Constants, IN / BETWEEN / unary ops / scalar functions / casts:
+        // scalar fallback — exact semantics, still batched through the
+        // selection.
         _ => veval_cellwise(e, batch, sel, env),
     }
 }
 
 /// Scalar fallback: evaluate the whole expression per selected row via
-/// [`eval`], gathering referenced cells into a scratch row. Exact row-path
-/// semantics including error order within the expression.
+/// [`eval`], gathering referenced cells into a scratch row, into a lane of
+/// the type the binder decided. Exact row-path semantics including error
+/// order within the expression. An expression that reads no column is
+/// evaluated once.
 fn veval_cellwise(
     e: &BoundExpr,
     batch: &VBatch<'_>,
@@ -273,68 +212,59 @@ fn veval_cellwise(
 ) -> Result<VCol<'static>> {
     let mut refs = BTreeSet::new();
     e.collect_refs(&mut refs);
+    if refs.is_empty() {
+        return eval(e, &[], env).map(VCol::Const);
+    }
+    let ty = match e {
+        BoundExpr::Unary { ty, .. } | BoundExpr::Scalar { ty, .. } => *ty,
+        BoundExpr::Cast { ty, .. } => Some(*ty),
+        _ => Some(DataType::Bool),
+    };
+    let mut out = Column::typed(ty.ok_or_else(ill_typed)?, batch.rows);
     let mut scratch = vec![Value::Null; batch.columns.len()];
-    let mut out = vec![Value::Null; batch.rows];
     for i in sel_iter(sel, batch.rows) {
         for &r in &refs {
             scratch[r] = batch.column(r).value_at(i);
         }
-        out[i] = eval(e, &scratch, env)?;
+        out.set(i, &eval(e, &scratch, env)?)?;
     }
-    Ok(VCol::Owned(Column {
-        data: ColumnData::Generic(out),
-        validity: None,
-    }))
+    Ok(VCol::Owned(out))
 }
 
-/// Three-valued `AND`/`OR` with short-circuit parity: the right operand is
-/// only evaluated on rows the left side did not decide, so `x <> 0 AND
-/// 10 / x > 1` never divides by zero — exactly like the row interpreter.
+/// Three-valued `AND` (`stop` false) or `OR` (`stop` true) with
+/// short-circuit parity: the right operand is only evaluated on rows the
+/// left side did not decide, so `x <> 0 AND 10 / x > 1` never divides by
+/// zero — exactly like the row interpreter.
 fn vand_or(
-    is_and: bool,
+    stop: bool,
     left: &BoundExpr,
     right: &BoundExpr,
     batch: &VBatch<'_>,
     sel: Sel,
     env: &EvalEnv<'_>,
 ) -> Result<VCol<'static>> {
-    let op_name = if is_and { "AND" } else { "OR" };
     let lcol = veval(left, batch, sel, env)?;
     let rows = batch.rows;
     let mut vals = vec![false; rows];
     let mut validity = Bitmap::new_set(rows);
-    // Left tri-state per selected row; `sub` = rows not short-circuited.
+    // Left tri-state per selected row; `sub` = rows it did not decide
+    // (AND stops on false, OR on true).
     let mut ltri: Vec<Option<bool>> = vec![None; rows];
     let mut sub: Vec<u32> = Vec::new();
     for i in sel_iter(sel, rows) {
-        let t = match lcol.value_at(i) {
-            Value::Bool(b) => Some(b),
-            Value::Null => None,
-            other => {
-                return Err(Error::TypeMismatch(format!("{op_name} applied to {other}")));
-            }
-        };
-        ltri[i] = t;
-        if t == Some(!is_and) {
-            // AND short-circuits on false, OR on true.
-            vals[i] = !is_and;
+        ltri[i] = truth(&lcol.value_at(i))?;
+        if ltri[i] == Some(stop) {
+            vals[i] = stop;
         } else {
             sub.push(i as u32);
         }
     }
     if !sub.is_empty() {
         let rcol = veval(right, batch, Sel::Pos(&sub), env)?;
-        for &iu in &sub {
-            let i = iu as usize;
-            match (rcol.value_at(i), ltri[i]) {
-                // Mirrors the row path's merge: a decisive right side wins
-                // even when the left was NULL.
-                (Value::Bool(b), _) if b != is_and => vals[i] = !is_and,
-                (Value::Null, _) | (Value::Bool(_), None) => validity.set(i, false),
-                (Value::Bool(_), Some(_)) => vals[i] = is_and,
-                (other, _) => {
-                    return Err(Error::TypeMismatch(format!("{op_name} applied to {other}")));
-                }
+        for i in sub.into_iter().map(|i| i as usize) {
+            match and_or(stop, ltri[i], truth(&rcol.value_at(i))?) {
+                Some(b) => vals[i] = b,
+                None => validity.set(i, false),
             }
         }
     }
@@ -366,21 +296,9 @@ pub(super) fn pred_mask(
             data: ColumnData::Bool(vals),
             validity,
         }) => (vals.clone(), validity.clone()),
-        c => {
-            let mut out = vec![false; rows];
-            for i in sel_iter(sel, rows) {
-                match c.value_at(i) {
-                    Value::Bool(b) => out[i] = b,
-                    Value::Null => {}
-                    other => {
-                        return Err(Error::TypeMismatch(format!(
-                            "predicate evaluated to non-boolean {other}"
-                        )));
-                    }
-                }
-            }
-            return Ok(out);
-        }
+        // TRUE keeps the selection; FALSE and NULL keep nothing.
+        VCol::Const(v) => (vec![v == Value::Bool(true); rows], None),
+        _ => return Err(ill_typed()),
     };
     Ok(to_mask(vals, validity.as_ref(), sel))
 }

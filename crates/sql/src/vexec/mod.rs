@@ -25,9 +25,11 @@
 //! Positions are built from a mask only where an operator emits rows one
 //! by one: a projection.
 //!
-//! Anything the kernels cannot express exactly — mixed-type (`Generic`)
-//! lanes, `IN`/`BETWEEN`/scalar functions — falls back cell-by-cell onto
-//! the scalar [`crate::expr::eval`]; `DISTINCT` aggregates, `GROUP BY` an
+//! Every lane has the type the planner's binder decided, so each compare
+//! and arithmetic operator finds its kernel. `IN`, `BETWEEN`, unary
+//! operators, scalar functions and casts evaluate cell by cell through
+//! the scalar [`crate::expr::eval`] into a lane of their decided type;
+//! `DISTINCT` aggregates, `MIN`/`MAX` over TEXT or BOOL, `GROUP BY` an
 //! expression, joins on several keys or on non-integer keys, `ORDER BY`
 //! and `SELECT DISTINCT` pivot to rows and run the row operators. Either
 //! way results (and errors) match row mode bit for bit.
@@ -49,8 +51,11 @@
 //!
 //! # Known, documented divergences from row mode
 //!
-//! Both modes always agree on *results*. Error **ordering** may differ in
-//! three corners (an error is still always raised, with the same message):
+//! Both modes always agree on *results*, and neither meets a type error:
+//! the binder refuses those when it plans the statement. The errors left
+//! are data's (overflow, division by zero, an out-of-range function
+//! argument), and their **ordering** may differ in three corners (an
+//! error is still always raised, with the same message):
 //!
 //! * `AND`/`OR` evaluate the left operand for the whole batch before the
 //!   right operand, so a left-side error on row 7 surfaces before a
@@ -259,7 +264,7 @@ impl<'a> Walk<'a, '_> {
                 };
                 let mut columns = vec![None; arity];
                 for c in wanted.into_iter().filter(|&c| c < arity) {
-                    columns[c] = Some(Cow::Borrowed(tb.column(c)));
+                    columns[c] = Some(Cow::Borrowed(tb.column(c)?));
                 }
                 let batch = VBatch {
                     rows: tb.lanes(),
@@ -418,17 +423,6 @@ impl<'a> Walk<'a, '_> {
                 let db = self.ctx.db();
                 let arity_fn = |t: TableId| db.table(t).map(|tb| tb.schema().arity()).unwrap_or(0);
                 let left_arity = left.arity(&arity_fn);
-                let pairs = if self.vector {
-                    equi_pairs(on, left_arity)
-                } else {
-                    Vec::new()
-                };
-                if pairs.is_empty() {
-                    // The nested loop reads whole rows of either side.
-                    let lout = self.run(left, false, None)?;
-                    let rout = self.run(right, false, None)?;
-                    return join_rows(lout, rout, on, &pairs, env).map(VOut::Rows);
-                }
                 let width = left_arity + right.arity(&arity_fn);
                 // Each side produces what the operators above read of it plus
                 // what `on` reads of it — not every column.
@@ -440,8 +434,18 @@ impl<'a> Walk<'a, '_> {
                 let split = both.partition_point(|&c| c < left_arity);
                 let right_needed: Vec<usize> =
                     both[split..].iter().map(|c| c - left_arity).collect();
-                let lout = self.run(left, true, Some(&both[..split]))?;
-                let rout = self.run(right, true, Some(&right_needed))?;
+                let pairs = if self.vector {
+                    equi_pairs(on, left_arity)
+                } else {
+                    Vec::new()
+                };
+                // The nested loop (no pairs) reads rows of either side.
+                let lanes = !pairs.is_empty();
+                let lout = self.run(left, lanes, Some(&both[..split]))?;
+                let rout = self.run(right, lanes, Some(&right_needed))?;
+                if !lanes {
+                    return join_rows(lout, rout, on, &pairs, env).map(VOut::Rows);
+                }
                 join_outputs(lout, rout, on, &pairs, left_arity, &above, env)
             }
         }

@@ -6,12 +6,10 @@
 //! is slot *i*: built once from the slots, then patched in O(1) per lane
 //! by the table's five mutators — the ones that feed the slot-op journal,
 //! so undo rollback and delta replay maintain it too. Lanes of free slots
-//! hold defaults and are never selected (`Table::live_mask`).
-//!
-//! A lane is typed by the column's declared type; a cell of another type
-//! (only `restore` and decoded images bypass schema validation) demotes
-//! the column to a `Generic` lane exactly as the row → column pivot does,
-//! because both write through [`Column::set`].
+//! hold defaults and are never selected (`Table::live_mask`). A lane has
+//! its column's declared type, which the schema coerced every stored cell
+//! to; a decoded image's cell of another type is a typed error from
+//! [`Column::set`] when its column is built.
 //!
 //! The mirror is **not state**: it is never serialized, compared or
 //! journaled, a cloned or decoded table starts without one, and it is
@@ -30,7 +28,7 @@
 //! a table no vector scan has touched pays one branch per mutation.
 
 use crate::index::RowId;
-use sstore_common::{Row, Schema, Value};
+use sstore_common::{Result, Row, Schema, Value};
 use sstore_vector::Column;
 use std::sync::OnceLock;
 
@@ -59,19 +57,20 @@ impl std::fmt::Debug for Mirror {
 
 impl Mirror {
     /// Column `c` with one lane per slot, built on first use.
-    pub(crate) fn column(&self, schema: &Schema, slots: &[Option<Row>], c: usize) -> &Column {
+    pub(crate) fn column(&self, s: &Schema, slots: &[Option<Row>], c: usize) -> Result<&Column> {
         let cols = self
             .cols
-            .get_or_init(|| (0..schema.arity()).map(|_| OnceLock::new()).collect());
-        cols[c].get_or_init(|| {
-            let mut col = Column::typed(schema.columns()[c].ty, slots.len());
-            for (i, row) in slots.iter().enumerate() {
-                if let Some(row) = row {
-                    col.set(i, row.get(c).unwrap_or(&Value::Null));
-                }
+            .get_or_init(|| (0..s.arity()).map(|_| OnceLock::new()).collect());
+        if let Some(col) = cols[c].get() {
+            return Ok(col);
+        }
+        let mut col = Column::typed(s.columns()[c].ty, slots.len());
+        for (i, row) in slots.iter().enumerate() {
+            if let Some(row) = row {
+                col.set(i, row.get(c).unwrap_or(&Value::Null))?;
             }
-            col
-        })
+        }
+        Ok(cols[c].get_or_init(|| col))
     }
 
     /// One flag per slot, set where the slot holds a row; built on first
@@ -94,9 +93,9 @@ impl Mirror {
 
     /// Slot `rid` now holds `row`.
     #[inline]
-    pub(crate) fn write(&mut self, rid: RowId, row: &Row) {
+    pub(crate) fn write(&mut self, rid: RowId, row: &Row) -> Result<()> {
         for (c, col) in self.built_mut() {
-            col.set(rid as usize, row.get(c).unwrap_or(&Value::Null));
+            col.set(rid as usize, row.get(c).unwrap_or(&Value::Null))?;
         }
         if let Some(live) = self.live.get_mut() {
             let i = rid as usize;
@@ -105,6 +104,7 @@ impl Mirror {
             }
             live[i] = true;
         }
+        Ok(())
     }
 
     /// Slot `rid` was freed.
@@ -128,7 +128,7 @@ impl Mirror {
         }
     }
 
-    /// Every slot is gone; a demoted lane is typed again.
+    /// Every slot is gone.
     pub(crate) fn truncate(&mut self, schema: &Schema) {
         for (c, col) in self.built_mut() {
             *col = Column::typed(schema.columns()[c].ty, 0);

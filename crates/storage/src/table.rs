@@ -354,7 +354,7 @@ impl Table {
                 row: row.clone(),
             });
         }
-        self.mirror.write(rid, &row);
+        self.mirror.write(rid, &row)?;
         self.slots[rid as usize] = Some(row);
         self.live += 1;
         Ok(rid)
@@ -407,12 +407,12 @@ impl Table {
                 row: new_row.clone(),
             });
         }
-        self.mirror.write(rid, &new_row);
+        self.mirror.write(rid, &new_row)?;
         self.slots[rid as usize] = Some(new_row);
         Ok(old)
     }
 
-    /// Reinsert a previously deleted row into its original slot (undo path).
+    /// Reinsert a deleted row into its original slot (undo path), validated as `insert` does.
     pub fn restore(&mut self, rid: RowId, row: Row) -> Result<()> {
         match self.slots.get(rid as usize) {
             None => {
@@ -425,7 +425,7 @@ impl Table {
             }
             Some(None) => {}
         }
-        // Undo bypasses validation: the row came out of this table.
+        let row = self.schema.validate(row)?;
         self.index_insert(&row, rid)?;
         if self.journal.is_some() {
             self.journal_record(SlotOp::Restore {
@@ -433,7 +433,7 @@ impl Table {
                 row: row.clone(),
             });
         }
-        self.mirror.write(rid, &row);
+        self.mirror.write(rid, &row)?;
         self.slots[rid as usize] = Some(row);
         // Undo restores in reverse delete order, so the slot is the free
         // stack's top: searching from the back makes a bulk undo linear.
@@ -489,9 +489,9 @@ impl Table {
     /// This is the cold pivot: every call walks every row. Vector scans
     /// read the resident [`Table::column`]s instead, whose live lanes
     /// hold the same cells (property-tested in `tests/prop_columns.rs`).
-    pub fn column_batch(&self, needed: Option<&[usize]>) -> sstore_vector::ColumnBatch {
+    pub fn column_batch(&self, needed: Option<&[usize]>) -> Result<sstore_vector::ColumnBatch> {
         sstore_vector::build_batch(
-            self.schema.arity(),
+            &self.schema,
             self.live,
             needed,
             self.scan().map(|(_, r)| r.as_ref()),
@@ -502,10 +502,10 @@ impl Table {
     /// of them), lane *i* holding slot *i*'s cell and a default where the
     /// slot is free. Built from the slots on first use, then kept in step
     /// by every mutator.
-    pub fn column(&self, c: usize) -> &sstore_vector::Column {
-        let col = self.mirror.column(&self.schema, &self.slots, c);
+    pub fn column(&self, c: usize) -> Result<&sstore_vector::Column> {
+        let col = self.mirror.column(&self.schema, &self.slots, c)?;
         debug_assert_eq!(col.len(), self.slots.len(), "mirror out of step");
-        col
+        Ok(col)
     }
 
     /// Number of lanes in every mirrored column (live and free slots).
@@ -1010,10 +1010,10 @@ mod tests {
         }
         assert_eq!(t.mirrored_columns(), 0);
         let rows_only = t.approx_bytes();
-        assert_eq!(t.column(1).len(), 100);
+        assert_eq!(t.column(1).unwrap().len(), 100);
         assert_eq!(t.mirrored_columns(), 1);
         fn lane(t: &Table) -> &sstore_vector::TextLane {
-            match &t.column(1).data {
+            match &t.column(1).unwrap().data {
                 sstore_vector::ColumnData::Text(l) => l,
                 other => panic!("not a TEXT lane: {other:?}"),
             }
@@ -1038,23 +1038,29 @@ mod tests {
         // empty string, interned first under a fresh code; restoring the
         // row takes "third"'s released code again.
         let gone = t.delete(4).unwrap();
-        assert_eq!(t.column(1).value_at(4), Value::Text(String::new()));
+        assert_eq!(t.column(1).unwrap().value_at(4), Value::Text(String::new()));
         assert!(!t.live_mask().unwrap()[4]);
         assert_eq!(lane(&t).dict().len(), 3);
         t.restore(4, gone).unwrap();
         assert_eq!(lane(&t).codes()[4], renamed);
-        assert_eq!(t.column(1).value_at(4), Value::Text("third".into()));
-        assert_eq!(t.column(1).value_at(3), Value::Text("again".into()));
+        assert_eq!(
+            t.column(1).unwrap().value_at(4),
+            Value::Text("third".into())
+        );
+        assert_eq!(
+            t.column(1).unwrap().value_at(3),
+            Value::Text("again".into())
+        );
         assert_eq!(lane(&t).dict().len(), 3);
         // A failed insert into the full slot array leaves a free lane.
         assert!(t.insert(row(7, "dup")).is_err());
-        assert_eq!(t.column(1).len(), t.lanes());
+        assert_eq!(t.column(1).unwrap().len(), t.lanes());
         let live = t.live_mask().unwrap();
         assert_eq!(live.len(), t.lanes());
         assert_eq!(live.iter().filter(|&&l| l).count(), 100);
 
         t.truncate();
-        assert_eq!((t.lanes(), t.column(1).len()), (0, 0));
+        assert_eq!((t.lanes(), t.column(1).unwrap().len()), (0, 0));
         // Still mirrored, a copy is not.
         assert_eq!(t.mirrored_columns(), 1);
         assert_eq!(t.clone().mirrored_columns(), 0);

@@ -91,8 +91,9 @@ enum Op {
     /// Run the writes under an undo log, then roll all of them back.
     RolledBack(Vec<Write>),
     Truncate,
-    /// Put a cell of the wrong type into column `c` of the `n`-th live
-    /// row, the only way there is: `restore`, which trusts its row.
+    /// Try to put a cell of the wrong type into column `c` of the `n`-th
+    /// live row through `restore`, which checks its row as `insert` does,
+    /// then restore the row itself.
     Misfit(usize, usize),
     /// A vector scan asks for these columns (bit `c` = column `c`).
     Request(u8),
@@ -144,17 +145,7 @@ fn write(db: &mut Database, undo: &mut UndoLog, w: &Write) {
         }
         Write::Update(n, cells) => {
             if let Some(rid) = nth_live(db.table(t).unwrap(), *n) {
-                let row = db.table(t).unwrap().get(rid).unwrap();
-                // Undoing an update validates the old image, which a row
-                // holding a misfit would fail; such rows are only deleted.
-                if row
-                    .iter()
-                    .zip(TYPES)
-                    .any(|(v, ty)| v.data_type().is_some_and(|t| t != ty))
-                {
-                    return;
-                }
-                let id = row[0].as_int().unwrap();
+                let id = db.table(t).unwrap().get(rid).unwrap()[0].as_int().unwrap();
                 let old = db.table_mut(t).unwrap().update(rid, cells.row(id)).unwrap();
                 undo.push(UndoOp::Update { table: t, rid, old });
             }
@@ -176,14 +167,13 @@ fn misfit_for(ty: DataType) -> Value {
     }
 }
 
-fn lane_type(data: &ColumnData) -> Option<DataType> {
+fn lane_type(data: &ColumnData) -> DataType {
     match data {
-        ColumnData::Int(_) => Some(DataType::Int),
-        ColumnData::Float(_) => Some(DataType::Float),
-        ColumnData::Bool(_) => Some(DataType::Bool),
-        ColumnData::Text(_) => Some(DataType::Text),
-        ColumnData::Timestamp(_) => Some(DataType::Timestamp),
-        ColumnData::Generic(_) => None,
+        ColumnData::Int(_) => DataType::Int,
+        ColumnData::Float(_) => DataType::Float,
+        ColumnData::Bool(_) => DataType::Bool,
+        ColumnData::Text(_) => DataType::Text,
+        ColumnData::Timestamp(_) => DataType::Timestamp,
     }
 }
 
@@ -213,24 +203,19 @@ fn live_lanes(table: &Table) -> Vec<u32> {
 }
 
 /// The invariant. `requested` are the columns some scan has asked this
-/// table for; `misfit_seen[c]` says a misfit went into column `c` while
-/// it was mirrored and no truncate has happened since (the lane stays
-/// `Generic` after the misfit is gone — a fresh pivot would be typed
-/// again; everything else about the two must agree). A misfit found
-/// live in a mirrored column is recorded there.
-fn check(table: &Table, requested: &BTreeSet<usize>, misfit_seen: &mut [bool; 6]) {
+/// table for: each is a lane of its declared type, as the pivot's is, and
+/// its live lanes hold the pivot's cells.
+fn check(table: &Table, requested: &BTreeSet<usize>) {
     assert_eq!(table.mirrored_columns(), requested.len());
     let needed: Vec<usize> = requested.iter().copied().collect();
-    let fresh = table.column_batch(Some(&needed));
+    let fresh = table.column_batch(Some(&needed)).unwrap();
     let live = live_lanes(table);
     assert_eq!(live.len(), fresh.rows);
     for &c in &needed {
-        let lane = table.column(c);
+        let lane = table.column(c).unwrap();
         assert_eq!(lane.len(), table.lanes(), "one lane per slot");
         let gathered = lane.gather(&live);
         let want = fresh.column(c);
-        // A misfit, a cell of the declared type, any cell at all?
-        let (mut misfit_live, mut any_typed, mut any_cell) = (false, false, false);
         for i in 0..fresh.rows {
             let (got, want) = (gathered.value_at(i), want.value_at(i));
             assert!(
@@ -238,37 +223,16 @@ fn check(table: &Table, requested: &BTreeSet<usize>, misfit_seen: &mut [bool; 6]
                 "column {c} row {i}: mirror {got:?}, pivot {want:?}"
             );
             assert_eq!(gathered.is_null_at(i), want.is_null());
-            any_cell |= !want.is_null();
-            any_typed |= want.data_type() == Some(TYPES[c]);
-            misfit_live |= want.data_type().is_some_and(|ty| ty != TYPES[c]);
         }
-        match lane_type(&lane.data) {
-            // Demoted: because a misfit is there, or was.
-            None => assert!(
-                misfit_live || misfit_seen[c],
-                "column {c} demoted for nothing"
-            ),
-            Some(ty) => {
-                assert!(!misfit_live, "column {c} holds a misfit in a typed lane");
-                assert_eq!(ty, TYPES[c]);
-                // The pivot types a lane by its cells; with no cell to go
-                // by it falls back to Int.
-                if any_cell {
-                    assert_eq!(lane_type(&want.data), Some(ty));
-                }
-            }
-        }
-        if misfit_live && any_typed {
-            assert_eq!(lane_type(&want.data), None, "the pivot demotes too");
-        }
-        misfit_seen[c] |= misfit_live;
+        assert_eq!(lane_type(&lane.data), TYPES[c]);
+        assert_eq!(lane_type(&want.data), TYPES[c]);
     }
 }
 
 fn request(table: &Table, mask: u8, requested: &mut BTreeSet<usize>) {
     for c in 0..6 {
         if mask & (1 << c) != 0 {
-            table.column(c);
+            table.column(c).unwrap();
             requested.insert(c);
         }
     }
@@ -284,9 +248,6 @@ proptest! {
         db.table_mut(t).unwrap().set_journaling(true);
         let mut replica = Table::new("t", schema());
         let (mut requested, mut replica_requested) = (BTreeSet::new(), BTreeSet::new());
-        let (mut misfit_seen, mut replica_misfit_seen) = ([false; 6], [false; 6]);
-        // Misfits the replica has yet to receive.
-        let mut misfits_in_flight: Vec<usize> = Vec::new();
 
         for op in &ops {
             match op {
@@ -300,9 +261,6 @@ proptest! {
                 }
                 Op::Truncate => {
                     db.table_mut(t).unwrap().truncate();
-                    misfit_seen = [false; 6];
-                    // The journal now starts at the truncate.
-                    misfits_in_flight.clear();
                 }
                 Op::Misfit(n, c) => {
                     let table = db.table_mut(t).unwrap();
@@ -310,8 +268,10 @@ proptest! {
                         let row = table.delete(rid).unwrap();
                         let mut cells = row.to_values();
                         cells[*c] = misfit_for(TYPES[*c]);
-                        table.restore(rid, Row::new(cells)).unwrap();
-                        misfits_in_flight.push(*c);
+                        let err = table.restore(rid, Row::new(cells)).unwrap_err();
+                        prop_assert_eq!(err.kind(), "type_mismatch");
+                        prop_assert!(table.get(rid).is_none(), "a refused row takes no slot");
+                        table.restore(rid, row).unwrap();
                     }
                 }
                 Op::Request(mask) => request(db.table(t).unwrap(), *mask, &mut requested),
@@ -322,13 +282,7 @@ proptest! {
                         TableDirt::Clean => {}
                         TableDirt::Ops(ops) => {
                             for op in ops {
-                                if matches!(op, sstore_storage::SlotOp::Truncate) {
-                                    replica_misfit_seen = [false; 6];
-                                }
                                 replica.apply_slot_op(op).unwrap();
-                            }
-                            for c in misfits_in_flight.drain(..) {
-                                replica_misfit_seen[c] |= replica_requested.contains(&c);
                             }
                         }
                         // Journal overflow: ship a full image instead. A
@@ -339,15 +293,13 @@ proptest! {
                             replica = Table::decode_binary(&mut codec::Reader::new(&image)).unwrap();
                             prop_assert_eq!(replica.mirrored_columns(), 0);
                             replica_requested.clear();
-                            replica_misfit_seen = [false; 6];
-                            misfits_in_flight.clear();
                         }
                     }
                     live.clear_journal();
                 }
             }
-            check(db.table(t).unwrap(), &requested, &mut misfit_seen);
-            check(&replica, &replica_requested, &mut replica_misfit_seen);
+            check(db.table(t).unwrap(), &requested);
+            check(&replica, &replica_requested);
         }
 
         // A copy of the table is a copy of its state, not of its mirror.
@@ -359,7 +311,7 @@ proptest! {
         prop_assert_eq!(back.mirrored_columns(), 0);
         let mut all = BTreeSet::new();
         request(&back, 0xff, &mut all);
-        check(&back, &all, &mut [false; 6]);
+        check(&back, &all);
     }
 }
 
@@ -438,7 +390,7 @@ proptest! {
         .unwrap();
         let mut db = Database::new();
         let t = db.create_table("t", schema).unwrap();
-        db.table(t).unwrap().column(1);
+        db.table(t).unwrap().column(1).unwrap();
         // Slot → its cell; `None` = a free slot.
         let mut model: Vec<Option<Value>> = Vec::new();
 
@@ -500,7 +452,7 @@ proptest! {
             }
 
             let table = db.table(t).unwrap();
-            let col = table.column(1);
+            let col = table.column(1).unwrap();
             let ColumnData::Text(lane) = &col.data else {
                 panic!("the lane stays TEXT: {:?}", col.data)
             };
@@ -513,7 +465,7 @@ proptest! {
                 }
             }
             let live = live_lanes(table);
-            let pivot = table.column_batch(Some(&[1]));
+            let pivot = table.column_batch(Some(&[1])).unwrap();
             let gathered = col.gather(&live);
             for r in 0..pivot.rows {
                 prop_assert_eq!(gathered.value_at(r), pivot.column(1).value_at(r));
@@ -525,10 +477,10 @@ proptest! {
     }
 }
 
-/// The one deterministic case the issue names: a FLOAT lane that receives
-/// a value which is not a float ends up exactly where the pivot does.
+/// A FLOAT lane refuses a cell that is not a float, and so does the
+/// pivot: `restore` checks the row before it touches the slot.
 #[test]
-fn float_lane_receiving_a_misfit_demotes_like_the_pivot() {
+fn float_lane_refuses_a_misfit_like_the_pivot() {
     let mut table = Table::new("t", schema());
     for id in 0..4 {
         let cells = Cells {
@@ -539,12 +491,15 @@ fn float_lane_receiving_a_misfit_demotes_like_the_pivot() {
         };
         table.insert(cells.row(id)).unwrap();
     }
-    assert!(matches!(table.column(2).data, ColumnData::Float(_)));
+    let before = table.column(2).unwrap().clone();
+    assert!(matches!(before.data, ColumnData::Float(_)));
     let row = table.delete(1).unwrap();
     let mut cells = row.to_values();
-    cells[2] = Value::Int(9);
-    table.restore(1, Row::new(cells)).unwrap();
-    let pivot = table.column_batch(Some(&[2]));
-    assert!(matches!(pivot.column(2).data, ColumnData::Generic(_)));
-    assert_eq!(table.column(2), pivot.column(2));
+    cells[2] = Value::Text("odd".into());
+    let err = table.restore(1, Row::new(cells)).unwrap_err();
+    assert_eq!(err.kind(), "type_mismatch");
+    table.restore(1, row).unwrap();
+    assert_eq!(table.column(2).unwrap(), &before);
+    let pivot = table.column_batch(Some(&[2])).unwrap();
+    assert!(matches!(pivot.column(2).data, ColumnData::Float(_)));
 }

@@ -787,6 +787,38 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_filled_tail_is_torn_and_open_trims_it() {
+        // A power loss can persist the file's size before its data: the
+        // last appends read back as zeros.
+        let dir = tempdir("zero-tail");
+        let cfg = LogConfig::new(&dir);
+        let acks: Vec<LogRecord> = (1..=3)
+            .map(|b| LogRecord::Ack {
+                batch: BatchId::new(b),
+            })
+            .collect();
+        {
+            let mut log = CommandLog::open(cfg.clone()).unwrap();
+            for ack in &acks {
+                log.append(ack).unwrap();
+            }
+            log.sync().unwrap();
+        }
+        let intact = std::fs::metadata(cfg.log_path()).unwrap().len();
+        let mut file = OpenOptions::new()
+            .append(true)
+            .open(cfg.log_path())
+            .unwrap();
+        file.write_all(&[0; 24]).unwrap();
+        drop(file);
+        assert_eq!(read_log(&cfg.log_path()).unwrap(), acks);
+        drop(CommandLog::open(cfg.clone()).unwrap());
+        assert_eq!(std::fs::metadata(cfg.log_path()).unwrap().len(), intact);
+        assert_eq!(read_log(&cfg.log_path()).unwrap(), acks);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn torn_header_restarts_the_log_empty() {
         // The very first write tore inside the 8-byte file header: no
         // record was ever durable, so open() restarts the file from

@@ -2,18 +2,16 @@
 //!
 //! A [`Column`] is written one lane at a time ([`Column::set`]): that one
 //! writer serves both the cold row → column pivot ([`build_batch`]) and
-//! the storage layer's resident column mirror, so a cell that does not
-//! fit its lane demotes either of them the same way.
+//! the storage layer's resident column mirror.
 //!
 //! A [`ColumnBatch`] is the unit of work between vectorized operators: a
 //! set of equal-length columns plus an implicit row count. Columns the
 //! planner proved unused are `None` (pruned) so the scan never pays for
 //! them. Each [`Column`] stores one native lane (`Vec<i64>`, `Vec<f64>`,
 //! …) plus an optional validity [`Bitmap`]; NULL cells hold a default in
-//! the lane and a cleared validity bit. Cells whose runtime type does not
-//! match the rest of the column (possible because table cells are dynamic
-//! [`Value`]s) demote the whole column to a [`ColumnData::Generic`] lane of
-//! boxed values — correctness is never lost, only the fast kernels.
+//! the lane and a cleared validity bit. A lane has its column's declared
+//! type, and the schema coerces every stored cell to that type, so a cell
+//! of another type is a typed error, not a lane of another kind.
 //!
 //! A TEXT lane is a [`TextLane`]: one `u32` code per cell and a shared
 //! [`Dict`] holding each distinct string once. The dictionary counts the
@@ -24,7 +22,7 @@
 //! and group by code. Two lanes may number the same strings differently,
 //! so lanes compare by their decoded strings.
 
-use sstore_common::{DataType, Value};
+use sstore_common::{DataType, Error, Result, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -298,8 +296,6 @@ pub enum ColumnData {
     Text(TextLane),
     /// Microsecond timestamps (`Value::Timestamp`), lane-compatible with Int.
     Timestamp(Vec<i64>),
-    /// Mixed-type escape hatch: boxed values, no fast kernels.
-    Generic(Vec<Value>),
 }
 
 impl ColumnData {
@@ -321,7 +317,6 @@ impl ColumnData {
             ColumnData::Float(d) => d.len(),
             ColumnData::Bool(d) => d.len(),
             ColumnData::Text(l) => l.codes.len(),
-            ColumnData::Generic(d) => d.len(),
         }
     }
 
@@ -332,7 +327,6 @@ impl ColumnData {
             ColumnData::Float(d) => d.reserve(additional),
             ColumnData::Bool(d) => d.reserve(additional),
             ColumnData::Text(l) => l.codes.reserve(additional),
-            ColumnData::Generic(d) => d.reserve(additional),
         }
     }
 
@@ -343,7 +337,6 @@ impl ColumnData {
             ColumnData::Float(d) => d.resize(len, 0.0),
             ColumnData::Bool(d) => d.resize(len, false),
             ColumnData::Text(l) => l.grow(len),
-            ColumnData::Generic(d) => d.resize(len, Value::Null),
         }
     }
 }
@@ -379,14 +372,10 @@ impl Column {
         self.data.len() == 0
     }
 
-    /// True when cell `i` is NULL. Generic lanes may hold `Value::Null`
-    /// directly, so both the bitmap and the cell are consulted.
+    /// True when cell `i` is NULL.
     #[inline]
     pub fn is_null_at(&self, i: usize) -> bool {
-        if !valid_at(self.validity.as_ref(), i) {
-            return true;
-        }
-        matches!(&self.data, ColumnData::Generic(d) if d[i] == Value::Null)
+        !valid_at(self.validity.as_ref(), i)
     }
 
     /// Materialize cell `i` back into a dynamic [`Value`].
@@ -400,7 +389,6 @@ impl Column {
             ColumnData::Bool(d) => Value::Bool(d[i]),
             ColumnData::Text(l) => Value::Text(l.get(i).to_owned()),
             ColumnData::Timestamp(d) => Value::Timestamp(d[i]),
-            ColumnData::Generic(d) => d[i].clone(),
         }
     }
 
@@ -414,9 +402,9 @@ impl Column {
 
     /// Write `v` into cell `i`, growing the column when `i` is at or past
     /// its end. NULL clears the validity bit and leaves a default in the
-    /// lane; a non-NULL cell whose type is not the lane's demotes the
-    /// whole column to `Generic` first.
-    pub fn set(&mut self, i: usize, v: &Value) {
+    /// lane; a non-NULL cell whose type is not the lane's is refused with
+    /// a typed error and changes nothing.
+    pub fn set(&mut self, i: usize, v: &Value) -> Result<()> {
         fn put<T>(d: &mut Vec<T>, i: usize, x: T) {
             if i == d.len() {
                 d.push(x);
@@ -438,20 +426,14 @@ impl Column {
                 self.validity
                     .get_or_insert_with(|| Bitmap::new_set(len))
                     .set(i, false);
-                return;
+                return Ok(());
             }
             (ColumnData::Int(d), Value::Int(x)) => put(d, i, *x),
             (ColumnData::Float(d), Value::Float(x)) => put(d, i, *x),
             (ColumnData::Bool(d), Value::Bool(x)) => put(d, i, *x),
             (ColumnData::Text(l), Value::Text(x)) => l.put(i, x),
             (ColumnData::Timestamp(d), Value::Timestamp(x)) => put(d, i, *x),
-            (ColumnData::Generic(d), v) => put(d, i, v.clone()),
-            // Type drift within the column.
-            (_, v) => {
-                let mut vals: Vec<Value> = (0..self.len()).map(|j| self.value_at(j)).collect();
-                put(&mut vals, i, v.clone());
-                self.data = ColumnData::Generic(vals);
-            }
+            (_, v) => return Err(Error::TypeMismatch(format!("{v} does not fit its lane"))),
         }
         if let Some(validity) = &mut self.validity {
             if i == validity.len() {
@@ -460,11 +442,7 @@ impl Column {
                 validity.set(i, true);
             }
         }
-    }
-
-    /// Append one cell.
-    pub(crate) fn push(&mut self, v: &Value) {
-        self.set(self.len(), v);
+        Ok(())
     }
 
     /// Put the lane's default into cell `i`, releasing a string's code.
@@ -475,7 +453,6 @@ impl Column {
             ColumnData::Float(d) => d[i] = 0.0,
             ColumnData::Bool(d) => d[i] = false,
             ColumnData::Text(l) => l.put(i, ""),
-            ColumnData::Generic(d) => d[i] = Value::Null,
         }
     }
 
@@ -495,7 +472,6 @@ impl Column {
                 gathered: true,
             }),
             ColumnData::Timestamp(d) => ColumnData::Timestamp(pick(d, idx)),
-            ColumnData::Generic(d) => ColumnData::Generic(pick(d, idx)),
         };
         let validity = self.validity.as_ref().map(|v| {
             let mut out = Bitmap::new_set(idx.len());
@@ -517,15 +493,6 @@ impl Column {
             ColumnData::Float(d) => d.capacity() * 8,
             ColumnData::Bool(d) => d.capacity(),
             ColumnData::Text(l) => l.codes.capacity() * 4 + l.dict.heap_bytes(),
-            ColumnData::Generic(d) => {
-                d.capacity() * std::mem::size_of::<Value>()
-                    + d.iter()
-                        .map(|v| match v {
-                            Value::Text(s) => s.capacity(),
-                            _ => 0,
-                        })
-                        .sum::<usize>()
-            }
         };
         lane + self.validity.as_ref().map_or(0, Bitmap::heap_bytes)
     }
@@ -552,98 +519,54 @@ impl ColumnBatch {
     }
 }
 
-/// Per-column pivot state. The lane adopts the type of the first non-NULL
-/// cell; until then only the length of the NULL prefix is known.
-enum ColBuilder {
-    Nulls(usize),
-    Typed(Column),
-}
-
-impl ColBuilder {
-    fn push(&mut self, v: &Value, rows: usize) {
-        match (&mut *self, v.data_type()) {
-            (ColBuilder::Nulls(n), None) => *n += 1,
-            (ColBuilder::Nulls(n), Some(ty)) => {
-                let n = *n;
-                let mut col = Column::typed(ty, n);
-                if n > 0 {
-                    col.validity = Some(Bitmap::new_clear(n));
-                }
-                col.data.reserve(rows.saturating_sub(n));
-                col.push(v);
-                *self = ColBuilder::Typed(col);
-            }
-            (ColBuilder::Typed(col), _) => col.push(v),
-        }
-    }
-
-    fn finish(self) -> Column {
-        match self {
-            // All cells NULL: an Int lane of defaults with an all-clear
-            // validity region is equivalent and keeps numeric kernels usable.
-            ColBuilder::Nulls(n) => Column {
-                data: ColumnData::Int(vec![0; n]),
-                validity: (n > 0).then(|| Bitmap::new_clear(n)),
-            },
-            ColBuilder::Typed(col) => col,
-        }
-    }
-}
-
-/// Pivot rows into a [`ColumnBatch`]. `arity` is the full schema width;
-/// `needed` restricts which columns are materialized (`None` = all). The
-/// row count must be known up front so validity bitmaps allocate once.
+/// Pivot rows into a [`ColumnBatch`] with one lane per `schema` column
+/// of its declared type. `needed` restricts which columns are materialized
+/// (`None` = all). The row count must be known up front so lanes allocate
+/// once.
 ///
-/// Rows shorter than `arity` contribute NULL for their missing trailing
+/// Rows shorter than the schema contribute NULL for their missing trailing
 /// columns (matches how the row interpreter treats short rows: absent
 /// cells never compare equal to anything).
 pub fn build_batch<'a, I>(
-    arity: usize,
+    schema: &Schema,
     rows: usize,
     needed: Option<&[usize]>,
     iter: I,
-) -> ColumnBatch
+) -> Result<ColumnBatch>
 where
     I: Iterator<Item = &'a [Value]>,
 {
-    let want: Vec<bool> = match needed {
-        None => vec![true; arity],
-        Some(idx) => {
-            let mut w = vec![false; arity];
-            for &i in idx {
-                if i < arity {
-                    w[i] = true;
-                }
-            }
-            w
+    let mut columns: Vec<Option<Column>> = vec![None; schema.arity()];
+    for c in needed.map_or_else(|| (0..schema.arity()).collect(), <[usize]>::to_vec) {
+        if let Some(decl) = schema.columns().get(c) {
+            let mut col = Column::typed(decl.ty, 0);
+            col.data.reserve(rows);
+            columns[c] = Some(col);
         }
-    };
-    let mut builders: Vec<Option<ColBuilder>> = want
-        .iter()
-        .map(|&w| w.then_some(ColBuilder::Nulls(0)))
-        .collect();
+    }
     let mut n = 0usize;
     for row in iter {
-        for (c, b) in builders.iter_mut().enumerate() {
-            if let Some(b) = b {
-                b.push(row.get(c).unwrap_or(&Value::Null), rows);
+        for (c, col) in columns.iter_mut().enumerate() {
+            if let Some(col) = col {
+                col.set(col.len(), row.get(c).unwrap_or(&Value::Null))?;
             }
         }
         n += 1;
     }
     debug_assert_eq!(n, rows, "build_batch row count mismatch");
-    ColumnBatch {
-        rows,
-        columns: builders
-            .into_iter()
-            .map(|b| b.map(|b| b.finish()))
-            .collect(),
-    }
+    Ok(ColumnBatch { rows, columns })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A keyless schema of nullable columns of these types.
+    fn schema(types: &[DataType]) -> Schema {
+        let cols = types.iter().enumerate();
+        let cols = cols.map(|(i, &ty)| sstore_common::Column::nullable(format!("c{i}"), ty));
+        Schema::keyless(cols.collect()).unwrap()
+    }
 
     #[test]
     fn bitmap_set_get_across_word_boundary() {
@@ -665,15 +588,15 @@ mod tests {
     #[test]
     fn set_overwrites_grows_and_tracks_nulls() {
         let mut c = Column::typed(DataType::Text, 0);
-        c.set(2, &Value::Text("x".into()));
+        c.set(2, &Value::Text("x".into())).unwrap();
         assert_eq!(c.len(), 3);
         assert!(c.validity.is_none());
         assert_eq!(c.value_at(0), Value::Text(String::new()));
-        c.set(0, &Value::Null);
+        c.set(0, &Value::Null).unwrap();
         assert!(c.is_null_at(0) && !c.is_null_at(1) && !c.is_null_at(2));
-        c.push(&Value::Text("y".into()));
+        c.set(c.len(), &Value::Text("y".into())).unwrap();
         assert_eq!(c.value_at(3), Value::Text("y".into()));
-        c.set(0, &Value::Text("z".into()));
+        c.set(0, &Value::Text("z".into())).unwrap();
         assert_eq!(c.value_at(0), Value::Text("z".into()));
         c.clear(2);
         assert_eq!(c.value_at(2), Value::Text(String::new()));
@@ -691,20 +614,20 @@ mod tests {
         let mut c = Column::typed(DataType::Text, 3);
         assert_eq!(text(&c).dict().len(), 1, "three empty strings, one entry");
         for (i, s) in ["a", "b", "a"].into_iter().enumerate() {
-            c.set(i, &Value::Text(s.into()));
+            c.set(i, &Value::Text(s.into())).unwrap();
         }
         // The empty string lost its last cell.
         assert_eq!(text(&c).dict().len(), 2);
         assert_eq!(text(&c).codes(), &[1, 2, 1]);
         // Rewriting a cell with its own string keeps its code.
-        c.set(1, &Value::Text("b".into()));
+        c.set(1, &Value::Text("b".into())).unwrap();
         assert_eq!(text(&c).codes()[1], 2);
         // "c" takes the empty string's released code, and "b" is released
         // after it is interned; the next new string reuses "b"'s code.
-        c.set(1, &Value::Text("c".into()));
+        c.set(1, &Value::Text("c".into())).unwrap();
         assert_eq!(text(&c).codes(), &[1, 0, 1]);
         assert_eq!(text(&c).dict().len(), 2);
-        c.set(0, &Value::Null);
+        c.set(0, &Value::Null).unwrap();
         assert_eq!(text(&c).codes()[0], 2, "NULL's empty string");
         assert_eq!(c.value_at(0), Value::Null);
         c.clear(2);
@@ -719,10 +642,10 @@ mod tests {
         let mut a = Column::typed(DataType::Text, 0);
         let mut b = Column::typed(DataType::Text, 0);
         for s in ["x", "y", "x"] {
-            a.push(&Value::Text(s.into()));
+            a.set(a.len(), &Value::Text(s.into())).unwrap();
         }
         for s in ["y", "x", "x", "y"] {
-            b.push(&Value::Text(s.into()));
+            b.set(b.len(), &Value::Text(s.into())).unwrap();
         }
         assert_ne!(a, b);
         // The same strings under other codes.
@@ -735,7 +658,7 @@ mod tests {
         let mut g = a.gather(&[0, 0, 2, 2, 1]);
         assert!(Arc::ptr_eq(&text(&g).dict, &text(&a).dict));
         for i in 0..4 {
-            g.set(i, &Value::Text("z".into()));
+            g.set(i, &Value::Text("z".into())).unwrap();
         }
         let cells: Vec<Value> = (0..5).map(|i| g.value_at(i)).collect();
         let want = ["z", "z", "z", "z", "y"].map(|s| Value::Text(s.into()));
@@ -746,26 +669,29 @@ mod tests {
     }
 
     #[test]
-    fn set_of_a_misfit_demotes_like_the_pivot() {
+    fn a_misfit_cell_is_a_typed_error_like_the_pivot() {
         let mut c = Column::typed(DataType::Float, 0);
-        c.push(&Value::Float(1.5));
-        c.push(&Value::Null);
-        c.push(&Value::Int(2));
-        let rows = [
-            vec![Value::Float(1.5)],
-            vec![Value::Null],
-            vec![Value::Int(2)],
-        ];
-        let b = build_batch(1, 3, None, rows.iter().map(|r| r.as_slice()));
-        assert_eq!(&c, b.column(0));
-        assert!(matches!(c.data, ColumnData::Generic(_)));
+        c.set(c.len(), &Value::Float(1.5)).unwrap();
+        c.set(c.len(), &Value::Null).unwrap();
+        let before = c.clone();
+        let err = c.set(c.len(), &Value::Int(2)).unwrap_err();
+        assert_eq!(err.kind(), "type_mismatch");
+        assert_eq!(c, before, "a refused cell changes nothing");
+        let rows = [vec![Value::Float(1.5)], vec![Value::Int(2)]];
+        let pivot = build_batch(
+            &schema(&[DataType::Float]),
+            2,
+            None,
+            rows.iter().map(|r| r.as_slice()),
+        );
+        assert_eq!(pivot.unwrap_err(), err);
     }
 
     #[test]
     fn gather_picks_cells_and_validity() {
         let mut c = Column::typed(DataType::Int, 0);
         for v in [Value::Int(5), Value::Null, Value::Int(7)] {
-            c.push(&v);
+            c.set(c.len(), &v).unwrap();
         }
         let g = c.gather(&[2, 1, 2]);
         assert_eq!(g.value_at(0), Value::Int(7));
@@ -780,7 +706,13 @@ mod tests {
             vec![Value::Int(1), Value::Null, Value::Text("a".into())],
             vec![Value::Int(2), Value::Float(1.5), Value::Null],
         ];
-        let b = build_batch(3, 2, None, rows.iter().map(|r| r.as_slice()));
+        let b = build_batch(
+            &schema(&[DataType::Int, DataType::Float, DataType::Text]),
+            2,
+            None,
+            rows.iter().map(|r| r.as_slice()),
+        )
+        .unwrap();
         assert_eq!(b.rows, 2);
         assert!(matches!(b.column(0).data, ColumnData::Int(_)));
         assert!(matches!(b.column(1).data, ColumnData::Float(_)));
@@ -792,29 +724,27 @@ mod tests {
     #[test]
     fn build_batch_prunes_columns() {
         let rows = [vec![Value::Int(1), Value::Int(2)]];
-        let b = build_batch(2, 1, Some(&[1]), rows.iter().map(|r| r.as_slice()));
+        let b = build_batch(
+            &schema(&[DataType::Int; 2]),
+            1,
+            Some(&[1]),
+            rows.iter().map(|r| r.as_slice()),
+        )
+        .unwrap();
         assert!(b.columns[0].is_none());
         assert_eq!(b.column(1).value_at(0), Value::Int(2));
     }
 
     #[test]
-    fn mixed_types_demote_to_generic() {
-        let rows = [
-            vec![Value::Int(1)],
-            vec![Value::Text("x".into())],
-            vec![Value::Null],
-        ];
-        let b = build_batch(1, 3, None, rows.iter().map(|r| r.as_slice()));
-        assert!(matches!(b.column(0).data, ColumnData::Generic(_)));
-        assert_eq!(b.column(0).value_at(0), Value::Int(1));
-        assert_eq!(b.column(0).value_at(1), Value::Text("x".into()));
-        assert!(b.column(0).is_null_at(2));
-    }
-
-    #[test]
     fn all_null_column_reads_as_null() {
         let rows = [vec![Value::Null], vec![Value::Null]];
-        let b = build_batch(1, 2, None, rows.iter().map(|r| r.as_slice()));
+        let b = build_batch(
+            &schema(&[DataType::Bool]),
+            2,
+            None,
+            rows.iter().map(|r| r.as_slice()),
+        )
+        .unwrap();
         assert!(b.column(0).is_null_at(0) && b.column(0).is_null_at(1));
         assert_eq!(b.column(0).value_at(1), Value::Null);
     }
@@ -822,7 +752,13 @@ mod tests {
     #[test]
     fn short_rows_pad_with_null() {
         let rows: [Vec<Value>; 2] = [vec![Value::Int(1)], vec![Value::Int(2), Value::Int(9)]];
-        let b = build_batch(2, 2, None, rows.iter().map(|r| r.as_slice()));
+        let b = build_batch(
+            &schema(&[DataType::Int; 2]),
+            2,
+            None,
+            rows.iter().map(|r| r.as_slice()),
+        )
+        .unwrap();
         assert!(b.column(1).is_null_at(0));
         assert_eq!(b.column(1).value_at(1), Value::Int(9));
     }

@@ -34,7 +34,7 @@ pub enum NumSrc<'a> {
 
 impl NumSrc<'_> {
     /// True for integer-typed sources (column or constant).
-    pub fn is_int(&self) -> bool {
+    pub(crate) fn is_int(&self) -> bool {
         matches!(self, NumSrc::I(_) | NumSrc::CI(_))
     }
 
@@ -544,14 +544,14 @@ mod tests {
     fn cmp_str_every_op_with_the_constant_on_either_side() {
         let mut col = Column::typed(DataType::Text, 0);
         for s in ["", "a", "ab", "b", "a", "abc", "", "ab", "x", "y"] {
-            col.push(&Value::Text(s.into()));
+            col.set(col.len(), &Value::Text(s.into())).unwrap();
         }
         // "x" and "y" lose their last cells, and "zz" and "b" take their
         // codes; cell 9 turns NULL.
-        col.set(8, &Value::Text("ab".into()));
-        col.set(9, &Value::Null);
-        col.set(3, &Value::Text("zz".into()));
-        col.set(4, &Value::Text("b".into()));
+        col.set(8, &Value::Text("ab".into())).unwrap();
+        col.set(9, &Value::Null).unwrap();
+        col.set(3, &Value::Text("zz".into())).unwrap();
+        col.set(4, &Value::Text("b".into())).unwrap();
         let ColumnData::Text(lane) = &col.data else {
             panic!("a TEXT lane")
         };

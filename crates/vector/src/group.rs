@@ -251,11 +251,10 @@ impl<'a> Groups<'a> {
         }
     }
 
-    /// Group the selected rows by `col`. `None` for a `Generic` lane,
-    /// whose cells only compare as dynamic values.
-    pub fn of(col: &'a Column, sel: Sel, rows: usize) -> Option<Groups<'a>> {
+    /// Group the selected rows by `col`.
+    pub fn of(col: &'a Column, sel: Sel, rows: usize) -> Groups<'a> {
         let v = col.validity.as_ref();
-        Some(match &col.data {
+        match &col.data {
             ColumnData::Int(d) | ColumnData::Timestamp(d) => {
                 match dense_range(d, v, sel, rows, sel.bound(rows)) {
                     Some((min, span)) => Groups::dense(d, v, min, span, sel, rows),
@@ -267,8 +266,7 @@ impl<'a> Groups<'a> {
             ColumnData::Bool(d) => hashed(|i| d[i], v, sel, rows),
             // One code per distinct string within a lane.
             ColumnData::Text(l) => hashed(|i| l.codes()[i], v, sel, rows),
-            ColumnData::Generic(_) => return None,
-        })
+        }
     }
 
     /// The groups of a dense key lane with its valid selected keys in
@@ -598,7 +596,7 @@ mod tests {
     fn col(ty: DataType, cells: &[Value]) -> Column {
         let mut c = Column::typed(ty, 0);
         for v in cells {
-            c.push(v);
+            c.set(c.len(), v).unwrap();
         }
         c
     }
@@ -615,7 +613,7 @@ mod tests {
                 Value::Null,
             ],
         );
-        let g = Groups::of(&c, Sel::All, 5).unwrap();
+        let g = Groups::of(&c, Sel::All, 5);
         assert_eq!(g.ids(Sel::All, 5), vec![0, 1, 2, 0, 1]);
         assert_eq!(g.first, vec![0, 1, 2]);
     }
@@ -628,13 +626,13 @@ mod tests {
         );
         // Positions need not ascend: groups follow the selection's order.
         let sel = Sel::Pos(&[3, 1, 2]);
-        let g = Groups::of(&c, sel, 4).unwrap();
+        let g = Groups::of(&c, sel, 4);
         assert_eq!(g.first, vec![3, 1, 2]);
         let ids = g.ids(sel, 4);
         assert_eq!((ids[3], ids[1], ids[2]), (0, 1, 2));
         let mask = [false, true, true, true];
         for sel in [Sel::Pos(&[1, 2, 3]), Sel::Mask(&mask)] {
-            let g = Groups::of(&c, sel, 4).unwrap();
+            let g = Groups::of(&c, sel, 4);
             assert_eq!(g.first, vec![1, 2, 3]);
             assert_eq!(g.ids(sel, 4)[1..], [0, 1, 2]);
         }
@@ -646,7 +644,7 @@ mod tests {
         // group's float sum, follow the positions' order.
         let c = col(DataType::Int, &[5, 6, 7, 5, 6, 5].map(Value::Int));
         let sel = Sel::Pos(&[5, 2, 0, 4, 3, 1]);
-        let g = Groups::of(&c, sel, 6).unwrap();
+        let g = Groups::of(&c, sel, 6);
         assert!(matches!(g.by, By::Dense(_)));
         assert_eq!(g.first, vec![5, 2, 4]);
         assert_eq!(g.ids(sel, 6), vec![0, 2, 1, 0, 2, 0]);
@@ -672,11 +670,7 @@ mod tests {
             DataType::Bool,
             &[true.into(), false.into(), true.into(), true.into()],
         );
-        let g = Groups::of(&a, Sel::All, 4).unwrap().and(
-            &Groups::of(&b, Sel::All, 4).unwrap(),
-            Sel::All,
-            4,
-        );
+        let g = Groups::of(&a, Sel::All, 4).and(&Groups::of(&b, Sel::All, 4), Sel::All, 4);
         assert_eq!(g.ids(Sel::All, 4), vec![0, 1, 2, 0]);
         assert_eq!(g.len(), 3);
     }
@@ -700,13 +694,13 @@ mod tests {
         );
         for keys in [[0, 3, 1, 3], [0, 4, 1, 4]] {
             let c = col(DataType::Int, &keys.map(Value::Int));
-            let g = Groups::of(&c, Sel::All, 4).unwrap();
+            let g = Groups::of(&c, Sel::All, 4);
             assert_eq!(g.ids(Sel::All, 4), vec![0, 1, 2, 1]);
             assert_eq!(g.first, vec![0, 1, 2]);
         }
         for keys in [[9, 0, -9, 1], [9, 0, -9, 2]] {
             let c = col(DataType::Int, &keys.map(Value::Int));
-            let g = Groups::of(&c, Sel::Pos(&sel), 4).unwrap();
+            let g = Groups::of(&c, Sel::Pos(&sel), 4);
             let ids = g.ids(Sel::Pos(&sel), 4);
             assert_eq!((ids[1], ids[3]), (0, 1));
             assert_eq!(g.first, vec![1, 3]);
@@ -735,7 +729,7 @@ mod tests {
             [max, max - 1, max],
         ] {
             let c = col(DataType::Timestamp, &keys.map(Value::Timestamp));
-            let g = Groups::of(&c, Sel::All, 3).unwrap();
+            let g = Groups::of(&c, Sel::All, 3);
             assert_eq!(g.ids(Sel::All, 3), vec![0, 1, 0]);
             assert_eq!(g.first, vec![0, 1]);
         }
@@ -751,7 +745,7 @@ mod tests {
             dense_range(d, nulls.validity.as_ref(), Sel::All, 3, 3),
             None
         );
-        let g = Groups::of(&nulls, Sel::All, 3).unwrap();
+        let g = Groups::of(&nulls, Sel::All, 3);
         assert_eq!((g.ids(Sel::All, 3), g.first), (vec![0, 0, 0], vec![0]));
 
         let c = col(
@@ -766,17 +760,11 @@ mod tests {
             dense_range(d, c.validity.as_ref(), Sel::Pos(&sel), 4, 2),
             None
         );
-        let g = Groups::of(&c, Sel::Pos(&sel), 4).unwrap();
+        let g = Groups::of(&c, Sel::Pos(&sel), 4);
         let ids = g.ids(Sel::Pos(&sel), 4);
         assert_eq!((ids[1], ids[3]), (0, 0));
         assert_eq!(g.first, vec![1]);
-        assert!(Groups::of(&c, Sel::Pos(&[]), 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn generic_lanes_have_no_kernel() {
-        let c = col(DataType::Int, &[1.into(), "x".into()]);
-        assert!(Groups::of(&c, Sel::All, 2).is_none());
+        assert!(Groups::of(&c, Sel::Pos(&[]), 4).is_empty());
     }
 
     #[test]
@@ -786,7 +774,7 @@ mod tests {
             DataType::Int,
             &[10.into(), Value::Null, 30.into(), Value::Null],
         );
-        let g = Groups::of(&k, Sel::All, 4).unwrap();
+        let g = Groups::of(&k, Sel::All, 4);
         let ColumnData::Int(d) = &w.data else {
             panic!()
         };
@@ -812,12 +800,12 @@ mod tests {
     fn sum_overflow_inside_one_group_errors() {
         let k = col(DataType::Int, &[1.into(), 2.into(), 1.into()]);
         let d = [i64::MAX, i64::MAX, 1];
-        let g = Groups::of(&k, Sel::All, 3).unwrap();
+        let g = Groups::of(&k, Sel::All, 3);
         let err = sums(g.sum_int(&d, None, Sel::All, 3)).unwrap_err();
         assert_eq!(err, Error::Constraint("integer overflow in SUM".into()));
         // The same cells in different groups do not overflow.
         let k = col(DataType::Int, &[1.into(), 2.into(), 3.into()]);
-        let g = Groups::of(&k, Sel::All, 3).unwrap();
+        let g = Groups::of(&k, Sel::All, 3);
         assert!(sums(g.sum_int(&d, None, Sel::All, 3)).is_ok());
     }
 
@@ -839,15 +827,15 @@ mod tests {
             assert_eq!(sums(all.sum_int(&d, None, Sel::Pos(&sel), 4)), over);
             let all = Groups::all(Sel::All, 4);
             assert_eq!(sums(all.sum_int(&d, Some(&nul), Sel::All, 4)), over);
-            let g = Groups::of(&one, Sel::All, 3).unwrap();
+            let g = Groups::of(&one, Sel::All, 3);
             assert_eq!(sums(g.sum_int(&d, None, Sel::All, 3)), over);
-            let g = Groups::of(&one, Sel::All, 4).unwrap();
+            let g = Groups::of(&one, Sel::All, 4);
             assert_eq!(sums(g.sum_int(&d, Some(&nul), Sel::All, 4)), over);
             // One cell per group: nothing overflows.
-            let g = Groups::of(&split, Sel::All, 3).unwrap();
+            let g = Groups::of(&split, Sel::All, 3);
             let want: Vec<_> = d[..3].iter().map(|&x| Some(x)).collect();
             assert_eq!(sums(g.sum_int(&d, None, Sel::All, 3)), Ok(want.clone()));
-            let g = Groups::of(&split, Sel::All, 4).unwrap();
+            let g = Groups::of(&split, Sel::All, 4);
             let mut with_null = want;
             with_null.push(None);
             assert_eq!(sums(g.sum_int(&d, Some(&nul), Sel::All, 4)), Ok(with_null));
@@ -867,7 +855,7 @@ mod tests {
         let k = col(DataType::Int, &[1.into(), 2.into(), 1.into()]);
         for g in [
             Groups::all(Sel::Pos(&[]), 3),
-            Groups::of(&k, Sel::Pos(&[]), 3).unwrap(),
+            Groups::of(&k, Sel::Pos(&[]), 3),
         ] {
             assert!(g.is_empty());
             for v in [None, Some(&clear)] {
@@ -880,7 +868,7 @@ mod tests {
     #[test]
     fn float_lanes_group_by_bits_and_keep_first_on_ties() {
         let k = col(DataType::Float, &[0.0.into(), (-0.0).into(), 0.0.into()]);
-        let g = Groups::of(&k, Sel::All, 3).unwrap();
+        let g = Groups::of(&k, Sel::All, 3);
         assert_eq!(g.ids(Sel::All, 3), vec![0, 1, 0]);
         let d = [0.0f64, 5.0, -0.0];
         let m = g.min_max_float(&d, None, Sel::All, 3, false);
@@ -900,7 +888,7 @@ mod tests {
         let mask = [false, true, true];
         let keys = col(DataType::Int, &[1.into(), 1.into(), 1.into()]);
         let all = Groups::all(Sel::Mask(&mask), 3);
-        let by_key = Groups::of(&keys, Sel::Mask(&mask), 3).unwrap();
+        let by_key = Groups::of(&keys, Sel::Mask(&mask), 3);
         for g in [&all, &by_key] {
             let got = g.sum_int(&d, None, Sel::Mask(&mask), 3);
             assert_eq!(got, Ok((vec![Some(0)], vec![2])));
@@ -910,7 +898,7 @@ mod tests {
         // add and still errors, though the total fits.
         let every = [true; 3];
         let all = Groups::all(Sel::Mask(&every), 3);
-        let by_key = Groups::of(&keys, Sel::Mask(&every), 3).unwrap();
+        let by_key = Groups::of(&keys, Sel::Mask(&every), 3);
         // A validity bitmap with nothing cleared takes the NULL-aware loop.
         let nul = Bitmap::new_set(3);
         for g in [&all, &by_key] {
@@ -921,7 +909,7 @@ mod tests {
         // ungrouped aggregate's one row, COUNT 0 and a NULL SUM.
         let none = [false; 3];
         assert!(Groups::all(Sel::Mask(&none), 3).is_empty());
-        assert!(Groups::of(&keys, Sel::Mask(&none), 3).unwrap().is_empty());
+        assert!(Groups::of(&keys, Sel::Mask(&none), 3).is_empty());
         let one = Groups {
             by: By::One,
             first: vec![0],
@@ -959,7 +947,7 @@ mod tests {
         let mask = [true, false, true, false, true, false, true];
         let sel = Sel::Mask(&mask);
         assert_eq!(dense_range(d, v, sel, 7, 7), Some((5, 2)));
-        let g = Groups::of(&c, sel, 7).unwrap();
+        let g = Groups::of(&c, sel, 7);
         assert!(matches!(g.by, By::Dense(_)));
         assert_eq!(g.first, vec![0, 2, 6]);
         assert_eq!(g.count(None, sel, 7), vec![2, 1, 1]);
@@ -1036,7 +1024,7 @@ mod tests {
             .map(|i| Value::Int((i * 37 % 11) as i64))
             .collect();
         let c = col(DataType::Int, &keys);
-        let g = Groups::of(&c, Sel::All, rows).unwrap();
+        let g = Groups::of(&c, Sel::All, rows);
         assert!(matches!(g.by, By::Dense(_)));
         let fold = |d: &[i64]| -> Option<Vec<(Option<i64>, i64)>> {
             let ids = g.ids(Sel::All, rows);

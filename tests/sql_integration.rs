@@ -171,12 +171,18 @@ fn errors_surface_cleanly() {
     );
     assert_eq!(
         db.query(
-            "SELECT amount FROM orders WHERE region GROUP BY region",
+            "SELECT amount FROM orders WHERE region = 'x' GROUP BY region",
             &[]
         )
         .unwrap_err()
         .kind(),
         "parse", // bare column outside GROUP BY
+    );
+    assert_eq!(
+        db.query("SELECT amount FROM orders WHERE region", &[])
+            .unwrap_err()
+            .kind(),
+        "type_mismatch", // a WHERE that is not BOOLEAN
     );
 }
 
@@ -302,4 +308,48 @@ fn grouped_outputs_are_refused_at_plan_time_on_any_table() {
             assert!(e.to_string().contains(message), "{sql}: {e}");
         }
     }
+}
+
+/// A prepared statement's parameters are typed by their use when it is
+/// planned and checked once when it runs: an INT takes a FLOAT or a
+/// TIMESTAMP use, and a TEXT an INT use is refused with a typed error
+/// before anything is written.
+#[test]
+fn procedure_parameters_are_checked_against_their_use() {
+    use sstore_core::common::Error;
+    use sstore_core::{ProcSpec, TxnStatus};
+    let mut db = SStoreBuilder::new().build().unwrap();
+    db.ddl("CREATE STREAM p_in (v INT)").unwrap();
+    db.ddl(
+        "CREATE TABLE acc (id INT NOT NULL, total FLOAT NOT NULL, at TIMESTAMP, \
+         PRIMARY KEY (id))",
+    )
+    .unwrap();
+    db.setup_sql("INSERT INTO acc VALUES (1, 0.5, NULL)", &[])
+        .unwrap();
+    db.register(
+        ProcSpec::new("bump", |ctx| {
+            ctx.exec("bump", &[Value::Int(2), Value::Int(40), Value::Int(1)])?;
+            let text_id = [Value::Int(2), Value::Int(40), Value::Text("1".into())];
+            match ctx.exec("bump", &text_id) {
+                Err(e) if e.kind() == "type_mismatch" => Ok(()),
+                other => Err(Error::Internal(format!("TEXT id not refused: {other:?}"))),
+            }
+        })
+        .consumes("p_in")
+        .stmt(
+            "bump",
+            "UPDATE acc SET total = total + ?, at = ? WHERE id = ?",
+        ),
+    )
+    .unwrap();
+    let outcomes = db.submit_batch("bump", vec![vec![Value::Int(0)]]).unwrap();
+    assert_eq!(outcomes[0].status, TxnStatus::Committed, "{outcomes:?}");
+    let r = db
+        .query("SELECT total, at FROM acc WHERE id = 1", &[])
+        .unwrap();
+    assert_eq!(
+        r.rows[0].to_values(),
+        vec![Value::Float(2.5), Value::Timestamp(40)]
+    );
 }
