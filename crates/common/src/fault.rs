@@ -83,7 +83,7 @@ pub fn arm_once(point: &str, nth: u64, mode: KillMode) {
     arm_with(point, nth, FireAction::Kill(mode), true);
 }
 
-/// Arm `point` to inject a disk IO error ([`io_error`]) exactly once, on
+/// Arm `point` to inject a disk IO error (`io_error`) exactly once, on
 /// its `nth` hit (1-based), then self-disarm. One-shot by design: the
 /// site under test must fail cleanly and then succeed on retry.
 pub fn arm_io_error(point: &str, nth: u64) {
@@ -120,7 +120,7 @@ pub fn kill_point(point: &str) {
 /// Like [`kill_point`] but gives the call site a chance to do damage
 /// first (e.g. tear a half-written frame onto disk) before calling
 /// [`die`] itself. Returns the mode to die with when the point is due.
-pub fn should_fire(point: &str) -> Option<KillMode> {
+pub(crate) fn should_fire(point: &str) -> Option<KillMode> {
     if !ANY_ARMED.load(Ordering::Relaxed) {
         return None;
     }
@@ -147,7 +147,7 @@ pub fn should_fire(point: &str) -> Option<KillMode> {
 /// (via [`arm_io_error`]) and due, `None` otherwise. The disarmed fast
 /// path is one atomic load. Firing self-disarms (one-shot), so the call
 /// site's retry path sees a healthy disk.
-pub fn io_error(point: &str) -> Option<Error> {
+pub(crate) fn io_error(point: &str) -> Option<Error> {
     if !ANY_ARMED.load(Ordering::Relaxed) {
         return None;
     }

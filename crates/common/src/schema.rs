@@ -33,6 +33,12 @@ impl Column {
             ..Column::new(name, ty)
         }
     }
+
+    /// Whether `v` is stored in this column as it is: a value of the
+    /// declared type, or NULL where the column is nullable.
+    pub fn holds(&self, v: &Value) -> bool {
+        v.data_type().map_or(self.nullable, |t| t == self.ty)
+    }
 }
 
 /// An ordered list of columns plus an optional primary key.
@@ -114,18 +120,14 @@ impl Schema {
             )));
         }
         for (i, col) in self.columns.iter().enumerate() {
-            let v = &row[i];
-            if v.is_null() {
-                if !col.nullable {
-                    return Err(Error::Constraint(format!(
-                        "NULL in non-nullable column `{}`",
-                        col.name
-                    )));
-                }
-                continue; // leave Null in place
+            if col.holds(&row[i]) {
+                continue; // stored as it is: no write needed
             }
-            if v.data_type() == Some(col.ty) {
-                continue; // already the declared type: no write needed
+            if row[i].is_null() {
+                return Err(Error::Constraint(format!(
+                    "NULL in non-nullable column `{}`",
+                    col.name
+                )));
             }
             let cells = row.make_mut();
             let v = std::mem::replace(&mut cells[i], Value::Null);

@@ -24,20 +24,31 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Coerce `v` to this type if possible. `Null` passes through untouched
+    /// The types whose values [`DataType::coerce`] turns into this one:
+    /// itself, and INT with TIMESTAMP both ways, and INT to FLOAT.
+    pub fn coercible_from(self) -> &'static [DataType] {
+        use DataType::*;
+        match self {
+            Int | Timestamp => &[Int, Timestamp],
+            Float => &[Int, Float],
+            Text => &[Text],
+            Bool => &[Bool],
+        }
+    }
+
+    /// Coerce `v` to this type if its type is one
+    /// [`DataType::coercible_from`] lists. `Null` passes through untouched
     /// (nullability is checked separately by the schema layer).
     pub fn coerce(self, v: Value) -> Option<Value> {
+        let listed = v
+            .data_type()
+            .is_none_or(|t| self.coercible_from().contains(&t));
         match (self, v) {
-            (_, Value::Null) => Some(Value::Null),
-            (DataType::Int, Value::Int(i)) => Some(Value::Int(i)),
+            _ if !listed => None,
             (DataType::Int, Value::Timestamp(t)) => Some(Value::Int(t)),
-            (DataType::Float, Value::Float(f)) => Some(Value::Float(f)),
             (DataType::Float, Value::Int(i)) => Some(Value::Float(i as f64)),
-            (DataType::Text, Value::Text(s)) => Some(Value::Text(s)),
-            (DataType::Bool, Value::Bool(b)) => Some(Value::Bool(b)),
-            (DataType::Timestamp, Value::Timestamp(t)) => Some(Value::Timestamp(t)),
             (DataType::Timestamp, Value::Int(i)) => Some(Value::Timestamp(i)),
-            _ => None,
+            (_, v) => Some(v), // NULL, or already this type
         }
     }
 
@@ -122,6 +133,28 @@ mod tests {
             DataType::Int.coerce(Value::Timestamp(42)),
             Some(Value::Int(42))
         );
+    }
+
+    /// Every listed source coerces to a value of exactly the target
+    /// type, and no other type coerces.
+    #[test]
+    fn coerce_follows_coercible_from() {
+        use DataType::*;
+        let samples = [
+            Value::Int(1),
+            Value::Float(0.5),
+            Value::Text("x".into()),
+            Value::Bool(true),
+            Value::Timestamp(1),
+        ];
+        for to in [Int, Float, Text, Bool, Timestamp] {
+            for v in &samples {
+                let from = v.data_type().unwrap();
+                let got = to.coerce(v.clone()).map(|v| v.data_type());
+                let want = to.coercible_from().contains(&from).then_some(Some(to));
+                assert_eq!(got, want, "{from} to {to}");
+            }
+        }
     }
 
     #[test]

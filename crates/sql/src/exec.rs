@@ -189,8 +189,8 @@ pub fn execute(
     }
 }
 
-/// Refuse a parameter value of a type its use does not accept (see
-/// [`PlannedStmt`]), once, before it meets any operator.
+/// Refuse fewer values than the statement has parameters, or one of a
+/// type its use does not accept ([`PlannedStmt`]), before any row is read.
 fn check_params(stmt: &PlannedStmt, params: &[Value]) -> Result<()> {
     let (PlannedStmt::Query { params: p, .. }
     | PlannedStmt::Insert { params: p, .. }
@@ -199,6 +199,10 @@ fn check_params(stmt: &PlannedStmt, params: &[Value]) -> Result<()> {
     else {
         return Ok(());
     };
+    if params.len() < p.len() {
+        let e = format!("missing parameter ?{}", params.len());
+        return Err(Error::Constraint(e));
+    }
     for (i, (ok, v)) in p.iter().zip(params).enumerate() {
         if let Some(t) = v.data_type().filter(|t| !ok.is_empty() && !ok.contains(t)) {
             let e = format!("parameter ?{i} is {t}, but its use takes one of {ok:?}");
@@ -847,6 +851,62 @@ mod tests {
             &[],
         );
         assert_eq!(r.rows_affected, 2);
+    }
+
+    /// A bare parameter in an INSERT … SELECT output is typed by its target
+    /// column, and its value checked before the source is read: a TEXT for
+    /// an INT column is refused over an empty source too.
+    #[test]
+    fn insert_select_parameter_is_typed_by_its_target() {
+        let mut db = setup();
+        let s = Schema::keyless(vec![Column::new("id", DataType::Int)]).unwrap();
+        db.create_table("s", s).unwrap();
+        let q = "INSERT INTO s SELECT ? FROM t";
+        for rows in [0, 4] {
+            if rows > 0 {
+                seed(&mut db);
+            }
+            let mut ctx = DirectContext {
+                db: &mut db,
+                now_micros: 0,
+            };
+            let text = run_sql(q, &mut ctx, &[Value::Text("1".into())]).unwrap_err();
+            assert_eq!(text.kind(), "type_mismatch", "{text}");
+            let r = run_sql(q, &mut ctx, &[Value::Timestamp(7)]).unwrap();
+            assert_eq!(r.rows_affected, rows);
+        }
+        let r = sql(&mut db, "SELECT COUNT(*) FROM s WHERE id = 7", &[]);
+        assert_eq!(r.scalar_i64().unwrap(), 4);
+    }
+
+    /// A statement given fewer values than it has parameters is refused
+    /// before any row is read, so an empty table refuses it too.
+    #[test]
+    fn a_missing_parameter_is_refused_whatever_the_data() {
+        let mut db = setup();
+        let stmts = [
+            "SELECT id FROM t WHERE name = ?",
+            "UPDATE t SET score = ? WHERE score = 3.0",
+            "DELETE FROM t WHERE score = ?",
+            "SELECT ? FROM t",
+        ];
+        for seeded in [false, true] {
+            if seeded {
+                seed(&mut db);
+            }
+            for q in stmts {
+                let e = sql_err(&mut db, q);
+                assert_eq!(e.kind(), "constraint", "{q}: {e}");
+                assert!(e.to_string().contains("missing parameter ?0"), "{q}: {e}");
+            }
+        }
+        let mut ctx = DirectContext {
+            db: &mut db,
+            now_micros: 0,
+        };
+        let q = "SELECT id FROM t WHERE id = ? OR name = ?";
+        let e = run_sql(q, &mut ctx, &[Value::Int(1)]).unwrap_err();
+        assert!(e.to_string().contains("missing parameter ?1"), "{e}");
     }
 
     #[test]

@@ -27,25 +27,6 @@ fn family(t: DataType) -> &'static [DataType] {
     }
 }
 
-/// Refuse a `t` that `op` cannot take: it takes the types in `ok`.
-pub(super) fn check(t: DataType, ok: &[DataType], op: &dyn Display) -> Result<()> {
-    match ok.contains(&t) {
-        true => Ok(()),
-        false => Err(Error::TypeMismatch(format!("{op} cannot take {t}"))),
-    }
-}
-
-/// The types whose values [`DataType::coerce`] turns into `to` (a
-/// planner test holds the two equal).
-pub(super) fn coercible(to: DataType) -> &'static [DataType] {
-    match to {
-        Int | Timestamp => &[Int, Timestamp],
-        Float => &[Int, Float],
-        Text => &[Text],
-        Bool => &[Bool],
-    }
-}
-
 /// One column visible to name resolution.
 #[derive(Debug, Clone)]
 struct LayoutCol {
@@ -149,8 +130,8 @@ pub(super) enum Scope<'a> {
 }
 
 /// What the binders of one statement share: the plans of its
-/// uncorrelated subqueries in slot order with their types, and, per
-/// parameter, the value types its use accepts (empty: any).
+/// uncorrelated subqueries in slot order with their types, and, for
+/// every parameter, the value types its use accepts (empty: any).
 #[derive(Default)]
 pub(super) struct Slots {
     pub(super) subs: Vec<PhysicalPlan>,
@@ -198,7 +179,7 @@ impl<'a> Binder<'a> {
     /// [`DataType::coerce`] must turn it into.
     pub(super) fn stored(&mut self, e: &Expr, to: DataType, what: &str) -> Result<BoundExpr> {
         let (b, t) = self.typed(e)?;
-        self.accept(&b, t, coercible(to), &what)?;
+        self.accept(&b, t, to.coercible_from(), &what)?;
         Ok(b)
     }
 
@@ -218,7 +199,11 @@ impl<'a> Binder<'a> {
         }
         Ok(match e {
             Expr::Literal(v) => BoundExpr::Literal(v.clone()),
-            Expr::Param(i) => BoundExpr::Param(*i),
+            Expr::Param(i) => {
+                let params = &mut self.slots.params;
+                params.resize(params.len().max(i + 1), Vec::new());
+                BoundExpr::Param(*i)
+            }
             Expr::Column { table, name } => match self.scope {
                 Scope::Row(layout) => BoundExpr::ColumnRef(layout.resolve(table.as_deref(), name)?),
                 Scope::Grouped { .. } => {
@@ -291,7 +276,7 @@ impl<'a> Binder<'a> {
             }
             Expr::Wildcard => return Err(Error::Parse("`*` only allowed inside COUNT(*)".into())),
             Expr::Subquery(sel) => {
-                let (plan, _, types) = plan_select(sel, self.db, self.slots)?;
+                let (plan, _, types) = plan_select(sel, self.db, self.slots, &[])?;
                 if types.len() != 1 {
                     return Err(Error::Parse(format!(
                         "scalar subquery must return one column, got {}",
@@ -301,7 +286,8 @@ impl<'a> Binder<'a> {
                 self.subquery_slot(plan, types[0])
             }
             Expr::Exists { select, negated } => {
-                let (plan, _, _) = plan_select(&exists_to_count(select)?, self.db, self.slots)?;
+                let (plan, _, _) =
+                    plan_select(&exists_to_count(select)?, self.db, self.slots, &[])?;
                 BoundExpr::Binary {
                     op: if *negated { BinOp::Eq } else { BinOp::Gt },
                     left: Box::new(self.subquery_slot(plan, Some(Int))),
@@ -362,7 +348,7 @@ impl<'a> Binder<'a> {
                         for (b, t, other) in [(&**left, lt, rt), (&**right, rt, lt)] {
                             let ok: &[_] = match (t, other) {
                                 (None, None) => &[Int, Float],
-                                (None, Some(o)) => coercible(o),
+                                (None, Some(o)) => o.coercible_from(),
                                 (Some(_), Some(Timestamp)) => &[Int, Timestamp],
                                 (Some(_), Some(Float)) => &[Int, Float],
                                 (Some(_), _) => &[Int, Float, Timestamp],
@@ -414,12 +400,10 @@ impl<'a> Binder<'a> {
         op: &dyn Display,
     ) -> Result<()> {
         match (t, b) {
-            (Some(t), _) => check(t, ok, op),
+            (Some(t), _) if ok.contains(&t) => Ok(()),
+            (Some(t), _) => Err(Error::TypeMismatch(format!("{op} cannot take {t}"))),
             (None, BoundExpr::Param(i)) => {
                 let params = &mut self.slots.params;
-                if params.len() <= *i {
-                    params.resize(i + 1, Vec::new());
-                }
                 match &mut params[*i] {
                     any if any.is_empty() => *any = ok.to_vec(),
                     some => some.retain(|t| ok.contains(t)),
@@ -482,8 +466,8 @@ impl<'a> Binder<'a> {
         let mut ty: Ty = None;
         for &t in types.iter().flatten() {
             ty = Some(match ty {
-                Some(u) if coercible(u).contains(&t) => u,
-                Some(u) if !coercible(t).contains(&u) => {
+                Some(u) if u.coercible_from().contains(&t) => u,
+                Some(u) if !t.coercible_from().contains(&u) => {
                     let e = format!("COALESCE cannot take {u} and {t}");
                     return Err(Error::TypeMismatch(e));
                 }
@@ -493,7 +477,7 @@ impl<'a> Binder<'a> {
         let Some(to) = ty else { return Ok(None) };
         for (a, &t) in args.iter_mut().zip(types) {
             if t != ty && *a != BoundExpr::Literal(Value::Null) {
-                self.accept(a, t, coercible(to), &"COALESCE")?;
+                self.accept(a, t, to.coercible_from(), &"COALESCE")?;
                 let expr = Box::new(std::mem::replace(a, BoundExpr::Param(0)));
                 *a = BoundExpr::Cast { expr, ty: to };
             }

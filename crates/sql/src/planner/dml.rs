@@ -1,6 +1,6 @@
 //! INSERT, UPDATE and DELETE.
 
-use super::bind::{check, coercible, Binder, Layout, Slots};
+use super::bind::{Binder, Layout, Slots};
 use super::select::{choose_access_path, plan_select};
 use crate::ast::{self, InsertSource};
 use crate::plan::{AccessPath, PhysicalPlan, PlannedStmt};
@@ -65,16 +65,13 @@ pub(super) fn plan_insert(i: &ast::Insert, db: &Database) -> Result<PlannedStmt>
             PhysicalPlan::Values { rows: bound_rows }
         }
         InsertSource::Select(sel) => {
-            let (plan, _, types) = plan_select(sel, db, &mut slots)?;
+            let (plan, _, types) = plan_select(sel, db, &mut slots, &targets)?;
             if types.len() != provided.len() {
                 return Err(Error::Parse(format!(
                     "INSERT SELECT produces {} columns but {} expected",
                     types.len(),
                     provided.len()
                 )));
-            }
-            for (t, (ty, what)) in types.into_iter().zip(&targets) {
-                t.map_or(Ok(()), |t| check(t, coercible(*ty), what))?;
             }
             plan
         }
@@ -97,18 +94,12 @@ pub(super) fn plan_insert(i: &ast::Insert, db: &Database) -> Result<PlannedStmt>
 pub(super) fn plan_update(u: &ast::Update, db: &Database) -> Result<PlannedStmt> {
     let table = db.resolve(&u.table)?;
     let layout = Layout::from_table(db, table, &u.table)?;
-    let meta = db
-        .catalog()
-        .meta(table)
-        .ok_or_else(|| Error::NotFound(format!("table `{}`", u.table)))?;
-    let visible_arity = meta.visible_schema.arity();
-
     let mut slots = Slots::default();
     let mut binder = Binder::over(&layout, db, &mut slots);
     let mut sets = Vec::with_capacity(u.sets.len());
     for (col, e) in &u.sets {
         let pos = layout.resolve(None, col)?;
-        if pos >= visible_arity {
+        if !layout.visible_columns().any(|(p, ..)| p == pos) {
             return Err(Error::Scope(format!("cannot update hidden column `{col}`")));
         }
         let what = format!("column `{col}`");

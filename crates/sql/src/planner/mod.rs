@@ -26,7 +26,7 @@ pub fn plan_statement(stmt: &Stmt, db: &Database) -> Result<PlannedStmt> {
     match stmt {
         Stmt::Select(s) => {
             let mut slots = bind::Slots::default();
-            let (plan, columns, _) = select::plan_select(s, db, &mut slots)?;
+            let (plan, columns, _) = select::plan_select(s, db, &mut slots, &[])?;
             Ok(PlannedStmt::Query {
                 plan,
                 columns: columns.into(),
@@ -505,30 +505,6 @@ mod tests {
                     ..
                 } => {}
                 other => panic!("{sql}: {other:?}"),
-            }
-        }
-    }
-
-    /// The binder's table of coercions is `DataType::coerce`'s rule.
-    #[test]
-    fn coercible_follows_coerce() {
-        use DataType::*;
-        let samples = [
-            Value::Int(1),
-            Value::Float(0.5),
-            Value::Text("x".into()),
-            Value::Bool(true),
-            Value::Timestamp(1),
-        ];
-        for to in [Int, Float, Text, Bool, Timestamp] {
-            for v in &samples {
-                let from = v.data_type().unwrap();
-                let coerces = to.coerce(v.clone()).is_some();
-                assert_eq!(
-                    super::bind::coercible(to).contains(&from),
-                    coerces,
-                    "{from} to {to}"
-                );
             }
         }
     }

@@ -10,11 +10,13 @@ use sstore_common::{DataType, Error, Result, TableId, Value};
 use sstore_storage::Database;
 use std::collections::BTreeSet;
 
-/// Plan `s`, with its output columns' names and types.
+/// Plan `s`, with its output columns' names and types. An INSERT stores
+/// output *k* into column `into[k]`, which must take it and types it.
 pub(super) fn plan_select(
     s: &Select,
     db: &Database,
     slots: &mut Slots,
+    into: &[(DataType, String)],
 ) -> Result<(PhysicalPlan, Vec<String>, Vec<Ty>)> {
     let (mut plan, layout) = plan_from(s, db, slots)?;
 
@@ -62,6 +64,9 @@ pub(super) fn plan_select(
                 names.push(output_name(expr, alias.as_deref(), names.len()));
             }
         }
+    }
+    for ((b, &t), (to, what)) in exprs.iter().zip(&types).zip(into) {
+        binder.accept(b, t, to.coercible_from(), what)?;
     }
     if !grouped {
         // HAVING without aggregates degenerates to a filter.

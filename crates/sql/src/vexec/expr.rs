@@ -201,9 +201,9 @@ pub(super) fn veval<'a>(
 
 /// Scalar fallback: evaluate the whole expression per selected row via
 /// [`eval`], gathering referenced cells into a scratch row, into a lane of
-/// the type the binder decided. Exact row-path semantics including error
-/// order within the expression. An expression that reads no column is
-/// evaluated once.
+/// the type the binder decided, which each value is checked against.
+/// Exact row-path semantics including error order within the expression.
+/// An expression that reads no column is evaluated once.
 fn veval_cellwise(
     e: &BoundExpr,
     batch: &VBatch<'_>,
@@ -220,13 +220,18 @@ fn veval_cellwise(
         BoundExpr::Cast { ty, .. } => Some(*ty),
         _ => Some(DataType::Bool),
     };
-    let mut out = Column::typed(ty.ok_or_else(ill_typed)?, batch.rows);
+    let ty = ty.ok_or_else(ill_typed)?;
+    let mut out = Column::typed(ty, batch.rows);
     let mut scratch = vec![Value::Null; batch.columns.len()];
     for i in sel_iter(sel, batch.rows) {
         for &r in &refs {
             scratch[r] = batch.column(r).value_at(i);
         }
-        out.set(i, &eval(e, &scratch, env)?)?;
+        let v = eval(e, &scratch, env)?;
+        if v.data_type().is_some_and(|t| t != ty) {
+            return Err(ill_typed());
+        }
+        out.set(i, &v);
     }
     Ok(VCol::Owned(out))
 }

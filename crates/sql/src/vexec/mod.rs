@@ -264,7 +264,7 @@ impl<'a> Walk<'a, '_> {
                 };
                 let mut columns = vec![None; arity];
                 for c in wanted.into_iter().filter(|&c| c < arity) {
-                    columns[c] = Some(Cow::Borrowed(tb.column(c)?));
+                    columns[c] = Some(Cow::Borrowed(tb.column(c)));
                 }
                 let batch = VBatch {
                     rows: tb.lanes(),

@@ -7,9 +7,10 @@
 //! by the table's five mutators — the ones that feed the slot-op journal,
 //! so undo rollback and delta replay maintain it too. Lanes of free slots
 //! hold defaults and are never selected (`Table::live_mask`). A lane has
-//! its column's declared type, which the schema coerced every stored cell
-//! to; a decoded image's cell of another type is a typed error from
-//! [`Column::set`] when its column is built.
+//! its column's declared type, and so does every cell a slot holds: the
+//! mutators store only rows `Schema::validate` passed, and
+//! `Table::decode_binary` refuses an image holding any other cell. So
+//! building and patching a lane ([`Column::set`]) cannot fail.
 //!
 //! The mirror is **not state**: it is never serialized, compared or
 //! journaled, a cloned or decoded table starts without one, and it is
@@ -28,7 +29,7 @@
 //! a table no vector scan has touched pays one branch per mutation.
 
 use crate::index::RowId;
-use sstore_common::{Result, Row, Schema, Value};
+use sstore_common::{Row, Schema, Value};
 use sstore_vector::Column;
 use std::sync::OnceLock;
 
@@ -57,20 +58,19 @@ impl std::fmt::Debug for Mirror {
 
 impl Mirror {
     /// Column `c` with one lane per slot, built on first use.
-    pub(crate) fn column(&self, s: &Schema, slots: &[Option<Row>], c: usize) -> Result<&Column> {
+    pub(crate) fn column(&self, s: &Schema, slots: &[Option<Row>], c: usize) -> &Column {
         let cols = self
             .cols
             .get_or_init(|| (0..s.arity()).map(|_| OnceLock::new()).collect());
-        if let Some(col) = cols[c].get() {
-            return Ok(col);
-        }
-        let mut col = Column::typed(s.columns()[c].ty, slots.len());
-        for (i, row) in slots.iter().enumerate() {
-            if let Some(row) = row {
-                col.set(i, row.get(c).unwrap_or(&Value::Null))?;
+        cols[c].get_or_init(|| {
+            let mut col = Column::typed(s.columns()[c].ty, slots.len());
+            for (i, row) in slots.iter().enumerate() {
+                if let Some(row) = row {
+                    col.set(i, row.get(c).unwrap_or(&Value::Null));
+                }
             }
-        }
-        Ok(cols[c].get_or_init(|| col))
+            col
+        })
     }
 
     /// One flag per slot, set where the slot holds a row; built on first
@@ -93,9 +93,9 @@ impl Mirror {
 
     /// Slot `rid` now holds `row`.
     #[inline]
-    pub(crate) fn write(&mut self, rid: RowId, row: &Row) -> Result<()> {
+    pub(crate) fn write(&mut self, rid: RowId, row: &Row) {
         for (c, col) in self.built_mut() {
-            col.set(rid as usize, row.get(c).unwrap_or(&Value::Null))?;
+            col.set(rid as usize, row.get(c).unwrap_or(&Value::Null));
         }
         if let Some(live) = self.live.get_mut() {
             let i = rid as usize;
@@ -104,7 +104,6 @@ impl Mirror {
             }
             live[i] = true;
         }
-        Ok(())
     }
 
     /// Slot `rid` was freed.

@@ -82,29 +82,20 @@ const OP_RESTORE: u8 = 3;
 const OP_TRUNCATE: u8 = 4;
 
 impl SlotOp {
-    /// Append the compact binary encoding (delta snapshot frames).
+    /// Append the compact binary encoding (delta snapshot frames): the
+    /// tag, then the slot and the row where the op has them.
     pub(crate) fn encode_binary(&self, out: &mut Vec<u8>) {
-        match self {
-            SlotOp::Insert { rid, row } => {
-                out.push(OP_INSERT);
-                codec::put_uvarint(out, *rid);
-                codec::encode_row(row, out);
-            }
-            SlotOp::Delete { rid } => {
-                out.push(OP_DELETE);
-                codec::put_uvarint(out, *rid);
-            }
-            SlotOp::Update { rid, row } => {
-                out.push(OP_UPDATE);
-                codec::put_uvarint(out, *rid);
-                codec::encode_row(row, out);
-            }
-            SlotOp::Restore { rid, row } => {
-                out.push(OP_RESTORE);
-                codec::put_uvarint(out, *rid);
-                codec::encode_row(row, out);
-            }
-            SlotOp::Truncate => out.push(OP_TRUNCATE),
+        let (tag, rid, row) = match self {
+            SlotOp::Insert { rid, row } => (OP_INSERT, rid, Some(row)),
+            SlotOp::Delete { rid } => (OP_DELETE, rid, None),
+            SlotOp::Update { rid, row } => (OP_UPDATE, rid, Some(row)),
+            SlotOp::Restore { rid, row } => (OP_RESTORE, rid, Some(row)),
+            SlotOp::Truncate => return out.push(OP_TRUNCATE),
+        };
+        out.push(tag);
+        codec::put_uvarint(out, *rid);
+        if let Some(row) = row {
+            codec::encode_row(row, out);
         }
     }
 
@@ -213,9 +204,11 @@ impl Table {
     /// Decode a table encoded by [`Table::encode_binary`]. An image the
     /// mutators could not have produced is refused with [`Error::Codec`]
     /// rather than left to panic or corrupt later: every row must have the
-    /// schema's arity, the free list must name each empty slot exactly
-    /// once, every index key column must lie inside the row, and an index
-    /// the schema keys by integer must hold only integer keys.
+    /// schema's arity and only cells its columns hold as they are (checked
+    /// by [`Column::holds`](sstore_common::Column::holds), never coerced),
+    /// the free list must name each empty slot exactly once, every index
+    /// key column must lie inside the row, and an index the schema keys by
+    /// integer must hold only integer keys.
     pub fn decode_binary(r: &mut codec::Reader<'_>) -> Result<Table> {
         let name = r.str()?.to_string();
         let bad = |what: String| Error::Codec(format!("{what} in table `{name}`"));
@@ -231,6 +224,10 @@ impl Table {
                     let row = codec::decode_row(r)?;
                     if row.len() != arity {
                         return Err(bad(format!("a row of {} cells", row.len())));
+                    }
+                    let mut cells = schema.columns().iter().zip(row.iter());
+                    if let Some((col, v)) = cells.find(|(c, v)| !c.holds(v)) {
+                        return Err(bad(format!("cell {v} in column `{}`", col.name)));
                     }
                     slots.push(Some(row));
                     live += 1;
@@ -354,7 +351,7 @@ impl Table {
                 row: row.clone(),
             });
         }
-        self.mirror.write(rid, &row)?;
+        self.mirror.write(rid, &row);
         self.slots[rid as usize] = Some(row);
         self.live += 1;
         Ok(rid)
@@ -407,7 +404,7 @@ impl Table {
                 row: new_row.clone(),
             });
         }
-        self.mirror.write(rid, &new_row)?;
+        self.mirror.write(rid, &new_row);
         self.slots[rid as usize] = Some(new_row);
         Ok(old)
     }
@@ -433,7 +430,7 @@ impl Table {
                 row: row.clone(),
             });
         }
-        self.mirror.write(rid, &row)?;
+        self.mirror.write(rid, &row);
         self.slots[rid as usize] = Some(row);
         // Undo restores in reverse delete order, so the slot is the free
         // stack's top: searching from the back makes a bulk undo linear.
@@ -489,7 +486,7 @@ impl Table {
     /// This is the cold pivot: every call walks every row. Vector scans
     /// read the resident [`Table::column`]s instead, whose live lanes
     /// hold the same cells (property-tested in `tests/prop_columns.rs`).
-    pub fn column_batch(&self, needed: Option<&[usize]>) -> Result<sstore_vector::ColumnBatch> {
+    pub fn column_batch(&self, needed: Option<&[usize]>) -> sstore_vector::ColumnBatch {
         sstore_vector::build_batch(
             &self.schema,
             self.live,
@@ -502,10 +499,10 @@ impl Table {
     /// of them), lane *i* holding slot *i*'s cell and a default where the
     /// slot is free. Built from the slots on first use, then kept in step
     /// by every mutator.
-    pub fn column(&self, c: usize) -> Result<&sstore_vector::Column> {
-        let col = self.mirror.column(&self.schema, &self.slots, c)?;
+    pub fn column(&self, c: usize) -> &sstore_vector::Column {
+        let col = self.mirror.column(&self.schema, &self.slots, c);
         debug_assert_eq!(col.len(), self.slots.len(), "mirror out of step");
-        Ok(col)
+        col
     }
 
     /// Number of lanes in every mirrored column (live and free slots).
@@ -1010,10 +1007,10 @@ mod tests {
         }
         assert_eq!(t.mirrored_columns(), 0);
         let rows_only = t.approx_bytes();
-        assert_eq!(t.column(1).unwrap().len(), 100);
+        assert_eq!(t.column(1).len(), 100);
         assert_eq!(t.mirrored_columns(), 1);
         fn lane(t: &Table) -> &sstore_vector::TextLane {
-            match &t.column(1).unwrap().data {
+            match &t.column(1).data {
                 sstore_vector::ColumnData::Text(l) => l,
                 other => panic!("not a TEXT lane: {other:?}"),
             }
@@ -1038,29 +1035,23 @@ mod tests {
         // empty string, interned first under a fresh code; restoring the
         // row takes "third"'s released code again.
         let gone = t.delete(4).unwrap();
-        assert_eq!(t.column(1).unwrap().value_at(4), Value::Text(String::new()));
+        assert_eq!(t.column(1).value_at(4), Value::Text(String::new()));
         assert!(!t.live_mask().unwrap()[4]);
         assert_eq!(lane(&t).dict().len(), 3);
         t.restore(4, gone).unwrap();
         assert_eq!(lane(&t).codes()[4], renamed);
-        assert_eq!(
-            t.column(1).unwrap().value_at(4),
-            Value::Text("third".into())
-        );
-        assert_eq!(
-            t.column(1).unwrap().value_at(3),
-            Value::Text("again".into())
-        );
+        assert_eq!(t.column(1).value_at(4), Value::Text("third".into()));
+        assert_eq!(t.column(1).value_at(3), Value::Text("again".into()));
         assert_eq!(lane(&t).dict().len(), 3);
         // A failed insert into the full slot array leaves a free lane.
         assert!(t.insert(row(7, "dup")).is_err());
-        assert_eq!(t.column(1).unwrap().len(), t.lanes());
+        assert_eq!(t.column(1).len(), t.lanes());
         let live = t.live_mask().unwrap();
         assert_eq!(live.len(), t.lanes());
         assert_eq!(live.iter().filter(|&&l| l).count(), 100);
 
         t.truncate();
-        assert_eq!((t.lanes(), t.column(1).unwrap().len()), (0, 0));
+        assert_eq!((t.lanes(), t.column(1).len()), (0, 0));
         // Still mirrored, a copy is not.
         assert_eq!(t.mirrored_columns(), 1);
         assert_eq!(t.clone().mirrored_columns(), 0);
@@ -1255,6 +1246,23 @@ mod tests {
         for bytes in refused {
             let err = decode(&bytes).unwrap_err();
             assert_eq!(err.kind(), "codec", "{err}");
+        }
+
+        // A cell its column does not hold as it is: a TEXT in the INT
+        // column, and a NULL in the NOT NULL one. Refused, not coerced,
+        // with the table and the column named.
+        let misfits = [
+            (vec![Value::Text("1".into()), Value::Text("a".into())], "id"),
+            (vec![Value::Int(1), Value::Null], "name"),
+        ];
+        for (cells, col) in misfits {
+            let err = decode(&image(&[Some(cells.into())], &[], &[0], &[])).unwrap_err();
+            assert_eq!(err.kind(), "codec", "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("column `{col}` in table `t`")),
+                "{msg}"
+            );
         }
     }
 

@@ -208,11 +208,11 @@ fn live_lanes(table: &Table) -> Vec<u32> {
 fn check(table: &Table, requested: &BTreeSet<usize>) {
     assert_eq!(table.mirrored_columns(), requested.len());
     let needed: Vec<usize> = requested.iter().copied().collect();
-    let fresh = table.column_batch(Some(&needed)).unwrap();
+    let fresh = table.column_batch(Some(&needed));
     let live = live_lanes(table);
     assert_eq!(live.len(), fresh.rows);
     for &c in &needed {
-        let lane = table.column(c).unwrap();
+        let lane = table.column(c);
         assert_eq!(lane.len(), table.lanes(), "one lane per slot");
         let gathered = lane.gather(&live);
         let want = fresh.column(c);
@@ -232,7 +232,7 @@ fn check(table: &Table, requested: &BTreeSet<usize>) {
 fn request(table: &Table, mask: u8, requested: &mut BTreeSet<usize>) {
     for c in 0..6 {
         if mask & (1 << c) != 0 {
-            table.column(c).unwrap();
+            table.column(c);
             requested.insert(c);
         }
     }
@@ -390,7 +390,7 @@ proptest! {
         .unwrap();
         let mut db = Database::new();
         let t = db.create_table("t", schema).unwrap();
-        db.table(t).unwrap().column(1).unwrap();
+        db.table(t).unwrap().column(1);
         // Slot → its cell; `None` = a free slot.
         let mut model: Vec<Option<Value>> = Vec::new();
 
@@ -452,7 +452,7 @@ proptest! {
             }
 
             let table = db.table(t).unwrap();
-            let col = table.column(1).unwrap();
+            let col = table.column(1);
             let ColumnData::Text(lane) = &col.data else {
                 panic!("the lane stays TEXT: {:?}", col.data)
             };
@@ -465,7 +465,7 @@ proptest! {
                 }
             }
             let live = live_lanes(table);
-            let pivot = table.column_batch(Some(&[1])).unwrap();
+            let pivot = table.column_batch(Some(&[1]));
             let gathered = col.gather(&live);
             for r in 0..pivot.rows {
                 prop_assert_eq!(gathered.value_at(r), pivot.column(1).value_at(r));
@@ -477,8 +477,8 @@ proptest! {
     }
 }
 
-/// A FLOAT lane refuses a cell that is not a float, and so does the
-/// pivot: `restore` checks the row before it touches the slot.
+/// `restore` refuses a cell its FLOAT column does not hold before it
+/// touches the slot, so the lane and the pivot both stay FLOAT.
 #[test]
 fn float_lane_refuses_a_misfit_like_the_pivot() {
     let mut table = Table::new("t", schema());
@@ -491,7 +491,7 @@ fn float_lane_refuses_a_misfit_like_the_pivot() {
         };
         table.insert(cells.row(id)).unwrap();
     }
-    let before = table.column(2).unwrap().clone();
+    let before = table.column(2).clone();
     assert!(matches!(before.data, ColumnData::Float(_)));
     let row = table.delete(1).unwrap();
     let mut cells = row.to_values();
@@ -499,7 +499,88 @@ fn float_lane_refuses_a_misfit_like_the_pivot() {
     let err = table.restore(1, Row::new(cells)).unwrap_err();
     assert_eq!(err.kind(), "type_mismatch");
     table.restore(1, row).unwrap();
-    assert_eq!(table.column(2).unwrap(), &before);
-    let pivot = table.column_batch(Some(&[2])).unwrap();
+    assert_eq!(table.column(2), &before);
+    let pivot = table.column_batch(Some(&[2]));
     assert!(matches!(pivot.column(2).data, ColumnData::Float(_)));
+}
+
+/// No mutator lets a cell its column does not hold reach a lane: `insert`,
+/// `update`, `restore` and delta replay (`apply_slot_op`) each coerce the
+/// cell to the column's type (INT to FLOAT, INT and TIMESTAMP both ways)
+/// or refuse the row, and a refused row changes nothing. This is what lets
+/// the mirror build and patch its lanes without a check.
+#[test]
+fn no_mutator_lets_a_misfit_reach_a_lane() {
+    use sstore_storage::SlotOp;
+    // id, a INT, f FLOAT, s TEXT, b BOOL, t TIMESTAMP.
+    let row = |id: i64, a: Value, f: Value, t: Value| {
+        Row::new(vec![
+            Value::Int(id),
+            a,
+            f,
+            Value::Text("x".into()),
+            Value::Null,
+            t,
+        ])
+    };
+    let ok = |id| row(id, Value::Timestamp(5), Value::Int(2), Value::Int(9));
+    let misfits = |id| {
+        [
+            row(id, Value::Text("5".into()), Value::Null, Value::Null),
+            row(id, Value::Null, Value::Bool(true), Value::Null),
+            row(id, Value::Null, Value::Null, Value::Float(9.0)),
+            Row::new(vec![Value::Null; 6]),
+        ]
+    };
+    let mut table = Table::new("t", schema());
+    let all: BTreeSet<usize> = (0..6).collect();
+    request(&table, 0x3f, &mut BTreeSet::new());
+    let unchanged = |table: &Table, before: &[sstore_vector::Column]| {
+        for (c, lane) in before.iter().enumerate() {
+            assert_eq!(table.column(c), lane, "column {c}");
+        }
+        check(table, &all);
+    };
+    let lanes = |table: &Table| (0..6).map(|c| table.column(c).clone()).collect::<Vec<_>>();
+
+    let rid = table.insert(ok(1)).unwrap();
+    table.insert(ok(2)).unwrap();
+    let coerced = [Value::Int(5), Value::Float(2.0), Value::Timestamp(9)];
+    for (c, want) in [1, 2, 5].into_iter().zip(&coerced) {
+        assert!(same_cell(&table.get(rid).unwrap()[c], want));
+        assert!(same_cell(&table.column(c).value_at(rid as usize), want));
+    }
+    let before = lanes(&table);
+    for bad in misfits(3) {
+        assert!(table.insert(bad.clone()).is_err(), "insert {bad:?}");
+        assert!(table.update(rid, bad.clone()).is_err(), "update {bad:?}");
+        let replay = [
+            SlotOp::Insert {
+                rid: 2,
+                row: bad.clone(),
+            },
+            SlotOp::Update {
+                rid,
+                row: bad.clone(),
+            },
+        ];
+        for op in replay {
+            assert!(table.apply_slot_op(&op).is_err(), "replay {op:?}");
+        }
+    }
+    assert_eq!((table.len(), table.lanes()), (2, 2));
+    unchanged(&table, &before);
+
+    let old = table.delete(rid).unwrap();
+    let before = lanes(&table);
+    for bad in misfits(1) {
+        assert!(table.restore(rid, bad.clone()).is_err(), "restore {bad:?}");
+        let op = SlotOp::Restore { rid, row: bad };
+        assert!(table.apply_slot_op(&op).is_err(), "replay {op:?}");
+    }
+    unchanged(&table, &before);
+    let restored = SlotOp::Restore { rid, row: ok(1) };
+    table.apply_slot_op(&restored).unwrap();
+    assert_eq!(table.get(rid), Some(&old));
+    check(&table, &all);
 }

@@ -10,8 +10,8 @@
 //! them. Each [`Column`] stores one native lane (`Vec<i64>`, `Vec<f64>`,
 //! …) plus an optional validity [`Bitmap`]; NULL cells hold a default in
 //! the lane and a cleared validity bit. A lane has its column's declared
-//! type, and the schema coerces every stored cell to that type, so a cell
-//! of another type is a typed error, not a lane of another kind.
+//! type: storage checks each cell where it enters a table, and the SQL
+//! executor each value it computes, so [`Column::set`] need not.
 //!
 //! A TEXT lane is a [`TextLane`]: one `u32` code per cell and a shared
 //! [`Dict`] holding each distinct string once. The dictionary counts the
@@ -22,7 +22,7 @@
 //! and group by code. Two lanes may number the same strings differently,
 //! so lanes compare by their decoded strings.
 
-use sstore_common::{DataType, Error, Result, Schema, Value};
+use sstore_common::{DataType, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -402,9 +402,9 @@ impl Column {
 
     /// Write `v` into cell `i`, growing the column when `i` is at or past
     /// its end. NULL clears the validity bit and leaves a default in the
-    /// lane; a non-NULL cell whose type is not the lane's is refused with
-    /// a typed error and changes nothing.
-    pub fn set(&mut self, i: usize, v: &Value) -> Result<()> {
+    /// lane. Any other cell has the lane's type (see the module docs); a
+    /// misfit fails a debug assertion, and a release build stores NULL.
+    pub fn set(&mut self, i: usize, v: &Value) {
         fn put<T>(d: &mut Vec<T>, i: usize, x: T) {
             if i == d.len() {
                 d.push(x);
@@ -416,7 +416,13 @@ impl Column {
             self.grow(i);
         }
         match (&mut self.data, v) {
-            (_, Value::Null) => {
+            (ColumnData::Int(d), Value::Int(x)) => put(d, i, *x),
+            (ColumnData::Float(d), Value::Float(x)) => put(d, i, *x),
+            (ColumnData::Bool(d), Value::Bool(x)) => put(d, i, *x),
+            (ColumnData::Text(l), Value::Text(x)) => l.put(i, x),
+            (ColumnData::Timestamp(d), Value::Timestamp(x)) => put(d, i, *x),
+            (_, v) => {
+                debug_assert!(v.is_null(), "{v} does not fit its lane");
                 if i == self.len() {
                     self.grow(i + 1);
                 } else {
@@ -426,14 +432,8 @@ impl Column {
                 self.validity
                     .get_or_insert_with(|| Bitmap::new_set(len))
                     .set(i, false);
-                return Ok(());
+                return;
             }
-            (ColumnData::Int(d), Value::Int(x)) => put(d, i, *x),
-            (ColumnData::Float(d), Value::Float(x)) => put(d, i, *x),
-            (ColumnData::Bool(d), Value::Bool(x)) => put(d, i, *x),
-            (ColumnData::Text(l), Value::Text(x)) => l.put(i, x),
-            (ColumnData::Timestamp(d), Value::Timestamp(x)) => put(d, i, *x),
-            (_, v) => return Err(Error::TypeMismatch(format!("{v} does not fit its lane"))),
         }
         if let Some(validity) = &mut self.validity {
             if i == validity.len() {
@@ -442,7 +442,6 @@ impl Column {
                 validity.set(i, true);
             }
         }
-        Ok(())
     }
 
     /// Put the lane's default into cell `i`, releasing a string's code.
@@ -532,7 +531,7 @@ pub fn build_batch<'a, I>(
     rows: usize,
     needed: Option<&[usize]>,
     iter: I,
-) -> Result<ColumnBatch>
+) -> ColumnBatch
 where
     I: Iterator<Item = &'a [Value]>,
 {
@@ -548,13 +547,13 @@ where
     for row in iter {
         for (c, col) in columns.iter_mut().enumerate() {
             if let Some(col) = col {
-                col.set(col.len(), row.get(c).unwrap_or(&Value::Null))?;
+                col.set(col.len(), row.get(c).unwrap_or(&Value::Null));
             }
         }
         n += 1;
     }
     debug_assert_eq!(n, rows, "build_batch row count mismatch");
-    Ok(ColumnBatch { rows, columns })
+    ColumnBatch { rows, columns }
 }
 
 #[cfg(test)]
@@ -588,15 +587,15 @@ mod tests {
     #[test]
     fn set_overwrites_grows_and_tracks_nulls() {
         let mut c = Column::typed(DataType::Text, 0);
-        c.set(2, &Value::Text("x".into())).unwrap();
+        c.set(2, &Value::Text("x".into()));
         assert_eq!(c.len(), 3);
         assert!(c.validity.is_none());
         assert_eq!(c.value_at(0), Value::Text(String::new()));
-        c.set(0, &Value::Null).unwrap();
+        c.set(0, &Value::Null);
         assert!(c.is_null_at(0) && !c.is_null_at(1) && !c.is_null_at(2));
-        c.set(c.len(), &Value::Text("y".into())).unwrap();
+        c.set(c.len(), &Value::Text("y".into()));
         assert_eq!(c.value_at(3), Value::Text("y".into()));
-        c.set(0, &Value::Text("z".into())).unwrap();
+        c.set(0, &Value::Text("z".into()));
         assert_eq!(c.value_at(0), Value::Text("z".into()));
         c.clear(2);
         assert_eq!(c.value_at(2), Value::Text(String::new()));
@@ -614,20 +613,20 @@ mod tests {
         let mut c = Column::typed(DataType::Text, 3);
         assert_eq!(text(&c).dict().len(), 1, "three empty strings, one entry");
         for (i, s) in ["a", "b", "a"].into_iter().enumerate() {
-            c.set(i, &Value::Text(s.into())).unwrap();
+            c.set(i, &Value::Text(s.into()));
         }
         // The empty string lost its last cell.
         assert_eq!(text(&c).dict().len(), 2);
         assert_eq!(text(&c).codes(), &[1, 2, 1]);
         // Rewriting a cell with its own string keeps its code.
-        c.set(1, &Value::Text("b".into())).unwrap();
+        c.set(1, &Value::Text("b".into()));
         assert_eq!(text(&c).codes()[1], 2);
         // "c" takes the empty string's released code, and "b" is released
         // after it is interned; the next new string reuses "b"'s code.
-        c.set(1, &Value::Text("c".into())).unwrap();
+        c.set(1, &Value::Text("c".into()));
         assert_eq!(text(&c).codes(), &[1, 0, 1]);
         assert_eq!(text(&c).dict().len(), 2);
-        c.set(0, &Value::Null).unwrap();
+        c.set(0, &Value::Null);
         assert_eq!(text(&c).codes()[0], 2, "NULL's empty string");
         assert_eq!(c.value_at(0), Value::Null);
         c.clear(2);
@@ -642,10 +641,10 @@ mod tests {
         let mut a = Column::typed(DataType::Text, 0);
         let mut b = Column::typed(DataType::Text, 0);
         for s in ["x", "y", "x"] {
-            a.set(a.len(), &Value::Text(s.into())).unwrap();
+            a.set(a.len(), &Value::Text(s.into()));
         }
         for s in ["y", "x", "x", "y"] {
-            b.set(b.len(), &Value::Text(s.into())).unwrap();
+            b.set(b.len(), &Value::Text(s.into()));
         }
         assert_ne!(a, b);
         // The same strings under other codes.
@@ -658,7 +657,7 @@ mod tests {
         let mut g = a.gather(&[0, 0, 2, 2, 1]);
         assert!(Arc::ptr_eq(&text(&g).dict, &text(&a).dict));
         for i in 0..4 {
-            g.set(i, &Value::Text("z".into())).unwrap();
+            g.set(i, &Value::Text("z".into()));
         }
         let cells: Vec<Value> = (0..5).map(|i| g.value_at(i)).collect();
         let want = ["z", "z", "z", "z", "y"].map(|s| Value::Text(s.into()));
@@ -669,29 +668,10 @@ mod tests {
     }
 
     #[test]
-    fn a_misfit_cell_is_a_typed_error_like_the_pivot() {
-        let mut c = Column::typed(DataType::Float, 0);
-        c.set(c.len(), &Value::Float(1.5)).unwrap();
-        c.set(c.len(), &Value::Null).unwrap();
-        let before = c.clone();
-        let err = c.set(c.len(), &Value::Int(2)).unwrap_err();
-        assert_eq!(err.kind(), "type_mismatch");
-        assert_eq!(c, before, "a refused cell changes nothing");
-        let rows = [vec![Value::Float(1.5)], vec![Value::Int(2)]];
-        let pivot = build_batch(
-            &schema(&[DataType::Float]),
-            2,
-            None,
-            rows.iter().map(|r| r.as_slice()),
-        );
-        assert_eq!(pivot.unwrap_err(), err);
-    }
-
-    #[test]
     fn gather_picks_cells_and_validity() {
         let mut c = Column::typed(DataType::Int, 0);
         for v in [Value::Int(5), Value::Null, Value::Int(7)] {
-            c.set(c.len(), &v).unwrap();
+            c.set(c.len(), &v);
         }
         let g = c.gather(&[2, 1, 2]);
         assert_eq!(g.value_at(0), Value::Int(7));
@@ -711,8 +691,7 @@ mod tests {
             2,
             None,
             rows.iter().map(|r| r.as_slice()),
-        )
-        .unwrap();
+        );
         assert_eq!(b.rows, 2);
         assert!(matches!(b.column(0).data, ColumnData::Int(_)));
         assert!(matches!(b.column(1).data, ColumnData::Float(_)));
@@ -729,8 +708,7 @@ mod tests {
             1,
             Some(&[1]),
             rows.iter().map(|r| r.as_slice()),
-        )
-        .unwrap();
+        );
         assert!(b.columns[0].is_none());
         assert_eq!(b.column(1).value_at(0), Value::Int(2));
     }
@@ -743,8 +721,7 @@ mod tests {
             2,
             None,
             rows.iter().map(|r| r.as_slice()),
-        )
-        .unwrap();
+        );
         assert!(b.column(0).is_null_at(0) && b.column(0).is_null_at(1));
         assert_eq!(b.column(0).value_at(1), Value::Null);
     }
@@ -757,8 +734,7 @@ mod tests {
             2,
             None,
             rows.iter().map(|r| r.as_slice()),
-        )
-        .unwrap();
+        );
         assert!(b.column(1).is_null_at(0));
         assert_eq!(b.column(1).value_at(1), Value::Int(9));
     }

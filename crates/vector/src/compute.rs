@@ -544,14 +544,14 @@ mod tests {
     fn cmp_str_every_op_with_the_constant_on_either_side() {
         let mut col = Column::typed(DataType::Text, 0);
         for s in ["", "a", "ab", "b", "a", "abc", "", "ab", "x", "y"] {
-            col.set(col.len(), &Value::Text(s.into())).unwrap();
+            col.set(col.len(), &Value::Text(s.into()));
         }
         // "x" and "y" lose their last cells, and "zz" and "b" take their
         // codes; cell 9 turns NULL.
-        col.set(8, &Value::Text("ab".into())).unwrap();
-        col.set(9, &Value::Null).unwrap();
-        col.set(3, &Value::Text("zz".into())).unwrap();
-        col.set(4, &Value::Text("b".into())).unwrap();
+        col.set(8, &Value::Text("ab".into()));
+        col.set(9, &Value::Null);
+        col.set(3, &Value::Text("zz".into()));
+        col.set(4, &Value::Text("b".into()));
         let ColumnData::Text(lane) = &col.data else {
             panic!("a TEXT lane")
         };

@@ -596,7 +596,7 @@ mod tests {
     fn col(ty: DataType, cells: &[Value]) -> Column {
         let mut c = Column::typed(ty, 0);
         for v in cells {
-            c.set(c.len(), v).unwrap();
+            c.set(c.len(), v);
         }
         c
     }

@@ -182,15 +182,15 @@ fn library_pub_items_stay_within_budget() {
 /// sources may hold, pinned at today's counts.
 const LINE_BUDGET: [(&str, usize); 11] = [
     ("bikeshare", 874),
-    ("common", 3071),
+    ("common", 3084),
     ("core", 3519),
     ("engine", 1020),
     ("slt", 1138),
-    ("sql", 5215),
+    ("sql", 5204),
     ("sstore", 39),
-    ("storage", 2667),
+    ("storage", 2663),
     ("txn", 3462),
-    ("vector", 1877),
+    ("vector", 1876),
     ("voter", 903),
 ];
 
