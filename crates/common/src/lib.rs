@@ -13,6 +13,7 @@ pub mod codec;
 pub mod durable;
 pub mod error;
 pub mod fault;
+pub mod hash;
 pub mod ids;
 pub mod obs;
 pub mod row;

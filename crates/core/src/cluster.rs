@@ -88,11 +88,11 @@ use crate::metrics::{ClusterMetrics, PartitionMetrics};
 use crate::router::{RouteSpec, Router, Ticket};
 use crate::worker::{supervised_worker, SetupFn, WorkerCtx, WorkerMsg};
 use crate::SStore;
+use sstore_common::hash::{HashMap, HashSet};
 use sstore_common::obs::{self, Stage, TraceCtx};
 use sstore_common::{slog, Error, PartitionId, Result, Row, Value};
 use sstore_txn::recovery::recover_with_decisions;
 use sstore_txn::TxnOutcome;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -314,7 +314,7 @@ impl Cluster {
         let decisions = if recover {
             coord_state.decisions
         } else {
-            HashMap::new()
+            HashMap::default()
         };
         let mut next_gtid = coord_state.next_gtid;
 

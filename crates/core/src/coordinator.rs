@@ -47,8 +47,7 @@
 use sstore_common::codec;
 use sstore_common::durable::{self, AppendFile};
 use sstore_common::fault;
-use sstore_common::{Error, PartitionId, Result};
-use std::collections::HashMap;
+use sstore_common::{hash::HashMap, Error, PartitionId, Result};
 use std::path::Path;
 
 /// Counters for the coordinator's view of the cluster's transactions.
@@ -148,7 +147,7 @@ impl CoordinatorLog {
     /// compaction this is O(recent), not O(all time)). A torn tail is an
     /// unacknowledged decision, which presumed abort covers.
     pub(crate) fn read(dir: &Path) -> Result<CoordState> {
-        let mut decisions = HashMap::new();
+        let mut decisions = HashMap::default();
         let mut floor = 0u64;
         durable::for_each_frame(&dir.join("coord.log"), codec::COORD_MAGIC, |payload| {
             let mut pr = codec::Reader::new(payload);
@@ -375,7 +374,10 @@ mod tests {
             .unwrap();
         drop(log);
         let state = CoordinatorLog::read(&dir).unwrap();
-        assert_eq!(state.decisions, HashMap::from([(9, true), (10, true)]));
+        assert_eq!(
+            state.decisions,
+            [(9, true), (10, true)].into_iter().collect()
+        );
         assert_eq!(state.next_gtid, 11);
         fs::remove_dir_all(dir).ok();
     }
@@ -397,7 +399,7 @@ mod tests {
             .unwrap();
         drop(log);
         let state = CoordinatorLog::read(&dir).unwrap();
-        assert_eq!(state.decisions, HashMap::from([(1, true)]));
+        assert_eq!(state.decisions, [(1, true)].into_iter().collect());
         assert_eq!(state.next_gtid, 2);
         fs::remove_dir_all(dir).ok();
     }
@@ -453,7 +455,7 @@ mod tests {
         log.append_decision(5, true, &[PartitionId::new(1)])
             .unwrap();
         let state = CoordinatorLog::read(&dir).unwrap();
-        assert_eq!(state.decisions, HashMap::from([(5, true)]));
+        assert_eq!(state.decisions, [(5, true)].into_iter().collect());
         assert_eq!(state.next_gtid, 6);
         fs::remove_dir_all(dir).ok();
     }

@@ -28,9 +28,8 @@ use crate::ingest::IngestQueue;
 use crate::router::{RouteSpec, Router};
 use crate::worker::WorkerMsg;
 use sstore_common::obs::{self, Stage};
-use sstore_common::{slog, BatchId, PartitionId};
+use sstore_common::{hash::HashMap, slog, BatchId, PartitionId};
 use sstore_txn::InboundForward;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 
@@ -75,12 +74,12 @@ pub(crate) fn hub_loop(
     }
     let _alive = HubAliveGuard(Arc::clone(&shared));
     // Outstanding shard counts (and health) per edge instance.
-    let mut pending_acks: HashMap<EdgeKey, (usize, bool)> = HashMap::new();
+    let mut pending_acks: HashMap<EdgeKey, (usize, bool)> = HashMap::default();
     // One router per edge key column, built on first use — the hot
     // forward path must not re-validate a Router per envelope. Hash
     // placement is total over any key, so construction cannot fail for
     // a positive partition count (validated at build).
-    let mut routers: HashMap<usize, Router> = HashMap::new();
+    let mut routers: HashMap<usize, Router> = HashMap::default();
     let mut shutting_down = false;
     loop {
         let next = if shutting_down {

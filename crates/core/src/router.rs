@@ -10,7 +10,15 @@
 //! Routing is **total and stable**: every non-NULL key maps to exactly one
 //! partition, and the same key always maps to the same partition (the hash
 //! is `DefaultHasher` with its fixed initial state, not a per-process
-//! random seed). `NULL` keys are rejected with [`Error::Schedule`] rather
+//! random seed).
+//!
+//! **Placement is durable state.** A key's partition is where its logged
+//! and snapshotted rows live, so recovery finds them only if the key
+//! routes where it routed when they were written. The route hash is
+//! therefore not the engine's map hasher (`sstore_common::hash`, keyed
+//! anew in every process); a golden test pins which partition a set of
+//! keys goes to, so a toolchain whose `DefaultHasher` output moved fails
+//! it instead of stranding rows. `NULL` keys are rejected with [`Error::Schedule`] rather
 //! than silently hashed onto one partition — a NULL key means the client
 //! never declared where the row lives, and mis-partitioned rows would
 //! quietly produce per-partition answers that merge to garbage.
@@ -231,6 +239,35 @@ mod tests {
             let b = r.route_key(&Value::Int(i)).unwrap();
             assert_eq!(a, b);
             assert!((a.raw() as usize) < 3);
+        }
+    }
+
+    /// Which partition each key goes to, at 2 and 3 partitions. These are
+    /// durable facts (see module docs): a change here moves keys away from
+    /// the rows recovery restores.
+    #[test]
+    fn hash_placement_matches_its_golden_table() {
+        let golden = [
+            (Value::Int(0), 1, 0),
+            (Value::Int(1), 1, 0),
+            (Value::Int(2), 0, 1),
+            (Value::Int(42), 1, 1),
+            (Value::Int(-7), 1, 1),
+            (Value::Int(1_000_003), 0, 1),
+            (Value::Int(9_876_543_210), 1, 2),
+            (Value::Int(i64::MAX), 1, 0),
+            (Value::Text(String::new()), 0, 1),
+            (Value::Text("a".into()), 0, 0),
+            (Value::Text("voter".into()), 0, 1),
+            (Value::Text("555-0100".into()), 0, 2),
+            (Value::Timestamp(0), 1, 0),
+            (Value::Timestamp(1_700_000_000_000_000), 1, 1),
+        ];
+        let r2 = Router::new(RouteSpec::hash(0), 2).unwrap();
+        let r3 = Router::new(RouteSpec::hash(0), 3).unwrap();
+        for (key, p2, p3) in golden {
+            assert_eq!(r2.route_key(&key).unwrap().raw(), p2, "{key:?} over 2");
+            assert_eq!(r3.route_key(&key).unwrap().raw(), p3, "{key:?} over 3");
         }
     }
 

@@ -102,7 +102,7 @@ impl EeContext<'_> {
         Ok(())
     }
 
-    fn enqueue(&mut self, table: TableId, event: TriggerEvent, params: Row) {
+    fn enqueue(&mut self, table: TableId, event: TriggerEvent, params: &Row) {
         if !self.config.ee_triggers_enabled {
             return;
         }
@@ -165,8 +165,8 @@ impl ExecContext for EeContext<'_> {
                 let rid = self.db.table_mut(table)?.insert(full)?;
                 self.undo.push(UndoOp::Insert { table, rid });
                 self.stats.stream_appends += 1;
-                self.appended.push((table, row.clone()));
-                self.enqueue(table, TriggerEvent::OnInsert, row);
+                self.enqueue(table, TriggerEvent::OnInsert, &row);
+                self.appended.push((table, row));
                 Ok(rid)
             }
             TableKind::Window(_) => {
@@ -174,10 +174,11 @@ impl ExecContext for EeContext<'_> {
                 let outcome =
                     windows::insert_into_window(self.db, self.undo, table, row, self.now)?;
                 self.stats.window_evictions += outcome.evicted as u64;
-                self.enqueue(table, TriggerEvent::OnInsert, visible);
+                self.enqueue(table, TriggerEvent::OnInsert, &visible);
                 if outcome.slid {
                     self.stats.window_slides += 1;
-                    self.enqueue(table, TriggerEvent::OnSlide, Row::default());
+                    let registry = self.registry;
+                    self.enqueue(table, TriggerEvent::OnSlide, &registry.no_params);
                 }
                 Ok(outcome.rid)
             }

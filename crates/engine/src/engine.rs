@@ -56,6 +56,8 @@ pub struct ExecutionEngine {
     registry: TriggerRegistry,
     stats: EeStats,
     config: EeConfig,
+    /// The row ids stream GC deletes, a buffer kept between calls.
+    gc_victims: Vec<RowId>,
 }
 
 impl ExecutionEngine {
@@ -327,7 +329,7 @@ impl ExecutionEngine {
 
     /// Garbage-collect a stream up to (and including) `batch`.
     pub fn gc_stream(&mut self, stream: TableId, batch: BatchId) -> Result<usize> {
-        let n = gc::gc_stream(&mut self.db, stream, batch)?;
+        let n = gc::gc_stream(&mut self.db, stream, batch, &mut self.gc_victims)?;
         self.stats.rows_gcd += n as u64;
         Ok(n)
     }

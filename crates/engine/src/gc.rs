@@ -14,11 +14,17 @@
 
 use sstore_common::{BatchId, Error, Result, TableId};
 use sstore_storage::catalog::{TableKind, COL_BATCH};
-use sstore_storage::Database;
+use sstore_storage::{Database, RowId};
 
-/// Delete all tuples of `stream` belonging to batches `<= up_to`.
-/// Advances the stream's GC watermark. Returns the number of rows removed.
-pub(crate) fn gc_stream(db: &mut Database, stream: TableId, up_to: BatchId) -> Result<usize> {
+/// Delete all tuples of `stream` belonging to batches `<= up_to`, listing
+/// them in the reused buffer `victims`. Advances the stream's GC
+/// watermark. Returns the number of rows removed.
+pub(crate) fn gc_stream(
+    db: &mut Database,
+    stream: TableId,
+    up_to: BatchId,
+    victims: &mut Vec<RowId>,
+) -> Result<usize> {
     // Validate the object and locate the hidden batch column.
     let batch_pos = {
         let meta = db
@@ -34,18 +40,14 @@ pub(crate) fn gc_stream(db: &mut Database, stream: TableId, up_to: BatchId) -> R
             .ok_or_else(|| Error::Internal(format!("stream {stream} missing {COL_BATCH}")))?
     };
 
-    let victims: Vec<_> = {
-        let tb = db.table(stream)?;
-        tb.scan()
-            .filter_map(|(rid, row)| {
-                let b = row[batch_pos].as_int().ok()?;
-                (b as u64 <= up_to.raw()).then_some(rid)
-            })
-            .collect()
-    };
-    let n = victims.len();
-    for rid in victims {
-        db.table_mut(stream)?.delete(rid)?;
+    victims.clear();
+    victims.extend(db.table(stream)?.scan().filter_map(|(rid, row)| {
+        let b = row[batch_pos].as_int().ok()?;
+        (b as u64 <= up_to.raw()).then_some(rid)
+    }));
+    let tb = db.table_mut(stream)?;
+    for &rid in victims.iter() {
+        tb.delete(rid)?;
     }
 
     if let Some(meta) = db.catalog_mut().meta_mut(stream) {
@@ -53,7 +55,7 @@ pub(crate) fn gc_stream(db: &mut Database, stream: TableId, up_to: BatchId) -> R
             s.gc_watermark = Some(s.gc_watermark.map_or(up_to.raw(), |w| w.max(up_to.raw())));
         }
     }
-    Ok(n)
+    Ok(victims.len())
 }
 
 #[cfg(test)]
@@ -89,7 +91,7 @@ mod tests {
         for (i, b) in [(1, 1), (2, 1), (3, 2), (4, 3)] {
             append(&mut db, s, i, b, i);
         }
-        let removed = gc_stream(&mut db, s, BatchId::new(2)).unwrap();
+        let removed = gc_stream(&mut db, s, BatchId::new(2), &mut Vec::new()).unwrap();
         assert_eq!(removed, 3);
         assert_eq!(db.table(s).unwrap().len(), 1);
         assert_eq!(watermark(&db, s), Some(2));
@@ -99,8 +101,8 @@ mod tests {
     fn watermark_is_monotone() {
         let (mut db, s) = stream_db();
         append(&mut db, s, 1, 1, 1);
-        gc_stream(&mut db, s, BatchId::new(5)).unwrap();
-        gc_stream(&mut db, s, BatchId::new(3)).unwrap();
+        gc_stream(&mut db, s, BatchId::new(5), &mut Vec::new()).unwrap();
+        gc_stream(&mut db, s, BatchId::new(3), &mut Vec::new()).unwrap();
         assert_eq!(watermark(&db, s), Some(5));
     }
 
@@ -109,12 +111,15 @@ mod tests {
         let mut db = Database::new();
         let schema = Schema::keyless(vec![Column::new("v", DataType::Int)]).unwrap();
         let t = db.create_table("t", schema).unwrap();
-        assert!(gc_stream(&mut db, t, BatchId::new(1)).is_err());
+        assert!(gc_stream(&mut db, t, BatchId::new(1), &mut Vec::new()).is_err());
     }
 
     #[test]
     fn gc_empty_stream_is_noop() {
         let (mut db, s) = stream_db();
-        assert_eq!(gc_stream(&mut db, s, BatchId::new(10)).unwrap(), 0);
+        assert_eq!(
+            gc_stream(&mut db, s, BatchId::new(10), &mut Vec::new()).unwrap(),
+            0
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! they react to the presence of data from a known source, not to arbitrary
 //! table mutations.
 
-use sstore_common::{Error, Result, TableId};
+use sstore_common::{Error, Result, Row, TableId};
 use sstore_sql::plan::PlannedStmt;
 
 /// When a trigger fires.
@@ -40,6 +40,8 @@ pub(crate) struct EeTrigger {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TriggerRegistry {
     triggers: Vec<EeTrigger>,
+    /// The empty parameter row every slide firing shares.
+    pub no_params: Row,
 }
 
 impl TriggerRegistry {
@@ -59,13 +61,16 @@ impl TriggerRegistry {
 
     /// Indexes of triggers firing for `(table, event)`, in registration
     /// order (registration order = firing order, deterministically).
-    pub(crate) fn matching(&self, table: TableId, event: TriggerEvent) -> Vec<usize> {
+    pub(crate) fn matching(
+        &self,
+        table: TableId,
+        event: TriggerEvent,
+    ) -> impl Iterator<Item = usize> + '_ {
         self.triggers
             .iter()
             .enumerate()
-            .filter(|(_, t)| t.table == table && t.event == event)
+            .filter(move |(_, t)| t.table == table && t.event == event)
             .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -89,15 +94,10 @@ mod tests {
         r.register(trig("b", 0, TriggerEvent::OnInsert)).unwrap();
         r.register(trig("c", 0, TriggerEvent::OnSlide)).unwrap();
         r.register(trig("d", 1, TriggerEvent::OnInsert)).unwrap();
-        assert_eq!(
-            r.matching(TableId::new(0), TriggerEvent::OnInsert),
-            vec![0, 1]
-        );
-        assert_eq!(r.matching(TableId::new(0), TriggerEvent::OnSlide), vec![2]);
-        assert_eq!(
-            r.matching(TableId::new(9), TriggerEvent::OnInsert),
-            Vec::<usize>::new()
-        );
+        let matching = |t, e| r.matching(TableId::new(t), e).collect::<Vec<_>>();
+        assert_eq!(matching(0, TriggerEvent::OnInsert), vec![0, 1]);
+        assert_eq!(matching(0, TriggerEvent::OnSlide), vec![2]);
+        assert_eq!(matching(9, TriggerEvent::OnInsert), Vec::<usize>::new());
         assert_eq!(r.triggers.len(), 4);
     }
 

@@ -13,9 +13,9 @@
 use crate::expr::{eval, eval_pred, ill_typed, BoundExpr, EvalEnv};
 use crate::plan::{AccessPath, AggExpr, AggFunc, PhysicalPlan, PlannedStmt};
 use crate::vexec::{self, ExecPath};
+use sstore_common::hash::{HashMap, HashSet};
 use sstore_common::{DataType, Error, Result, Row, TableId, Value};
 use sstore_storage::{Database, RowId, Table};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// The storage/transaction facade the executor runs against.
@@ -458,7 +458,10 @@ impl GroupState {
     fn new(aggs: &[AggExpr]) -> GroupState {
         GroupState {
             states: aggs.iter().map(|a| AggState::new(a.func)).collect(),
-            seen: aggs.iter().map(|a| a.distinct.then(HashSet::new)).collect(),
+            seen: aggs
+                .iter()
+                .map(|a| a.distinct.then(HashSet::default))
+                .collect(),
         }
     }
 }
@@ -471,7 +474,7 @@ pub(crate) fn run_aggregate(
 ) -> Result<Vec<Row>> {
     // Group order = first appearance, so results are deterministic.
     let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, GroupState> = HashMap::new();
+    let mut groups: HashMap<Vec<Value>, GroupState> = HashMap::default();
 
     for row in rows {
         let key: Vec<Value> = group_exprs
@@ -877,6 +880,46 @@ mod tests {
         }
         let r = sql(&mut db, "SELECT COUNT(*) FROM s WHERE id = 7", &[]);
         assert_eq!(r.scalar_i64().unwrap(), 4);
+    }
+
+    /// A parameter that is a scalar subquery's output is typed by the use
+    /// of the subquery, as a bare one is, and its value checked before any
+    /// row is read: a TEXT for an INT use is refused over an empty table
+    /// and a filled one alike. It used to pass on the empty one, and fail
+    /// in the schema check (INSERT) or match nothing (WHERE) on the filled.
+    fn scalar_subquery_parameter_is_typed(seeded: bool) {
+        let mut db = setup();
+        let s = Schema::keyless(vec![Column::new("id", DataType::Int)]).unwrap();
+        db.create_table("s", s).unwrap();
+        if seeded {
+            seed(&mut db);
+        }
+        let stmts = [
+            ("INSERT INTO s SELECT (SELECT ?) FROM t", 4),
+            ("SELECT id FROM t WHERE id = (SELECT ?)", 1),
+            ("SELECT id FROM t WHERE id = (SELECT ? + 0 LIMIT 1)", 1),
+        ];
+        for (q, hits) in stmts {
+            let mut ctx = DirectContext {
+                db: &mut db,
+                now_micros: 0,
+            };
+            let text = run_sql(q, &mut ctx, &[Value::Text("x".into())]).unwrap_err();
+            assert_eq!(text.kind(), "type_mismatch", "{q}: {text}");
+            let r = run_sql(q, &mut ctx, &[Value::Int(2)]).unwrap();
+            let n = r.rows_affected.max(r.rows.len());
+            assert_eq!(n, if seeded { hits } else { 0 }, "{q}");
+        }
+    }
+
+    #[test]
+    fn scalar_subquery_parameter_is_typed_over_an_empty_table() {
+        scalar_subquery_parameter_is_typed(false);
+    }
+
+    #[test]
+    fn scalar_subquery_parameter_is_typed_over_a_filled_table() {
+        scalar_subquery_parameter_is_typed(true);
     }
 
     /// A statement given fewer values than it has parameters is refused

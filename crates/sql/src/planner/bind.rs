@@ -139,6 +139,18 @@ pub(super) struct Slots {
     pub(super) params: Vec<Vec<DataType>>,
 }
 
+/// The expression a SELECT plan's first output column computes, found
+/// under its DISTINCT, ORDER BY and LIMIT.
+fn first_output(plan: &PhysicalPlan) -> Option<&BoundExpr> {
+    match plan {
+        PhysicalPlan::Project { exprs, .. } => exprs.first(),
+        PhysicalPlan::Distinct { input }
+        | PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Limit { input, .. } => first_output(input),
+        _ => None,
+    }
+}
+
 /// Binds expressions over one [`Scope`], planning the uncorrelated
 /// subqueries it meets into the statement's slots.
 pub(super) struct Binder<'a> {
@@ -420,6 +432,11 @@ impl<'a> Binder<'a> {
             | (None, BoundExpr::Scalar { .. }) => {
                 b.children().try_for_each(|c| self.accept(c, None, ok, op))
             }
+            // So does an untyped scalar subquery's output.
+            (None, BoundExpr::SubqueryRef(i)) => match first_output(&self.slots.subs[*i]) {
+                Some(out) => self.accept(&out.clone(), None, ok, op),
+                None => Ok(()),
+            },
             (None, _) => Ok(()),
         }
     }

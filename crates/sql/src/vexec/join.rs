@@ -5,11 +5,10 @@
 use super::expr::pred_mask;
 use super::{materialize_out, needed_with, Selection, VBatch, VOut};
 use crate::expr::{eval_pred, BoundExpr, EvalEnv};
-use sstore_common::{Result, Row, Value};
+use sstore_common::{hash::HashMap, Result, Row, Value};
 use sstore_vector::join::{hash_join_i64, Matches};
 use sstore_vector::{Column, ColumnData};
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// Extract `(left_col, right_col)` equi-join pairs from the top-level
 /// `AND`-conjuncts of `on`. Column offsets in `on` index the concatenated
@@ -181,7 +180,7 @@ pub(super) fn join_rows(
     }
     // Build on the right (inner) side. NULL key components never match
     // (`=` is NULL-rejecting), so those rows are skipped outright.
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::default();
     'build: for (j, r) in rrows.iter().enumerate() {
         let mut key = Vec::with_capacity(pairs.len());
         for (_, rp) in pairs {

@@ -90,11 +90,11 @@ use crate::plan::{AccessPath, PhysicalPlan};
 use aggregate::{try_agg_kernels, try_window_fast_path};
 use expr::{pred_mask, veval};
 use join::{equi_pairs, join_outputs, join_rows};
-use sstore_common::{Result, Row, TableId, Value};
+use sstore_common::{hash::HashSet, Result, Row, TableId, Value};
 use sstore_vector::compute::bool_to_sel;
 use sstore_vector::{Column, Sel};
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// The mode of the plan walker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -410,7 +410,7 @@ impl<'a> Walk<'a, '_> {
             }
             PhysicalPlan::Distinct { input } => {
                 let rows = materialize_out(self.run(input, false, None)?);
-                let mut seen = HashSet::with_capacity(rows.len());
+                let mut seen = HashSet::with_capacity_and_hasher(rows.len(), Default::default());
                 let mut out = Vec::with_capacity(rows.len());
                 for r in rows {
                     if seen.insert(r.clone()) {

@@ -10,7 +10,7 @@
 
 use crate::index::RowId;
 use sstore_common::{codec, Column, DataType, Error, ProcId, Result, Schema, TableId, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Hidden column appended to streams/windows: batch id.
 pub const COL_BATCH: &str = "__batch";
@@ -270,7 +270,7 @@ pub struct TableMeta {
 /// Name → metadata registry for one partition.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    by_name: HashMap<String, TableId>,
+    by_name: sstore_common::hash::HashMap<String, TableId>,
     metas: Vec<TableMeta>,
 }
 

@@ -12,9 +12,9 @@
 //! integer-keyed entry therefore costs 24 B and no heap block of its own,
 //! and a cell-keyed one 40 B plus a Text key's string.
 
-use sstore_common::{codec, DataType, Error, Result, Schema, Value};
+use sstore_common::{codec, hash::HashMap, DataType, Error, Result, Schema, Value};
 use std::borrow::Borrow;
-use std::collections::{hash_map, HashMap};
+use std::collections::hash_map;
 use std::hash::{Hash, Hasher};
 
 /// Stable identifier of a row slot within one table.
@@ -260,10 +260,10 @@ impl IndexStore {
         };
         match cell {
             Some(cell) => IndexStore::Int {
-                map: HashMap::with_capacity(n),
+                map: HashMap::with_capacity_and_hasher(n, Default::default()),
                 cell,
             },
-            None => IndexStore::Cells(HashMap::with_capacity(n)),
+            None => IndexStore::Cells(HashMap::with_capacity_and_hasher(n, Default::default())),
         }
     }
 }
@@ -721,6 +721,31 @@ mod tests {
             }
             ix.remove(&probe, 5).unwrap();
             assert_eq!(key_count(&ix), 0);
+        }
+    }
+
+    /// A stored key hashes, under the engine's map hasher, as the slice
+    /// it stands for, so the `Borrow` probe with a `KeyRef` (borrowed or
+    /// gathered) lands in its bucket.
+    #[test]
+    fn stored_keys_hash_as_their_probe_slices() {
+        use std::hash::BuildHasher;
+        let state = sstore_common::hash::State::default();
+        let row = [
+            Value::Int(2),
+            Value::Text("ann".into()),
+            Value::Float(0.5),
+            Value::Null,
+        ];
+        for key_cols in [vec![0], vec![1], vec![3], vec![1, 2], vec![2, 0]] {
+            let ix = index("k", key_cols.clone(), false);
+            let probe = ix.key_ref(&row);
+            let stored = IndexKey::of(&probe);
+            assert_eq!(
+                state.hash_one(&stored),
+                state.hash_one(&*probe),
+                "{key_cols:?}"
+            );
         }
     }
 

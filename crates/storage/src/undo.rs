@@ -99,17 +99,17 @@ impl UndoLog {
         self.ops.is_empty()
     }
 
-    /// Undo the entire transaction, newest first.
-    pub fn rollback(mut self, db: &mut Database) -> Result<()> {
+    /// Undo the entire transaction, newest first, emptying the log.
+    pub fn rollback(&mut self, db: &mut Database) -> Result<()> {
         while let Some(op) = self.ops.pop() {
             Self::apply(db, op)?;
         }
         Ok(())
     }
 
-    /// Commit: drop the log without applying anything.
-    pub fn commit(self) {
-        // Dropping is sufficient; method exists for call-site clarity.
+    /// Commit: empty the log without applying anything.
+    pub fn commit(&mut self) {
+        self.ops.clear();
     }
 
     fn apply(db: &mut Database, op: UndoOp) -> Result<()> {

@@ -26,8 +26,7 @@
 use sstore_common::codec;
 use sstore_common::durable::{self, AppendFile};
 use sstore_common::fault;
-use sstore_common::{BatchId, Error, Result, Row};
-use std::collections::HashSet;
+use sstore_common::{hash::HashSet, BatchId, Error, Result, Row};
 use std::path::{Path, PathBuf};
 
 /// One durable record.

@@ -8,8 +8,7 @@ use crate::log::LogRecord;
 use crate::transaction::Invocation;
 use crate::workflow::CrossEdge;
 use sstore_common::obs::{self, Stage, TraceCtx};
-use sstore_common::{Batch, BatchId, Error, Result, Row, TableId};
-use std::collections::HashMap;
+use sstore_common::{hash::HashMap, Batch, BatchId, Error, Result, Row, TableId};
 
 /// One batch bound for another partition over a cross-partition workflow
 /// edge. Produced by [`Partition::take_outbox`] after a TE commits onto a
@@ -173,7 +172,7 @@ impl Partition {
         b: BatchId,
         stream: TableId,
         key_col: usize,
-        rows: &[Row],
+        rows: Vec<Row>,
     ) -> Result<()> {
         let name = self
             .engine
@@ -192,7 +191,7 @@ impl Partition {
             batch: b,
             stream: name.clone(),
             key_col: key_col as u32,
-            rows: rows.to_vec(),
+            rows: rows.clone(),
         }) {
             // Post-commit-point failure: the emitting batch is durable
             // and applied, but its envelope can never be logged (the
@@ -207,7 +206,7 @@ impl Partition {
             stream: name,
             key_col,
             batch: b,
-            rows: rows.to_vec(),
+            rows,
             trace: self.batch_traces.get(&b.raw()).copied(),
         });
         // The envelope holds shared row handles; the emitted tuples are

@@ -39,13 +39,14 @@ use crate::workflow::Workflow;
 use durability::Durability;
 use edges::Edges;
 use participant::Participant;
+use sstore_common::hash::{HashMap, HashSet};
 use sstore_common::obs::TraceCtx;
 use sstore_common::{
     Batch, BatchId, Clock, Error, PartitionId, ProcId, Result, Row, TableId, TxnId, Value,
 };
 use sstore_engine::{ExecutionEngine, TxnScratch};
 use sstore_sql::exec::QueryResult;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Which system the partition behaves as.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,6 +108,10 @@ pub struct Partition {
     /// (fsync, forward emission, edge ack) back to the submission.
     /// Entries die with the batch's last reference.
     batch_traces: HashMap<u64, TraceCtx>,
+    /// The undo and appended buffers the next TE runs in: `run_body`
+    /// takes them, and `post_te` gives them back empty. A held 2PC
+    /// fragment owns the scratch it ran in until its decision.
+    spare: TxnScratch,
 }
 
 impl std::fmt::Debug for Partition {
@@ -132,7 +137,7 @@ impl Partition {
         Ok(Partition {
             engine: ExecutionEngine::new(),
             procs: Vec::new(),
-            by_name: HashMap::new(),
+            by_name: HashMap::default(),
             workflow: Workflow::default(),
             clock: Clock::new(),
             stats,
@@ -140,12 +145,13 @@ impl Partition {
             queue: VecDeque::new(),
             next_txn: 1,
             next_batch: 0,
-            batch_refs: HashMap::new(),
-            gc_pending: HashMap::new(),
+            batch_refs: HashMap::default(),
+            gc_pending: HashMap::default(),
             participant: Participant::default(),
             edges: Edges::default(),
             durable,
-            batch_traces: HashMap::new(),
+            batch_traces: HashMap::default(),
+            spare: TxnScratch::default(),
         })
     }
 
@@ -203,9 +209,9 @@ impl Partition {
                 )));
             }
         }
-        let mut statements = HashMap::new();
-        let mut read_set = std::collections::HashSet::new();
-        let mut write_set = std::collections::HashSet::new();
+        let mut statements = HashMap::default();
+        let mut read_set = HashSet::default();
+        let mut write_set = HashSet::default();
         for (name, sql) in &spec.statements {
             let planned = self.engine.prepare(sql)?;
             let (r, w) = stmt_effects(&planned);
@@ -417,29 +423,24 @@ impl Partition {
             self.stats.group_submissions += 1;
             self.stats.batches_coalesced += n as u64;
         }
-        let mut ids = Vec::with_capacity(n);
+        // The group's batches take consecutive ids from `first` on.
+        let first = self.next_batch + 1;
+        let mut groups: Vec<Vec<TxnOutcome>> = Vec::with_capacity(n);
         let mut enqueue_err: Option<Error> = None;
         for (rows, trace) in batches {
-            match self.enqueue(pid, proc, rows, trace, true) {
-                Ok(id) => ids.push(id),
-                Err(e) => {
-                    // This submission (and the rest of the group) was
-                    // never enqueued; the already-enqueued prefix still
-                    // runs below.
-                    enqueue_err = Some(e);
-                    break;
-                }
+            if let Err(e) = self.enqueue(pid, proc, rows, trace, true) {
+                // This submission (and the rest of the group) was never
+                // enqueued; the already-enqueued prefix still runs below.
+                enqueue_err = Some(e);
+                break;
             }
+            groups.push(Vec::new());
         }
-        let outcomes = self.run_queued()?;
         // Attribute execution-order outcomes back to their border batch
         // (downstream TEs carry the border batch's id).
-        let index: HashMap<u64, usize> =
-            ids.iter().enumerate().map(|(i, b)| (b.raw(), i)).collect();
-        let mut groups: Vec<Vec<TxnOutcome>> = ids.iter().map(|_| Vec::new()).collect();
-        for o in outcomes {
-            if let Some(&i) = index.get(&o.batch.raw()) {
-                groups[i].push(o);
+        for o in self.run_queued()? {
+            if let Some(g) = groups.get_mut(o.batch.raw().wrapping_sub(first) as usize) {
+                g.push(o);
             }
         }
         let mut results: Vec<Result<Vec<TxnOutcome>>> = groups.into_iter().map(Ok).collect();
@@ -561,8 +562,8 @@ impl Partition {
         }
         let mut outcomes = Vec::new();
         while let Some(inv) = self.queue.pop_front() {
-            let (outcome, appended) = self.run_te(&inv)?;
-            self.post_te(&inv, &outcome, appended)?;
+            let (outcome, scratch) = self.run_te(&inv)?;
+            self.post_te(&inv, &outcome, scratch)?;
             outcomes.push(outcome);
         }
         self.maybe_snapshot_for_retention();
@@ -575,8 +576,9 @@ impl Partition {
             .unwrap_or_else(|| self.workflow.has_shared_writables())
     }
 
-    /// Run `pid`'s body over `input` under the next transaction id,
-    /// leaving its undo log open: the caller commits or rolls back.
+    /// Run `pid`'s body over `input` under the next transaction id, in
+    /// the partition's spare scratch, leaving its undo log open: the
+    /// caller commits or rolls back.
     fn run_body(
         &mut self,
         pid: ProcId,
@@ -586,8 +588,9 @@ impl Partition {
         self.next_txn += 1;
         let now = self.clock.now();
         let proc = &self.procs[pid.raw() as usize];
-        let handler = proc.handler.clone();
-        let mut scratch = TxnScratch::new(Some(pid), input.id);
+        let mut scratch = std::mem::take(&mut self.spare);
+        scratch.proc = Some(pid);
+        scratch.batch = input.id;
         let mut ctx = ProcContext {
             engine: &mut self.engine,
             scratch: &mut scratch,
@@ -597,29 +600,30 @@ impl Partition {
             output_stream: proc.output_stream,
             response: None,
         };
-        let result = handler(&mut ctx);
+        let result = (proc.handler)(&mut ctx);
         let response = ctx.response.take();
         (txn, scratch, response, result)
     }
 
     /// Run one TE: execute the procedure body over its batch, commit or
-    /// roll back atomically. Returns the outcome and the stream rows a
-    /// committed TE emitted (none for a rolled-back one).
-    fn run_te(&mut self, inv: &Invocation) -> Result<(TxnOutcome, Vec<(TableId, Row)>)> {
+    /// roll back atomically. Returns the outcome and the scratch it ran
+    /// in, its undo log empty again and its `appended` holding the stream
+    /// rows the body emitted (which `post_te` drops unless it committed).
+    fn run_te(&mut self, inv: &Invocation) -> Result<(TxnOutcome, TxnScratch)> {
         let start = std::time::Instant::now();
-        let (txn, scratch, response, result) = self.run_body(inv.proc, &inv.batch);
-        let (status, response, error, appended) = match result {
+        let (txn, mut scratch, response, result) = self.run_body(inv.proc, &inv.batch);
+        let (status, response, error) = match result {
             Ok(()) => {
                 scratch.undo.commit();
                 self.stats.committed += 1;
                 self.durable.note_commit();
                 self.stats.record_latency(start.elapsed().as_nanos());
-                (TxnStatus::Committed, response, None, scratch.appended)
+                (TxnStatus::Committed, response, None)
             }
             Err(e) => {
                 scratch.undo.rollback(self.engine.db_mut())?;
                 let status = self.count_failure(&e);
-                (status, None, Some(e.to_string()), Vec::new())
+                (status, None, Some(e.to_string()))
             }
         };
         let outcome = TxnOutcome {
@@ -630,7 +634,7 @@ impl Partition {
             response,
             error,
         };
-        Ok((outcome, appended))
+        Ok((outcome, scratch))
     }
 
     /// Count a TE body's failure: an explicit abort, or an engine error.
@@ -645,62 +649,42 @@ impl Partition {
     }
 
     /// Post-commit bookkeeping: PE triggers over the rows a committed TE
-    /// `appended`, GC, batch completion acks.
+    /// appended (in `scratch`), GC, batch completion acks. The scratch,
+    /// emptied, becomes the partition's spare again.
     fn post_te(
         &mut self,
         inv: &Invocation,
         outcome: &TxnOutcome,
-        appended: Vec<(TableId, Row)>,
+        mut scratch: TxnScratch,
     ) -> Result<()> {
         let b = inv.batch.id;
 
-        if outcome.is_committed() {
-            // Group emitted rows by stream, preserving first-append order.
-            let mut order: Vec<TableId> = Vec::new();
-            let mut by_stream: HashMap<TableId, Vec<Row>> = HashMap::new();
-            for (stream, row) in appended {
-                if !by_stream.contains_key(&stream) {
-                    order.push(stream);
+        if outcome.is_committed() && self.config.mode == ExecMode::SStore {
+            // One output batch per stream, streams in first-append order:
+            // each pass moves the first stream's rows out and keeps the
+            // rest, in order, for the next.
+            let (scheduled, mut later) = (self.queue.len(), Vec::new());
+            while let Some(&(stream, _)) = scratch.appended.first() {
+                let mut rows = Vec::with_capacity(scratch.appended.len());
+                for (s, row) in scratch.appended.drain(..) {
+                    if s == stream {
+                        rows.push(row);
+                    } else {
+                        later.push((s, row));
+                    }
                 }
-                by_stream.entry(stream).or_default().push(row);
+                scratch.appended.append(&mut later);
+                self.schedule_emitted(b, stream, rows)?;
             }
-
-            if self.config.mode == ExecMode::SStore {
-                let serial = self.serial_workflow();
-                let mut to_schedule: Vec<Invocation> = Vec::new();
-                for stream in &order {
-                    let rows = &by_stream[stream];
-                    // A declared cross-partition edge: the batch goes to
-                    // the outbox for the cluster router instead of firing
-                    // local PE triggers.
-                    if let Some(key_col) = self.workflow.remote_key_col(*stream) {
-                        self.emit_remote(b, *stream, key_col, rows)?;
-                        continue;
-                    }
-                    let consumers = self.workflow.consumers_of(*stream).to_vec();
-                    if !consumers.is_empty() {
-                        self.gc_pending.insert((*stream, b.raw()), consumers.len());
-                    }
-                    for consumer in consumers {
-                        self.stats.pe_trigger_firings += 1;
-                        *self.batch_refs.entry(b.raw()).or_insert(0) += 1;
-                        to_schedule.push(Invocation {
-                            proc: consumer,
-                            batch: Batch::new(b, rows.clone()),
-                        });
-                    }
-                }
-                if serial {
-                    // Downstream of this batch runs before anything queued
-                    // (whole-workflow serial execution).
-                    for inv in to_schedule.into_iter().rev() {
-                        self.queue.push_front(inv);
-                    }
-                } else {
-                    self.queue.extend(to_schedule);
-                }
+            if self.serial_workflow() {
+                // Downstream of this batch runs before anything queued
+                // (whole-workflow serial execution).
+                let n = self.queue.len() - scheduled;
+                self.queue.rotate_right(n);
             }
         }
+        scratch.appended.clear();
+        self.spare = scratch;
 
         // GC this TE's *input* stream once all consumers are done. This
         // runs for aborted TEs too: the batch is terminally consumed either
@@ -717,6 +701,34 @@ impl Partition {
 
         // Batch completion accounting.
         self.complete_batch(b)?;
+        Ok(())
+    }
+
+    /// Hand the `rows` a committed TE of batch `b` emitted on `stream` to
+    /// its consumers, queued at the back: a declared cross-partition edge
+    /// sends them to the outbox for the cluster router instead. The last
+    /// consumer takes the rows; each other one gets a copy of the handles.
+    fn schedule_emitted(&mut self, b: BatchId, stream: TableId, rows: Vec<Row>) -> Result<()> {
+        if let Some(key_col) = self.workflow.remote_key_col(stream) {
+            return self.emit_remote(b, stream, key_col, rows);
+        }
+        let consumers = self.workflow.consumers_of(stream);
+        let Some((&last, others)) = consumers.split_last() else {
+            return Ok(());
+        };
+        self.gc_pending.insert((stream, b.raw()), consumers.len());
+        self.stats.pe_trigger_firings += consumers.len() as u64;
+        *self.batch_refs.entry(b.raw()).or_insert(0) += consumers.len();
+        for &proc in others {
+            self.queue.push_back(Invocation {
+                proc,
+                batch: Batch::new(b, rows.clone()),
+            });
+        }
+        self.queue.push_back(Invocation {
+            proc: last,
+            batch: Batch::new(b, rows),
+        });
         Ok(())
     }
 
@@ -1003,7 +1015,7 @@ mod tests {
         // per proc: b strictly increasing for each tag.
         let mut first_batches = vec![];
         let mut second_batches = vec![];
-        let mut seen_first: HashMap<i64, usize> = HashMap::new();
+        let mut seen_first: HashMap<i64, usize> = HashMap::default();
         for (i, row) in r.rows.iter().enumerate() {
             let tag = row[0].as_text().unwrap().to_string();
             let b = row[1].as_int().unwrap();
@@ -1358,7 +1370,7 @@ mod tests {
         // prepare marker and the decision; replay resolves the fragment at
         // its marker, then the speculative record — same end state.
         drop(p);
-        let decisions = std::collections::HashMap::from([(4u64, true)]);
+        let decisions: HashMap<u64, bool> = [(4, true)].into_iter().collect();
         let mut r = recover_with_decisions(config, deploy, &decisions).unwrap();
         assert_eq!((total(&mut r), audit_total(&mut r)), live);
         assert_eq!(r.stats().twopc_commits, 1);

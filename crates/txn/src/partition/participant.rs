@@ -7,10 +7,9 @@ use super::Partition;
 use crate::log::LogRecord;
 use crate::transaction::{Invocation, TxnOutcome, TxnStatus};
 use sstore_common::obs::TraceCtx;
-use sstore_common::{Batch, BatchId, Error, ProcId, Result, Row, TableId, TxnId};
+use sstore_common::{hash::HashSet, Batch, BatchId, Error, ProcId, Result, Row, TableId, TxnId};
 use sstore_engine::TxnScratch;
 use sstore_sql::exec::QueryResult;
-use std::collections::HashSet;
 
 /// A fragment of a multi-sited transaction, executed at *prepare* time
 /// with its undo log held open until the coordinator's decision arrives.
@@ -123,7 +122,7 @@ impl Partition {
         self.batch_refs.insert(batch.raw(), 1);
 
         let start = std::time::Instant::now();
-        let (txn, scratch, response, result) = self.run_body(pid, &Batch::new(batch, rows));
+        let (txn, mut scratch, response, result) = self.run_body(pid, &Batch::new(batch, rows));
         match result {
             Ok(()) => {
                 self.participant.held = Some(PreparedFragment {
@@ -182,7 +181,7 @@ impl Partition {
                 )))
             }
         }
-        let frag = self.participant.held.take().expect("checked: gtid is held");
+        let mut frag = self.participant.held.take().expect("checked: gtid is held");
         if let Err(e) = self.log_record(&LogRecord::Decision {
             gtid,
             batch: frag.batch,
@@ -210,23 +209,18 @@ impl Partition {
             proc: frag.proc,
             batch: Batch::empty(frag.batch),
         };
-        let (status, response, error, appended) = if commit {
+        let (status, response, error) = if commit {
             frag.scratch.undo.commit();
             self.stats.committed += 1;
             self.stats.twopc_commits += 1;
             self.durable.note_commit();
             self.stats.record_latency(frag.start.elapsed().as_nanos());
-            (
-                TxnStatus::Committed,
-                frag.response,
-                None,
-                frag.scratch.appended,
-            )
+            (TxnStatus::Committed, frag.response, None)
         } else {
             frag.scratch.undo.rollback(self.engine.db_mut())?;
             self.stats.twopc_aborts += 1;
             let error = format!("aborted by 2PC coordinator (gtid {gtid})");
-            (TxnStatus::Aborted, None, Some(error), Vec::new())
+            (TxnStatus::Aborted, None, Some(error))
         };
         let outcome = TxnOutcome {
             txn: frag.txn,
@@ -236,7 +230,7 @@ impl Partition {
             response,
             error,
         };
-        self.post_te(&inv, &outcome, appended)?;
+        self.post_te(&inv, &outcome, frag.scratch)?;
         let mut outcomes = vec![outcome];
         outcomes.extend(self.run_queued()?);
         Ok(outcomes)
@@ -284,7 +278,7 @@ impl Partition {
     fn closure_tables(&self, root: ProcId) -> HashSet<TableId> {
         let mut seen = vec![false; self.procs.len()];
         let mut stack = vec![root];
-        let mut tables = HashSet::new();
+        let mut tables = HashSet::default();
         while let Some(pid) = stack.pop() {
             let i = pid.raw() as usize;
             if std::mem::replace(&mut seen[i], true) {

@@ -12,11 +12,11 @@
 //! [`ProcContext::emit`] appends the row handle directly, with no plan at
 //! all.
 
+use sstore_common::hash::{HashMap, HashSet};
 use sstore_common::{Batch, Error, ProcId, Result, Row, TableId, Value};
 use sstore_engine::{ExecutionEngine, TxnScratch};
 use sstore_sql::exec::QueryResult;
 use sstore_sql::plan::{PhysicalPlan, PlannedStmt};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Procedure body: control code over the context.
@@ -163,8 +163,8 @@ pub(crate) fn plan_reads(plan: &PhysicalPlan, out: &mut HashSet<TableId>) {
 
 /// Compute the (read, write) table sets of a planned statement.
 pub(crate) fn stmt_effects(stmt: &PlannedStmt) -> (HashSet<TableId>, HashSet<TableId>) {
-    let mut reads = HashSet::new();
-    let mut writes = HashSet::new();
+    let mut reads = HashSet::default();
+    let mut writes = HashSet::default();
     match stmt {
         PlannedStmt::Query {
             plan, subqueries, ..
@@ -336,7 +336,7 @@ mod tests {
             .unwrap();
         let out = engine.db().resolve("out_s").unwrap();
         let mut scratch = TxnScratch::new(Some(ProcId::new(0)), BatchId::new(3));
-        let mut stmts = HashMap::new();
+        let mut stmts = HashMap::default();
         stmts.insert(
             "ins".to_string(),
             engine.prepare("INSERT INTO t VALUES (?)").unwrap(),
@@ -381,7 +381,7 @@ mod tests {
             .ddl_sql("CREATE TABLE t (id INT, PRIMARY KEY (id))")
             .unwrap();
         let mut scratch = TxnScratch::new(Some(ProcId::new(0)), BatchId::new(1));
-        let mut stmts = HashMap::new();
+        let mut stmts = HashMap::default();
         stmts.insert(
             "ins".to_string(),
             engine.prepare("INSERT INTO t VALUES (?)").unwrap(),
@@ -412,7 +412,7 @@ mod tests {
     fn emit_without_output_stream_errors() {
         let mut engine = ExecutionEngine::new();
         let mut scratch = TxnScratch::new(None, BatchId::new(0));
-        let stmts = HashMap::new();
+        let stmts = HashMap::default();
         let input = Batch::empty(BatchId::new(0));
         let mut ctx = ProcContext {
             engine: &mut engine,

@@ -18,9 +18,9 @@
 
 use crate::log::{read_log, LogConfig, LogRecord};
 use crate::partition::{Partition, PeConfig};
+use sstore_common::hash::{HashMap, HashSet};
 use sstore_common::{BatchId, Result};
 use sstore_storage::snapshot::Snapshot;
-use std::collections::HashMap;
 
 /// Rebuild a partition from its durable state.
 ///
@@ -36,7 +36,7 @@ pub fn recover(
     config: PeConfig,
     setup: impl FnOnce(&mut Partition) -> Result<()>,
 ) -> Result<Partition> {
-    recover_with_decisions(config, setup, &HashMap::new())
+    recover_with_decisions(config, setup, &HashMap::default())
 }
 
 /// [`recover`], resolving in-doubt 2PC fragments against a coordinator's
@@ -75,7 +75,7 @@ pub fn recover_with_decisions(
     // Replay the tail of the log.
     let replay_start = std::time::Instant::now();
     let records = read_log(&log_cfg.log_path())?;
-    let acked: std::collections::HashSet<u64> = records
+    let acked: HashSet<u64> = records
         .iter()
         .filter_map(|r| match r {
             LogRecord::Ack { batch } => Some(batch.raw()),
@@ -495,7 +495,7 @@ mod tests {
             // Crash after the coordinator's commit record became durable,
             // before the participant heard about it.
         }
-        let decisions = HashMap::from([(7u64, true)]);
+        let decisions: HashMap<u64, bool> = [(7, true)].into_iter().collect();
         let mut r = recover_with_decisions(config(&dir), setup, &decisions).unwrap();
         assert_eq!(
             total(&mut r),

@@ -18,8 +18,8 @@
 //! on the receiving partition before execution.
 
 use crate::procedure::Procedure;
+use sstore_common::hash::{HashMap, HashSet};
 use sstore_common::{Error, ProcId, Result, TableId};
-use std::collections::{HashMap, HashSet};
 
 /// Declaration of one cross-partition workflow edge: tuples emitted onto
 /// `stream` are routed to the partition owning `key_col` instead of being
@@ -86,8 +86,8 @@ impl Workflow {
 
     fn check_acyclic(&self, procs: &[Procedure]) -> Result<()> {
         // Kahn's algorithm over proc nodes.
-        let mut indeg: HashMap<ProcId, usize> = HashMap::new();
-        let mut edges: HashMap<ProcId, Vec<ProcId>> = HashMap::new();
+        let mut indeg: HashMap<ProcId, usize> = HashMap::default();
+        let mut edges: HashMap<ProcId, Vec<ProcId>> = HashMap::default();
         for p in procs {
             indeg.entry(p.id).or_insert(0);
             if let Some(input) = p.input_stream {
@@ -215,7 +215,6 @@ impl Workflow {
 mod tests {
     use super::*;
     use crate::procedure::ProcHandler;
-    use std::collections::HashMap as Map;
     use std::sync::Arc;
 
     fn handler() -> ProcHandler {
@@ -234,7 +233,7 @@ mod tests {
             name: format!("sp{id}"),
             input_stream: input.map(TableId::new),
             output_stream: output.map(TableId::new),
-            statements: Map::new(),
+            statements: HashMap::default(),
             read_set: reads.iter().map(|&t| TableId::new(t)).collect(),
             write_set: writes.iter().map(|&t| TableId::new(t)).collect(),
             multi_partition: false,

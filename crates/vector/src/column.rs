@@ -22,8 +22,7 @@
 //! and group by code. Two lanes may number the same strings differently,
 //! so lanes compare by their decoded strings.
 
-use sstore_common::{DataType, Schema, Value};
-use std::collections::HashMap;
+use sstore_common::{hash::HashMap, DataType, Schema, Value};
 use std::sync::Arc;
 
 /// Fixed-length bitmap, one bit per row. Used for column validity

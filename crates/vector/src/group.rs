@@ -30,8 +30,7 @@
 use crate::column::{valid_at, Bitmap, Column, ColumnData};
 use crate::compute::NumSrc;
 use crate::Sel;
-use sstore_common::{Error, Result};
-use std::collections::HashMap;
+use sstore_common::{hash::HashMap, Error, Result};
 use std::hash::Hash;
 
 /// A partition of the selected rows into groups. A reduction must be
@@ -180,7 +179,7 @@ fn hashed<K: Hash + Eq>(
     sel: Sel,
     rows: usize,
 ) -> Groups<'static> {
-    let mut seen: HashMap<K, u32> = HashMap::new();
+    let mut seen: HashMap<K, u32> = HashMap::default();
     let mut ids = vec![0u32; rows];
     let mut first: Vec<u32> = Vec::new();
     let mut null_group: Option<u32> = None;

@@ -18,7 +18,7 @@
 use crate::column::{valid_at, Bitmap};
 use crate::group::{dense_range, each_lane};
 use crate::Sel;
-use std::collections::HashMap;
+use sstore_common::hash::HashMap;
 
 /// The matches of [`hash_join_i64`], in probe-major order with build
 /// matches in build-selection order: exactly the iteration order of the
@@ -76,7 +76,7 @@ pub fn hash_join_i64(
             return m;
         }
     }
-    let mut table: HashMap<i64, Vec<u32>> = HashMap::new();
+    let mut table: HashMap<i64, Vec<u32>> = HashMap::default();
     build.each_valid(|i, k| table.entry(k).or_default().push(i as u32));
     let (mut probe_idx, mut build_idx) = (Vec::new(), Vec::new());
     probe.each_valid(|i, k| {

@@ -7,7 +7,7 @@
 //! E1 compares both engines' final state against this oracle.
 
 use crate::schema::VoterConfig;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The reference implementation of the game's rules.
 #[derive(Debug, Clone)]
@@ -18,9 +18,9 @@ pub struct Oracle {
     /// Per-contestant counted votes (live contestants only).
     pub counts: BTreeMap<i64, i64>,
     /// Live votes: vote id -> (phone, contestant).
-    votes: HashMap<i64, (i64, i64)>,
+    votes: sstore_common::hash::HashMap<i64, (i64, i64)>,
     /// Phones with a live vote.
-    phones: HashSet<i64>,
+    phones: sstore_common::hash::HashSet<i64>,
     /// Eliminated contestants in order, with the vote total at elimination.
     pub eliminated: Vec<(i64, i64)>,
     /// Counted votes so far.
@@ -40,8 +40,8 @@ impl Oracle {
             cfg,
             contestants,
             counts,
-            votes: HashMap::new(),
-            phones: HashSet::new(),
+            votes: Default::default(),
+            phones: Default::default(),
             eliminated: Vec::new(),
             total: 0,
             since: 0,

@@ -134,7 +134,7 @@ fn voter_vote_allocations_stay_within_budget() {
     for v in &votes[WARM..] {
         vote(&mut db, v.phone, v.contestant);
     }
-    check("voter: per vote", allocs() - before, TIMED as u64, 43.0);
+    check("voter: per vote", allocs() - before, TIMED as u64, 31.6);
 }
 
 #[test]
@@ -159,7 +159,7 @@ fn count_events_allocations_per_row_stay_within_budget() {
         "count_events: per row",
         allocs() - before,
         (BATCH * BATCHES) as u64,
-        3.25,
+        3.12,
     );
 }
 

@@ -127,7 +127,7 @@ fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
 const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("sstore", 0),
     ("bikeshare", 8),
-    ("common", 153),
+    ("common", 157),
     ("core", 77),
     ("engine", 26),
     ("slt", 18),
@@ -182,15 +182,15 @@ fn library_pub_items_stay_within_budget() {
 /// sources may hold, pinned at today's counts.
 const LINE_BUDGET: [(&str, usize); 11] = [
     ("bikeshare", 874),
-    ("common", 3084),
-    ("core", 3519),
-    ("engine", 1020),
+    ("common", 3199),
+    ("core", 3525),
+    ("engine", 1030),
     ("slt", 1138),
-    ("sql", 5204),
+    ("sql", 5223),
     ("sstore", 39),
     ("storage", 2663),
-    ("txn", 3462),
-    ("vector", 1876),
+    ("txn", 3466),
+    ("vector", 1874),
     ("voter", 903),
 ];
 
