@@ -39,6 +39,21 @@ impl Column {
     pub fn holds(&self, v: &Value) -> bool {
         v.data_type().map_or(self.nullable, |t| t == self.ty)
     }
+
+    /// `v` as this column stores it: as it is when the column holds it,
+    /// coerced to the declared type otherwise. NULL in a non-nullable
+    /// column and a value the type cannot take are refused.
+    pub fn store(&self, v: Value) -> Result<Value> {
+        if self.holds(&v) {
+            return Ok(v);
+        }
+        if v.is_null() {
+            let e = format!("NULL in non-nullable column `{}`", self.name);
+            return Err(Error::Constraint(e));
+        }
+        let e = || Error::TypeMismatch(format!("column `{}` expects {}", self.name, self.ty));
+        self.ty.coerce(v).ok_or_else(e)
+    }
 }
 
 /// An ordered list of columns plus an optional primary key.
@@ -123,18 +138,8 @@ impl Schema {
             if col.holds(&row[i]) {
                 continue; // stored as it is: no write needed
             }
-            if row[i].is_null() {
-                return Err(Error::Constraint(format!(
-                    "NULL in non-nullable column `{}`",
-                    col.name
-                )));
-            }
             let cells = row.make_mut();
-            let v = std::mem::replace(&mut cells[i], Value::Null);
-            let coerced = col.ty.coerce(v).ok_or_else(|| {
-                Error::TypeMismatch(format!("column `{}` expects {}", col.name, col.ty))
-            })?;
-            cells[i] = coerced;
+            cells[i] = col.store(std::mem::replace(&mut cells[i], Value::Null))?;
         }
         Ok(row)
     }

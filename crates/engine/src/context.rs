@@ -134,29 +134,23 @@ impl ExecContext for EeContext<'_> {
     }
 
     fn insert_visible(&mut self, table: TableId, row: Row) -> Result<RowId> {
-        // Branch on the borrowed kind: the only copy of it taken is the
-        // undo snapshot a stream (here) or window (`insert_into_window`)
-        // insert needs.
-        match self.db.kind(table)? {
+        let kind = self.db.catalog_mut().meta_mut(table).map(|m| &mut m.kind);
+        match kind.ok_or_else(|| Error::NotFound(format!("table {table}")))? {
             TableKind::Base => {
                 let rid = self.db.table_mut(table)?.insert(row)?;
                 self.undo.push(UndoOp::Insert { table, rid });
                 Ok(rid)
             }
-            kind @ TableKind::Stream(_) => {
-                // Rewind counters on abort.
-                let prior = kind.clone();
-                self.undo.push(UndoOp::KindMeta { table, prior });
-                let seq = {
-                    let meta = self.db.catalog_mut().meta_mut(table).expect("kind checked");
-                    match &mut meta.kind {
-                        TableKind::Stream(s) => {
-                            s.next_seq += 1;
-                            s.next_seq
-                        }
-                        _ => unreachable!(),
-                    }
-                };
+            TableKind::Stream(s) => {
+                // Rewind the counter on abort.
+                self.undo.push(UndoOp::Counters {
+                    table,
+                    next_seq: s.next_seq,
+                    total_inserted: 0,
+                    pending: 0,
+                });
+                s.next_seq += 1;
+                let seq = s.next_seq;
                 // The stored row widens the visible one with the hidden
                 // lifecycle columns; the visible handle itself is shared
                 // into the output batch and any trigger parameters.
@@ -186,9 +180,6 @@ impl ExecContext for EeContext<'_> {
     }
 
     fn delete_row(&mut self, table: TableId, rid: RowId) -> Result<Row> {
-        // Snapshot the window counters (incl. the aggregate cache) before
-        // mutating them, so aborts restore the cache with the rows.
-        let window_prior = self.window_kind_snapshot(table);
         let row = self.db.table_mut(table)?.delete(rid)?;
         self.undo.push(UndoOp::Delete {
             table,
@@ -197,13 +188,8 @@ impl ExecContext for EeContext<'_> {
         });
         // An ad-hoc delete on a window must excise its arrival-deque entry
         // so slide maintenance never sees a stale row id.
-        if let Some(prior) = window_prior {
-            self.undo.push(UndoOp::KindMeta { table, prior });
-            let visible_len = self.db.table(table)?.schema().arity() - 2;
-            let meta = self.db.catalog_mut().meta_mut(table).expect("kind checked");
-            if let TableKind::Window(w) = &mut meta.kind {
-                w.aggs.remove(&row[..visible_len]);
-            }
+        let meta = self.db.catalog_mut().meta_mut(table);
+        if let Some(meta) = meta.filter(|m| m.kind.is_window()) {
             if let Some(pos) = meta.arrivals.iter().position(|&r| r == rid) {
                 meta.arrivals.remove(pos);
                 self.undo.push(UndoOp::WindowExcised { table, rid, pos });
@@ -212,45 +198,36 @@ impl ExecContext for EeContext<'_> {
         Ok(row)
     }
 
-    fn update_row(&mut self, table: TableId, rid: RowId, new_row: Row) -> Result<()> {
-        let window_prior = self.window_kind_snapshot(table);
-        let old = self.db.table_mut(table)?.update(rid, new_row)?;
-        if let Some(prior) = window_prior {
-            self.undo.push(UndoOp::KindMeta { table, prior });
-            let visible_len = self.db.table(table)?.schema().arity() - 2;
-            // Fold the post-coercion stored row so the cache matches what a
-            // rescan would see.
-            let new_vis: Option<Vec<Value>> = self
-                .db
-                .table(table)?
-                .get(rid)
-                .map(|r| r[..visible_len].to_vec());
-            let meta = self.db.catalog_mut().meta_mut(table).expect("kind checked");
-            if let TableKind::Window(w) = &mut meta.kind {
-                w.aggs.remove(&old[..visible_len]);
-                match &new_vis {
-                    Some(cells) => w.aggs.add(cells),
-                    None => w.aggs.invalidate(),
-                }
+    fn update_cells(
+        &mut self,
+        table: TableId,
+        rid: RowId,
+        cells: &mut [(usize, Value)],
+    ) -> Result<()> {
+        let base = matches!(self.db.kind(table)?, TableKind::Base);
+        let tb = self.db.table_mut(table)?;
+        if base && !cells.iter().any(|&(c, _)| tb.is_key_column(c)) {
+            // In place, with the overwritten cells as the undo records.
+            tb.set_cells(rid, cells)?;
+            for (col, old) in cells.iter_mut() {
+                let (col, old) = (*col, std::mem::replace(old, Value::Null));
+                self.undo.push(UndoOp::Cell {
+                    table,
+                    rid,
+                    col,
+                    old,
+                });
             }
+            return Ok(());
         }
+        // A written key column, or a stream or window row: the full image.
+        let old = tb.update(rid, tb.image_with(rid, cells)?)?;
         self.undo.push(UndoOp::Update { table, rid, old });
         Ok(())
     }
 
     fn exec_path(&self) -> ExecPath {
         self.config.exec_path
-    }
-}
-
-impl EeContext<'_> {
-    /// The prior `TableKind` of `table` when it is a window (undo snapshot
-    /// for cache/counter maintenance); `None` for other kinds.
-    fn window_kind_snapshot(&self, table: TableId) -> Option<TableKind> {
-        match self.db.kind(table) {
-            Ok(k @ TableKind::Window(_)) => Some(k.clone()),
-            _ => None,
-        }
     }
 }
 
@@ -451,7 +428,7 @@ mod tests {
             depth: 0,
         };
         let rid = ctx.insert_visible(t, vec![Value::Int(1)].into()).unwrap();
-        ctx.update_row(t, rid, vec![Value::Int(2)].into()).unwrap();
+        ctx.update_cells(t, rid, &mut [(0, Value::Int(2))]).unwrap();
         ctx.delete_row(t, rid).unwrap();
         drop(ctx);
         assert_eq!(undo.len(), 3);

@@ -76,8 +76,11 @@ impl ExecutionEngine {
         &mut self.db
     }
 
-    /// Replace the whole database (snapshot restore).
-    pub fn restore_db(&mut self, db: Database) {
+    /// Replace the whole database (snapshot restore). The grouped
+    /// aggregate states the deployment registered carry over; they are
+    /// rebuilt from the new rows on first use.
+    pub fn restore_db(&mut self, mut db: Database) {
+        db.track_groups_of(&self.db);
         self.db = db;
     }
 
@@ -204,8 +207,7 @@ impl ExecutionEngine {
         }
         let mut planned = Vec::with_capacity(statements.len());
         for sql in statements {
-            let stmt = parse(sql)?;
-            let p = plan_statement(&stmt, &self.db)?;
+            let p = self.prepare_deployed(sql)?;
             if matches!(p, PlannedStmt::Ddl(_)) {
                 return Err(Error::Constraint("DDL not allowed in a trigger".into()));
             }
@@ -227,6 +229,18 @@ impl ExecutionEngine {
     pub fn prepare(&self, sql: &str) -> Result<PlannedStmt> {
         let stmt = parse(sql)?;
         plan_statement(&stmt, &self.db)
+    }
+
+    /// [`Self::prepare`] a statement of a deployment (a stored procedure
+    /// or an EE trigger). When it aggregates a window in a shape a grouped
+    /// state answers (`sstore_sql::vexec::grouped_state_keys`), the
+    /// window's table keeps that state from now on.
+    pub fn prepare_deployed(&mut self, sql: &str) -> Result<PlannedStmt> {
+        let stmt = self.prepare(sql)?;
+        if let Some((table, keys)) = sstore_sql::vexec::grouped_state_keys(&stmt, &self.db) {
+            self.db.track_groups(table, &keys)?;
+        }
+        Ok(stmt)
     }
 
     /// Execute one planned statement inside a TE. Counts as **one PE→EE

@@ -5,7 +5,8 @@
 //! EE maintains them on every insert: assign sequence/timestamp, evict
 //! expired tuples, and detect slide boundaries — all inside the running
 //! transaction, with undo recorded for each step so aborts restore both
-//! rows *and* counters exactly.
+//! rows *and* counters exactly. The counters are saved by value, so an
+//! insert copies no catalog entry.
 //!
 //! **Eviction is O(evicted), not O(window).** Each window keeps an
 //! arrival-ordered deque of row ids (`TableMeta::arrivals`, front =
@@ -17,6 +18,14 @@
 //! undo-logged (`WindowPushed`/`WindowPopped`) so aborts restore the
 //! arrival order exactly; ad-hoc SQL deletes excise their entry through
 //! the execution context.
+//!
+//! **Aggregates over a window are state, not scans.** The window's table
+//! keeps grouped aggregate states (`sstore_storage::GroupedAggs`): the
+//! zero-key one every window has, and one per `GROUP BY` key set a
+//! deployed statement reads. The table's own mutators fold each inserted
+//! row in and each evicted, deleted or rolled-back row out, so nothing
+//! here touches them, and the plan walker answers such a `GROUP BY` (the
+//! slide trigger's leaderboard refresh, say) from the state in O(groups).
 //!
 //! The paper contrasts native windows with emulating them in client SQL
 //! over a plain table, which costs extra PE↔EE round trips per insert
@@ -49,54 +58,33 @@ pub fn insert_into_window(
     visible_row: impl Into<Row>,
     now: i64,
 ) -> Result<WindowInsert> {
-    let visible_row = visible_row.into();
-    // Save the lifecycle counters for undo before touching them.
-    let prior_kind = db
-        .catalog()
-        .meta(table)
-        .ok_or_else(|| Error::NotFound(format!("window {table}")))?
-        .kind
-        .clone();
-    let (kind, seq) = {
-        let meta = db
-            .catalog_mut()
-            .meta_mut(table)
-            .expect("meta existence checked");
-        match &mut meta.kind {
-            TableKind::Window(w) => {
-                w.next_seq += 1;
-                w.total_inserted += 1;
-                (w.spec.kind, w.next_seq)
-            }
-            _ => return Err(Error::Internal(format!("`{}` is not a window", meta.name))),
-        }
-    };
-    undo.push(UndoOp::KindMeta {
-        table,
-        prior: prior_kind,
-    });
-    // The KindMeta snapshot above also covers the incremental aggregate
-    // cache, so every cache mutation below rolls back with the counters.
-    // An invalidated cache (recovery, out-of-band writes) is rebuilt here,
-    // once, from a full scan; steady-state maintenance is O(1) per tuple.
-    rebuild_aggs_if_invalid(db, table)?;
-
-    // Build the storage row: visible columns + __seq + __ts.
-    let visible_cells = visible_row.clone();
-    let row = visible_row.with_appended([Value::Int(seq as i64), Value::Timestamp(now)]);
-    let rid = db.table_mut(table)?.insert(row)?;
-    undo.push(UndoOp::Insert { table, rid });
     let meta = db
         .catalog_mut()
         .meta_mut(table)
-        .expect("meta existence checked");
-    meta.arrivals.push_back(rid);
-    if let TableKind::Window(w) = &mut meta.kind {
-        // `insert` may coerce cell types, but never in a way the cache
-        // reads wrong: INT↔TIMESTAMP keeps the i64, INT→FLOAT only affects
-        // columns whose sums the fast path never serves, and nullness is
-        // coercion-invariant. Folding the pre-coercion cells is exact.
-        w.aggs.add(visible_cells.as_ref());
+        .ok_or_else(|| Error::NotFound(format!("window {table}")))?;
+    let TableKind::Window(w) = &mut meta.kind else {
+        return Err(Error::Internal(format!("`{}` is not a window", meta.name)));
+    };
+    // Save the lifecycle counters for undo, by value, before touching them.
+    undo.push(UndoOp::Counters {
+        table,
+        next_seq: w.next_seq,
+        total_inserted: w.total_inserted,
+        pending: w.pending,
+    });
+    w.next_seq += 1;
+    w.total_inserted += 1;
+    let (kind, seq) = (w.spec.kind, w.next_seq);
+
+    // Build the storage row: visible columns + __seq + __ts. The table's
+    // own mutators keep its grouped aggregate states in step.
+    let row = visible_row
+        .into()
+        .with_appended([Value::Int(seq as i64), Value::Timestamp(now)]);
+    let rid = db.table_mut(table)?.insert(row)?;
+    undo.push(UndoOp::Insert { table, rid });
+    if let Some(meta) = db.catalog_mut().meta_mut(table) {
+        meta.arrivals.push_back(rid);
     }
     undo.push(UndoOp::WindowPushed { table });
 
@@ -184,45 +172,11 @@ fn evict(
         undo.push(UndoOp::WindowPopped { table, rid });
         if expired {
             let row = db.table_mut(table)?.delete(rid)?;
-            // Hidden __seq/__ts trail the schema, so the visible prefix
-            // ends where the first hidden column starts.
-            let visible_len = seq_pos.min(ts_pos);
-            if let Some(meta) = db.catalog_mut().meta_mut(table) {
-                if let TableKind::Window(w) = &mut meta.kind {
-                    w.aggs.remove(&row[..visible_len]);
-                }
-            }
             undo.push(UndoOp::Delete { table, rid, row });
             n += 1;
         }
     }
     Ok(n)
-}
-
-/// Rebuild the window's incremental aggregate cache from a full scan if
-/// it was invalidated (recovery, snapshot load, out-of-band writes).
-/// No-op when the cache is already trusted.
-fn rebuild_aggs_if_invalid(db: &mut Database, table: TableId) -> Result<()> {
-    let needs_rebuild = matches!(
-        db.catalog().meta(table).map(|m| &m.kind),
-        Some(TableKind::Window(w)) if !w.aggs.valid
-    );
-    if !needs_rebuild {
-        return Ok(());
-    }
-    let (seq_pos, ts_pos) = hidden_positions(db, table)?;
-    let visible_len = seq_pos.min(ts_pos);
-    let visible_rows: Vec<Vec<Value>> = db
-        .table(table)?
-        .scan()
-        .map(|(_, r)| r[..visible_len].to_vec())
-        .collect();
-    if let Some(meta) = db.catalog_mut().meta_mut(table) {
-        if let TableKind::Window(w) = &mut meta.kind {
-            w.aggs.rebuild(visible_rows.iter().map(Vec::as_slice));
-        }
-    }
-    Ok(())
 }
 
 /// Positions of the hidden `__seq` and `__ts` columns of a window.

@@ -44,8 +44,17 @@ pub trait ExecContext {
     /// Delete a row by id, recording undo. Returns the deleted row.
     fn delete_row(&mut self, table: TableId, rid: RowId) -> Result<Row>;
 
-    /// Replace the *full storage* row at `rid`, recording undo.
-    fn update_row(&mut self, table: TableId, rid: RowId, new_row: Row) -> Result<()>;
+    /// Write `cells[i].1` into column `cells[i].0` of the storage row at
+    /// `rid`, recording undo; `cells` are left holding unspecified
+    /// values. The engine writes a base-table row whose written columns
+    /// key no index in place ([`Table::set_cells`]), and stores a full new
+    /// image ([`Table::update`]) otherwise.
+    fn update_cells(
+        &mut self,
+        table: TableId,
+        rid: RowId,
+        cells: &mut [(usize, Value)],
+    ) -> Result<()>;
 
     /// The mode the plan walker runs SELECT plans in. Defaults to
     /// [`ExecPath::Vector`]; the engine overrides this with its
@@ -127,11 +136,18 @@ pub fn execute(
                 }
                 _ => {
                     let src_rows = vexec::run(source, &*ctx, &env)?;
-                    for src in &src_rows {
-                        let row = insert_row(mapping, src.len(), |i| Ok(src[i].clone()))?;
+                    let n = src_rows.len();
+                    // A source row already in target order is stored as it is.
+                    let identity = mapping.iter().enumerate().all(|(i, m)| *m == Some(i));
+                    for src in src_rows {
+                        let row = if identity && src.len() == mapping.len() {
+                            src
+                        } else {
+                            insert_row(mapping, src.len(), |i| Ok(src[i].clone()))?
+                        };
                         ctx.insert_visible(*table, row)?;
                     }
-                    src_rows.len()
+                    n
                 }
             };
             Ok(QueryResult {
@@ -148,16 +164,25 @@ pub fn execute(
         } => {
             ctx.check_write(*table)?;
             let (first, rest) = matching_rows(*table, path, pred.as_ref(), ctx, &env)?;
-            let mut n = 0;
-            for (rid, old_row) in first.into_iter().chain(rest) {
-                // COW once, then evaluate every SET against the old image
-                // (still held by `old_row`) straight into the copy.
-                let mut new_row = old_row.clone();
-                let cells = new_row.make_mut();
-                for (pos, e) in sets {
-                    cells[*pos] = eval(e, &old_row, &env)?;
+            // The new cells, on the stack for a statement of a few SETs.
+            let mut stack: [(usize, Value); 4] = std::array::from_fn(|_| (0, Value::Null));
+            let mut heap;
+            let cells = match stack.get_mut(..sets.len()) {
+                Some(cells) => cells,
+                None => {
+                    heap = vec![(0, Value::Null); sets.len()];
+                    &mut heap[..]
                 }
-                ctx.update_row(*table, rid, new_row)?;
+            };
+            let mut n = 0;
+            for rid in first.into_iter().chain(rest) {
+                // Every SET reads the stored row before any is written.
+                let row = ctx.db().table(*table)?.get(rid);
+                let row = row.ok_or_else(|| Error::Internal(format!("dangling row id {rid}")))?;
+                for (cell, (pos, e)) in cells.iter_mut().zip(sets) {
+                    *cell = (*pos, eval(e, row, &env)?);
+                }
+                ctx.update_cells(*table, rid, cells)?;
                 n += 1;
             }
             Ok(QueryResult {
@@ -173,7 +198,7 @@ pub fn execute(
             let mut n = 0;
             // Reverse bucket order: each removal pops its index bucket's
             // tail, so k rows under one key cost O(k), not O(k²).
-            for (rid, _) in rest.into_iter().rev().chain(first) {
+            for rid in rest.into_iter().rev().chain(first) {
                 ctx.delete_row(*table, rid)?;
                 n += 1;
             }
@@ -244,25 +269,23 @@ fn eval_subqueries(
     Ok(vals)
 }
 
-/// A DML target: the row id and the row's image before the statement.
-type Target = (RowId, Row);
-
-/// Materialize the targets a DML predicate selects, in candidate order:
+/// Materialize the row ids a DML predicate selects, in candidate order:
 /// the first inline, so a point statement's at most one target needs no
 /// buffer, and the rest in a vector. Collected before mutation so the
-/// scan never observes its own writes (Halloween protection).
+/// scan never observes its own writes (Halloween protection), and no row
+/// handle is held, so a write finds the stored row unshared.
 fn matching_rows(
     table: TableId,
     path: &AccessPath,
     pred: Option<&BoundExpr>,
     ctx: &dyn ExecContext,
     env: &EvalEnv<'_>,
-) -> Result<(Option<Target>, Vec<Target>)> {
+) -> Result<(Option<RowId>, Vec<RowId>)> {
     let (mut first, mut rest) = (None, Vec::new());
-    scan(table, path, pred, ctx, env, |rid, row| {
+    scan(table, path, pred, ctx, env, |rid, _| {
         match first {
-            None => first = Some((rid, row.clone())),
-            Some(_) => rest.push((rid, row.clone())),
+            None => first = Some(rid),
+            Some(_) => rest.push(rid),
         }
         Ok(())
     })?;
@@ -575,7 +598,6 @@ impl ExecContext for DirectContext<'_> {
                 meta.arrivals.push_back(rid);
             }
         }
-        self.invalidate_window_aggs(table);
         Ok(rid)
     }
     fn delete_row(&mut self, table: TableId, rid: RowId) -> Result<Row> {
@@ -587,26 +609,17 @@ impl ExecContext for DirectContext<'_> {
                 }
             }
         }
-        self.invalidate_window_aggs(table);
         Ok(row)
     }
-    fn update_row(&mut self, table: TableId, rid: RowId, new_row: Row) -> Result<()> {
-        self.db.table_mut(table)?.update(rid, new_row)?;
-        self.invalidate_window_aggs(table);
-        Ok(())
-    }
-}
-
-impl DirectContext<'_> {
-    /// There is no undo log here, so incremental maintenance of the window
-    /// aggregate cache cannot be rolled back; dropping the cache on every
-    /// direct window write is always correct (readers fall back to a scan).
-    fn invalidate_window_aggs(&mut self, table: TableId) {
-        if let Some(meta) = self.db.catalog_mut().meta_mut(table) {
-            if let sstore_storage::TableKind::Window(w) = &mut meta.kind {
-                w.aggs.invalidate();
-            }
-        }
+    fn update_cells(
+        &mut self,
+        table: TableId,
+        rid: RowId,
+        cells: &mut [(usize, Value)],
+    ) -> Result<()> {
+        // No undo to keep: the full image serves every table and column.
+        let tb = self.db.table_mut(table)?;
+        tb.update(rid, tb.image_with(rid, cells)?).map(drop)
     }
 }
 

@@ -1,13 +1,13 @@
 //! Aggregates without rows: typed reductions straight off the lanes, and
-//! the window-aggregate cache that answers without a scan.
+//! the grouped window state that answers without a scan.
 
 use super::expr::{veval, VCol};
-use super::VBatch;
-use crate::exec::ExecContext;
+use super::{is_identity, VBatch};
+use crate::exec::{run_aggregate, ExecContext};
 use crate::expr::{ill_typed, BoundExpr, EvalEnv};
-use crate::plan::{AccessPath, AggExpr, AggFunc, PhysicalPlan};
-use sstore_common::{DataType, Error, Result, Row, Value};
-use sstore_storage::TableKind;
+use crate::plan::{AccessPath, AggExpr, AggFunc, PhysicalPlan, PlannedStmt};
+use sstore_common::{DataType, Result, Row, TableId, Value};
+use sstore_storage::{Database, GroupView};
 use sstore_vector::group::Groups;
 use sstore_vector::{Column, ColumnData, NumSrc, Sel};
 
@@ -146,71 +146,130 @@ pub(super) fn try_agg_kernels(
     ))
 }
 
-/// Answer ungrouped `COUNT/SUM/AVG` over a bare window scan from the
-/// window's incremental aggregate cache — O(aggs) instead of O(window).
-/// `None` = shape or cache not applicable; caller scans normally.
-pub(super) fn try_window_fast_path(
+/// The table a `SELECT k…, COUNT(*) | COUNT(c) | SUM(c) | AVG(c) FROM t
+/// GROUP BY k…` aggregate reads, with its key columns, when the aggregate
+/// has that shape: a bare full scan, column keys, and aggregates without
+/// `DISTINCT` whose arguments are columns. A grouped state of the table
+/// can answer it.
+fn state_shape<'p>(
     input: &PhysicalPlan,
+    group_exprs: &'p [BoundExpr],
     aggs: &[AggExpr],
-    ctx: &dyn ExecContext,
-) -> Result<Option<Vec<Row>>> {
+) -> Option<(TableId, impl Iterator<Item = usize> + Clone + 'p)> {
     let PhysicalPlan::Scan {
         table,
         path: AccessPath::Full,
         residual: None,
     } = input
     else {
+        return None;
+    };
+    let column = |e: &BoundExpr| match e {
+        BoundExpr::ColumnRef(c) => Some(*c),
+        _ => None,
+    };
+    let served = |a: &AggExpr| match (a.func, &a.arg) {
+        (AggFunc::CountStar, _) => true,
+        (AggFunc::Count | AggFunc::Sum | AggFunc::Avg, Some(arg)) => column(arg).is_some(),
+        _ => false,
+    };
+    let shaped = group_exprs.iter().all(|e| column(e).is_some())
+        && aggs.iter().all(|a| !a.distinct && served(a));
+    let keys = group_exprs
+        .iter()
+        .map(move |e| column(e).unwrap_or(usize::MAX));
+    shaped.then_some((*table, keys))
+}
+
+/// The window and key columns of the grouped state that can answer a
+/// deployed statement: a query or an `INSERT … SELECT` whose plan is a
+/// `SELECT k…, COUNT(*) | COUNT(c) | SUM(c) | AVG(c) FROM w GROUP BY k…`
+/// aggregate over a bare full scan of a window, under at most an identity
+/// projection, keyed by visible columns that are not FLOAT. `None` for
+/// every other statement.
+pub fn grouped_state_keys(stmt: &PlannedStmt, db: &Database) -> Option<(TableId, Vec<usize>)> {
+    let (PlannedStmt::Query { plan, .. } | PlannedStmt::Insert { source: plan, .. }) = stmt else {
+        return None;
+    };
+    let plan = match plan {
+        PhysicalPlan::Project { input, exprs } if is_identity(exprs, input, db) => input,
+        plan => plan,
+    };
+    let PhysicalPlan::Aggregate {
+        input,
+        group_exprs,
+        aggs,
+    } = plan
+    else {
+        return None;
+    };
+    let (table, keys) = state_shape(input, group_exprs, aggs)?;
+    let meta = db.catalog().meta(table).filter(|m| m.kind.is_window())?;
+    let visible = meta.visible_schema.columns();
+    let keys: Vec<usize> = keys.collect();
+    let keyable = |&k: &usize| visible.get(k).is_some_and(|c| c.ty != DataType::Float);
+    keys.iter().all(keyable).then_some((table, keys))
+}
+
+/// Answer an aggregate of [`state_shape`]'s shape from the grouped state
+/// its table keeps for those keys, in O(groups): rows and their order are
+/// the scan's (groups by first appearance in slot order), counts and sums
+/// come from the state. `None` = no such state, or an answer the state
+/// cannot give exactly (a SUM or AVG over a FLOAT column, or one whose
+/// integer cells could overflow or leave `f64`'s exact range in some
+/// order); the caller scans.
+pub(super) fn try_group_state(
+    input: &PhysicalPlan,
+    group_exprs: &[BoundExpr],
+    aggs: &[AggExpr],
+    ctx: &dyn ExecContext,
+    env: &EvalEnv<'_>,
+) -> Result<Option<Vec<Row>>> {
+    let Some((table, keys)) = state_shape(input, group_exprs, aggs) else {
         return Ok(None);
     };
-    let db = ctx.db();
-    let Ok(TableKind::Window(w)) = db.kind(*table) else {
+    let tb = ctx.db().table(table)?;
+    let Some(state) = tb.group_state(keys) else {
         return Ok(None);
     };
-    if !w.aggs.valid || w.aggs.rows != db.table(*table)?.len() as u64 {
-        return Ok(None);
-    }
     // Scope enforcement must fire even when the scan itself is skipped.
-    ctx.check_read(*table)?;
-    let meta = db
-        .catalog()
-        .meta(*table)
-        .ok_or_else(|| Error::Internal(format!("table {table} missing from catalog")))?;
-    let vis = &meta.visible_schema;
-    let rows = w.aggs.rows;
-    let mut out: Vec<Value> = Vec::with_capacity(aggs.len());
-    for agg in aggs {
-        if agg.distinct {
-            return Ok(None);
-        }
-        let value = match (agg.func, agg.arg.as_ref()) {
-            (AggFunc::CountStar, _) => Value::Int(rows as i64),
-            (AggFunc::Count, Some(BoundExpr::ColumnRef(i))) if *i < vis.arity() => {
-                match w.aggs.cols.get(*i) {
-                    Some(c) => Value::Int(c.nonnull as i64),
-                    None => return Ok(None),
-                }
-            }
-            (AggFunc::Sum | AggFunc::Avg, Some(BoundExpr::ColumnRef(i)))
-                if *i < vis.arity() && vis.columns()[*i].ty == DataType::Int =>
-            {
-                let Some(c) = w.aggs.cols.get(*i) else {
-                    return Ok(None);
-                };
-                if c.overflow {
-                    // Let the scan path raise the row-order overflow error.
-                    return Ok(None);
-                }
-                if c.nonnull == 0 {
-                    Value::Null
-                } else if agg.func == AggFunc::Sum {
-                    Value::Int(c.overflow_sum)
-                } else {
-                    Value::Float(c.overflow_sum as f64 / c.nonnull as f64)
-                }
-            }
-            _ => return Ok(None),
+    ctx.check_read(table)?;
+    let columns = tb.schema().columns();
+    let value = |a: &AggExpr, g: &GroupView<'_>| -> Option<Value> {
+        let c = match &a.arg {
+            Some(BoundExpr::ColumnRef(c)) => *c,
+            _ => return Some(Value::Int(g.rows as i64)),
         };
-        out.push(value);
+        let n = g.count(c)?;
+        if a.func == AggFunc::Count {
+            return Some(Value::Int(n as i64));
+        }
+        if columns.get(c)?.ty != DataType::Int {
+            return None;
+        }
+        if n == 0 {
+            return Some(Value::Null);
+        }
+        Some(match a.func {
+            AggFunc::Sum => Value::Int(g.int_sum(c, i64::MAX as u128)? as i64),
+            _ => Value::Float(g.int_sum(c, 1 << f64::MANTISSA_DIGITS)? as f64 / n as f64),
+        })
+    };
+    let groups = state.groups();
+    let mut out = Vec::with_capacity(groups.len().max(1));
+    let mut exact = true;
+    for g in &groups {
+        let aggs = aggs.iter().map(|a| {
+            value(a, g).unwrap_or_else(|| {
+                exact = false;
+                Value::Null
+            })
+        });
+        out.push(g.key.iter().cloned().chain(aggs).collect());
     }
-    Ok(Some(vec![out.into()]))
+    if groups.is_empty() && group_exprs.is_empty() {
+        // An ungrouped aggregate over no rows still owes its one row.
+        return run_aggregate(&[], group_exprs, aggs, env).map(Some);
+    }
+    Ok(exact.then_some(out))
 }

@@ -66,10 +66,23 @@
 //!   pairs; a residual that would error on a non-matching pair does not
 //!   error here (the nested loop evaluates every pair).
 //!
-//! Additionally the incremental window-aggregate cache, which only
-//! `Vector` mode reads, answers `SUM`/`AVG` from an exact `i64`
-//! accumulator, which can differ from the row accumulator's sequential
-//! `f64` accumulation only beyond 2^53.
+//! # Aggregates a window's state answers
+//!
+//! A window's table keeps grouped aggregate states
+//! ([`sstore_storage::GroupedAggs`]): the zero-key one every window has,
+//! and one per key set of a `SELECT k…, COUNT(*) | COUNT(c) | SUM(c) |
+//! AVG(c) FROM w GROUP BY k…` deployed in a procedure or an EE trigger
+//! ([`grouped_state_keys`]). In `Vector` mode only, an aggregate of that
+//! shape over a bare full scan of the window is answered from the state in
+//! O(groups) instead of a scan (`aggregate.rs`). It is not a divergence:
+//! the rows and their order are the scan's (groups by first appearance in
+//! slot order), counts are exact, and a `SUM` or `AVG` is served only
+//! when the magnitudes of its integer cells add up to no more than a
+//! sequential sum can hold exactly (`i64` for `SUM`, 2^53 for `AVG`), so
+//! no order of adding them overflows or rounds. Anything else — a `SUM`
+//! or `AVG` past that bound or over a FLOAT column, `MIN`/`MAX`,
+//! `DISTINCT`, a residual — scans as before. An identity projection
+//! above it, as an `INSERT … SELECT` has, hands its rows up unchanged.
 //!
 //! The planner's join pushdown is **not** a divergence: `WHERE` conjuncts
 //! that read one side of an inner join sink into that side's scan residual
@@ -84,13 +97,16 @@ mod aggregate;
 mod expr;
 mod join;
 
+pub use aggregate::grouped_state_keys;
+
 use crate::exec::{eval_row, run_aggregate, scan, ExecContext};
 use crate::expr::{eval, eval_pred, BoundExpr, EvalEnv};
 use crate::plan::{AccessPath, PhysicalPlan};
-use aggregate::{try_agg_kernels, try_window_fast_path};
+use aggregate::{try_agg_kernels, try_group_state};
 use expr::{pred_mask, veval};
 use join::{equi_pairs, join_outputs, join_rows};
 use sstore_common::{hash::HashSet, Result, Row, TableId, Value};
+use sstore_storage::Database;
 use sstore_vector::compute::bool_to_sel;
 use sstore_vector::{Column, Sel};
 use std::borrow::Cow;
@@ -100,8 +116,8 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPath {
     /// Rows only: scans yield row handles, joins run the nested loop,
-    /// aggregates the row accumulator, and the window-aggregate cache is
-    /// never read. The reference semantics, selected only by tests and
+    /// aggregates the row accumulator, and a window's grouped aggregate
+    /// state is never read. The reference semantics, selected only by tests and
     /// A/B measurements.
     Row,
     /// Batches of column lanes wherever an operator consumes them, rows
@@ -193,6 +209,13 @@ fn materialize_out(out: VOut<'_>) -> Vec<Row> {
         VOut::Rows(rows) => rows,
         VOut::Batch { batch, sel } => materialize(&batch, sel.sel()),
     }
+}
+
+/// True when the projection `exprs` hands each row of `input` on as it is.
+fn is_identity(exprs: &[BoundExpr], input: &PhysicalPlan, db: &Database) -> bool {
+    let arity = |t: TableId| db.table(t).map_or(0, |tb| tb.schema().arity());
+    (exprs.iter().enumerate()).all(|(i, e)| matches!(e, BoundExpr::ColumnRef(c) if *c == i))
+        && exprs.len() == input.arity(&arity)
 }
 
 /// `needed` plus every column the `extra` expressions read, ascending.
@@ -302,6 +325,10 @@ impl<'a> Walk<'a, '_> {
                 }
             }
             PhysicalPlan::Project { input, exprs } => {
+                if is_identity(exprs, input, self.ctx.db()) {
+                    // Rows pass through: no copy of what the input made.
+                    return Ok(VOut::Rows(materialize_out(self.run(input, false, None)?)));
+                }
                 let project = |row: &Row| eval_row(exprs.iter().map(|e| eval(e, row, env)));
                 if let PhysicalPlan::Scan {
                     table,
@@ -355,8 +382,8 @@ impl<'a> Walk<'a, '_> {
                 group_exprs,
                 aggs,
             } => {
-                if self.vector && group_exprs.is_empty() {
-                    if let Some(rows) = try_window_fast_path(input, aggs, self.ctx)? {
+                if self.vector {
+                    if let Some(rows) = try_group_state(input, group_exprs, aggs, self.ctx, env)? {
                         return Ok(VOut::Rows(rows));
                     }
                 }

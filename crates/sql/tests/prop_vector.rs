@@ -615,8 +615,13 @@ impl ExecContext for PathCtx<'_> {
     fn delete_row(&mut self, table: TableId, rid: RowId) -> Result<Row> {
         self.inner.delete_row(table, rid)
     }
-    fn update_row(&mut self, table: TableId, rid: RowId, new_row: Row) -> Result<()> {
-        self.inner.update_row(table, rid, new_row)
+    fn update_cells(
+        &mut self,
+        table: TableId,
+        rid: RowId,
+        cells: &mut [(usize, Value)],
+    ) -> Result<()> {
+        self.inner.update_cells(table, rid, cells)
     }
     fn exec_path(&self) -> ExecPath {
         self.path

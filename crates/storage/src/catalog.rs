@@ -9,7 +9,7 @@
 //!   an owner procedure for the paper's transaction-scope rule.
 
 use crate::index::RowId;
-use sstore_common::{codec, Column, DataType, Error, ProcId, Result, Schema, TableId, Value};
+use sstore_common::{codec, Column, DataType, Error, ProcId, Result, Schema, TableId};
 use std::collections::VecDeque;
 
 /// Hidden column appended to streams/windows: batch id.
@@ -60,152 +60,6 @@ pub struct StreamMeta {
     pub gc_watermark: Option<u64>,
 }
 
-/// Incremental aggregate state for one visible window column: enough to
-/// answer `COUNT(col)`, `SUM(col)`, and `AVG(col)` for INT columns without
-/// scanning the window extent.
-#[derive(Debug, Clone, Default)]
-pub struct ColAgg {
-    /// Non-NULL cells currently in the window.
-    pub nonnull: u64,
-    /// Running integer sum of the non-NULL cells (INT/TIMESTAMP lanes).
-    pub overflow_sum: i64,
-    /// Sticky: some add/remove over this column over- or underflowed `i64`,
-    /// so `overflow_sum` is unusable (COUNT stays exact). Cleared only by a
-    /// full rebuild.
-    pub overflow: bool,
-}
-
-/// Running aggregates over a window's visible columns, maintained
-/// incrementally on insert/evict/delete/update so sliding-window
-/// `COUNT/SUM/AVG` queries are O(1) instead of O(window size).
-///
-/// This is **derived** state: `valid = false` means it must be rebuilt
-/// from a scan before use (the state of affairs after snapshot decode,
-/// or after a mutation path that does not carry undo information). It is
-/// deliberately excluded from equality comparisons and from snapshots.
-#[derive(Debug, Clone, Default)]
-pub struct WindowAggState {
-    /// False = state unknown; rebuild before trusting `rows`/`cols`.
-    pub valid: bool,
-    /// Live rows in the window.
-    pub rows: u64,
-    /// Per-visible-column accumulators.
-    pub cols: Vec<ColAgg>,
-}
-
-impl WindowAggState {
-    /// Fresh, trusted-empty state (for a newly created window).
-    pub(crate) fn new_valid() -> Self {
-        WindowAggState {
-            valid: true,
-            rows: 0,
-            cols: Vec::new(),
-        }
-    }
-
-    /// Drop all accumulated state and mark it unknown.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-        self.rows = 0;
-        self.cols.clear();
-    }
-
-    fn ensure_width(&mut self, n: usize) {
-        if self.cols.len() < n {
-            // Widening after rows were accumulated would mean the new
-            // columns never saw those rows; only trust a resize at zero.
-            if self.rows > 0 && !self.cols.is_empty() {
-                self.invalidate();
-                return;
-            }
-            self.cols.resize_with(n, ColAgg::default);
-        }
-    }
-
-    /// Fold one visible row into the state.
-    pub fn add(&mut self, visible: &[Value]) {
-        if !self.valid {
-            return;
-        }
-        self.ensure_width(visible.len());
-        if !self.valid {
-            return;
-        }
-        self.rows += 1;
-        for (c, v) in visible.iter().enumerate() {
-            let agg = &mut self.cols[c];
-            match v {
-                Value::Null => {}
-                Value::Int(i) | Value::Timestamp(i) => {
-                    agg.nonnull += 1;
-                    match agg.overflow_sum.checked_add(*i) {
-                        Some(s) => agg.overflow_sum = s,
-                        None => agg.overflow = true,
-                    }
-                }
-                _ => agg.nonnull += 1,
-            }
-        }
-    }
-
-    /// Remove one visible row from the state (it must have been added).
-    pub fn remove(&mut self, visible: &[Value]) {
-        if !self.valid {
-            return;
-        }
-        if self.rows == 0 || self.cols.len() < visible.len() {
-            self.invalidate();
-            return;
-        }
-        self.rows -= 1;
-        for (c, v) in visible.iter().enumerate() {
-            let agg = &mut self.cols[c];
-            match v {
-                Value::Null => {}
-                Value::Int(i) | Value::Timestamp(i) => {
-                    if agg.nonnull == 0 {
-                        self.invalidate();
-                        return;
-                    }
-                    agg.nonnull -= 1;
-                    match agg.overflow_sum.checked_sub(*i) {
-                        Some(s) => agg.overflow_sum = s,
-                        None => agg.overflow = true,
-                    }
-                }
-                _ => {
-                    if agg.nonnull == 0 {
-                        self.invalidate();
-                        return;
-                    }
-                    agg.nonnull -= 1;
-                }
-            }
-        }
-    }
-
-    /// Rebuild from a full scan of the window's visible rows.
-    pub fn rebuild<'a>(&mut self, rows: impl Iterator<Item = &'a [Value]>) {
-        self.valid = true;
-        self.rows = 0;
-        self.cols.clear();
-        for r in rows {
-            self.add(r);
-        }
-    }
-}
-
-/// Derived state compares equal to anything: two windows with the same
-/// committed contents are the same window, whether or not a cache has
-/// been warmed. This keeps `WindowMeta`'s undo-snapshot comparison and
-/// codec round-trip tests meaningful.
-impl PartialEq for WindowAggState {
-    fn eq(&self, _: &WindowAggState) -> bool {
-        true
-    }
-}
-impl Eq for WindowAggState {}
-
 /// Window lifecycle metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowMeta {
@@ -218,8 +72,6 @@ pub struct WindowMeta {
     pub pending: i64,
     /// Total tuples ever inserted (for slide arithmetic and stats).
     pub total_inserted: u64,
-    /// Incremental `COUNT/SUM/AVG` cache over the visible columns.
-    pub aggs: WindowAggState,
 }
 
 /// What kind of object a table is.
@@ -260,10 +112,10 @@ pub struct TableMeta {
     /// Because window timestamps/sequence numbers are assigned from a
     /// monotone per-partition clock, eviction is always a prefix of this
     /// deque — slide maintenance pops O(evicted) entries instead of
-    /// rescanning the table. Kept outside [`TableKind`] so the per-insert
-    /// undo snapshot of the lifecycle counters stays O(1); the undo log
-    /// restores the deque through its own `WindowPushed`/`WindowPopped`/
-    /// `WindowExcised` operations. Empty for base tables and streams.
+    /// rescanning the table. The undo log restores the deque through its
+    /// own `WindowPushed`/`WindowPopped`/`WindowExcised` operations, and
+    /// the lifecycle counters by value (`UndoOp::Counters`). Empty for
+    /// base tables and streams.
     pub arrivals: VecDeque<RowId>,
 }
 
@@ -322,7 +174,6 @@ impl Catalog {
                 next_seq: 0,
                 pending: 0,
                 total_inserted: 0,
-                aggs: WindowAggState::new_valid(),
             }),
         )
     }
@@ -461,9 +312,6 @@ impl Catalog {
                         next_seq: r.uvarint()?,
                         pending: r.ivarint()?,
                         total_inserted: r.uvarint()?,
-                        // The binary format does not carry the derived
-                        // aggregate cache; rebuild lazily on first insert.
-                        aggs: WindowAggState::default(),
                     })
                 }
                 t => return Err(Error::Codec(format!("bad table-kind tag {t}"))),

@@ -63,7 +63,34 @@ impl Database {
         spec: WindowSpec,
     ) -> Result<TableId> {
         let id = self.catalog.add_window(name, schema, spec)?;
-        self.create(id)
+        self.create(id)?;
+        self.track_groups(id, &[])?;
+        Ok(id)
+    }
+
+    /// Keep a grouped aggregate state of `table` keyed by the visible
+    /// columns `keys` (see [`crate::GroupedAggs`]); it accumulates every
+    /// visible column. Every window keeps the zero-key one.
+    pub fn track_groups(&mut self, table: TableId, keys: &[usize]) -> Result<()> {
+        let meta = self.catalog.meta(table);
+        let width = meta.map_or(0, |m| m.visible_schema.arity());
+        if keys.iter().any(|&k| k >= width) {
+            return Err(Error::Internal(format!("group key outside table {table}")));
+        }
+        self.table_mut(table)?.track_groups(keys, width);
+        Ok(())
+    }
+
+    /// Keep the grouped states `from` keeps, table by table: a database
+    /// decoded from a snapshot has only its windows' zero-key states, and
+    /// the ones the deployment registered come from the database it
+    /// replaces.
+    pub fn track_groups_of(&mut self, from: &Database) {
+        for (table, old) in self.tables.iter_mut().zip(&from.tables) {
+            for (keys, width) in old.tracked_groups() {
+                table.track_groups(keys, width);
+            }
+        }
     }
 
     /// Table by id.
@@ -112,7 +139,14 @@ impl Database {
     /// Reassemble a database from decoded snapshot parts. The caller
     /// (snapshot loading) is responsible for the catalog/tables alignment
     /// invariant; [`crate::snapshot::Snapshot::read_from`] checks counts.
-    pub(crate) fn from_parts(catalog: Catalog, tables: Vec<Table>) -> Database {
+    /// Every window keeps its zero-key grouped state.
+    pub(crate) fn from_parts(catalog: Catalog, mut tables: Vec<Table>) -> Database {
+        for (i, table) in tables.iter_mut().enumerate() {
+            let meta = catalog.meta(TableId::new(i as u32));
+            if let Some(meta) = meta.filter(|m| m.kind.is_window()) {
+                table.track_groups(&[], meta.visible_schema.arity());
+            }
+        }
         Database { catalog, tables }
     }
 

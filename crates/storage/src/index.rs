@@ -39,7 +39,7 @@ pub struct IndexDef {
 /// equality are those of the `[Value]` slice it stands for, which is the
 /// `Borrow` contract that lets the map be probed with a `&[Value]`.
 #[derive(Debug, Clone)]
-enum IndexKey {
+pub(crate) enum IndexKey {
     One(Value),
     Many(Box<[Value]>),
 }
@@ -47,14 +47,14 @@ enum IndexKey {
 impl IndexKey {
     /// Owned copy of a borrowed key; allocates only for a composite key or
     /// a Text cell.
-    fn of(key: &[Value]) -> IndexKey {
+    pub(crate) fn of(key: &[Value]) -> IndexKey {
         match key {
             [v] => IndexKey::One(v.clone()),
             _ => IndexKey::Many(key.into()),
         }
     }
 
-    fn as_slice(&self) -> &[Value] {
+    pub(crate) fn as_slice(&self) -> &[Value] {
         match self {
             IndexKey::One(v) => std::slice::from_ref(v),
             IndexKey::Many(vs) => vs,

@@ -9,11 +9,14 @@
 //!   stream, window): the paper's "uniform state management" means all
 //!   three are the same storage structure with different lifecycle rules.
 //! * [`database::Database`] — one partition's worth of state.
+//! * [`GroupedAggs`] — the grouped aggregate state a window's table keeps
+//!   so that `COUNT`/`SUM`/`AVG … GROUP BY` over it needs no scan.
 //! * [`undo::UndoLog`] — per-transaction undo for atomic aborts.
 //! * [`snapshot`] — whole-partition serialization for checkpointing.
 
 pub mod catalog;
 pub mod database;
+mod groups;
 pub mod index;
 mod mirror;
 pub mod snapshot;
@@ -22,6 +25,7 @@ pub mod undo;
 
 pub use catalog::TableKind;
 pub use database::Database;
+pub use groups::{GroupView, GroupedAggs};
 pub use index::{IndexDef, RowId};
 pub use table::{SlotOp, Table, TableDirt};
 pub use undo::{UndoLog, UndoOp};

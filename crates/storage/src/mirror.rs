@@ -4,8 +4,9 @@
 //! of pivoting rows into a batch on every query, a table keeps, for each
 //! column a vector scan has ever asked for, a [`Column`] whose lane *i*
 //! is slot *i*: built once from the slots, then patched in O(1) per lane
-//! by the table's five mutators — the ones that feed the slot-op journal,
-//! so undo rollback and delta replay maintain it too. Lanes of free slots
+//! by the table's mutators — the ones that feed the slot-op journal, so
+//! undo rollback and delta replay maintain it too; an in-place cell write
+//! patches only the columns it wrote. Lanes of free slots
 //! hold defaults and are never selected (`Table::live_mask`). A lane has
 //! its column's declared type, and so does every cell a slot holds: the
 //! mutators store only rows `Schema::validate` passed, and
@@ -103,6 +104,19 @@ impl Mirror {
                 live.resize(i + 1, false);
             }
             live[i] = true;
+        }
+    }
+
+    /// The columns `cols` of slot `rid`'s row, now `row`, were written.
+    #[inline]
+    pub(crate) fn write_cells(&mut self, rid: RowId, row: &Row, cols: impl Iterator<Item = usize>) {
+        let Some(built) = self.cols.get_mut() else {
+            return;
+        };
+        for c in cols {
+            if let Some(col) = built[c].get_mut() {
+                col.set(rid as usize, &row[c]);
+            }
         }
     }
 

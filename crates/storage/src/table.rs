@@ -3,9 +3,11 @@
 //! A [`Table`] stores rows in slots addressed by stable [`RowId`]s, keeps
 //! the primary-key index and any secondary indexes consistent on every
 //! mutation, and exposes exactly the raw operations the undo log needs to
-//! reverse: `insert` ↔ `delete`, `update` ↔ `update`, and `restore` (which
-//! reinserts a deleted row into its original slot).
+//! reverse: `insert` ↔ `delete`, `update` ↔ `update`, `set_cells` ↔
+//! `set_cells`, and `restore` (which reinserts a deleted row into its
+//! original slot).
 
+use crate::groups::{GroupStates, GroupedAggs};
 use crate::index::{Index, IndexDef, RowId};
 use crate::mirror::Mirror;
 use sstore_common::{codec, Error, Result, Row, Schema, Value};
@@ -13,8 +15,8 @@ use sstore_common::{codec, Error, Result, Row, Schema, Value};
 /// One heap table (also the physical representation of streams and windows).
 ///
 /// [`Table::encode_binary`] writes only the persistent fields: the
-/// transient change journal (delta-snapshot support) and the column mirror
-/// never reach the snapshot.
+/// transient change journal (delta-snapshot support), the column mirror
+/// and the grouped aggregate states never reach the snapshot.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -36,6 +38,9 @@ pub struct Table {
     /// Derived from `slots`, so not state either: never encoded, and a
     /// clone starts without one.
     mirror: Mirror,
+    /// Grouped aggregate states, kept in step by the mutators like the
+    /// mirror, and derived like it (`crate::groups`).
+    groups: GroupStates,
 }
 
 /// One journaled slot mutation — the exact physical operations the table
@@ -163,6 +168,7 @@ impl Table {
             indexes: Vec::new(),
             journal: None,
             mirror: Mirror::default(),
+            groups: GroupStates::default(),
         }
     }
 
@@ -273,6 +279,7 @@ impl Table {
             indexes,
             journal: None,
             mirror: Mirror::default(),
+            groups: GroupStates::default(),
         })
     }
 
@@ -352,6 +359,7 @@ impl Table {
             });
         }
         self.mirror.write(rid, &row);
+        self.groups.add(rid, &row);
         self.slots[rid as usize] = Some(row);
         self.live += 1;
         Ok(rid)
@@ -368,6 +376,7 @@ impl Table {
         self.free.push(rid);
         self.live -= 1;
         self.mirror.free(rid);
+        self.groups.remove(rid, &row);
         self.journal_record(SlotOp::Delete { rid });
         Ok(row)
     }
@@ -405,8 +414,73 @@ impl Table {
             });
         }
         self.mirror.write(rid, &new_row);
+        self.groups.remove(rid, &old);
+        self.groups.add(rid, &new_row);
         self.slots[rid as usize] = Some(new_row);
         Ok(old)
+    }
+
+    /// Overwrite cells of the row at `rid` in place: `cells[i].1` goes
+    /// into column `cells[i].0`, stored as `insert` stores it, and on
+    /// return holds the value it replaced. Every cell is checked before
+    /// any is written. The row is written through [`Row::make_mut`]: in
+    /// place when the stored handle is unique, after a counted copy when
+    /// it is shared (a client result, a snapshot image, the journal). Only
+    /// the written columns of the mirror are patched. A column that keys
+    /// an index ([`Table::is_key_column`]) is refused: its write goes
+    /// through [`Table::update`].
+    pub fn set_cells(&mut self, rid: RowId, cells: &mut [(usize, Value)]) -> Result<()> {
+        for (c, v) in cells.iter_mut() {
+            if self.is_key_column(*c) {
+                return Err(Error::Internal(format!("in-place write of key column {c}")));
+            }
+            let col = self.schema.columns().get(*c);
+            let col = col.ok_or_else(|| Error::Internal(format!("write of column {c}")))?;
+            *v = col.store(std::mem::replace(v, Value::Null))?;
+        }
+        let row = self
+            .slots
+            .get_mut(rid as usize)
+            .and_then(Option::as_mut)
+            .ok_or_else(|| Error::Internal(format!("update of missing row {rid}")))?;
+        self.groups.remove(rid, row);
+        let stored = row.make_mut();
+        for (c, v) in cells.iter_mut() {
+            std::mem::swap(&mut stored[*c], v);
+        }
+        self.mirror
+            .write_cells(rid, row, cells.iter().map(|(c, _)| *c));
+        self.groups.add(rid, row);
+        if self.journal.is_some() {
+            let row = row.clone();
+            self.journal_record(SlotOp::Update { rid, row });
+        }
+        Ok(())
+    }
+
+    /// A copy of the row at `rid` with `cells` swapped in, as
+    /// [`Table::set_cells`] takes them (`cells` then hold the old values):
+    /// the full image [`Table::update`] stores when a key column, or a
+    /// stream or window row, is written.
+    pub fn image_with(&self, rid: RowId, cells: &mut [(usize, Value)]) -> Result<Row> {
+        let mut image = self
+            .get(rid)
+            .cloned()
+            .ok_or_else(|| Error::Internal(format!("update of missing row {rid}")))?;
+        let stored = image.make_mut();
+        for (c, v) in cells.iter_mut() {
+            let cell = stored
+                .get_mut(*c)
+                .ok_or_else(|| Error::Internal(format!("column {c}")))?;
+            std::mem::swap(cell, v);
+        }
+        Ok(image)
+    }
+
+    /// True when column `c` is part of the primary key or of a secondary
+    /// index's key.
+    pub fn is_key_column(&self, c: usize) -> bool {
+        (self.pk_index.iter().chain(&self.indexes)).any(|ix| ix.def.key_cols.contains(&c))
     }
 
     /// Reinsert a deleted row into its original slot (undo path), validated as `insert` does.
@@ -431,6 +505,7 @@ impl Table {
             });
         }
         self.mirror.write(rid, &row);
+        self.groups.add(rid, &row);
         self.slots[rid as usize] = Some(row);
         // Undo restores in reverse delete order, so the slot is the free
         // stack's top: searching from the back makes a bulk undo linear.
@@ -540,7 +615,31 @@ impl Table {
             ix.clear();
         }
         self.mirror.truncate(&self.schema);
+        self.groups.clear();
         self.journal_record(SlotOp::Truncate);
+    }
+
+    /// Keep a grouped aggregate state keyed by the columns `keys` over
+    /// the first `width` columns (`crate::groups`); a key set already kept
+    /// is left as it is. The state is built on first use.
+    pub(crate) fn track_groups(&mut self, keys: &[usize], width: usize) {
+        self.groups.track(keys, width);
+    }
+
+    /// The registered key sets with their widths.
+    pub(crate) fn tracked_groups(&self) -> impl Iterator<Item = (&[usize], usize)> {
+        self.groups.tracked()
+    }
+
+    /// The grouped aggregate state keyed by exactly the columns `keys`
+    /// yields, built from the slots on first use and then kept in step by
+    /// every mutator; `None` when no such key set is kept.
+    pub fn group_state<I>(&self, keys: I) -> Option<&GroupedAggs>
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: Clone,
+    {
+        self.groups.get(keys, &self.slots)
     }
 
     /// Record one op in the change journal (no-op when tracking is off).

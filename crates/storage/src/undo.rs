@@ -5,8 +5,9 @@
 //! transaction on abort. Every mutation the execution engine performs
 //! appends its inverse here; [`UndoLog::rollback`] applies them in reverse.
 
+use crate::catalog::TableKind;
 use crate::database::Database;
-use sstore_common::{Result, Row, TableId};
+use sstore_common::{Result, Row, TableId, Value};
 
 use crate::index::RowId;
 
@@ -38,14 +39,31 @@ pub enum UndoOp {
         /// Pre-update image.
         old: Row,
     },
-    /// Stream/window lifecycle counters changed; undo restores the saved
-    /// metadata blob. Saved as an opaque closure-free snapshot of the
-    /// catalog kind so aborts also rewind sequence numbers.
-    KindMeta {
-        /// Table whose lifecycle metadata changed.
+    /// Cells of a base-table row were overwritten in place
+    /// ([`Table::set_cells`](crate::Table::set_cells)); undo writes the
+    /// old cell back. One per overwritten cell.
+    Cell {
+        /// Table containing the row.
         table: TableId,
-        /// The prior `TableKind` (with its embedded counters).
-        prior: crate::catalog::TableKind,
+        /// Slot of the row.
+        rid: RowId,
+        /// The overwritten column.
+        col: usize,
+        /// Its value before the write.
+        old: Value,
+    },
+    /// A stream's or window's lifecycle counters changed; undo writes
+    /// their prior values back, so aborts also rewind sequence numbers. A
+    /// stream has only `next_seq`.
+    Counters {
+        /// The stream or window.
+        table: TableId,
+        /// Prior next sequence number.
+        next_seq: u64,
+        /// Prior count of tuples ever inserted (windows).
+        total_inserted: u64,
+        /// Prior pending count or last slide time (windows).
+        pending: i64,
     },
     /// A window arrival was recorded (deque push_back); undo pops it.
     WindowPushed {
@@ -123,11 +141,26 @@ impl UndoLog {
             UndoOp::Update { table, rid, old } => {
                 db.table_mut(table)?.update(rid, old)?;
             }
-            UndoOp::KindMeta { table, prior } => {
-                if let Some(meta) = db.catalog_mut().meta_mut(table) {
-                    meta.kind = prior;
-                }
+            UndoOp::Cell {
+                table,
+                rid,
+                col,
+                old,
+            } => {
+                db.table_mut(table)?.set_cells(rid, &mut [(col, old)])?;
             }
+            UndoOp::Counters {
+                table,
+                next_seq,
+                total_inserted,
+                pending,
+            } => match db.catalog_mut().meta_mut(table).map(|m| &mut m.kind) {
+                Some(TableKind::Stream(s)) => s.next_seq = next_seq,
+                Some(TableKind::Window(w)) => {
+                    (w.next_seq, w.total_inserted, w.pending) = (next_seq, total_inserted, pending)
+                }
+                _ => {}
+            },
             UndoOp::WindowPushed { table } => {
                 if let Some(meta) = db.catalog_mut().meta_mut(table) {
                     meta.arrivals.pop_back();
@@ -231,17 +264,51 @@ mod tests {
         let sid = db.create_stream("s", schema).unwrap();
         let prior = db.catalog().meta(sid).unwrap().kind.clone();
         let mut undo = UndoLog::new();
-        undo.push(UndoOp::KindMeta {
+        undo.push(UndoOp::Counters {
             table: sid,
-            prior: prior.clone(),
+            next_seq: 0,
+            total_inserted: 0,
+            pending: 0,
         });
         // Mutate the stream counter.
-        if let crate::catalog::TableKind::Stream(s) =
-            &mut db.catalog_mut().meta_mut(sid).unwrap().kind
-        {
+        if let TableKind::Stream(s) = &mut db.catalog_mut().meta_mut(sid).unwrap().kind {
             s.next_seq = 42;
         }
         undo.rollback(&mut db).unwrap();
         assert_eq!(db.catalog().meta(sid).unwrap().kind, prior);
+    }
+
+    #[test]
+    fn rollback_cell_writes_restores_the_row_and_its_lane() {
+        let (mut db, t) = db_with_table();
+        let rid = db.table_mut(t).unwrap().insert(row(1, 10)).unwrap();
+        assert_eq!(
+            db.table(t).unwrap().column(1).value_at(rid as usize),
+            Value::Int(10)
+        );
+        let mut undo = UndoLog::new();
+        let mut cells = [(1, Value::Int(20))];
+        db.table_mut(t).unwrap().set_cells(rid, &mut cells).unwrap();
+        assert_eq!(cells[0].1, Value::Int(10), "the old cell comes back");
+        let [(col, old)] = cells;
+        undo.push(UndoOp::Cell {
+            table: t,
+            rid,
+            col,
+            old,
+        });
+        let table = db.table(t).unwrap();
+        assert_eq!(table.get(rid).unwrap()[1], Value::Int(20));
+        assert_eq!(table.column(1).value_at(rid as usize), Value::Int(20));
+        undo.rollback(&mut db).unwrap();
+        let table = db.table(t).unwrap();
+        assert_eq!(table.get(rid).unwrap()[1], Value::Int(10));
+        assert_eq!(table.column(1).value_at(rid as usize), Value::Int(10));
+        // A key column is written through `update`, never in place.
+        let e = db
+            .table_mut(t)
+            .unwrap()
+            .set_cells(rid, &mut [(0, Value::Int(2))]);
+        assert_eq!(e.unwrap_err().kind(), "internal");
     }
 }

@@ -213,7 +213,7 @@ impl Partition {
         let mut read_set = HashSet::default();
         let mut write_set = HashSet::default();
         for (name, sql) in &spec.statements {
-            let planned = self.engine.prepare(sql)?;
+            let planned = self.engine.prepare_deployed(sql)?;
             let (r, w) = stmt_effects(&planned);
             read_set.extend(r);
             write_set.extend(w);

@@ -127,12 +127,12 @@ fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
 const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("sstore", 0),
     ("bikeshare", 8),
-    ("common", 157),
+    ("common", 158),
     ("core", 77),
-    ("engine", 26),
+    ("engine", 27),
     ("slt", 18),
-    ("sql", 31),
-    ("storage", 88),
+    ("sql", 32),
+    ("storage", 93),
     ("txn", 89),
     ("vector", 54),
     ("voter", 22),
@@ -182,13 +182,13 @@ fn library_pub_items_stay_within_budget() {
 /// sources may hold, pinned at today's counts.
 const LINE_BUDGET: [(&str, usize); 11] = [
     ("bikeshare", 874),
-    ("common", 3199),
+    ("common", 3204),
     ("core", 3525),
-    ("engine", 1030),
+    ("engine", 975),
     ("slt", 1138),
-    ("sql", 5223),
+    ("sql", 5322),
     ("sstore", 39),
-    ("storage", 2663),
+    ("storage", 3017),
     ("txn", 3466),
     ("vector", 1874),
     ("voter", 903),
@@ -235,7 +235,7 @@ const PANIC_SITE_BUDGET: [(&str, usize); 11] = [
     ("bikeshare", 2),
     ("common", 11),
     ("core", 2),
-    ("engine", 11),
+    ("engine", 5),
     ("slt", 2),
     ("sql", 24),
     ("sstore", 0),

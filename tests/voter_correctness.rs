@@ -2,6 +2,7 @@
 //! correctness claims, end to end across all crates.
 
 use sstore_core::SStoreBuilder;
+use sstore_storage::snapshot::Snapshot;
 use sstore_voter::checker::oracle_state;
 use sstore_voter::{
     capture_state, diff_states, install, run_hstore, run_sstore, Oracle, VoteGen, VoterConfig,
@@ -200,4 +201,90 @@ fn trending_window_reflects_only_recent_votes() {
         )
         .unwrap();
     assert_eq!(top.rows[0][0].as_int().unwrap(), 1);
+}
+
+/// The snapshot bytes of a fixed Native Voter run: 3 000 votes at seed 7,
+/// one vote per batch, eliminations every 300 votes. The slide trigger's
+/// group order decides `lb_trending`'s slots, and every write decides the
+/// bytes of its row, so an aggregate answered in any order but the scan's,
+/// or a write that changes a cell it was not asked to, moves the digest:
+/// the byte length and an FNV-1a over the bytes, pinned from the engine
+/// that re-aggregated the window on every slide and copied every updated
+/// row.
+#[test]
+fn native_voter_snapshot_bytes_match_their_golden() {
+    let cfg = VoterConfig {
+        elimination_every: 300,
+        ..config()
+    };
+    let votes = VoteGen::new(7, cfg.num_contestants).take(3_000);
+    let mut db = SStoreBuilder::new().build().unwrap();
+    install(&mut db, WindowImpl::Native, &cfg).unwrap();
+    run_sstore(&mut db, &votes, 1).unwrap();
+    let bytes = Snapshot::capture(db.engine().db(), None, None, 0).encode_binary();
+    let fnv = (bytes.iter()).fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    println!("snapshot: {} bytes, fnv1a {fnv:#018x}", bytes.len());
+    assert_eq!((bytes.len(), fnv), (90_574, 0x5262_2745_2a4f_e660));
+}
+
+/// Native windows and their emulation in client SQL agree on
+/// `lb_trending` after every batch, over seeded random shows: 2–30
+/// contestants, a window of 1–200 votes sliding by a divisor of its size,
+/// eliminations every 5–400 votes, batches of 1–4 votes. The native path
+/// answers the slide trigger's `GROUP BY` from the window's grouped state;
+/// the emulation re-aggregates a plain table.
+///
+/// The emulation refreshes whenever the vote total is a multiple of the
+/// slide and the native window first slides once it holds a full window,
+/// so the two refresh at the same votes when the slide divides the size,
+/// and agree from the first full window on.
+#[test]
+fn emulated_and_native_trending_agree_on_random_shows() {
+    use sstore_core::common::Value;
+    let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut draw = |n: u64| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        seed % n
+    };
+    let q = "SELECT contestant_number, num_votes FROM lb_trending ORDER BY contestant_number";
+    let total = "SELECT total FROM vote_totals WHERE k = 0";
+    for case in 0..32 {
+        let window = 1 + draw(200) as i64;
+        let divisors: Vec<i64> = (1..=window).filter(|s| window % s == 0).collect();
+        let cfg = VoterConfig {
+            num_contestants: 2 + draw(29) as i64,
+            elimination_every: 5 + draw(396) as i64,
+            trending_window: window,
+            trending_slide: divisors[draw(divisors.len() as u64) as usize],
+        };
+        let mut native = SStoreBuilder::new().build().unwrap();
+        install(&mut native, WindowImpl::Native, &cfg).unwrap();
+        let mut emulated = SStoreBuilder::new().build().unwrap();
+        install(&mut emulated, WindowImpl::Emulated, &cfg).unwrap();
+        let votes = VoteGen::new(case, cfg.num_contestants).take(window as usize + 150);
+        let mut at = 0;
+        while at < votes.len() {
+            let n = (1 + draw(4) as usize).min(votes.len() - at);
+            let batch: Vec<Vec<Value>> = votes[at..at + n]
+                .iter()
+                .map(|v| vec![Value::Int(v.phone), Value::Int(v.contestant)])
+                .collect();
+            at += n;
+            for db in [&mut native, &mut emulated] {
+                db.submit_batch("validate", batch.clone()).unwrap();
+            }
+            if native.query(total, &[]).unwrap().scalar_i64().unwrap() < window {
+                continue;
+            }
+            let (a, b) = (
+                native.query(q, &[]).unwrap(),
+                emulated.query(q, &[]).unwrap(),
+            );
+            assert_eq!(a.rows, b.rows, "case {case}, {cfg:?}, after {at} votes");
+        }
+    }
 }
