@@ -321,18 +321,22 @@ fn register_discount_calc(db: &mut SStore, cfg: &BikeConfig, wired: bool) -> Res
         ctx.exec("expire", &[Value::Timestamp(ctx.now())])?;
         for row in &ctx.input().rows {
             let (x, y) = (row[1].clone(), row[2].clone());
-            let needy = ctx.exec(
-                "needy_near",
-                &[
-                    Value::Int(div),
-                    x.clone(),
-                    x.clone(),
-                    y.clone(),
-                    y.clone(),
-                    Value::Float(radius2),
-                ],
-            )?;
-            for st in needy.rows {
+            // Kept across the statements below, which reuse the lent result.
+            let needy = ctx
+                .exec(
+                    "needy_near",
+                    &[
+                        Value::Int(div),
+                        x.clone(),
+                        x.clone(),
+                        y.clone(),
+                        y.clone(),
+                        Value::Float(radius2),
+                    ],
+                )?
+                .rows
+                .clone();
+            for st in needy {
                 let station = st[0].clone();
                 let live = ctx
                     .exec(

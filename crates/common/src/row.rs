@@ -111,17 +111,19 @@ impl Row {
     /// handle is unique, after a counted deep copy when it is shared.
     /// The arity cannot change.
     pub fn make_mut(&mut self) -> &mut [Value] {
-        if Arc::get_mut(&mut self.0).is_none() {
+        // No row handle is ever weak, so the strong count alone tells
+        // whether `Arc::make_mut` copies.
+        if !self.is_unique() {
             count(&ROW_COW_BREAKS);
             count(&ROW_DEEP_COPIES);
-            self.0 = self.0.iter().cloned().collect();
         }
-        Arc::get_mut(&mut self.0).expect("row is unique after COW")
+        Arc::make_mut(&mut self.0)
     }
 
-    /// True when no other handle shares this row's cells.
-    #[cfg(test)]
-    pub(crate) fn is_unique(&self) -> bool {
+    /// True when no other handle shares this row's cells, so
+    /// [`Row::make_mut`] writes them in place.
+    #[inline]
+    pub fn is_unique(&self) -> bool {
         Arc::strong_count(&self.0) == 1
     }
 

@@ -75,8 +75,8 @@ pub(crate) struct EeContext<'a> {
     pub batch: BatchId,
     /// Visible rows appended to each stream during this TE (output batches).
     pub appended: &'a mut Vec<(TableId, Row)>,
-    /// Trigger firings awaiting execution.
-    pub queue: VecDeque<PendingFire>,
+    /// Trigger firings awaiting execution (the engine's buffer).
+    pub queue: &'a mut VecDeque<PendingFire>,
     /// Current cascade depth (0 = statement issued by the PE).
     pub depth: u32,
 }
@@ -285,12 +285,11 @@ mod tests {
             proc: None,
             batch: BatchId::new(42),
             appended: &mut appended,
-            queue: VecDeque::new(),
+            queue: &mut VecDeque::new(),
             depth: 0,
         };
         ctx.insert_visible(s, vec![Value::Int(10)].into()).unwrap();
         ctx.insert_visible(s, vec![Value::Int(11)].into()).unwrap();
-        drop(ctx);
         let rows: Vec<Row> = db
             .table(s)
             .unwrap()
@@ -327,12 +326,11 @@ mod tests {
             proc: Some(ProcId::new(1)),
             batch: BatchId::new(0),
             appended: &mut appended,
-            queue: VecDeque::new(),
+            queue: &mut VecDeque::new(),
             depth: 0,
         };
         assert_eq!(ctx.check_read(w).unwrap_err().kind(), "scope");
         assert_eq!(ctx.check_write(w).unwrap_err().kind(), "scope");
-        drop(ctx);
         // Owning procedure passes.
         let ctx = EeContext {
             db: &mut db,
@@ -344,7 +342,7 @@ mod tests {
             proc: Some(ProcId::new(7)),
             batch: BatchId::new(0),
             appended: &mut appended,
-            queue: VecDeque::new(),
+            queue: &mut VecDeque::new(),
             depth: 0,
         };
         assert!(ctx.check_read(w).is_ok());
@@ -371,7 +369,7 @@ mod tests {
             proc: None,
             batch: BatchId::new(1),
             appended: &mut appended,
-            queue: VecDeque::new(),
+            queue: &mut VecDeque::new(),
             depth: 0,
         };
         ctx.insert_visible(s, vec![Value::Int(9)].into()).unwrap();
@@ -403,7 +401,7 @@ mod tests {
             proc: None,
             batch: BatchId::new(1),
             appended: &mut appended,
-            queue: VecDeque::new(),
+            queue: &mut VecDeque::new(),
             depth: 0,
         };
         ctx.insert_visible(s, vec![Value::Int(9)].into()).unwrap();
@@ -424,13 +422,12 @@ mod tests {
             proc: None,
             batch: BatchId::new(0),
             appended: &mut appended,
-            queue: VecDeque::new(),
+            queue: &mut VecDeque::new(),
             depth: 0,
         };
         let rid = ctx.insert_visible(t, vec![Value::Int(1)].into()).unwrap();
         ctx.update_cells(t, rid, &mut [(0, Value::Int(2))]).unwrap();
         ctx.delete_row(t, rid).unwrap();
-        drop(ctx);
         assert_eq!(undo.len(), 3);
         undo.rollback(&mut db).unwrap();
         assert!(db.table(t).unwrap().is_empty());

@@ -12,7 +12,7 @@ use crate::gc;
 use crate::stats::EeStats;
 use crate::triggers::{EeTrigger, TriggerEvent, TriggerRegistry};
 use sstore_common::{BatchId, Error, ProcId, Result, Row, TableId, Value};
-use sstore_sql::exec::{self, ExecContext, QueryResult};
+use sstore_sql::exec::{self, Answer, ExecContext, QueryResult};
 use sstore_sql::plan::{DdlOp, PlannedStmt};
 use sstore_sql::{parse, plan_statement};
 use sstore_storage::catalog::{WindowKind, WindowSpec};
@@ -35,16 +35,18 @@ pub struct TxnScratch {
     pub proc: Option<ProcId>,
     /// The TE's input batch id.
     pub batch: BatchId,
+    /// The buffer [`ExecutionEngine::execute_planned`] answers into and
+    /// lends its result from.
+    answer: Answer,
 }
 
 impl TxnScratch {
     /// Scratch for a TE of `proc` over `batch`.
     pub fn new(proc: Option<ProcId>, batch: BatchId) -> Self {
         TxnScratch {
-            undo: UndoLog::new(),
-            appended: Vec::new(),
             proc,
             batch,
+            ..TxnScratch::default()
         }
     }
 }
@@ -58,6 +60,10 @@ pub struct ExecutionEngine {
     config: EeConfig,
     /// The row ids stream GC deletes, a buffer kept between calls.
     gc_victims: Vec<RowId>,
+    /// The EE trigger firings a trip queues, a buffer kept between trips.
+    fires: VecDeque<PendingFire>,
+    /// The buffer the statements of fired EE triggers answer into.
+    fired: Answer,
 }
 
 impl ExecutionEngine {
@@ -245,14 +251,25 @@ impl ExecutionEngine {
 
     /// Execute one planned statement inside a TE. Counts as **one PE→EE
     /// round trip**; any EE trigger cascade runs inside this call.
-    pub fn execute_planned(
+    ///
+    /// The result is **lent** out of `scratch`, where it lives until the
+    /// TE's next statement overwrites it. A steady-state point statement
+    /// allocates nothing here: the result's rows vector is reused, a
+    /// point `SELECT` overwrites the earlier answer's unshared row of the
+    /// same width in place, and the trigger queue and the cascade's own
+    /// answer buffer are the engine's, kept between trips (see
+    /// [`QueryResult`]).
+    pub fn execute_planned<'s>(
         &mut self,
         stmt: &PlannedStmt,
         params: &[Value],
-        scratch: &mut TxnScratch,
+        scratch: &'s mut TxnScratch,
         now: i64,
-    ) -> Result<QueryResult> {
-        self.trip(scratch, now, |ctx| exec::execute(stmt, ctx, params))
+    ) -> Result<&'s QueryResult> {
+        self.trip(scratch, now, |ctx, answer| {
+            exec::execute(stmt, ctx, params, answer).map(drop)
+        })?;
+        Ok(scratch.answer.get())
     }
 
     /// Append one row, given in visible-column order, to `table` inside a
@@ -270,23 +287,27 @@ impl ExecutionEngine {
         scratch: &mut TxnScratch,
         now: i64,
     ) -> Result<RowId> {
-        self.trip(scratch, now, |ctx| {
+        self.trip(scratch, now, |ctx, _| {
             ctx.check_write(table)?;
             ctx.insert_visible(table, row)
         })
     }
 
-    /// One PE→EE round trip: run the `issued` statement against a fresh
-    /// context, then drain the EE trigger cascade it queued, within the
-    /// same TE.
+    /// One PE→EE round trip: run the `issued` statement against a context
+    /// over `scratch` (handing it the scratch's answer buffer), then drain
+    /// the EE trigger cascade it queued, within the same TE.
     fn trip<T>(
         &mut self,
         scratch: &mut TxnScratch,
         now: i64,
-        issued: impl FnOnce(&mut EeContext<'_>) -> Result<T>,
+        issued: impl FnOnce(&mut EeContext<'_>, &mut Answer) -> Result<T>,
     ) -> Result<T> {
         self.stats.pe_ee_trips += 1;
         self.stats.statements += 1;
+        // A trip that failed mid-cascade leaves its firings behind.
+        if !self.fires.is_empty() {
+            self.fires.clear();
+        }
         let mut ctx = EeContext {
             db: &mut self.db,
             undo: &mut scratch.undo,
@@ -297,10 +318,10 @@ impl ExecutionEngine {
             proc: scratch.proc,
             batch: scratch.batch,
             appended: &mut scratch.appended,
-            queue: VecDeque::new(),
+            queue: &mut self.fires,
             depth: 0,
         };
-        let result = issued(&mut ctx)?;
+        let result = issued(&mut ctx, &mut scratch.answer)?;
         // Drain the trigger cascade within the same transaction.
         while let Some(PendingFire {
             trigger,
@@ -321,13 +342,14 @@ impl ExecutionEngine {
                 .ok_or_else(|| Error::Internal("dangling trigger index".into()))?;
             for stmt in &trig.statements {
                 ctx.stats.statements += 1;
-                exec::execute(stmt, &mut ctx, &params)?;
+                exec::execute(stmt, &mut ctx, &params, &mut self.fired)?;
             }
         }
         Ok(result)
     }
 
-    /// Parse + plan + execute in one call (ad-hoc / test path).
+    /// Parse + plan + execute in one call (ad-hoc / test path); the
+    /// result is owned, moved out of `scratch`.
     pub fn execute_sql(
         &mut self,
         sql: &str,
@@ -336,7 +358,8 @@ impl ExecutionEngine {
         now: i64,
     ) -> Result<QueryResult> {
         let planned = self.prepare(sql)?;
-        self.execute_planned(&planned, params, scratch, now)
+        self.execute_planned(&planned, params, scratch, now)?;
+        Ok(scratch.answer.take())
     }
 
     // ---- Lifecycle ------------------------------------------------------------

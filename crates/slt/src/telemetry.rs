@@ -99,13 +99,13 @@ pub fn deploy_telemetry(db: &mut SStore) -> Result<()> {
                 let temp = row[1].clone();
                 let t = temp.as_int()?;
                 let seen = ctx.exec("get", std::slice::from_ref(&area))?;
-                match seen.rows.first() {
+                match seen.scalar().map(Value::as_int).transpose()? {
                     None => {
                         ctx.exec("init", &[area, temp.clone(), temp])?;
                     }
-                    Some(r) => {
+                    Some(maxt) => {
                         ctx.exec("bump", &[temp.clone(), area.clone()])?;
-                        if t > r[0].as_int()? {
+                        if t > maxt {
                             ctx.exec("raise", &[temp, area])?;
                         }
                     }

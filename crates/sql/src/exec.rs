@@ -10,7 +10,7 @@
 //! attach undo logging, stream and window lifecycle maintenance, EE
 //! triggers, and round-trip accounting.
 
-use crate::expr::{eval, eval_pred, ill_typed, BoundExpr, EvalEnv};
+use crate::expr::{eval, eval_pred, ill_typed, operand, BoundExpr, EvalEnv};
 use crate::plan::{AccessPath, AggExpr, AggFunc, PhysicalPlan, PlannedStmt};
 use crate::vexec::{self, ExecPath};
 use sstore_common::hash::{HashMap, HashSet};
@@ -65,6 +65,15 @@ pub trait ExecContext {
 }
 
 /// Result of executing one statement.
+///
+/// An owned result is what [`run_sql`] returns and what a client query
+/// hands back. Inside a transaction execution the engine **lends** one
+/// instead, out of the [`Answer`] buffer the TE's scratch owns: the borrow
+/// lives until the next statement of the TE, which overwrites it. A
+/// lent result's rows vector is reused, and a point `SELECT` overwrites
+/// the cells of the earlier answer's row when nothing else holds that
+/// row and it has the same width, so it allocates nothing. Clone a lent
+/// result (refcount bumps, no cell copies) to keep it longer.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
     /// Output column names (SELECT only), shared with the planned
@@ -91,13 +100,95 @@ impl QueryResult {
     }
 }
 
-/// Execute a planned statement.
-pub fn execute(
+/// SELECT statements whose results an [`Answer`] keeps apart.
+const QUERY_SLOTS: usize = 8;
+/// Unshared rows a query slot keeps from its last result for the next
+/// one to overwrite.
+const SPARE_ROWS: usize = 4;
+
+/// The buffer [`execute`] answers into, reused from one statement to the
+/// next: one result for DML and one per SELECT lately answered (up to
+/// eight, found by the statement's column header), so no header is shared
+/// again while a TE's statements alternate. A SELECT's slot keeps up to
+/// four rows of its last result that nothing else shares, for its next
+/// point lookup to overwrite; a row a caller still shares, or a stored
+/// row handed up as it is, is let go before the next statement runs, so
+/// no write finds it shared.
+#[derive(Debug, Default)]
+pub struct Answer {
+    queries: Vec<QueryResult>,
+    dml: QueryResult,
+    /// The slot the last statement answered in; `None` for DML.
+    last: Option<usize>,
+}
+
+impl Answer {
+    /// The last statement's result.
+    pub fn get(&self) -> &QueryResult {
+        self.last.map_or(&self.dml, |i| &self.queries[i])
+    }
+
+    /// Move the last statement's result out.
+    pub fn take(&mut self) -> QueryResult {
+        match self.last.take() {
+            Some(i) => self.queries.swap_remove(i),
+            None => std::mem::take(&mut self.dml),
+        }
+    }
+
+    /// Keep the last result's unshared rows, up to [`SPARE_ROWS`], for
+    /// its statement to overwrite next time.
+    fn recycle(&mut self) {
+        let Some(i) = self.last else { return };
+        let rows = &mut self.queries[i].rows;
+        if rows.len() > SPARE_ROWS || !rows.iter().all(Row::is_unique) {
+            rows.truncate(SPARE_ROWS);
+            rows.retain(Row::is_unique);
+        }
+    }
+
+    /// The slot of the SELECT whose header is `columns`: its own, else a
+    /// new one, else the one after the last, taken over.
+    fn query(&mut self, columns: &Arc<[String]>) -> &mut QueryResult {
+        let found = self
+            .queries
+            .iter()
+            .position(|q| Arc::ptr_eq(&q.columns, columns));
+        let i = found.unwrap_or_else(|| {
+            let columns = Arc::clone(columns);
+            if self.queries.len() < QUERY_SLOTS {
+                self.queries.push(QueryResult {
+                    columns,
+                    ..QueryResult::default()
+                });
+                return self.queries.len() - 1;
+            }
+            let i = self.last.map_or(0, |i| (i + 1) % QUERY_SLOTS);
+            self.queries[i].columns = columns;
+            i
+        });
+        self.last = Some(i);
+        &mut self.queries[i]
+    }
+
+    /// Answer a DML statement that touched `n` rows.
+    fn affected(&mut self, n: usize) {
+        self.last = None;
+        self.dml.rows_affected = n;
+    }
+}
+
+/// Execute a planned statement into `out` and lend the result from it
+/// (see [`QueryResult`] for what is reused). On an error `out` holds no
+/// result to read.
+pub fn execute<'r>(
     stmt: &PlannedStmt,
     ctx: &mut dyn ExecContext,
     params: &[Value],
-) -> Result<QueryResult> {
+    out: &'r mut Answer,
+) -> Result<&'r QueryResult> {
     check_params(stmt, params)?;
+    out.recycle();
     let now = ctx.now();
     // Evaluate uncorrelated scalar subqueries once, in slot order. Earlier
     // slots are visible to later ones (inner subqueries bind first).
@@ -114,11 +205,9 @@ pub fn execute(
         subs: &subs,
     };
     match stmt {
-        PlannedStmt::Query { plan, columns, .. } => Ok(QueryResult {
-            columns: Arc::clone(columns),
-            rows: vexec::run(plan, &*ctx, &env)?,
-            rows_affected: 0,
-        }),
+        PlannedStmt::Query { plan, columns, .. } => {
+            vexec::run(plan, &*ctx, &env, &mut out.query(columns).rows)?;
+        }
         PlannedStmt::Insert {
             table,
             source,
@@ -135,7 +224,8 @@ pub fn execute(
                     1
                 }
                 _ => {
-                    let src_rows = vexec::run(source, &*ctx, &env)?;
+                    let mut src_rows = Vec::new();
+                    vexec::run(source, &*ctx, &env, &mut src_rows)?;
                     let n = src_rows.len();
                     // A source row already in target order is stored as it is.
                     let identity = mapping.iter().enumerate().all(|(i, m)| *m == Some(i));
@@ -150,10 +240,7 @@ pub fn execute(
                     n
                 }
             };
-            Ok(QueryResult {
-                rows_affected: n,
-                ..Default::default()
-            })
+            out.affected(n);
         }
         PlannedStmt::Update {
             table,
@@ -185,10 +272,7 @@ pub fn execute(
                 ctx.update_cells(*table, rid, cells)?;
                 n += 1;
             }
-            Ok(QueryResult {
-                rows_affected: n,
-                ..Default::default()
-            })
+            out.affected(n);
         }
         PlannedStmt::Delete {
             table, path, pred, ..
@@ -202,16 +286,16 @@ pub fn execute(
                 ctx.delete_row(*table, rid)?;
                 n += 1;
             }
-            Ok(QueryResult {
-                rows_affected: n,
-                ..Default::default()
-            })
+            out.affected(n);
         }
-        PlannedStmt::Ddl(_) => Err(Error::Txn(
-            "DDL cannot run through the statement executor; use the engine's DDL entry point"
-                .into(),
-        )),
+        PlannedStmt::Ddl(_) => {
+            return Err(Error::Txn(
+                "DDL cannot run through the statement executor; use the engine's DDL entry point"
+                    .into(),
+            ))
+        }
     }
+    Ok(out.get())
 }
 
 /// Refuse fewer values than the statement has parameters, or one of a
@@ -246,14 +330,13 @@ fn eval_subqueries(
 ) -> Result<Vec<Value>> {
     let mut vals: Vec<Value> = Vec::with_capacity(subqueries.len());
     for plan in subqueries {
-        let rows = {
-            let env = EvalEnv {
-                params,
-                now,
-                subs: &vals,
-            };
-            vexec::run(plan, ctx, &env)?
+        let mut rows = Vec::new();
+        let env = EvalEnv {
+            params,
+            now,
+            subs: &vals,
         };
+        vexec::run(plan, ctx, &env, &mut rows)?;
         if rows.len() > 1 {
             return Err(Error::Constraint(format!(
                 "scalar subquery returned {} rows",
@@ -325,14 +408,16 @@ fn insert_row(
     }))
 }
 
-/// Evaluate a point path's key, onto the stack when it is one cell.
+/// Evaluate a point path's key: one cell is borrowed when it is a leaf,
+/// and evaluated onto the stack otherwise.
 fn with_key<T>(
     keys: &[BoundExpr],
     env: &EvalEnv<'_>,
     probe: impl FnOnce(&[Value]) -> Result<T>,
 ) -> Result<T> {
     if let [key] = keys {
-        return probe(&[eval(key, &[], env)?]);
+        let mut node = Value::Null;
+        return probe(std::slice::from_ref(operand(key, &[], env, &mut node)?));
     }
     let key: Vec<Value> = keys
         .iter()
@@ -634,11 +719,14 @@ pub(crate) fn zero_value(ty: DataType) -> Value {
     }
 }
 
-/// Parse, plan, and execute a statement in one call (test/tool convenience).
+/// Parse, plan, and execute a statement in one call (test/tool
+/// convenience); the result is owned.
 pub fn run_sql(sql: &str, ctx: &mut dyn ExecContext, params: &[Value]) -> Result<QueryResult> {
     let stmt = crate::parser::parse(sql)?;
     let planned = crate::planner::plan_statement(&stmt, ctx.db())?;
-    execute(&planned, ctx, params)
+    let mut out = Answer::default();
+    execute(&planned, ctx, params, &mut out)?;
+    Ok(out.take())
 }
 
 #[cfg(test)]

@@ -239,19 +239,55 @@ pub(crate) fn ill_typed() -> Error {
     Error::Internal("a value of a type the binder did not decide reached an operator".into())
 }
 
-/// Evaluate `expr` against `row`.
+/// Evaluate `expr` against `row`. A leaf (a literal, a parameter, a
+/// column) is read where the call is, with no call of its own: a point
+/// statement's key and cells are mostly leaves.
+#[inline(always)]
 pub fn eval(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<Value> {
+    match leaf(expr, row, env) {
+        Some(v) => Ok(v.clone()),
+        None => eval_node(expr, row, env),
+    }
+}
+
+/// `expr`'s value, borrowed when it is a leaf ([`leaf`]), else evaluated
+/// into `slot`.
+#[inline(always)]
+pub(crate) fn operand<'v>(
+    expr: &'v BoundExpr,
+    row: &'v [Value],
+    env: &'v EvalEnv<'_>,
+    slot: &'v mut Value,
+) -> Result<&'v Value> {
+    match leaf(expr, row, env) {
+        Some(v) => Ok(v),
+        None => {
+            *slot = eval_node(expr, row, env)?;
+            Ok(slot)
+        }
+    }
+}
+
+/// The value of a leaf, borrowed: a literal, a parameter or a column that
+/// exists. `None` for any other node, which [`eval_node`] evaluates.
+#[inline(always)]
+fn leaf<'v>(expr: &'v BoundExpr, row: &'v [Value], env: &'v EvalEnv<'_>) -> Option<&'v Value> {
     match expr {
+        BoundExpr::Literal(v) => Some(v),
+        BoundExpr::Param(i) => env.params.get(*i),
+        BoundExpr::ColumnRef(i) => row.get(*i),
+        _ => None,
+    }
+}
+
+/// [`eval`] of what [`leaf`] does not read.
+fn eval_node(expr: &BoundExpr, row: &[Value], env: &EvalEnv<'_>) -> Result<Value> {
+    match expr {
+        // A leaf arrives here only when it is a parameter or a column
+        // past the end.
         BoundExpr::Literal(v) => Ok(v.clone()),
-        BoundExpr::Param(i) => env
-            .params
-            .get(*i)
-            .cloned()
-            .ok_or_else(|| Error::Constraint(format!("missing parameter ?{i}"))),
-        BoundExpr::ColumnRef(i) => row
-            .get(*i)
-            .cloned()
-            .ok_or_else(|| Error::Internal(format!("column offset {i} out of range"))),
+        BoundExpr::Param(i) => Err(Error::Constraint(format!("missing parameter ?{i}"))),
+        BoundExpr::ColumnRef(i) => Err(Error::Internal(format!("column offset {i} out of range"))),
         BoundExpr::Unary { op, expr, .. } => {
             let v = eval(expr, row, env)?;
             eval_unary(*op, v)
@@ -377,16 +413,18 @@ fn eval_binary(
         return Ok(tri(and_or(stop, l, r)));
     }
 
-    let l = eval(left, row, env)?;
-    let r = eval(right, row, env)?;
+    // Leaf operands are read in place, not cloned.
+    let (mut l_node, mut r_node) = (Value::Null, Value::Null);
+    let l = operand(left, row, env, &mut l_node)?;
+    let r = operand(right, row, env, &mut r_node)?;
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, l, r),
-        BinOp::Eq => Ok(tri(l.sql_eq(&r))),
-        BinOp::Neq => Ok(tri(l.sql_eq(&r).map(|b| !b))),
-        BinOp::Lt => Ok(tri(l.sql_cmp(&r).map(|o| o == std::cmp::Ordering::Less))),
-        BinOp::Le => Ok(tri(l.sql_cmp(&r).map(|o| o != std::cmp::Ordering::Greater))),
-        BinOp::Gt => Ok(tri(l.sql_cmp(&r).map(|o| o == std::cmp::Ordering::Greater))),
-        BinOp::Ge => Ok(tri(l.sql_cmp(&r).map(|o| o != std::cmp::Ordering::Less))),
+        BinOp::Eq => Ok(tri(l.sql_eq(r))),
+        BinOp::Neq => Ok(tri(l.sql_eq(r).map(|b| !b))),
+        BinOp::Lt => Ok(tri(l.sql_cmp(r).map(|o| o == std::cmp::Ordering::Less))),
+        BinOp::Le => Ok(tri(l.sql_cmp(r).map(|o| o != std::cmp::Ordering::Greater))),
+        BinOp::Gt => Ok(tri(l.sql_cmp(r).map(|o| o == std::cmp::Ordering::Greater))),
+        BinOp::Ge => Ok(tri(l.sql_cmp(r).map(|o| o != std::cmp::Ordering::Less))),
         BinOp::And | BinOp::Or => unreachable!("handled above"),
     }
 }
@@ -398,7 +436,7 @@ fn tri(b: Option<bool>) -> Value {
     }
 }
 
-fn arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
+fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
@@ -407,7 +445,7 @@ fn arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
         Value::Int(i) | Value::Timestamp(i) => Some(*i),
         _ => None,
     };
-    match (as_int(&l), as_int(&r)) {
+    match (as_int(l), as_int(r)) {
         (Some(a), Some(b)) => {
             let out = match op {
                 BinOp::Add => a.checked_add(b),

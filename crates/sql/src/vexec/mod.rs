@@ -110,6 +110,7 @@ use sstore_storage::Database;
 use sstore_vector::compute::bool_to_sel;
 use sstore_vector::{Column, Sel};
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 /// The mode of the plan walker.
@@ -228,26 +229,36 @@ fn needed_with<'e>(needed: &[usize], extra: impl IntoIterator<Item = &'e BoundEx
 }
 
 /// Run a SELECT plan (a query, a scalar subquery or an INSERT source) in
-/// the context's mode and materialize the result.
+/// the context's mode and materialize the result into `rows`. What `rows`
+/// holds on entry is a donor, not a prefix: its vector is reused when the
+/// plan projects a point lookup, and so is each row nothing else shares
+/// that has the projection's width, its cells overwritten in place.
 pub(crate) fn run(
     plan: &PhysicalPlan,
     ctx: &dyn ExecContext,
     env: &EvalEnv<'_>,
-) -> Result<Vec<Row>> {
+    rows: &mut Vec<Row>,
+) -> Result<()> {
     let walk = Walk {
         ctx,
+        db: ctx.db(),
         env,
         vector: ctx.exec_path() == ExecPath::Vector,
+        spare: Cell::new(std::mem::take(rows)),
     };
-    walk.run(plan, false, None).map(materialize_out)
+    *rows = walk.run(plan, false, None).map(materialize_out)?;
+    Ok(())
 }
 
 /// One walk of a plan: the context it reads, the statement's environment,
-/// and whether scans may read lanes (`Vector` mode).
+/// whether scans may read lanes (`Vector` mode), and the rows of an
+/// earlier answer that a point projection may overwrite.
 struct Walk<'a, 'e> {
     ctx: &'a dyn ExecContext,
+    db: &'a Database,
     env: &'e EvalEnv<'e>,
     vector: bool,
+    spare: Cell<Vec<Row>>,
 }
 
 impl<'a> Walk<'a, '_> {
@@ -279,7 +290,7 @@ impl<'a> Walk<'a, '_> {
                     return Ok(VOut::Rows(out));
                 }
                 self.ctx.check_read(*table)?;
-                let tb = self.ctx.db().table(*table)?;
+                let tb = self.db.table(*table)?;
                 let arity = tb.schema().arity();
                 let wanted: Vec<usize> = match needed {
                     None => (0..arity).collect(),
@@ -325,7 +336,7 @@ impl<'a> Walk<'a, '_> {
                 }
             }
             PhysicalPlan::Project { input, exprs } => {
-                if is_identity(exprs, input, self.ctx.db()) {
+                if is_identity(exprs, input, self.db) {
                     // Rows pass through: no copy of what the input made.
                     return Ok(VOut::Rows(materialize_out(self.run(input, false, None)?)));
                 }
@@ -336,13 +347,26 @@ impl<'a> Walk<'a, '_> {
                     residual,
                 } = &**input
                 {
-                    // A point scan projects each row it finds straight into a
-                    // result row, with no vector of scanned handles between.
-                    let mut out = Vec::new();
+                    // A point scan projects each row it finds straight into
+                    // a result row, with no vector of scanned handles
+                    // between: into the spare rows, cell by cell, where one
+                    // is unshared and as wide.
+                    let mut out = self.spare.take();
+                    let mut n = 0;
                     scan(*table, path, residual.as_ref(), self.ctx, env, |_, row| {
-                        out.push(project(row)?);
+                        match out.get_mut(n) {
+                            Some(dst) if dst.len() == exprs.len() && dst.is_unique() => {
+                                for (cell, e) in dst.make_mut().iter_mut().zip(exprs) {
+                                    *cell = eval(e, row, env)?;
+                                }
+                            }
+                            Some(dst) => *dst = project(row)?,
+                            None => out.push(project(row)?),
+                        }
+                        n += 1;
                         Ok(())
                     })?;
+                    out.truncate(n);
                     return Ok(VOut::Rows(out));
                 }
                 let child_needed = needed_with(&[], exprs);
@@ -447,7 +471,7 @@ impl<'a> Walk<'a, '_> {
                 Ok(VOut::Rows(out))
             }
             PhysicalPlan::NestedLoopJoin { left, right, on } => {
-                let db = self.ctx.db();
+                let db = self.db;
                 let arity_fn = |t: TableId| db.table(t).map(|tb| tb.schema().arity()).unwrap_or(0);
                 let left_arity = left.arity(&arity_fn);
                 let width = left_arity + right.arity(&arity_fn);

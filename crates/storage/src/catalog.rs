@@ -200,6 +200,7 @@ impl Catalog {
     }
 
     /// Metadata by id.
+    #[inline]
     pub fn meta(&self, id: TableId) -> Option<&TableMeta> {
         self.metas.get(id.raw() as usize)
     }

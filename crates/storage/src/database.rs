@@ -94,6 +94,7 @@ impl Database {
     }
 
     /// Table by id.
+    #[inline]
     pub fn table(&self, id: TableId) -> Result<&Table> {
         self.tables
             .get(id.raw() as usize)
@@ -101,6 +102,7 @@ impl Database {
     }
 
     /// Mutable table by id.
+    #[inline]
     pub fn table_mut(&mut self, id: TableId) -> Result<&mut Table> {
         self.tables
             .get_mut(id.raw() as usize)
@@ -157,6 +159,7 @@ impl Database {
     }
 
     /// The kind of a table.
+    #[inline]
     pub fn kind(&self, id: TableId) -> Result<&TableKind> {
         self.catalog
             .meta(id)

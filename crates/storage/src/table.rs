@@ -517,6 +517,7 @@ impl Table {
     }
 
     /// Fetch a row by id.
+    #[inline]
     pub fn get(&self, rid: RowId) -> Option<&Row> {
         self.slots.get(rid as usize).and_then(|s| s.as_ref())
     }

@@ -103,6 +103,7 @@ impl UndoLog {
     }
 
     /// Record one inverse operation.
+    #[inline]
     pub fn push(&mut self, op: UndoOp) {
         self.ops.push(op);
     }

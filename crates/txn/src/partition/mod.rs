@@ -209,7 +209,7 @@ impl Partition {
                 )));
             }
         }
-        let mut statements = HashMap::default();
+        let mut statements = Vec::new();
         let mut read_set = HashSet::default();
         let mut write_set = HashSet::default();
         for (name, sql) in &spec.statements {
@@ -217,12 +217,13 @@ impl Partition {
             let (r, w) = stmt_effects(&planned);
             read_set.extend(r);
             write_set.extend(w);
-            if statements.insert(name.clone(), planned).is_some() {
+            if statements.iter().any(|(n, _)| n == name) {
                 return Err(Error::AlreadyExists(format!(
                     "statement `{name}` in `{}`",
                     spec.name
                 )));
             }
+            statements.push((name.clone(), planned));
         }
         // Emissions write the output stream.
         if let Some(out) = output_stream {

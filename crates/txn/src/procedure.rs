@@ -7,12 +7,14 @@
 //! batch, its prepared statements, ad-hoc SQL, and an `emit` path onto its
 //! output stream.
 //!
-//! A TE only binds parameters: [`ProcContext::exec`] hands the engine a
-//! borrow of the plan prepared at registration, never a copy, and
+//! A TE only binds parameters: [`ProcContext::exec`] finds the plan
+//! prepared at registration by comparing names (a procedure has a handful
+//! of statements, so no name is hashed), hands the engine a borrow of it,
+//! never a copy, and borrows the result back out of the TE's scratch;
 //! [`ProcContext::emit`] appends the row handle directly, with no plan at
 //! all.
 
-use sstore_common::hash::{HashMap, HashSet};
+use sstore_common::hash::HashSet;
 use sstore_common::{Batch, Error, ProcId, Result, Row, TableId, Value};
 use sstore_engine::{ExecutionEngine, TxnScratch};
 use sstore_sql::exec::QueryResult;
@@ -118,8 +120,8 @@ pub(crate) struct Procedure {
     pub input_stream: Option<TableId>,
     /// Resolved output stream.
     pub output_stream: Option<TableId>,
-    /// Prepared statements by name.
-    pub statements: HashMap<String, PlannedStmt>,
+    /// Prepared statements and their names, in declaration order.
+    pub statements: Vec<(String, PlannedStmt)>,
     /// Tables read by the prepared statements (shared-table analysis).
     pub read_set: HashSet<TableId>,
     /// Tables written by the prepared statements.
@@ -209,8 +211,8 @@ pub struct ProcContext<'a> {
     pub engine: &'a mut ExecutionEngine,
     /// Transaction scratch (undo, output collection).
     pub scratch: &'a mut TxnScratch,
-    /// Prepared statements of the running procedure.
-    pub statements: &'a HashMap<String, PlannedStmt>,
+    /// Prepared statements of the running procedure, with their names.
+    pub statements: &'a [(String, PlannedStmt)],
     /// The input batch.
     pub input: &'a Batch,
     /// Logical time of the TE.
@@ -227,20 +229,25 @@ impl<'a> ProcContext<'a> {
         self.input
     }
 
-    /// Execute a prepared statement by name.
-    pub fn exec(&mut self, stmt: &str, params: &[Value]) -> Result<QueryResult> {
-        // Copy the `&'a` map out so the plan borrow does not hold `self`.
-        let statements = self.statements;
-        let planned = statements
-            .get(stmt)
-            .ok_or_else(|| Error::NotFound(format!("prepared statement `{stmt}`")))?;
-        self.dispatch(planned, params)
+    /// Execute a prepared statement by name: one PE→EE trip
+    /// ([`ExecutionEngine::execute_planned`]). The result is lent out of
+    /// the TE's scratch and lives until the next statement this TE runs;
+    /// a steady-state point statement allocates nothing for it. Clone it
+    /// to keep it longer.
+    pub fn exec(&mut self, stmt: &str, params: &[Value]) -> Result<&QueryResult> {
+        let Some((_, planned)) = self.statements.iter().find(|(name, _)| name == stmt) else {
+            return Err(Error::NotFound(format!("prepared statement `{stmt}`")));
+        };
+        self.engine
+            .execute_planned(planned, params, self.scratch, self.now)
     }
 
     /// Execute ad-hoc SQL (planned per call; prefer [`ProcContext::exec`]).
-    pub fn sql(&mut self, sql: &str, params: &[Value]) -> Result<QueryResult> {
+    /// The result is lent as [`ProcContext::exec`]'s is.
+    pub fn sql(&mut self, sql: &str, params: &[Value]) -> Result<&QueryResult> {
         let planned = self.engine.prepare(sql)?;
-        self.dispatch(&planned, params)
+        self.engine
+            .execute_planned(&planned, params, self.scratch, self.now)
     }
 
     /// Append a tuple to this procedure's output stream. The tuples
@@ -273,11 +280,6 @@ impl<'a> ProcContext<'a> {
     /// Deliberately abort the transaction (clean rollback).
     pub fn abort(&self, msg: impl Into<String>) -> Error {
         Error::UserAbort(msg.into())
-    }
-
-    fn dispatch(&mut self, planned: &PlannedStmt, params: &[Value]) -> Result<QueryResult> {
-        self.engine
-            .execute_planned(planned, params, self.scratch, self.now)
     }
 }
 
@@ -336,11 +338,10 @@ mod tests {
             .unwrap();
         let out = engine.db().resolve("out_s").unwrap();
         let mut scratch = TxnScratch::new(Some(ProcId::new(0)), BatchId::new(3));
-        let mut stmts = HashMap::default();
-        stmts.insert(
+        let stmts = vec![(
             "ins".to_string(),
             engine.prepare("INSERT INTO t VALUES (?)").unwrap(),
-        );
+        )];
         let input = Batch::new(BatchId::new(3), vec![vec![Value::Int(5)]]);
         let mut ctx = ProcContext {
             engine: &mut engine,
@@ -381,11 +382,10 @@ mod tests {
             .ddl_sql("CREATE TABLE t (id INT, PRIMARY KEY (id))")
             .unwrap();
         let mut scratch = TxnScratch::new(Some(ProcId::new(0)), BatchId::new(1));
-        let mut stmts = HashMap::default();
-        stmts.insert(
+        let stmts = vec![(
             "ins".to_string(),
             engine.prepare("INSERT INTO t VALUES (?)").unwrap(),
-        );
+        )];
         let input = Batch::new(
             BatchId::new(1),
             vec![vec![Value::Int(1)], vec![Value::Int(2)]],
@@ -412,7 +412,7 @@ mod tests {
     fn emit_without_output_stream_errors() {
         let mut engine = ExecutionEngine::new();
         let mut scratch = TxnScratch::new(None, BatchId::new(0));
-        let stmts = HashMap::default();
+        let stmts = Vec::new();
         let input = Batch::empty(BatchId::new(0));
         let mut ctx = ProcContext {
             engine: &mut engine,

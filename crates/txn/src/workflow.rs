@@ -233,7 +233,7 @@ mod tests {
             name: format!("sp{id}"),
             input_stream: input.map(TableId::new),
             output_stream: output.map(TableId::new),
-            statements: HashMap::default(),
+            statements: Vec::new(),
             read_set: reads.iter().map(|&t| TableId::new(t)).collect(),
             write_set: writes.iter().map(|&t| TableId::new(t)).collect(),
             multi_partition: false,

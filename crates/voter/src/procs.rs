@@ -124,6 +124,9 @@ fn register_sp2(
     let every = config.elimination_every;
     let window = config.trending_window;
     let slide = config.trending_slide;
+    // A native tuple window first slides once it has taken `window` votes
+    // and `slide` of them since it began, then every `slide` votes.
+    let first_slide = window.max(slide);
     let native = window_impl == WindowImpl::Native;
     let columns: Arc<[String]> = ["signals"].map(String::from).into();
 
@@ -138,10 +141,11 @@ fn register_sp2(
                 // One statement; the EE window + slide trigger do the rest.
                 ctx.exec("win_insert", std::slice::from_ref(&contestant))?;
             } else {
-                // Emulated window: explicit insert, evict, periodic refresh.
+                // Emulated window: explicit insert, evict, and a refresh
+                // on the votes the native window slides on.
                 ctx.exec("raw_insert", &[Value::Int(total), contestant.clone()])?;
                 ctx.exec("raw_evict", &[Value::Int(total - window)])?;
-                if total % slide == 0 {
+                if total >= first_slide && (total - first_slide) % slide == 0 {
                     ctx.exec("trend_clear", &[])?;
                     ctx.exec("trend_refresh", &[])?;
                 }

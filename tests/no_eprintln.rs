@@ -127,11 +127,11 @@ fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
 const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("sstore", 0),
     ("bikeshare", 8),
-    ("common", 158),
+    ("common", 159),
     ("core", 77),
     ("engine", 27),
     ("slt", 18),
-    ("sql", 32),
+    ("sql", 35),
     ("storage", 93),
     ("txn", 89),
     ("vector", 54),
@@ -181,17 +181,17 @@ fn library_pub_items_stay_within_budget() {
 /// The most non-test lines ([`non_test_lines`]) each crate's library
 /// sources may hold, pinned at today's counts.
 const LINE_BUDGET: [(&str, usize); 11] = [
-    ("bikeshare", 874),
-    ("common", 3204),
+    ("bikeshare", 878),
+    ("common", 3234),
     ("core", 3525),
-    ("engine", 975),
+    ("engine", 998),
     ("slt", 1138),
-    ("sql", 5322),
+    ("sql", 5472),
     ("sstore", 39),
-    ("storage", 3017),
-    ("txn", 3466),
+    ("storage", 3022),
+    ("txn", 3469),
     ("vector", 1874),
-    ("voter", 903),
+    ("voter", 907),
 ];
 
 #[test]
@@ -233,7 +233,7 @@ fn library_lines_stay_within_budget() {
 /// lines may hold, pinned at today's counts.
 const PANIC_SITE_BUDGET: [(&str, usize); 11] = [
     ("bikeshare", 2),
-    ("common", 11),
+    ("common", 10),
     ("core", 2),
     ("engine", 5),
     ("slt", 2),
