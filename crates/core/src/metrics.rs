@@ -40,9 +40,6 @@ pub struct PartitionMetrics {
     pub forwards_in: u64,
     /// Forwarded batches dropped as duplicates (exactly-once dedup).
     pub forwards_deduped: u64,
-    /// Single-partition TEs executed speculatively while a prepared 2PC
-    /// fragment awaited its decision.
-    pub speculative_tes: u64,
     /// Retention snapshots written as full base images.
     pub snapshots_full: u64,
     /// Retention snapshots written as incremental deltas.
@@ -83,7 +80,6 @@ impl PartitionMetrics {
             forwards_out: s.forwards_out,
             forwards_in: s.forwards_in,
             forwards_deduped: s.forwards_deduped,
-            speculative_tes: s.speculative_tes,
             snapshots_full: s.snapshots_full,
             snapshots_delta: s.snapshots_delta,
             mean_latency_us: s.mean_latency_us(),
@@ -174,7 +170,6 @@ mod tests {
             forwards_out: 0,
             forwards_in: 2,
             forwards_deduped: 0,
-            speculative_tes: 0,
             snapshots_full: 0,
             snapshots_delta: 0,
             mean_latency_us: 0.0,

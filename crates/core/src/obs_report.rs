@@ -232,8 +232,8 @@ json_object! {
     PartitionMetrics {
         partition, committed, batches_submitted, batches_completed, group_submissions,
         batches_coalesced, client_pe_trips, twopc_prepares, twopc_commits, twopc_aborts,
-        forwards_out, forwards_in, forwards_deduped, speculative_tes, snapshots_full,
-        snapshots_delta, mean_latency_us, available,
+        forwards_out, forwards_in, forwards_deduped, snapshots_full, snapshots_delta,
+        mean_latency_us, available,
     }
     RowMetrics { shares, deep_copies, cow_breaks }
     CoordStats {
@@ -319,7 +319,6 @@ mod tests {
             forwards_out: 9,
             forwards_in: 10,
             forwards_deduped: 1,
-            speculative_tes: 2,
             snapshots_full: 3,
             snapshots_delta: 4,
             mean_latency_us,
@@ -410,12 +409,12 @@ mod tests {
         r#""committed":100,"batches_submitted":11,"batches_completed":10,"#,
         r#""group_submissions":3,"batches_coalesced":4,"client_pe_trips":5,"#,
         r#""twopc_prepares":6,"twopc_commits":7,"twopc_aborts":8,"forwards_out":9,"#,
-        r#""forwards_in":10,"forwards_deduped":1,"speculative_tes":2,"snapshots_full":3,"#,
+        r#""forwards_in":10,"forwards_deduped":1,"snapshots_full":3,"#,
         r#""snapshots_delta":4,"mean_latency_us":0.25,"available":true},"#,
         r#"{"partition":1,"committed":0,"batches_submitted":11,"batches_completed":10,"#,
         r#""group_submissions":3,"batches_coalesced":4,"client_pe_trips":5,"#,
         r#""twopc_prepares":6,"twopc_commits":7,"twopc_aborts":8,"forwards_out":9,"#,
-        r#""forwards_in":10,"forwards_deduped":1,"speculative_tes":2,"snapshots_full":3,"#,
+        r#""forwards_in":10,"forwards_deduped":1,"snapshots_full":3,"#,
         r#""snapshots_delta":4,"mean_latency_us":null,"available":false}],"#,
         r#""rows":{"shares":1,"deep_copies":2,"cow_breaks":3},"coordinator":{"single_partition_fast_path":1,"#,
         r#""multi_partition_txns":2,"prepares_sent":3,"commits":4,"aborts":5,"#,

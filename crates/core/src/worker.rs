@@ -26,12 +26,9 @@
 //! # The 2PC participant's wait
 //!
 //! Between its vote and the decision a worker **defers** every other
-//! queued job — the fragment's uncommitted writes are in storage, and
-//! serial execution is what makes the rollback sound. The one exception
-//! is **early-prepare speculation**: queued single-partition submissions
-//! whose transitive workflow closure is provably disjoint from the
-//! fragment's keep executing (see
-//! [`sstore_txn::Partition::speculation_safe`]).
+//! queued job, whatever it is — the fragment's uncommitted writes are in
+//! storage, and serial execution is what makes the rollback sound. Once
+//! the decision is applied, the deferred jobs run in arrival order.
 //!
 //! A worker that dies *between its yes-vote and the decision* must not
 //! lose the decision: its supervisor drains the queue for the matching
@@ -494,42 +491,12 @@ fn worker_loop(
                     crash.awaiting_decision = Some((gtid, reply.clone()));
                 }
                 let _ = vote.send(prepared.map(|_| ()));
-                // Block for the decision, deferring everything else —
-                // except, while nothing is deferred yet, single-partition
-                // submissions provably disjoint from the prepared
-                // fragment's workflow closure: those execute immediately
-                // (early-prepare speculation). Once anything defers, all
-                // later messages defer too, preserving FIFO order.
-                let speculate = vote_err.is_none();
+                // Block for the decision, deferring everything else in
+                // arrival order.
                 let decision = loop {
                     match pending.pop_front().or_else(|| ctx.queue.recv()) {
                         Some(WorkerMsg::Decide { gtid: g, commit }) if g == gtid => {
                             break Some(commit)
-                        }
-                        Some(WorkerMsg::Ingest {
-                            proc: sp,
-                            rows,
-                            reply,
-                            trace: spec_trace,
-                        }) if speculate
-                            && crash.deferred.is_empty()
-                            && db.speculation_safe(&sp) =>
-                        {
-                            if let Some(t) = spec_trace {
-                                obs::record(Stage::Queued, t);
-                            }
-                            crash.ingest_replies.push(reply.clone());
-                            crash.uncertain = true;
-                            let result = db.submit_batch_speculative(&sp, rows, spec_trace);
-                            crash.uncertain = false;
-                            if let (Some(t), Ok(_)) = (spec_trace, &result) {
-                                obs::record(Stage::Executed, t);
-                            }
-                            let _ = reply.send(result);
-                            crash.ingest_replies.clear();
-                            // Speculative emissions onto cross-partition
-                            // edges must not wait out the 2PC round.
-                            flush_outbox(&mut db, ctx);
                         }
                         Some(other) => crash.deferred.push(other),
                         None => break None, // cluster dropped mid-2PC

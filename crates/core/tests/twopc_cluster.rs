@@ -5,12 +5,12 @@
 
 use sstore_core::common::fault::{self, KillMode};
 use sstore_core::common::{codec, durable};
-use sstore_core::common::{Row, Value};
+use sstore_core::common::{Result, Row, Value};
 use sstore_core::workloads::{
     count_events_rows, deploy_count_events, deploy_count_events_multi, deploy_two_stage,
     two_stage_rows, TWO_STAGE_EDGES,
 };
-use sstore_core::{Cluster, RouteSpec, SStoreBuilder};
+use sstore_core::{Cluster, ProcSpec, RouteSpec, SStore, SStoreBuilder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -75,42 +75,85 @@ fn atomic_batch_commits_on_every_partition_exactly_once() {
     assert_eq!(m.partitions.iter().map(|p| p.twopc_commits).sum::<u64>(), 2);
 }
 
+/// `count_events` beside `tally`, a single-partition workflow on its own
+/// table: the side traffic that queues behind a 2PC fragment.
+fn deploy_with_tally(db: &mut SStore) -> Result<()> {
+    deploy_count_events_multi(db)?;
+    db.ddl("CREATE STREAM tally_in (key INT, amount INT)")?;
+    db.ddl("CREATE TABLE tallies (key INT NOT NULL, amount INT NOT NULL, PRIMARY KEY (key))")?;
+    db.register(
+        ProcSpec::new("tally", |ctx| {
+            for row in &ctx.input().rows {
+                ctx.exec("put", &[row[0].clone(), row[1].clone()])?;
+            }
+            Ok(())
+        })
+        .consumes("tally_in")
+        .stmt("put", "INSERT INTO tallies VALUES (?, ?)"),
+    )?;
+    Ok(())
+}
+
 /// Atomicity is the product, never a different answer: the same rows cut
 /// into straddling batches (each one global transaction under 2PC) and
 /// pre-sharded onto the single-partition fast path leave identical state.
+/// Single-partition `tally` batches stream in from a second thread
+/// meanwhile, so some reach a worker between its vote and the decision:
+/// it defers them, runs them after the decision, and loses or doubles
+/// none.
 #[test]
 fn multi_sited_state_equals_the_single_partition_fast_path() {
     let _guard = fault_lock();
     let rows = count_events_rows(512, 97, 13);
-    let state = |cluster: &Cluster| sorted(cluster.query_all("SELECT * FROM totals", &[]).unwrap());
+    let side = count_events_rows(512, 512, 7);
+    let state = |cluster: &Cluster| {
+        let read = |sql| sorted(cluster.query_all(sql, &[]).unwrap());
+        (read("SELECT * FROM totals"), read("SELECT * FROM tallies"))
+    };
+    let committed = |ticket: sstore_core::Ticket| {
+        for po in ticket.wait().unwrap() {
+            assert!(po.outcomes.iter().all(|o| o.is_committed()));
+        }
+    };
 
-    let multi = Cluster::new(2, &SStoreBuilder::new(), deploy_count_events_multi).unwrap();
-    for chunk in rows.chunks(64) {
-        multi
-            .submit_batch_atomic("count_events", chunk.to_vec())
-            .unwrap()
-            .wait()
-            .unwrap();
-    }
+    let multi = Cluster::new(2, &SStoreBuilder::new(), deploy_with_tally).unwrap();
+    std::thread::scope(|s| {
+        let tallies = s.spawn(|| {
+            side.chunks(4)
+                .map(|chunk| multi.submit_batch_async("tally", chunk.to_vec()).unwrap())
+                .collect::<Vec<_>>()
+        });
+        for chunk in rows.chunks(64) {
+            committed(
+                multi
+                    .submit_batch_atomic("count_events", chunk.to_vec())
+                    .unwrap(),
+            );
+        }
+        tallies.join().unwrap().into_iter().for_each(committed);
+    });
     let stats = multi.coordinator_stats();
     assert_eq!(stats.multi_partition_txns, 8, "every batch must straddle");
     assert_eq!(stats.commits, 8);
 
-    let single = Cluster::new(2, &SStoreBuilder::new(), deploy_count_events_multi).unwrap();
+    let single = Cluster::new(2, &SStoreBuilder::new(), deploy_with_tally).unwrap();
     for shard in single.router().shard(rows).unwrap() {
         for chunk in shard.chunks(64) {
-            single
-                .submit_batch_async("count_events", chunk.to_vec())
-                .unwrap()
-                .wait()
-                .unwrap();
+            committed(
+                single
+                    .submit_batch_async("count_events", chunk.to_vec())
+                    .unwrap(),
+            );
         }
     }
+    committed(single.submit_batch_async("tally", side).unwrap());
     let stats = single.coordinator_stats();
     assert_eq!(stats.multi_partition_txns, 0);
     assert!(stats.single_partition_fast_path > 0);
 
-    assert_eq!(state(&multi), state(&single));
+    let (totals, tallies) = state(&multi);
+    assert_eq!(tallies.len(), 512);
+    assert_eq!((totals, tallies), state(&single));
 }
 
 /// The fsync budget of a straddling transaction at the benchmark's flush

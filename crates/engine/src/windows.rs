@@ -32,7 +32,7 @@
 //! (experiment E3b reproduces that comparison).
 
 use sstore_common::{Error, Result, Row, TableId, Value};
-use sstore_storage::catalog::{TableKind, WindowKind, COL_SEQ, COL_TS};
+use sstore_storage::catalog::{Catalog, TableKind, WindowKind};
 use sstore_storage::{Database, RowId, UndoLog, UndoOp};
 
 /// What happened during one window insert.
@@ -62,6 +62,7 @@ pub fn insert_into_window(
         .catalog_mut()
         .meta_mut(table)
         .ok_or_else(|| Error::NotFound(format!("window {table}")))?;
+    let (seq_pos, ts_pos) = Catalog::window_hidden_positions(meta);
     let TableKind::Window(w) = &mut meta.kind else {
         return Err(Error::Internal(format!("`{}` is not a window", meta.name)));
     };
@@ -107,8 +108,8 @@ pub fn insert_into_window(
                 slid = true;
                 // Evict everything older than the newest `size` tuples.
                 let cutoff = total as i64 - size as i64;
-                evicted = evict(db, undo, table, |storage_row, seq_pos, _| {
-                    storage_row[seq_pos].as_int().map(|s| s <= cutoff)
+                evicted = evict(db, undo, table, |row| {
+                    row[seq_pos].as_int().map(|s| s <= cutoff)
                 })?;
                 let meta = db.catalog_mut().meta_mut(table).expect("checked");
                 if let TableKind::Window(w) = &mut meta.kind {
@@ -119,8 +120,8 @@ pub fn insert_into_window(
         WindowKind::Time { range, slide } => {
             // Evict expired tuples on every insert.
             let expiry = now - range;
-            evicted = evict(db, undo, table, |storage_row, _, ts_pos| {
-                storage_row[ts_pos].as_int().map(|t| t <= expiry)
+            evicted = evict(db, undo, table, |row| {
+                row[ts_pos].as_int().map(|t| t <= expiry)
             })?;
             let meta = db.catalog_mut().meta_mut(table).expect("checked");
             if let TableKind::Window(w) = &mut meta.kind {
@@ -136,18 +137,17 @@ pub fn insert_into_window(
     Ok(WindowInsert { rid, slid, evicted })
 }
 
-/// Delete the expired prefix of the window's arrival deque — rows matching
-/// `pred(storage_row, seq_pos, ts_pos)` — recording undo for both the rows
-/// and the deque. Stops at the first surviving row (the predicate is
-/// monotone in arrival order), so the cost is O(evicted), not O(window).
-/// Returns the eviction count.
+/// Delete the expired prefix of the window's arrival deque — storage rows
+/// matching `pred` — recording undo for both the rows and the deque.
+/// Stops at the first surviving row (the predicate is monotone in arrival
+/// order), so the cost is O(evicted), not O(window). Returns the eviction
+/// count.
 fn evict(
     db: &mut Database,
     undo: &mut UndoLog,
     table: TableId,
-    pred: impl Fn(&Row, usize, usize) -> Result<bool>,
+    pred: impl Fn(&Row) -> Result<bool>,
 ) -> Result<usize> {
-    let (seq_pos, ts_pos) = hidden_positions(db, table)?;
     let mut n = 0usize;
     loop {
         let front: Option<RowId> = db
@@ -160,7 +160,7 @@ fn evict(
         let expired = match db.table(table)?.get(rid) {
             None => false,
             Some(row) => {
-                if pred(row, seq_pos, ts_pos)? {
+                if pred(row)? {
                     true
                 } else {
                     break;
@@ -177,18 +177,6 @@ fn evict(
         }
     }
     Ok(n)
-}
-
-/// Positions of the hidden `__seq` and `__ts` columns of a window.
-pub(crate) fn hidden_positions(db: &Database, table: TableId) -> Result<(usize, usize)> {
-    let schema = db.table(table)?.schema();
-    let seq = schema
-        .column_index(COL_SEQ)
-        .ok_or_else(|| Error::Internal(format!("window {table} missing {COL_SEQ}")))?;
-    let ts = schema
-        .column_index(COL_TS)
-        .ok_or_else(|| Error::Internal(format!("window {table} missing {COL_TS}")))?;
-    Ok((seq, ts))
 }
 
 #[cfg(test)]

@@ -15,9 +15,9 @@ use std::collections::VecDeque;
 /// Hidden column appended to streams/windows: batch id.
 pub const COL_BATCH: &str = "__batch";
 /// Hidden column appended to streams/windows: per-table sequence number.
-pub const COL_SEQ: &str = "__seq";
+pub(crate) const COL_SEQ: &str = "__seq";
 /// Hidden column appended to windows: logical arrival timestamp (µs).
-pub const COL_TS: &str = "__ts";
+pub(crate) const COL_TS: &str = "__ts";
 
 /// Sliding-window policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,6 +192,13 @@ impl Catalog {
                 Column::new(COL_TS, DataType::Timestamp),
             ]),
         }
+    }
+
+    /// Storage positions of a window's hidden `__seq` and `__ts`:
+    /// `Catalog::storage_schema` appends them after the visible columns.
+    pub fn window_hidden_positions(meta: &TableMeta) -> (usize, usize) {
+        let n = meta.visible_schema.arity();
+        (n, n + 1)
     }
 
     /// Resolve a name (case-insensitive).
@@ -403,8 +410,11 @@ mod tests {
             owner: None,
         };
         let id = c.add_window("w1", schema(), spec).unwrap();
-        let storage = Catalog::storage_schema(c.meta(id).unwrap()).unwrap();
-        assert!(storage.column_index(COL_TS).is_some());
+        let meta = c.meta(id).unwrap();
+        let storage = Catalog::storage_schema(meta).unwrap();
+        let (seq, ts) = Catalog::window_hidden_positions(meta);
+        assert_eq!(storage.column_index(COL_SEQ), Some(seq));
+        assert_eq!(storage.column_index(COL_TS), Some(ts));
 
         c.bind_window_owner(id, ProcId::new(1)).unwrap();
         // Idempotent for the same owner.

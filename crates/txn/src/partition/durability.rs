@@ -163,8 +163,10 @@ impl Partition {
     /// failure is counted and the policy retries at the next quiescent
     /// point (`commits_since_snapshot` keeps accumulating).
     pub(super) fn maybe_snapshot_for_retention(&mut self) {
-        // A held fragment's uncommitted writes must never reach an image
-        // (reachable only via speculative drains); retry once resolved.
+        // A held fragment's uncommitted writes must never reach an image.
+        // `run_queued` already refuses to drain while one is held, so no
+        // caller gets here with one; should that change, retention waits
+        // for the decision instead of counting a failed snapshot.
         if !self.logging() || self.prepared_gtid().is_some() {
             return;
         }

@@ -553,7 +553,7 @@ impl Partition {
     /// quiescence (the queue is empty again) the retention policy may
     /// snapshot + truncate.
     pub fn run_queued(&mut self) -> Result<Vec<TxnOutcome>> {
-        if let Some(gtid) = self.participant.blocking_gtid() {
+        if let Some(gtid) = self.prepared_gtid() {
             // Serial-execution invariant: the prepared fragment's
             // uncommitted writes are sitting in storage; running another
             // TE now could read them and make an abort un-rollbackable.
@@ -1270,118 +1270,10 @@ mod tests {
         assert_eq!(total(&mut p), 1);
     }
 
-    /// audit_in -> audit -> audit_log: a workflow whose closure is disjoint
-    /// from the validate/count pipeline, so it can run speculatively while
-    /// a `validate` fragment is prepared.
-    fn deploy_audit(p: &mut Partition) -> Result<()> {
-        p.ddl("CREATE STREAM audit_in (v INT)")?;
-        p.ddl("CREATE TABLE audit_log (k INT NOT NULL, n INT NOT NULL, PRIMARY KEY (k))")?;
-        let mut sc = TxnScratch::new(None, BatchId::new(0));
-        p.engine_mut()
-            .execute_sql("INSERT INTO audit_log VALUES (1, 0)", &[], &mut sc, 0)?;
-        p.register(
-            ProcSpec::new("audit", |ctx| {
-                let n = ctx.input().len() as i64;
-                ctx.exec("bump", &[Value::Int(n)])?;
-                Ok(())
-            })
-            .consumes("audit_in")
-            .stmt("bump", "UPDATE audit_log SET n = n + ? WHERE k = 1"),
-        )?;
-        Ok(())
-    }
-
-    fn audit_total(p: &mut Partition) -> i64 {
-        p.query("SELECT n FROM audit_log WHERE k = 1", &[])
-            .unwrap()
-            .scalar_i64()
-            .unwrap()
-    }
-
-    #[test]
-    fn speculation_requires_disjoint_closure() {
-        let mut p = pipeline(PeConfig::default());
-        deploy_audit(&mut p).unwrap();
-        // No fragment prepared: nothing to speculate past.
-        assert!(!p.speculation_safe("audit"));
-        p.prepare_fragment(5, "validate", vec![vec![Value::Int(1)]], None)
-            .unwrap();
-        // Disjoint workflow may run; the fragment's own pipeline may not.
-        assert!(p.speculation_safe("audit"));
-        assert!(!p.speculation_safe("validate"));
-        assert!(!p.speculation_safe("no_such_proc"));
-        let err = p
-            .submit_batch_speculative("validate", vec![vec![Value::Int(2)]], None)
-            .unwrap_err();
-        assert_eq!(err.kind(), "txn");
-        // Plain submission stays refused while the fragment is held.
-        assert!(p.submit_batch("audit", vec![vec![Value::Int(1)]]).is_err());
-        p.decide_fragment(5, true).unwrap();
-    }
-
-    #[test]
-    fn speculative_te_commits_and_survives_fragment_abort() {
-        let mut p = pipeline(PeConfig::default());
-        deploy_audit(&mut p).unwrap();
-        p.prepare_fragment(8, "validate", vec![vec![Value::Int(3)]], None)
-            .unwrap();
-        let outcomes = p
-            .submit_batch_speculative(
-                "audit",
-                vec![vec![Value::Int(1)], vec![Value::Int(2)]],
-                None,
-            )
-            .unwrap();
-        assert!(outcomes.iter().all(|o| o.is_committed()));
-        assert_eq!(audit_total(&mut p), 2);
-        assert_eq!(p.stats().speculative_tes, 1);
-        // The fragment is still held and aborts cleanly; the speculative
-        // commit is unaffected (disjoint tables, so no cascade).
-        assert_eq!(p.prepared_gtid(), Some(8));
-        p.decide_fragment(8, false).unwrap();
-        assert_eq!(audit_total(&mut p), 2);
-        assert_eq!(total(&mut p), 0);
-    }
-
-    #[test]
-    fn speculative_te_replays_equivalently_after_crash() {
-        use crate::recovery::recover_with_decisions;
-
-        let dir = std::env::temp_dir().join(format!("sstore-spec-replay-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = PeConfig {
-            log: Some(LogConfig::new(&dir)),
-            ..PeConfig::default()
-        };
-        let deploy = |p: &mut Partition| {
-            deploy_pipeline(p)?;
-            deploy_audit(p)
-        };
-        let mut p = Partition::new(config.clone()).unwrap();
-        deploy(&mut p).unwrap();
-        p.prepare_fragment(4, "validate", vec![vec![Value::Int(9)]], None)
-            .unwrap();
-        p.submit_batch_speculative("audit", vec![vec![Value::Int(1)]], None)
-            .unwrap();
-        p.decide_fragment(4, true).unwrap();
-        let live = (total(&mut p), audit_total(&mut p));
-        assert_eq!(live, (1, 1));
-
-        // Crash + replay: the speculative batch was logged between the
-        // prepare marker and the decision; replay resolves the fragment at
-        // its marker, then the speculative record — same end state.
-        drop(p);
-        let decisions: HashMap<u64, bool> = [(4, true)].into_iter().collect();
-        let mut r = recover_with_decisions(config, deploy, &decisions).unwrap();
-        assert_eq!((total(&mut r), audit_total(&mut r)), live);
-        assert_eq!(r.stats().twopc_commits, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     #[test]
     fn retention_snapshot_deferred_while_fragment_prepared() {
         let _fault = crate::fault_lock();
-        let dir = std::env::temp_dir().join(format!("sstore-spec-snap-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("sstore-prep-snap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = PeConfig {
             log: Some(LogConfig::new(&dir)),
@@ -1389,18 +1281,20 @@ mod tests {
             ..PeConfig::default()
         };
         let mut p = pipeline(config);
-        deploy_audit(&mut p).unwrap();
         p.prepare_fragment(2, "validate", vec![vec![Value::Int(1)]], None)
             .unwrap();
-        // Uncommitted fragment writes live in storage: snapshots refused.
+        // Uncommitted fragment writes live in storage: snapshots are
+        // refused, and so is running any other TE.
         assert!(p.snapshot().is_err());
-        p.submit_batch_speculative("audit", vec![vec![Value::Int(1)]], None)
-            .unwrap();
+        let err = p
+            .submit_batch("validate", vec![vec![Value::Int(1)]])
+            .unwrap_err();
+        assert_eq!(err.kind(), "txn");
         assert!(!LogConfig::new(&dir).snapshot_path().exists());
-        // Once decided, the next retention point snapshots normally.
+        // The decision drains the deferred batch, and that retention
+        // point writes the image.
         p.decide_fragment(2, true).unwrap();
-        p.submit_batch("validate", vec![vec![Value::Int(1)]])
-            .unwrap();
+        assert_eq!(total(&mut p), 2);
         assert!(LogConfig::new(&dir).snapshot_path().exists());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,13 +1,14 @@
 //! The 2PC participant: this partition's fragment of a multi-sited
 //! transaction, executed at *prepare* with its undo log held open until
-//! the coordinator's decision arrives, and the early-prepare speculation
-//! that lets a provably disjoint batch run past the held fragment.
+//! the coordinator's decision arrives. Nothing else runs meanwhile: every
+//! queued job defers until the decision, so no TE can observe the
+//! fragment's uncommitted writes and an abort always rolls back cleanly.
 
 use super::Partition;
 use crate::log::LogRecord;
 use crate::transaction::{Invocation, TxnOutcome, TxnStatus};
 use sstore_common::obs::TraceCtx;
-use sstore_common::{hash::HashSet, Batch, BatchId, Error, ProcId, Result, Row, TableId, TxnId};
+use sstore_common::{Batch, BatchId, Error, ProcId, Result, Row, TxnId};
 use sstore_engine::TxnScratch;
 use sstore_sql::exec::QueryResult;
 
@@ -40,10 +41,6 @@ struct PreparedFragment {
 pub(super) struct Participant {
     /// The fragment held between prepare and decision.
     held: Option<PreparedFragment>,
-    /// True while a verified-disjoint TE runs under early-prepare
-    /// speculation ([`Partition::submit_batch_speculative`]) — the one
-    /// case the scheduler may run with a fragment held.
-    speculating: bool,
     /// Highest gtid this partition has ever prepared (live or replayed).
     /// The cluster's coordinator resumes *past* every partition's mark so
     /// a recovered cluster can never reuse an in-doubt gtid — reuse would
@@ -53,16 +50,6 @@ pub(super) struct Participant {
 }
 
 impl Participant {
-    /// The held fragment's gtid while it forbids running other TEs:
-    /// always, except during a speculative TE whose workflow closure was
-    /// proven disjoint from the fragment's.
-    pub(super) fn blocking_gtid(&self) -> Option<u64> {
-        self.held
-            .as_ref()
-            .filter(|_| !self.speculating)
-            .map(|f| f.gtid)
-    }
-
     /// Raise the gtid sequencing mark past `gtid`.
     pub(super) fn see_gtid(&mut self, gtid: u64) {
         self.max_gtid_seen = self.max_gtid_seen.max(gtid);
@@ -246,82 +233,5 @@ impl Partition {
     /// partition's mark — gtids are never reused.
     pub fn max_gtid_seen(&self) -> u64 {
         self.participant.max_gtid_seen
-    }
-
-    /// True when `proc` may run to completion while the currently held
-    /// 2PC fragment awaits its decision, without observing or disturbing
-    /// the fragment's uncommitted writes: the transitive workflow
-    /// closures of the two procedures (own read/write sets plus every
-    /// procedure their emissions can trigger) touch **disjoint** table
-    /// sets. Disjointness makes the interleaving serializable in either
-    /// order and keeps the fragment's undo independent, so a later abort
-    /// rolls back cleanly past the speculated commit — and replay, which
-    /// applies the fragment's decision at its log marker *before* the
-    /// speculated invocation, converges to the identical state.
-    pub fn speculation_safe(&self, proc: &str) -> bool {
-        let Some(frag) = &self.participant.held else {
-            return false;
-        };
-        let Some(&pid) = self.by_name.get(proc) else {
-            return false;
-        };
-        if self.procs[pid.raw() as usize].multi_partition {
-            return false;
-        }
-        self.closure_tables(pid)
-            .is_disjoint(&self.closure_tables(frag.proc))
-    }
-
-    /// Every table in the transitive workflow closure of `root`: its own
-    /// read/write sets plus those of every procedure reachable through
-    /// PE triggers on the streams it writes.
-    fn closure_tables(&self, root: ProcId) -> HashSet<TableId> {
-        let mut seen = vec![false; self.procs.len()];
-        let mut stack = vec![root];
-        let mut tables = HashSet::default();
-        while let Some(pid) = stack.pop() {
-            let i = pid.raw() as usize;
-            if std::mem::replace(&mut seen[i], true) {
-                continue;
-            }
-            let p = &self.procs[i];
-            tables.extend(p.read_set.iter().copied());
-            tables.extend(p.write_set.iter().copied());
-            for &t in &p.write_set {
-                stack.extend(self.workflow.consumers_of(t).iter().copied());
-            }
-        }
-        tables
-    }
-
-    /// Early-prepare speculation: run a border batch verified
-    /// [`Partition::speculation_safe`] against the held fragment while
-    /// the 2PC decision is still in flight, with `trace` attached to its
-    /// batch. The log orders the fragment's marker before this
-    /// invocation, and replay resolves the marker (commit or abort)
-    /// before replaying it — state convergence follows from the closure
-    /// disjointness the safety check proved. Retention snapshots stay
-    /// suppressed until the fragment resolves (an image must not capture
-    /// uncommitted writes).
-    pub fn submit_batch_speculative<R: Into<Row>>(
-        &mut self,
-        proc: &str,
-        rows: Vec<R>,
-        trace: Option<TraceCtx>,
-    ) -> Result<Vec<TxnOutcome>> {
-        if !self.speculation_safe(proc) {
-            return Err(Error::Txn(format!(
-                "`{proc}` conflicts with the prepared 2PC fragment; cannot speculate"
-            )));
-        }
-        let pid = self.border_proc_id(proc)?;
-        self.stats.client_pe_trips += 1;
-        self.enqueue(pid, proc, rows, trace, true)?;
-        self.participant.speculating = true;
-        let result = self.run_queued();
-        self.participant.speculating = false;
-        let outcomes = result?;
-        self.stats.speculative_tes += outcomes.len() as u64;
-        Ok(outcomes)
     }
 }

@@ -44,10 +44,6 @@ pub struct PeStats {
     /// Retention snapshots written as incremental deltas chained to the
     /// previous image (see `LogConfig::delta_chain_cap`).
     pub snapshots_delta: u64,
-    /// Single-partition TEs executed speculatively while a prepared 2PC
-    /// fragment was awaiting its decision (read/write sets disjoint from
-    /// the fragment's, so serializability is preserved).
-    pub speculative_tes: u64,
     /// 2PC fragments prepared on this partition (vote requested).
     pub twopc_prepares: u64,
     /// Prepared fragments that committed on the coordinator's decision.

@@ -73,17 +73,20 @@ fn register_sp1(db: &mut SStore, wired: bool) -> Result<()> {
                 &[Value::Int(vid), phone.clone(), contestant.clone()],
             )?;
             let out = Row::from([Value::Int(vid), phone, contestant]);
-            if ctx.output_stream.is_some() {
-                ctx.emit(out.clone())?;
+            if wired {
+                ctx.emit(out)?;
+            } else {
+                validated.push(out);
             }
-            validated.push(out);
         }
-        // The H-Store client forwards these to SP2 itself.
-        ctx.respond(QueryResult {
-            columns: Arc::clone(&columns),
-            rows: validated,
-            rows_affected: 0,
-        });
+        // Only the H-Store client reads a response: it forwards these to SP2.
+        if !wired {
+            ctx.respond(QueryResult {
+                columns: Arc::clone(&columns),
+                rows: validated,
+                rows_affected: 0,
+            });
+        }
         Ok(())
     })
     .stmt(
@@ -153,17 +156,19 @@ fn register_sp2(
             let since = ctx.exec("get_since", &[])?.scalar_i64()?;
             if since >= every {
                 ctx.exec("reset_since", &[])?;
-                if ctx.output_stream.is_some() {
+                if wired {
                     ctx.emit([Value::Int(total)])?;
                 }
                 signals += 1;
             }
         }
-        ctx.respond(QueryResult {
-            columns: Arc::clone(&columns),
-            rows: vec![Row::from([Value::Int(signals)])],
-            rows_affected: 0,
-        });
+        if !wired {
+            ctx.respond(QueryResult {
+                columns: Arc::clone(&columns),
+                rows: vec![Row::from([Value::Int(signals)])],
+                rows_affected: 0,
+            });
+        }
         Ok(())
     })
     .owns_window("w_trending")

@@ -146,7 +146,7 @@ fn voter_vote_allocations_stay_within_budget() {
     for v in &votes[WARM..] {
         vote(&mut db, v.phone, v.contestant);
     }
-    check("voter: per vote", allocs() - before, TIMED as u64, 15.9);
+    check("voter: per vote", allocs() - before, TIMED as u64, 13.3);
 }
 
 #[test]
