@@ -20,24 +20,25 @@
 //!
 //! # Known limits of the torn/corrupt classifier
 //!
-//! The log carries no fsync-boundary markers, so classification is by
-//! content. Two ambiguous cases are resolved *loudly* (recovery errors
-//! that an operator can inspect) rather than by silently dropping data:
-//! if the filesystem persists the blocks of one multi-frame group write
-//! out of order before a crash, an earlier frame can fail its CRC with
-//! intact frames after it and reads as corruption; and a torn payload
-//! whose user bytes happen to contain a checksum-consistent frame image
-//! makes the resync scan classify the tail as corruption. Both
-//! need an unlucky (or adversarial) byte pattern in the *unacknowledged*
-//! tail; neither can lose acknowledged records silently.
+//! A frame stream carries no write-boundary markers, so [`read_frame`]
+//! classifies by content: a torn payload whose user bytes happen to
+//! contain a checksum-consistent frame image makes the resync scan
+//! classify the tail as corruption. That needs an unlucky (or
+//! adversarial) byte pattern in the *unacknowledged* tail, and cannot
+//! lose acknowledged records silently. The append files (command log,
+//! `coord.log`) wrap each write in one extent (`crate::durable`), so a
+//! write whose sectors persist out of order reads as one torn extent, not
+//! as a corrupt frame with intact ones after it.
 
 use crate::error::{Error, Result};
 use crate::row::Row;
 use crate::value::Value;
 
 /// Format version stamped into every binary log / snapshot / `coord.log`
-/// header. v3 is the only layout; readers refuse every other version.
-pub(crate) const CODEC_VERSION: u32 = 3;
+/// header. v4 is the only layout; readers refuse every other version.
+/// It differs from v3 in the append files only: each write is one
+/// extent (`crate::durable`), where v3 appended bare frames.
+pub(crate) const CODEC_VERSION: u32 = 4;
 
 /// Magic bytes opening a binary command log.
 pub const LOG_MAGIC: [u8; 4] = *b"SSLG";

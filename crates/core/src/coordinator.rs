@@ -27,8 +27,15 @@
 //!   durable as its synced prepare record plus this log), and the record
 //!   reaches the disk with that partition's next sync.
 //!
-//! `coord.log`'s crash rules — torn header and torn tail, rollback of a
-//! failed write, poisoning — are those of `sstore_common::durable`.
+//! `coord.log` is a `SSCO` magic + version (v4) header, then one extent
+//! per decision write: a length and a masked CRC-32 over the write, then
+//! its tagged CRC32 frame. The file keeps a zero-filled reserve past its
+//! last extent, so a decision's fsync lands in space the file already
+//! holds and journals no change of size; the zeros read as the end of
+//! the log, and a clean close truncates them away. The crash rules —
+//! torn header and torn tail, a bad extent with a valid one after it as
+//! corruption, rollback of a failed write, poisoning — are those of
+//! `sstore_common::durable`.
 //!
 //! The log is kept short by **checkpoint compaction**. A commit record
 //! is redundant only once every participant holds its own local
@@ -90,9 +97,10 @@ const TAG_CHECKPOINT: u8 = 1;
 
 /// Append-only durable decision log: `[SSCO magic + version]` then one
 /// tagged CRC32 frame per decision (or compaction checkpoint), each
-/// encoded straight into the frame buffer. A torn trailing frame is an
-/// interrupted decision write — the decision was never acknowledged, so
-/// dropping it (and presuming abort) is exactly correct.
+/// encoded straight into the frame buffer and written as one extent. A
+/// torn trailing extent is an interrupted decision write — the decision
+/// was never acknowledged, so dropping it (and presuming abort) is
+/// exactly correct.
 #[derive(Debug)]
 pub(crate) struct CoordinatorLog {
     file: AppendFile,
@@ -413,10 +421,11 @@ mod tests {
             log.append_decision(g, true, &[PartitionId::new(0)])
                 .unwrap();
         }
-        let before = fs::metadata(dir.join("coord.log")).unwrap().len();
+        let before = log.file.end();
         log.compact(41).unwrap();
-        let after = fs::metadata(dir.join("coord.log")).unwrap().len();
+        let after = log.file.end();
         assert!(after < before, "compaction must shrink the log");
+        assert_eq!(fs::metadata(dir.join("coord.log")).unwrap().len(), after);
         let state = CoordinatorLog::read(&dir).unwrap();
         assert!(state.decisions.is_empty(), "settled decisions are dropped");
         assert_eq!(state.next_gtid, 41, "sequence floor survives");

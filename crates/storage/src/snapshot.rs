@@ -12,7 +12,8 @@
 //! capturing + encoding never deep-copies tuples. The envelope records
 //! enough metadata (`last_txn`, `last_batch`, `clock_micros`) for replay to
 //! resume exactly. [`Snapshot::read_from`] refuses any file that is not
-//! codec v3.
+//! codec v4 (a snapshot's v4 layout is v3's; only the append files
+//! changed).
 
 use crate::catalog::Catalog;
 use crate::database::Database;
@@ -781,7 +782,7 @@ mod tests {
     #[test]
     fn version_mismatch_rejected() {
         let mut bytes = Snapshot::capture(&sample_db(), None, None, 0).encode_binary();
-        for version in [2u32, 4] {
+        for version in [2u32, 3, 5] {
             bytes[4..codec::FILE_HEADER_LEN].copy_from_slice(&version.to_le_bytes());
             assert_refused(&bytes, version);
         }

@@ -8,20 +8,27 @@
 //!
 //! # On-disk format
 //!
-//! A `SSLG` magic + version header, then one CRC32 frame
-//! `[len u32 LE][crc32 u32 LE][payload]` per record, with the payload in
-//! the compact value codec (`sstore_common::codec`). Row encoding borrows
-//! the batch's shared COW rows — appending a record never deep-copies
-//! tuples. The crash rules — refusing another magic or codec version,
-//! trimming a torn tail, rolling back a failed write — are those of
-//! `sstore_common::durable`.
+//! A `SSLG` magic + version (v4) header, then one **extent** per write:
+//! `[len u32 LE][masked crc32 u32 LE]` over the write's CRC32 frames
+//! `[len u32 LE][crc32 u32 LE][payload]`, one frame per record, with the
+//! payload in the compact value codec (`sstore_common::codec`). Row
+//! encoding borrows the batch's shared COW rows — appending a record
+//! never deep-copies tuples. Past the last extent the file holds a
+//! zero-filled reserve, which reads as the end of the log and which a
+//! clean close truncates away. The crash rules — refusing another magic
+//! or codec version, telling a torn tail from corruption, trimming a
+//! torn tail, rolling back a failed write — are those of
+//! `sstore_common::durable`; this module sees only frames.
 //!
 //! # Group commit
 //!
 //! Appends encode into an in-memory buffer; the buffer is flushed to the
-//! file with **one `write(2)` + one fsync** after every `group_commit_n`
-//! records (1 = sync per record). A whole coalesced batch group therefore
-//! costs a single write + fsync rather than a line-sized write per record.
+//! file as **one extent, with one positional write + one fsync**, after
+//! every `group_commit_n` records (1 = sync per record). A whole
+//! coalesced batch group therefore costs a single write + fsync rather
+//! than a line-sized write per record. The write lands in space the file
+//! already holds (the reserve grows 64 KiB at a time), so the fsync
+//! journals no change of file size.
 
 use sstore_common::codec;
 use sstore_common::durable::{self, AppendFile};
@@ -716,9 +723,18 @@ mod tests {
         assert!(!log.append(&batch_record(2)).unwrap());
         assert!(log.append(&batch_record(3)).unwrap());
         assert_eq!(log.syncs(), 1);
-        // The whole group (header + 3 frames) landed in one write.
-        let after_group = std::fs::metadata(cfg.log_path()).unwrap().len();
-        assert_eq!(after_group, log.bytes_written());
+        // The whole group (header, extent header and 3 frames) landed in
+        // one write: the log's logical end is that write's length, and
+        // the file reads back the three records (the reserve past them
+        // reads as the end).
+        let mut frames = Vec::new();
+        for b in 1..=3 {
+            encode_record_into(&batch_record(b), &mut frames);
+        }
+        let one_write = (codec::FILE_HEADER_LEN + 8 + frames.len()) as u64;
+        assert_eq!(log.bytes_written(), one_write);
+        assert_eq!(log.file.end(), one_write);
+        assert_eq!(read_log(&cfg.log_path()).unwrap().len(), 3);
         log.append(&batch_record(4)).unwrap();
         log.sync().unwrap();
         assert_eq!(log.syncs(), 2);
@@ -786,9 +802,10 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_filled_tail_is_torn_and_open_trims_it() {
-        // A power loss can persist the file's size before its data: the
-        // last appends read back as zeros.
+    fn a_zero_filled_tail_is_the_end_and_the_next_append_overwrites_it() {
+        // A power loss keeps the zeros of the reserve past the last
+        // extent, and an append none of whose sectors persisted reads as
+        // zeros too: the log ends there, with nothing torn to trim.
         let dir = tempdir("zero-tail");
         let cfg = LogConfig::new(&dir);
         let acks: Vec<LogRecord> = (1..=3)
@@ -810,10 +827,28 @@ mod tests {
             .unwrap();
         file.write_all(&[0; 24]).unwrap();
         drop(file);
+        assert_eq!(
+            durable::for_each_frame(&cfg.log_path(), codec::LOG_MAGIC, |_| Ok(())).unwrap(),
+            None,
+            "a zero tail is not a torn one"
+        );
         assert_eq!(read_log(&cfg.log_path()).unwrap(), acks);
-        drop(CommandLog::open(cfg.clone()).unwrap());
-        assert_eq!(std::fs::metadata(cfg.log_path()).unwrap().len(), intact);
-        assert_eq!(read_log(&cfg.log_path()).unwrap(), acks);
+        let mut log = CommandLog::open(cfg.clone()).unwrap();
+        assert_eq!(log.file.end(), intact);
+        assert_eq!(
+            std::fs::metadata(cfg.log_path()).unwrap().len(),
+            intact + 24,
+            "open keeps the zero tail"
+        );
+        let next = LogRecord::Ack {
+            batch: BatchId::new(4),
+        };
+        log.append(&next).unwrap();
+        let mut expected = acks.clone();
+        expected.push(next);
+        assert_eq!(read_log(&cfg.log_path()).unwrap(), expected);
+        drop(log);
+        assert_eq!(read_log(&cfg.log_path()).unwrap(), expected);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -837,7 +872,7 @@ mod tests {
     }
 
     /// A file of another codec version or another format altogether, or
-    /// one holding a corrupt complete frame, is refused by both the
+    /// one holding a corrupt complete extent, is refused by both the
     /// writer and the reader, and never modified.
     #[test]
     fn other_versions_and_formats_are_refused_untouched() {
@@ -845,20 +880,28 @@ mod tests {
         let cfg = LogConfig::new(&dir);
         let mut frames = Vec::new();
         encode_record_into(&batch_record(1), &mut frames);
+        {
+            let mut log = CommandLog::open(cfg.clone()).unwrap();
+            log.append(&batch_record(1)).unwrap();
+            log.append(&batch_record(2)).unwrap();
+        }
+        let v4 = std::fs::read(cfg.log_path()).unwrap();
         let mut files = vec![
             b"{\"Ack\":{\"batch\":1}}\n".to_vec(), // a JSON-lines log
         ];
-        for version in [2u32, 4, 3] {
+        // v2 and v3 appended bare frames; v5 is from the future. A torn
+        // tail too: refusal comes before any trimming.
+        for (version, body) in [(2u32, &frames[..]), (3, &frames), (5, &v4[8..])] {
             let mut bytes = codec::LOG_MAGIC.to_vec();
             bytes.extend_from_slice(&version.to_le_bytes());
-            bytes.extend_from_slice(&frames);
-            // A torn tail too: refusal comes before any trimming.
-            bytes.extend_from_slice(&frames[..frames.len() - 2]);
-            if version == 3 {
-                bytes[codec::FILE_HEADER_LEN + codec::FRAME_HEADER_LEN + 2] ^= 0x20;
-            }
+            bytes.extend_from_slice(body);
+            bytes.extend_from_slice(&body[..body.len() - 2]);
             files.push(bytes);
         }
+        // v4 with a flipped byte in its first extent, a valid one after.
+        let mut corrupt = v4.clone();
+        corrupt[codec::FILE_HEADER_LEN + 8 + codec::FRAME_HEADER_LEN + 2] ^= 0x20;
+        files.push(corrupt);
         for contents in files {
             std::fs::write(cfg.log_path(), &contents).unwrap();
             let err = CommandLog::open(cfg.clone()).unwrap_err();
@@ -915,12 +958,13 @@ mod tests {
             })
             .unwrap();
         }
-        let before = std::fs::metadata(cfg.log_path()).unwrap().len();
+        let before = log.file.end();
         // A snapshot covers everything submitted so far...
         let dropped = log.gc_acked_through(BatchId::new(4)).unwrap();
         // ...but only the acked batches (and their acks) may go.
         assert_eq!(dropped, 4); // 2 batch records + 2 acks
-        let after = std::fs::metadata(cfg.log_path()).unwrap().len();
+        let after = log.file.end();
+        assert_eq!(std::fs::metadata(cfg.log_path()).unwrap().len(), after);
         assert!(after < before, "log did not shrink: {before} -> {after}");
         let remaining = read_log(&cfg.log_path()).unwrap();
         assert_eq!(remaining, vec![batch_record(3), batch_record(4)]);

@@ -1270,6 +1270,44 @@ mod tests {
         assert_eq!(total(&mut p), 1);
     }
 
+    /// A retention snapshot that fails never fails the batch that reached
+    /// the retention point: the batch commits, the failure is counted,
+    /// and the next retention point writes the image.
+    #[test]
+    fn failed_retention_snapshot_is_counted_and_retried_at_the_next_point() {
+        let _fault = crate::fault_lock();
+        use crate::recovery::recover;
+        use sstore_common::fault;
+        let dir = std::env::temp_dir().join(format!("sstore-retry-snap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = PeConfig {
+            log: Some(LogConfig::new(&dir)),
+            retention: Some(LogRetention::every_n_commits(2)),
+            ..PeConfig::default()
+        };
+        let image = LogConfig::new(&dir).snapshot_path();
+        let mut p = pipeline(config.clone());
+        // The batch commits two TEs: a retention point, whose image
+        // write fails.
+        fault::arm_io_error("snapshot-io-error", 1);
+        p.submit_batch("validate", vec![vec![Value::Int(1)]])
+            .unwrap();
+        fault::disarm();
+        assert_eq!(total(&mut p), 1, "the batch committed");
+        assert_eq!(p.stats().retention_failures, 1);
+        assert!(!image.exists());
+        // The next retention point writes the image.
+        p.submit_batch("validate", vec![vec![Value::Int(1)]])
+            .unwrap();
+        assert_eq!(p.stats().retention_failures, 1);
+        assert_eq!(p.stats().snapshots_full, 1);
+        assert!(image.exists());
+        drop(p);
+        let mut recovered = recover(config, deploy_pipeline).unwrap();
+        assert_eq!(total(&mut recovered), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn retention_snapshot_deferred_while_fragment_prepared() {
         let _fault = crate::fault_lock();

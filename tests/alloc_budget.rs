@@ -1,4 +1,5 @@
-//! Allocation budgets on the TE hot path, pinned as invariants.
+//! Allocation budgets on the TE hot path, and the durable layer's disk
+//! work per batch, pinned as invariants.
 //!
 //! A counting global allocator tallies `alloc`, `alloc_zeroed` and
 //! `realloc` calls per thread, so the test threads running beside a
@@ -13,7 +14,7 @@
 //! The tests that run the engine hold [`EXCLUSIVE`], so the process-wide
 //! [`RowMetrics`] counters one of them reads see only its own work.
 
-use sstore::common::{BatchId, Row, RowMetrics, Value};
+use sstore::common::{durable, BatchId, Row, RowMetrics, Value};
 use sstore::core::workloads::{count_events_rows, deploy_count_events};
 use sstore::{ProcSpec, SStore, SStoreBuilder};
 use sstore_engine::{ExecutionEngine, TxnScratch};
@@ -353,4 +354,44 @@ fn grouped_window_insert_allocates_one_row_per_group() {
         REFRESHES * GROUPS as u64,
         1.1,
     );
+}
+
+/// The disk work behind a fixed run of 64-row `count_events` batches on
+/// one durable partition, group commit 8, as `common::durable` counts it
+/// on the submitting thread: the command log's `sync_data` calls per
+/// batch, exactly; the writes that grow the log, at most one per 64 KiB
+/// reserve chunk of the bytes it ends with, plus one (an append past the
+/// end of the file would make every sync one); and one directory sync,
+/// for creating the log.
+#[test]
+fn durable_partition_syncs_and_file_growth_stay_pinned() {
+    const BATCHES: u64 = 400;
+    /// `common::durable`'s reserve chunk.
+    const CHUNK: u64 = 64 * 1024;
+    let _guard = exclusive();
+    let dir = std::env::temp_dir().join(format!("sstore-durable-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let before = durable::counts();
+    let mut db = SStoreBuilder::new().durability(&dir, 8).build().unwrap();
+    deploy_count_events(&mut db).unwrap();
+    for _ in 0..BATCHES {
+        db.submit_batch("count_events", count_events_rows(64, 1_000, 7))
+            .unwrap();
+    }
+    drop(db);
+    let after = durable::counts();
+    let bytes = std::fs::metadata(dir.join("command.log")).unwrap().len();
+    let syncs = after.syncs - before.syncs;
+    let growths = after.size_changes - before.size_changes;
+    let chunks = bytes.div_ceil(CHUNK);
+    println!(
+        "durable: {:.3} syncs per batch, {growths} size-changing writes for {bytes} log bytes \
+         ({chunks} chunks), {} directory syncs",
+        syncs as f64 / BATCHES as f64,
+        after.dir_syncs - before.dir_syncs
+    );
+    assert_eq!(syncs, BATCHES / 4, "one sync per group of 8 records");
+    assert!(growths <= chunks + 1, "{growths} writes grew the log");
+    assert_eq!(after.dir_syncs - before.dir_syncs, 1);
+    std::fs::remove_dir_all(&dir).ok();
 }

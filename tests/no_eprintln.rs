@@ -127,7 +127,7 @@ fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
 const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("sstore", 0),
     ("bikeshare", 8),
-    ("common", 159),
+    ("common", 162),
     ("core", 77),
     ("engine", 27),
     ("slt", 18),
@@ -182,14 +182,14 @@ fn library_pub_items_stay_within_budget() {
 /// sources may hold, pinned at today's counts.
 const LINE_BUDGET: [(&str, usize); 11] = [
     ("bikeshare", 878),
-    ("common", 3234),
-    ("core", 3488),
+    ("common", 3436),
+    ("core", 3496),
     ("engine", 986),
     ("slt", 1138),
     ("sql", 5472),
     ("sstore", 39),
-    ("storage", 3029),
-    ("txn", 3377),
+    ("storage", 3030),
+    ("txn", 3384),
     ("vector", 1874),
     ("voter", 912),
 ];
