@@ -22,8 +22,11 @@
 //!   file is poisoned and refuses every later append.
 //! * [`write_atomic`] and [`AppendFile::rewrite`] write a temp file,
 //!   `fsync` it, rename it over the real name and `fsync` the directory:
-//!   a crash leaves the old file or the new one, both complete. Creating
-//!   an append file `fsync`s its directory too.
+//!   a crash leaves the old file or the new one, both complete. Opening
+//!   an append file with no header yet (a new one) `fsync`s its directory.
+//! * No append is acknowledged under a name that may not survive a power
+//!   loss: after a rewrite whose directory sync failed, the next append
+//!   syncs the directory first and fails unwritten if that fails again.
 //! * [`for_each_frame`] reads extents up to the end of the log, which an
 //!   all-zero remainder marks: the reserve, or an append none of whose
 //!   sectors reached the disk. A bad extent with no valid extent after it
@@ -32,8 +35,9 @@
 //!   from a torn append, so it is an [`Error::Recovery`] rather than a
 //!   silently lost suffix.
 //!
-//! The caller names each write's [`fault`] points. [`counts`] tells the
-//! calling thread's syncs, size-changing writes and directory syncs.
+//! The caller names each write's [`fault`] points; every directory sync
+//! is IO-error point `dir-sync-io-error`. [`counts`] tells the calling
+//! thread's syncs, size-changing writes and directory syncs.
 
 use crate::codec::{self, FrameRead, Reader};
 use crate::error::{Error, Result};
@@ -102,6 +106,9 @@ fn sync_parent(path: &Path) -> Result<()> {
         _ => Path::new("."),
     };
     count(|n| n.dir_syncs += 1);
+    if let Some(e) = fault::io_error("dir-sync-io-error") {
+        return Err(e);
+    }
     File::open(dir)?.sync_all()?;
     Ok(())
 }
@@ -124,6 +131,9 @@ pub struct AppendFile {
     /// The tail is of unknown durability (an append tore, or its rollback
     /// failed): nothing may land after it.
     poisoned: bool,
+    /// A rewrite renamed the file but its directory sync failed: the next
+    /// append syncs the directory first.
+    dir_unsynced: bool,
 }
 
 impl AppendFile {
@@ -133,20 +143,19 @@ impl AppendFile {
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
         }
-        let mut options = OpenOptions::new();
-        options.write(true);
-        let file = match options.clone().create_new(true).open(path) {
-            Ok(file) => {
-                sync_parent(path)?;
-                file
-            }
-            Err(e) if e.kind() == ErrorKind::AlreadyExists => options.open(path)?,
-            Err(e) => return Err(e.into()),
-        };
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
         let (len, torn) = scan(path, magic, |_| Ok(()))?;
         if torn {
             file.set_len(len)?;
             sync_data(&file)?;
+        }
+        if len == 0 {
+            // New, or left by an open whose directory sync failed.
+            sync_parent(path)?;
         }
         let size = file.metadata()?.len();
         let file = AppendFile {
@@ -157,6 +166,7 @@ impl AppendFile {
             size,
             buf: Vec::new(),
             poisoned: false,
+            dir_unsynced: false,
         };
         Ok((file, torn))
     }
@@ -170,6 +180,10 @@ impl AppendFile {
         self.check_poisoned()?;
         if bytes.is_empty() {
             return Ok(0);
+        }
+        if self.dir_unsynced {
+            sync_parent(&self.path)?;
+            self.dir_unsynced = false;
         }
         self.buf.clear();
         if self.len == 0 {
@@ -219,7 +233,9 @@ impl AppendFile {
     }
 
     /// Replace the file with the header plus `frames`, as [`write_atomic`]
-    /// does; kill point `kill_point` dies before the rename.
+    /// does; kill point `kill_point` dies before the rename. An error
+    /// after the rename (the directory sync) leaves the file on its new
+    /// contents, and the next append retries the sync.
     pub fn rewrite(&mut self, frames: &[u8], kill_point: &str) -> Result<()> {
         self.check_poisoned()?;
         let mut head = Vec::new();
@@ -227,7 +243,7 @@ impl AppendFile {
         if !frames.is_empty() {
             put_extent_header(&mut head, frames)?;
         }
-        replace(&self.path, &[&head, frames], kill_point)?;
+        rename_over(&self.path, &[&head, frames], kill_point)?;
         // The old handle names the unlinked inode: no append may use it.
         self.file = OpenOptions::new()
             .write(true)
@@ -235,13 +251,9 @@ impl AppendFile {
             .inspect_err(|_| self.poisoned = true)?;
         self.len = (head.len() + frames.len()) as u64;
         self.size = self.len;
-        Ok(())
-    }
-
-    /// The logical end: the header and every complete extent, without
-    /// the reserve after them.
-    pub fn end(&self) -> u64 {
-        self.len
+        let synced = sync_parent(&self.path);
+        self.dir_unsynced = synced.is_err();
+        synced
     }
 
     /// True once the tail is of unknown durability: every later append
@@ -310,10 +322,13 @@ pub fn write_atomic(path: &Path, bytes: &[u8], io_point: &str, kill_point: &str)
     if let Some(e) = fault::io_error(io_point) {
         return Err(e);
     }
-    replace(path, &[bytes], kill_point)
+    rename_over(path, &[bytes], kill_point)?;
+    sync_parent(path)
 }
 
-fn replace(path: &Path, parts: &[&[u8]], kill_point: &str) -> Result<()> {
+/// Write `parts` to a temp file, `fsync` it and rename it over `path`;
+/// the caller syncs the directory.
+fn rename_over(path: &Path, parts: &[&[u8]], kill_point: &str) -> Result<()> {
     let tmp = path.with_extension("tmp");
     let mut file = File::create(&tmp)?;
     for part in parts {
@@ -323,7 +338,7 @@ fn replace(path: &Path, parts: &[&[u8]], kill_point: &str) -> Result<()> {
     drop(file);
     fault::kill_point(kill_point);
     fs::rename(&tmp, path)?;
-    sync_parent(path)
+    Ok(())
 }
 
 /// Call `f` on the payload of each frame of the append file at `path`,
@@ -509,7 +524,7 @@ mod tests {
             // Cases from 24 on start the last extent in the reserve's
             // last sectors, where it often grows the file as well.
             if case >= 24 {
-                let gap = RESERVE_CHUNK as u64 - file.end() % RESERVE_CHUNK as u64;
+                let gap = RESERVE_CHUNK as u64 - file.len % RESERVE_CHUNK as u64;
                 let (filler, payloads) = {
                     let mut bytes = Vec::new();
                     let f = codec::begin_frame(&mut bytes);
@@ -523,10 +538,10 @@ mod tests {
                 earlier.extend(payloads);
             }
             let mut durable = fs::read(&path).unwrap();
-            let start = file.end() as usize;
+            let start = file.len as usize;
             let (bytes, last) = random_frames(&mut rng, 900);
             file.append(&bytes, "never-armed", "never-armed").unwrap();
-            let end = file.end() as usize;
+            let end = file.len as usize;
             std::mem::forget(file); // a crash: no clean close
                                     // The reserve past the sector after the extent adds nothing.
             let keep = end.next_multiple_of(SECTOR) + SECTOR;
@@ -572,7 +587,7 @@ mod tests {
                 let (before, at, torn) = read(&image).unwrap();
                 fs::write(&path, &image).unwrap();
                 let (mut file, trimmed) = AppendFile::open(&path, MAGIC).unwrap();
-                assert_eq!((trimmed, file.end()), (torn, at as u64), "case {case}");
+                assert_eq!((trimmed, file.len), (torn, at as u64), "case {case}");
                 let size = fs::metadata(&path).unwrap().len();
                 assert_eq!(size, if torn { at } else { image.len() } as u64);
                 let (bytes, next) = random_frames(&mut rng, 200);
@@ -668,7 +683,7 @@ mod tests {
         for _ in 0..200 {
             file.append(&one, "never-armed", "never-armed").unwrap();
         }
-        let end = file.end();
+        let end = file.len;
         let after = counts();
         assert_eq!(after.syncs - before.syncs, 200);
         let chunks = end.div_ceil(RESERVE_CHUNK as u64);

@@ -724,16 +724,14 @@ mod tests {
         assert!(log.append(&batch_record(3)).unwrap());
         assert_eq!(log.syncs(), 1);
         // The whole group (header, extent header and 3 frames) landed in
-        // one write: the log's logical end is that write's length, and
-        // the file reads back the three records (the reserve past them
-        // reads as the end).
+        // one write, and the file reads back the three records (the
+        // reserve past them reads as the end).
         let mut frames = Vec::new();
         for b in 1..=3 {
             encode_record_into(&batch_record(b), &mut frames);
         }
         let one_write = (codec::FILE_HEADER_LEN + 8 + frames.len()) as u64;
         assert_eq!(log.bytes_written(), one_write);
-        assert_eq!(log.file.end(), one_write);
         assert_eq!(read_log(&cfg.log_path()).unwrap().len(), 3);
         log.append(&batch_record(4)).unwrap();
         log.sync().unwrap();
@@ -834,7 +832,6 @@ mod tests {
         );
         assert_eq!(read_log(&cfg.log_path()).unwrap(), acks);
         let mut log = CommandLog::open(cfg.clone()).unwrap();
-        assert_eq!(log.file.end(), intact);
         assert_eq!(
             std::fs::metadata(cfg.log_path()).unwrap().len(),
             intact + 24,
@@ -847,7 +844,13 @@ mod tests {
         let mut expected = acks.clone();
         expected.push(next);
         assert_eq!(read_log(&cfg.log_path()).unwrap(), expected);
+        let written = log.bytes_written();
         drop(log);
+        assert_eq!(
+            std::fs::metadata(cfg.log_path()).unwrap().len(),
+            intact + written,
+            "the append landed at the durable end, over the zeros"
+        );
         assert_eq!(read_log(&cfg.log_path()).unwrap(), expected);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -958,13 +961,15 @@ mod tests {
             })
             .unwrap();
         }
-        let before = log.file.end();
+        // A clean close truncates the reserve: the size is the logical end.
+        drop(log);
+        let before = std::fs::metadata(cfg.log_path()).unwrap().len();
+        let mut log = CommandLog::open(cfg.clone()).unwrap();
         // A snapshot covers everything submitted so far...
         let dropped = log.gc_acked_through(BatchId::new(4)).unwrap();
         // ...but only the acked batches (and their acks) may go.
         assert_eq!(dropped, 4); // 2 batch records + 2 acks
-        let after = log.file.end();
-        assert_eq!(std::fs::metadata(cfg.log_path()).unwrap().len(), after);
+        let after = std::fs::metadata(cfg.log_path()).unwrap().len();
         assert!(after < before, "log did not shrink: {before} -> {after}");
         let remaining = read_log(&cfg.log_path()).unwrap();
         assert_eq!(remaining, vec![batch_record(3), batch_record(4)]);

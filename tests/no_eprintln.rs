@@ -127,7 +127,7 @@ fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
 const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("sstore", 0),
     ("bikeshare", 8),
-    ("common", 162),
+    ("common", 161),
     ("core", 77),
     ("engine", 27),
     ("slt", 18),
@@ -182,7 +182,7 @@ fn library_pub_items_stay_within_budget() {
 /// sources may hold, pinned at today's counts.
 const LINE_BUDGET: [(&str, usize); 11] = [
     ("bikeshare", 878),
-    ("common", 3436),
+    ("common", 3451),
     ("core", 3496),
     ("engine", 986),
     ("slt", 1138),
