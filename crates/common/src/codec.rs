@@ -7,28 +7,18 @@
 //!   varints, little-endian `f64`/`u32`;
 //! * **value codec** — a tag byte plus a compact payload per [`Value`];
 //!   [`encode_row`] borrows the COW row's cells (no copy on encode);
-//! * **frames** — `[len u32 LE][crc32 u32 LE][payload]`, with
-//!   [`read_frame`] distinguishing a *torn tail* (an incomplete trailing
-//!   frame: the write crashed mid-way, drop it) from *corruption* (a
-//!   complete frame whose CRC fails: stop with an error);
+//! * **frames** — `[len u32 LE][crc32 u32 LE][payload]`; [`read_frame`]
+//!   returns a frame only when it is whole and its CRC holds, and an
+//!   error at the frame's offset otherwise. Whether a bad tail is a torn
+//!   write is decided a layer up: the append files wrap each write in one
+//!   checksummed extent (`crate::durable`), and snapshots are written
+//!   whole and renamed into place, so a bad frame there is corruption;
 //! * **file headers** — a 4-byte magic plus a `u32` format version;
 //!   [`check_file_header`] refuses any file that is not exactly
 //!   `CODEC_VERSION`.
 //!
 //! The CRC is CRC-32 (IEEE 802.3, reflected, init/final `0xFFFF_FFFF`) —
 //! the same polynomial gzip and ethernet use.
-//!
-//! # Known limits of the torn/corrupt classifier
-//!
-//! A frame stream carries no write-boundary markers, so [`read_frame`]
-//! classifies by content: a torn payload whose user bytes happen to
-//! contain a checksum-consistent frame image makes the resync scan
-//! classify the tail as corruption. That needs an unlucky (or
-//! adversarial) byte pattern in the *unacknowledged* tail, and cannot
-//! lose acknowledged records silently. The append files (command log,
-//! `coord.log`) wrap each write in one extent (`crate::durable`), so a
-//! write whose sectors persist out of order reads as one torn extent, not
-//! as a corrupt frame with intact ones after it.
 
 use crate::error::{Error, Result};
 use crate::row::Row;
@@ -87,8 +77,7 @@ pub const FILE_HEADER_LEN: usize = 8;
 pub const FRAME_HEADER_LEN: usize = 8;
 
 /// Upper bound on a single frame's payload. Nothing the engine writes
-/// approaches this; a larger length in a header is corruption, not a
-/// torn write.
+/// approaches this; a larger length in a header is a bad frame.
 pub(crate) const MAX_FRAME_LEN: u32 = 256 * 1024 * 1024;
 
 // ---------------------------------------------------------------------------
@@ -427,109 +416,34 @@ pub fn end_frame(out: &mut [u8], start: usize) {
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Outcome of reading one frame from a byte stream.
-#[derive(Debug)]
-pub enum FrameRead<'a> {
-    /// A complete, checksum-valid frame.
-    Frame(&'a [u8]),
-    /// Clean end of input (the previous frame was the last).
-    Eof,
-    /// The trailing frame is incomplete — the bytes run out inside the
-    /// header or payload. This is the signature of a torn write at crash:
-    /// everything before it was intact, so callers drop the tail with a
-    /// warning and recover.
-    Torn {
-        /// Byte offset where the incomplete frame starts.
-        offset: usize,
-    },
-    /// A frame failed its checksum (or declared an impossible length)
-    /// with *more data after it*. Unlike a torn tail this cannot come
-    /// from an interrupted append — the medium corrupted data that was
-    /// once intact — so callers must stop with an error rather than
-    /// silently drop the suffix.
-    Corrupt {
-        /// Byte offset where the bad frame starts.
-        offset: usize,
-        /// What check failed.
-        detail: String,
-    },
-}
-
-/// True when the byte span contains a plausible complete frame at any
-/// alignment: a positive in-cap length that fits, whose payload passes
-/// its CRC. Used to tell a torn tail (no valid data follows the failure)
-/// from mid-stream corruption (valid frames follow). Zero-length frames
-/// are never valid — every writer's payload starts with a tag, a varint
-/// or a table image — and a zero-filled torn region (blocks allocated but
-/// never written) would otherwise pass as `len=0, crc=0`.
-fn has_valid_frame_after(bytes: &[u8]) -> bool {
-    if bytes.len() < FRAME_HEADER_LEN {
-        return false;
-    }
-    for start in 0..=bytes.len() - FRAME_HEADER_LEN {
-        let b = &bytes[start..];
-        let len = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        if len == 0 || len > MAX_FRAME_LEN || (b.len() - FRAME_HEADER_LEN) < len as usize {
-            continue;
-        }
-        let crc = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
-        let payload = &b[FRAME_HEADER_LEN..FRAME_HEADER_LEN + len as usize];
-        if crc32(payload) == crc {
-            return true;
-        }
-    }
-    false
-}
-
-/// Read the next frame, classifying the result (see [`FrameRead`]).
-///
-/// The torn/corrupt boundary is positional: any failure on the **last**
-/// frame in the stream (bytes run out, length implausible, CRC mismatch
-/// with nothing after it) is attributed to an interrupted append and
-/// reported [`FrameRead::Torn`]; the same failure with *checksum-valid
-/// data after it* means once-intact data went bad — [`FrameRead::Corrupt`].
-pub fn read_frame<'a>(r: &mut Reader<'a>) -> FrameRead<'a> {
+/// Read the next frame: its payload when it is whole and its CRC holds,
+/// `None` at the end of the input, and [`Error::Codec`] naming the
+/// frame's byte offset otherwise — bytes that run out inside the header
+/// or payload, a length of zero (no writer makes an empty frame, and a
+/// zero-filled region would otherwise pass as `len = 0, crc = 0`) or over
+/// `MAX_FRAME_LEN` (256 MiB), or a CRC mismatch.
+pub fn read_frame<'a>(r: &mut Reader<'a>) -> Result<Option<&'a [u8]>> {
     let offset = r.pos();
     if r.is_empty() {
-        return FrameRead::Eof;
+        return Ok(None);
     }
+    let bad = |what: String| Error::Codec(format!("bad frame at byte {offset}: {what}"));
     if r.remaining() < FRAME_HEADER_LEN {
-        return FrameRead::Torn { offset };
+        return Err(bad(format!("{} bytes, short of a header", r.remaining())));
     }
-    let len = r.u32_le().expect("checked header length");
-    let crc = r.u32_le().expect("checked header length");
+    let len = r.u32_le()?;
+    let crc = r.u32_le()?;
     if len == 0 || (r.remaining() as u64) < len as u64 || len > MAX_FRAME_LEN {
-        // The declared length is impossible (zero is, see above). A torn
-        // append (or trailing garbage) looks exactly like a bit-flipped
-        // length field from here, so disambiguate by content: if any
-        // checksum-valid frame exists *after* this point, once-intact data
-        // went bad mid-file and dropping the suffix would lose records.
-        return if has_valid_frame_after(&r.buf[offset + 1..]) {
-            FrameRead::Corrupt {
-                offset,
-                detail: format!(
-                    "frame declares length {len} (have {} bytes) but valid frames follow",
-                    r.remaining()
-                ),
-            }
-        } else {
-            FrameRead::Torn { offset }
-        };
+        let have = r.remaining();
+        return Err(bad(format!("declares length {len} (have {have} bytes)")));
     }
-    let payload = r.take(len as usize).expect("checked payload length");
+    let payload = r.take(len as usize)?;
     let actual = crc32(payload);
     if actual != crc {
-        if r.is_empty() {
-            // Trailing frame, nothing after it: an interrupted final
-            // append, not medium corruption.
-            return FrameRead::Torn { offset };
-        }
-        return FrameRead::Corrupt {
-            offset,
-            detail: format!("CRC mismatch (stored {crc:#010x}, computed {actual:#010x})"),
-        };
+        let detail = format!("CRC mismatch (stored {crc:#010x}, computed {actual:#010x})");
+        return Err(bad(detail));
     }
-    FrameRead::Frame(payload)
+    Ok(Some(payload))
 }
 
 #[cfg(test)]
@@ -658,23 +572,42 @@ mod tests {
 
         let mut r = Reader::new(&buf);
         check_file_header(&mut r, LOG_MAGIC).unwrap();
-        assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"hello")));
-        assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"world")));
-        assert!(matches!(read_frame(&mut r), FrameRead::Eof));
+        assert_eq!(read_frame(&mut r).unwrap(), Some(&b"hello"[..]));
+        assert_eq!(read_frame(&mut r).unwrap(), Some(&b"world"[..]));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    /// Reads `bytes` as a frame stream: the payloads before the first bad
+    /// frame, and that frame's offset as its error names it.
+    fn read_all(bytes: &[u8]) -> (Vec<&[u8]>, Option<usize>) {
+        let mut r = Reader::new(bytes);
+        let mut frames = Vec::new();
+        loop {
+            match read_frame(&mut r) {
+                Ok(Some(payload)) => frames.push(payload),
+                Ok(None) => return (frames, None),
+                Err(e) => {
+                    assert_eq!(e.kind(), "codec");
+                    let msg = e.to_string();
+                    let at = msg.split("bad frame at byte ").nth(1).unwrap();
+                    let at = at.split(':').next().unwrap().parse().unwrap();
+                    return (frames, Some(at));
+                }
+            }
+        }
     }
 
     #[test]
-    fn torn_tail_is_not_corruption() {
+    fn a_cut_off_frame_is_an_error_at_its_offset() {
         let mut buf = Vec::new();
         put_frame(&mut buf, b"complete");
-        // A second frame cut off mid-payload (torn group-commit write).
-        let mut torn = Vec::new();
-        put_frame(&mut torn, b"never finished");
-        buf.extend_from_slice(&torn[..torn.len() - 3]);
-
-        let mut r = Reader::new(&buf);
-        assert!(matches!(read_frame(&mut r), FrameRead::Frame(_)));
-        assert!(matches!(read_frame(&mut r), FrameRead::Torn { .. }));
+        let cut_at = buf.len();
+        // A second frame cut off mid-payload, then inside its header.
+        let mut cut = Vec::new();
+        put_frame(&mut cut, b"never finished");
+        buf.extend_from_slice(&cut[..cut.len() - 3]);
+        assert_eq!(read_all(&buf), (vec![&b"complete"[..]], Some(cut_at)));
+        assert_eq!(read_all(&buf[..cut_at + 5]).1, Some(cut_at));
     }
 
     #[test]
@@ -682,79 +615,60 @@ mod tests {
         let mut buf = Vec::new();
         put_frame(&mut buf, b"abcdefgh");
         put_frame(&mut buf, b"second");
-        // Flip a payload byte of the FIRST frame: valid data follows, so
-        // this is medium corruption, not a torn append.
+        // Flip a payload byte of the FIRST frame.
         buf[FRAME_HEADER_LEN + 3] ^= 0x40;
-        let mut r = Reader::new(&buf);
-        assert!(matches!(read_frame(&mut r), FrameRead::Corrupt { .. }));
+        assert_eq!(read_all(&buf), (vec![], Some(0)));
     }
 
     #[test]
-    fn trailing_bit_flip_is_a_torn_tail() {
-        // The same flip on the LAST frame is attributed to an interrupted
-        // final append (the standard WAL tail ambiguity) and dropped.
+    fn a_flipped_bit_in_the_last_frame_is_an_error_at_its_offset() {
         let mut buf = Vec::new();
         put_frame(&mut buf, b"first");
+        let last_at = buf.len();
         put_frame(&mut buf, b"abcdefgh");
         let last = buf.len() - 1;
         buf[last] ^= 0x40;
-        let mut r = Reader::new(&buf);
-        assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"first")));
-        assert!(matches!(read_frame(&mut r), FrameRead::Torn { .. }));
+        assert_eq!(read_all(&buf), (vec![&b"first"[..]], Some(last_at)));
     }
 
     #[test]
-    fn a_zero_filled_tail_is_torn_and_zeros_before_a_frame_are_corrupt() {
-        // A crash can persist a file's size before its data, leaving
-        // zeros where the last appends were: `len = 0, crc = 0` passes
-        // the CRC of an empty payload, but no writer makes empty frames.
+    fn zeros_are_an_error_at_their_offset() {
+        // `len = 0, crc = 0` passes the CRC of an empty payload, but no
+        // writer makes empty frames: zeros after the frames and zeros
+        // before one are both a bad frame where they start.
         let mut buf = Vec::new();
         put_frame(&mut buf, b"first");
         put_frame(&mut buf, b"second");
         let zeros_at = buf.len();
         buf.extend_from_slice(&[0; 24]);
-        let mut r = Reader::new(&buf);
-        assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"first")));
-        assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"second")));
-        assert!(matches!(read_frame(&mut r), FrameRead::Torn { offset } if offset == zeros_at));
+        let (frames, bad) = read_all(&buf);
+        assert_eq!((frames.len(), bad), (2, Some(zeros_at)));
 
         let mut buf = vec![0; 24];
         put_frame(&mut buf, b"after");
-        let mut r = Reader::new(&buf);
-        assert!(matches!(
-            read_frame(&mut r),
-            FrameRead::Corrupt { offset: 0, .. }
-        ));
+        assert_eq!(read_all(&buf), (vec![], Some(0)));
     }
 
     #[test]
     fn flipped_length_field_with_valid_frames_after_is_corruption() {
-        // A bit flip in a mid-file length field makes the frame look
-        // torn (declared length > remaining) — but checksum-valid frames
-        // after it prove the data was once intact, so silently dropping
-        // the suffix would lose committed records.
         let mut buf = Vec::new();
         put_frame(&mut buf, b"first");
         let second_at = buf.len();
         put_frame(&mut buf, b"second");
         put_frame(&mut buf, b"third");
         buf[second_at + 3] ^= 0x80; // high byte of the len u32
-        let mut r = Reader::new(&buf);
-        assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"first")));
-        assert!(matches!(read_frame(&mut r), FrameRead::Corrupt { .. }));
+        assert_eq!(read_all(&buf), (vec![&b"first"[..]], Some(second_at)));
     }
 
     #[test]
-    fn trailing_text_garbage_is_a_torn_tail() {
-        // Garbage appended after the last frame (e.g. a crashed writer of
-        // a different format) parses as an implausible header and ends
-        // the replayable prefix.
+    fn trailing_text_garbage_is_an_error_at_its_offset() {
+        // Garbage after the last frame (e.g. a crashed writer of a
+        // different format) parses as an implausible header.
         let mut buf = Vec::new();
         put_frame(&mut buf, b"good");
+        let garbage_at = buf.len();
         buf.extend_from_slice(b"{\"BorderBatch\":{\"batch\":999}}");
-        let mut r = Reader::new(&buf);
-        assert!(matches!(read_frame(&mut r), FrameRead::Frame(b"good")));
-        assert!(matches!(read_frame(&mut r), FrameRead::Torn { .. }));
+        assert_eq!(read_all(&buf), (vec![&b"good"[..]], Some(garbage_at)));
     }
 
     #[test]
@@ -773,6 +687,6 @@ mod tests {
         let _ = decode_value(&mut Reader::new(&garbage));
         let _ = decode_row(&mut Reader::new(&garbage));
         let mut r = Reader::new(&garbage);
-        while let FrameRead::Frame(_) = read_frame(&mut r) {}
+        while let Ok(Some(_)) = read_frame(&mut r) {}
     }
 }

@@ -39,7 +39,7 @@
 //! is IO-error point `dir-sync-io-error`. [`counts`] tells the calling
 //! thread's syncs, size-changing writes and directory syncs.
 
-use crate::codec::{self, FrameRead, Reader};
+use crate::codec::{self, Reader};
 use crate::error::{Error, Result};
 use crate::fault;
 use std::cell::Cell;
@@ -399,13 +399,11 @@ fn read_extents(
         while let Some(frames) = extent(&bytes[pos..]) {
             let mut r = Reader::new(frames);
             loop {
-                match codec::read_frame(&mut r) {
-                    FrameRead::Frame(payload) => f(payload)?,
-                    FrameRead::Eof => break,
-                    FrameRead::Torn { offset } | FrameRead::Corrupt { offset, .. } => {
-                        let at = pos + EXTENT_HEADER_LEN + offset;
-                        return Err(corrupt(at, "a frame in a checksum-valid extent is bad"));
-                    }
+                let at = pos + EXTENT_HEADER_LEN + r.pos();
+                let bad = |_| corrupt(at, "a frame in a checksum-valid extent is bad");
+                match codec::read_frame(&mut r).map_err(bad)? {
+                    Some(payload) => f(payload)?,
+                    None => break,
                 }
             }
             pos += EXTENT_HEADER_LEN + frames.len();

@@ -5,7 +5,7 @@
 //! allocate absurdly.
 
 use proptest::prelude::*;
-use sstore_common::codec::{self, FrameRead, Reader};
+use sstore_common::codec::{self, Reader};
 use sstore_common::{Row, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -38,6 +38,24 @@ fn bits_equal(a: &Value, b: &Value) -> bool {
         (Value::Text(x), Value::Text(y)) => x == y,
         (Value::Bool(x), Value::Bool(y)) => x == y,
         _ => false,
+    }
+}
+
+/// Reads `bytes` as a frame stream: how many frames read back before the
+/// first bad one, and that frame's offset as its error names it.
+fn read_all(bytes: &[u8]) -> (usize, Option<usize>) {
+    let mut r = Reader::new(bytes);
+    let mut frames = 0;
+    loop {
+        match codec::read_frame(&mut r) {
+            Ok(Some(_)) => frames += 1,
+            Ok(None) => return (frames, None),
+            Err(e) => {
+                let msg = e.to_string();
+                let at = msg.split("bad frame at byte ").nth(1).unwrap();
+                return (frames, at.split(':').next().unwrap().parse().ok());
+            }
+        }
     }
 }
 
@@ -77,28 +95,22 @@ proptest! {
         let mut r = Reader::new(&buf);
         codec::check_file_header(&mut r, codec::LOG_MAGIC).unwrap();
         let mut back = Vec::new();
-        loop {
-            match codec::read_frame(&mut r) {
-                FrameRead::Frame(payload) => {
-                    back.push(codec::decode_row(&mut Reader::new(payload)).unwrap());
-                }
-                FrameRead::Eof => break,
-                other => prop_assert!(false, "unexpected {other:?}"),
-            }
+        while let Some(payload) = codec::read_frame(&mut r).unwrap() {
+            back.push(codec::decode_row(&mut Reader::new(payload)).unwrap());
         }
         prop_assert_eq!(back.len(), rows.len());
     }
 
-    /// A truncated frame stream always classifies as Torn/Eof at the cut,
-    /// and every frame before the cut still reads back — the exact
-    /// guarantee torn-tail recovery depends on.
+    /// A truncated frame stream reads back every frame before the cut,
+    /// then ends cleanly when the cut falls between frames and fails at
+    /// the cut frame's offset when it falls inside one.
     #[test]
     fn truncated_stream_yields_intact_prefix(
         rows in prop::collection::vec(arb_row(), 1..8),
         cut_back in 1usize..40,
     ) {
         let mut buf = Vec::new();
-        let mut ends = Vec::new();
+        let mut ends = vec![0];
         for row in &rows {
             let f = codec::begin_frame(&mut buf);
             codec::encode_row(row, &mut buf);
@@ -106,26 +118,17 @@ proptest! {
             ends.push(buf.len());
         }
         let cut = buf.len().saturating_sub(cut_back % buf.len().max(1));
-        let truncated = &buf[..cut];
-        let whole_frames = ends.iter().filter(|&&e| e <= cut).count();
-        let mut r = Reader::new(truncated);
-        let mut seen = 0usize;
-        loop {
-            match codec::read_frame(&mut r) {
-                FrameRead::Frame(_) => seen += 1,
-                FrameRead::Eof | FrameRead::Torn { .. } => break,
-                FrameRead::Corrupt { offset, detail } => {
-                    prop_assert!(false, "truncation misread as corruption at {offset}: {detail}");
-                }
-            }
-        }
+        let whole_frames = ends.iter().filter(|&&e| e <= cut).count() - 1;
+        let (seen, bad) = read_all(&buf[..cut]);
         prop_assert_eq!(seen, whole_frames);
+        let cut_frame = (cut != ends[whole_frames]).then_some(ends[whole_frames]);
+        prop_assert_eq!(bad, cut_frame);
     }
 
     /// Zeros after a valid stream (a file whose size outlived its data)
-    /// read as the intact frames, then a torn tail at the first zero.
+    /// read as the intact frames, then an error at the first zero.
     #[test]
-    fn a_zero_run_after_valid_frames_is_a_torn_tail(
+    fn a_zero_run_after_valid_frames_is_an_error_at_the_first_zero(
         rows in prop::collection::vec(arb_row(), 0..6),
         zeros in 1usize..64,
     ) {
@@ -137,14 +140,7 @@ proptest! {
         }
         let end = buf.len();
         buf.resize(end + zeros, 0);
-        let mut r = Reader::new(&buf);
-        for _ in &rows {
-            prop_assert!(matches!(codec::read_frame(&mut r), FrameRead::Frame(_)));
-        }
-        match codec::read_frame(&mut r) {
-            FrameRead::Torn { offset } => prop_assert_eq!(offset, end),
-            other => prop_assert!(false, "zeros read as {other:?}"),
-        }
+        prop_assert_eq!(read_all(&buf), (rows.len(), Some(end)));
     }
 
     /// Decoding arbitrary bytes never panics (errors are fine).
@@ -153,6 +149,6 @@ proptest! {
         let _ = codec::decode_value(&mut Reader::new(&bytes));
         let _ = codec::decode_row(&mut Reader::new(&bytes));
         let mut r = Reader::new(&bytes);
-        while let FrameRead::Frame(_) = codec::read_frame(&mut r) {}
+        while let Ok(Some(_)) = codec::read_frame(&mut r) {}
     }
 }

@@ -3,9 +3,9 @@
 //! H-Store partitions every table on a partition key so that most
 //! transactions are single-sited (paper §2); the router is the client-side
 //! half of that contract. A [`RouteSpec`] declares the partition-key
-//! column and the placement function — [`RouteSpec::Hash`] for uniform
-//! spread or [`RouteSpec::Range`] for explicit key ranges — and the
-//! compiled [`Router`] splits each border batch into per-partition shards.
+//! column, whose value is hashed over the partitions for a uniform
+//! spread, and the compiled [`Router`] splits each border batch into
+//! per-partition shards.
 //!
 //! Routing is **total and stable**: every non-NULL key maps to exactly one
 //! partition, and the same key always maps to the same partition (the hash
@@ -28,42 +28,23 @@ use sstore_txn::TxnOutcome;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Declarative placement: which column is the partition key and how keys
-/// map to partitions.
+/// Declarative placement: which column is the partition key. Keys are
+/// hashed over all partitions (uniform spread).
 #[derive(Debug, Clone, PartialEq)]
-pub enum RouteSpec {
-    /// Hash the key column over all partitions (uniform spread).
-    Hash {
-        /// Visible column index of the partition key.
-        key_col: usize,
-    },
-    /// Explicit ranges over an integer key: partition `i` takes keys
-    /// strictly below `bounds[i]`; the last partition takes the rest.
-    /// Requires `bounds.len() == partitions - 1`, strictly increasing.
-    Range {
-        /// Visible column index of the partition key.
-        key_col: usize,
-        /// Upper-exclusive bounds, one per non-final partition.
-        bounds: Vec<i64>,
-    },
+pub struct RouteSpec {
+    /// Visible column index of the partition key.
+    key_col: usize,
 }
 
 impl RouteSpec {
     /// Hash routing over `key_col`.
     pub fn hash(key_col: usize) -> RouteSpec {
-        RouteSpec::Hash { key_col }
-    }
-
-    /// Range routing over `key_col` with upper-exclusive `bounds`.
-    pub fn range(key_col: usize, bounds: Vec<i64>) -> RouteSpec {
-        RouteSpec::Range { key_col, bounds }
+        RouteSpec { key_col }
     }
 
     /// The declared partition-key column.
     pub(crate) fn key_col(&self) -> usize {
-        match self {
-            RouteSpec::Hash { key_col } | RouteSpec::Range { key_col, .. } => *key_col,
-        }
+        self.key_col
     }
 }
 
@@ -82,20 +63,6 @@ impl Router {
                 "a router needs at least 1 partition".into(),
             ));
         }
-        if let RouteSpec::Range { bounds, .. } = &spec {
-            if bounds.len() + 1 != partitions {
-                return Err(Error::Schedule(format!(
-                    "range routing over {partitions} partitions needs {} bounds, got {}",
-                    partitions - 1,
-                    bounds.len()
-                )));
-            }
-            if bounds.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(Error::Schedule(
-                    "range-routing bounds must be strictly increasing".into(),
-                ));
-            }
-        }
         Ok(Router { spec, partitions })
     }
 
@@ -112,21 +79,12 @@ impl Router {
                 "partition key is NULL; cannot route a row without a key".into(),
             ));
         }
-        match &self.spec {
-            RouteSpec::Hash { .. } => {
-                use std::hash::{Hash, Hasher};
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                key.hash(&mut h);
-                Ok(PartitionId::new(
-                    (h.finish() % self.partitions as u64) as u32,
-                ))
-            }
-            RouteSpec::Range { bounds, .. } => {
-                let k = key.as_int()?;
-                let idx = bounds.partition_point(|b| *b <= k);
-                Ok(PartitionId::new(idx as u32))
-            }
-        }
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        Ok(PartitionId::new(
+            (h.finish() % self.partitions as u64) as u32,
+        ))
     }
 
     /// Route one row by the declared partition-key column.
@@ -281,30 +239,26 @@ mod tests {
     }
 
     #[test]
-    fn range_routing_respects_bounds() {
-        let r = Router::new(RouteSpec::range(0, vec![10, 20]), 3).unwrap();
-        assert_eq!(r.route_key(&Value::Int(-5)).unwrap().raw(), 0);
-        assert_eq!(r.route_key(&Value::Int(9)).unwrap().raw(), 0);
-        assert_eq!(r.route_key(&Value::Int(10)).unwrap().raw(), 1);
-        assert_eq!(r.route_key(&Value::Int(19)).unwrap().raw(), 1);
-        assert_eq!(r.route_key(&Value::Int(20)).unwrap().raw(), 2);
-        assert_eq!(r.route_key(&Value::Int(1_000_000)).unwrap().raw(), 2);
-    }
-
-    #[test]
     fn bad_specs_rejected() {
         assert!(Router::new(RouteSpec::hash(0), 0).is_err());
-        assert!(Router::new(RouteSpec::range(0, vec![1]), 3).is_err());
-        assert!(Router::new(RouteSpec::range(0, vec![5, 5]), 3).is_err());
     }
 
     #[test]
     fn shard_preserves_order_and_key_errors_surface() {
-        let r = Router::new(RouteSpec::range(1, vec![100]), 2).unwrap();
+        let r = Router::new(RouteSpec::hash(1), 2).unwrap();
+        // Keys for column 1: the first and third rows route to p0, the
+        // second to p1.
+        let keys_on = |p: u32| {
+            let r = &r;
+            (0i64..).filter(move |&k| r.route_key(&Value::Int(k)).unwrap().raw() == p)
+        };
+        let mut p0 = keys_on(0);
+        let (a, c) = (p0.next().unwrap(), p0.next().unwrap());
+        let b = keys_on(1).next().unwrap();
         let rows: Vec<Row> = vec![
-            vec![Value::Int(1), Value::Int(5)].into(),
-            vec![Value::Int(2), Value::Int(500)].into(),
-            vec![Value::Int(3), Value::Int(6)].into(),
+            vec![Value::Int(1), Value::Int(a)].into(),
+            vec![Value::Int(2), Value::Int(b)].into(),
+            vec![Value::Int(3), Value::Int(c)].into(),
         ];
         let shards = r.shard(rows).unwrap();
         assert_eq!(shards[0].len(), 2);

@@ -4,10 +4,9 @@
 
 use sstore_core::common::{PartitionId, Row, Value};
 use sstore_core::workloads::{count_events_rows, deploy_count_events as deploy};
-use sstore_core::{cluster::DEFAULT_INGEST_QUEUE_DEPTH, Cluster, RouteSpec, SStoreBuilder};
+use sstore_core::{cluster::DEFAULT_INGEST_QUEUE_DEPTH, Cluster, RouteSpec, Router, SStoreBuilder};
 
-/// Narrow key space (37 keys over 0..=36) so keys collide across batches
-/// and the range-routing assertions below stay meaningful.
+/// Narrow key space (37 keys over 0..=36) so keys collide across batches.
 fn workload(n: usize) -> Vec<Row> {
     count_events_rows(n, 37, 11)
 }
@@ -68,62 +67,25 @@ fn async_ingest_matches_single_partition() {
 }
 
 #[test]
-fn range_routing_places_keys_explicitly() {
-    let builder = SStoreBuilder::new();
-    let cluster = Cluster::with_config(
-        2,
-        RouteSpec::range(0, vec![19]),
-        DEFAULT_INGEST_QUEUE_DEPTH,
-        &builder,
-        deploy,
-    )
-    .unwrap();
-    cluster
-        .submit_batch_async("count_events", workload(100))
-        .unwrap()
-        .wait()
-        .unwrap();
-    // Keys 0..=18 live on p0, 19..=36 on p1 — verifiable directly.
-    let p0_max = cluster.with_partition(0, |p| {
-        p.query("SELECT MAX(key) FROM totals", &[])
-            .unwrap()
-            .scalar_i64()
-            .unwrap()
-    });
-    let p0_max = p0_max.unwrap();
-    let p1_min = cluster.with_partition(1, |p| {
-        p.query("SELECT MIN(key) FROM totals", &[])
-            .unwrap()
-            .scalar_i64()
-            .unwrap()
-    });
-    assert!(p0_max <= 18);
-    assert!(p1_min.unwrap() >= 19);
-}
-
-#[test]
-fn blocking_wrapper_respects_range_route() {
-    let cluster = Cluster::with_config(
-        2,
-        RouteSpec::range(0, vec![19]),
-        DEFAULT_INGEST_QUEUE_DEPTH,
-        &SStoreBuilder::new(),
-        deploy,
-    )
-    .unwrap();
-    // Matching key column: rows go where the declared ranges say.
+fn blocking_wrapper_refuses_a_key_column_other_than_the_declared_one() {
+    let cluster = Cluster::new(2, &SStoreBuilder::new(), deploy).unwrap();
+    // Matching key column: every row goes where the declared route says.
     cluster
         .submit_batch_partitioned("count_events", workload(100), 0)
         .unwrap();
-    let p0_max = cluster.with_partition(0, |p| {
-        p.query("SELECT MAX(key) FROM totals", &[])
-            .unwrap()
-            .scalar_i64()
-            .unwrap()
-    });
-    assert!(p0_max.unwrap() <= 18);
-    // A different key column would hash-place rows against the declared
-    // ranges — rejected outright.
+    let router = Router::new(RouteSpec::hash(0), 2).unwrap();
+    for p in 0..2 {
+        let keys = cluster.with_partition(p, |part| {
+            part.query("SELECT key FROM totals", &[]).unwrap().rows
+        });
+        let keys = keys.unwrap();
+        assert!(!keys.is_empty());
+        for key in keys {
+            assert_eq!(router.route_key(&key[0]).unwrap().raw(), p as u32);
+        }
+    }
+    // A different key column would place rows against the declared
+    // route — rejected outright.
     let err = cluster
         .submit_batch_partitioned("count_events", workload(10), 1)
         .unwrap_err();

@@ -11,7 +11,7 @@ use sstore_core::workloads::{deploy_count_events_multi, deploy_two_stage};
 use sstore_core::{
     recover, Cluster, InboundForward, LogConfig, PeConfig, RouteSpec, SStore, SStoreBuilder,
 };
-use sstore_core::{ProcSpec, TxnStatus};
+use sstore_core::{ProcSpec, Router, TxnStatus};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -280,17 +280,24 @@ fn coord_log_io_error_aborts_round_cleanly() {
     let builder = SStoreBuilder::new().durability(&dir, 1);
     let cluster = Cluster::with_config(
         2,
-        RouteSpec::range(0, vec![10]),
+        RouteSpec::hash(0),
         16,
         &builder,
         deploy_count_events_multi,
     )
     .unwrap();
-    // Keys 5 and 15 straddle the range split — a genuine 2PC round.
+    // One key on each partition — a genuine 2PC round.
+    let router = Router::new(RouteSpec::hash(0), 2).unwrap();
+    let key_on = |p: u32| {
+        (0..)
+            .find(|&k| router.route_key(&Value::Int(k)).unwrap().raw() == p)
+            .unwrap()
+    };
+    let (k0, k1) = (key_on(0), key_on(1));
     let straddle = || {
         vec![
-            Row::new(vec![Value::Int(5), Value::Int(50)]),
-            Row::new(vec![Value::Int(15), Value::Int(150)]),
+            Row::new(vec![Value::Int(k0), Value::Int(50)]),
+            Row::new(vec![Value::Int(k1), Value::Int(150)]),
         ]
     };
 

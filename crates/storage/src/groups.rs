@@ -22,9 +22,10 @@
 //! A table keeps one state per key set the engine registered
 //! ([`Table::track_groups`](crate::Table::track_groups)); every window
 //! keeps the zero-key state, which answers the ungrouped aggregate. The
-//! table's mutators fold rows in and out beside the column mirror, so
-//! engine writes, undo rollback, delta replay and direct writes keep a
-//! built state exact without doing anything themselves.
+//! table's change stream (`Table::commit`) folds rows in and out beside
+//! the column mirror, so engine writes, undo rollback, delta replay and
+//! direct writes keep a built state exact without doing anything
+//! themselves.
 //!
 //! A state is **derived**, like the mirror: never encoded, so it is not
 //! in snapshot bytes; a cloned or decoded table keeps the registered key

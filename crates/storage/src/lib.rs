@@ -12,12 +12,13 @@
 //! * [`GroupedAggs`] — the grouped aggregate state a window's table keeps
 //!   so that `COUNT`/`SUM`/`AVG … GROUP BY` over it needs no scan.
 //! * [`undo::UndoLog`] — per-transaction undo for atomic aborts.
-//! * [`snapshot`] — whole-partition serialization for checkpointing.
+//! * [`snapshot`] — whole-partition snapshots, full or delta ([`SlotOp`]).
 
 pub mod catalog;
 pub mod database;
 mod groups;
 pub mod index;
+mod journal;
 mod mirror;
 pub mod snapshot;
 pub mod table;
@@ -27,5 +28,6 @@ pub use catalog::TableKind;
 pub use database::Database;
 pub use groups::{GroupView, GroupedAggs};
 pub use index::{IndexDef, RowId};
-pub use table::{SlotOp, Table, TableDirt};
+pub use journal::{SlotOp, TableDirt};
+pub use table::Table;
 pub use undo::{UndoLog, UndoOp};

@@ -4,10 +4,10 @@
 //! of pivoting rows into a batch on every query, a table keeps, for each
 //! column a vector scan has ever asked for, a [`Column`] whose lane *i*
 //! is slot *i*: built once from the slots, then patched in O(1) per lane
-//! by the table's mutators — the ones that feed the slot-op journal, so
-//! undo rollback and delta replay maintain it too; an in-place cell write
-//! patches only the columns it wrote. Lanes of free slots
-//! hold defaults and are never selected (`Table::live_mask`). A lane has
+//! from the table's change stream (`Table::commit`), so undo rollback and
+//! delta replay maintain it too; an in-place cell write patches only the
+//! columns it wrote. Lanes of free slots hold defaults and are never
+//! selected (`Table::live_mask`). A lane has
 //! its column's declared type, and so does every cell a slot holds: the
 //! mutators store only rows `Schema::validate` passed, and
 //! `Table::decode_binary` refuses an image holding any other cell. So
@@ -18,7 +18,7 @@
 //! rebuilt on first use.
 //!
 //! Beside the columns it keeps a liveness mask, one `bool` per slot, that
-//! the same mutators patch: a vector scan of a table with free slots
+//! the same changes patch: a vector scan of a table with free slots
 //! starts from it as its selection (`Table::live_mask`).
 //!
 //! Readers only hold `&Table` (every read path reaches storage through
@@ -128,16 +128,6 @@ impl Mirror {
         }
         if let Some(live) = self.live.get_mut() {
             live[rid as usize] = false;
-        }
-    }
-
-    /// The slot array now has `lanes` slots, the new ones free.
-    pub(crate) fn grow(&mut self, lanes: usize) {
-        for (_, col) in self.built_mut() {
-            col.grow(lanes);
-        }
-        if let Some(live) = self.live.get_mut() {
-            live.resize(lanes, false);
         }
     }
 

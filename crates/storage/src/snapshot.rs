@@ -17,8 +17,9 @@
 
 use crate::catalog::Catalog;
 use crate::database::Database;
-use crate::table::{SlotOp, Table, TableDirt};
-use sstore_common::codec::{self, FrameRead};
+use crate::journal::{SlotOp, TableDirt};
+use crate::table::Table;
+use sstore_common::codec;
 use sstore_common::durable;
 use sstore_common::{BatchId, Error, Result, TxnId};
 use std::fs;
@@ -174,6 +175,9 @@ enum TableDelta {
 /// image, chained to it by the predecessor's [`SnapshotKey`]. On disk it
 /// shares the `SSNP` header with full images; the meta frame's kind byte
 /// tells them apart, so a delta can never be mistaken for a base.
+/// A changed table's ops end with the live row of each slot written in
+/// place since that image (the journal keeps such a write as its slot
+/// id; replaying it last is byte-identical, see `crate::journal`).
 pub struct SnapshotDelta {
     /// Key of the image this delta chains onto.
     pub base: SnapshotKey,
@@ -213,9 +217,7 @@ impl SnapshotDelta {
         for (tid, t) in db.tables().iter().enumerate() {
             match t.dirt() {
                 TableDirt::Clean => {}
-                TableDirt::Ops(ops) => {
-                    tables.push((tid as u64, TableDelta::Ops(ops.to_vec())));
-                }
+                TableDirt::Ops(ops) => tables.push((tid as u64, TableDelta::Ops(ops))),
                 TableDirt::Full => {
                     tables.push((tid as u64, TableDelta::Full(Box::new(t.clone()))));
                 }
@@ -371,9 +373,9 @@ impl Snapshot {
                         Error::Recovery(format!("delta ops for unknown table {tid}"))
                     })?;
                     for op in &ops {
-                        table
-                            .apply_slot_op(op)
-                            .map_err(|e| Error::Recovery(format!("delta replay: {e}")))?;
+                        table.apply_slot_op(op).map_err(|e| {
+                            Error::Recovery(format!("delta replay, table {tid}: {e}"))
+                        })?;
                     }
                 }
                 TableDelta::Full(table) => {
@@ -463,15 +465,9 @@ fn decode_opt_u64(r: &mut codec::Reader<'_>) -> Result<Option<u64>> {
 
 /// Read one frame that must be complete and valid (snapshot context).
 fn next_frame<'a>(r: &mut codec::Reader<'a>) -> Result<&'a [u8]> {
-    match codec::read_frame(r) {
-        FrameRead::Frame(payload) => Ok(payload),
-        FrameRead::Eof | FrameRead::Torn { .. } => Err(Error::Codec(
-            "snapshot truncated (missing frame)".to_string(),
-        )),
-        FrameRead::Corrupt { offset, detail } => Err(Error::Codec(format!(
-            "snapshot corrupted at byte {offset}: {detail}"
-        ))),
-    }
+    let frame =
+        codec::read_frame(r).map_err(|e| Error::Codec(format!("snapshot corrupted: {e}")))?;
+    frame.ok_or_else(|| Error::Codec("snapshot truncated (missing frame)".into()))
 }
 
 #[cfg(test)]

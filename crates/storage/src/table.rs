@@ -6,9 +6,17 @@
 //! reverse: `insert` ↔ `delete`, `update` ↔ `update`, `set_cells` ↔
 //! `set_cells`, and `restore` (which reinserts a deleted row into its
 //! original slot).
+//!
+//! **One change stream.** A mutator validates, maintains the indexes (so
+//! a unique-key failure is refused before any slot is written) and hands
+//! one `Change` to `Table::commit`, the only writer of the views derived
+//! from the slots: the column mirror, the grouped states and the delta
+//! journal. The journal keeps an in-place write as its slot id and reads
+//! the live row at the cut (`crate::journal` says why that is sound).
 
 use crate::groups::{GroupStates, GroupedAggs};
 use crate::index::{Index, IndexDef, RowId};
+use crate::journal::{Journal, TableDirt};
 use crate::mirror::Mirror;
 use sstore_common::{codec, Error, Result, Row, Schema, Value};
 
@@ -31,120 +39,32 @@ pub struct Table {
     pk_index: Option<Index>,
     /// Secondary indexes.
     indexes: Vec<Index>,
-    /// Change journal for delta snapshots; `None` = tracking off. Never
-    /// encoded (runtime bookkeeping, not state).
+    /// Change journal for delta snapshots; `None` = tracking off.
     journal: Option<Journal>,
-    /// Resident columns for vector scans, kept in step by the mutators.
-    /// Derived from `slots`, so not state either: never encoded, and a
-    /// clone starts without one.
+    /// Resident columns for vector scans (derived: a clone drops it).
     mirror: Mirror,
-    /// Grouped aggregate states, kept in step by the mutators like the
-    /// mirror, and derived like it (`crate::groups`).
+    /// Grouped aggregate states (derived, like the mirror).
     groups: GroupStates,
 }
 
-/// One journaled slot mutation — the exact physical operations the table
-/// mutators perform, in execution order. Replaying a journal against the
-/// base image drives the *same* mutators, so slot assignment, free-list
-/// order, and index bucket order come out byte-identical to the live
-/// table (a positional diff could not reproduce bucket order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SlotOp {
-    /// `insert` filled `rid` with `row`.
-    Insert {
-        /// Slot the insert chose (replay asserts the same choice).
-        rid: RowId,
-        /// The validated row.
-        row: Row,
-    },
-    /// `delete` emptied `rid`.
-    Delete {
-        /// Slot that was emptied.
-        rid: RowId,
-    },
-    /// `update` replaced the row at `rid`.
-    Update {
-        /// Slot that was updated.
-        rid: RowId,
-        /// The new (validated) row.
-        row: Row,
-    },
-    /// `restore` re-filled `rid` (undo path).
-    Restore {
-        /// Slot that was re-filled.
-        rid: RowId,
-        /// The restored row.
-        row: Row,
-    },
-    /// `truncate` cleared the table (ops before it are superseded).
-    Truncate,
-}
-
-const OP_INSERT: u8 = 0;
-const OP_DELETE: u8 = 1;
-const OP_UPDATE: u8 = 2;
-const OP_RESTORE: u8 = 3;
-const OP_TRUNCATE: u8 = 4;
-
-impl SlotOp {
-    /// Append the compact binary encoding (delta snapshot frames): the
-    /// tag, then the slot and the row where the op has them.
-    pub(crate) fn encode_binary(&self, out: &mut Vec<u8>) {
-        let (tag, rid, row) = match self {
-            SlotOp::Insert { rid, row } => (OP_INSERT, rid, Some(row)),
-            SlotOp::Delete { rid } => (OP_DELETE, rid, None),
-            SlotOp::Update { rid, row } => (OP_UPDATE, rid, Some(row)),
-            SlotOp::Restore { rid, row } => (OP_RESTORE, rid, Some(row)),
-            SlotOp::Truncate => return out.push(OP_TRUNCATE),
-        };
-        out.push(tag);
-        codec::put_uvarint(out, *rid);
-        if let Some(row) = row {
-            codec::encode_row(row, out);
-        }
-    }
-
-    /// Decode one op from a delta frame.
-    pub(crate) fn decode_binary(r: &mut codec::Reader<'_>) -> Result<SlotOp> {
-        Ok(match r.u8()? {
-            OP_INSERT => SlotOp::Insert {
-                rid: r.uvarint()?,
-                row: codec::decode_row(r)?,
-            },
-            OP_DELETE => SlotOp::Delete { rid: r.uvarint()? },
-            OP_UPDATE => SlotOp::Update {
-                rid: r.uvarint()?,
-                row: codec::decode_row(r)?,
-            },
-            OP_RESTORE => SlotOp::Restore {
-                rid: r.uvarint()?,
-                row: codec::decode_row(r)?,
-            },
-            OP_TRUNCATE => SlotOp::Truncate,
-            tag => return Err(Error::Codec(format!("unknown slot-op tag {tag}"))),
-        })
-    }
-}
-
-/// Accumulated changes since the last snapshot image.
-#[derive(Debug, Clone, Default)]
-struct Journal {
-    ops: Vec<SlotOp>,
-    /// Structural change (index DDL) or op overflow: the next delta must
-    /// carry a full image of this table instead of an op replay.
-    full: bool,
-}
-
-/// What the next delta image must carry for a table.
+/// One change to a table's rows, as a mutator hands it to
+/// `Table::commit` once the indexes have taken it.
 #[derive(Debug)]
-pub enum TableDirt<'a> {
-    /// Untouched since the last image — omit from the delta.
-    Clean,
-    /// Replay these ops against the base to reproduce the live state.
-    Ops(&'a [SlotOp]),
-    /// Journal unavailable (tracking started after the base, structural
-    /// change, or overflow): embed a full image.
-    Full,
+pub(crate) enum Change<'a> {
+    /// Free slot `rid`, or the one past the end, takes `new` (`restore`:
+    /// the undo path's reinsertion of a deleted row).
+    Insert { rid: RowId, new: Row, restore: bool },
+    /// Slot `rid`, which held `old`, was emptied.
+    Delete { rid: RowId, old: &'a Row },
+    /// The row at `rid`, `old`, is replaced by `new`.
+    Update { rid: RowId, old: &'a Row, new: Row },
+    /// `cells`, keying no index, are swapped into the row at `rid`.
+    Cells {
+        rid: RowId,
+        cells: &'a mut [(usize, Value)],
+    },
+    /// Every slot is gone.
+    Truncate,
 }
 
 impl Table {
@@ -320,15 +240,9 @@ impl Table {
         // Structural change: an op replay against a base without this
         // index cannot reproduce it, so force a full image next delta.
         if let Some(j) = &mut self.journal {
-            j.ops.clear();
-            j.full = true;
+            j.restart(true);
         }
         Ok(())
-    }
-
-    /// Look up a secondary index by name.
-    pub(crate) fn index(&self, name: &str) -> Option<&Index> {
-        self.indexes.iter().find(|ix| ix.def.name == name)
     }
 
     /// All secondary indexes.
@@ -336,88 +250,60 @@ impl Table {
         &self.indexes
     }
 
-    /// Validate and insert a row; returns its stable row id.
+    /// Validate and insert a row; returns its stable row id: the top of
+    /// the free stack, or a new slot at the end. A refused row takes no
+    /// slot.
     pub fn insert(&mut self, row: impl Into<Row>) -> Result<RowId> {
-        let row = self.schema.validate(row)?;
-        let rid = match self.free.pop() {
-            Some(r) => r,
-            None => {
-                self.slots.push(None);
-                (self.slots.len() - 1) as RowId
-            }
-        };
-        if let Err(e) = self.index_insert(&row, rid) {
-            // Slot was not filled yet; return it to the free list.
-            self.free.push(rid);
-            self.mirror.grow(self.slots.len());
-            return Err(e);
+        let fresh = self.slots.len() as RowId;
+        let rid = self.free.last().copied().unwrap_or(fresh);
+        self.fill(rid, row.into(), false).map(|()| rid)
+    }
+
+    /// Reinsert a deleted row into its original slot (undo path),
+    /// validated as `insert` does.
+    pub fn restore(&mut self, rid: RowId, row: Row) -> Result<()> {
+        if !matches!(self.slots.get(rid as usize), Some(None)) {
+            let msg = format!("restore to slot {rid}, which is not free");
+            return Err(Error::Internal(msg));
         }
-        if self.journal.is_some() {
-            self.journal_record(SlotOp::Insert {
-                rid,
-                row: row.clone(),
-            });
-        }
-        self.mirror.write(rid, &row);
-        self.groups.add(rid, &row);
-        self.slots[rid as usize] = Some(row);
-        self.live += 1;
-        Ok(rid)
+        self.fill(rid, row, true)
+    }
+
+    fn fill(&mut self, rid: RowId, row: Row, restore: bool) -> Result<()> {
+        let new = self.schema.validate(row)?;
+        self.index_insert(&new, rid, |_| true)?;
+        self.commit(Change::Insert { rid, new, restore });
+        Ok(())
     }
 
     /// Delete by row id; returns the removed row (needed for undo).
     pub fn delete(&mut self, rid: RowId) -> Result<Row> {
-        let row = self
+        let old = self
             .slots
             .get_mut(rid as usize)
             .and_then(Option::take)
             .ok_or_else(|| Error::Internal(format!("delete of missing row {rid}")))?;
-        self.index_remove(&row, rid)?;
-        self.free.push(rid);
-        self.live -= 1;
-        self.mirror.free(rid);
-        self.groups.remove(rid, &row);
-        self.journal_record(SlotOp::Delete { rid });
-        Ok(row)
+        self.index_remove(&old, rid, |_| true)?;
+        self.commit(Change::Delete { rid, old: &old });
+        Ok(old)
     }
 
     /// Replace the row at `rid`; returns the previous row (for undo).
     /// The returned old image is a shared handle (refcount bump, no copy).
-    /// Indexes are touched only when some key changes (`Value`'s `Eq` is
-    /// the relation every index map follows), so bucket order stays put.
+    /// Only the indexes whose key changes are touched (`Value`'s `Eq` is
+    /// the relation every index map follows), the new entries first: a
+    /// duplicate key is refused before any old entry moves, so a refused
+    /// update, which the journal never sees, leaves every bucket's order.
     pub fn update(&mut self, rid: RowId, new_row: impl Into<Row>) -> Result<Row> {
-        let new_row = self.schema.validate(new_row)?;
-        let old = self
-            .slots
-            .get(rid as usize)
-            .and_then(|s| s.as_ref())
-            .cloned()
-            .ok_or_else(|| Error::Internal(format!("update of missing row {rid}")))?;
-        let rekey = self
-            .pk_index
-            .iter()
-            .chain(&self.indexes)
-            .any(|ix| *ix.key_ref(&old) != *ix.key_ref(&new_row));
-        if rekey {
-            self.index_remove(&old, rid)?;
-            if let Err(e) = self.index_insert(&new_row, rid) {
-                // Roll the index change back so the table stays consistent.
-                self.index_insert(&old, rid)
-                    .expect("reinserting old index entries cannot fail");
-                return Err(e);
-            }
-        }
-        if self.journal.is_some() {
-            self.journal_record(SlotOp::Update {
-                rid,
-                row: new_row.clone(),
-            });
-        }
-        self.mirror.write(rid, &new_row);
-        self.groups.remove(rid, &old);
-        self.groups.add(rid, &new_row);
-        self.slots[rid as usize] = Some(new_row);
-        Ok(old)
+        let new = self.schema.validate(new_row)?;
+        let prev = self.get(rid).cloned();
+        let prev = prev.ok_or_else(|| Error::Internal(format!("update of missing row {rid}")))?;
+        let old = &prev;
+        let rekeyed = |ix: &Index| *ix.key_ref(old) != *ix.key_ref(&new);
+        self.index_insert(&new, rid, rekeyed)?;
+        self.index_remove(old, rid, rekeyed)?;
+        self.commit(Change::Update { rid, old, new });
+        Ok(prev)
     }
 
     /// Overwrite cells of the row at `rid` in place: `cells[i].1` goes
@@ -425,10 +311,10 @@ impl Table {
     /// return holds the value it replaced. Every cell is checked before
     /// any is written. The row is written through [`Row::make_mut`]: in
     /// place when the stored handle is unique, after a counted copy when
-    /// it is shared (a client result, a snapshot image, the journal). Only
-    /// the written columns of the mirror are patched. A column that keys
-    /// an index ([`Table::is_key_column`]) is refused: its write goes
-    /// through [`Table::update`].
+    /// it is shared (a client result, a snapshot image). Only the written
+    /// columns of the mirror are patched, and the journal keeps only the
+    /// slot id. A column that keys an index ([`Table::is_key_column`]) is
+    /// refused: its write goes through [`Table::update`].
     pub fn set_cells(&mut self, rid: RowId, cells: &mut [(usize, Value)]) -> Result<()> {
         for (c, v) in cells.iter_mut() {
             if self.is_key_column(*c) {
@@ -438,23 +324,10 @@ impl Table {
             let col = col.ok_or_else(|| Error::Internal(format!("write of column {c}")))?;
             *v = col.store(std::mem::replace(v, Value::Null))?;
         }
-        let row = self
-            .slots
-            .get_mut(rid as usize)
-            .and_then(Option::as_mut)
-            .ok_or_else(|| Error::Internal(format!("update of missing row {rid}")))?;
-        self.groups.remove(rid, row);
-        let stored = row.make_mut();
-        for (c, v) in cells.iter_mut() {
-            std::mem::swap(&mut stored[*c], v);
+        if self.get(rid).is_none() {
+            return Err(Error::Internal(format!("update of missing row {rid}")));
         }
-        self.mirror
-            .write_cells(rid, row, cells.iter().map(|(c, _)| *c));
-        self.groups.add(rid, row);
-        if self.journal.is_some() {
-            let row = row.clone();
-            self.journal_record(SlotOp::Update { rid, row });
-        }
+        self.commit(Change::Cells { rid, cells });
         Ok(())
     }
 
@@ -483,39 +356,6 @@ impl Table {
         (self.pk_index.iter().chain(&self.indexes)).any(|ix| ix.def.key_cols.contains(&c))
     }
 
-    /// Reinsert a deleted row into its original slot (undo path), validated as `insert` does.
-    pub fn restore(&mut self, rid: RowId, row: Row) -> Result<()> {
-        match self.slots.get(rid as usize) {
-            None => {
-                return Err(Error::Internal(format!(
-                    "restore to out-of-range slot {rid}"
-                )))
-            }
-            Some(Some(_)) => {
-                return Err(Error::Internal(format!("restore to occupied slot {rid}")))
-            }
-            Some(None) => {}
-        }
-        let row = self.schema.validate(row)?;
-        self.index_insert(&row, rid)?;
-        if self.journal.is_some() {
-            self.journal_record(SlotOp::Restore {
-                rid,
-                row: row.clone(),
-            });
-        }
-        self.mirror.write(rid, &row);
-        self.groups.add(rid, &row);
-        self.slots[rid as usize] = Some(row);
-        // Undo restores in reverse delete order, so the slot is the free
-        // stack's top: searching from the back makes a bulk undo linear.
-        if let Some(pos) = self.free.iter().rposition(|&f| f == rid) {
-            self.free.swap_remove(pos);
-        }
-        self.live += 1;
-        Ok(())
-    }
-
     /// Fetch a row by id.
     #[inline]
     pub fn get(&self, rid: RowId) -> Option<&Row> {
@@ -531,9 +371,8 @@ impl Table {
     /// into the index bucket — no per-lookup allocation; callers that need
     /// to mutate while iterating must copy explicitly.
     pub fn index_lookup(&self, index_name: &str, key: &[Value]) -> Result<&[RowId]> {
-        let ix = self
-            .index(index_name)
-            .ok_or_else(|| Error::NotFound(format!("index `{index_name}`")))?;
+        let ix = self.indexes.iter().find(|ix| ix.def.name == index_name);
+        let ix = ix.ok_or_else(|| Error::NotFound(format!("index `{index_name}`")))?;
         Ok(ix.get(key))
     }
 
@@ -606,18 +445,10 @@ impl Table {
 
     /// Remove every row. Keeps indexes defined but empty.
     pub fn truncate(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.live = 0;
-        if let Some(pk) = &mut self.pk_index {
-            pk.clear();
-        }
-        for ix in &mut self.indexes {
+        for ix in self.indexes_mut() {
             ix.clear();
         }
-        self.mirror.truncate(&self.schema);
-        self.groups.clear();
-        self.journal_record(SlotOp::Truncate);
+        self.commit(Change::Truncate);
     }
 
     /// Keep a grouped aggregate state keyed by the columns `keys` over
@@ -643,123 +474,119 @@ impl Table {
         self.groups.get(keys, &self.slots)
     }
 
-    /// Record one op in the change journal (no-op when tracking is off).
-    /// `Truncate` supersedes everything before it; an op count well past
-    /// the slot count means replay would cost more than a full image, so
-    /// the journal gives up and flags the table full.
-    fn journal_record(&mut self, op: SlotOp) {
-        let cap = self.slots.len() + 64;
+    /// Apply `change` to the slots, free list and live count, and to the
+    /// views derived from them: mirror, grouped states and journal. Each
+    /// mutator passes one variant, so inlined the match folds away.
+    #[inline(always)]
+    fn commit(&mut self, change: Change<'_>) {
         if let Some(j) = &mut self.journal {
-            if j.full {
-                return;
+            j.record(&change, self.slots.len());
+        }
+        match change {
+            Change::Insert { rid, new, .. } => {
+                self.mirror.write(rid, &new);
+                self.groups.add(rid, &new);
+                // Undo restores in reverse delete order and an insert takes
+                // the top, so searching from the back finds the slot first.
+                match self.free.iter().rposition(|&f| f == rid) {
+                    Some(pos) => drop(self.free.swap_remove(pos)),
+                    None => self.slots.push(None),
+                }
+                self.slots[rid as usize] = Some(new);
+                self.live += 1;
             }
-            if matches!(op, SlotOp::Truncate) {
-                j.ops.clear();
+            Change::Delete { rid, old } => {
+                self.free.push(rid);
+                self.live -= 1;
+                self.mirror.free(rid);
+                self.groups.remove(rid, old);
             }
-            j.ops.push(op);
-            if j.ops.len() > cap {
-                j.ops.clear();
-                j.full = true;
+            Change::Update { rid, old, new } => {
+                self.mirror.write(rid, &new);
+                self.groups.remove(rid, old);
+                self.groups.add(rid, &new);
+                self.slots[rid as usize] = Some(new);
+            }
+            Change::Cells { rid, cells } => {
+                let Some(row) = self.slots.get_mut(rid as usize).and_then(Option::as_mut) else {
+                    return;
+                };
+                self.groups.remove(rid, row);
+                let stored = row.make_mut();
+                for (c, v) in cells.iter_mut() {
+                    std::mem::swap(&mut stored[*c], v);
+                }
+                self.mirror
+                    .write_cells(rid, row, cells.iter().map(|(c, _)| *c));
+                self.groups.add(rid, row);
+            }
+            Change::Truncate => {
+                self.slots.clear();
+                self.free.clear();
+                self.live = 0;
+                self.mirror.truncate(&self.schema);
+                self.groups.clear();
             }
         }
     }
 
     /// Turn change tracking on (fresh journal) or off.
     pub fn set_journaling(&mut self, on: bool) {
-        self.journal = if on { Some(Journal::default()) } else { None };
+        self.journal = on.then(Journal::default);
     }
 
     /// Reset the journal after a successful image write; tracking stays on.
     pub fn clear_journal(&mut self) {
         if let Some(j) = &mut self.journal {
-            j.ops.clear();
-            j.full = false;
+            j.restart(false);
         }
     }
 
-    /// What the next delta image must carry for this table.
-    pub fn dirt(&self) -> TableDirt<'_> {
+    /// What the next delta image must carry for this table: a full image
+    /// when tracking never started (it was created after the chain base).
+    pub fn dirt(&self) -> TableDirt {
         match &self.journal {
-            // Tracking never started for this table (e.g. created after
-            // the chain base): only a full image is safe.
             None => TableDirt::Full,
-            Some(j) if j.full => TableDirt::Full,
-            Some(j) if j.ops.is_empty() => TableDirt::Clean,
-            Some(j) => TableDirt::Ops(&j.ops),
+            Some(j) => j.dirt(&self.slots),
         }
     }
 
-    /// Re-execute one journaled op during delta replay. Drives the normal
-    /// mutators so derived structures (indexes, free list) evolve exactly
-    /// as they did live; `Insert` asserts the slot choice matches the
-    /// journaled one (any divergence means the base image is wrong).
-    pub fn apply_slot_op(&mut self, op: &SlotOp) -> Result<()> {
-        match op {
-            SlotOp::Insert { rid, row } => {
-                let got = self.insert(row.clone())?;
-                if got != *rid {
-                    return Err(Error::Codec(format!(
-                        "delta replay slot divergence in `{}`: journaled rid {rid}, got {got}",
-                        self.name
-                    )));
-                }
-            }
-            SlotOp::Delete { rid } => {
-                self.delete(*rid)?;
-            }
-            SlotOp::Update { rid, row } => {
-                self.update(*rid, row.clone())?;
-            }
-            SlotOp::Restore { rid, row } => self.restore(*rid, row.clone())?,
-            SlotOp::Truncate => self.truncate(),
-        }
-        Ok(())
+    /// The pk index, then the secondary ones.
+    fn indexes_mut(&mut self) -> impl Iterator<Item = &mut Index> {
+        self.pk_index.iter_mut().chain(&mut self.indexes)
     }
 
-    fn index_insert(&mut self, row: &Row, rid: RowId) -> Result<()> {
-        if let Some(pk) = &mut self.pk_index {
-            let key = pk.key_ref(row);
-            pk.insert(&key, rid).map_err(|_| {
-                Error::Constraint(format!(
-                    "duplicate primary key {:?} in table `{}`",
-                    self.schema
-                        .pk_indices()
-                        .iter()
-                        .map(|&i| row[i].to_string())
-                        .collect::<Vec<_>>(),
-                    self.name
-                ))
-            })?;
-        }
-        for i in 0..self.indexes.len() {
-            let key = self.indexes[i].key_ref(row);
-            if let Err(e) = self.indexes[i].insert(&key, rid) {
-                // Unwind the partial index inserts.
-                for j in 0..i {
-                    let key = self.indexes[j].key_ref(row);
-                    self.indexes[j]
-                        .remove(&key, rid)
-                        .expect("unwinding fresh index insert cannot fail");
-                }
-                if let Some(pk) = &mut self.pk_index {
-                    let key = pk.key_ref(row);
-                    pk.remove(&key, rid)
-                        .expect("unwinding fresh pk insert cannot fail");
-                }
-                return Err(e);
+    /// Enter `row` at `rid` in the indexes `only` picks, pk first; on a
+    /// failure the entries already made, each a bucket's tail, are popped
+    /// again.
+    fn index_insert(&mut self, row: &Row, rid: RowId, only: impl Fn(&Index) -> bool) -> Result<()> {
+        let (mut done, mut res) = (0, Ok(()));
+        for ix in self.indexes_mut().filter(|ix| only(ix)) {
+            if let Err(e) = ix.insert(&ix.key_ref(row), rid) {
+                res = Err((e, ix.def.name == "__pk"));
+                break;
             }
+            done += 1;
         }
-        Ok(())
+        let Err((e, pk)) = res else { return Ok(()) };
+        for ix in self.indexes_mut().filter(|ix| only(ix)).take(done) {
+            ix.remove(&ix.key_ref(row), rid)
+                .expect("unwinding a fresh index insert cannot fail");
+        }
+        if !pk {
+            return Err(e);
+        }
+        let key = self.schema.pk_indices().iter().map(|&i| row[i].to_string());
+        Err(Error::Constraint(format!(
+            "duplicate primary key {:?} in table `{}`",
+            key.collect::<Vec<_>>(),
+            self.name
+        )))
     }
 
-    fn index_remove(&mut self, row: &Row, rid: RowId) -> Result<()> {
-        if let Some(pk) = &mut self.pk_index {
-            let key = pk.key_ref(row);
-            pk.remove(&key, rid)?;
-        }
-        for ix in &mut self.indexes {
-            let key = ix.key_ref(row);
-            ix.remove(&key, rid)?;
+    fn index_remove(&mut self, row: &Row, rid: RowId, only: impl Fn(&Index) -> bool) -> Result<()> {
+        for ix in self.indexes_mut().filter(|ix| only(ix)) {
+            ix.remove(&ix.key_ref(row), rid)?;
         }
         Ok(())
     }
@@ -791,6 +618,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::SlotOp;
     use sstore_common::{Column, DataType};
 
     fn table() -> Table {
@@ -971,6 +799,19 @@ mod tests {
         assert_eq!(t.index_lookup("by_name", &a).unwrap(), &[3, 1]);
     }
 
+    /// A rekeying update refused for a duplicate key leaves every bucket
+    /// in its order: delta replay never sees a refused update, so a
+    /// reordered bucket would make the replayed table differ.
+    #[test]
+    fn a_refused_rekeying_update_leaves_bucket_order_alone() {
+        let mut t = indexed_table();
+        let a = [Value::Text("a".into())];
+        let err = t.update(0, row(2, "b")).unwrap_err();
+        assert_eq!(err.kind(), "constraint");
+        assert_eq!(t.index_lookup("by_name", &a).unwrap(), &[0, 1, 3]);
+        assert_eq!(t.pk_lookup(&[Value::Int(1)]), Some(0));
+    }
+
     #[test]
     fn restore_reuses_slot() {
         let mut t = table();
@@ -1143,12 +984,10 @@ mod tests {
         assert_eq!(t.column(1).value_at(4), Value::Text("third".into()));
         assert_eq!(t.column(1).value_at(3), Value::Text("again".into()));
         assert_eq!(lane(&t).dict().len(), 3);
-        // A failed insert into the full slot array leaves a free lane.
+        // A failed insert into the full slot array takes no slot or lane.
         assert!(t.insert(row(7, "dup")).is_err());
-        assert_eq!(t.column(1).len(), t.lanes());
-        let live = t.live_mask().unwrap();
-        assert_eq!(live.len(), t.lanes());
-        assert_eq!(live.iter().filter(|&&l| l).count(), 100);
+        assert_eq!((t.lanes(), t.column(1).len()), (100, 100));
+        assert!(t.live_mask().is_none());
 
         t.truncate();
         assert_eq!((t.lanes(), t.column(1).len()), (0, 0));

@@ -20,7 +20,7 @@ const TYPES: [DataType; 6] = [
 ];
 
 /// `id` is a primary key over a small domain, so inserts also fail (a
-/// failed insert into a full slot array leaves a free trailing slot).
+/// failed insert takes no slot).
 fn schema() -> Schema {
     let names = ["id", "a", "f", "s", "b", "t"];
     let cols = names
@@ -281,7 +281,7 @@ proptest! {
                     match live.dirt() {
                         TableDirt::Clean => {}
                         TableDirt::Ops(ops) => {
-                            for op in ops {
+                            for op in &ops {
                                 replica.apply_slot_op(op).unwrap();
                             }
                         }
@@ -401,7 +401,7 @@ proptest! {
                     let cell = text(*k);
                     let row = Row::new(vec![Value::Int(*id), cell.clone()]);
                     let inserted = table.insert(row);
-                    // A failed insert into a full slot array leaves a free slot.
+                    // One model cell per slot; a refused insert takes none.
                     model.resize(table.lanes(), None);
                     if let Ok(rid) = inserted {
                         undo.push(UndoOp::Insert { table: t, rid });

@@ -395,3 +395,57 @@ fn durable_partition_syncs_and_file_growth_stay_pinned() {
     assert_eq!(after.dir_syncs - before.dir_syncs, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Copy-on-write breaks of 64-row `count_events` batches on a durable
+/// partition whose retention points cut delta snapshots, so every table
+/// keeps a change journal. Each bump UPDATE writes its row in place, and
+/// the journal records that write as the row's slot id, not as a handle
+/// of the row, so the next write of the row finds it unshared: breaks
+/// stay near zero per batch. A journal that held a handle per written
+/// row would make each row's next write copy it, once per write of a key
+/// already written since the last cut. Allocations per row are printed
+/// beside it.
+#[test]
+fn journaling_durable_partition_writes_rows_in_place() {
+    const BATCHES: usize = 256;
+    const BATCH: usize = 64;
+    const KEYS: usize = 1_000;
+    let _guard = exclusive();
+    let dir = std::env::temp_dir().join(format!("sstore-cow-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let builder = SStoreBuilder::new().durability(&dir, 8).log_retention(16);
+    let mut db = builder.build().unwrap();
+    deploy_count_events(&mut db).unwrap();
+    // The first batch creates every key, so each timed row is a bump.
+    db.submit_batch("count_events", count_events_rows(KEYS, KEYS as i64, 7))
+        .unwrap();
+    let batches: Vec<Vec<Row>> = (0..BATCHES)
+        .map(|b| {
+            let key = |i: usize| Value::Int(((b * BATCH + i) % KEYS) as i64);
+            (0..BATCH)
+                .map(|i| Row::from([key(i), Value::Int(i as i64 % 7)]))
+                .collect()
+        })
+        .collect();
+    let (before, cow) = (allocs(), RowMetrics::snapshot());
+    for rows in batches {
+        db.submit_batch("count_events", rows).unwrap();
+    }
+    let breaks = RowMetrics::snapshot().since(&cow).cow_breaks;
+    let rows = (BATCH * BATCHES) as u64;
+    let per_row = (allocs() - before) as f64 / rows as f64;
+    let stats = db.stats();
+    drop(db);
+    std::fs::remove_dir_all(&dir).ok();
+    let per_batch = breaks as f64 / BATCHES as f64;
+    println!(
+        "journaling durable count_events: {per_batch:.2} copy-on-write breaks per batch \
+         (budget 0.5), {per_row:.2} allocations per row, {} delta and {} full snapshots",
+        stats.snapshots_delta, stats.snapshots_full
+    );
+    assert!(stats.snapshots_delta >= 1, "no delta was cut");
+    assert!(
+        per_batch <= 0.5,
+        "{per_batch:.2} copy-on-write breaks per batch"
+    );
+}

@@ -127,8 +127,8 @@ fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
 const PUB_ITEM_BUDGET: [(&str, usize); 11] = [
     ("sstore", 0),
     ("bikeshare", 8),
-    ("common", 161),
-    ("core", 77),
+    ("common", 160),
+    ("core", 76),
     ("engine", 27),
     ("slt", 18),
     ("sql", 35),
@@ -182,13 +182,13 @@ fn library_pub_items_stay_within_budget() {
 /// sources may hold, pinned at today's counts.
 const LINE_BUDGET: [(&str, usize); 11] = [
     ("bikeshare", 878),
-    ("common", 3451),
-    ("core", 3496),
+    ("common", 3363),
+    ("core", 3454),
     ("engine", 986),
     ("slt", 1138),
     ("sql", 5472),
     ("sstore", 39),
-    ("storage", 3030),
+    ("storage", 3027),
     ("txn", 3384),
     ("vector", 1874),
     ("voter", 912),
